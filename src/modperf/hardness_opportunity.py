@@ -74,7 +74,8 @@ def hardness(curve: EfficacyCurve) -> HardnessScore:
         raise ValueError("efficacies must be finite")
     constant = scaling_constant(curve.sizes)
     losses = [min(max(1.0 - p, 0.0), 1.0) for p in curve.efficacies]
-    value = constant * sum(l / n for l, n in zip(losses, curve.sizes))
+    # C * sum(1 / n) can round one ulp above 1, so clamp the product too
+    value = _clamp01(constant * sum(l / n for l, n in zip(losses, curve.sizes)))
     return HardnessScore(value=float(value), metric=curve.metric, scaling_constant=constant)
 
 
@@ -111,7 +112,7 @@ def opportunity(
         per_size.append((n, gap, filling))
         total += filling * max(gap, 0.0) / n
     return OpportunityScore(
-        value=float(constant * total),
+        value=float(_clamp01(constant * total)),
         level=level,
         metric=null_curve.metric,
         per_size=tuple(per_size),

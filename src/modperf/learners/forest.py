@@ -1,18 +1,46 @@
-"""Bagged CART regression forest.
+"""Bagged CART regression forest, grown level-wise.
 
-Trees are grown on bootstrap resamples with per-split feature subsampling
-and a variance-reduction split criterion; the ensemble prediction is the
-mean of tree outputs. Everything is deterministic in the bootstrap seed.
+All ``n_trees`` bootstrap trees of one fit grow together, one depth level
+at a time: a level is a fixed number of vectorised numpy calls over every
+active node of every tree, whatever the nodes' sizes. Splits are exact CART
+variance-reduction splits, found in one of two ways chosen from ``X`` alone:
+
+* real or mixed columns: every column keeps the level's rows sorted by
+  (node, value), so a segmented cumulative sum gives the squared error of
+  every (node, split position, feature); the threshold is the midpoint
+  between the two adjacent distinct values;
+* all-0/1 columns: per-(node, feature) row counts and target sums of the
+  ones give every split at the fixed threshold 0.5.
+
+Split rule: lowest SSE, then fewest rows on the left, then lowest column
+index. SSE is compared through the score S_left^2 / n_left + S_right^2 /
+n_right (the node's sum of squares minus SSE); scores within a relative
+``_TIE_RTOL`` of each other count as tied, so float rounding never decides
+a tie. A node stays a leaf at ``max_depth``, when it has fewer
+than ``2 * min_samples_leaf`` rows, when its target is constant, or when no
+split leaves ``min_samples_leaf`` rows on each side.
+
+One generator per fit draws the ``(n_trees, n)`` bootstrap rows. Each node
+considers exactly ``n_sub`` features, the ones with the smallest splitmix64
+keys ``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so
+no node's subset depends on traversal order or on other subtrees. Trees are
+stored in one tree-major node table; prediction walks all trees at once and
+averages their outputs. Everything is deterministic in the bootstrap seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..seeds import rng_for
+from ..seeds import derive, derive_array, rng_for
+
+_TIE_RTOL = 1e-13
+# (bootstrap row, feature) cells grown at once: bounds memory, not results,
+# because trees are independent.
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -30,166 +58,265 @@ class ForestParams:
             raise ValueError(f"feature_subsample must be in (0, 1], got {self.feature_subsample}")
 
 
+def _leaves(X, feature, threshold, left, right, node) -> np.ndarray:
+    """Walk every entry of `node` (shape (n, k), rows of X) down to its leaf,
+    one step per depth."""
+    rows = np.arange(X.shape[0])[:, None]
+    while True:
+        f = feature[node]
+        internal = f >= 0
+        if not internal.any():
+            return node
+        go_left = X[rows, np.maximum(f, 0)] <= threshold[node]
+        node = np.where(internal, np.where(go_left, left[node], right[node]), node)
+
+
+@dataclass(frozen=True, eq=False)
 class _Tree:
-    """Flat-array binary tree; leaves have feature == -1."""
+    """One tree as views into its forest's node table, rooted at node 0;
+    leaves have feature == -1 and children -1."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=float)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        current = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = self.feature[current] >= 0
-            if not internal.any():
-                break
-            idx = np.nonzero(internal)[0]
-            nodes = current[idx]
-            go_left = X[idx, self.feature[nodes]] <= self.threshold[nodes]
-            current[idx] = np.where(go_left, self.left[nodes], self.right[nodes])
-        return self.value[current]
+    def predict(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        start = np.zeros((X.shape[0], 1), dtype=np.intp)
+        leaf = _leaves(X, self.feature, self.threshold, self.left, self.right, start)
+        return self.value[leaf[:, 0]]
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_depth: int,
-    min_samples_leaf: int,
-    n_sub: int,
-) -> _Tree:
-    n, d = X.shape
-    tree = _Tree()
-    root = tree.new_node()
-    all_feats = np.arange(d)
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        ys = y[rows]
-        m = len(rows)
-        total1 = float(np.add.reduce(ys))
-        tree.value[node] = total1 / m
-        if depth >= max_depth or m < 2 * min_samples_leaf:
-            continue
-        if np.minimum.reduce(ys) == np.maximum.reduce(ys):
-            continue
-        feats = rng.choice(d, size=n_sub, replace=False) if n_sub < d else all_feats
-        Xs = X[np.ix_(rows, feats)]
-        order = np.argsort(Xs, axis=0, kind="stable")
-        col_idx = np.arange(Xs.shape[1])
-        xs_sorted = Xs[order, col_idx]
-        ys_sorted = ys[order]
-        c1 = np.cumsum(ys_sorted, axis=0)[:-1]
-        c2 = np.cumsum(ys_sorted * ys_sorted, axis=0)
-        total2 = c2[-1]
-        c2 = c2[:-1]
-        n_left = np.arange(1, m, dtype=float)[:, None]
-        sse = (c2 - c1 * c1 / n_left) + ((total2 - c2) - (total1 - c1) ** 2 / (m - n_left))
-        valid = xs_sorted[:-1] < xs_sorted[1:]
-        if min_samples_leaf > 1:
-            valid[: min_samples_leaf - 1] = False
-            valid[m - min_samples_leaf :] = False
-        if not valid.any():
-            continue
-        sse[~valid] = np.inf
-        flat = int(np.argmin(sse))
-        pos, feat_idx = divmod(flat, sse.shape[1])
-        threshold = 0.5 * (xs_sorted[pos, feat_idx] + xs_sorted[pos + 1, feat_idx])
-        left_rows = rows[order[: pos + 1, feat_idx]]
-        right_rows = rows[order[pos + 1 :, feat_idx]]
-        tree.feature[node] = int(feats[feat_idx])
-        tree.threshold[node] = float(threshold)
-        left = tree.new_node()
-        right = tree.new_node()
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((right, right_rows, depth + 1))
-        stack.append((left, left_rows, depth + 1))
-    tree.finalize()
-    return tree
-
-
-@dataclass
+@dataclass(eq=False)
 class FittedForest:
+    """Tree-major node table: tree t owns nodes offsets[t]:offsets[t+1],
+    in breadth-first order, with child indices local to its tree."""
+
     params: ForestParams
-    trees: list[_Tree]
     n_features: int
+    offsets: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    trees: list[_Tree] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        columns = (self.feature, self.threshold, self.left, self.right, self.value)
+        self.trees = [
+            _Tree(*(c[lo:hi] for c in columns))
+            for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        ]
 
     def predict(self, X) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected shape (n, {self.n_features}), got {X.shape}")
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict(X)
-        return total / len(self.trees)
-
-    def to_dict(self) -> dict:
-        def node(tree: _Tree, idx: int) -> dict:
-            if tree.feature[idx] < 0:
-                return {"value": float(tree.value[idx])}
-            return {
-                "feature": int(tree.feature[idx]),
-                "threshold": float(tree.threshold[idx]),
-                "left": node(tree, int(tree.left[idx])),
-                "right": node(tree, int(tree.right[idx])),
-            }
-
-        return {
-            "kind": "forest",
-            "n_features": self.n_features,
-            "params": {
-                "n_trees": self.params.n_trees,
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "feature_subsample": self.params.feature_subsample,
-                "bootstrap_seed": self.params.bootstrap_seed,
-            },
-            "trees": [node(t, 0) for t in self.trees],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "FittedForest":
-        def build(tree: _Tree, spec: dict) -> int:
-            idx = tree.new_node()
-            if "value" in spec:
-                tree.value[idx] = spec["value"]
-            else:
-                tree.feature[idx] = spec["feature"]
-                tree.threshold[idx] = spec["threshold"]
-                tree.left[idx] = build(tree, spec["left"])
-                tree.right[idx] = build(tree, spec["right"])
-            return idx
-
-        trees = []
-        for tree_spec in doc["trees"]:
-            tree = _Tree()
-            build(tree, tree_spec)
-            tree.finalize()
-            trees.append(tree)
-        return FittedForest(
-            params=ForestParams(**doc["params"]), trees=trees, n_features=doc["n_features"]
+        roots = self.offsets[:-1]
+        # global child indices; a leaf's are never followed
+        base = np.repeat(roots, np.diff(self.offsets))
+        start = np.broadcast_to(roots, (X.shape[0], len(roots)))
+        leaf = _leaves(
+            X, self.feature, self.threshold, self.left + base, self.right + base, start
         )
+        return self.value[leaf].sum(axis=1) / len(roots)
+
+
+def _radix_key(values: np.ndarray, bound: int) -> np.ndarray:
+    """`values` (all < bound) in the narrowest unsigned type, so that numpy's
+    stable argsort can use radix sort."""
+    return values.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
+
+
+def _runs(usable, d, starts, sizes):
+    """Cells of every (node, feature) pair that may split, node-major.
+
+    Pair i is a run of its node's rows, cells run_start[i] onwards; every
+    node that may split has the same number of pairs, `per_node`. Returns
+    (node, feature, run_start, run of each cell, level row of each cell,
+    per_node).
+    """
+    usable = np.broadcast_to(usable, (d, len(sizes)))
+    node, feat = np.nonzero(usable.T)
+    length = sizes[node]
+    run_start = np.cumsum(length) - length
+    run = np.repeat(np.arange(len(node)), length)
+    row = (starts[node] - run_start)[run] + np.arange(len(run))
+    return node, feat, run_start, run, row, np.count_nonzero(usable[:, node[0]])
+
+
+def _search_sorted(XsT, y_fit, order, starts, sizes, usable, msl):
+    """Best split of every node over columns sorted by (node, value).
+
+    `order` is (d, rows): the level's rows in each feature's value order,
+    node by node; `usable` is the (d, nodes) mask of feature-node pairs that
+    may split. Returns the nodes that split, their feature and threshold.
+    """
+    d, n_rows = order.shape
+    node, feat, run_start, run, row, per_node = _runs(usable, d, starts, sizes)
+    sample = order.ravel()[feat[run] * n_rows + row]
+    x = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
+    s_left = np.cumsum(y_fit[sample])
+    before = s_left[run_start] - y_fit[sample[run_start]]
+    length = sizes[node]
+    s_right = (s_left[run_start + length - 1] - before)[run]
+    s_left -= before[run]
+    s_right -= s_left
+    n_left = np.arange(1, len(run) + 1) - run_start[run]
+    n_right = length[run] - n_left
+    # n_right is 0 on a run's last cell, so every valid split has a next cell
+    valid = np.zeros(len(run), dtype=bool)
+    valid[:-1] = x[:-1] < x[1:]
+    valid &= (n_left >= msl) & (n_right >= msl)
+    # score = S_left^2 / n_left + S_right^2 / n_right = sum(y^2) - SSE
+    score = np.square(s_left, out=s_left)
+    score /= n_left
+    score += np.square(s_right, out=s_right) / np.maximum(n_right, 1)
+    score[~valid] = -1.0
+    node_start = run_start[::per_node]
+    slot = run // per_node
+    hit = score >= _tie_floor(np.maximum.reduceat(score, node_start))[slot]
+    # ties: fewest rows on the left, then the lowest feature
+    key = np.where(hit, n_left * d + feat[run], n_rows * d)
+    chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, node_start)[slot]))
+    lo, hi = x[chosen], x[chosen + 1]
+    mid = 0.5 * (lo + hi)
+    # the midpoint of adjacent floats can round up to `hi`; `lo` splits the same rows
+    return node[run[chosen]], feat[run[chosen]], np.where(mid < hi, mid, lo)
+
+
+def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl):
+    """Best split of every node over all-0/1 columns at threshold 0.5 (rows
+    with a 1 go right). Same arguments and result as `_search_sorted`; only
+    order[0] is used."""
+    d = XsT.shape[0]
+    node, feat, run_start, run, row, per_node = _runs(usable, d, starts, sizes)
+    sample = order[0, row]
+    ones = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
+    n_right = np.add.reduceat(ones, run_start)
+    s_right = np.add.reduceat(np.multiply(ones, y_fit[sample], out=ones), run_start)
+    n_left = sizes[node] - n_right
+    s_left = np.add.reduceat(y_fit[order[0]], starts)[node] - s_right
+    score = np.where(
+        (n_left >= msl) & (n_right >= msl),
+        s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
+        -1.0,
+    ).reshape(-1, per_node)
+    hit = score >= _tie_floor(score.max(axis=1))[:, None]
+    # ties: fewest rows on the left, then the lowest feature
+    key = np.where(hit, n_left.reshape(hit.shape) * d + feat.reshape(hit.shape), np.inf)
+    split = np.flatnonzero(hit.any(axis=1))
+    chosen = split * per_node + key[split].argmin(axis=1)
+    return node[chosen], feat[chosen], np.full(len(chosen), 0.5)
+
+
+def _tie_floor(best: np.ndarray) -> np.ndarray:
+    """Lowest score tied with each node's `best`. Valid scores are >= 0 and
+    invalid ones -1, which is below the floor -1 * (1 - rtol) of a node
+    without a valid split."""
+    return best * (1.0 - _TIE_RTOL)
+
+
+def _partition(go_left, order, sizes, nodes):
+    """Keep the rows of the split `nodes`, each parent's left child's rows
+    first, then its right child's, both in their old order.
+
+    Returns the new (features, rows) order and the children's sizes, left
+    child first.
+    """
+    split = np.zeros(len(sizes), dtype=bool)
+    split[nodes] = True
+    kept = order[:, np.repeat(split, sizes)]
+    parent = _radix_key(np.repeat(2 * np.arange(len(nodes)), sizes[nodes]), 2 * len(nodes))
+    child = parent + ~go_left[kept]
+    moved = np.argsort(child, axis=1, kind="stable")
+    child_sizes = np.bincount(child[0], minlength=2 * len(nodes))
+    return kept[np.arange(len(kept))[:, None], moved], child_sizes
+
+
+def _grow_block(X, y, rows, first_tree, params: ForestParams, n_sub: int, binary: bool):
+    """Grow one tree per row of bootstrap indices `rows`, level by level.
+
+    Returns per-tree node counts and the tree-major node table
+    (feature, threshold, left, right, value) with tree-local child indices.
+    """
+    n_trees, n = rows.shape
+    d = X.shape[1]
+    msl = params.min_samples_leaf
+    samples = rows.ravel()
+    XsT = np.ascontiguousarray(X[samples].T)
+    y_raw = y[samples]
+    # a constant shift changes no SSE comparison and keeps the level-wide
+    # cumulative sums small; the midrange keeps small integers exact
+    y_fit = y_raw - 0.5 * (y.min() + y.max())
+    if binary:
+        order = np.arange(samples.size)[None, :]
+    else:
+        # per feature: each tree's samples sorted by value, ties by sample id
+        rank = np.empty((d, n), dtype=np.intp)
+        rank[np.arange(d)[:, None], np.argsort(X.T, axis=1, kind="stable")] = np.arange(n)
+        within = np.argsort(_radix_key(rank[:, rows], n), axis=2, kind="stable")
+        order = (within + (np.arange(n_trees) * n)[:, None]).reshape(d, -1)
+    if n_sub < d:
+        # subset keys derive(split, tree, feature, heap id): one mix per level
+        split_key = derive(params.bootstrap_seed, "split")
+        trees = first_tree + np.arange(n_trees)
+        feature_keys = derive_array(split_key, trees, np.arange(d)[:, None])
+
+    node_tree = np.arange(n_trees)
+    node_heap = np.zeros(n_trees, dtype=np.int64)
+    sizes = np.full(n_trees, n)
+    levels = []
+    created = 0
+    for depth in range(params.max_depth + 1):
+        m = len(sizes)
+        starts = np.cumsum(sizes) - sizes
+        y_node = y_raw[order[0]]
+        feature = np.full(m, -1, dtype=np.int64)
+        threshold = np.zeros(m)
+        children = np.full(m, -1, dtype=np.int64)
+        nodes = np.empty(0, dtype=np.intp)
+        splittable = (sizes >= 2 * msl) & (
+            np.minimum.reduceat(y_node, starts) < np.maximum.reduceat(y_node, starts)
+        )
+        if depth < params.max_depth and d > 0 and splittable.any():
+            usable = splittable[None, :]
+            if n_sub < d:
+                keys = derive_array(feature_keys[:, node_tree], node_heap)
+                allowed = np.zeros((d, m), dtype=bool)
+                allowed[np.argpartition(keys, n_sub - 1, axis=0)[:n_sub], np.arange(m)] = True
+                usable = usable & allowed
+            search = _search_binary if binary else _search_sorted
+            nodes, feat, thr = search(XsT, y_fit, order, starts, sizes, usable, msl)
+            feature[nodes] = feat
+            threshold[nodes] = thr
+            children[nodes] = created + m + 2 * np.arange(len(nodes))
+        value = np.add.reduceat(y_node, starts) / sizes
+        levels.append((node_tree, feature, threshold, children, value))
+        created += m
+        if not len(nodes):
+            break
+        row_node = np.repeat(np.arange(m), sizes)
+        go_left = np.empty(samples.size, dtype=bool)
+        go_left[order[0]] = XsT[np.maximum(feature[row_node], 0), order[0]] <= threshold[row_node]
+        # leaves at max_depth need only their rows, not every feature's order
+        last = depth + 1 == params.max_depth
+        order, sizes = _partition(go_left, order[:1] if last else order, sizes, nodes)
+        node_tree = np.repeat(node_tree[nodes], 2)
+        # heap ids: children of h are 2h + 1 and 2h + 2, interleaved
+        node_heap = (2 * node_heap[nodes] + np.array([[1], [2]])).ravel(order="F")
+
+    tree, feature, threshold, children, value = (np.concatenate(c) for c in zip(*levels))
+    perm = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree, minlength=n_trees)
+    local = np.empty_like(perm)
+    local[perm] = np.arange(len(perm)) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = np.where(children >= 0, local[children], -1)
+    right = np.where(children >= 0, local[children + 1], -1)
+    return counts, tuple(c[perm] for c in (feature, threshold, left, right, value))
 
 
 def fit_forest(X, y, params: ForestParams) -> FittedForest:
@@ -199,14 +326,22 @@ def fit_forest(X, y, params: ForestParams) -> FittedForest:
         raise ValueError("X must be 2-D with one row per y entry and at least one row")
     n, d = X.shape
     n_sub = max(1, int(round(params.feature_subsample * d)))
-    trees = []
-    for t in range(params.n_trees):
-        rng = rng_for(params.bootstrap_seed, "tree", t)
-        rows = rng.integers(0, n, size=n)
-        trees.append(
-            _grow_tree(X[rows], y[rows], rng, params.max_depth, params.min_samples_leaf, n_sub)
+    rows = rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
+    binary = bool(np.all((X == 0.0) | (X == 1.0)))
+    block = max(1, _BLOCK_CELLS // (n * max(d, 1)))
+    counts, tables = zip(
+        *(
+            _grow_block(X, y, rows[t : t + block], t, params, n_sub, binary)
+            for t in range(0, params.n_trees, block)
         )
-    return FittedForest(params=params, trees=trees, n_features=d)
+    )
+    counts = np.concatenate(counts)
+    return FittedForest(
+        params,
+        d,
+        np.concatenate([[0], np.cumsum(counts)]),
+        *(np.concatenate(c) for c in zip(*tables)),
+    )
 
 
 def forest_search_space(n_features: int, scale: str = "paper") -> dict:

@@ -38,6 +38,23 @@ def derive(seed: int, *parts: int | str) -> int:
     return state
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def derive_array(seed, *parts) -> np.ndarray:
+    """`derive` over integer arrays broadcast together: each element equals
+    ``derive(seed, *parts)`` at its position. `seed` is a 64-bit seed or an
+    array of them."""
+    state = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
+    for part in parts:
+        state = _splitmix64_array(state ^ np.asarray(part, dtype=np.uint64))
+    return state
+
+
 def rng_for(seed: int, *parts: int | str) -> np.random.Generator:
     """Generator seeded by `derive(seed, *parts)`."""
     return np.random.default_rng(derive(seed, *parts))

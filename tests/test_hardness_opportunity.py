@@ -58,6 +58,14 @@ def test_hardness_clamps_out_of_range_efficacies():
     assert hardness(_curve([1.3] * 6)).value == 0.0
 
 
+def test_hardness_and_opportunity_never_exceed_one():
+    # C * (1/20 + 1/40) rounds to 1.0000000000000002 before the final clamp
+    sizes = (20, 40)
+    assert hardness(_curve([-0.05, -0.2], sizes=sizes)).value == 1.0
+    null, ideal = _curve([0.0, 0.0], sizes=sizes), _curve([1.0, 1.0], sizes=sizes)
+    assert opportunity(null, ideal, ideal, "complete").value == 1.0
+
+
 def test_hardness_monotone_pointwise():
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from modperf.learners import (
     CVSpec,
-    FittedForest,
     ForestParams,
     L1Params,
     PolynomialExpansion,
@@ -21,6 +21,8 @@ from modperf.learners import (
     search_hyperparams,
     soft_threshold,
 )
+from modperf.learners import forest
+from modperf.seeds import rng_for
 
 
 def _rng(seed=0):
@@ -64,22 +66,174 @@ def test_forest_deterministic_in_seed():
     assert not np.array_equal(a, c)
 
 
+def _bootstrap_rows(params: ForestParams, n: int) -> np.ndarray:
+    """The (n_trees, n) bootstrap row indices fit_forest draws."""
+    return rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
+
+
+def _leaf_of(tree, X) -> np.ndarray:
+    leaves = []
+    for row in X:
+        idx = 0
+        while tree.feature[idx] >= 0:
+            go_left = row[tree.feature[idx]] <= tree.threshold[idx]
+            idx = tree.left[idx] if go_left else tree.right[idx]
+        leaves.append(idx)
+    return np.asarray(leaves, dtype=int)
+
+
+def _assert_leaves_hold(model, X, min_rows):
+    """Every leaf of every tree holds at least min_rows of its bootstrap rows."""
+    for tree, rows in zip(model.trees, _bootstrap_rows(model.params, len(X))):
+        counts = np.bincount(_leaf_of(tree, X[rows]), minlength=len(tree.value))
+        assert counts[tree.feature < 0].min() >= min_rows
+
+
 def test_forest_min_samples_leaf_respected():
     rng = _rng(4)
     X, y = rng.random((60, 3)), rng.normal(size=60)
     model = fit_forest(X, y, ForestParams(n_trees=3, max_depth=12, min_samples_leaf=7))
+    assert all((tree.feature >= 0).any() for tree in model.trees)
+    _assert_leaves_hold(model, X, 7)
+
+
+def _sse(targets) -> Fraction:
+    return sum(Fraction(t) ** 2 for t in targets) - Fraction(sum(targets)) ** 2 / len(targets)
+
+
+def _oracle_tree(X, y, rows, depth, max_depth, min_leaf):
+    """Exhaustive CART search at every node, with exact rational SSE.
+
+    Returns a leaf value or (feature, threshold, left, right); ties go to
+    fewer rows on the left, then to the lower feature index.
+    """
+    targets = [int(y[i]) for i in rows]
+    value = sum(targets) / len(targets)
+    if depth == max_depth or len(rows) < 2 * min_leaf or min(targets) == max(targets):
+        return value
+    best = None
+    for f in range(X.shape[1]):
+        values = sorted({X[i, f] for i in rows})
+        for lo, hi in zip(values, values[1:]):
+            threshold = 0.5 * (lo + hi)
+            left = [i for i in rows if X[i, f] <= threshold]
+            right = [i for i in rows if X[i, f] > threshold]
+            if min(len(left), len(right)) < min_leaf:
+                continue
+            sse = _sse([int(y[i]) for i in left]) + _sse([int(y[i]) for i in right])
+            key = (sse, len(left), f)
+            if best is None or key < best[0]:
+                best = (key, f, threshold, left, right)
+    if best is None:
+        return value
+    _, f, threshold, left, right = best
+    children = [_oracle_tree(X, y, part, depth + 1, max_depth, min_leaf) for part in (left, right)]
+    return (f, threshold, *children)
+
+
+def _oracle_predict(spec, row) -> float:
+    while isinstance(spec, tuple):
+        f, threshold, left, right = spec
+        spec = left if row[f] <= threshold else right
+    return spec
+
+
+def _assert_same_tree(tree, node, spec):
+    if not isinstance(spec, tuple):
+        assert tree.feature[node] == -1 and tree.value[node] == spec
+        return
+    f, threshold, left, right = spec
+    assert (tree.feature[node], tree.threshold[node]) == (f, threshold)
+    _assert_same_tree(tree, tree.left[node], left)
+    _assert_same_tree(tree, tree.right[node], right)
+
+
+ORACLE_KINDS = ("binary", "multi", "mixed")
+
+
+def _oracle_inputs(kind: str, rng) -> np.ndarray:
+    n, d = int(rng.integers(10, 36)), int(rng.integers(1, 5))
+    binary = rng.integers(0, 2, size=(n, d)).astype(float)
+    multi = rng.integers(0, 5, size=(n, d)) * 0.7
+    if kind == "binary":
+        return binary
+    if kind == "multi":
+        return multi
+    mixed = np.round(rng.random((n, d)), 1)
+    mixed[:, 0] = binary[:, 0]
+    if d > 1:
+        mixed[:, 1] = multi[:, 1]
+    return mixed
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+def test_forest_matches_brute_force_cart(kind, min_leaf):
+    # small-integer targets make every SSE exact, so ties are real ties
+    rng = _rng(100 + 10 * min_leaf + ORACLE_KINDS.index(kind))
+    for max_depth in range(1, 7):
+        for _ in range(3):
+            X = _oracle_inputs(kind, rng)
+            y = rng.integers(-3, 4, size=len(X)).astype(float)
+            params = ForestParams(
+                n_trees=4,
+                max_depth=max_depth,
+                min_samples_leaf=min_leaf,
+                bootstrap_seed=int(rng.integers(1 << 30)),
+            )
+            model = fit_forest(X, y, params)
+            for tree, rows in zip(model.trees, _bootstrap_rows(params, len(X))):
+                spec = _oracle_tree(X, y, list(rows), 0, max_depth, min_leaf)
+                _assert_same_tree(tree, 0, spec)
+                assert tree.predict(X).tolist() == [_oracle_predict(spec, row) for row in X]
+            _assert_leaves_hold(model, X, min_leaf)
+
+
+def _assert_top_levels_equal(shallow, deep, a, b, depth, levels):
+    """Nodes of `shallow` down to depth `levels` equal those of `deep`."""
+    assert shallow.value[a] == deep.value[b]
+    if shallow.feature[a] < 0:
+        assert depth == levels or deep.feature[b] < 0
+        return
+    assert (shallow.feature[a], shallow.threshold[a]) == (deep.feature[b], deep.threshold[b])
+    for child in ("left", "right"):
+        next_a, next_b = getattr(shallow, child)[a], getattr(deep, child)[b]
+        _assert_top_levels_equal(shallow, deep, next_a, next_b, depth + 1, levels)
+
+
+def test_forest_feature_subsets_do_not_depend_on_other_subtrees():
+    rng = _rng(15)
+    X, y = rng.random((80, 9)), rng.normal(size=80)
+    for k in (1, 2, 3, 4):
+        grown = [
+            fit_forest(X, y, ForestParams(6, depth, feature_subsample=1 / 3, bootstrap_seed=7))
+            for depth in (k, k + 2)
+        ]
+        for shallow, deep in zip(grown[0].trees, grown[1].trees):
+            _assert_top_levels_equal(shallow, deep, 0, 0, 0, k)
+
+
+def test_forest_tree_blocks_do_not_change_trees(monkeypatch):
+    rng = _rng(16)
+    X, y = rng.random((40, 5)), rng.normal(size=40)
+    params = ForestParams(n_trees=7, max_depth=6, feature_subsample=0.6, bootstrap_seed=3)
+    whole = fit_forest(X, y, params)
+    monkeypatch.setattr(forest, "_BLOCK_CELLS", 3 * 40 * 5)  # blocks of 3 trees
+    blocked = fit_forest(X, y, params)
+    for name in ("offsets", "feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(whole, name), getattr(blocked, name))
+
+
+def test_forest_trees_are_views_of_one_node_table():
+    rng = _rng(17)
+    X, y = rng.random((30, 3)), rng.normal(size=30)
+    model = fit_forest(X, y, ForestParams(n_trees=5, max_depth=4, bootstrap_seed=1))
+    assert len(model.trees) == 5
+    assert sum(len(t.feature) for t in model.trees) == len(model.feature)
     for tree in model.trees:
-        counts = np.zeros(len(tree.value), dtype=int)
-        leaf = tree.predict(X)  # exercise traversal
-        # walk every training row to its leaf and count occupancy
-        for row in X:
-            idx = 0
-            while tree.feature[idx] >= 0:
-                idx = tree.left[idx] if row[tree.feature[idx]] <= tree.threshold[idx] else tree.right[idx]
-            counts[idx] += 1
-        # bootstrap resamples may shift occupancy; structural check instead:
-        assert (tree.feature >= 0).sum() < len(tree.value)
-    assert leaf.shape == (60,)
+        assert np.shares_memory(tree.value, model.value)
+    mean = np.mean([tree.predict(X) for tree in model.trees], axis=0)
+    assert np.allclose(model.predict(X), mean, rtol=0, atol=1e-12)
 
 
 def test_more_trees_do_not_hurt_training_mse():
@@ -102,15 +256,6 @@ def test_forest_rejects_bad_input():
         ForestParams(n_trees=0, max_depth=2)
     with pytest.raises(ValueError):
         ForestParams(n_trees=1, max_depth=2, feature_subsample=0.0)
-
-
-def test_forest_json_roundtrip():
-    rng = _rng(6)
-    X, y = rng.random((50, 3)), rng.normal(size=50)
-    model = fit_forest(X, y, ForestParams(n_trees=4, max_depth=4, bootstrap_seed=2))
-    clone = FittedForest.from_dict(model.to_dict())
-    probe = rng.random((20, 3))
-    assert np.array_equal(model.predict(probe), clone.predict(probe))
 
 
 # ------------------------------------------------------------------ lasso
