@@ -143,16 +143,31 @@ def records_to_csv(dataset: SystemDataset, records: list[MeasurementRecord]) -> 
 
 
 def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> list[MeasurementRecord]:
-    lines = text.strip().split("\n")
-    records = []
-    for line in lines[1:]:
+    """Parse a CSV written by `records_to_csv`; a malformed line raises
+    ValueError naming its 1-based line number."""
+    header, *body = text.strip().split("\n")
+    width = n_options + n_ivs + n_perfs
+    n_header = len(header.split(","))
+    if n_header != width:
+        raise ValueError(f"line 1: {n_header} header cells, expected {width}")
+    bits = np.empty((len(body), n_options), dtype=np.uint8)
+    values = np.empty((len(body), n_ivs + n_perfs))
+    for k, line in enumerate(body):
         cells = line.split(",")
-        config = np.array([int(c) for c in cells[:n_options]], dtype=np.uint8)
-        ivs = np.array([float(c) for c in cells[n_options : n_options + n_ivs]])
-        perfs = np.array([float(c) for c in cells[n_options + n_ivs :]])
-        assert len(perfs) == n_perfs
-        records.append(MeasurementRecord(config=config, iv_values=ivs, perf_values=perfs))
-    return records
+        if len(cells) != width:
+            raise ValueError(f"line {k + 2}: {len(cells)} cells, expected {width}")
+        try:
+            bits[k] = cells[:n_options]  # numpy parses each cell with int()
+            values[k] = list(map(float, cells[n_options:]))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {k + 2}: {exc}") from None
+    bad = (bits > 1).any(axis=1) | ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 2}: option bits must be 0/1 and values finite")
+    return [
+        MeasurementRecord(config=bits[k], iv_values=values[k, :n_ivs], perf_values=values[k, n_ivs:])
+        for k in range(len(body))
+    ]
 
 
 def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -> dict:

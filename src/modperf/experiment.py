@@ -356,6 +356,8 @@ def run_model(config: ExperimentConfig) -> list[dict]:
     failures = [d for d in docs if "error" in d]
     if failures:
         _write(out / "model_errors.json", _dump(failures))
+    else:
+        (out / "model_errors.json").unlink(missing_ok=True)  # left by an earlier run
     return docs
 
 

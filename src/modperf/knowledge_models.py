@@ -48,6 +48,12 @@ class SystemShape:
     options: tuple[NodeId, ...]
     ivs: tuple[NodeId, ...]
     perf_index: int = 0
+    _option_cols: dict[NodeId, int] = field(init=False, repr=False, compare=False)
+    _iv_cols: dict[NodeId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_option_cols", {n: i for i, n in enumerate(self.options)})
+        object.__setattr__(self, "_iv_cols", {n: i for i, n in enumerate(self.ivs)})
 
     @staticmethod
     def from_dataset(dataset: SystemDataset, perf_index: int = 0) -> "SystemShape":
@@ -58,10 +64,10 @@ class SystemShape:
         )
 
     def option_col(self, node: NodeId) -> int:
-        return self.options.index(node)
+        return self._option_cols[node]
 
     def iv_col(self, node: NodeId) -> int:
-        return self.ivs.index(node)
+        return self._iv_cols[node]
 
 
 class MeanModel:

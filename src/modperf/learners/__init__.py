@@ -2,7 +2,7 @@
 over polynomial features, k-fold cross-validation, and budgeted search."""
 
 from .forest import FittedForest, ForestParams, fit_forest, forest_search_space
-from .lasso import FittedL1, L1Params, fit_l1, l1_grid, lasso_objective, soft_threshold
+from .lasso import FittedL1, L1Params, cross_validate_l1, fit_l1, l1_grid, soft_threshold
 from .polynomial import PolynomialExpansion
 from .search import (
     CVSpec,
@@ -23,13 +23,13 @@ __all__ = [
     "PolynomialExpansion",
     "SearchBudget",
     "cross_validate",
+    "cross_validate_l1",
     "enumerate_candidates",
     "fit_forest",
     "fit_l1",
     "fold_indices",
     "forest_search_space",
     "l1_grid",
-    "lasso_objective",
     "mse",
     "search_hyperparams",
     "soft_threshold",

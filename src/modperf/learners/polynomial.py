@@ -71,17 +71,3 @@ class PolynomialExpansion:
     def term_features(self) -> list[tuple[int, ...]]:
         """Distinct base-feature indices participating in each term."""
         return [tuple(i for i, _ in term) for term in self.terms]
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "feature_names": self.feature_names,
-            "terms": [[list(fp) for fp in term] for term in self.terms],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "PolynomialExpansion":
-        exp = PolynomialExpansion(degree=doc["degree"])
-        exp.feature_names = list(doc["feature_names"])
-        exp.terms = [tuple((int(i), int(p)) for i, p in term) for term in doc["terms"]]
-        return exp

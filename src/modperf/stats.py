@@ -24,7 +24,7 @@ from .hardness_opportunity import (
     build_matrix,
     classify_hardness,
 )
-from .learners import CVSpec, FittedL1, L1Params, cross_validate, fit_l1, l1_grid
+from .learners import CVSpec, FittedL1, L1Params, cross_validate_l1, fit_l1, l1_grid
 from .metrics import rankdata
 from .seeds import rng_for
 
@@ -329,11 +329,8 @@ def aspect_regression(
     names = list(feature_names)
     best: tuple[float, int, float] | None = None  # (loss, degree, alpha)
     for degree in degrees:
-        for alpha in alphas:
-            params = L1Params(alpha=float(alpha), degree=int(degree))
-            loss = cross_validate(
-                lambda Xt, yt, p=params: fit_l1(Xt, yt, p, feature_names=names), X, y, cv
-            )
+        losses = cross_validate_l1(X, y, int(degree), alphas, cv)
+        for alpha, loss in zip(alphas, losses.tolist()):
             if best is None or loss < best[0]:
                 best = (loss, int(degree), float(alpha))
     _, degree, alpha = best

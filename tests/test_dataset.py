@@ -4,6 +4,7 @@ import pytest
 from modperf.dataset import (
     CapacityError,
     load_dataset,
+    records_from_csv,
     records_to_csv,
     sample_dataset,
     save_dataset,
@@ -100,6 +101,39 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.system_id == ds.system_id
     assert records_to_csv(loaded, loaded.train) == records_to_csv(ds, ds.train)
     np.testing.assert_array_equal(loaded.train[0].iv_values, ds.train[0].iv_values)
+
+
+def _corrupt(line: str, how: str) -> str:
+    cells = line.split(",")
+    if how == "short":
+        cells = cells[:-1]
+    elif how == "long":
+        cells.append("0.5")
+    elif how == "nan-iv":
+        cells[-2] = "nan"
+    elif how == "inf-perf":
+        cells[-1] = "-inf"
+    elif how == "bit-2":
+        cells[0] = "2"
+    elif how == "text":
+        cells[1] = "abc"
+    return ",".join(cells)
+
+
+# The header (line 1) holds names, so only its cell count is checked.
+@pytest.mark.parametrize(
+    "line,how",
+    [(1, "short"), (1, "long")]
+    + [(line, how) for line in (2, 4) for how in ("short", "long", "nan-iv", "inf-perf", "bit-2", "text")],
+)
+def test_csv_reader_rejects_malformed_line_by_number(line, how):
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
+    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
+    lines = records_to_csv(ds, ds.train).splitlines()
+    assert len(records_from_csv("\n".join(lines), *counts)) == 4
+    lines[line - 1] = _corrupt(lines[line - 1], how)
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        records_from_csv("\n".join(lines), *counts)
 
 
 def test_default_train_sizes_clipped():

@@ -240,6 +240,20 @@ def test_model_failure_isolated_and_recorded(tmp_path):
     assert summary["metrics"]["scc"]["units"] == 1
 
 
+def test_clean_rerun_removes_stale_model_errors(tmp_path):
+    config = _tiny_config(tmp_path, n_systems=1, trials=1)
+    run_generate(config)
+    out = Path(config.out_dir)
+    graph_path = out / "systems" / "s0000" / "graph.json"
+    graph = graph_path.read_text()
+    graph_path.write_text("{not json")
+    run_model(config)
+    assert (out / "model_errors.json").exists()
+    graph_path.write_text(graph)
+    run_model(config)
+    assert not (out / "model_errors.json").exists()
+
+
 def test_cli_config_file_with_flag_overrides(tmp_path):
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({**TINY, "train_sizes": [20, 40], "levels": ["null", "ideal"]}))

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from modperf.learners import (
     PolynomialExpansion,
     SearchBudget,
     cross_validate,
+    cross_validate_l1,
     enumerate_candidates,
     fit_forest,
     fit_l1,
@@ -21,7 +21,7 @@ from modperf.learners import (
     search_hyperparams,
     soft_threshold,
 )
-from modperf.learners import forest
+from modperf.learners import forest, lasso
 from modperf.seeds import rng_for
 
 
@@ -345,17 +345,165 @@ def test_polynomial_expansion_binary_dedup():
     assert Z.shape == (4, len(names))
 
 
-def test_lasso_json_roundtrip():
-    from modperf.learners import FittedL1
+# Reference: the residual-form coordinate descent that `fit_l1` replaced,
+# copied with its scalar soft threshold as the oracle for the Gram-form solver.
+def _reference_soft_threshold(x, t):
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
 
-    rng = _rng(14)
-    X = rng.uniform(0, 5, size=(80, 3))
-    y = 2.0 * X[:, 0] - X[:, 2] + rng.normal(size=80) * 0.1
-    model = fit_l1(X, y, L1Params(alpha=1e-3, degree=2))
-    clone = FittedL1.from_dict(json.loads(json.dumps(model.to_dict())))
-    probe = rng.uniform(0, 5, size=(15, 3))
-    assert np.allclose(model.predict(probe), clone.predict(probe))
-    assert clone.coefficient_map() == model.coefficient_map()
+
+def _reference_lasso_objective(X, y, coefs, intercept, alpha):
+    r = y - X @ coefs - intercept
+    n = len(y)
+    return float(r @ r / (2.0 * n) + alpha * np.abs(coefs).sum())
+
+
+def _reference_fit_l1(X, y, params):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    expansion = PolynomialExpansion(degree=params.degree).fit(X)
+    Z = expansion.transform(X)
+    if params.scale:
+        mn = Z.min(axis=0)
+        rng = Z.max(axis=0) - mn
+        rng[rng == 0.0] = 1.0
+    else:
+        mn = np.zeros(Z.shape[1])
+        rng = np.ones(Z.shape[1])
+    Z = (Z - mn) / rng
+
+    n, d = Z.shape
+    col_norm = (Z * Z).sum(axis=0) / n
+    coefs = np.zeros(d)
+    intercept = float(y.mean())
+    residual = y - intercept
+    history = [_reference_lasso_objective(Z, y, coefs, intercept, params.alpha)]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, params.max_iter + 1):
+        max_delta = 0.0
+        for j in range(d):
+            if col_norm[j] == 0.0:
+                continue
+            rho = Z[:, j] @ residual / n + col_norm[j] * coefs[j]
+            new = _reference_soft_threshold(rho, params.alpha) / col_norm[j]
+            delta = new - coefs[j]
+            if delta != 0.0:
+                residual -= Z[:, j] * delta
+                coefs[j] = new
+                max_delta = max(max_delta, abs(delta))
+        shift = float(residual.mean())
+        if shift != 0.0:
+            intercept += shift
+            residual -= shift
+            max_delta = max(max_delta, abs(shift))
+        history.append(_reference_lasso_objective(Z, y, coefs, intercept, params.alpha))
+        if max_delta < params.tol:
+            converged = True
+            break
+    return coefs, intercept, sweeps, converged, history
+
+
+# Gram-form and residual-form sums round differently; 1e-10 is ~10^6 ulps
+# of the O(1) coefficients these problems have.
+_ORACLE_ATOL = 1e-10
+
+
+def _lasso_cases():
+    rng = _rng(21)
+    cases = []
+    for k in range(4):
+        X = rng.normal(size=(50 + 10 * k, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=len(X)) * 0.3
+        for alpha in (1e-4, 0.01, 0.1, 0.5):
+            cases.append((f"raw{k}-{alpha}", X, y, L1Params(alpha=alpha, scale=False, tol=1e-9)))
+    for degree in (2, 3):
+        X = rng.uniform(0.0, 3.0, size=(80, 3))
+        y = X[:, 0] * X[:, 1] - X[:, 2] ** 2 + rng.normal(size=80) * 0.1
+        for alpha in (1e-3, 0.05):
+            cases.append((f"deg{degree}-{alpha}", X, y, L1Params(alpha=alpha, degree=degree)))
+    X = rng.normal(size=(40, 4))
+    X[:, 1] = 2.5  # constant: scaled to an all-zero column
+    cases.append(("constant-col", X, X[:, 0] - X[:, 3], L1Params(alpha=0.01, tol=1e-10)))
+    X = rng.normal(size=(40, 3))
+    X[:, 2] = 0.0
+    cases.append(("zero-col", X, X[:, 0] + 1.0, L1Params(alpha=0.01, scale=False)))
+    X = rng.normal(size=(40, 3))
+    X[:, 2] = 1e-170 * rng.normal(size=40)  # nonzero, but its squared norm underflows to 0
+    cases.append(("tiny-col", X, X[:, 0] + 1.0, L1Params(alpha=0.0, scale=False)))
+    X = rng.normal(loc=2.0, size=(50, 3))  # uncentred: the last sweeps move only the intercept
+    y = X @ rng.normal(size=3) + rng.normal(size=50)
+    cases.append(("offset", X, y, L1Params(alpha=0.01, scale=False, tol=1e-9)))
+    X = rng.normal(size=(60, 6))
+    X[:, 5] = X[:, 4] + 1e-3 * rng.normal(size=60)  # near-collinear: slow to converge
+    y = X[:, 4] + rng.normal(size=60) * 0.1
+    cases.append(("max-iter", X, y, L1Params(alpha=1e-6, max_iter=7, tol=1e-14, scale=False)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _lasso_cases(), ids=lambda c: c[0])
+def test_lasso_matches_residual_form_reference(case):
+    _, X, y, params = case
+    coefs, intercept, sweeps, converged, history = _reference_fit_l1(X, y, params)
+    model = fit_l1(X, y, params)
+    np.testing.assert_allclose(model.coefs, coefs, rtol=0, atol=_ORACLE_ATOL)
+    assert model.intercept == pytest.approx(intercept, rel=0, abs=_ORACLE_ATOL)
+    assert (model.n_sweeps, model.converged) == (sweeps, converged)
+    np.testing.assert_allclose(model.objective_history, history, rtol=0, atol=_ORACLE_ATOL)
+    if case[0] == "max-iter":
+        assert (sweeps, converged) == (7, False)
+    if case[0].endswith("-col"):
+        assert model.coefs[1 if case[0] == "constant-col" else 2] == 0.0
+        assert coefs[1 if case[0] == "constant-col" else 2] == 0.0
+
+
+def test_lasso_batch_equals_one_problem_at_a_time():
+    rng = _rng(22)
+    designs = []
+    for _ in range(3):
+        Z = rng.uniform(size=(45, 12))
+        designs.append((Z, Z @ rng.normal(size=12) + rng.normal(size=45) * 0.2))
+    gram = lasso._Gram.of(designs)
+    which = np.repeat(np.arange(3), 5)
+    alpha = np.tile(np.logspace(-4, 0, 5), 3)
+    together = lasso._solve(gram, which, alpha, max_iter=1000, tol=1e-9)
+    # problems stop at different sweeps, so the batch shrinks several times
+    assert len(set(together.n_sweeps.tolist())) > 3
+    for k in range(len(which)):
+        alone = lasso._solve(lasso._Gram.of([designs[which[k]]]), np.zeros(1, dtype=int),
+                             alpha[k : k + 1], max_iter=1000, tol=1e-9)
+        assert np.array_equal(alone.coefs[0], together.coefs[k])
+        assert alone.intercept[0] == together.intercept[k]
+        assert alone.n_sweeps[0] == together.n_sweeps[k]
+        assert alone.converged[0] == together.converged[k]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cross_validate_l1_matches_cross_validate_of_fit_l1(degree):
+    rng = _rng(23)
+    X = rng.uniform(size=(57, 3))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=57) * 0.05
+    alphas = [1e-4, 3e-3, 0.05, 1.0]
+    spec = CVSpec(folds=4, shuffle_seed=5)
+    got = cross_validate_l1(X, y, degree, alphas, spec)
+    for alpha, loss in zip(alphas, got):
+        params = L1Params(alpha=alpha, degree=degree)
+        expected = cross_validate(lambda Xt, yt: fit_l1(Xt, yt, params), X, y, spec)
+        assert loss == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_cross_validate_l1_alpha_runs_do_not_change_losses(monkeypatch):
+    rng = _rng(24)
+    X = rng.uniform(size=(40, 3))
+    y = X[:, 0] - 2.0 * X[:, 1] * X[:, 2] + rng.normal(size=40) * 0.1
+    alphas = np.logspace(-4, 0, 7)
+    spec = CVSpec(folds=3, shuffle_seed=1)
+    whole = cross_validate_l1(X, y, 2, alphas, spec)
+    monkeypatch.setattr(lasso, "_SOLVE_CELLS", 1)  # one alpha per solver call
+    assert np.array_equal(cross_validate_l1(X, y, 2, alphas, spec), whole)
 
 
 def test_invalid_l1_params():
