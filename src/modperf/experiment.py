@@ -31,7 +31,7 @@ from .hardness_opportunity import (
     EfficacyCurve,
     HardnessMode,
     MATRIX_LEVELS,
-    build_matrix,
+    build_matrix,  # noqa: F401  (not called here; perfbench's tracer wraps it under this name)
     classify_hardness,
     hardness,
     opportunity,
@@ -46,19 +46,21 @@ from .influence_graph import (
     sample_aspects,
     scale_aspects,
 )
+from .knowledge_models import LEVELS as ALL_LEVELS
 from .knowledge_models import SystemShape, efficacy_curves, make_factory
 from .learners import CVSpec, SearchBudget, enumerate_candidates, forest_search_space, mse
 from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
+    ASPECT_FEATURES,
     ASPECT_GROUPS,
-    matrix_hypothesis_tests,
+    classify_and_test,
+    matrix_hypothesis_tests,  # noqa: F401  (as build_matrix)
     permutation_importance,
     shapley_importance,
     two_stage_pipeline,
 )
 
-ALL_LEVELS = ("null", "partial", "practical", "complete", "ideal")
 MIN_PIPELINE_RECORDS = 10
 
 
@@ -131,7 +133,7 @@ class ExperimentConfig:
                 value = tuple(value)
             kwargs[key] = value
         if ranges is not None:
-            for key in ("option_count", "p_w", "mu_a", "sigma_a", "module_count"):
+            for key in ASPECT_FEATURES:
                 if key in ranges and isinstance(ranges[key], list):
                     ranges[key] = tuple(ranges[key])
             kwargs["aspect_ranges"] = AspectRanges(**ranges)
@@ -488,10 +490,11 @@ def run_analyze(config: ExperimentConfig) -> dict:
         _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows))
         _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows))
 
+        opportunity_records = [(r["unit"], r["level"], r["value"]) for r in opportunity_rows]
         if len(aspect_records) >= MIN_PIPELINE_RECORDS:
             result = two_stage_pipeline(
                 aspect_records,
-                [(r["unit"], r["level"], r["value"]) for r in opportunity_rows],
+                opportunity_records,
                 metric=metric,
                 degrees=config.lasso_degrees,
                 alphas=None if config.lasso_alpha_steps >= 500 else _lasso_alphas(config),
@@ -507,13 +510,13 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 result.model, X, y, mse,
                 repeats=config.importance_repeats,
                 seed=derive(config.global_seed, "perm", metric),
-                feature_names=list(ASPECT_FEATURES_ORDER),
+                feature_names=list(ASPECT_FEATURES),
             )
             shap, _ = shapley_importance(
                 result.model, X, y, mse,
                 samples=config.shapley_samples,
                 seed=derive(config.global_seed, "shapley", metric),
-                feature_names=list(ASPECT_FEATURES_ORDER),
+                feature_names=list(ASPECT_FEATURES),
             )
             stage1_doc = {
                 "metric": metric,
@@ -534,16 +537,13 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 f"{metric}: only {len(aspect_records)} units; stage-1 regression skipped, "
                 "matrix built from measured hardness"
             )
-            population = [r["value"] for r in hardness_rows]
-            by_unit = {
-                r["unit"]: (r["value"], classify_hardness(r["value"], mode, population))
-                for r in hardness_rows
-            }
-            observations = [
-                (r["level"], by_unit[r["unit"]][1], r["value"]) for r in opportunity_rows
-            ]
-            matrix = build_matrix(observations, metric=metric)
-            tests = matrix_hypothesis_tests(matrix, alpha=config.test_alpha)
+            by_unit, matrix, tests = classify_and_test(
+                {r["unit"]: r["value"] for r in hardness_rows},
+                opportunity_records,
+                metric=metric,
+                hardness_mode=mode,
+                alpha=config.test_alpha,
+            )
             stage1_doc = {
                 "metric": metric,
                 "skipped": True,
@@ -576,9 +576,6 @@ def _lasso_alphas(config: ExperimentConfig) -> list[float]:
         float(a)
         for a in np.logspace(np.log10(1e-4), np.log10(10.0), config.lasso_alpha_steps)
     ]
-
-
-ASPECT_FEATURES_ORDER = ("option_count", "p_w", "mu_a", "sigma_a", "module_count")
 
 
 # ------------------------------------------------------------------ report

@@ -23,7 +23,6 @@ def _clamp01(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-KNOWLEDGE_LEVELS = ("null", "partial", "practical", "complete", "ideal")
 MATRIX_LEVELS = ("partial", "practical", "complete")
 HARDNESS_LEVELS = ("low", "medium", "high")
 

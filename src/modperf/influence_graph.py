@@ -22,6 +22,8 @@ from .seeds import rng_for
 TRUNC_LO, TRUNC_HI = 0.01, 0.4
 _TRUNC_MAX_ATTEMPTS = 10_000
 DEFAULT_IV_TO_IV_P = 0.15
+# The structural aspects in regression-feature order.
+ASPECT_FEATURES = ("option_count", "p_w", "mu_a", "sigma_a", "module_count")
 
 
 class GraphStructureError(Exception):
@@ -103,13 +105,7 @@ class StructuralAspects:
             raise ValueError("sigma_a must be nonnegative")
 
     def as_feature_dict(self) -> dict[str, float]:
-        return {
-            "option_count": float(self.option_count),
-            "p_w": self.p_w,
-            "mu_a": self.mu_a,
-            "sigma_a": self.sigma_a,
-            "module_count": float(self.module_count),
-        }
+        return {name: float(getattr(self, name)) for name in ASPECT_FEATURES}
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,6 @@ class CausalInfluenceGraph:
 
     def perf_nodes(self) -> list[NodeId]:
         return [performance(q) for q in range(self.aspects.perf_count)]
-
-    def parents_of(self, node: NodeId) -> list[NodeId]:
-        return sorted(src for src, dst, _ in self.edges if dst == node)
 
     def parent_map(self) -> dict[NodeId, list[NodeId]]:
         out: dict[NodeId, list[NodeId]] = {n: [] for n in self.iv_nodes() + self.perf_nodes()}
@@ -314,14 +307,11 @@ class KnowledgeArtifacts:
     potential_influence_edges: frozenset[tuple[NodeId, NodeId]]
 
 
-def derive_knowledge(graph: CausalInfluenceGraph, decoy_seed: int = 0) -> KnowledgeArtifacts:
+def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
     """Read LB/IE off the graph and build the PIE superset.
 
-    The superset is data-driven (execution-graph adjacency emulation), so
-    `decoy_seed` is currently unused; it is kept for alternative randomized
-    decoy strategies.
+    The superset is data-driven (execution-graph adjacency emulation).
     """
-    del decoy_seed
     a = graph.aspects
     boundaries = {
         m: (

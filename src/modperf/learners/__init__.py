@@ -11,7 +11,6 @@ from .search import (
     enumerate_candidates,
     fold_indices,
     mse,
-    search_hyperparams,
 )
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "forest_search_space",
     "l1_grid",
     "mse",
-    "search_hyperparams",
     "soft_threshold",
 ]

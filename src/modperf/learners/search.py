@@ -1,10 +1,9 @@
-"""Seeded k-fold cross-validation and budgeted hyperparameter search."""
+"""Seeded k-fold cross-validation and budgeted hyperparameter candidates."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -92,19 +91,3 @@ def enumerate_candidates(space: dict, budget: SearchBudget) -> list[dict]:
                 cand[key] = int(rng.integers(lo, hi + 1))
         candidates.append(cand)
     return candidates
-
-
-def search_hyperparams(
-    space: dict,
-    budget: SearchBudget,
-    objective: Callable[[dict], float],
-) -> tuple[dict, float]:
-    """Argmin of the objective over the candidate set, first-encountered ties."""
-    best_params: dict | None = None
-    best_loss = np.inf
-    for cand in enumerate_candidates(space, budget):
-        loss = objective(cand)
-        if best_params is None or loss < best_loss:
-            best_loss = loss
-            best_params = cand
-    return best_params, float(best_loss)

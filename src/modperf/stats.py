@@ -24,6 +24,7 @@ from .hardness_opportunity import (
     build_matrix,
     classify_hardness,
 )
+from .influence_graph import ASPECT_FEATURES
 from .learners import CVSpec, FittedL1, L1Params, cross_validate_l1, fit_l1, l1_grid
 from .metrics import rankdata
 from .seeds import rng_for
@@ -294,7 +295,6 @@ def shapley_importance(
     return _normalize(raw), float(total_reduction)
 
 
-ASPECT_FEATURES = ("option_count", "p_w", "mu_a", "sigma_a", "module_count")
 ASPECT_GROUPS = {
     "Option#": ("option_count",),
     "IEWithin_p": ("p_w",),
@@ -427,6 +427,34 @@ def matrix_hypothesis_tests(matrix: OpportunityMatrix, alpha: float = 0.05) -> l
     return results
 
 
+def classify_and_test(
+    hardness_values: dict[str, float],
+    opportunity_records,
+    metric: str,
+    hardness_mode: HardnessMode = HardnessMode.FIXED_RANGE,
+    alpha: float = 0.05,
+) -> tuple[dict[str, tuple[float, str]], OpportunityMatrix, list[HypothesisTest]]:
+    """Stage 2: classify each system's hardness, route opportunity values
+    into the matrix, and run the test battery.
+
+    hardness_values: system id -> hardness; empirical mode bins against the
+    population of these values. Returns id -> (hardness, level), the matrix
+    and the tests.
+    """
+    population = list(hardness_values.values())
+    hardness_by_system = {
+        system_id: (value, classify_hardness(value, hardness_mode, population))
+        for system_id, value in hardness_values.items()
+    }
+    observations = []
+    for system_id, level, value in opportunity_records:
+        if system_id not in hardness_by_system:
+            raise ValueError(f"opportunity record for unknown system {system_id!r}")
+        observations.append((level, hardness_by_system[system_id][1], value))
+    matrix = build_matrix(observations, metric=metric)
+    return hardness_by_system, matrix, matrix_hypothesis_tests(matrix, alpha=alpha)
+
+
 @dataclass
 class PipelineResult:
     model: FittedL1
@@ -464,18 +492,9 @@ def two_stage_pipeline(
         system_id: (aspect_records[system_id][1] if use_measured_hardness else float(pred))
         for system_id, pred in zip(ids, predicted)
     }
-    population = list(used.values())
-    hardness_by_system = {
-        system_id: (value, classify_hardness(value, hardness_mode, population))
-        for system_id, value in used.items()
-    }
-    observations = []
-    for system_id, level, value in opportunity_records:
-        if system_id not in hardness_by_system:
-            raise ValueError(f"opportunity record for unknown system {system_id!r}")
-        observations.append((level, hardness_by_system[system_id][1], value))
-    matrix = build_matrix(observations, metric=metric)
-    tests = matrix_hypothesis_tests(matrix, alpha=alpha)
+    hardness_by_system, matrix, tests = classify_and_test(
+        used, opportunity_records, metric, hardness_mode, alpha
+    )
     return PipelineResult(
         model=model,
         importance=importance,

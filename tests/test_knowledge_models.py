@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,16 @@ from modperf.influence_graph import (
     option,
     performance,
 )
+from modperf import knowledge_models
 from modperf.knowledge_models import (
+    LEVEL_PARENTS,
     MeanModel,
     SystemShape,
-    efficacy_curve,
     efficacy_curves,
-    fit_complete,
-    fit_ideal,
-    fit_null,
-    fit_partial,
-    fit_practical,
     make_factory,
     prune_parents,
 )
-from modperf.learners import CVSpec, SearchBudget
+from modperf.learners import CVSpec, SearchBudget, enumerate_candidates
 from modperf.metrics import acc
 from modperf.semantics import PolynomialFunction, SystemSemantics
 
@@ -36,6 +34,10 @@ SPACE = {
     "min_samples_leaf": [1, 2],
     "feature_subsample": [1.0],
 }
+
+
+def _fit(level, records, shape, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
+    return make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)(records)
 
 
 def _system(seed=41, option_count=5, module_count=2, p_w=0.9):
@@ -73,14 +75,14 @@ def test_null_constant_performance():
         MeasurementRecord(r.config, r.iv_values, np.array([42.0])) for r in dataset.train[:60]
     ]
     shape = SystemShape.from_dataset(dataset)
-    model = fit_null(records, shape, BUDGET, CV, SPACE, seed=1)
+    model = _fit("null", records, shape, seed=1)
     assert np.allclose(model.predict(dataset.test), 42.0)
 
 
 def test_null_learns_single_option_effect():
     dataset = _single_option_effect_dataset()
     shape = SystemShape.from_dataset(dataset)
-    model = fit_null(training_prefix(dataset, 1000), shape, BUDGET, CV, SPACE, seed=2)
+    model = _fit("null", training_prefix(dataset, 1000), shape, seed=2)
     predictions = model.predict(dataset.test)
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert np.abs(predictions - actual).max() < 1e-9
@@ -89,8 +91,8 @@ def test_null_learns_single_option_effect():
 def test_null_deterministic_under_fixed_seeds():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = fit_null(dataset.train, shape, BUDGET, CV, SPACE, seed=5).predict(dataset.test)
-    b = fit_null(dataset.train, shape, BUDGET, CV, SPACE, seed=5).predict(dataset.test)
+    a = _fit("null", dataset.train, shape, seed=5).predict(dataset.test)
+    b = _fit("null", dataset.train, shape, seed=5).predict(dataset.test)
     assert np.array_equal(a, b)
 
 
@@ -98,13 +100,13 @@ def test_null_requires_enough_records():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
-        fit_null(dataset.train[:1], shape, BUDGET, CV, SPACE)
+        _fit("null", dataset.train[:1], shape)
 
 
 def test_partial_inputs_respect_boundaries():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = fit_partial(dataset.train, artifacts.logical_boundaries, shape, BUDGET, CV, SPACE)
+    model = _fit("partial", dataset.train, shape, artifacts)
     for iv, iv_model in model.iv_models.items():
         assert all(p.kind is NodeKind.OPTION and p.module == iv.module for p in iv_model.inputs)
     assert model.perf_inputs == shape.ivs
@@ -114,7 +116,7 @@ def test_partial_inputs_respect_boundaries():
 def test_partial_single_module_matches_null_input_set():
     graph, artifacts, dataset = _system(module_count=1, option_count=9)
     shape = SystemShape.from_dataset(dataset)
-    model = fit_partial(dataset.train, artifacts.logical_boundaries, shape, BUDGET, CV, SPACE)
+    model = _fit("partial", dataset.train, shape, artifacts)
     for iv_model in model.iv_models.values():
         assert iv_model.inputs == shape.options
 
@@ -122,26 +124,25 @@ def test_partial_single_module_matches_null_input_set():
 def test_partial_cascade_deterministic():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = fit_partial(dataset.train, artifacts.logical_boundaries, shape, BUDGET, CV, SPACE, seed=9)
-    b = fit_partial(dataset.train, artifacts.logical_boundaries, shape, BUDGET, CV, SPACE, seed=9)
+    a = _fit("partial", dataset.train, shape, artifacts, seed=9)
+    b = _fit("partial", dataset.train, shape, artifacts, seed=9)
     assert np.array_equal(a.predict(dataset.test), b.predict(dataset.test))
 
 
 def test_partial_boundaries_must_cover():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    partial_boundaries = {0: artifacts.logical_boundaries[0]}
-    with pytest.raises(ValueError):
-        fit_partial(dataset.train, partial_boundaries, shape, BUDGET, CV, SPACE)
+    uncovering = dataclasses.replace(
+        artifacts, logical_boundaries={0: artifacts.logical_boundaries[0]}
+    )
+    with pytest.raises(ValueError, match="boundaries do not cover"):
+        _fit("partial", dataset.train, shape, uncovering)
 
 
 def test_practical_parents_subset_of_pie():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = fit_practical(
-        dataset.train, artifacts.potential_influence_edges, shape,
-        budget=BUDGET, cv=CV, space=SPACE,
-    )
+    model = _fit("practical", dataset.train, shape, artifacts)
     pie_parents = {}
     for src, dst in artifacts.potential_influence_edges:
         pie_parents.setdefault(dst, set()).add(src)
@@ -152,9 +153,7 @@ def test_practical_parents_subset_of_pie():
 def test_complete_parents_subset_of_true_edges():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = fit_complete(
-        dataset.train, artifacts.influence_edges, shape, budget=BUDGET, cv=CV, space=SPACE
-    )
+    model = _fit("complete", dataset.train, shape, artifacts)
     true_parents = {}
     for src, dst in artifacts.influence_edges:
         true_parents.setdefault(dst, set()).add(src)
@@ -167,13 +166,10 @@ def test_practical_fallback_for_parentless_iv():
     # p_w=0 leaves every IV constant zero; pruning must strip all candidates
     graph, artifacts, dataset = _system(p_w=0.0, seed=55)
     shape = SystemShape.from_dataset(dataset)
-    model = fit_practical(
-        dataset.train, artifacts.potential_influence_edges, shape,
-        budget=BUDGET, cv=CV, space=SPACE,
-    )
+    model = _fit("practical", dataset.train, shape, artifacts)
     zero_ivs = [
         iv for iv in shape.ivs
-        if all(r.iv_values[shape.iv_col(iv)] == 0.0 for r in dataset.train[:20])
+        if all(r.iv_values[shape.ivs.index(iv)] == 0.0 for r in dataset.train[:20])
     ]
     assert zero_ivs
     for iv in zero_ivs:
@@ -250,7 +246,7 @@ def test_prune_parents_agrees_with_scalar_fisher_z():
 def test_ideal_consumes_true_ivs_and_recovers_linear_perf():
     graph, artifacts, dataset = _system(seed=61)
     shape = SystemShape.from_dataset(dataset)
-    model = fit_ideal(training_prefix(dataset, 200), shape, BUDGET, CV, SPACE, seed=6)
+    model = _fit("ideal", training_prefix(dataset, 200), shape, seed=6)
     predictions = model.predict(dataset.test)
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert acc(predictions, actual) > 0.9
@@ -265,7 +261,7 @@ def test_ideal_no_signal_when_perf_ignores_ivs():
         for i, r in enumerate(dataset.train)
     ]
     shape = SystemShape.from_dataset(dataset)
-    model = fit_ideal(records, shape, BUDGET, CV, SPACE, seed=7)
+    model = _fit("ideal", records, shape, seed=7)
     predictions = model.predict(dataset.test)
     assert np.abs(predictions).max() <= np.abs(noise).max() + 1e-9
 
@@ -273,11 +269,9 @@ def test_ideal_no_signal_when_perf_ignores_ivs():
 def test_identical_candidates_across_levels():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    null = fit_null(dataset.train, shape, BUDGET, CV, SPACE, seed=1)
-    ideal = fit_ideal(dataset.train, shape, BUDGET, CV, SPACE, seed=2)
-    partial = fit_partial(
-        dataset.train, artifacts.logical_boundaries, shape, BUDGET, CV, SPACE, seed=3
-    )
+    null = _fit("null", dataset.train, shape, seed=1)
+    ideal = _fit("ideal", dataset.train, shape, seed=2)
+    partial = _fit("partial", dataset.train, shape, artifacts, seed=3)
     assert null.search_meta["candidates"] == ideal.search_meta["candidates"]
     assert null.search_meta["candidates"] == partial.search_meta["candidates"]
     assert null.search_meta["budget"] == partial.search_meta["budget"] == BUDGET.evaluations
@@ -289,8 +283,10 @@ def test_paper_scale_space_exercises_ranges():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     space = forest_search_space(len(shape.options), scale="paper")
-    model = fit_null(dataset.train[:60], shape, SearchBudget(evaluations=2, seed=3), CV,
-                     space, seed=12)
+    model = _fit(
+        "null", dataset.train[:60], shape, seed=12, space=space,
+        budget=SearchBudget(evaluations=2, seed=3),
+    )
     chosen = model.search_meta["chosen"]
     assert 50 <= chosen["n_trees"] <= 300
     assert 4 <= chosen["max_depth"] <= 24
@@ -311,14 +307,15 @@ class _Constant:
 
 def test_efficacy_curve_perfect_predictor():
     _, _, dataset = _system()
-    points = efficacy_curve(lambda recs: _Oracle(), dataset, "scc", (20, 50, 100))
-    assert [p for _, p in points] == [pytest.approx(1.0)] * 3
+    points = efficacy_curves(lambda recs: _Oracle(), dataset, ("scc",), (20, 50, 100))
+    assert [p.n for p in points] == [20, 50, 100]
+    assert [p.efficacies["scc"] for p in points] == [pytest.approx(1.0)] * 3
 
 
 def test_efficacy_curve_constant_predictor_degenerate_scc():
     _, _, dataset = _system()
-    points = efficacy_curve(lambda recs: _Constant(), dataset, "scc", (20, 50))
-    assert [p for _, p in points] == [0.0, 0.0]
+    points = efficacy_curves(lambda recs: _Constant(), dataset, ("scc",), (20, 50))
+    assert [p.efficacies["scc"] for p in points] == [0.0, 0.0]
 
 
 def test_efficacy_curves_isolate_fit_failures():
@@ -351,3 +348,80 @@ def test_make_factory_levels_and_validation():
     factory = make_factory("complete", shape, artifacts, BUDGET, CV, space=SPACE, seed=4)
     model = factory(dataset.train[:80])
     assert model.level == "complete"
+
+
+def test_level_table_keys_all_fit():
+    graph, artifacts, dataset = _system()
+    shape = SystemShape.from_dataset(dataset)
+    assert knowledge_models.LEVELS == ("null", "partial", "practical", "complete", "ideal")
+    assert tuple(LEVEL_PARENTS) == knowledge_models.LEVELS
+    for level in LEVEL_PARENTS:
+        model = _fit(level, dataset.train[:80], shape, artifacts, seed=4)
+        assert model.level == level
+        assert np.isfinite(model.predict(dataset.test)).all()
+        cascade = LEVEL_PARENTS[level] is not None
+        assert set(model.iv_models) == (set(shape.ivs) if cascade else set())
+        assert model.perf_inputs == (shape.options if level == "null" else shape.ivs)
+    with pytest.raises(ValueError, match="unknown level"):
+        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)
+
+
+def test_search_constant_loss_returns_first_candidate():
+    _, artifacts, dataset = _system()
+    records = [
+        MeasurementRecord(r.config, r.iv_values, np.array([42.0])) for r in dataset.train[:60]
+    ]
+    shape = SystemShape.from_dataset(dataset)
+    budget = SearchBudget(evaluations=5, seed=0)
+    for level in ("null", "partial"):
+        meta = _fit(level, records, shape, artifacts, seed=1, budget=budget).search_meta
+        assert meta["cv_loss"] == 0.0
+        assert meta["candidates"] == enumerate_candidates(SPACE, budget)
+        assert meta["chosen"] == meta["candidates"][0]
+
+
+def test_search_picks_lowest_mean_cv_loss(monkeypatch):
+    """Each candidate's forest predicts its max_depth everywhere, so on
+    constant perf 5 its CV loss is (depth - 5)^2: the search must pick depth 5,
+    and on the tie between the two depth-5 candidates the first of them."""
+
+    class DepthModel:
+        def __init__(self, depth):
+            self.depth = depth
+
+        def predict(self, X):
+            return np.full(len(X), float(self.depth))
+
+    monkeypatch.setattr(
+        knowledge_models, "fit_forest", lambda X, y, params: DepthModel(params.max_depth)
+    )
+    _, _, dataset = _system()
+    records = [
+        MeasurementRecord(r.config, r.iv_values, np.array([5.0])) for r in dataset.train[:40]
+    ]
+    shape = SystemShape.from_dataset(dataset)
+    space = dict(SPACE, max_depth=[2, 5, 8], min_samples_leaf=[1, 2])
+    meta = _fit("null", records, shape, space=space, budget=SearchBudget(evaluations=6)).search_meta
+    assert [c["max_depth"] for c in meta["candidates"]] == [2, 2, 5, 5, 8, 8]
+    assert meta["chosen"] == meta["candidates"][2]
+    assert meta["cv_loss"] == 0.0
+    assert meta["budget"] == 6
+
+
+def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
+    """With a forest stand-in that predicts its training mean, the reported
+    CV loss must be the fold mean of held-out MSEs over the shared folds."""
+    from modperf.learners import fold_indices, mse
+
+    monkeypatch.setattr(
+        knowledge_models, "fit_forest", lambda X, y, params: MeanModel(np.mean(y))
+    )
+    _, _, dataset = _system()
+    records = dataset.train[:50]
+    perf = np.array([r.perf_values[0] for r in records])
+    expected = []
+    for held_out in fold_indices(len(records), CV):
+        train = np.setdiff1d(np.arange(len(records)), held_out)
+        expected.append(mse(perf[held_out], np.full(len(held_out), perf[train].mean())))
+    meta = _fit("ideal", records, SystemShape.from_dataset(dataset)).search_meta
+    assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)

@@ -18,7 +18,6 @@ from modperf.learners import (
     fit_l1,
     fold_indices,
     mse,
-    search_hyperparams,
     soft_threshold,
 )
 from modperf.learners import forest, lasso
@@ -563,30 +562,22 @@ def test_cross_validate_rejects_too_many_folds():
 
 def test_search_exhausts_grid_when_budget_allows():
     space = {"a": [1, 2, 3], "b": [10, 20]}
-    calls = []
-    params, loss = search_hyperparams(
-        space, SearchBudget(evaluations=10, seed=0), lambda c: calls.append(c) or c["a"] * c["b"]
-    )
-    assert len(calls) == 6
-    assert params == {"a": 1, "b": 10} and loss == 10
-
-
-def test_search_constant_objective_returns_first_candidate():
-    space = {"a": [1, 2, 3]}
-    candidates = enumerate_candidates(space, SearchBudget(evaluations=5, seed=0))
-    params, _ = search_hyperparams(space, SearchBudget(evaluations=5, seed=0), lambda c: 1.0)
-    assert params == candidates[0]
+    candidates = enumerate_candidates(space, SearchBudget(evaluations=10, seed=0))
+    assert len(candidates) == 6
+    assert candidates == [{"a": a, "b": b} for a in (1, 2, 3) for b in (10, 20)]
+    assert candidates == enumerate_candidates(space, SearchBudget(evaluations=6, seed=5))
 
 
 def test_search_budget_respected_and_deterministic():
     space = {"a": ("int", 0, 1000), "b": [1, 2, 3]}
     budget = SearchBudget(evaluations=7, seed=42)
-    calls = []
-    search_hyperparams(space, budget, lambda c: calls.append(c) or c["a"])
-    assert len(calls) == 7
-    repeat = enumerate_candidates(space, budget)
-    assert repeat == calls
-    assert enumerate_candidates(space, SearchBudget(evaluations=7, seed=43)) != calls
+    candidates = enumerate_candidates(space, budget)
+    assert len(candidates) == 7
+    assert all(0 <= c["a"] <= 1000 and c["b"] in (1, 2, 3) for c in candidates)
+    assert enumerate_candidates(space, budget) == candidates
+    assert enumerate_candidates(space, SearchBudget(evaluations=7, seed=43)) != candidates
+    grid = {"a": [1, 2, 3], "b": [10, 20]}
+    assert len(enumerate_candidates(grid, SearchBudget(evaluations=5, seed=0))) == 5
 
 
 def test_fold_indices_partition():
