@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Hash the output trees of small fixed end-to-end runs.
+
+Runs generate -> model -> analyze -> report, with all five knowledge levels,
+on fixed small configs and prints one sha256 per output tree, with its file
+count. A refactor that changes no result must print the same lines before
+and after it:
+
+    python scripts/tree_hash.py > before.txt   # on the parent commit
+    python scripts/tree_hash.py > after.txt    # on the change
+    diff before.txt after.txt
+
+The trees:
+- `stage1`: 12 systems, so the stage-1 lasso runs (5 alphas);
+- `no-stage1`: 6 systems, fewer than the 10 stage 1 needs, so it is skipped;
+- `fallback`: 5 systems with within-module edge probability 0-0.2, so some
+  IVs are left without parents and fall back to a constant model.
+each for both hardness modes. Takes a few minutes on one core.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from modperf.experiment import (  # noqa: E402
+    ExperimentConfig,
+    run_analyze,
+    run_generate,
+    run_model,
+    run_report,
+)
+from modperf.influence_graph import AspectRanges  # noqa: E402
+
+BASE = dict(
+    global_seed=777,
+    trials=1,
+    train_sizes=(20, 50, 100, 300),
+    n_train=300,
+    n_test=150,
+    lasso_alpha_steps=5,
+    shapley_samples=20,
+    importance_repeats=2,
+)
+SMALL = dict(option_count=(4, 6), module_count=(3, 4))
+TREES = {
+    "stage1": dict(n_systems=12, aspect_ranges=AspectRanges(**SMALL)),
+    "no-stage1": dict(n_systems=6, aspect_ranges=AspectRanges(**SMALL)),
+    "fallback": dict(n_systems=5, aspect_ranges=AspectRanges(**SMALL, p_w=(0.0, 0.2))),
+}
+
+
+def tree_hash(root: Path) -> tuple[str, int]:
+    """sha256 over every file's relative path and bytes, in sorted order."""
+    digest = hashlib.sha256()
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    for path in files:
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest(), len(files)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, overrides in TREES.items():
+            for mode in ("fixed", "empirical"):
+                out = Path(tmp) / f"{name}-{mode}"
+                config = ExperimentConfig(
+                    **BASE, **overrides, hardness_mode=mode, out_dir=str(out)
+                )
+                run_generate(config)
+                run_model(config)
+                run_analyze(config)
+                run_report(config)
+                sha, count = tree_hash(out)
+                print(f"{name} {mode} {count} files {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,7 +48,7 @@ from .influence_graph import (
 )
 from .knowledge_models import LEVELS as ALL_LEVELS
 from .knowledge_models import SystemShape, efficacy_curves, make_factory
-from .learners import CVSpec, SearchBudget, enumerate_candidates, forest_search_space, mse
+from .learners import CVSpec, SearchBudget, alpha_grid, enumerate_candidates, forest_search_space, mse
 from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
@@ -497,7 +497,7 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 opportunity_records,
                 metric=metric,
                 degrees=config.lasso_degrees,
-                alphas=None if config.lasso_alpha_steps >= 500 else _lasso_alphas(config),
+                alphas=alpha_grid(config.lasso_alpha_steps),
                 cv=CVSpec(folds=5, shuffle_seed=derive(config.global_seed, "stage1", metric)),
                 hardness_mode=mode,
                 alpha=config.test_alpha,
@@ -569,13 +569,6 @@ def run_analyze(config: ExperimentConfig) -> dict:
     _write(analysis / "gaps.json", _dump(gaps))
     _write(analysis / "summary.json", _dump(summary))
     return summary
-
-
-def _lasso_alphas(config: ExperimentConfig) -> list[float]:
-    return [
-        float(a)
-        for a in np.logspace(np.log10(1e-4), np.log10(10.0), config.lasso_alpha_steps)
-    ]
 
 
 # ------------------------------------------------------------------ report

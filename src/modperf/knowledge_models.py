@@ -9,12 +9,15 @@ measured IVs of test records directly, bounding every other level from
 above.
 
 The levels differ only in the IV parent sets their knowledge yields
-(`LEVEL_PARENTS`); `make_factory` fits every level with the same search loop.
-IV regressors are trained on measured upstream values (teacher forcing) and
-predict on cascaded estimates, matching how a structural causal model is
-fit from observational data. For a fixed (dataset, training size) all
-levels consume the identical training prefix, the identical candidate list,
-folds and search budget.
+(`LEVEL_PARENTS`). `make_factory` fits every level the same way: it stacks
+the training records into one design matrix, finds the IV parents on it once,
+and scores each candidate with `learners.cross_validate` over the same fold
+index arrays; the first candidate with the lowest mean held-out MSE
+(`np.argmin`) is refitted on all rows. IV regressors are trained on
+measured upstream values (teacher forcing) and predict on cascaded
+estimates, matching how a structural causal model is fit from observational
+data. For a fixed (dataset, training size) all levels consume the identical
+training prefix, the identical candidate list, folds and search budget.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from .learners import (
     CVSpec,
     ForestParams,
     SearchBudget,
+    cross_validate,
     enumerate_candidates,
     fit_forest,
     fold_indices,
-    forest_search_space,
-    mse,
 )
 from .metrics import efficacy
 from .seeds import derive
@@ -54,7 +56,6 @@ class SystemShape:
 
     options: tuple[NodeId, ...]
     ivs: tuple[NodeId, ...]
-    perf_index: int = 0
     _cols: dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,11 +64,10 @@ class SystemShape:
         )
 
     @staticmethod
-    def from_dataset(dataset: SystemDataset, perf_index: int = 0) -> "SystemShape":
+    def from_dataset(dataset: SystemDataset) -> "SystemShape":
         return SystemShape(
             options=tuple(NodeId.decode(n) for n in dataset.option_names),
             ivs=tuple(NodeId.decode(n) for n in dataset.iv_names),
-            perf_index=perf_index,
         )
 
     def column(self, node: NodeId) -> int:
@@ -78,15 +78,13 @@ class SystemShape:
         return Z.take([self._cols[n] for n in nodes], axis=1)
 
 
-def _design(records: list[MeasurementRecord]) -> np.ndarray:
-    """Design rows of the records, in the layout SystemShape describes."""
+def design(records: list[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Design rows of the records, in the layout SystemShape describes, and
+    their first performance value, the target every level models."""
     bits = np.asarray([r.config for r in records], dtype=float)
     ivs = np.asarray([r.iv_values for r in records], dtype=float)
-    return np.hstack([bits, ivs])
-
-
-def _perf(records: list[MeasurementRecord], perf_index: int) -> np.ndarray:
-    return np.asarray([r.perf_values[perf_index] for r in records], dtype=float)
+    perf = np.asarray([r.perf_values[0] for r in records], dtype=float)
+    return np.hstack([bits, ivs]), perf
 
 
 class MeanModel:
@@ -117,14 +115,12 @@ class ModularPredictor:
     evaluation_order: tuple[NodeId, ...] = ()
     search_meta: dict = field(default_factory=dict)
 
-    def predict(self, records: list[MeasurementRecord]) -> np.ndarray:
-        return self._predict(_design(records))
-
-    def _predict(self, Z: np.ndarray) -> np.ndarray:
-        """Predict from design rows, overwriting in place each modelled IV's
-        column with its cascaded estimate; IVs without a model keep their
-        measured values."""
+    def predict(self, Z: np.ndarray) -> np.ndarray:
+        """Predict from design rows. A copy of Z has each modelled IV's column
+        overwritten with its cascaded estimate; IVs without a model keep their
+        measured values, and Z itself is left unchanged."""
         shape = self.shape
+        Z = np.array(Z, dtype=float)
         for node in self.evaluation_order:
             iv_model = self.iv_models[node]
             X = shape.gather(Z, iv_model.inputs)
@@ -142,7 +138,7 @@ def _forest_params(candidate: dict, seed: int) -> ForestParams:
     )
 
 
-def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape, records, alpha_ci):
+def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape, Z, alpha_ci):
     """Each IV's parents are the options of its own module."""
     parents = {
         iv: tuple(options)
@@ -157,20 +153,20 @@ def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape, records
 
 def _pruned_parents(edges_of):
     """Parent finder keeping the candidates from `edges_of(artifacts)` that
-    pass the Fisher-Z screen on the training records."""
+    pass the Fisher-Z screen on the training design rows."""
 
-    def parents(artifacts: KnowledgeArtifacts, shape: SystemShape, records, alpha_ci):
+    def parents(artifacts: KnowledgeArtifacts, shape: SystemShape, Z, alpha_ci):
         candidates: dict[NodeId, list[NodeId]] = {iv: [] for iv in shape.ivs}
         for src, dst in edges_of(artifacts):
             if dst.kind is NodeKind.INTERMEDIATE:
                 candidates[dst].append(src)
         candidates_by_iv = {iv: tuple(sorted(ps)) for iv, ps in candidates.items()}
-        return prune_parents(records, shape, candidates_by_iv, alpha_ci)
+        return prune_parents(Z, shape, candidates_by_iv, alpha_ci)
 
     return parents
 
 
-# Level -> function of (artifacts, shape, records, alpha_ci) giving each IV's
+# Level -> function of (artifacts, shape, design rows, alpha_ci) giving each IV's
 # parents; None for levels without IV models.
 LEVEL_PARENTS = {
     "null": None,
@@ -224,23 +220,22 @@ def _fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag
 
 
 def prune_parents(
-    records: list[MeasurementRecord],
+    Z: np.ndarray,
     shape: SystemShape,
     candidates_by_iv: dict[NodeId, tuple[NodeId, ...]],
     alpha_ci: float,
 ) -> dict[NodeId, tuple[NodeId, ...]]:
-    """Marginal Fisher-Z screen: keep a candidate parent only when the test
-    rejects independence from the IV at level alpha_ci.
+    """Marginal Fisher-Z screen on design rows Z: keep a candidate parent
+    only when the test rejects independence from the IV at level alpha_ci.
 
     Vectorized form of stats.fisher_z_test with an empty conditioning set;
     degenerate (constant) columns count as independent.
     """
     from statistics import NormalDist
 
-    n = len(records)
+    n = len(Z)
     if n <= 3:
         raise ValueError(f"need more than 3 records to prune, got {n}")
-    Z = _design(records)
     critical = NormalDist().inv_cdf(1.0 - alpha_ci / 2.0)
     z_cap = math.atanh(1.0 - 1e-15)
     surviving: dict[NodeId, tuple[NodeId, ...]] = {}
@@ -269,51 +264,44 @@ def make_factory(
     artifacts: KnowledgeArtifacts | None,
     budget: SearchBudget,
     cv: CVSpec,
-    space: dict | None = None,
+    space: dict,
     alpha_ci: float = DEFAULT_ALPHA_CI,
     seed: int = 0,
 ):
     """Bind a knowledge level to its structural inputs, leaving only the
     training records free.
 
-    The returned callable finds the level's IV parents once, scores every
-    candidate by its mean held-out MSE over the CV folds, keeps the first
-    candidate with the lowest loss and refits it on all records.
+    The returned callable stacks its records into design rows once, finds
+    the level's IV parents on them, scores every candidate with
+    `cross_validate` over the shared fold index arrays, keeps the first
+    candidate with the lowest mean held-out MSE and refits it on all rows.
     """
     if level not in LEVEL_PARENTS:
         raise ValueError(f"unknown level {level!r}")
     find_parents = LEVEL_PARENTS[level]
     if find_parents is not None and artifacts is None:
         raise ValueError(f"level {level!r} requires knowledge artifacts")
-    space = space or forest_search_space(max(len(shape.options), len(shape.ivs)))
     candidates = enumerate_candidates(space, budget)
 
     def factory(records: list[MeasurementRecord]) -> ModularPredictor:
         n = len(records)
         if n < cv.folds:
             raise ValueError(f"need at least {cv.folds} records, got {n}")
-        parents = find_parents and find_parents(artifacts, shape, records, alpha_ci)
+        Z, perf = design(records)
+        parents = find_parents and find_parents(artifacts, shape, Z, alpha_ci)
         order = () if parents is None else _cascade_order(shape, parents)
         fit = functools.partial(_fit_level, level, shape, parents, order, seed)
-        Z = _design(records)
-        perf = _perf(records, shape.perf_index)
         folds = fold_indices(n, cv)
-        best = None
-        for c_idx, candidate in enumerate(candidates):
-            fold_losses = []
-            for f_idx, held_out in enumerate(folds):
-                train = np.ones(n, dtype=bool)
-                train[held_out] = False
-                model = fit(Z[train], perf[train], candidate, ("cv", c_idx, f_idx))
-                fold_losses.append(mse(perf[held_out], model._predict(Z[held_out])))
-            loss = float(np.mean(fold_losses))
-            if best is None or loss < best[0]:
-                best = (loss, candidate)
-        model = fit(Z, perf, best[1], ("final",))
+        losses = [
+            cross_validate(lambda X, y, f: fit(X, y, c, ("cv", i, f)), Z, perf, folds)
+            for i, c in enumerate(candidates)
+        ]
+        best = int(np.argmin(losses))
+        model = fit(Z, perf, candidates[best], ("final",))
         model.search_meta = {
             "candidates": candidates,
-            "chosen": best[1],
-            "cv_loss": best[0],
+            "chosen": candidates[best],
+            "cv_loss": losses[best],
             "budget": budget.evaluations,
         }
         return model
@@ -333,7 +321,6 @@ def efficacy_curves(
     dataset: SystemDataset,
     metrics: tuple[str, ...],
     sizes: tuple[int, ...],
-    perf_index: int = 0,
 ) -> list[CurvePoint]:
     """Fit on each nested training prefix and score the full test set.
 
@@ -342,12 +329,12 @@ def efficacy_curves(
     """
     if max(sizes) > len(dataset.train):
         raise ValueError(f"max size {max(sizes)} exceeds training set {len(dataset.train)}")
-    actual = _perf(dataset.test, perf_index)
+    Z_test, actual = design(dataset.test)
     points = []
     for n in sorted(sizes):
         try:
             model = factory(training_prefix(dataset, n))
-            predictions = model.predict(dataset.test)
+            predictions = model.predict(Z_test)
             values = {m: float(efficacy(m, predictions, actual)) for m in metrics}
             points.append(CurvePoint(n=n, efficacies=values))
         except Exception as exc:  # isolate per-point failures

@@ -2,7 +2,7 @@
 over polynomial features, k-fold cross-validation, and budgeted search."""
 
 from .forest import FittedForest, ForestParams, fit_forest, forest_search_space
-from .lasso import FittedL1, L1Params, cross_validate_l1, fit_l1, l1_grid, soft_threshold
+from .lasso import FittedL1, L1Params, alpha_grid, cross_validate_l1, fit_l1, soft_threshold
 from .polynomial import PolynomialExpansion
 from .search import (
     CVSpec,
@@ -21,6 +21,7 @@ __all__ = [
     "L1Params",
     "PolynomialExpansion",
     "SearchBudget",
+    "alpha_grid",
     "cross_validate",
     "cross_validate_l1",
     "enumerate_candidates",
@@ -28,7 +29,6 @@ __all__ = [
     "fit_l1",
     "fold_indices",
     "forest_search_space",
-    "l1_grid",
     "mse",
     "soft_threshold",
 ]

@@ -255,9 +255,10 @@ def fit_l1(X, y, params: L1Params, feature_names: list[str] | None = None) -> Fi
 
 
 def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
-    """Mean held-out MSE per alpha over seeded shuffled folds, for `L1Params`
-    defaults at `degree`; entry i equals `cross_validate` of
-    `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` up to rounding.
+    """Mean held-out MSE per alpha over the `fold_indices` folds, for
+    `L1Params` defaults at `degree`; entry i equals `cross_validate` of
+    `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` on those folds,
+    up to rounding.
 
     Each fold's expansion and scaling are fitted on its training rows, as
     `fit_l1` does, and every (fold, alpha) problem is solved in one solver
@@ -294,7 +295,6 @@ def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
     return losses.mean(axis=0)
 
 
-def l1_grid(degrees=(1, 2, 3, 4), alpha_lo: float = 1e-4, alpha_hi: float = 10.0, alpha_steps: int = 500) -> dict:
-    """Degree x alpha grid: 500 log-spaced alphas in [1e-4, 10] by default."""
-    alphas = np.logspace(np.log10(alpha_lo), np.log10(alpha_hi), alpha_steps)
-    return {"degree": list(degrees), "alpha": [float(a) for a in alphas]}
+def alpha_grid(steps: int = 500) -> np.ndarray:
+    """The stage-1 alpha grid: `steps` log-spaced alphas in [1e-4, 10]."""
+    return np.logspace(np.log10(1e-4), np.log10(10.0), steps)

@@ -1,4 +1,12 @@
-"""Seeded k-fold cross-validation and budgeted hyperparameter candidates."""
+"""Seeded k-fold cross-validation and budgeted hyperparameter candidates.
+
+Every model search in the package runs over the same split: `fold_indices`
+gives the held-out index arrays, each candidate's loss is its mean held-out
+loss over them, and the search keeps the first candidate with the lowest
+loss (`np.argmin`). `cross_validate` scores one candidate of the knowledge
+models; the stage-1 lasso scores all alphas of a degree at once with
+`lasso.cross_validate_l1` on the same folds, over `lasso.alpha_grid`.
+"""
 
 from __future__ import annotations
 
@@ -43,18 +51,17 @@ def fold_indices(n: int, spec: CVSpec) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(order, spec.folds)]
 
 
-def cross_validate(fit_fn, X, y, spec: CVSpec, loss=mse) -> float:
-    """Mean held-out loss over seeded shuffled folds.
+def cross_validate(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> float:
+    """Mean held-out loss over the folds, index arrays from `fold_indices`.
 
-    `fit_fn(X_train, y_train)` must return an object with `.predict`.
+    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number `fold`
+    and must return an object with `.predict`, which is scored on the fold.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     losses = []
-    for held_out in fold_indices(len(y), spec):
-        mask = np.ones(len(y), dtype=bool)
-        mask[held_out] = False
-        model = fit_fn(X[mask], y[mask])
+    for f, held_out in enumerate(folds):
+        train = np.ones(len(y), dtype=bool)
+        train[held_out] = False
+        model = fit_fn(X[train], y[train], f)
         losses.append(loss(y[held_out], model.predict(X[held_out])))
     return float(np.mean(losses))
 

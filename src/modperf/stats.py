@@ -25,7 +25,7 @@ from .hardness_opportunity import (
     classify_hardness,
 )
 from .influence_graph import ASPECT_FEATURES
-from .learners import CVSpec, FittedL1, L1Params, cross_validate_l1, fit_l1, l1_grid
+from .learners import CVSpec, FittedL1, L1Params, alpha_grid, cross_validate_l1, fit_l1
 from .metrics import rankdata
 from .seeds import rng_for
 
@@ -314,6 +314,10 @@ def aspect_regression(
     """Regress hardness on scaled structural aspects with a grid-searched
     lasso, then attribute coefficient mass to the aspect quadruple.
 
+    The search scores every (degree, alpha) pair by `cross_validate_l1` on
+    the folds of `cv` and keeps the first lowest loss with degrees outer
+    (`np.argmin`); `alphas` defaults to `alpha_grid()`, 500 alphas.
+
     Records are (feature vector, hardness) pairs with features already
     scaled to [0, 1] by their value-space bounds. A mixed polynomial term
     splits its |coefficient| equally across the distinct aspects it touches.
@@ -323,17 +327,12 @@ def aspect_regression(
         raise ValueError(f"need >= 10 records, got {len(records)}")
     X = np.asarray([r[0] for r in records], dtype=float)
     y = np.asarray([r[1] for r in records], dtype=float)
-    if alphas is None:
-        alphas = l1_grid()["alpha"]
+    alphas = alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
 
     names = list(feature_names)
-    best: tuple[float, int, float] | None = None  # (loss, degree, alpha)
-    for degree in degrees:
-        losses = cross_validate_l1(X, y, int(degree), alphas, cv)
-        for alpha, loss in zip(alphas, losses.tolist()):
-            if best is None or loss < best[0]:
-                best = (loss, int(degree), float(alpha))
-    _, degree, alpha = best
+    losses = np.array([cross_validate_l1(X, y, int(d), alphas, cv) for d in degrees])
+    d_idx, a_idx = np.unravel_index(np.argmin(losses), losses.shape)
+    degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
     model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
 
     feature_to_group = {}

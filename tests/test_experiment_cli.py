@@ -223,6 +223,30 @@ def test_cli_single_metric_restricts_outputs(tmp_path):
     assert not (out / "analysis" / "matrix_acc.json").exists()
 
 
+def test_analyze_searches_every_configured_alpha(tmp_path, monkeypatch):
+    """The stage-1 lasso gets all `lasso_alpha_steps` alphas, above 500 too."""
+    from modperf import stats
+
+    config = _tiny_config(
+        tmp_path, trials=5, levels=("null", "ideal"), metrics=("scc",),
+        lasso_degrees=(1,), lasso_alpha_steps=600,
+    )
+    run_generate(config)
+    run_model(config)
+    seen = []
+    real = stats.cross_validate_l1
+
+    def spy(X, y, degree, alphas, spec):
+        seen.append(len(alphas))
+        return real(X, y, degree, alphas, spec)
+
+    monkeypatch.setattr(stats, "cross_validate_l1", spy)
+    run_analyze(config)
+    assert seen == [600]
+    stage1 = json.loads((Path(config.out_dir) / "analysis" / "stage1_scc.json").read_text())
+    assert "skipped" not in stage1
+
+
 def test_model_failure_isolated_and_recorded(tmp_path):
     config = _tiny_config(tmp_path, n_systems=2, trials=1)
     run_generate(config)

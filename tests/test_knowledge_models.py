@@ -18,6 +18,7 @@ from modperf.knowledge_models import (
     LEVEL_PARENTS,
     MeanModel,
     SystemShape,
+    design,
     efficacy_curves,
     make_factory,
     prune_parents,
@@ -76,14 +77,14 @@ def test_null_constant_performance():
     ]
     shape = SystemShape.from_dataset(dataset)
     model = _fit("null", records, shape, seed=1)
-    assert np.allclose(model.predict(dataset.test), 42.0)
+    assert np.allclose(model.predict(design(dataset.test)[0]), 42.0)
 
 
 def test_null_learns_single_option_effect():
     dataset = _single_option_effect_dataset()
     shape = SystemShape.from_dataset(dataset)
     model = _fit("null", training_prefix(dataset, 1000), shape, seed=2)
-    predictions = model.predict(dataset.test)
+    predictions = model.predict(design(dataset.test)[0])
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert np.abs(predictions - actual).max() < 1e-9
 
@@ -91,8 +92,8 @@ def test_null_learns_single_option_effect():
 def test_null_deterministic_under_fixed_seeds():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = _fit("null", dataset.train, shape, seed=5).predict(dataset.test)
-    b = _fit("null", dataset.train, shape, seed=5).predict(dataset.test)
+    a = _fit("null", dataset.train, shape, seed=5).predict(design(dataset.test)[0])
+    b = _fit("null", dataset.train, shape, seed=5).predict(design(dataset.test)[0])
     assert np.array_equal(a, b)
 
 
@@ -126,7 +127,22 @@ def test_partial_cascade_deterministic():
     shape = SystemShape.from_dataset(dataset)
     a = _fit("partial", dataset.train, shape, artifacts, seed=9)
     b = _fit("partial", dataset.train, shape, artifacts, seed=9)
-    assert np.array_equal(a.predict(dataset.test), b.predict(dataset.test))
+    assert np.array_equal(a.predict(design(dataset.test)[0]), b.predict(design(dataset.test)[0]))
+
+
+def test_predict_is_repeatable_and_leaves_design_unchanged():
+    """predict overwrites cascaded IV columns in a copy of the design rows,
+    so one test design can serve every training size."""
+    graph, artifacts, dataset = _system()
+    shape = SystemShape.from_dataset(dataset)
+    model = _fit("partial", dataset.train, shape, artifacts, seed=9)
+    assert model.evaluation_order
+    Z, _ = design(dataset.test)
+    before = Z.copy()
+    first = model.predict(Z)
+    assert np.array_equal(Z, before)
+    assert np.array_equal(model.predict(Z), first)
+    assert np.array_equal(Z, before)
 
 
 def test_partial_boundaries_must_cover():
@@ -189,15 +205,8 @@ def test_decoy_pruned_at_type_one_rate():
         strong = rng.integers(0, 2, n).astype(float)
         decoy = rng.integers(0, 2, n).astype(float)
         iv_vals = 0.8 * strong + rng.normal(0, 0.1, n)
-        records = [
-            MeasurementRecord(
-                np.array([strong[i], decoy[i]], dtype=np.uint8),
-                np.array([iv_vals[i]]),
-                np.array([0.0]),
-            )
-            for i in range(n)
-        ]
-        surviving = prune_parents(records, shape, candidates, alpha)[intermediate(0, 0)]
+        Z = np.column_stack([strong, decoy, iv_vals])
+        surviving = prune_parents(Z, shape, candidates, alpha)[intermediate(0, 0)]
         if option(0, 1) not in surviving:
             pruned_decoy += 1
     rate = pruned_decoy / resamples
@@ -215,11 +224,8 @@ def test_strong_parent_retained():
     for _ in range(resamples):
         x = rng.integers(0, 2, n).astype(float)
         iv_vals = 0.5 * x + rng.normal(0, 0.2, n)
-        records = [
-            MeasurementRecord(np.array([x[i]], dtype=np.uint8), np.array([iv_vals[i]]), np.array([0.0]))
-            for i in range(n)
-        ]
-        if option(0, 0) in prune_parents(records, shape, candidates, 0.05)[intermediate(0, 0)]:
+        Z = np.column_stack([x, iv_vals])
+        if option(0, 0) in prune_parents(Z, shape, candidates, 0.05)[intermediate(0, 0)]:
             retained += 1
     assert retained / resamples >= 0.99
 
@@ -233,11 +239,8 @@ def test_prune_parents_agrees_with_scalar_fisher_z():
     shape = SystemShape(options=options, ivs=(intermediate(0, 0),))
     bits = rng.integers(0, 2, (n, 4)).astype(float)
     iv_vals = 0.3 * bits[:, 0] + 0.05 * bits[:, 1] + rng.normal(0, 0.15, n)
-    records = [
-        MeasurementRecord(bits[i].astype(np.uint8), np.array([iv_vals[i]]), np.array([0.0]))
-        for i in range(n)
-    ]
-    surviving = prune_parents(records, shape, {intermediate(0, 0): options}, 0.05)
+    Z = np.column_stack([bits, iv_vals])
+    surviving = prune_parents(Z, shape, {intermediate(0, 0): options}, 0.05)
     for j, node in enumerate(options):
         scalar = fisher_z_test(bits[:, j], iv_vals, alpha=0.05)
         assert (node in surviving[intermediate(0, 0)]) == (not scalar.independent)
@@ -247,7 +250,7 @@ def test_ideal_consumes_true_ivs_and_recovers_linear_perf():
     graph, artifacts, dataset = _system(seed=61)
     shape = SystemShape.from_dataset(dataset)
     model = _fit("ideal", training_prefix(dataset, 200), shape, seed=6)
-    predictions = model.predict(dataset.test)
+    predictions = model.predict(design(dataset.test)[0])
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert acc(predictions, actual) > 0.9
 
@@ -262,7 +265,7 @@ def test_ideal_no_signal_when_perf_ignores_ivs():
     ]
     shape = SystemShape.from_dataset(dataset)
     model = _fit("ideal", records, shape, seed=7)
-    predictions = model.predict(dataset.test)
+    predictions = model.predict(design(dataset.test)[0])
     assert np.abs(predictions).max() <= np.abs(noise).max() + 1e-9
 
 
@@ -290,24 +293,29 @@ def test_paper_scale_space_exercises_ranges():
     chosen = model.search_meta["chosen"]
     assert 50 <= chosen["n_trees"] <= 300
     assert 4 <= chosen["max_depth"] <= 24
-    assert np.isfinite(model.predict(dataset.test)).all()
+    assert np.isfinite(model.predict(design(dataset.test)[0])).all()
 
 
 class _Oracle:
-    """Predictor that reads the true performance straight off the records."""
+    """Predictor that looks each design row up among the dataset's test
+    records and returns its true performance."""
 
-    def predict(self, records):
-        return np.array([r.perf_values[0] for r in records])
+    def __init__(self, dataset):
+        Z, perf = design(dataset.test)
+        self.perf = {row.tobytes(): p for row, p in zip(Z, perf)}
+
+    def predict(self, Z):
+        return np.array([self.perf[row.tobytes()] for row in Z])
 
 
 class _Constant:
-    def predict(self, records):
-        return np.full(len(records), 5.0)
+    def predict(self, Z):
+        return np.full(len(Z), 5.0)
 
 
 def test_efficacy_curve_perfect_predictor():
     _, _, dataset = _system()
-    points = efficacy_curves(lambda recs: _Oracle(), dataset, ("scc",), (20, 50, 100))
+    points = efficacy_curves(lambda recs: _Oracle(dataset), dataset, ("scc",), (20, 50, 100))
     assert [p.n for p in points] == [20, 50, 100]
     assert [p.efficacies["scc"] for p in points] == [pytest.approx(1.0)] * 3
 
@@ -324,7 +332,7 @@ def test_efficacy_curves_isolate_fit_failures():
     def factory(records):
         if len(records) == 50:
             raise RuntimeError("boom")
-        return _Oracle()
+        return _Oracle(dataset)
 
     points = efficacy_curves(factory, dataset, ("acc",), (20, 50, 100))
     assert points[0].error is None
@@ -335,16 +343,16 @@ def test_efficacy_curves_isolate_fit_failures():
 def test_efficacy_curves_reject_oversized_request():
     _, _, dataset = _system()
     with pytest.raises(ValueError):
-        efficacy_curves(lambda r: _Oracle(), dataset, ("acc",), (20, 10_000))
+        efficacy_curves(lambda r: _Oracle(dataset), dataset, ("acc",), (20, 10_000))
 
 
 def test_make_factory_levels_and_validation():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
-        make_factory("partial", shape, None, BUDGET, CV)
+        make_factory("partial", shape, None, BUDGET, CV, space=SPACE)
     with pytest.raises(ValueError):
-        make_factory("quantum", shape, artifacts, BUDGET, CV)(dataset.train)
+        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)(dataset.train)
     factory = make_factory("complete", shape, artifacts, BUDGET, CV, space=SPACE, seed=4)
     model = factory(dataset.train[:80])
     assert model.level == "complete"
@@ -358,7 +366,7 @@ def test_level_table_keys_all_fit():
     for level in LEVEL_PARENTS:
         model = _fit(level, dataset.train[:80], shape, artifacts, seed=4)
         assert model.level == level
-        assert np.isfinite(model.predict(dataset.test)).all()
+        assert np.isfinite(model.predict(design(dataset.test)[0])).all()
         cascade = LEVEL_PARENTS[level] is not None
         assert set(model.iv_models) == (set(shape.ivs) if cascade else set())
         assert model.perf_inputs == (shape.options if level == "null" else shape.ivs)

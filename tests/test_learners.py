@@ -490,7 +490,9 @@ def test_cross_validate_l1_matches_cross_validate_of_fit_l1(degree):
     got = cross_validate_l1(X, y, degree, alphas, spec)
     for alpha, loss in zip(alphas, got):
         params = L1Params(alpha=alpha, degree=degree)
-        expected = cross_validate(lambda Xt, yt: fit_l1(Xt, yt, params), X, y, spec)
+        expected = cross_validate(
+            lambda Xt, yt, fold: fit_l1(Xt, yt, params), X, y, fold_indices(len(y), spec)
+        )
         assert loss == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -518,7 +520,7 @@ def test_invalid_l1_params():
 
 
 class _MeanModel:
-    def __init__(self, X, y):
+    def __init__(self, X, y, fold):
         self.value = float(np.mean(y))
 
     def predict(self, X):
@@ -529,35 +531,43 @@ def test_cross_validate_matches_manual_two_fold():
     X = np.arange(4, dtype=float).reshape(-1, 1)
     y = np.array([1.0, 2.0, 3.0, 4.0])
     spec = CVSpec(folds=2, shuffle_seed=123)
-    got = cross_validate(_MeanModel, X, y, spec)
     folds = fold_indices(4, spec)
+    seen = []
+
+    def fit_fn(X_train, y_train, fold):
+        seen.append((fold, len(y_train)))
+        return _MeanModel(X_train, y_train, fold)
+
+    got = cross_validate(fit_fn, X, y, folds)
     expected = []
-    for held in folds:
+    for f, held in enumerate(folds):
         mask = np.ones(4, dtype=bool)
         mask[held] = False
-        model = _MeanModel(X[mask], y[mask])
+        model = _MeanModel(X[mask], y[mask], f)
         expected.append(mse(y[held], model.predict(X[held])))
     assert got == pytest.approx(np.mean(expected), abs=1e-15)
+    assert seen == [(0, 4 - len(folds[0])), (1, 4 - len(folds[1]))]
 
 
 def test_cross_validate_zero_loss_cases():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.full(10, 7.0)
-    assert cross_validate(_MeanModel, X, y, CVSpec(folds=5, shuffle_seed=1)) == 0.0
+    assert cross_validate(_MeanModel, X, y, fold_indices(10, CVSpec(folds=5, shuffle_seed=1))) == 0.0
 
     class Perfect:
-        def __init__(self, X, y):
+        def __init__(self, X, y, fold):
             pass
 
         def predict(self, X):
             return X[:, 0] * 2.0
 
-    assert cross_validate(Perfect, X, X[:, 0] * 2.0, CVSpec(folds=5, shuffle_seed=2)) == 0.0
+    folds = fold_indices(10, CVSpec(folds=5, shuffle_seed=2))
+    assert cross_validate(Perfect, X, X[:, 0] * 2.0, folds) == 0.0
 
 
 def test_cross_validate_rejects_too_many_folds():
     with pytest.raises(ValueError):
-        cross_validate(_MeanModel, np.zeros((3, 1)), np.zeros(3), CVSpec(folds=4))
+        cross_validate(_MeanModel, np.zeros((3, 1)), np.zeros(3), fold_indices(3, CVSpec(folds=4)))
 
 
 def test_search_exhausts_grid_when_budget_allows():

@@ -268,6 +268,29 @@ def test_aspect_regression_needs_ten_records():
         aspect_regression([([0.0] * 5, 0.0)] * 9)
 
 
+def test_aspect_regression_picks_first_minimum_degrees_outer(monkeypatch):
+    """Stage 1 keeps the first lowest CV loss over the degree x alpha array,
+    scanning alphas within each degree: a tie across degrees goes to the
+    earlier degree, a tie within one to the earlier alpha."""
+    from modperf import stats
+
+    losses = {1: [3.0, 1.0, 1.0], 2: [1.0, 4.0, 1.0], 3: [2.0, 2.0, 2.0]}
+    calls = []
+
+    def fake_cv(X, y, degree, alphas, spec):
+        calls.append((degree, list(alphas), spec))
+        return np.array(losses[degree])
+
+    monkeypatch.setattr(stats, "cross_validate_l1", fake_cv)
+    cv = CVSpec(folds=3, shuffle_seed=4)
+    model, _ = aspect_regression(
+        _aspect_records(np.random.default_rng(19), n=30), degrees=(1, 2, 3),
+        alphas=[0.1, 0.01, 0.001], cv=cv,
+    )
+    assert (model.params.degree, model.params.alpha) == (1, 0.01)
+    assert calls == [(d, [0.1, 0.01, 0.001], cv) for d in (1, 2, 3)]
+
+
 def test_aspect_regression_mixed_term_attribution():
     # y = x_mu * x_sigma: one pure IEAcross_p interaction -> full mass there
     rng = np.random.default_rng(18)
