@@ -20,6 +20,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,6 +114,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown metrics: {sorted(unknown_metrics)}")
         if self.hardness_mode not in ("fixed", "empirical"):
             raise ValueError(f"hardness_mode must be fixed|empirical, got {self.hardness_mode}")
+        if self.lasso_alpha_steps < 1:
+            raise ValueError(f"lasso_alpha_steps must be >= 1, got {self.lasso_alpha_steps}")
+        if not self.lasso_degrees or not all(1 <= d <= 4 for d in self.lasso_degrees):
+            raise ValueError(
+                f"lasso_degrees must be non-empty and in [1, 4], got {self.lasso_degrees}"
+            )
 
     _RUNTIME_FIELDS = ("out_dir", "jobs", "resume")
 
@@ -158,8 +165,16 @@ class ExperimentConfig:
 
 
 def _write(path: Path, text: str):
+    """Write `text` to a temporary file next to `path`, then rename it into
+    place, so that a crash never leaves a truncated artifact behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump(doc) -> str:

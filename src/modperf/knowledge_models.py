@@ -38,6 +38,7 @@ from .learners import (
     cross_validate,
     enumerate_candidates,
     fit_forest,
+    fit_forests,
     fold_indices,
 )
 from .metrics import efficacy
@@ -185,7 +186,7 @@ def _cascade_order(shape: SystemShape, parents_by_iv: dict) -> tuple[NodeId, ...
         for p in parents:
             if p.kind is NodeKind.INTERMEDIATE and not p < iv:
                 raise ValueError(f"IV parent {p} does not precede {iv}")
-    return tuple(sorted(parents_by_iv, key=shape.ivs.index))
+    return tuple(sorted(parents_by_iv, key=shape.column))
 
 
 def _fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
@@ -193,18 +194,22 @@ def _fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag
 
     Seed paths: IV forest derive(seed, level, iv.encode(), *tag); perf forest
     derive(seed, level, *tag) without IV models, derive(seed, level, "perf",
-    *tag) on top of a cascade.
+    *tag) on top of a cascade. Under teacher forcing the IV forests are
+    independent, so they grow in one `fit_forests` call.
     """
-    iv_models = {}
-    for iv in order:
-        inputs = parents_by_iv[iv]
-        target = Z[:, shape.column(iv)]
-        if not inputs:
-            iv_models[iv] = IVModel(iv, (), MeanModel(target.mean()), fallback=True)
-            continue
-        params = _forest_params(candidate, derive(seed, level, iv.encode(), *tag))
-        forest = fit_forest(shape.gather(Z, inputs), target, params)
-        iv_models[iv] = IVModel(node=iv, inputs=inputs, model=forest)
+    fitted = [iv for iv in order if parents_by_iv[iv]]
+    forests = fit_forests(
+        [shape.gather(Z, parents_by_iv[iv]) for iv in fitted],
+        [Z[:, shape.column(iv)] for iv in fitted],
+        [_forest_params(candidate, derive(seed, level, iv.encode(), *tag)) for iv in fitted],
+    )
+    forest_of = dict(zip(fitted, forests))
+    iv_models = {
+        iv: IVModel(iv, parents_by_iv[iv], forest_of[iv])
+        if iv in forest_of
+        else IVModel(iv, (), MeanModel(Z[:, shape.column(iv)].mean()), fallback=True)
+        for iv in order
+    }
     perf_inputs = shape.options if level == "null" else shape.ivs
     perf_tag = tag if parents_by_iv is None else ("perf", *tag)
     params = _forest_params(candidate, derive(seed, level, *perf_tag))

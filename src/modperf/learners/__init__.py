@@ -1,7 +1,7 @@
 """In-repo regression engines: bagged CART forest, coordinate-descent lasso
 over polynomial features, k-fold cross-validation, and budgeted search."""
 
-from .forest import FittedForest, ForestParams, fit_forest, forest_search_space
+from .forest import FittedForest, ForestParams, fit_forest, fit_forests, forest_search_space
 from .lasso import FittedL1, L1Params, alpha_grid, cross_validate_l1, fit_l1, soft_threshold
 from .polynomial import PolynomialExpansion
 from .search import (
@@ -26,6 +26,7 @@ __all__ = [
     "cross_validate_l1",
     "enumerate_candidates",
     "fit_forest",
+    "fit_forests",
     "fit_l1",
     "fold_indices",
     "forest_search_space",

@@ -1,46 +1,68 @@
-"""Bagged CART regression forest, grown level-wise.
+"""Bagged CART regression forests, grown level-wise and in batches.
 
-All ``n_trees`` bootstrap trees of one fit grow together, one depth level
-at a time: a level is a fixed number of vectorised numpy calls over every
-active node of every tree, whatever the nodes' sizes. Splits are exact CART
-variance-reduction splits, found in one of two ways chosen from ``X`` alone:
+All bootstrap trees of one pass grow together, one depth level at a time: a
+level is a fixed number of vectorised numpy calls over every active node of
+every tree, whatever the nodes' sizes. A pass may hold the trees of several
+regression problems (`fit_forests`) that share the row count, ``n_trees``,
+``max_depth`` and ``min_samples_leaf``. Their designs are stacked as row
+blocks of one design padded to the widest problem, and padded columns are
+never usable at any node; each problem keeps its own bootstrap rows, split
+keys, target shift, column count and ``n_sub``. `fit_forest` is the
+one-problem call. Splits are exact CART variance-reduction splits, found in
+one of two ways chosen from each problem's ``X`` alone (a pass holds one
+way):
 
 * real or mixed columns: every column keeps the level's rows sorted by
-  (node, value), so a segmented cumulative sum gives the squared error of
-  every (node, split position, feature); the threshold is the midpoint
-  between the two adjacent distinct values;
+  (node, value), so a cumulative sum gives the squared error of every
+  (node, split position, feature); the threshold is the midpoint between the
+  two adjacent distinct values;
 * all-0/1 columns: per-(node, feature) row counts and target sums of the
   ones give every split at the fixed threshold 0.5.
 
 Split rule: lowest SSE, then fewest rows on the left, then lowest column
 index. SSE is compared through the score S_left^2 / n_left + S_right^2 /
 n_right (the node's sum of squares minus SSE); scores within a relative
-``_TIE_RTOL`` of each other count as tied, so float rounding never decides
-a tie. A node stays a leaf at ``max_depth``, when it has fewer
-than ``2 * min_samples_leaf`` rows, when its target is constant, or when no
-split leaves ``min_samples_leaf`` rows on each side.
+``_TIE_RTOL`` of each other count as tied. Rounding can still decide
+between candidates that tie (two features giving a small node the same
+partition) or nearly tie: the cumulative sum runs over all cells of a tree
+block's level, so a run's prefix sums carry the rounding of the runs before
+it, which can exceed the tolerance. Batching keeps every tree bit-identical
+to a separate fit because each (problem, tree block) of a pass sums its own
+cells alone, in the order its separate fit would. A node stays a leaf at
+``max_depth``, when it has fewer than ``2 * min_samples_leaf`` rows, when its
+target is constant, or when no split leaves ``min_samples_leaf`` rows on
+each side.
 
-One generator per fit draws the ``(n_trees, n)`` bootstrap rows. Each node
-considers exactly ``n_sub`` features, the ones with the smallest splitmix64
-keys ``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so
-no node's subset depends on traversal order or on other subtrees. Trees are
-stored in one tree-major node table; prediction walks all trees at once and
-averages their outputs. Everything is deterministic in the bootstrap seed.
+One generator per problem draws its ``(n_trees, n)`` bootstrap rows. Each
+node considers exactly ``n_sub`` features, the ones with the smallest
+splitmix64 keys ``derive(derive(bootstrap_seed, "split"), tree, feature,
+heap id)``, so no node's subset depends on traversal order or on other
+subtrees. Trees are stored in one tree-major node table per forest;
+prediction walks all trees at once and averages their outputs. Everything is
+deterministic in the bootstrap seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..seeds import derive, derive_array, rng_for
 
 _TIE_RTOL = 1e-13
-# (bootstrap row, feature) cells grown at once: bounds memory, not results,
-# because trees are independent.
+# (bootstrap row, feature) cells of one problem's trees grown in one block.
+# Bounds memory, but blocks change near-tie splits on real-valued targets,
+# since each block's prefix sums start from zero.
 _BLOCK_CELLS = 1 << 20
+# Padded (bootstrap row, feature) cells of one batched pass. Batching pays
+# for small problems, where per-call overhead dominates; at about this many
+# cells a pass is as fast as growing its problems one at a time.
+_BATCH_CELLS = 1 << 17
+_NO_KEY = np.uint64(np.iinfo(np.uint64).max)
 
 
 @dataclass(frozen=True)
@@ -102,11 +124,11 @@ class FittedForest:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    trees: list[_Tree] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def trees(self) -> list[_Tree]:
         columns = (self.feature, self.threshold, self.left, self.right, self.value)
-        self.trees = [
+        return [
             _Tree(*(c[lo:hi] for c in columns))
             for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
         ]
@@ -131,35 +153,56 @@ def _radix_key(values: np.ndarray, bound: int) -> np.ndarray:
     return values.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
 
 
-def _runs(usable, d, starts, sizes):
+def _runs(usable, starts, sizes):
     """Cells of every (node, feature) pair that may split, node-major.
 
-    Pair i is a run of its node's rows, cells run_start[i] onwards; every
-    node that may split has the same number of pairs, `per_node`. Returns
-    (node, feature, run_start, run of each cell, level row of each cell,
-    per_node).
+    Pair i is a run of its node's rows, cells run_start[i] onwards; nodes
+    may have different numbers of pairs. Returns (node, feature, run_start,
+    run of each cell, level row of each cell, first pair of each node that
+    may split, that node's rank among them for each pair).
     """
-    usable = np.broadcast_to(usable, (d, len(sizes)))
     node, feat = np.nonzero(usable.T)
     length = sizes[node]
     run_start = np.cumsum(length) - length
     run = np.repeat(np.arange(len(node)), length)
     row = (starts[node] - run_start)[run] + np.arange(len(run))
-    return node, feat, run_start, run, row, np.count_nonzero(usable[:, node[0]])
+    new_node = _changes(node)
+    return node, feat, run_start, run, row, np.flatnonzero(new_node), new_node.cumsum() - 1
 
 
-def _search_sorted(XsT, y_fit, order, starts, sizes, usable, msl):
+def _changes(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of non-empty `keys` that differ from the one before;
+    the first entry counts as a change."""
+    change = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return change
+
+
+def _prefix_sums(values, starts):
+    """Cumulative sums of `values` restarting at each of `starts` (the first
+    is 0): every piece is summed alone, in order, so its rounding does not
+    depend on the pieces before it."""
+    out = np.empty_like(values)
+    for lo, hi in zip(starts, [*starts[1:], len(values)]):
+        values[lo:hi].cumsum(out=out[lo:hi])
+    return out
+
+
+def _search_sorted(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     """Best split of every node over columns sorted by (node, value).
 
     `order` is (d, rows): the level's rows in each feature's value order,
     node by node; `usable` is the (d, nodes) mask of feature-node pairs that
-    may split. Returns the nodes that split, their feature and threshold.
+    may split; `segment` numbers each node's (problem, tree block), whose
+    cells are contiguous and get their own prefix sums. Returns the nodes
+    that split, their feature and threshold.
     """
     d, n_rows = order.shape
-    node, feat, run_start, run, row, per_node = _runs(usable, d, starts, sizes)
+    node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order.ravel()[feat[run] * n_rows + row]
     x = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
-    s_left = np.cumsum(y_fit[sample])
+    pieces = run_start[_changes(segment[node])]
+    s_left = _prefix_sums(y_fit[sample], pieces.tolist())
     before = s_left[run_start] - y_fit[sample[run_start]]
     length = sizes[node]
     s_right = (s_left[run_start + length - 1] - before)[run]
@@ -176,8 +219,8 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, msl):
     score /= n_left
     score += np.square(s_right, out=s_right) / np.maximum(n_right, 1)
     score[~valid] = -1.0
-    node_start = run_start[::per_node]
-    slot = run // per_node
+    node_start = run_start[first]
+    slot = slot[run]
     hit = score >= _tie_floor(np.maximum.reduceat(score, node_start))[slot]
     # ties: fewest rows on the left, then the lowest feature
     key = np.where(hit, n_left * d + feat[run], n_rows * d)
@@ -188,12 +231,12 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, msl):
     return node[run[chosen]], feat[run[chosen]], np.where(mid < hi, mid, lo)
 
 
-def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl):
+def _search_binary(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     """Best split of every node over all-0/1 columns at threshold 0.5 (rows
     with a 1 go right). Same arguments and result as `_search_sorted`; only
-    order[0] is used."""
+    order[0] is used, and `segment` is not, since every sum covers one run."""
     d = XsT.shape[0]
-    node, feat, run_start, run, row, per_node = _runs(usable, d, starts, sizes)
+    node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order[0, row]
     ones = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
     n_right = np.add.reduceat(ones, run_start)
@@ -204,12 +247,11 @@ def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl):
         (n_left >= msl) & (n_right >= msl),
         s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
         -1.0,
-    ).reshape(-1, per_node)
-    hit = score >= _tie_floor(score.max(axis=1))[:, None]
+    )
+    hit = score >= _tie_floor(np.maximum.reduceat(score, first))[slot]
     # ties: fewest rows on the left, then the lowest feature
-    key = np.where(hit, n_left.reshape(hit.shape) * d + feat.reshape(hit.shape), np.inf)
-    split = np.flatnonzero(hit.any(axis=1))
-    chosen = split * per_node + key[split].argmin(axis=1)
+    key = np.where(hit, n_left * d + feat, np.inf)
+    chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, first)[slot]))
     return node[chosen], feat[chosen], np.full(len(chosen), 0.5)
 
 
@@ -237,41 +279,75 @@ def _partition(go_left, order, sizes, nodes):
     return kept[np.arange(len(kept))[:, None], moved], child_sizes
 
 
-def _grow_block(X, y, rows, first_tree, params: ForestParams, n_sub: int, binary: bool):
-    """Grow one tree per row of bootstrap indices `rows`, level by level.
+class _Problem(NamedTuple):
+    X: np.ndarray
+    y: np.ndarray
+    params: ForestParams
+    n_sub: int
+    rows: np.ndarray  # (n_trees, n) bootstrap row indices
+    binary: bool
 
-    Returns per-tree node counts and the tree-major node table
-    (feature, threshold, left, right, value) with tree-local child indices.
+
+def _grow(problems: list[_Problem], segments, binary: bool):
+    """Grow the trees of `segments`, (problem, first tree, stop tree) blocks,
+    together, level by level.
+
+    Returns, per segment, its per-tree node counts and its tree-major node
+    table (feature, threshold, left, right, value) with tree-local child
+    indices.
     """
-    n_trees, n = rows.shape
-    d = X.shape[1]
-    msl = params.min_samples_leaf
-    samples = rows.ravel()
-    XsT = np.ascontiguousarray(X[samples].T)
-    y_raw = y[samples]
-    # a constant shift changes no SSE comparison and keeps the level-wide
+    ids = sorted({p for p, _, _ in segments})
+    slot_of = {p: k for k, p in enumerate(ids)}
+    first = problems[ids[0]]
+    n = len(first.y)
+    max_depth, msl = first.params.max_depth, first.params.min_samples_leaf
+    d = max(problems[p].X.shape[1] for p in ids)
+    # problem k's rows are rows k * n onwards of the stacked, padded design
+    X = np.zeros((len(ids), n, d))
+    for k, p in enumerate(ids):
+        X[k, :, : problems[p].X.shape[1]] = problems[p].X
+    seg_trees = [stop - start for _, start, stop in segments]
+    tree_segment = np.repeat(np.arange(len(segments)), seg_trees)
+    tree_slot = np.array([slot_of[p] for p, _, _ in segments])[tree_segment]
+    owners = [problems[p] for p, _, _ in segments]
+    rows = np.concatenate([problems[p].rows[start:stop] for p, start, stop in segments])
+    n_trees = len(rows)
+    samples = (rows + (tree_slot * n)[:, None]).ravel()
+    XsT = np.ascontiguousarray(X.reshape(len(ids) * n, d)[samples].T)
+    y_raw = np.concatenate([problems[p].y for p in ids])[samples]
+    # a constant shift per problem changes no SSE comparison and keeps the
     # cumulative sums small; the midrange keeps small integers exact
-    y_fit = y_raw - 0.5 * (y.min() + y.max())
+    shift = np.array([0.5 * (problems[p].y.min() + problems[p].y.max()) for p in ids])
+    y_fit = y_raw - np.repeat(shift[tree_slot], n)
     if binary:
         order = np.arange(samples.size)[None, :]
     else:
         # per feature: each tree's samples sorted by value, ties by sample id
-        rank = np.empty((d, n), dtype=np.intp)
-        rank[np.arange(d)[:, None], np.argsort(X.T, axis=1, kind="stable")] = np.arange(n)
-        within = np.argsort(_radix_key(rank[:, rows], n), axis=2, kind="stable")
+        rank = np.empty((d, len(ids), n), dtype=np.intp)
+        by_value = np.argsort(X.transpose(2, 0, 1), axis=2, kind="stable")
+        rank[np.arange(d)[:, None, None], np.arange(len(ids))[:, None], by_value] = np.arange(n)
+        within = np.argsort(
+            _radix_key(rank[:, tree_slot[:, None], rows], n), axis=2, kind="stable"
+        )
         order = (within + (np.arange(n_trees) * n)[:, None]).reshape(d, -1)
-    if n_sub < d:
+    tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_segment]
+    tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_segment]
+    real = np.arange(d)[:, None] < tree_width
+    subsample = bool((tree_n_sub < tree_width).any())
+    if subsample:
         # subset keys derive(split, tree, feature, heap id): one mix per level
-        split_key = derive(params.bootstrap_seed, "split")
-        trees = first_tree + np.arange(n_trees)
-        feature_keys = derive_array(split_key, trees, np.arange(d)[:, None])
+        split_keys = np.array(
+            [derive(owner.params.bootstrap_seed, "split") for owner in owners], dtype=np.uint64
+        )
+        local_tree = np.concatenate([np.arange(start, stop) for _, start, stop in segments])
+        feature_keys = derive_array(split_keys[tree_segment], local_tree, np.arange(d)[:, None])
 
     node_tree = np.arange(n_trees)
     node_heap = np.zeros(n_trees, dtype=np.int64)
     sizes = np.full(n_trees, n)
     levels = []
     created = 0
-    for depth in range(params.max_depth + 1):
+    for depth in range(max_depth + 1):
         m = len(sizes)
         starts = np.cumsum(sizes) - sizes
         y_node = y_raw[order[0]]
@@ -282,15 +358,19 @@ def _grow_block(X, y, rows, first_tree, params: ForestParams, n_sub: int, binary
         splittable = (sizes >= 2 * msl) & (
             np.minimum.reduceat(y_node, starts) < np.maximum.reduceat(y_node, starts)
         )
-        if depth < params.max_depth and d > 0 and splittable.any():
-            usable = splittable[None, :]
-            if n_sub < d:
+        real_node = real[:, node_tree]
+        usable = splittable & real_node
+        if depth < max_depth and usable.any():
+            if subsample:
+                # each node's n_sub smallest keys; padded columns hold no key
                 keys = derive_array(feature_keys[:, node_tree], node_heap)
-                allowed = np.zeros((d, m), dtype=bool)
-                allowed[np.argpartition(keys, n_sub - 1, axis=0)[:n_sub], np.arange(m)] = True
-                usable = usable & allowed
+                keys[~real_node] = _NO_KEY
+                kth = np.sort(keys, axis=0)[tree_n_sub[node_tree] - 1, np.arange(m)]
+                usable &= keys <= kth
             search = _search_binary if binary else _search_sorted
-            nodes, feat, thr = search(XsT, y_fit, order, starts, sizes, usable, msl)
+            nodes, feat, thr = search(
+                XsT, y_fit, order, starts, sizes, usable, tree_segment[node_tree], msl
+            )
             feature[nodes] = feat
             threshold[nodes] = thr
             children[nodes] = created + m + 2 * np.arange(len(nodes))
@@ -303,7 +383,7 @@ def _grow_block(X, y, rows, first_tree, params: ForestParams, n_sub: int, binary
         go_left = np.empty(samples.size, dtype=bool)
         go_left[order[0]] = XsT[np.maximum(feature[row_node], 0), order[0]] <= threshold[row_node]
         # leaves at max_depth need only their rows, not every feature's order
-        last = depth + 1 == params.max_depth
+        last = depth + 1 == max_depth
         order, sizes = _partition(go_left, order[:1] if last else order, sizes, nodes)
         node_tree = np.repeat(node_tree[nodes], 2)
         # heap ids: children of h are 2h + 1 and 2h + 2, interleaved
@@ -316,32 +396,87 @@ def _grow_block(X, y, rows, first_tree, params: ForestParams, n_sub: int, binary
     local[perm] = np.arange(len(perm)) - np.repeat(np.cumsum(counts) - counts, counts)
     left = np.where(children >= 0, local[children], -1)
     right = np.where(children >= 0, local[children + 1], -1)
-    return counts, tuple(c[perm] for c in (feature, threshold, left, right, value))
+    table = tuple(c[perm] for c in (feature, threshold, left, right, value))
+    tree_bounds = np.cumsum([0, *seg_trees])
+    node_bounds = np.concatenate([[0], np.cumsum(counts)])[tree_bounds].tolist()
+    return [
+        (counts[a:b], tuple(c[lo:hi] for c in table))
+        for a, b, lo, hi in zip(
+            tree_bounds[:-1], tree_bounds[1:], node_bounds[:-1], node_bounds[1:]
+        )
+    ]
+
+
+def _passes(problems: list[_Problem], segments):
+    """`segments` in order, cut into passes of at most `_BATCH_CELLS` padded
+    (bootstrap row, feature) cells; a segment alone may exceed it."""
+    batch, trees, width = [], 0, 1
+    for segment in segments:
+        p, start, stop = segment
+        d = max(1, problems[p].X.shape[1])
+        if batch and (trees + stop - start) * len(problems[p].y) * max(width, d) > _BATCH_CELLS:
+            yield batch
+            batch, trees, width = [], 0, 1
+        batch.append(segment)
+        trees, width = trees + stop - start, max(width, d)
+    if batch:
+        yield batch
+
+
+def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
+    """One forest per (X, y, params) problem, each equal to what `fit_forest`
+    returns for it alone.
+
+    The problems must share the row count, ``n_trees``, ``max_depth`` and
+    ``min_samples_leaf``. Each problem's trees are cut into the blocks its
+    separate fit grows; blocks of problems on the same split path are grown
+    together in passes of at most ``_BATCH_CELLS`` padded cells.
+    """
+    Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
+    ys = [np.ascontiguousarray(y, dtype=float) for y in ys]
+    if not len(Xs) == len(ys) == len(params_list):
+        raise ValueError("need one y and one params per X")
+    for X, y in zip(Xs, ys):
+        if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
+            raise ValueError("X must be 2-D with one row per y entry and at least one row")
+    shared = {(len(y), p.n_trees, p.max_depth, p.min_samples_leaf) for y, p in zip(ys, params_list)}
+    if len(shared) > 1:
+        raise ValueError("problems must share rows, n_trees, max_depth and min_samples_leaf")
+    problems = []
+    segments = []
+    for X, y, params in zip(Xs, ys, params_list):
+        n, d = X.shape
+        rows = rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
+        binary = bool(np.all((X == 0.0) | (X == 1.0)))
+        n_sub = max(1, int(round(params.feature_subsample * d)))
+        problems.append(_Problem(X, y, params, n_sub, rows, binary))
+        block = max(1, _BLOCK_CELLS // (n * max(d, 1)))
+        segments += [
+            (len(problems) - 1, t, min(t + block, params.n_trees))
+            for t in range(0, params.n_trees, block)
+        ]
+    grown = {}
+    for binary in (True, False):
+        path = [s for s in segments if problems[s[0]].binary is binary]
+        for batch in _passes(problems, path):
+            grown.update(zip(batch, _grow(problems, batch, binary)))
+    forests = []
+    for p, problem in enumerate(problems):
+        counts, tables = zip(*(grown[s] for s in segments if s[0] == p))
+        forests.append(
+            FittedForest(
+                problem.params,
+                problem.X.shape[1],
+                np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+                *(np.concatenate(c) for c in zip(*tables)),
+            )
+        )
+    return forests
 
 
 def fit_forest(X, y, params: ForestParams) -> FittedForest:
-    X = np.ascontiguousarray(X, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-        raise ValueError("X must be 2-D with one row per y entry and at least one row")
-    n, d = X.shape
-    n_sub = max(1, int(round(params.feature_subsample * d)))
-    rows = rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
-    binary = bool(np.all((X == 0.0) | (X == 1.0)))
-    block = max(1, _BLOCK_CELLS // (n * max(d, 1)))
-    counts, tables = zip(
-        *(
-            _grow_block(X, y, rows[t : t + block], t, params, n_sub, binary)
-            for t in range(0, params.n_trees, block)
-        )
-    )
-    counts = np.concatenate(counts)
-    return FittedForest(
-        params,
-        d,
-        np.concatenate([[0], np.cumsum(counts)]),
-        *(np.concatenate(c) for c in zip(*tables)),
-    )
+    """One forest: the one-problem call of `fit_forests`."""
+    return fit_forests([X], [y], [params])[0]
 
 
 def forest_search_space(n_features: int, scale: str = "paper") -> dict:

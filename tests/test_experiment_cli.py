@@ -290,3 +290,32 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     assert len(manifest["systems"]) == 1  # flag overrode the file's 2
     persisted = json.loads((out / "config.json").read_text())
     assert persisted["global_seed"] == TINY["global_seed"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(lasso_alpha_steps=0),
+        dict(lasso_degrees=()),
+        dict(lasso_degrees=(0, 1)),
+        dict(lasso_degrees=(2, 5)),
+    ],
+)
+def test_config_rejects_bad_lasso_settings(tmp_path, bad):
+    """Caught when the config is built, not in run_analyze after the model stage."""
+    with pytest.raises(ValueError, match="lasso"):
+        _tiny_config(tmp_path, **bad)
+    _tiny_config(tmp_path, lasso_alpha_steps=1, lasso_degrees=(1, 4))
+
+
+def test_failed_write_leaves_previous_artifact(tmp_path):
+    from modperf.experiment import _write
+
+    target = tmp_path / "curves" / "unit.json"
+    _write(target, '{"old": 1}')
+    with pytest.raises(UnicodeEncodeError):
+        _write(target, '{"new": "' + "x" * 100_000 + "\udc80" + '"}')  # fails while writing
+    assert target.read_text() == '{"old": 1}'
+    _write(target, '{"new": 2}')
+    assert target.read_text() == '{"new": 2}'
+    assert [p.name for p in target.parent.iterdir()] == ["unit.json"]

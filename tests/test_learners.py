@@ -15,6 +15,7 @@ from modperf.learners import (
     cross_validate_l1,
     enumerate_candidates,
     fit_forest,
+    fit_forests,
     fit_l1,
     fold_indices,
     mse,
@@ -221,6 +222,62 @@ def test_forest_tree_blocks_do_not_change_trees(monkeypatch):
     blocked = fit_forest(X, y, params)
     for name in ("offsets", "feature", "threshold", "left", "right", "value"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name))
+
+
+FOREST_TABLE = ("offsets", "feature", "threshold", "left", "right", "value")
+
+
+def _batch_problems(rng, n, widths):
+    """Real-valued targets on binary or integer-valued designs; affine copies
+    of a column give the same partitions, so exact ties are common and only
+    the order of summation decides them."""
+    Xs, ys = [], []
+    for j, d in enumerate(widths):
+        if j % 3 == 0:
+            X = rng.integers(0, 2, size=(n, d)).astype(float)
+        else:
+            base = rng.integers(0, 4, size=(n, d)).astype(float)
+            X = np.where(np.arange(d) % 2 == 0, base, 2.0 * np.roll(base, 1, axis=1) + 1.0)
+        Xs.append(X)
+        ys.append(rng.normal(size=n))
+    return Xs, ys
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_fit_forests_equals_separate_fits(monkeypatch, blocks):
+    """Each batched forest is bit-identical to its separate fit: every
+    problem's prefix sums cover only its own cells (per tree block)."""
+    rng = _rng(18)
+    n, widths = 40, (3, 9, 6, 1, 12, 5, 8, 4)
+    params = [
+        ForestParams(9, 8, 1, (1.0, 1 / 3, 0.5, 0.7)[j % 4], bootstrap_seed=100 + j)
+        for j in range(len(widths))
+    ]
+    if blocks:
+        monkeypatch.setattr(forest, "_BLOCK_CELLS", 4 * n * 6)  # blocks of 2-8 trees at widths 3-12
+        monkeypatch.setattr(forest, "_BATCH_CELLS", 9 * n * 12)  # several passes per path
+    for _ in range(4):
+        Xs, ys = _batch_problems(rng, n, widths)
+        batched = fit_forests(Xs, ys, params)
+        assert len(batched) == len(Xs)
+        for X, y, p, got in zip(Xs, ys, params, batched):
+            alone = fit_forest(X, y, p)
+            assert got.n_features == X.shape[1] and got.params == p
+            for name in FOREST_TABLE:
+                assert np.array_equal(getattr(got, name), getattr(alone, name)), name
+            assert np.array_equal(got.predict(X), alone.predict(X))
+
+
+def test_fit_forests_checks_shared_settings():
+    rng = _rng(19)
+    X, y = rng.random((20, 3)), rng.normal(size=20)
+    assert fit_forests([], [], []) == []
+    with pytest.raises(ValueError):
+        fit_forests([X, X[:10]], [y, y[:10]], [ForestParams(3, 2)] * 2)
+    with pytest.raises(ValueError):
+        fit_forests([X, X], [y, y], [ForestParams(3, 2), ForestParams(4, 2)])
+    with pytest.raises(ValueError):
+        fit_forests([X], [y, y], [ForestParams(3, 2)])
 
 
 def test_forest_trees_are_views_of_one_node_table():
