@@ -3,15 +3,17 @@
 
 Generates one system of 8 modules x 8 options (n_train = n_test = 1000,
 training sizes 20-1000, search budget 2, 2 folds, all five levels, default
-seed) without timing it, then times one `run_model` call and prints one JSON
-line with the model-stage seconds and the machine:
+seed) without timing it, then times one `run_model` call over all levels
+(`model_s`) and one `run_model` call per level with only that level
+(`level_s`), and prints one JSON line with these seconds and the machine:
 
     python scripts/time_desk_unit.py
-    {"model_s": 17.9, "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "commit": "..."}
+    {"model_s": 17.9, "level_s": {"null": 0.3, ...}, "nproc": 2, "python": "3.11.7", ...}
 
 Run it at two commits on the same machine to compare them.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -64,6 +66,11 @@ def main() -> int:
         start = time.perf_counter()
         docs = run_model(config)
         model_s = time.perf_counter() - start
+        level_s = {}
+        for level in config.levels:
+            start = time.perf_counter()
+            docs += run_model(dataclasses.replace(config, levels=(level,)))
+            level_s[level] = round(time.perf_counter() - start, 3)
     errors = [d["error"] for d in docs if "error" in d]
     if errors:
         print(json.dumps({"error": errors}), file=sys.stderr)
@@ -72,6 +79,7 @@ def main() -> int:
         json.dumps(
             {
                 "model_s": round(model_s, 3),
+                "level_s": level_s,
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

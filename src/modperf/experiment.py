@@ -54,8 +54,8 @@ from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
     ASPECT_FEATURES,
-    ASPECT_GROUPS,
     classify_and_test,
+    group_importance,
     matrix_hypothesis_tests,  # noqa: F401  (as build_matrix)
     permutation_importance,
     shapley_importance,
@@ -287,11 +287,20 @@ def _curve_paths(config: ExperimentConfig, s: int, t: int) -> dict[tuple[str, st
     }
 
 
+def _parses(path: Path) -> bool:
+    """Whether `path` holds a complete JSON document."""
+    try:
+        json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return True
+
+
 def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
     out = Path(config.out_dir)
     unit = config.unit_id(s, t)
     paths = _curve_paths(config, s, t)
-    if config.resume and all(p.exists() for p in paths.values()):
+    if config.resume and all(_parses(p) for p in paths.values()):
         return {"unit": unit, "resumed": True}
 
     system_dir = out / "systems" / config.system_id(s)
@@ -414,14 +423,6 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     return units, missing
 
 
-def _group_importance(vector, groups: dict) -> dict:
-    raw = {g: sum(max(vector.raw.get(f, 0.0), 0.0) for f in members) for g, members in groups.items()}
-    total = sum(raw.values())
-    if total <= 0:
-        return {g: 1.0 / len(raw) for g in raw}
-    return {g: v / total for g, v in raw.items()}
-
-
 def run_analyze(config: ExperimentConfig) -> dict:
     """Hardness, opportunities, stage-1 aspect regression with importances,
     and the matrix plus hypothesis battery, one set per metric."""
@@ -540,8 +541,8 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 "converged": result.model.converged,
                 "coefficients": result.model.coefficient_map(),
                 "importance_lasso": result.importance.weights,
-                "importance_permutation": _group_importance(perm, ASPECT_GROUPS),
-                "importance_shapley": _group_importance(shap, ASPECT_GROUPS),
+                "importance_permutation": group_importance(perm).weights,
+                "importance_shapley": group_importance(shap).weights,
                 "hardness_source": "measured" if config.use_measured_hardness else "predicted",
                 "hardness_by_unit": {
                     k: {"value": v, "level": lv} for k, (v, lv) in result.hardness_by_system.items()

@@ -11,7 +11,6 @@ per ordered module pair), and an optional IV-to-IV wiring probability.
 from __future__ import annotations
 
 import enum
-import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -27,7 +26,8 @@ ASPECT_FEATURES = ("option_count", "p_w", "mu_a", "sigma_a", "module_count")
 
 
 class GraphStructureError(Exception):
-    """A generated graph violated a structural invariant (generator bug)."""
+    """A graph violated a structural invariant: a generator bug, or a
+    corrupt or hand-edited graph.json being loaded."""
 
 
 class NodeKind(str, enum.Enum):
@@ -181,6 +181,22 @@ class CausalInfluenceGraph:
     edges: tuple[Edge, ...]
     cross_probs: dict[tuple[int, int], float] = field(compare=False, default_factory=dict)
 
+    def __post_init__(self):
+        """Every edge joins two of the aspects' nodes and runs forward in the
+        canonical order (options, IVs, perf), which is therefore topological."""
+        nodes = self.option_nodes() + self.iv_nodes() + self.perf_nodes()
+        rank = {n: i for i, n in enumerate(nodes)}
+        for src, dst, _ in self.edges:
+            i, j = rank.get(src), rank.get(dst)
+            if i is None or j is None:
+                raise GraphStructureError(
+                    f"edge {src.encode()}->{dst.encode()} names a node outside the aspects"
+                )
+            if i >= j:
+                raise GraphStructureError(
+                    f"edge {src.encode()}->{dst.encode()} runs against the canonical order"
+                )
+
     def option_nodes(self) -> list[NodeId]:
         a = self.aspects
         return [option(m, j) for m in range(a.module_count) for j in range(a.option_count)]
@@ -260,35 +276,6 @@ def generate_graph(
         edges=tuple(edges),
         cross_probs=cross_probs,
     )
-
-
-def topological_order(graph: CausalInfluenceGraph) -> list[NodeId]:
-    """Kahn's algorithm with canonical tie-breaking (options, IVs, perf).
-
-    Raises GraphStructureError on a cycle; the generator can only produce
-    DAGs, so a cycle here means the graph was built or mutated incorrectly.
-    """
-    nodes = graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()
-    rank = {n: i for i, n in enumerate(nodes)}
-    indegree = {n: 0 for n in nodes}
-    children: dict[NodeId, list[NodeId]] = {n: [] for n in nodes}
-    for src, dst, _ in graph.edges:
-        indegree[dst] += 1
-        children[src].append(dst)
-
-    ready = [rank[n] for n in nodes if indegree[n] == 0]
-    heapq.heapify(ready)
-    order: list[NodeId] = []
-    while ready:
-        node = nodes[heapq.heappop(ready)]
-        order.append(node)
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, rank[child])
-    if len(order) != len(nodes):
-        raise GraphStructureError("cycle detected in influence graph")
-    return order
 
 
 @dataclass(frozen=True)

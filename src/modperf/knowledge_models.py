@@ -23,7 +23,6 @@ training prefix, the identical candidate list, folds and search budget.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -43,6 +42,7 @@ from .learners import (
 )
 from .metrics import efficacy
 from .seeds import derive
+from .stats import fisher_z_screen
 
 DEFAULT_ALPHA_CI = 0.05
 
@@ -179,16 +179,6 @@ LEVEL_PARENTS = {
 LEVELS = tuple(LEVEL_PARENTS)
 
 
-def _cascade_order(shape: SystemShape, parents_by_iv: dict) -> tuple[NodeId, ...]:
-    """Canonical IV order; valid because IV->IV parents always precede their
-    children in the fixed total order the generator enforces."""
-    for iv, parents in parents_by_iv.items():
-        for p in parents:
-            if p.kind is NodeKind.INTERMEDIATE and not p < iv:
-                raise ValueError(f"IV parent {p} does not precede {iv}")
-    return tuple(sorted(parents_by_iv, key=shape.column))
-
-
 def _fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
     """One level's model for one candidate on design rows Z.
 
@@ -230,36 +220,12 @@ def prune_parents(
     candidates_by_iv: dict[NodeId, tuple[NodeId, ...]],
     alpha_ci: float,
 ) -> dict[NodeId, tuple[NodeId, ...]]:
-    """Marginal Fisher-Z screen on design rows Z: keep a candidate parent
-    only when the test rejects independence from the IV at level alpha_ci.
-
-    Vectorized form of stats.fisher_z_test with an empty conditioning set;
-    degenerate (constant) columns count as independent.
-    """
-    from statistics import NormalDist
-
-    n = len(Z)
-    if n <= 3:
-        raise ValueError(f"need more than 3 records to prune, got {n}")
-    critical = NormalDist().inv_cdf(1.0 - alpha_ci / 2.0)
-    z_cap = math.atanh(1.0 - 1e-15)
-    surviving: dict[NodeId, tuple[NodeId, ...]] = {}
+    """Keep a candidate parent only when `stats.fisher_z_screen` on design
+    rows Z rejects its independence from the IV at level alpha_ci."""
+    surviving = {}
     for iv, candidates in candidates_by_iv.items():
-        if not candidates:
-            surviving[iv] = ()
-            continue
-        target = Z[:, shape.column(iv)]
-        target = target - target.mean()
-        t_norm = math.sqrt(float(target @ target))
-        columns = shape.gather(Z, candidates)
-        columns = columns - columns.mean(axis=0)
-        col_norms = np.sqrt((columns * columns).sum(axis=0))
-        denom = col_norms * t_norm
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(denom > 0.0, columns.T @ target / np.where(denom == 0, 1, denom), 0.0)
-        r = np.clip(r, -1.0 + 1e-15, 1.0 - 1e-15)
-        statistic = math.sqrt(n - 3) * np.minimum(np.abs(np.arctanh(r)), z_cap)
-        surviving[iv] = tuple(p for p, s in zip(candidates, statistic) if s > critical)
+        keep = fisher_z_screen(shape.gather(Z, candidates), Z[:, shape.column(iv)], alpha_ci)
+        surviving[iv] = tuple(p for p, k in zip(candidates, keep) if k)
     return surviving
 
 
@@ -294,7 +260,8 @@ def make_factory(
             raise ValueError(f"need at least {cv.folds} records, got {n}")
         Z, perf = design(records)
         parents = find_parents and find_parents(artifacts, shape, Z, alpha_ci)
-        order = () if parents is None else _cascade_order(shape, parents)
+        # Canonical (NodeId) order is topological: graph edges run forward in it.
+        order = () if parents is None else tuple(sorted(parents))
         fit = functools.partial(_fit_level, level, shape, parents, order, seed)
         folds = fold_indices(n, cv)
         losses = [

@@ -36,16 +36,12 @@ def rankdata(values) -> np.ndarray:
     """Fractional ranks (1-based); ties get the mean of their rank range."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
     sorted_vals = values[order]
-    positions = np.arange(1, len(values) + 1, dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = positions[i : j + 1].mean()
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    # A tie group holds sorted positions starts+1 .. ends (1-based).
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 

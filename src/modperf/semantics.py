@@ -3,8 +3,9 @@
 Each intermediate variable gets a random polynomial over its graph parents
 (all first-order terms plus all pairwise products, uniform weights in
 [0, 1]); each performance variable gets a random linear form over all IVs.
-Evaluation walks the DAG in topological order and optionally perturbs
-performance values by a bounded relative measurement noise.
+Evaluation walks the IVs in canonical order, which is topological because
+every graph edge runs forward in it, and optionally perturbs performance
+values by a bounded relative measurement noise.
 
 Option parents enter polynomials as raw 0/1 bits. Parents that are
 themselves IVs enter through log1p: without damping, second-order terms
@@ -27,7 +28,6 @@ from .influence_graph import (
     NodeKind,
     graph_from_json,
     graph_to_json,
-    topological_order,
 )
 from .seeds import rng_for
 
@@ -113,9 +113,8 @@ class Evaluator:
         self.ivs = graph.iv_nodes()
         self.perfs = graph.perf_nodes()
         col = {n: i for i, n in enumerate(self.options + self.ivs)}
-        self.iv_order = [n for n in topological_order(graph) if n.kind is NodeKind.INTERMEDIATE]
         self.iv_steps = []
-        for iv in self.iv_order:
+        for iv in self.ivs:
             formula = semantics.iv_formulas[iv]
             parents = sorted(formula.linear_terms)
             parent_cols = np.array([col[p] for p in parents], dtype=int)

@@ -1,4 +1,4 @@
-"""Nonparametric tests, effect sizes, conditional-independence testing, and
+"""Nonparametric tests, effect sizes, the Fisher-Z independence screen, and
 importance attribution.
 
 The Mann-Whitney U test runs an exact tie-aware permutation enumeration for
@@ -122,61 +122,40 @@ def mann_whitney_u(x, y, alternative: str = "two_sided") -> TestResult:
                       cles=effect, method="normal")
 
 
-@dataclass(frozen=True)
-class FisherZResult:
-    partial_correlation: float
-    z: float
-    statistic: float
-    conditioning_size: int
-    independent: bool
-    alpha: float
+_Z_CAP = math.atanh(1.0 - 1e-15)
 
 
-def _residualize(v: np.ndarray, conditioning: np.ndarray) -> np.ndarray:
-    design = np.column_stack([np.ones(len(v)), conditioning])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return v - design @ coef
+def fisher_z_statistic(X, y) -> np.ndarray:
+    """Marginal Fisher-Z statistic sqrt(n - 3) |arctanh r| of each column of
+    X against y, where r is the Pearson correlation of the centred vectors.
 
-
-def fisher_z_test(u, v, conditioning=(), alpha: float = 0.05) -> FisherZResult:
-    """Conditional-independence test on the z-transformed partial correlation.
-
-    With an empty conditioning set this reduces to a test of the plain
-    Pearson correlation. Degenerate variance is flagged independent: a
-    constant column carries no evidence of dependence.
+    r is clipped to +-(1 - 1e-15) and |arctanh r| capped at arctanh(1 - 1e-15),
+    so perfect correlation stays finite. A constant column (or a constant y)
+    has r = 0: it carries no evidence of dependence.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cond = np.column_stack(conditioning) if len(conditioning) else np.empty((len(u), 0))
-    n = len(u)
-    k = cond.shape[1]
-    if len(v) != n or cond.shape[0] != n:
-        raise ValueError("vectors must have equal length")
-    if n <= k + 3:
-        raise ValueError(f"need n > |S| + 3, got n={n}, |S|={k}")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if X.shape[0] != n:
+        raise ValueError(f"X has {X.shape[0]} rows, y has {n}")
+    if n <= 3:
+        raise ValueError(f"need more than 3 records, got {n}")
+    target = y - y.mean()
+    t_norm = math.sqrt(float(target @ target))
+    columns = X - X.mean(axis=0)
+    col_norms = np.sqrt((columns * columns).sum(axis=0))
+    denom = col_norms * t_norm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom > 0.0, columns.T @ target / np.where(denom == 0, 1, denom), 0.0)
+    r = np.clip(r, -1.0 + 1e-15, 1.0 - 1e-15)
+    return math.sqrt(n - 3) * np.minimum(np.abs(np.arctanh(r)), _Z_CAP)
 
-    if k:
-        u = _residualize(u, cond)
-        v = _residualize(v, cond)
-    else:
-        u = u - u.mean()
-        v = v - v.mean()
-    denom = math.sqrt(float(u @ u) * float(v @ v))
-    if denom == 0.0:
-        return FisherZResult(0.0, 0.0, 0.0, k, independent=True, alpha=alpha)
-    r = float(u @ v) / denom
-    r = max(-1.0 + 1e-15, min(1.0 - 1e-15, r))
-    z = 0.5 * math.log((1.0 + r) / (1.0 - r))
-    statistic = math.sqrt(n - k - 3) * abs(z)
-    critical = _NORMAL.inv_cdf(1.0 - alpha / 2.0)
-    return FisherZResult(
-        partial_correlation=r,
-        z=z,
-        statistic=statistic,
-        conditioning_size=k,
-        independent=statistic <= critical,
-        alpha=alpha,
-    )
+
+def fisher_z_screen(X, y, alpha: float = 0.05) -> np.ndarray:
+    """True for each column of X whose two-sided marginal Fisher-Z test
+    rejects independence from y at level alpha (statistic strictly above the
+    normal critical value)."""
+    return fisher_z_statistic(X, y) > _NORMAL.inv_cdf(1.0 - alpha / 2.0)
 
 
 @dataclass(frozen=True)
@@ -301,6 +280,14 @@ ASPECT_GROUPS = {
     "IEAcross_p": ("mu_a", "sigma_a"),
     "Module#": ("module_count",),
 }
+
+
+def group_importance(vector: ImportanceVector, groups=ASPECT_GROUPS) -> ImportanceVector:
+    """Pool a per-feature vector into feature groups: each group's raw value
+    is the sum of its members' raw values floored at 0, then normalized."""
+    return _normalize(
+        {g: sum(max(vector.raw.get(f, 0.0), 0.0) for f in members) for g, members in groups.items()}
+    )
 
 
 def aspect_regression(

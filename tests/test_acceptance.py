@@ -42,7 +42,7 @@ from modperf.metrics import acc, maape, spearman
 from modperf import reporting
 from modperf.seeds import derive
 from modperf.semantics import synthesize_semantics
-from modperf.stats import aspect_regression, cles, fisher_z_test, mann_whitney_u, matrix_hypothesis_tests
+from modperf.stats import aspect_regression, cles, fisher_z_screen, mann_whitney_u, matrix_hypothesis_tests
 
 pytestmark = pytest.mark.acceptance
 
@@ -146,16 +146,15 @@ def test_criterion_04_statistics_oracles():
         want = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a, b in pairs) / len(pairs)
         assert cles(x, y) == pytest.approx(want, abs=1e-12)
 
-    # Fisher-Z type-I calibration, 99% binomial band around alpha
+    # Type-I calibration of the Fisher-Z screen prune_parents runs, 99%
+    # binomial band around alpha
     alpha = 0.05
     trials = 1000
     fz_rng = np.random.default_rng(5005)
     rejections = sum(
         1
         for _ in range(trials)
-        if not fisher_z_test(
-            fz_rng.normal(size=100), fz_rng.normal(size=100), alpha=alpha
-        ).independent
+        if fisher_z_screen(fz_rng.normal(size=(100, 1)), fz_rng.normal(size=100), alpha=alpha)[0]
     )
     rate = rejections / trials
     band = 2.576 * math.sqrt(alpha * (1 - alpha) / trials)

@@ -144,6 +144,20 @@ def test_resume_skips_completed_units(tiny_run, capsys):
     assert tree_hash(out / "curves") == curves_before
 
 
+def test_resume_rewrites_unparsable_curve_file(tmp_path):
+    config = _tiny_config(tmp_path, n_systems=1, trials=1)
+    run_generate(config)
+    run_model(config)
+    curve = Path(config.out_dir) / "curves" / "s0000_t00" / "partial_acc.json"
+    original = curve.read_bytes()
+    curve.write_bytes(original[: len(original) // 2])
+    docs = run_model(ExperimentConfig.from_dict(
+        config.persisted_dict(), out_dir=config.out_dir, resume=True,
+    ))
+    assert docs == [{"unit": "s0000_t00"}]
+    assert curve.read_bytes() == original
+
+
 def test_config_json_omits_runtime_fields(tiny_run):
     config, out = tiny_run
     doc = json.loads((out / "config.json").read_text())
@@ -245,6 +259,25 @@ def test_analyze_searches_every_configured_alpha(tmp_path, monkeypatch):
     assert seen == [600]
     stage1 = json.loads((Path(config.out_dir) / "analysis" / "stage1_scc.json").read_text())
     assert "skipped" not in stage1
+
+
+def test_analyze_with_measured_hardness(tmp_path):
+    """use_measured_hardness routes each unit by its measured hardness."""
+    config = _tiny_config(
+        tmp_path, trials=5, levels=("null", "partial", "ideal"), metrics=("scc",),
+        use_measured_hardness=True,
+    )
+    run_generate(config)
+    run_model(config)
+    run_analyze(config)
+    analysis = Path(config.out_dir) / "analysis"
+    stage1 = json.loads((analysis / "stage1_scc.json").read_text())
+    measured = json.loads((analysis / "hardness_scc.json").read_text())
+    assert "skipped" not in stage1 and len(measured) >= 10
+    assert stage1["hardness_source"] == "measured"
+    assert {k: v["value"] for k, v in stage1["hardness_by_unit"].items()} == {
+        row["unit"]: row["value"] for row in measured
+    }
 
 
 def test_model_failure_isolated_and_recorded(tmp_path):

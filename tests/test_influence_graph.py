@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from modperf.influence_graph import (
     intermediate,
     option,
     sample_aspects,
+    performance,
     scale_aspects,
-    topological_order,
 )
 
 TABLE_RANGES = AspectRanges()
@@ -120,39 +122,75 @@ def test_within_edge_count_is_binomial():
     assert abs(np.mean(counts) - 72.0) < 4 * se
 
 
+def _rebuilt(g, edges):
+    return type(g)(aspects=g.aspects, seed=g.seed, iv_to_iv_p=g.iv_to_iv_p, edges=edges)
+
+
+def _loaded(g, edges):
+    """graph_from_json on g's serialization with its edge list replaced."""
+    doc = json.loads(graph_to_json(g))
+    doc["edges"] = [{"src": s.encode(), "dst": d.encode(), "kind": k.value} for s, d, k in edges]
+    return graph_from_json(json.dumps(doc))
+
+
 def test_topological_order_options_first_perf_last():
+    # Canonical order puts options first and perf last, and the graph
+    # rejects an edge out of a perf node or into an option.
     g = generate_graph(
         StructuralAspects(option_count=5, p_w=0.5, mu_a=0.1, sigma_a=0.1, module_count=3), seed=2
     )
-    order = topological_order(g)
-    kinds = [n.kind for n in order]
+    kinds = [n.kind for n in g.option_nodes() + g.iv_nodes() + g.perf_nodes()]
     n_opt, n_iv = len(g.option_nodes()), len(g.iv_nodes())
     assert all(k is NodeKind.OPTION for k in kinds[:n_opt])
     assert all(k is NodeKind.INTERMEDIATE for k in kinds[n_opt : n_opt + n_iv])
     assert all(k is NodeKind.PERFORMANCE for k in kinds[n_opt + n_iv :])
+    for edge in (
+        (performance(0), intermediate(2, 0), EdgeKind.IV_TO_IV),
+        (intermediate(0, 0), option(1, 0), EdgeKind.WITHIN_OI),
+    ):
+        for build in (_rebuilt, _loaded):
+            with pytest.raises(GraphStructureError, match="against the canonical order"):
+                build(g, g.edges + (edge,))
 
 
 def test_topological_order_respects_every_edge():
     a = StructuralAspects(option_count=6, p_w=0.7, mu_a=0.2, sigma_a=0.15, module_count=5)
     for seed in range(100):
         g = generate_graph(a, seed=seed, iv_to_iv_p=0.25)
-        position = {n: i for i, n in enumerate(topological_order(g))}
+        position = {n: i for i, n in enumerate(g.option_nodes() + g.iv_nodes() + g.perf_nodes())}
         assert all(position[s] < position[d] for s, d, _ in g.edges)
 
 
 def test_topological_order_detects_cycle():
+    # A cycle needs a backward edge; the constructor and the loader reject it.
     g = generate_graph(
         StructuralAspects(option_count=4, p_w=0.5, mu_a=0.1, sigma_a=0.1, module_count=2), seed=1
     )
-    bad_edges = g.edges + (
-        (intermediate(0, 0), intermediate(1, 2), EdgeKind.IV_TO_IV),
-        (intermediate(1, 2), intermediate(0, 0), EdgeKind.IV_TO_IV),
+    forward = (intermediate(0, 0), intermediate(1, 2), EdgeKind.IV_TO_IV)
+    backward = (intermediate(1, 2), intermediate(0, 0), EdgeKind.IV_TO_IV)
+    for build in (_rebuilt, _loaded):
+        assert build(g, g.edges + (forward,)).edges[-1] == forward
+        for edges in ((forward, backward), (backward,)):
+            with pytest.raises(GraphStructureError, match="against the canonical order"):
+                build(g, g.edges + edges)
+
+
+@pytest.mark.parametrize("build", [_rebuilt, _loaded])
+@pytest.mark.parametrize(
+    "edge",
+    [
+        (option(0, 4), intermediate(1, 0), EdgeKind.ACROSS_OI),  # option_count is 4
+        (option(2, 0), intermediate(0, 0), EdgeKind.ACROSS_OI),  # module_count is 2
+        (intermediate(0, 0), intermediate(1, 3), EdgeKind.IV_TO_IV),  # iv_per_module is 3
+        (intermediate(1, 0), performance(1), EdgeKind.IV_TO_PERF),  # perf_count is 1
+    ],
+)
+def test_graph_rejects_node_outside_aspects(build, edge):
+    g = generate_graph(
+        StructuralAspects(option_count=4, p_w=0.5, mu_a=0.1, sigma_a=0.1, module_count=2), seed=1
     )
-    broken = type(g)(
-        aspects=g.aspects, seed=g.seed, iv_to_iv_p=g.iv_to_iv_p, edges=bad_edges
-    )
-    with pytest.raises(GraphStructureError):
-        topological_order(broken)
+    with pytest.raises(GraphStructureError, match="outside the aspects"):
+        build(g, g.edges + (edge,))
 
 
 def test_derive_knowledge_ie_subset_of_pie():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -231,7 +232,9 @@ def test_strong_parent_retained():
 
 
 def test_prune_parents_agrees_with_scalar_fisher_z():
-    from modperf.stats import fisher_z_test
+    from statistics import NormalDist
+
+    from modperf.stats import fisher_z_screen
 
     rng = np.random.default_rng(12)
     n = 150
@@ -241,9 +244,13 @@ def test_prune_parents_agrees_with_scalar_fisher_z():
     iv_vals = 0.3 * bits[:, 0] + 0.05 * bits[:, 1] + rng.normal(0, 0.15, n)
     Z = np.column_stack([bits, iv_vals])
     surviving = prune_parents(Z, shape, {intermediate(0, 0): options}, 0.05)
+    critical = NormalDist().inv_cdf(1 - 0.05 / 2)
+    screen = fisher_z_screen(bits, iv_vals, 0.05)
     for j, node in enumerate(options):
-        scalar = fisher_z_test(bits[:, j], iv_vals, alpha=0.05)
-        assert (node in surviving[intermediate(0, 0)]) == (not scalar.independent)
+        # scalar Fisher-Z from the definition: sqrt(n - 3) |artanh r|
+        r = np.corrcoef(bits[:, j], iv_vals)[0, 1]
+        scalar = math.sqrt(n - 3) * abs(math.atanh(r)) > critical
+        assert (node in surviving[intermediate(0, 0)]) == scalar == screen[j]
 
 
 def test_ideal_consumes_true_ivs_and_recovers_linear_perf():

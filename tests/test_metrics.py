@@ -46,6 +46,18 @@ def test_acc_sign_symmetric_relative_error():
 def test_rankdata_average_ties():
     assert rankdata([1.0, 2.0, 2.0, 4.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert rankdata([3.0, 3.0, 3.0]).tolist() == [2.0, 2.0, 2.0]
+    assert rankdata([]).tolist() == []
+
+
+def test_rankdata_matches_definition_on_tied_data():
+    # rank = #less + (#equal + 1) / 2, exactly
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 50, 300):
+        for levels in (1, 3, 20, None):
+            v = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) * 0.1
+            less = (v[None, :] < v[:, None]).sum(axis=1)
+            equal = (v[None, :] == v[:, None]).sum(axis=1)
+            assert rankdata(v).tolist() == (less + (equal + 1) / 2).tolist()
 
 
 def test_spearman_identical_and_reversed_rankings():

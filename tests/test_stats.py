@@ -12,7 +12,8 @@ from modperf.stats import (
     ImportanceVector,
     aspect_regression,
     cles,
-    fisher_z_test,
+    fisher_z_screen,
+    fisher_z_statistic,
     mann_whitney_u,
     matrix_hypothesis_tests,
     permutation_importance,
@@ -105,14 +106,12 @@ def test_cles_antisymmetry(x, y):
 def test_fisher_z_zero_correlation_independent():
     u = np.array([1.0, -1.0] * 30)
     v = np.array(([1.0] * 2 + [-1.0] * 2) * 15)
-    result = fisher_z_test(u, v)
-    assert result.partial_correlation == pytest.approx(0.0, abs=1e-12)
-    assert result.statistic == pytest.approx(0.0, abs=1e-12)
-    assert result.independent
+    assert fisher_z_statistic(u[:, None], v)[0] == pytest.approx(0.0, abs=1e-12)
+    assert not fisher_z_screen(u[:, None], v)[0]
 
 
 def test_fisher_z_hand_computed_statistic():
-    # r = 0.5, n = 103, |S| = 0: z = artanh(0.5), statistic = 10 z
+    # r = 0.5, n = 103: z = artanh(0.5), statistic = 10 z
     rng = np.random.default_rng(7)
     for _ in range(50):
         u = rng.normal(size=103)
@@ -123,40 +122,33 @@ def test_fisher_z_hand_computed_statistic():
         v = v - (u @ v) / (u @ u) * u
         v = v / v.std()
         mixed = 0.5 * u + math.sqrt(1 - 0.25) * v
-        result = fisher_z_test(u, mixed)
-        assert result.partial_correlation == pytest.approx(0.5, abs=1e-9)
-        assert result.z == pytest.approx(0.5 * math.log(3.0), abs=1e-9)
-        assert result.statistic == pytest.approx(5.493, abs=1e-3)
-        assert not result.independent
-
-
-def test_fisher_z_symmetry():
-    rng = np.random.default_rng(8)
-    u, v = rng.normal(size=60), rng.normal(size=60)
-    w = rng.normal(size=60)
-    a = fisher_z_test(u, v, conditioning=[w])
-    b = fisher_z_test(v, u, conditioning=[w])
-    assert a.partial_correlation == pytest.approx(b.partial_correlation, abs=1e-12)
-    assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
+        # each column is tested on its own, in either sign
+        X = np.column_stack([u, -u, v])
+        statistic = fisher_z_statistic(X, mixed)
+        assert statistic[:2] == pytest.approx([5 * math.log(3.0)] * 2, abs=1e-9)
+        assert statistic[0] == pytest.approx(5.493, abs=1e-3)
+        assert fisher_z_screen(X, mixed)[:2].tolist() == [True, True]
 
 
 def test_fisher_z_degenerate_variance_flagged_independent():
-    result = fisher_z_test(np.zeros(50), np.arange(50.0))
-    assert result.independent and result.partial_correlation == 0.0
-
-
-def test_fisher_z_conditioning_removes_common_cause():
-    rng = np.random.default_rng(9)
-    w = rng.normal(size=800)
-    u = w + 0.2 * rng.normal(size=800)
-    v = w + 0.2 * rng.normal(size=800)
-    assert not fisher_z_test(u, v).independent
-    assert fisher_z_test(u, v, conditioning=[w]).independent
+    X = np.column_stack([np.zeros(50), np.full(50, 3.0), np.arange(50.0)])
+    assert fisher_z_statistic(X, np.arange(50.0)).tolist()[:2] == [0.0, 0.0]
+    assert fisher_z_screen(X, np.arange(50.0)).tolist() == [False, False, True]
+    assert fisher_z_statistic(X, np.ones(50)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_fisher_z_preconditions():
     with pytest.raises(ValueError):
-        fisher_z_test(np.zeros(3), np.zeros(3))
+        fisher_z_screen(np.zeros((3, 1)), np.zeros(3))
+    with pytest.raises(ValueError):
+        fisher_z_screen(np.zeros((10, 1)), np.zeros(9))
+
+
+def test_fisher_z_perfect_correlation_is_capped_and_rejected():
+    x = np.arange(40.0)
+    statistic = fisher_z_statistic(np.column_stack([x, -x]), 2 * x + 1)
+    assert fisher_z_screen(np.column_stack([x, -x]), 2 * x + 1).all()
+    assert statistic.tolist() == pytest.approx([math.sqrt(37) * math.atanh(1 - 1e-15)] * 2)
 
 
 def test_fisher_z_type_one_rate_calibrated():
@@ -165,7 +157,7 @@ def test_fisher_z_type_one_rate_calibrated():
     rejections = 0
     trials = 1000
     for _ in range(trials):
-        if not fisher_z_test(rng.normal(size=100), rng.normal(size=100), alpha=alpha).independent:
+        if fisher_z_screen(rng.normal(size=(100, 1)), rng.normal(size=100), alpha=alpha)[0]:
             rejections += 1
     rate = rejections / trials
     half_width = 2.576 * math.sqrt(alpha * (1 - alpha) / trials)
