@@ -8,7 +8,14 @@ seed) without timing it, then times one `run_model` call over all levels
 (`level_s`), and prints one JSON line with these seconds and the machine:
 
     python scripts/time_desk_unit.py
-    {"model_s": 17.9, "level_s": {"null": 0.3, ...}, "nproc": 2, "python": "3.11.7", ...}
+    {"model_s": 17.9, "model_s_norm": 15.2, "level_s": {"null": 0.3, ...},
+     "level_s_norm": {"null": 0.26, ...}, "nproc": 2, "python": "3.11.7", ...}
+
+On a shared machine the raw seconds drift with its load. So perfbench's
+reference computation (`perfbench/calibrate.py`) runs before and after each
+timed call, and the `_norm` figures scale each time by NOMINAL_S over the
+mean of the two reference times around it, as perfbench does: seconds on
+the machine the reference was calibrated on, at its fast speed.
 
 Run it at two commits on the same machine to compare them.
 """
@@ -25,8 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
+from calibrate import NOMINAL_S, reference_seconds  # noqa: E402
 
 from modperf.experiment import ExperimentConfig, run_generate, run_model  # noqa: E402
 from modperf.influence_graph import AspectRanges  # noqa: E402
@@ -49,6 +58,17 @@ def _commit() -> str | None:
         return None
 
 
+def _timed(fn, *args):
+    """fn's result, its wall seconds, and those seconds normalised by the
+    reference computation timed just before and just after it."""
+    ref_before = reference_seconds()
+    start = time.perf_counter()
+    result = fn(*args)
+    seconds = time.perf_counter() - start
+    ref_after = reference_seconds()
+    return result, seconds, seconds * NOMINAL_S / ((ref_before + ref_after) / 2)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config = ExperimentConfig(
@@ -63,14 +83,13 @@ def main() -> int:
             out_dir=tmp,
         )
         run_generate(config)
-        start = time.perf_counter()
-        docs = run_model(config)
-        model_s = time.perf_counter() - start
-        level_s = {}
+        docs, model_s, model_s_norm = _timed(run_model, config)
+        level_s, level_s_norm = {}, {}
         for level in config.levels:
-            start = time.perf_counter()
-            docs += run_model(dataclasses.replace(config, levels=(level,)))
-            level_s[level] = round(time.perf_counter() - start, 3)
+            level_config = dataclasses.replace(config, levels=(level,))
+            level_docs, seconds, norm = _timed(run_model, level_config)
+            docs += level_docs
+            level_s[level], level_s_norm[level] = round(seconds, 3), round(norm, 3)
     errors = [d["error"] for d in docs if "error" in d]
     if errors:
         print(json.dumps({"error": errors}), file=sys.stderr)
@@ -79,7 +98,9 @@ def main() -> int:
         json.dumps(
             {
                 "model_s": round(model_s, 3),
+                "model_s_norm": round(model_s_norm, 3),
                 "level_s": level_s,
+                "level_s_norm": level_s_norm,
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

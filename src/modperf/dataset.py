@@ -3,6 +3,14 @@
 Configurations are drawn uniformly without replacement (duplicates are
 re-drawn) so train and test never overlap; the train list is already in
 seeded-random order, which makes nested training prefixes well defined.
+Record k's noise seed is `derive(seed, "noise", k)`, computed for all
+records at once with `derive_array`.
+
+The CSV format is defined cell by cell: a header of column names, then per
+record its option bits as "0"/"1" and its IV and perf values as
+``repr(float(v))``, which round-trips every float exactly. The writer and
+the reader work on whole arrays but keep that text byte for byte; the
+reader accepts only the exact cells the writer produces.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import derive
+from .seeds import derive, derive_array
 from .semantics import SystemSemantics, Evaluator
 
 DEFAULT_TRAIN_SIZES = (20, 50, 100, 200, 500, 1000)
@@ -88,7 +96,7 @@ def sample_dataset(
     bits = _draw_distinct_configs(rng, len(evaluator.options), total)
 
     iv_values, perf_values = evaluator.noiseless(bits.astype(float))
-    noise_seeds = [derive(seed, "noise", k) for k in range(total)]
+    noise_seeds = derive_array(derive(seed, "noise"), np.arange(total)).tolist()
     iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, noise_seeds)
 
     records = [
@@ -133,37 +141,87 @@ def _header(dataset: SystemDataset) -> list[str]:
 
 
 def records_to_csv(dataset: SystemDataset, records: list[MeasurementRecord]) -> str:
+    """The header line, then one line per record: each option bit as
+    ``str(int(b))``, then each IV and perf value as ``repr(float(v))``.
+
+    The bits are written as one digit-and-comma byte array, so a line's
+    bit cells are one ``tobytes().decode()``; the values go through one
+    ``tolist()``, whose floats ``repr`` exactly as ``repr(float(v))``.
+    """
     lines = [",".join(_header(dataset))]
-    for rec in records:
-        cells = [str(int(b)) for b in rec.config]
-        cells += [repr(float(v)) for v in rec.iv_values]
-        cells += [repr(float(v)) for v in rec.perf_values]
-        lines.append(",".join(cells))
+    if records:
+        bits = np.stack([r.config for r in records])
+        values = np.hstack(
+            [np.stack([r.iv_values for r in records]), np.stack([r.perf_values for r in records])],
+            dtype=float,
+        )
+        digits = np.full((len(records), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
+        digits[:, ::2] = bits + ord("0")
+        lines += [
+            prefix.tobytes().decode() + ",".join(map(repr, row))
+            for prefix, row in zip(digits, values.tolist())
+        ]
     return "\n".join(lines) + "\n"
 
 
+def _line_error(line: str, n_options: int, width: int) -> str | None:
+    """Why one body line is malformed, or None: the cell-by-cell form of the
+    bulk checks in `records_from_csv`."""
+    cells = line.split(",")
+    if len(cells) != width:
+        return f"{len(cells)} cells, expected {width}"
+    bad = [c for c in cells[:n_options] if c not in ("0", "1")]
+    if bad:
+        return f"option bit {bad[0]!r} is not 0 or 1"
+    try:
+        values = [float(c) for c in cells[n_options:]]
+    except ValueError as exc:
+        return str(exc)
+    if not np.isfinite(values).all():
+        return "values must be finite"
+    return None
+
+
 def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> list[MeasurementRecord]:
-    """Parse a CSV written by `records_to_csv`; a malformed line raises
-    ValueError naming its 1-based line number."""
+    """Parse a CSV written by `records_to_csv`; a header-only text gives [].
+
+    Every option cell must be exactly "0" or "1", as the writer produces,
+    and every value a finite ``float()``. The lines are checked and parsed
+    in bulk: every line's bit cells at once from its fixed-width prefix,
+    every value with one parse. When that fails, the lines are checked one
+    by one to raise a ValueError naming the first malformed 1-based line.
+    """
+    if n_ivs < 1 or n_perfs < 1:
+        raise ValueError("a dataset has at least one IV and one perf column")
     header, *body = text.strip().split("\n")
     width = n_options + n_ivs + n_perfs
     n_header = len(header.split(","))
     if n_header != width:
         raise ValueError(f"line 1: {n_header} header cells, expected {width}")
-    bits = np.empty((len(body), n_options), dtype=np.uint8)
-    values = np.empty((len(body), n_ivs + n_perfs))
-    for k, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"line {k + 2}: {len(cells)} cells, expected {width}")
-        try:
-            bits[k] = cells[:n_options]  # numpy parses each cell with int()
-            values[k] = list(map(float, cells[n_options:]))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"line {k + 2}: {exc}") from None
-    bad = (bits > 1).any(axis=1) | ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise ValueError(f"line {int(np.argmax(bad)) + 2}: option bits must be 0/1 and values finite")
+    if not body:
+        return []
+    n_chars = 2 * n_options  # "b," per option bit
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError
+        prefixes = np.frombuffer(
+            "".join([line[:n_chars] for line in body]).encode(), dtype=np.uint8
+        ).reshape(len(body), n_chars)
+        commas_ok = (prefixes[:, 1::2] == ord(",")).all()
+        if not (commas_ok and ((prefixes[:, ::2] | 1) == ord("1")).all()):  # "0" or "1"
+            raise ValueError
+        cells = ",".join([line[n_chars:] for line in body]).split(",")
+        values = np.fromiter(map(float, cells), float, len(cells))
+        values = values.reshape(len(body), n_ivs + n_perfs)
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        for k, line in enumerate(body):
+            error = _line_error(line, n_options, width)
+            if error:
+                raise ValueError(f"line {k + 2}: {error}") from None
+        raise  # not reached: the line checks cover every bulk check
+    bits = prefixes[:, ::2] - ord("0")
     return [
         MeasurementRecord(config=bits[k], iv_values=values[k, :n_ivs], perf_values=values[k, n_ivs:])
         for k in range(len(body))

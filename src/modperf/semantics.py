@@ -17,6 +17,7 @@ value monotonicity in the options and the all-zero fixpoint both survive.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -73,23 +74,26 @@ def synthesize_semantics(
     """Attach uniform-random weights to every IV polynomial and perf form.
 
     Weights are drawn in canonical node order so the result is a pure
-    function of (graph, seed).
+    function of (graph, seed): one draw per IV, its linear weights in
+    parent order and then its pair weights in `itertools.combinations`
+    order, then one draw per perf form. These are the same numbers that one
+    scalar `uniform` call per weight gives.
     """
     rng = rng_for(seed, "semantics")
     parent_map = graph.parent_map()
     iv_formulas: dict[NodeId, PolynomialFunction] = {}
     for iv in graph.iv_nodes():
         parents = parent_map[iv]
-        linear = {p: float(rng.uniform(0.0, 1.0)) for p in parents}
-        pairs = {
-            (parents[i], parents[j]): float(rng.uniform(0.0, 1.0))
-            for i in range(len(parents))
-            for j in range(i + 1, len(parents))
-        }
-        iv_formulas[iv] = PolynomialFunction(linear_terms=linear, pair_terms=pairs)
+        pairs = list(itertools.combinations(parents, 2))
+        weights = rng.uniform(0.0, 1.0, size=len(parents) + len(pairs)).tolist()
+        iv_formulas[iv] = PolynomialFunction(
+            linear_terms=dict(zip(parents, weights)),
+            pair_terms=dict(zip(pairs, weights[len(parents) :])),
+        )
     ivs = graph.iv_nodes()
     perf_formulas = {
-        perf: {iv: float(rng.uniform(0.0, 1.0)) for iv in ivs} for perf in graph.perf_nodes()
+        perf: dict(zip(ivs, rng.uniform(0.0, 1.0, size=len(ivs)).tolist()))
+        for perf in graph.perf_nodes()
     }
     return SystemSemantics(
         graph=graph,
@@ -197,20 +201,20 @@ def evaluate(
     )
 
 
-def _weight_key(pair: tuple[NodeId, NodeId]) -> str:
-    return f"{pair[0].encode()}|{pair[1].encode()}"
-
-
 def semantics_to_json(semantics: SystemSemantics) -> str:
+    iv_formulas = {}
+    for iv, f in semantics.iv_formulas.items():
+        # Keyed by the formula's own parent objects, which the pair keys of
+        # synthesized semantics reuse, so a lookup is an identity hit; each
+        # parent is encoded once per formula rather than once per pair.
+        code = {p: p.encode() for p in f.linear_terms}
+        iv_formulas[iv.encode()] = {
+            "linear": {code[p]: w for p, w in f.linear_terms.items()},
+            "pairs": {f"{code[p]}|{code[q]}": w for (p, q), w in f.pair_terms.items()},
+        }
     doc = {
         "graph": json.loads(graph_to_json(semantics.graph)),
-        "iv_formulas": {
-            iv.encode(): {
-                "linear": {p.encode(): w for p, w in f.linear_terms.items()},
-                "pairs": {_weight_key(pair): w for pair, w in f.pair_terms.items()},
-            }
-            for iv, f in semantics.iv_formulas.items()
-        },
+        "iv_formulas": iv_formulas,
         "perf_formulas": {
             perf.encode(): {iv.encode(): w for iv, w in weights.items()}
             for perf, weights in semantics.perf_formulas.items()

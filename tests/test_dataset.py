@@ -3,6 +3,7 @@ import pytest
 
 from modperf.dataset import (
     CapacityError,
+    MeasurementRecord,
     load_dataset,
     records_from_csv,
     records_to_csv,
@@ -134,6 +135,81 @@ def test_csv_reader_rejects_malformed_line_by_number(line, how):
     lines[line - 1] = _corrupt(lines[line - 1], how)
     with pytest.raises(ValueError, match=f"^line {line}: "):
         records_from_csv("\n".join(lines), *counts)
+
+
+# Bit cells the writer never produces; the reader used to take the first three as bits.
+@pytest.mark.parametrize("cell", [" 1", "01", "+1", "1.0", ""])
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize("line", [2, 4])
+def test_csv_reader_accepts_only_exact_bit_cells(line, position, cell):
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
+    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
+    lines = records_to_csv(ds, ds.train).splitlines()
+    cells = lines[line - 1].split(",")
+    cells[0 if position == "first" else counts[0] - 1] = cell
+    lines[line - 1] = ",".join(cells)
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        records_from_csv("\n".join(lines), *counts)
+
+
+def test_empty_record_list_is_header_only():
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=19, n_train=4, n_test=2)
+    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
+    text = records_to_csv(ds, [])
+    assert text == records_to_csv(ds, ds.train).splitlines()[0] + "\n"
+    assert records_from_csv(text, *counts) == []
+
+
+def test_csv_reader_needs_value_columns():
+    with pytest.raises(ValueError, match="at least one IV and one perf column"):
+        records_from_csv("o_0_0,o_0_1\n0,1\n", 2, 0, 0)
+
+
+def _csv_by_cell(dataset, records):
+    """The CSV format's definition, one cell at a time."""
+    lines = [records_to_csv(dataset, []).rstrip("\n")]
+    for rec in records:
+        cells = [str(int(b)) for b in rec.config]
+        cells += [repr(float(v)) for v in rec.iv_values]
+        cells += [repr(float(v)) for v in rec.perf_values]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+ADVERSARIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,  # zeros, subnormals
+    1e16, -1e16, 1e22, 1.7976931348623157e308, 1e-05, 1e-07,  # exponent notation
+    1.0, -3.0, 2.0**52, 2.0**53 + 2, 123456789.0, 9999999999999998.0,  # integral floats
+    0.1, 1 / 3, 0.1 + 0.2, 1.2345678901234567, 12345678901234567.0,  # 17 significant digits
+    np.nextafter(1.0, 2.0), -np.nextafter(1e16, 0.0),
+]
+
+
+def _records_from_pool(rng, pool, counts):
+    n_options, n_ivs, n_perfs = counts
+    width = n_ivs + n_perfs
+    values = rng.permutation(np.resize(pool, (len(pool) // width + 1) * width)).reshape(-1, width)
+    bits = rng.integers(0, 2, size=(len(values), n_options), dtype=np.uint8)
+    return [MeasurementRecord(b, v[:n_ivs], v[n_ivs:]) for b, v in zip(bits, values)]
+
+
+def test_csv_writer_matches_per_cell_definition():
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=20, n_train=4, n_test=2)
+    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
+    rng = np.random.default_rng(20)
+    raw = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    finite = np.concatenate([ADVERSARIAL_VALUES, raw[np.isfinite(raw)], rng.normal(size=2000)])
+    records = _records_from_pool(rng, finite, counts)
+    text = records_to_csv(ds, records)
+    assert text == _csv_by_cell(ds, records)
+    for rec, back in zip(records, records_from_csv(text, *counts), strict=True):
+        np.testing.assert_array_equal(back.config, rec.config)
+        assert back.iv_values.tobytes() == rec.iv_values.tobytes()  # bit for bit: -0.0 stays
+        assert back.perf_values.tobytes() == rec.perf_values.tobytes()
+    # The writer formats non-finite values as the definition does (the reader rejects them).
+    non_finite = np.concatenate([finite[:50], [np.nan, np.inf, -np.inf]])
+    records = _records_from_pool(rng, non_finite, counts)
+    assert records_to_csv(ds, records) == _csv_by_cell(ds, records)
 
 
 def test_default_train_sizes_clipped():

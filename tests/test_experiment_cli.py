@@ -9,6 +9,7 @@ import pytest
 
 from modperf.cli import main
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model, run_report
+from modperf.influence_graph import AspectRanges
 
 TINY = dict(
     global_seed=424242,
@@ -185,6 +186,27 @@ def test_parallel_generation_matches_serial(tmp_path):
     run_generate(serial)
     run_generate(parallel)
     assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
+
+
+# sha256 of the tree below, as written before the generate stage was
+# vectorised. The CSV and JSON writers must keep every byte; a change that
+# alters output on purpose updates this and says so.
+GENERATE_TREE_SHA = "9852db23eb1669a9de8c3af091521eca4c3ce53e6fe102fa44e3e601f7c4eb54"
+
+
+def test_generate_tree_bytes_unchanged(tmp_path):
+    config = ExperimentConfig(
+        global_seed=8080,
+        n_systems=3,
+        trials=1,
+        train_sizes=(20, 50, 100, 200),
+        n_train=200,
+        n_test=200,
+        aspect_ranges=AspectRanges(option_count=(5, 5), module_count=(4, 4)),
+        out_dir=str(tmp_path),
+    )
+    run_generate(config)
+    assert tree_hash(tmp_path) == GENERATE_TREE_SHA
 
 
 def test_cli_error_emits_machine_readable_json(tmp_path, capsys):

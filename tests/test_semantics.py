@@ -19,6 +19,7 @@ from modperf.semantics import (
     semantics_to_json,
     synthesize_semantics,
 )
+from modperf.seeds import rng_for
 
 
 def _single_iv_system():
@@ -102,6 +103,49 @@ def test_synthesize_deterministic_and_seed_sensitive():
     c = semantics_to_json(synthesize_semantics(graph, seed=6))
     assert a == b
     assert a != c
+
+
+def _scalar_draw_weights(graph, seed):
+    """`synthesize_semantics`' weights drawn one scalar at a time, in its
+    order: per IV its linear weights in parent order, then its pair weights
+    for i < j; then per perf form one weight per IV."""
+    rng = rng_for(seed, "semantics")
+    parent_map = graph.parent_map()
+    ivs = {}
+    for iv in graph.iv_nodes():
+        parents = parent_map[iv]
+        linear = [(p, float(rng.uniform(0.0, 1.0))) for p in parents]
+        pairs = [
+            ((parents[i], parents[j]), float(rng.uniform(0.0, 1.0)))
+            for i in range(len(parents))
+            for j in range(i + 1, len(parents))
+        ]
+        ivs[iv] = (linear, pairs)
+    perfs = {
+        perf: [(iv, float(rng.uniform(0.0, 1.0))) for iv in graph.iv_nodes()]
+        for perf in graph.perf_nodes()
+    }
+    return ivs, perfs
+
+
+def test_synthesize_matches_scalar_draws():
+    parent_counts = set()
+    for p_w, mu_a, seed in [(0.0, 0.01, 1), (0.2, 0.05, 2), (0.9, 0.3, 3)]:
+        graph = generate_graph(
+            StructuralAspects(option_count=4, p_w=p_w, mu_a=mu_a, sigma_a=0.05, module_count=4),
+            seed=seed,
+        )
+        semantics = synthesize_semantics(graph, seed=seed + 10)
+        ivs, perfs = _scalar_draw_weights(graph, seed + 10)
+        for iv, (linear, pairs) in ivs.items():
+            formula = semantics.iv_formulas[iv]
+            assert list(formula.linear_terms.items()) == linear
+            assert list(formula.pair_terms.items()) == pairs
+            assert all(type(w) is float for w in formula.pair_terms.values())
+            parent_counts.add(len(linear))
+        for perf, weights in perfs.items():
+            assert list(semantics.perf_formulas[perf].items()) == weights
+    assert {0, 1} <= parent_counts and max(parent_counts) >= 8
 
 
 def test_noiseless_evaluation_bit_identical():
