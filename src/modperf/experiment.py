@@ -29,6 +29,7 @@ import numpy as np
 from . import reporting
 from .dataset import load_dataset, sample_dataset, save_dataset, training_prefix
 from .hardness_opportunity import (
+    CurveTable,
     EfficacyCurve,
     HardnessMode,
     MATRIX_LEVELS,
@@ -391,6 +392,8 @@ def run_model(config: ExperimentConfig) -> list[dict]:
 
 
 def _curve_from_doc(doc: dict) -> EfficacyCurve | None:
+    """The curve of one curve document, or None when a point has an error or
+    no efficacy (an incomplete curve)."""
     pairs = []
     for p in doc["points"]:
         if p.get("error") or p.get("p") is None:
@@ -400,15 +403,20 @@ def _curve_from_doc(doc: dict) -> EfficacyCurve | None:
 
 
 def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """One entry per (system, trial) with its loaded per-level/metric curve
-    docs; units missing every curve file are reported as gaps."""
+    """One entry per (system, trial) with at least one curve file, holding
+    its parsed curve docs by (level, metric); every unit missing one or more
+    curve files is listed as a gap, and a unit missing all is left out of
+    the entries."""
     units, missing = [], []
     for s in range(config.n_systems):
         for t in range(config.trials):
             paths = _curve_paths(config, s, t)
-            loaded = {
-                key: json.loads(path.read_text()) for key, path in paths.items() if path.exists()
-            }
+            loaded = {}
+            for key, path in paths.items():
+                try:
+                    loaded[key] = json.loads(path.read_text())
+                except FileNotFoundError:
+                    continue
             if loaded:
                 units.append(
                     {
@@ -423,102 +431,158 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     return units, missing
 
 
+def _curve_table(units: list[dict], level: str, metric: str, sizes: tuple[int, ...]):
+    """The (units x sizes) table of one level's curves and a mask of the
+    units whose curve is complete; other rows hold zeros."""
+    values = np.zeros((len(units), len(sizes)))
+    complete = np.zeros(len(units), dtype=bool)
+    for i, unit in enumerate(units):
+        doc = unit["curves"].get((level, metric))
+        curve = _curve_from_doc(doc) if doc else None
+        if curve is None:
+            continue
+        if curve.sizes != sizes:
+            raise ValueError(
+                f"unit {unit['unit']}, level {level}, metric {metric}: training sizes "
+                f"{list(curve.sizes)} differ from the config's {list(sizes)}"
+            )
+        values[i] = curve.efficacies
+        complete[i] = True
+    return CurveTable(metric, sizes, values), complete
+
+
+def _metric_rows(config: ExperimentConfig, units: list[dict], metric: str, scaled: dict, gaps: dict):
+    """Hardness rows, opportunity rows and stage-1 aspect records of one
+    metric, in unit order; incomplete curves are appended to `gaps`.
+    `scaled` maps each system to its scaled aspect vector."""
+    sizes = tuple(sorted(config.train_sizes))
+    opportunity_levels = [lv for lv in MATRIX_LEVELS if lv in config.levels]
+    tables = {
+        lv: _curve_table(units, lv, metric, sizes) for lv in ("null", "ideal", *opportunity_levels)
+    }
+    null, has_null = tables["null"]
+    ideal, has_ideal = tables["ideal"]
+
+    rows = np.flatnonzero(has_null)
+    score = hardness(null.take(rows))
+    fixed_levels = classify_hardness(score, HardnessMode.FIXED_RANGE)
+    hardness_rows, aspect_records = [], {}
+    for i, value, fixed_level in zip(rows.tolist(), score.value.tolist(), fixed_levels):
+        unit = units[i]
+        hardness_rows.append(
+            {
+                "unit": unit["unit"],
+                "system": unit["system"],
+                "trial": unit["trial"],
+                "value": value,
+                "scaling_constant": score.scaling_constant,
+                "fixed_level": fixed_level,
+            }
+        )
+        aspect_records[unit["unit"]] = (scaled[unit["system"]], value)
+
+    scored = {}  # (unit index, level) -> (value, gaps, fillings)
+    for level in opportunity_levels:
+        table, has_level = tables[level]
+        rows = np.flatnonzero(has_null & has_ideal & has_level)
+        opp = opportunity(null.take(rows), ideal.take(rows), table.take(rows), level)
+        entries = zip(opp.value.tolist(), opp.gap.tolist(), opp.filling.tolist())
+        scored.update(((i, level), entry) for i, entry in zip(rows.tolist(), entries))
+    opportunity_rows = []
+    incomplete = gaps["incomplete_curves"]
+    for i, unit in enumerate(units):
+        unit_id = unit["unit"]
+        if not has_null[i]:
+            incomplete.append({"unit": unit_id, "metric": metric, "level": "null"})
+            continue
+        if not has_ideal[i]:
+            if "ideal" in config.levels:
+                incomplete.append({"unit": unit_id, "metric": metric, "level": "ideal"})
+            continue
+        for level in opportunity_levels:
+            if (i, level) not in scored:
+                incomplete.append({"unit": unit_id, "metric": metric, "level": level})
+                continue
+            value, gap, filling = scored[(i, level)]
+            opportunity_rows.append(
+                {
+                    "unit": unit_id,
+                    "level": level,
+                    "value": value,
+                    "per_size": [
+                        {"n": n, "gap": g, "filling": f} for n, g, f in zip(sizes, gap, filling)
+                    ],
+                }
+            )
+    return hardness_rows, opportunity_rows, aspect_records
+
+
 def run_analyze(config: ExperimentConfig) -> dict:
     """Hardness, opportunities, stage-1 aspect regression with importances,
-    and the matrix plus hypothesis battery, one set per metric."""
+    and the matrix plus hypothesis battery, one set per metric.
+
+    Each (metric, level) is scored as one curve table. Stage 1 of every
+    metric with enough units runs in one `two_stage_pipeline` call, on folds
+    drawn over systems."""
     out = Path(config.out_dir)
     analysis = out / "analysis"
     units, missing_units = _load_units(config)
     gaps: dict = {"missing_units": missing_units, "incomplete_curves": [], "notes": []}
     manifest = json.loads((out / "manifest.json").read_text())
-    aspects_by_system = {
-        e["system"]: StructuralAspects(
-            option_count=int(e["aspects"]["option_count"]),
-            p_w=e["aspects"]["p_w"],
-            mu_a=e["aspects"]["mu_a"],
-            sigma_a=e["aspects"]["sigma_a"],
-            module_count=int(e["aspects"]["module_count"]),
-            iv_per_module=int(e["aspects"]["iv_per_module"]),
-            perf_count=int(e["aspects"]["perf_count"]),
+    scaled = {
+        e["system"]: scale_aspects(
+            StructuralAspects(
+                option_count=int(e["aspects"]["option_count"]),
+                p_w=e["aspects"]["p_w"],
+                mu_a=e["aspects"]["mu_a"],
+                sigma_a=e["aspects"]["sigma_a"],
+                module_count=int(e["aspects"]["module_count"]),
+                iv_per_module=int(e["aspects"]["iv_per_module"]),
+                perf_count=int(e["aspects"]["perf_count"]),
+            ),
+            config.aspect_ranges,
         )
         for e in manifest["systems"]
     }
-    summary = {"metrics": {}}
-    opportunity_levels = [lv for lv in MATRIX_LEVELS if lv in config.levels]
+    systems = {unit["unit"]: unit["system"] for unit in units}
     mode = HardnessMode(config.hardness_mode)
 
+    rows = {}
     for metric in config.metrics:
-        hardness_rows = []
-        opportunity_rows = []
-        aspect_records: dict[str, tuple[list[float], float]] = {}
-        for unit in units:
-            unit_id = unit["unit"]
-
-            def curve_for(level):
-                doc = unit["curves"].get((level, metric))
-                return _curve_from_doc(doc) if doc else None
-
-            null_curve = curve_for("null")
-            if null_curve is None:
-                gaps["incomplete_curves"].append({"unit": unit_id, "metric": metric, "level": "null"})
-                continue
-            score = hardness(null_curve)
-            hardness_rows.append(
-                {
-                    "unit": unit_id,
-                    "system": unit["system"],
-                    "trial": unit["trial"],
-                    "value": score.value,
-                    "scaling_constant": score.scaling_constant,
-                    "fixed_level": classify_hardness(score, HardnessMode.FIXED_RANGE),
-                }
-            )
-            aspect_records[unit_id] = (
-                scale_aspects(aspects_by_system[unit["system"]], config.aspect_ranges),
-                score.value,
-            )
-            ideal_curve = curve_for("ideal")
-            if ideal_curve is None:
-                if "ideal" in config.levels:
-                    gaps["incomplete_curves"].append(
-                        {"unit": unit_id, "metric": metric, "level": "ideal"}
-                    )
-                continue
-            for level in opportunity_levels:
-                level_curve = curve_for(level)
-                if level_curve is None:
-                    gaps["incomplete_curves"].append(
-                        {"unit": unit_id, "metric": metric, "level": level}
-                    )
-                    continue
-                opp = opportunity(null_curve, ideal_curve, level_curve, level)
-                opportunity_rows.append(
-                    {
-                        "unit": unit_id,
-                        "level": level,
-                        "value": opp.value,
-                        "per_size": [
-                            {"n": n, "gap": g, "filling": f} for n, g, f in opp.per_size
-                        ],
-                    }
-                )
-
+        rows[metric] = _metric_rows(config, units, metric, scaled, gaps)
+        hardness_rows, opportunity_rows, _ = rows[metric]
         _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows))
         _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows))
 
-        opportunity_records = [(r["unit"], r["level"], r["value"]) for r in opportunity_rows]
-        if len(aspect_records) >= MIN_PIPELINE_RECORDS:
-            result = two_stage_pipeline(
-                aspect_records,
-                opportunity_records,
-                metric=metric,
-                degrees=config.lasso_degrees,
-                alphas=alpha_grid(config.lasso_alpha_steps),
-                cv=CVSpec(folds=5, shuffle_seed=derive(config.global_seed, "stage1", metric)),
-                hardness_mode=mode,
-                alpha=config.test_alpha,
-                use_measured_hardness=config.use_measured_hardness,
-            )
+    opportunity_records = {
+        metric: [(r["unit"], r["level"], r["value"]) for r in rows[metric][1]]
+        for metric in config.metrics
+    }
+    staged = {
+        metric: aspect_records
+        for metric, (_, _, aspect_records) in rows.items()
+        if len(aspect_records) >= MIN_PIPELINE_RECORDS
+        and len({systems[u] for u in aspect_records}) >= 2
+    }
+    results = {}
+    if staged:
+        results = two_stage_pipeline(
+            staged,
+            {metric: opportunity_records[metric] for metric in staged},
+            {m: CVSpec(folds=5, shuffle_seed=derive(config.global_seed, "stage1", m)) for m in staged},
+            degrees=config.lasso_degrees,
+            alphas=alpha_grid(config.lasso_alpha_steps),
+            hardness_mode=mode,
+            alpha=config.test_alpha,
+            use_measured_hardness=config.use_measured_hardness,
+            systems=systems,
+        )
+
+    summary = {"metrics": {}}
+    for metric in config.metrics:
+        hardness_rows, opportunity_rows, aspect_records = rows[metric]
+        if metric in results:
+            result = results[metric]
             matrix, tests = result.matrix, result.tests
             X = np.asarray([aspect_records[i][0] for i in aspect_records], dtype=float)
             y = np.asarray([aspect_records[i][1] for i in aspect_records], dtype=float)
@@ -549,13 +613,19 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 },
             }
         else:
-            gaps["notes"].append(
-                f"{metric}: only {len(aspect_records)} units; stage-1 regression skipped, "
-                "matrix built from measured hardness"
-            )
+            if len(aspect_records) < MIN_PIPELINE_RECORDS:
+                gaps["notes"].append(
+                    f"{metric}: only {len(aspect_records)} units; stage-1 regression skipped, "
+                    "matrix built from measured hardness"
+                )
+            else:
+                gaps["notes"].append(
+                    f"{metric}: all {len(aspect_records)} units are trials of one system; "
+                    "stage-1 regression skipped, matrix built from measured hardness"
+                )
             by_unit, matrix, tests = classify_and_test(
                 {r["unit"]: r["value"] for r in hardness_rows},
-                opportunity_records,
+                opportunity_records[metric],
                 metric=metric,
                 hardness_mode=mode,
                 alpha=config.test_alpha,

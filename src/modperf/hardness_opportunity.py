@@ -6,6 +6,14 @@ Hardness is the normalized, training-size-weighted loss of the black-box
 gap a knowledge level fills, with the same 1/n weighting. Efficacies are
 clamped to [0, 1] before scoring so both values stay in [0, 1] even for
 slightly negative rank correlations.
+
+Both scores work on a `CurveTable`: the curves of many units over shared
+training sizes, one row per curve. A single `EfficacyCurve` is a one-row
+table. The size columns are accumulated in size order with the per-value
+operations (`0 + l_1/n_1 + ...`), and every clamp keeps the builtins' tie
+rule (`_clamp`), so a row's scores are the bits its curve alone gets, down
+to the sign of zero. `classify_hardness` bins a whole array against cut-offs
+computed once.
 """
 
 from __future__ import annotations
@@ -19,8 +27,12 @@ import numpy as np
 GAP_EPS = 1e-9
 
 
-def _clamp01(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
+def _clamp(x, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """min(max(x, lo), hi) elementwise, keeping x where it ties a bound as the
+    builtins do: -0.0 stays -0.0. np.maximum(-0.0, 0.0) gives 0.0 here (the
+    SIMD max returns its second operand on a tie), so it is not used."""
+    x = np.where(x < lo, lo, x)
+    return np.where(x > hi, hi, x)
 
 
 MATRIX_LEVELS = ("partial", "practical", "complete")
@@ -46,6 +58,31 @@ class EfficacyCurve:
         return tuple(p for _, p in self.points)
 
 
+@dataclass(frozen=True)
+class CurveTable:
+    """Efficacy curves of one metric over shared training sizes: `values`
+    holds one curve per row and one size per column."""
+
+    metric: str
+    sizes: tuple[int, ...]
+    values: np.ndarray  # (curves, sizes)
+
+    def __post_init__(self):
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.sizes):
+            raise ValueError(f"values must be (curves, {len(self.sizes)}), got {self.values.shape}")
+
+    @staticmethod
+    def of(curves: EfficacyCurve | CurveTable) -> CurveTable:
+        """`curves` itself, or a single curve as a one-row table."""
+        if isinstance(curves, CurveTable):
+            return curves
+        values = np.array(curves.efficacies, dtype=float).reshape(1, len(curves.points))
+        return CurveTable(curves.metric, curves.sizes, values)
+
+    def take(self, rows) -> CurveTable:
+        return CurveTable(self.metric, self.sizes, self.values[rows])
+
+
 def scaling_constant(sizes) -> float:
     """Exact reciprocal of the harmonic sum of the training sizes."""
     sizes = list(sizes)
@@ -60,61 +97,73 @@ def scaling_constant(sizes) -> float:
 
 @dataclass(frozen=True)
 class HardnessScore:
-    value: float
+    value: float  # for a CurveTable, an array with one value per row
     metric: str
     scaling_constant: float
 
 
-def hardness(curve: EfficacyCurve) -> HardnessScore:
-    """Size-weighted normalized loss: C * sum((1 - p_i) / n_i)."""
-    if not curve.points:
+def hardness(curves: EfficacyCurve | CurveTable) -> HardnessScore:
+    """Size-weighted normalized loss: C * sum((1 - p_i) / n_i), per curve."""
+    table = CurveTable.of(curves)
+    if not table.sizes:
         raise ValueError("empty curve")
-    if not all(np.isfinite(p) for p in curve.efficacies):
+    if not np.isfinite(table.values).all():
         raise ValueError("efficacies must be finite")
-    constant = scaling_constant(curve.sizes)
-    losses = [min(max(1.0 - p, 0.0), 1.0) for p in curve.efficacies]
+    constant = scaling_constant(table.sizes)
+    losses = _clamp(1.0 - table.values)
+    total = 0
+    for j, n in enumerate(table.sizes):
+        total = total + losses[:, j] / n
     # C * sum(1 / n) can round one ulp above 1, so clamp the product too
-    value = _clamp01(constant * sum(l / n for l, n in zip(losses, curve.sizes)))
-    return HardnessScore(value=float(value), metric=curve.metric, scaling_constant=constant)
+    value = _clamp(constant * total)
+    if isinstance(curves, EfficacyCurve):
+        value = float(value[0])
+    return HardnessScore(value=value, metric=table.metric, scaling_constant=constant)
 
 
 @dataclass(frozen=True)
 class OpportunityScore:
+    """For single curves, `value` is a float and `gap`/`filling` hold one
+    float per training size; for CurveTables they are arrays with one row
+    per curve."""
+
     value: float
     level: str
     metric: str
-    per_size: tuple[tuple[int, float, float], ...]  # (n_i, gap, filling ratio)
+    sizes: tuple[int, ...]
+    gap: tuple[float, ...]  # clamped ideal minus clamped null efficacy
+    filling: tuple[float, ...]  # share of the gap the level fills, in [0, 1]
 
 
 def opportunity(
-    null_curve: EfficacyCurve,
-    ideal_curve: EfficacyCurve,
-    level_curve: EfficacyCurve,
+    null_curve: EfficacyCurve | CurveTable,
+    ideal_curve: EfficacyCurve | CurveTable,
+    level_curve: EfficacyCurve | CurveTable,
     level: str,
 ) -> OpportunityScore:
     """Size-weighted filled gap between the Null and Ideal efficacy curves."""
-    if not (null_curve.sizes == ideal_curve.sizes == level_curve.sizes):
+    null, ideal, known = (CurveTable.of(c) for c in (null_curve, ideal_curve, level_curve))
+    if not (null.sizes == ideal.sizes == known.sizes):
         raise ValueError("curves must share identical training sizes")
-    if not (null_curve.metric == ideal_curve.metric == level_curve.metric):
+    if not (null.metric == ideal.metric == known.metric):
         raise ValueError("curves must share the same metric")
-    constant = scaling_constant(null_curve.sizes)
-    per_size = []
+    if not (null.values.shape == ideal.values.shape == known.values.shape):
+        raise ValueError("tables must hold the same number of curves")
+    constant = scaling_constant(null.sizes)
+    p_null = _clamp(null.values)
+    gap = _clamp(ideal.values) - p_null
+    open_gap = gap > GAP_EPS
+    filling = np.where(
+        open_gap, _clamp((_clamp(known.values) - p_null) / np.where(open_gap, gap, 1.0)), 0.0
+    )
     total = 0.0
-    for (n, p_null), (_, p_ideal), (_, p_level) in zip(
-        null_curve.points, ideal_curve.points, level_curve.points
-    ):
-        gap = _clamp01(p_ideal) - _clamp01(p_null)
-        if gap > GAP_EPS:
-            filling = min(max((_clamp01(p_level) - _clamp01(p_null)) / gap, 0.0), 1.0)
-        else:
-            filling = 0.0
-        per_size.append((n, gap, filling))
-        total += filling * max(gap, 0.0) / n
+    for j, n in enumerate(null.sizes):
+        total = total + filling[:, j] * _clamp(gap[:, j], 0.0, np.inf) / n
+    value = _clamp(constant * total)
+    if isinstance(null_curve, EfficacyCurve):
+        value, gap, filling = float(value[0]), tuple(gap[0].tolist()), tuple(filling[0].tolist())
     return OpportunityScore(
-        value=float(_clamp01(constant * total)),
-        level=level,
-        metric=null_curve.metric,
-        per_size=tuple(per_size),
+        value=value, level=level, metric=null.metric, sizes=null.sizes, gap=gap, filling=filling
     )
 
 
@@ -124,16 +173,17 @@ class HardnessMode(str, enum.Enum):
 
 
 def classify_hardness(
-    value: float | HardnessScore,
+    value: float | np.ndarray | HardnessScore,
     mode: HardnessMode = HardnessMode.FIXED_RANGE,
     population=None,
-) -> str:
-    """Bin a hardness value into low/medium/high.
+) -> str | list[str]:
+    """Bin hardness values into low/medium/high: one label for a float, a
+    list of labels for an array (or a table's HardnessScore).
 
     Fixed mode partitions [0, 1] into equal quartiles: [0, 0.25) low,
     [0.25, 0.75) medium, [0.75, 1] high. Empirical mode uses the same
     quartile rule on the observed population (linear-interpolation
-    quantiles).
+    quantiles), computed once per call.
     """
     if isinstance(value, HardnessScore):
         value = value.value
@@ -142,14 +192,12 @@ def classify_hardness(
     else:
         if population is None or len(population) < 4:
             raise ValueError("empirical mode needs a population of >= 4 scores")
-        pop = [v.value if isinstance(v, HardnessScore) else float(v) for v in population]
+        pop = np.asarray(population, dtype=float)
         q25 = float(np.quantile(pop, 0.25))
         q75 = float(np.quantile(pop, 0.75))
-    if value < q25:
-        return "low"
-    if value < q75:
-        return "medium"
-    return "high"
+    values = np.asarray(value, dtype=float)
+    labels = np.where(values < q25, "low", np.where(values < q75, "medium", "high"))
+    return labels.tolist()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,15 @@
 over polynomial features, k-fold cross-validation, and budgeted search."""
 
 from .forest import FittedForest, ForestParams, fit_forest, fit_forests, forest_search_space
-from .lasso import FittedL1, L1Params, alpha_grid, cross_validate_l1, fit_l1, soft_threshold
+from .lasso import (
+    FittedL1,
+    L1Params,
+    alpha_grid,
+    cross_validate_l1,
+    cross_validate_l1_many,
+    fit_l1,
+    soft_threshold,
+)
 from .polynomial import PolynomialExpansion
 from .search import (
     CVSpec,
@@ -24,6 +32,7 @@ __all__ = [
     "alpha_grid",
     "cross_validate",
     "cross_validate_l1",
+    "cross_validate_l1_many",
     "enumerate_candidates",
     "fit_forest",
     "fit_forests",

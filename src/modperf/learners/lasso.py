@@ -21,8 +21,9 @@ One solver call runs many independent problems together, each a (design,
 alpha) pair, with one numpy operation per coordinate step for all of them.
 A problem that stops leaves the batch, so it stops at the sweep it would stop
 at alone, and its result does not depend on the other problems in the batch,
-bit for bit. `fit_l1` is the single-problem call; `cross_validate_l1` solves
-every (fold, alpha) problem of one polynomial degree in one call.
+bit for bit. `fit_l1` is the single-problem call; `cross_validate_l1_many`
+solves every (task, fold, alpha) problem of one polynomial degree in one
+call, and `cross_validate_l1` is its one-task call.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class _Gram:
         return gram
 
 
-# `_solve` copies one d x d Gram matrix per problem; `cross_validate_l1`
+# `_solve` copies one d x d Gram matrix per problem; `cross_validate_l1_many`
 # keeps a call's copies within this many cells (16 MiB), one alpha at least.
 _SOLVE_CELLS = 1 << 21
 
@@ -254,33 +255,37 @@ def fit_l1(X, y, params: L1Params, feature_names: list[str] | None = None) -> Fi
     )
 
 
-def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
-    """Mean held-out MSE per alpha over the `fold_indices` folds, for
-    `L1Params` defaults at `degree`; entry i equals `cross_validate` of
-    `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` on those folds,
+def cross_validate_l1_many(tasks, degree: int, alphas) -> list[np.ndarray]:
+    """Mean held-out MSE per alpha of each (X, y, folds) task, for
+    `L1Params` defaults at `degree`; folds are held-out index arrays, as
+    from `fold_indices`. Entry i of a task's losses equals `cross_validate`
+    of `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` on its folds,
     up to rounding.
 
     Each fold's expansion and scaling are fitted on its training rows, as
-    `fit_l1` does, and every (fold, alpha) problem is solved in one solver
-    call, or in runs of alphas when their Gram copies would exceed
-    `_SOLVE_CELLS` (degree 4 with many alphas).
+    `fit_l1` does, and every (task, fold, alpha) problem is solved in one
+    solver call, or in runs of alphas when their Gram copies would exceed
+    `_SOLVE_CELLS` (degree 4 with many alphas). The solver keeps each
+    problem's result independent of its batch, so a task's losses are the
+    bits it gets alone.
     """
-    X, y = _check_inputs(X, y)
     base = L1Params(alpha=0.0, degree=degree)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or (alphas < 0).any():
         raise ValueError("alphas must be a 1-D sequence of values >= 0")
-    folds = fold_indices(len(y), spec)
-    train_designs, held_out = [], []
-    for rows in folds:
-        mask = np.ones(len(y), dtype=bool)
-        mask[rows] = False
-        expansion, mn, rng, Z = _design(X[mask], degree, base.scale)
-        train_designs.append((Z, y[mask]))
-        held_out.append(((expansion.transform(X[rows]) - mn) / rng, y[rows]))
+    train_designs, held_out, bounds = [], [], [0]
+    for X, y, folds in tasks:
+        X, y = _check_inputs(X, y)
+        for rows in folds:
+            mask = np.ones(len(y), dtype=bool)
+            mask[rows] = False
+            expansion, mn, rng, Z = _design(X[mask], degree, base.scale)
+            train_designs.append((Z, y[mask]))
+            held_out.append(((expansion.transform(X[rows]) - mn) / rng, y[rows]))
+        bounds.append(len(held_out))
 
     gram = _Gram.of(train_designs)
-    F, A, d = len(folds), len(alphas), gram.G.shape[1]
+    F, A, d = len(train_designs), len(alphas), gram.G.shape[1]
     coefs, intercepts = np.empty((F, A, d)), np.empty((F, A))
     per_call = max(1, _SOLVE_CELLS // (F * d * d))
     for lo in range(0, A, per_call):
@@ -292,7 +297,14 @@ def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
     for f, (Z, y_held) in enumerate(held_out):
         predicted = Z @ coefs[f, :, : Z.shape[1]].T + intercepts[f]
         losses[f] = np.mean((y_held[:, None] - predicted) ** 2, axis=0)
-    return losses.mean(axis=0)
+    return [losses[lo:hi].mean(axis=0) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
+    """Mean held-out MSE per alpha over the `fold_indices` folds of `spec`:
+    the one-task call of `cross_validate_l1_many`."""
+    X, y = _check_inputs(X, y)
+    return cross_validate_l1_many([(X, y, fold_indices(len(y), spec))], degree, alphas)[0]
 
 
 def alpha_grid(steps: int = 500) -> np.ndarray:

@@ -5,7 +5,8 @@ gives the held-out index arrays, each candidate's loss is its mean held-out
 loss over them, and the search keeps the first candidate with the lowest
 loss (`np.argmin`). `cross_validate` scores one candidate of the knowledge
 models; the stage-1 lasso scores all alphas of a degree at once with
-`lasso.cross_validate_l1` on the same folds, over `lasso.alpha_grid`.
+`lasso.cross_validate_l1_many`, over `lasso.alpha_grid`, on `fold_indices`
+drawn over systems (`stats.system_folds`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,15 @@ from .hardness_opportunity import (
     classify_hardness,
 )
 from .influence_graph import ASPECT_FEATURES
-from .learners import CVSpec, FittedL1, L1Params, alpha_grid, cross_validate_l1, fit_l1
+from .learners import (
+    CVSpec,
+    FittedL1,
+    L1Params,
+    alpha_grid,
+    cross_validate_l1_many,
+    fit_l1,
+    fold_indices,
+)
 from .metrics import rankdata
 from .seeds import rng_for
 
@@ -46,19 +54,21 @@ class TestResult:
         return 1.0 - self.cles
 
 
+def _u_statistic(ranks: np.ndarray, x_index, n_x: int) -> float:
+    return float(ranks[x_index].sum() - n_x * (n_x + 1) / 2.0)
+
+
 def cles(x, y) -> float:
-    """Common-language effect size by exact pair enumeration."""
+    """Common-language effect size P(x > y) + 0.5 P(x = y) over all pairs,
+    as U_x / (n_x n_y) from the pooled midranks. U_x is that pair count
+    exactly: both are half-integers far below 2^53, so no pair matrix is
+    needed."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("empty group")
-    greater = (x[:, None] > y[None, :]).sum()
-    equal = (x[:, None] == y[None, :]).sum()
-    return float((greater + 0.5 * equal) / (x.size * y.size))
-
-
-def _u_statistic(ranks: np.ndarray, x_index, n_x: int) -> float:
-    return float(ranks[x_index].sum() - n_x * (n_x + 1) / 2.0)
+    ranks = rankdata(np.concatenate([x, y]))
+    return _u_statistic(ranks, np.arange(x.size), x.size) / (x.size * y.size)
 
 
 def mann_whitney_u(x, y, alternative: str = "two_sided") -> TestResult:
@@ -77,7 +87,7 @@ def mann_whitney_u(x, y, alternative: str = "two_sided") -> TestResult:
     pooled = np.concatenate([x, y])
     ranks = rankdata(pooled)
     u_obs = _u_statistic(ranks, np.arange(n_x), n_x)
-    effect = cles(x, y)
+    effect = u_obs / (n_x * n_y)  # cles(x, y)
 
     if n_x + n_y <= EXACT_MWU_LIMIT:
         total = 0
@@ -290,48 +300,73 @@ def group_importance(vector: ImportanceVector, groups=ASPECT_GROUPS) -> Importan
     )
 
 
+def system_folds(systems, spec: CVSpec) -> list[np.ndarray]:
+    """Held-out record indices of the stage-1 folds: `fold_indices` over the
+    distinct systems, in order of first appearance in `systems` (one system
+    id per record), each fold expanded to every record of its systems. So no
+    system has records on both sides of a split, and with one record per
+    system the folds are `fold_indices(len(systems), spec)`. With fewer
+    systems than `spec.folds`, each system is its own fold."""
+    index: dict = {}
+    codes = np.array([index.setdefault(s, len(index)) for s in systems], dtype=int)
+    if len(index) < 2:
+        raise ValueError(f"stage-1 folds need records of >= 2 systems, got {len(index)}")
+    spec = CVSpec(folds=min(spec.folds, len(index)), shuffle_seed=spec.shuffle_seed)
+    return [np.flatnonzero(np.isin(codes, fold)) for fold in fold_indices(len(index), spec)]
+
+
 def aspect_regression(
-    records,
+    tasks,
     degrees=(1, 2, 3, 4),
     alphas=None,
-    cv: CVSpec = CVSpec(folds=5, shuffle_seed=0),
     feature_names=ASPECT_FEATURES,
     aspect_groups=ASPECT_GROUPS,
-) -> tuple[FittedL1, ImportanceVector]:
+) -> list[tuple[FittedL1, ImportanceVector]]:
     """Regress hardness on scaled structural aspects with a grid-searched
-    lasso, then attribute coefficient mass to the aspect quadruple.
+    lasso, then attribute coefficient mass to the aspect quadruple; one
+    (model, importance) pair per task.
 
-    The search scores every (degree, alpha) pair by `cross_validate_l1` on
-    the folds of `cv` and keeps the first lowest loss with degrees outer
-    (`np.argmin`); `alphas` defaults to `alpha_grid()`, 500 alphas.
+    A task is (records, folds): records are (feature vector, hardness) pairs
+    with features already scaled to [0, 1] by their value-space bounds, and
+    folds are held-out index arrays (`fold_indices`, `system_folds`). Each
+    task scores every (degree, alpha) pair by its mean held-out MSE, keeps
+    the first lowest loss with degrees outer (`np.argmin`) and refits on all
+    its records with `fit_l1`. Every task's (fold, alpha) problems of one
+    degree go through one `cross_validate_l1_many` call; a task's losses do
+    not depend on the other tasks, bit for bit. `alphas` defaults to
+    `alpha_grid()`, 500 alphas.
 
-    Records are (feature vector, hardness) pairs with features already
-    scaled to [0, 1] by their value-space bounds. A mixed polynomial term
-    splits its |coefficient| equally across the distinct aspects it touches.
+    A mixed polynomial term splits its |coefficient| equally across the
+    distinct aspects it touches.
     """
-    records = list(records)
-    if len(records) < 10:
-        raise ValueError(f"need >= 10 records, got {len(records)}")
-    X = np.asarray([r[0] for r in records], dtype=float)
-    y = np.asarray([r[1] for r in records], dtype=float)
+    data = []
+    for records, folds in tasks:
+        records = list(records)
+        if len(records) < 10:
+            raise ValueError(f"need >= 10 records, got {len(records)}")
+        X = np.asarray([r[0] for r in records], dtype=float)
+        y = np.asarray([r[1] for r in records], dtype=float)
+        data.append((X, y, folds))
     alphas = alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
+    losses = np.array([cross_validate_l1_many(data, int(d), alphas) for d in degrees])
 
     names = list(feature_names)
-    losses = np.array([cross_validate_l1(X, y, int(d), alphas, cv) for d in degrees])
-    d_idx, a_idx = np.unravel_index(np.argmin(losses), losses.shape)
-    degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
-    model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
-
     feature_to_group = {}
     for group, members in aspect_groups.items():
         for member in members:
             feature_to_group[member] = group
-    raw = {group: 0.0 for group in aspect_groups}
-    for term, coef in zip(model.expansion.term_features(), model.coefs):
-        groups = sorted({feature_to_group[names[i]] for i in term})
-        for group in groups:
-            raw[group] += abs(float(coef)) / len(groups)
-    return model, _normalize(raw)
+    fits = []
+    for t, (X, y, _) in enumerate(data):
+        d_idx, a_idx = np.unravel_index(np.argmin(losses[:, t]), losses[:, t].shape)
+        degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
+        model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
+        raw = {group: 0.0 for group in aspect_groups}
+        for term, coef in zip(model.expansion.term_features(), model.coefs):
+            groups = sorted({feature_to_group[names[i]] for i in term})
+            for group in groups:
+                raw[group] += abs(float(coef)) / len(groups)
+        fits.append((model, _normalize(raw)))
+    return fits
 
 
 @dataclass(frozen=True)
@@ -424,13 +459,14 @@ def classify_and_test(
     into the matrix, and run the test battery.
 
     hardness_values: system id -> hardness; empirical mode bins against the
-    population of these values. Returns id -> (hardness, level), the matrix
-    and the tests.
+    population of these values, whose quartiles are computed once. Returns
+    id -> (hardness, level), the matrix and the tests.
     """
     population = list(hardness_values.values())
+    labels = classify_hardness(population, hardness_mode, population) if population else []
     hardness_by_system = {
-        system_id: (value, classify_hardness(value, hardness_mode, population))
-        for system_id, value in hardness_values.items()
+        system_id: (value, label)
+        for (system_id, value), label in zip(hardness_values.items(), labels)
     }
     observations = []
     for system_id, level, value in opportunity_records:
@@ -451,40 +487,51 @@ class PipelineResult:
 
 
 def two_stage_pipeline(
-    aspect_records: dict,
-    opportunity_records,
-    metric: str,
+    aspect_records: dict[str, dict],
+    opportunity_records: dict[str, list],
+    cv: dict[str, CVSpec],
     degrees=(1, 2, 3, 4),
     alphas=None,
-    cv: CVSpec = CVSpec(folds=5, shuffle_seed=0),
     hardness_mode: HardnessMode = HardnessMode.FIXED_RANGE,
     alpha: float = 0.05,
     use_measured_hardness: bool = False,
-) -> PipelineResult:
-    """Stage 1 regresses hardness on aspects; stage 2 classifies each
-    system by its predicted hardness (or measured, for sensitivity runs),
-    routes opportunity values into the matrix, and runs the test battery.
+    systems: dict[str, str] | None = None,
+) -> dict[str, PipelineResult]:
+    """Stage 1 regresses hardness on aspects; stage 2 classifies each unit
+    by its predicted hardness (or measured, for sensitivity runs), routes
+    opportunity values into the matrix, and runs the test battery. One
+    result per metric; every metric's stage 1 runs in one
+    `aspect_regression` call.
 
-    aspect_records: system id -> (scaled aspect vector, measured hardness).
-    opportunity_records: iterable of (system id, knowledge level, value).
+    aspect_records: metric -> unit id -> (scaled aspect vector, measured hardness).
+    opportunity_records: metric -> iterable of (unit id, knowledge level, value).
+    cv: metric -> the spec of that metric's stage-1 folds (`system_folds`).
+    systems: unit id -> system id; by default each unit is its own system.
     """
-    model, importance = aspect_regression(
-        list(aspect_records.values()), degrees=degrees, alphas=alphas, cv=cv
-    )
-    ids = list(aspect_records)
-    X = np.asarray([aspect_records[i][0] for i in ids], dtype=float)
-    predicted = model.predict(X)
-    used = {
-        system_id: (aspect_records[system_id][1] if use_measured_hardness else float(pred))
-        for system_id, pred in zip(ids, predicted)
-    }
-    hardness_by_system, matrix, tests = classify_and_test(
-        used, opportunity_records, metric, hardness_mode, alpha
-    )
-    return PipelineResult(
-        model=model,
-        importance=importance,
-        hardness_by_system=hardness_by_system,
-        matrix=matrix,
-        tests=tests,
-    )
+    metrics = list(aspect_records)
+    tasks = []
+    for metric in metrics:
+        ids = list(aspect_records[metric])
+        groups = ids if systems is None else [systems[i] for i in ids]
+        tasks.append((list(aspect_records[metric].values()), system_folds(groups, cv[metric])))
+    fits = aspect_regression(tasks, degrees=degrees, alphas=alphas)
+    results = {}
+    for metric, (model, importance) in zip(metrics, fits):
+        records = aspect_records[metric]
+        X = np.asarray([records[i][0] for i in records], dtype=float)
+        predicted = model.predict(X)
+        used = {
+            system_id: (records[system_id][1] if use_measured_hardness else float(pred))
+            for system_id, pred in zip(records, predicted)
+        }
+        hardness_by_system, matrix, tests = classify_and_test(
+            used, opportunity_records[metric], metric, hardness_mode, alpha
+        )
+        results[metric] = PipelineResult(
+            model=model,
+            importance=importance,
+            hardness_by_system=hardness_by_system,
+            matrix=matrix,
+            tests=tests,
+        )
+    return results

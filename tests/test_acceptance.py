@@ -35,6 +35,7 @@ from modperf.learners import (
     SearchBudget,
     fit_forest,
     fit_l1,
+    fold_indices,
     forest_search_space,
     soft_threshold,
 )
@@ -291,11 +292,10 @@ def test_criterion_07_rq1_directional():
     assert p < 0.05
 
     records = [(r[2], r[1]) for r in rows]
-    _, importance = aspect_regression(
-        records,
+    [(_, importance)] = aspect_regression(
+        [(records, fold_indices(len(records), CVSpec(folds=3, shuffle_seed=77)))],
         degrees=(1, 2),
         alphas=[float(a) for a in np.logspace(-4, 0, 20)],
-        cv=CVSpec(folds=3, shuffle_seed=77),
     )
     top = max(importance.weights, key=importance.weights.get)
     assert top == "Module#"

@@ -5,6 +5,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modperf.cli import main
@@ -209,6 +210,154 @@ def test_generate_tree_bytes_unchanged(tmp_path):
     assert tree_hash(tmp_path) == GENERATE_TREE_SHA
 
 
+# Hand-made analyze inputs: a manifest and curve files, no model stage.
+CURVE_SIZES = (20, 50, 100)
+
+
+def _curve_doc(unit, level, metric, values, sizes=CURVE_SIZES, error_at=None):
+    points = [{"n": n, "p": p, "error": None} for n, p in zip(sizes, values)]
+    if error_at is not None:
+        points[error_at] = {"n": sizes[error_at], "p": None, "error": "CapacityError: too few records"}
+    return {"system_id": unit, "trial": 0, "level": level, "metric": metric, "points": points}
+
+
+def _write_analyze_inputs(config):
+    """Curves of every unit with the cases stage 2 must keep apart: an error
+    point (s0002 acc practical, and the scc null curves of s0007-s0011, so
+    scc has fewer than 10 units and skips stage 1), a missing level file
+    (s0003 complete_scc), a missing ideal curve (s0004 ideal_acc), values
+    outside [0, 1] (s0005), gaps of 0 and -0.0 (s0006), and a level curve
+    above its ideal and below its null (s0001)."""
+    out = Path(config.out_dir)
+    systems = []
+    for s in range(config.n_systems):
+        hard = (s * 7 % 13) / 13
+        systems.append({
+            "system": config.system_id(s),
+            "index": s,
+            "seed": s,
+            "aspects": {
+                "option_count": 6 + s % 5, "p_w": 0.5 + 0.03 * s, "mu_a": 0.05 + 0.02 * (s % 4),
+                "sigma_a": 0.1, "module_count": 5 + round(30 * hard),
+                "iv_per_module": 3, "perf_count": 1,
+            },
+            "trials": [{"trial": t, "seed": t, "dir": f"t{t:02d}"} for t in range(config.trials)],
+        })
+        for t in range(config.trials):
+            unit = config.unit_id(s, t)
+            for metric, floor in (("acc", 0.0), ("scc", -0.3)):
+                null = [round(max(0.95 - 0.8 * hard + 0.05 * j - 0.01 * t, floor), 6) for j in range(3)]
+                ideal = [round(p + 0.5 * (1.0 - p), 6) for p in null]
+                curves = {"null": null, "ideal": ideal}
+                for k, level in enumerate(("partial", "practical", "complete")):
+                    share = 0.2 + 0.3 * k + 0.01 * (s % 3)
+                    curves[level] = [round(a + share * (b - a), 6) for a, b in zip(null, ideal)]
+                if s == 1:
+                    curves["complete"] = [ideal[0] + 0.1, null[1] - 0.1, ideal[2]]
+                if s == 5:
+                    curves["null"] = [-0.25, -0.1, 0.2]
+                    curves["ideal"] = [1.2, 1.05, 0.9]
+                if s == 6:
+                    curves["ideal"] = [null[0], ideal[1], ideal[2]]
+                    curves["null"][2] = 0.0
+                    curves["ideal"][2] = -0.0
+                for level, values in curves.items():
+                    if (s, t, level, metric) in ((3, 0, "complete", "scc"), (4, 0, "ideal", "acc")):
+                        continue
+                    error_at = None
+                    if (s, level, metric) == (2, "practical", "acc"):
+                        error_at = 1
+                    if metric == "scc" and level == "null" and 7 <= s <= 11:
+                        error_at = 0
+                    path = out / "curves" / unit / f"{level}_{metric}.json"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(json.dumps(_curve_doc(unit, level, metric, values, error_at=error_at)))
+    (out / "manifest.json").write_text(json.dumps({"systems": systems}))
+
+
+def _analyze_config(tmp_path, **overrides):
+    params = dict(
+        global_seed=5150, n_systems=14, trials=1, train_sizes=CURVE_SIZES, n_train=100,
+        lasso_degrees=(1, 2), lasso_alpha_steps=4, shapley_samples=8, importance_repeats=2,
+        out_dir=str(tmp_path / "out"),
+    )
+    params.update(overrides)
+    return ExperimentConfig(**params)
+
+
+# sha256 of the analysis trees of the hand-made inputs above, fixed mode
+# then empirical mode, as the per-curve analyze stage wrote them. The array
+# kernels and the joint stage-1 solve must keep every byte.
+ANALYZE_TREE_SHA = "660eac4cc5344e2e5bf3865fc89200c292f09c78444c158e64d729f9f25169d1"
+
+
+def test_analyze_tree_bytes_unchanged(tmp_path):
+    digest = hashlib.sha256()
+    for mode in ("fixed", "empirical"):
+        config = _analyze_config(tmp_path / mode, hardness_mode=mode)
+        _write_analyze_inputs(config)
+        run_analyze(config)
+        run_report(config)
+        digest.update(tree_hash(Path(config.out_dir) / "analysis").encode())
+    assert digest.hexdigest() == ANALYZE_TREE_SHA
+
+
+def test_analyze_folds_keep_each_system_on_one_side(tmp_path, monkeypatch):
+    """With several trials per system, no stage-1 fold holds out a unit
+    whose system also has units in the training folds."""
+    from modperf import stats
+
+    config = _analyze_config(tmp_path, n_systems=6, trials=3, metrics=("acc",))
+    _write_analyze_inputs(config)
+    folds_seen = []
+    real = stats.cross_validate_l1_many
+
+    def spy(tasks, degree, alphas):
+        folds_seen.extend(folds for _, _, folds in tasks)
+        return real(tasks, degree, alphas)
+
+    monkeypatch.setattr(stats, "cross_validate_l1_many", spy)
+    run_analyze(config)
+    rows = json.loads((Path(config.out_dir) / "analysis" / "hardness_acc.json").read_text())
+    systems = np.array([r["system"] for r in rows])
+    assert folds_seen and len(set(systems)) == 6 and len(rows) >= 15
+    for folds in folds_seen:
+        assert sorted(np.concatenate(folds).tolist()) == list(range(len(rows)))
+        for held_out in folds:
+            train = np.setdiff1d(np.arange(len(rows)), held_out)
+            assert not set(systems[held_out]) & set(systems[train])
+
+
+def test_analyze_skips_stage1_for_trials_of_one_system(tmp_path):
+    """Stage-1 folds need two systems; one system's trials get the
+    measured-hardness matrix and a note instead of an error."""
+    config = _analyze_config(tmp_path, n_systems=1, trials=12, metrics=("acc",))
+    _write_analyze_inputs(config)
+    summary = run_analyze(config)
+    analysis = Path(config.out_dir) / "analysis"
+    assert summary["metrics"]["acc"]["units"] == 12
+    assert json.loads((analysis / "stage1_acc.json").read_text())["skipped"]
+    assert json.loads((analysis / "gaps.json").read_text())["notes"] == [
+        "acc: all 12 units are trials of one system; stage-1 regression skipped, "
+        "matrix built from measured hardness"
+    ]
+
+
+def test_analyze_rejects_curve_sizes_outside_config(tmp_path):
+    """A unit whose curves agree with each other but not with the config's
+    training sizes is an error that names the unit and the level."""
+    config = _analyze_config(tmp_path)
+    _write_analyze_inputs(config)
+    unit_dir = Path(config.out_dir) / "curves" / "s0008_t00"
+    for path in unit_dir.glob("*.json"):
+        doc = json.loads(path.read_text())
+        for point, n in zip(doc["points"], (20, 50, 200)):
+            point["n"] = n
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"s0008_t00, level null, metric acc.*\[20, 50, 200\]"):
+        run_analyze(config)
+
+
 def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path / "missing")])
     captured = capsys.readouterr()
@@ -270,13 +419,13 @@ def test_analyze_searches_every_configured_alpha(tmp_path, monkeypatch):
     run_generate(config)
     run_model(config)
     seen = []
-    real = stats.cross_validate_l1
+    real = stats.cross_validate_l1_many
 
-    def spy(X, y, degree, alphas, spec):
+    def spy(tasks, degree, alphas):
         seen.append(len(alphas))
-        return real(X, y, degree, alphas, spec)
+        return real(tasks, degree, alphas)
 
-    monkeypatch.setattr(stats, "cross_validate_l1", spy)
+    monkeypatch.setattr(stats, "cross_validate_l1_many", spy)
     run_analyze(config)
     assert seen == [600]
     stage1 = json.loads((Path(config.out_dir) / "analysis" / "stage1_scc.json").read_text())

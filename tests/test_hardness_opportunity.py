@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modperf.hardness_opportunity import (
+    GAP_EPS,
+    CurveTable,
     EfficacyCurve,
     HardnessMode,
     build_matrix,
@@ -94,7 +96,7 @@ def test_opportunity_hand_example():
     ideal = _curve([0.6, 0.8], sizes=sizes)
     level = _curve([0.4, 0.6], sizes=sizes)
     score = opportunity(null, ideal, level, "partial")
-    assert [f for _, _, f in score.per_size] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert list(score.filling) == pytest.approx([0.5, 0.5], abs=1e-12)
     assert score.value == pytest.approx(0.2, abs=1e-12)
 
 
@@ -131,8 +133,8 @@ def test_opportunity_clamps_filling_to_unit_interval():
     ideal = _curve([0.6, 0.7], sizes=sizes)
     overshoot = _curve([0.9, 0.95], sizes=sizes)
     undershoot = _curve([0.1, 0.2], sizes=sizes)
-    assert [f for _, _, f in opportunity(null, ideal, overshoot, "x").per_size] == [1.0, 1.0]
-    assert [f for _, _, f in opportunity(null, ideal, undershoot, "x").per_size] == [0.0, 0.0]
+    assert opportunity(null, ideal, overshoot, "x").filling == (1.0, 1.0)
+    assert opportunity(null, ideal, undershoot, "x").filling == (0.0, 0.0)
 
 
 def test_opportunity_zero_gap_contributes_nothing():
@@ -141,7 +143,7 @@ def test_opportunity_zero_gap_contributes_nothing():
     ideal = _curve([0.5, 0.9], sizes=sizes)
     level = _curve([0.9, 0.7], sizes=sizes)
     score = opportunity(null, ideal, level, "partial")
-    assert score.per_size[0][2] == 0.0  # no gap at n=10
+    assert score.filling[0] == 0.0  # no gap at n=10
     assert score.value > 0.0
 
 
@@ -222,3 +224,114 @@ def test_build_matrix_rejects_unknown_labels():
         build_matrix([("null", "low", 0.1)], metric="acc")
     with pytest.raises(ValueError):
         build_matrix([("partial", "extreme", 0.1)], metric="acc")
+
+
+# ------------------------------------------- scalar reference definitions
+# The per-value definitions the table kernels replaced. `sum()` of floats is
+# written as the left-to-right loop it is on Python <= 3.11 (3.12 compensates
+# the sum), so these stay the reference the output bytes were written with.
+
+
+def _ref_clamp01(p):
+    return min(max(p, 0.0), 1.0)
+
+
+def _ref_hardness(sizes, efficacies):
+    constant = scaling_constant(sizes)
+    losses = [min(max(1.0 - p, 0.0), 1.0) for p in efficacies]
+    total = 0
+    for l, n in zip(losses, sizes):
+        total = total + l / n
+    return _ref_clamp01(constant * total)
+
+
+def _ref_opportunity(sizes, null, ideal, level):
+    constant = scaling_constant(sizes)
+    per_size = []
+    total = 0.0
+    for n, p_null, p_ideal, p_level in zip(sizes, null, ideal, level):
+        gap = _ref_clamp01(p_ideal) - _ref_clamp01(p_null)
+        if gap > GAP_EPS:
+            filling = min(max((_ref_clamp01(p_level) - _ref_clamp01(p_null)) / gap, 0.0), 1.0)
+        else:
+            filling = 0.0
+        per_size.append((gap, filling))
+        total += filling * max(gap, 0.0) / n
+    return _ref_clamp01(constant * total), per_size
+
+
+def _ref_classify(value, population):
+    q25 = float(np.quantile(population, 0.25))
+    q75 = float(np.quantile(population, 0.75))
+    if value < q25:
+        return "low"
+    if value < q75:
+        return "medium"
+    return "high"
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_SPECIAL = [-0.3, -0.0, 0.0, 1.0, 1.3, 1e-9, float(np.nextafter(1e-9, 1.0)), 0.5]
+
+
+def _oracle_tables(rng, sizes, rows=300):
+    """Null, ideal and level tables mixing random efficacies with values
+    below 0 (negative SCC) and above 1, signed zeros, and ideal-minus-null
+    gaps exactly at GAP_EPS and one ulp above it."""
+    shape = (rows, len(sizes))
+    tables = [rng.uniform(-0.5, 1.5, size=shape) for _ in range(3)]
+    for table in tables:
+        mask = rng.random(shape) < 0.3
+        table[mask] = rng.choice(_SPECIAL, size=mask.sum())
+    null, ideal, level = tables
+    null[:40] = 0.0
+    ideal[:20] = GAP_EPS
+    ideal[20:40] = np.nextafter(GAP_EPS, 1.0)
+    null[40:50], ideal[40:50] = 0.0, -0.0
+    return null, ideal, level
+
+
+@pytest.mark.parametrize("sizes", [(20, 50, 100, 200, 500, 1000), (37,), (10, 100)])
+def test_table_kernels_match_scalar_definitions_bitwise(sizes):
+    rng = np.random.default_rng(len(sizes))
+    null, ideal, level = _oracle_tables(rng, sizes)
+    tables = [CurveTable("scc", sizes, t) for t in (null, ideal, level)]
+    h = hardness(tables[0])
+    opp = opportunity(*tables, "partial")
+    for i in range(len(null)):
+        want_h = _ref_hardness(sizes, null[i].tolist())
+        want_o, want_per_size = _ref_opportunity(sizes, null[i].tolist(), ideal[i].tolist(), level[i].tolist())
+        want_gap, want_fill = zip(*want_per_size)
+        assert _bits([h.value[i], opp.value[i]]) == _bits([want_h, want_o])
+        assert _bits(opp.gap[i]) == _bits(want_gap)
+        assert _bits(opp.filling[i]) == _bits(want_fill)
+        # a single curve is a one-row table: the same bits
+        curves = [_curve(t[i].tolist(), sizes=sizes) for t in (null, ideal, level)]
+        one = opportunity(*curves, "partial")
+        assert _bits([hardness(curves[0]).value, one.value]) == _bits([want_h, want_o])
+        assert _bits(one.gap + one.filling) == _bits(want_gap + want_fill)
+    assert np.signbit(opp.gap[40]).all()  # -0.0 gaps kept
+
+
+def test_classify_array_matches_per_value_rule():
+    rng = np.random.default_rng(9)
+    # ties at both quartiles: q25 and q75 are values of the population
+    population = [0.1, 0.2, 0.2, 0.2, 0.4, 0.6, 0.6, 0.6, 0.9]
+    values = np.concatenate([population, rng.choice(population, 50), rng.uniform(0, 1, 50)])
+    empirical = classify_hardness(values, HardnessMode.EMPIRICAL_QUARTILE, population)
+    assert empirical == [_ref_classify(v, population) for v in values.tolist()]
+    assert classify_hardness(values) == [_ref_classify(v, [0.0, 0.25, 0.5, 0.75, 1.0]) for v in values.tolist()]
+    assert {"low", "medium", "high"} <= set(empirical)
+    score = hardness(CurveTable("acc", SIZES, rng.uniform(0, 1, size=(5, len(SIZES)))))
+    assert classify_hardness(score) == [classify_hardness(v) for v in score.value.tolist()]
+
+
+def test_opportunity_rejects_tables_of_different_lengths():
+    null = CurveTable("acc", (10, 100), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        opportunity(null, null, CurveTable("acc", (10, 100), np.zeros((1, 2))), "partial")
+    with pytest.raises(ValueError):
+        CurveTable("acc", (10, 100), np.zeros((3, 3)))

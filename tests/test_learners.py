@@ -13,6 +13,7 @@ from modperf.learners import (
     SearchBudget,
     cross_validate,
     cross_validate_l1,
+    cross_validate_l1_many,
     enumerate_candidates,
     fit_forest,
     fit_forests,
@@ -562,6 +563,27 @@ def test_cross_validate_l1_alpha_runs_do_not_change_losses(monkeypatch):
     whole = cross_validate_l1(X, y, 2, alphas, spec)
     monkeypatch.setattr(lasso, "_SOLVE_CELLS", 1)  # one alpha per solver call
     assert np.array_equal(cross_validate_l1(X, y, 2, alphas, spec), whole)
+
+
+def test_cross_validate_l1_many_equals_one_call_per_task():
+    """Tasks solved together get the losses each gets alone, bit for bit,
+    also when their designs have different widths (a binary column's
+    square is dropped) and their fold counts differ."""
+    rng = _rng(25)
+    tasks = []
+    for n, folds, binary in ((40, 3, False), (33, 5, True), (52, 4, False)):
+        X = rng.uniform(size=(n, 3))
+        if binary:
+            X[:, 1] = rng.integers(0, 2, size=n)
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(size=n) * 0.1
+        tasks.append((X, y, CVSpec(folds=folds, shuffle_seed=n)))
+    alphas = np.logspace(-4, 0, 6)
+    for degree in (1, 2, 3):
+        together = cross_validate_l1_many(
+            [(X, y, fold_indices(len(y), spec)) for X, y, spec in tasks], degree, alphas
+        )
+        for (X, y, spec), losses in zip(tasks, together):
+            assert np.array_equal(losses, cross_validate_l1(X, y, degree, alphas, spec))
 
 
 def test_invalid_l1_params():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_mwu_p
 from modperf.hardness_opportunity import build_matrix
-from modperf.learners import CVSpec, mse
+from modperf.learners import CVSpec, fold_indices, mse
 from modperf.stats import (
     ImportanceVector,
     aspect_regression,
@@ -18,6 +18,7 @@ from modperf.stats import (
     matrix_hypothesis_tests,
     permutation_importance,
     shapley_importance,
+    system_folds,
     two_stage_pipeline,
 )
 
@@ -98,6 +99,19 @@ def test_cles_pair_enumeration():
 )
 def test_cles_antisymmetry(x, y):
     assert cles(x, y) + cles(y, x) == pytest.approx(1.0)
+
+
+def test_cles_equals_pair_count_on_tied_data():
+    """cles comes from the U statistic; it must equal the pair count
+    (greater + 0.5 equal) / (n_x n_y) exactly, ties and signed zeros too."""
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        x = rng.integers(-3, 4, size=rng.integers(1, 40)).astype(float)
+        y = rng.integers(-3, 4, size=rng.integers(1, 40)).astype(float)
+        x[x == 0] *= rng.choice([-1.0, 1.0], size=(x == 0).sum())  # -0.0 ties 0.0
+        greater = (x[:, None] > y[None, :]).sum()
+        equal = (x[:, None] == y[None, :]).sum()
+        assert cles(x, y) == float((greater + 0.5 * equal) / (x.size * y.size))
 
 
 # ---------------------------------------------------------------- fisher-z
@@ -235,10 +249,14 @@ def _aspect_records(rng, n=120, coef_module=0.6, coef_option=0.2):
     return [(X[i].tolist(), float(y[i])) for i in range(n)]
 
 
+def _one_task(records, cv):
+    return [(records, fold_indices(len(records), cv))]
+
+
 def test_aspect_regression_recovers_coefficient_ratio():
     records = _aspect_records(np.random.default_rng(16))
-    model, importance = aspect_regression(
-        records, degrees=(1, 2), alphas=[1e-4, 1e-3], cv=CVSpec(folds=3, shuffle_seed=0)
+    [(model, importance)] = aspect_regression(
+        _one_task(records, CVSpec(folds=3, shuffle_seed=0)), degrees=(1, 2), alphas=[1e-4, 1e-3]
     )
     assert importance.weights["Module#"] == pytest.approx(0.75, abs=0.03)
     assert importance.weights["Option#"] == pytest.approx(0.25, abs=0.03)
@@ -248,8 +266,8 @@ def test_aspect_regression_recovers_coefficient_ratio():
 def test_aspect_regression_constant_target_degenerate():
     rng = np.random.default_rng(17)
     records = [(rng.uniform(0, 1, 5).tolist(), 0.4) for _ in range(30)]
-    _, importance = aspect_regression(
-        records, degrees=(1,), alphas=[0.01], cv=CVSpec(folds=3, shuffle_seed=0)
+    [(_, importance)] = aspect_regression(
+        _one_task(records, CVSpec(folds=3, shuffle_seed=0)), degrees=(1,), alphas=[0.01]
     )
     assert importance.degenerate
     assert all(w == pytest.approx(0.25) for w in importance.weights.values())
@@ -257,7 +275,7 @@ def test_aspect_regression_constant_target_degenerate():
 
 def test_aspect_regression_needs_ten_records():
     with pytest.raises(ValueError):
-        aspect_regression([([0.0] * 5, 0.0)] * 9)
+        aspect_regression(_one_task([([0.0] * 5, 0.0)] * 9, CVSpec()))
 
 
 def test_aspect_regression_picks_first_minimum_degrees_outer(monkeypatch):
@@ -269,18 +287,51 @@ def test_aspect_regression_picks_first_minimum_degrees_outer(monkeypatch):
     losses = {1: [3.0, 1.0, 1.0], 2: [1.0, 4.0, 1.0], 3: [2.0, 2.0, 2.0]}
     calls = []
 
-    def fake_cv(X, y, degree, alphas, spec):
-        calls.append((degree, list(alphas), spec))
-        return np.array(losses[degree])
+    def fake_cv(tasks, degree, alphas):
+        calls.append((degree, list(alphas), [[f.tolist() for f in folds] for _, _, folds in tasks]))
+        return [np.array(losses[degree]) for _ in tasks]
 
-    monkeypatch.setattr(stats, "cross_validate_l1", fake_cv)
-    cv = CVSpec(folds=3, shuffle_seed=4)
-    model, _ = aspect_regression(
-        _aspect_records(np.random.default_rng(19), n=30), degrees=(1, 2, 3),
-        alphas=[0.1, 0.01, 0.001], cv=cv,
-    )
+    monkeypatch.setattr(stats, "cross_validate_l1_many", fake_cv)
+    task = _one_task(_aspect_records(np.random.default_rng(19), n=30), CVSpec(folds=3, shuffle_seed=4))
+    [(model, _)] = aspect_regression(task, degrees=(1, 2, 3), alphas=[0.1, 0.01, 0.001])
     assert (model.params.degree, model.params.alpha) == (1, 0.01)
-    assert calls == [(d, [0.1, 0.01, 0.001], cv) for d in (1, 2, 3)]
+    folds = [f.tolist() for f in task[0][1]]
+    assert calls == [(d, [0.1, 0.01, 0.001], [folds]) for d in (1, 2, 3)]
+
+
+def test_system_folds_keep_each_system_on_one_side():
+    systems = [f"s{i // 3}" for i in range(21)]  # 7 systems x 3 trials
+    folds = system_folds(systems, CVSpec(folds=5, shuffle_seed=3))
+    assert sorted(np.concatenate(folds).tolist()) == list(range(21))
+    for held_out in folds:
+        train = np.setdiff1d(np.arange(21), held_out)
+        assert not {systems[i] for i in held_out} & {systems[i] for i in train}
+    # one record per system: the plain record folds
+    spec = CVSpec(folds=5, shuffle_seed=8)
+    ids = [f"u{i}" for i in range(13)]
+    assert [f.tolist() for f in system_folds(ids, spec)] == [
+        f.tolist() for f in fold_indices(13, spec)
+    ]
+    # fewer systems than folds: each system is one fold
+    two = system_folds(["a", "b", "a", "b", "b"], spec)
+    assert sorted(f.tolist() for f in two) == [[0, 2], [1, 3, 4]]
+    with pytest.raises(ValueError):
+        system_folds(["a"] * 12, spec)
+
+
+def test_aspect_regression_many_tasks_equal_one_at_a_time():
+    rng = np.random.default_rng(26)
+    tasks = [
+        _one_task(_aspect_records(rng, n=n, coef_module=c), CVSpec(folds=k, shuffle_seed=k))[0]
+        for n, c, k in ((40, 0.6, 3), (25, 0.1, 5), (31, 0.9, 4))
+    ]
+    kwargs = dict(degrees=(1, 2), alphas=[1e-4, 1e-2, 0.3])
+    together = aspect_regression(tasks, **kwargs)
+    for task, (model, importance) in zip(tasks, together):
+        [(alone, alone_importance)] = aspect_regression([task], **kwargs)
+        assert (model.params, model.intercept) == (alone.params, alone.intercept)
+        assert np.array_equal(model.coefs, alone.coefs)
+        assert importance.weights == alone_importance.weights
 
 
 def test_aspect_regression_mixed_term_attribution():
@@ -289,8 +340,8 @@ def test_aspect_regression_mixed_term_attribution():
     X = rng.uniform(0, 1, size=(150, 5))
     y = 2.0 * X[:, 2] * X[:, 3]
     records = [(X[i].tolist(), float(y[i])) for i in range(150)]
-    _, importance = aspect_regression(
-        records, degrees=(2,), alphas=[1e-4], cv=CVSpec(folds=3, shuffle_seed=0)
+    [(_, importance)] = aspect_regression(
+        _one_task(records, CVSpec(folds=3, shuffle_seed=0)), degrees=(2,), alphas=[1e-4]
     )
     assert importance.weights["IEAcross_p"] > 0.9
 
@@ -364,13 +415,12 @@ def test_two_stage_pipeline_routes_by_predicted_hardness():
                 (system_id, level, base + 0.3 * hardness_value + rng.normal(0, 0.01))
             )
     result = two_stage_pipeline(
-        aspect_records,
-        opportunity_records,
-        metric="scc",
+        {"scc": aspect_records},
+        {"scc": opportunity_records},
+        {"scc": CVSpec(folds=3, shuffle_seed=1)},
         degrees=(1,),
         alphas=[1e-4, 1e-3],
-        cv=CVSpec(folds=3, shuffle_seed=1),
-    )
+    )["scc"]
     assert result.importance.weights["Module#"] > 0.9
     assert len(result.tests) == 27
     populated = [
@@ -399,14 +449,13 @@ def test_two_stage_pipeline_empirical_quartiles_spread_cells():
         aspect_records[system_id] = (x.tolist(), float(hardness_value))
         opportunity_records.append((system_id, "partial", float(rng.uniform(0, 0.2))))
     result = two_stage_pipeline(
-        aspect_records,
-        opportunity_records,
-        metric="acc",
+        {"acc": aspect_records},
+        {"acc": opportunity_records},
+        {"acc": CVSpec(folds=3, shuffle_seed=2)},
         degrees=(1,),
         alphas=[1e-4],
-        cv=CVSpec(folds=3, shuffle_seed=2),
         hardness_mode=HardnessMode.EMPIRICAL_QUARTILE,
-    )
+    )["acc"]
     counts = {
         h: result.matrix.cell("partial", h).count for h in ("low", "medium", "high")
     }
@@ -421,10 +470,9 @@ def test_two_stage_pipeline_unknown_system_rejected():
     }
     with pytest.raises(ValueError):
         two_stage_pipeline(
-            aspect_records,
-            [("ghost", "partial", 0.1)],
-            metric="acc",
+            {"acc": aspect_records},
+            {"acc": [("ghost", "partial", 0.1)]},
+            {"acc": CVSpec(folds=3, shuffle_seed=1)},
             degrees=(1,),
             alphas=[1e-3],
-            cv=CVSpec(folds=3, shuffle_seed=1),
         )
