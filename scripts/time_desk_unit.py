@@ -9,7 +9,13 @@ seed) without timing it, then times one `run_model` call over all levels
 
     python scripts/time_desk_unit.py
     {"model_s": 17.9, "model_s_norm": 15.2, "level_s": {"null": 0.3, ...},
-     "level_s_norm": {"null": 0.26, ...}, "nproc": 2, "python": "3.11.7", ...}
+     "level_s_norm": {"null": 0.26, ...}, "forest_calls": {"null": 12, ...},
+     "passes": {"null": 23, ...}, "nproc": 2, "python": "3.11.7", ...}
+
+During the per-level calls the script counts the calls of `fit_forests`,
+direct or through `fit_forest` (`forest_calls`), and the forest engine's
+`_grow` passes (`passes`), so batching shows as an exact count beside the
+seconds.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
 reference computation (`perfbench/calibrate.py`) runs before and after each
@@ -20,6 +26,8 @@ the machine the reference was calibrated on, at its fast speed.
 Run it at two commits on the same machine to compare them.
 """
 
+import collections
+import contextlib
 import dataclasses
 import json
 import os
@@ -37,8 +45,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 from calibrate import NOMINAL_S, reference_seconds  # noqa: E402
 
+from modperf import knowledge_models  # noqa: E402
 from modperf.experiment import ExperimentConfig, run_generate, run_model  # noqa: E402
 from modperf.influence_graph import AspectRanges  # noqa: E402
+from modperf.learners import forest  # noqa: E402
 
 DESK_RANGES = AspectRanges(option_count=(8, 8), module_count=(8, 8))
 
@@ -56,6 +66,36 @@ def _commit() -> str | None:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+@contextlib.contextmanager
+def _counted(counts: collections.Counter):
+    """Count `fit_forests` calls and `_grow` passes into `counts` while open.
+
+    `knowledge_models` holds its own reference to `fit_forests`, and
+    `fit_forest` calls the forest module's, so both are wrapped.
+    """
+    targets = [
+        (knowledge_models, "fit_forests", "forest_calls"),
+        (forest, "fit_forests", "forest_calls"),
+        (forest, "_grow", "passes"),
+    ]
+    originals = [getattr(owner, attr) for owner, attr, _ in targets]
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for (owner, attr, key), fn in zip(targets, originals):
+        setattr(owner, attr, counting(fn, key))
+    try:
+        yield
+    finally:
+        for (owner, attr, _), fn in zip(targets, originals):
+            setattr(owner, attr, fn)
 
 
 def _timed(fn, *args):
@@ -84,12 +124,15 @@ def main() -> int:
         )
         run_generate(config)
         docs, model_s, model_s_norm = _timed(run_model, config)
-        level_s, level_s_norm = {}, {}
+        level_s, level_s_norm, forest_calls, passes = {}, {}, {}, {}
         for level in config.levels:
             level_config = dataclasses.replace(config, levels=(level,))
-            level_docs, seconds, norm = _timed(run_model, level_config)
+            counts = collections.Counter()
+            with _counted(counts):
+                level_docs, seconds, norm = _timed(run_model, level_config)
             docs += level_docs
             level_s[level], level_s_norm[level] = round(seconds, 3), round(norm, 3)
+            forest_calls[level], passes[level] = counts["forest_calls"], counts["passes"]
     errors = [d["error"] for d in docs if "error" in d]
     if errors:
         print(json.dumps({"error": errors}), file=sys.stderr)
@@ -101,6 +144,8 @@ def main() -> int:
                 "model_s_norm": round(model_s_norm, 3),
                 "level_s": level_s,
                 "level_s_norm": level_s_norm,
+                "forest_calls": forest_calls,
+                "passes": passes,
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

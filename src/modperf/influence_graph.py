@@ -342,9 +342,9 @@ def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
     return artifacts
 
 
-def graph_to_json(graph: CausalInfluenceGraph) -> str:
-    """Stable serialization; identical graphs re-serialize byte-identically."""
-    doc = {
+def graph_doc(graph: CausalInfluenceGraph) -> dict:
+    """The graph as a JSON-ready dict; `semantics_to_json` embeds it as is."""
+    return {
         "aspects": {
             "option_count": graph.aspects.option_count,
             "p_w": graph.aspects.p_w,
@@ -361,11 +361,19 @@ def graph_to_json(graph: CausalInfluenceGraph) -> str:
             for src, dst, kind in graph.edges
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def graph_to_json(graph: CausalInfluenceGraph) -> str:
+    """Stable serialization; identical graphs re-serialize byte-identically."""
+    return json.dumps(graph_doc(graph), sort_keys=True, indent=2)
 
 
 def graph_from_json(text: str) -> CausalInfluenceGraph:
-    doc = json.loads(text)
+    return graph_from_doc(json.loads(text))
+
+
+def graph_from_doc(doc: dict) -> CausalInfluenceGraph:
+    """The graph of a `graph_doc` dict."""
     aspects = StructuralAspects(**doc["aspects"])
     edges = tuple(
         (NodeId.decode(e["src"]), NodeId.decode(e["dst"]), EdgeKind(e["kind"]))

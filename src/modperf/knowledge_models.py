@@ -11,13 +11,16 @@ above.
 The levels differ only in the IV parent sets their knowledge yields
 (`LEVEL_PARENTS`). `make_factory` fits every level the same way: it stacks
 the training records into one design matrix, finds the IV parents on it once,
-and scores each candidate with `learners.cross_validate` over the same fold
-index arrays; the first candidate with the lowest mean held-out MSE
+and scores every candidate with `learners.cross_validate_many` over the same
+fold index arrays; the first candidate with the lowest mean held-out MSE
 (`np.argmin`) is refitted on all rows. IV regressors are trained on
 measured upstream values (teacher forcing) and predict on cascaded
 estimates, matching how a structural causal model is fit from observational
-data. For a fixed (dataset, training size) all levels consume the identical
-training prefix, the identical candidate list, folds and search budget.
+data. Teacher forcing makes every forest of a search independent, so all
+forests of every (candidate, fold) fit grow in one `fit_forests` call and
+the refit's in a second. For a fixed (dataset, training size) all levels
+consume the identical training prefix, the identical candidate list, folds
+and search budget.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from .learners import (
     CVSpec,
     ForestParams,
     SearchBudget,
-    cross_validate,
+    cross_validate_many,
     enumerate_candidates,
-    fit_forest,
     fit_forests,
     fold_indices,
 )
+from .learners import fit_forest  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 1)
 from .metrics import efficacy
 from .seeds import derive
 from .stats import fisher_z_screen
@@ -179,39 +182,52 @@ LEVEL_PARENTS = {
 LEVELS = tuple(LEVEL_PARENTS)
 
 
-def _fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
-    """One level's model for one candidate on design rows Z.
+def _level_problems(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
+    """The forest problems of one level's model for one candidate on design
+    rows Z, as (X, y, params) triples: the IV forests in `order`, skipping IVs
+    without parents, then the perf forest.
 
     Seed paths: IV forest derive(seed, level, iv.encode(), *tag); perf forest
     derive(seed, level, *tag) without IV models, derive(seed, level, "perf",
-    *tag) on top of a cascade. Under teacher forcing the IV forests are
-    independent, so they grow in one `fit_forests` call.
+    *tag) on top of a cascade.
     """
-    fitted = [iv for iv in order if parents_by_iv[iv]]
-    forests = fit_forests(
-        [shape.gather(Z, parents_by_iv[iv]) for iv in fitted],
-        [Z[:, shape.column(iv)] for iv in fitted],
-        [_forest_params(candidate, derive(seed, level, iv.encode(), *tag)) for iv in fitted],
-    )
-    forest_of = dict(zip(fitted, forests))
+    problems = [
+        (
+            shape.gather(Z, parents_by_iv[iv]),
+            Z[:, shape.column(iv)],
+            _forest_params(candidate, derive(seed, level, iv.encode(), *tag)),
+        )
+        for iv in order
+        if parents_by_iv[iv]
+    ]
+    perf_tag = tag if parents_by_iv is None else ("perf", *tag)
+    params = _forest_params(candidate, derive(seed, level, *perf_tag))
+    problems.append((shape.gather(Z, _perf_inputs(level, shape)), perf, params))
+    return problems
+
+
+def _assemble_level(level, shape, parents_by_iv, order, Z, forests):
+    """One level's model on design rows Z, taking the forests fitted to its
+    `_level_problems` from the iterator `forests`, in that order; an IV
+    without parents falls back to its mean on Z."""
     iv_models = {
-        iv: IVModel(iv, parents_by_iv[iv], forest_of[iv])
-        if iv in forest_of
+        iv: IVModel(iv, parents_by_iv[iv], next(forests))
+        if parents_by_iv[iv]
         else IVModel(iv, (), MeanModel(Z[:, shape.column(iv)].mean()), fallback=True)
         for iv in order
     }
-    perf_inputs = shape.options if level == "null" else shape.ivs
-    perf_tag = tag if parents_by_iv is None else ("perf", *tag)
-    params = _forest_params(candidate, derive(seed, level, *perf_tag))
-    perf_model = fit_forest(shape.gather(Z, perf_inputs), perf, params)
     return ModularPredictor(
         level=level,
         shape=shape,
-        perf_model=perf_model,
-        perf_inputs=perf_inputs,
+        perf_model=next(forests),
+        perf_inputs=_perf_inputs(level, shape),
         iv_models=iv_models,
         evaluation_order=order,
     )
+
+
+def _perf_inputs(level, shape):
+    return shape.options if level == "null" else shape.ivs
 
 
 def prune_parents(
@@ -244,8 +260,10 @@ def make_factory(
 
     The returned callable stacks its records into design rows once, finds
     the level's IV parents on them, scores every candidate with
-    `cross_validate` over the shared fold index arrays, keeps the first
+    `cross_validate_many` over the shared fold index arrays, keeps the first
     candidate with the lowest mean held-out MSE and refits it on all rows.
+    Every forest of the search grows in one `fit_forests` call, and the
+    refit's in a second.
     """
     if level not in LEVEL_PARENTS:
         raise ValueError(f"unknown level {level!r}")
@@ -262,14 +280,29 @@ def make_factory(
         parents = find_parents and find_parents(artifacts, shape, Z, alpha_ci)
         # Canonical (NodeId) order is topological: graph edges run forward in it.
         order = () if parents is None else tuple(sorted(parents))
-        fit = functools.partial(_fit_level, level, shape, parents, order, seed)
-        folds = fold_indices(n, cv)
-        losses = [
-            cross_validate(lambda X, y, f: fit(X, y, c, ("cv", i, f)), Z, perf, folds)
-            for i, c in enumerate(candidates)
-        ]
+        problems = functools.partial(_level_problems, level, shape, parents, order, seed)
+        assemble = functools.partial(_assemble_level, level, shape, parents, order)
+
+        def fit(jobs):
+            """One model per (Z, perf, candidate, tag) job, all of their
+            forests grown in one `fit_forests` call."""
+            forests = iter(fit_forests(*zip(*(p for job in jobs for p in problems(*job)))))
+            return [assemble(job[0], forests) for job in jobs]
+
+        def fit_folds(train_sets):
+            models = fit(
+                [
+                    (Z_train, y_train, c, ("cv", i, f))
+                    for i, c in enumerate(candidates)
+                    for f, (Z_train, y_train) in enumerate(train_sets)
+                ]
+            )
+            k = len(train_sets)
+            return [models[i : i + k] for i in range(0, len(models), k)]
+
+        losses = cross_validate_many(fit_folds, Z, perf, fold_indices(n, cv))
         best = int(np.argmin(losses))
-        model = fit(Z, perf, candidates[best], ("final",))
+        (model,) = fit([(Z, perf, candidates[best], ("final",))])
         model.search_meta = {
             "candidates": candidates,
             "chosen": candidates[best],

@@ -16,6 +16,7 @@ from .search import (
     CVSpec,
     SearchBudget,
     cross_validate,
+    cross_validate_many,
     enumerate_candidates,
     fold_indices,
     mse,
@@ -33,6 +34,7 @@ __all__ = [
     "cross_validate",
     "cross_validate_l1",
     "cross_validate_l1_many",
+    "cross_validate_many",
     "enumerate_candidates",
     "fit_forest",
     "fit_forests",

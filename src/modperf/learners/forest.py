@@ -2,15 +2,16 @@
 
 All bootstrap trees of one pass grow together, one depth level at a time: a
 level is a fixed number of vectorised numpy calls over every active node of
-every tree, whatever the nodes' sizes. A pass may hold the trees of several
-regression problems (`fit_forests`) that share the row count, ``n_trees``,
-``max_depth`` and ``min_samples_leaf``. Their designs are stacked as row
-blocks of one design padded to the widest problem, and padded columns are
-never usable at any node; each problem keeps its own bootstrap rows, split
-keys, target shift, column count and ``n_sub``. `fit_forest` is the
-one-problem call. Splits are exact CART variance-reduction splits, found in
-one of two ways chosen from each problem's ``X`` alone (a pass holds one
-way):
+every tree, whatever the nodes' sizes. `fit_forests` takes any list of
+regression problems and groups them into passes by what a pass must share:
+the split path, the row count, ``max_depth`` and ``min_samples_leaf``.
+Problems that differ in ``n_trees``, ``feature_subsample``, width or seed
+share a pass. Their designs are stacked as row blocks of one design padded
+to the widest problem, and padded columns are never usable at any node; each
+problem keeps its own bootstrap rows, split keys, target shift, column count
+and ``n_sub``. `fit_forest` is the one-problem call. Splits are exact CART
+variance-reduction splits, found in one of two ways chosen from each
+problem's ``X`` alone (the split path):
 
 * real or mixed columns: every column keeps the level's rows sorted by
   (node, value), so a cumulative sum gives the squared error of every
@@ -289,8 +290,9 @@ class _Problem(NamedTuple):
 
 
 def _grow(problems: list[_Problem], segments, binary: bool):
-    """Grow the trees of `segments`, (problem, first tree, stop tree) blocks,
-    together, level by level.
+    """Grow the trees of `segments`, (problem, first tree, stop tree) blocks
+    of problems on split path `binary` that share the row count,
+    ``max_depth`` and ``min_samples_leaf``, together, level by level.
 
     Returns, per segment, its per-tree node counts and its tree-major node
     table (feature, threshold, left, right, value) with tree-local child
@@ -427,10 +429,10 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     """One forest per (X, y, params) problem, each equal to what `fit_forest`
     returns for it alone.
 
-    The problems must share the row count, ``n_trees``, ``max_depth`` and
-    ``min_samples_leaf``. Each problem's trees are cut into the blocks its
-    separate fit grows; blocks of problems on the same split path are grown
-    together in passes of at most ``_BATCH_CELLS`` padded cells.
+    Each problem's trees are cut into the blocks its separate fit grows. The
+    blocks are grouped by split path, row count, ``max_depth`` and
+    ``min_samples_leaf``, and each group is grown in passes of at most
+    ``_BATCH_CELLS`` padded cells; a block alone may exceed it.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     ys = [np.ascontiguousarray(y, dtype=float) for y in ys]
@@ -439,11 +441,9 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     for X, y in zip(Xs, ys):
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D with one row per y entry and at least one row")
-    shared = {(len(y), p.n_trees, p.max_depth, p.min_samples_leaf) for y, p in zip(ys, params_list)}
-    if len(shared) > 1:
-        raise ValueError("problems must share rows, n_trees, max_depth and min_samples_leaf")
     problems = []
-    segments = []
+    segments = []  # per problem, its (problem, first tree, stop tree) blocks
+    groups = {}
     for X, y, params in zip(Xs, ys, params_list):
         n, d = X.shape
         rows = rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
@@ -451,18 +451,21 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         n_sub = max(1, int(round(params.feature_subsample * d)))
         problems.append(_Problem(X, y, params, n_sub, rows, binary))
         block = max(1, _BLOCK_CELLS // (n * max(d, 1)))
-        segments += [
-            (len(problems) - 1, t, min(t + block, params.n_trees))
-            for t in range(0, params.n_trees, block)
-        ]
+        segments.append(
+            [
+                (len(problems) - 1, t, min(t + block, params.n_trees))
+                for t in range(0, params.n_trees, block)
+            ]
+        )
+        key = (binary, n, params.max_depth, params.min_samples_leaf)
+        groups.setdefault(key, []).extend(segments[-1])
     grown = {}
-    for binary in (True, False):
-        path = [s for s in segments if problems[s[0]].binary is binary]
-        for batch in _passes(problems, path):
+    for (binary, *_), group in groups.items():
+        for batch in _passes(problems, group):
             grown.update(zip(batch, _grow(problems, batch, binary)))
     forests = []
-    for p, problem in enumerate(problems):
-        counts, tables = zip(*(grown[s] for s in segments if s[0] == p))
+    for problem, blocks in zip(problems, segments):
+        counts, tables = zip(*(grown[s] for s in blocks))
         forests.append(
             FittedForest(
                 problem.params,

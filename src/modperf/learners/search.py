@@ -3,10 +3,12 @@
 Every model search in the package runs over the same split: `fold_indices`
 gives the held-out index arrays, each candidate's loss is its mean held-out
 loss over them, and the search keeps the first candidate with the lowest
-loss (`np.argmin`). `cross_validate` scores one candidate of the knowledge
-models; the stage-1 lasso scores all alphas of a degree at once with
-`lasso.cross_validate_l1_many`, over `lasso.alpha_grid`, on `fold_indices`
-drawn over systems (`stats.system_folds`).
+loss (`np.argmin`). `cross_validate_many` scores every candidate of a
+knowledge-model search from one call that fits all of them on all folds;
+`cross_validate` is its one-candidate call. The stage-1 lasso scores all
+alphas of a degree at once with `lasso.cross_validate_l1_many`, over
+`lasso.alpha_grid`, on `fold_indices` drawn over systems
+(`stats.system_folds`).
 """
 
 from __future__ import annotations
@@ -52,19 +54,35 @@ def fold_indices(n: int, spec: CVSpec) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(order, spec.folds)]
 
 
-def cross_validate(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> float:
-    """Mean held-out loss over the folds, index arrays from `fold_indices`.
+def cross_validate_many(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> list[float]:
+    """Each candidate's mean held-out loss over the folds, index arrays from
+    `fold_indices`.
 
-    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number `fold`
-    and must return an object with `.predict`, which is scored on the fold.
+    `fit_fn(train_sets)` gets one (X_train, y_train) pair per fold, the rows
+    outside it, and returns one list per candidate holding one object with
+    `.predict` per fold, which is scored on that fold. So one call fits every
+    candidate on every fold.
     """
-    losses = []
-    for f, held_out in enumerate(folds):
+    train_sets = []
+    for held_out in folds:
         train = np.ones(len(y), dtype=bool)
         train[held_out] = False
-        model = fit_fn(X[train], y[train], f)
-        losses.append(loss(y[held_out], model.predict(X[held_out])))
-    return float(np.mean(losses))
+        train_sets.append((X[train], y[train]))
+    return [
+        float(np.mean([loss(y[h], model.predict(X[h])) for model, h in zip(models, folds)]))
+        for models in fit_fn(train_sets)
+    ]
+
+
+def cross_validate(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> float:
+    """Mean held-out loss over the folds of one candidate, whose
+    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number `fold`:
+    the one-candidate call of `cross_validate_many`."""
+
+    def fit_folds(train_sets):
+        return [[fit_fn(X_train, y_train, f) for f, (X_train, y_train) in enumerate(train_sets)]]
+
+    return cross_validate_many(fit_folds, X, y, folds, loss)[0]
 
 
 def _grid_size(space: dict) -> int | None:

@@ -27,8 +27,8 @@ from .influence_graph import (
     CausalInfluenceGraph,
     NodeId,
     NodeKind,
-    graph_from_json,
-    graph_to_json,
+    graph_doc,
+    graph_from_doc,
 )
 from .seeds import rng_for
 
@@ -213,7 +213,7 @@ def semantics_to_json(semantics: SystemSemantics) -> str:
             "pairs": {f"{code[p]}|{code[q]}": w for (p, q), w in f.pair_terms.items()},
         }
     doc = {
-        "graph": json.loads(graph_to_json(semantics.graph)),
+        "graph": graph_doc(semantics.graph),
         "iv_formulas": iv_formulas,
         "perf_formulas": {
             perf.encode(): {iv.encode(): w for iv, w in weights.items()}
@@ -227,7 +227,7 @@ def semantics_to_json(semantics: SystemSemantics) -> str:
 
 def semantics_from_json(text: str) -> SystemSemantics:
     doc = json.loads(text)
-    graph = graph_from_json(json.dumps(doc["graph"]))
+    graph = graph_from_doc(doc["graph"])
     iv_formulas = {}
     for iv_key, f in doc["iv_formulas"].items():
         linear = {NodeId.decode(k): w for k, w in f["linear"].items()}

@@ -210,6 +210,38 @@ def test_generate_tree_bytes_unchanged(tmp_path):
     assert tree_hash(tmp_path) == GENERATE_TREE_SHA
 
 
+# sha256 of the curves/ and fairness/ trees below, as written when each
+# (candidate, fold) fit of a search grew its forests in calls of its own.
+# Growing every forest of a search in one call must keep every byte.
+MODEL_TREE_SHA = "244ab78d53dbac40de946c2f338167fb637e0ff93d57d785f3abc5bc625a9fd9"
+
+
+def test_model_tree_bytes_unchanged(tmp_path):
+    """All five levels, two candidates that differ in every forest setting,
+    an odd training size (folds of 11 and 10 rows) and within-module edge
+    probability at most 0.2, so that some IVs fall back to their mean."""
+    config = ExperimentConfig(
+        global_seed=3112,
+        n_systems=2,
+        trials=1,
+        train_sizes=(21, 50),
+        n_train=50,
+        n_test=30,
+        budget_evaluations=2,
+        cv_folds=2,
+        aspect_ranges=AspectRanges(option_count=(4, 5), module_count=(3, 3), p_w=(0.0, 0.2)),
+        out_dir=str(tmp_path),
+    )
+    run_generate(config)
+    assert all("error" not in doc for doc in run_model(config))
+    digest = hashlib.sha256()
+    for path in sorted([*(tmp_path / "curves").rglob("*"), *(tmp_path / "fairness").rglob("*")]):
+        if path.is_file():
+            digest.update(str(path.relative_to(tmp_path)).encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == MODEL_TREE_SHA
+
+
 # Hand-made analyze inputs: a manifest and curve files, no model stage.
 CURVE_SIZES = (20, 50, 100)
 

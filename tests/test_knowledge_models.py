@@ -17,15 +17,27 @@ from modperf.influence_graph import (
 from modperf import knowledge_models
 from modperf.knowledge_models import (
     LEVEL_PARENTS,
+    IVModel,
     MeanModel,
+    ModularPredictor,
     SystemShape,
     design,
     efficacy_curves,
     make_factory,
     prune_parents,
 )
-from modperf.learners import CVSpec, SearchBudget, enumerate_candidates
+from modperf.learners import (
+    CVSpec,
+    ForestParams,
+    SearchBudget,
+    enumerate_candidates,
+    fit_forest,
+    fit_forests,
+    fold_indices,
+    mse,
+)
 from modperf.metrics import acc
+from modperf.seeds import derive
 from modperf.semantics import PolynomialFunction, SystemSemantics
 
 BUDGET = SearchBudget(evaluations=2, seed=7)
@@ -408,7 +420,9 @@ def test_search_picks_lowest_mean_cv_loss(monkeypatch):
             return np.full(len(X), float(self.depth))
 
     monkeypatch.setattr(
-        knowledge_models, "fit_forest", lambda X, y, params: DepthModel(params.max_depth)
+        knowledge_models,
+        "fit_forests",
+        lambda Xs, ys, params_list: [DepthModel(p.max_depth) for p in params_list],
     )
     _, _, dataset = _system()
     records = [
@@ -426,10 +440,11 @@ def test_search_picks_lowest_mean_cv_loss(monkeypatch):
 def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
     """With a forest stand-in that predicts its training mean, the reported
     CV loss must be the fold mean of held-out MSEs over the shared folds."""
-    from modperf.learners import fold_indices, mse
 
     monkeypatch.setattr(
-        knowledge_models, "fit_forest", lambda X, y, params: MeanModel(np.mean(y))
+        knowledge_models,
+        "fit_forests",
+        lambda Xs, ys, params_list: [MeanModel(np.mean(y)) for y in ys],
     )
     _, _, dataset = _system()
     records = dataset.train[:50]
@@ -440,3 +455,125 @@ def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
         expected.append(mse(perf[held_out], np.full(len(held_out), perf[train].mean())))
     meta = _fit("ideal", records, SystemShape.from_dataset(dataset)).search_meta
     assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)
+
+
+def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
+    """One level's model for one candidate on design rows Z, as the search
+    fitted it before it batched its forests: the IV forests in one
+    `fit_forests` call, the perf forest in its own `fit_forest` call."""
+
+    def params(forest_seed):
+        return ForestParams(
+            n_trees=int(candidate["n_trees"]),
+            max_depth=int(candidate["max_depth"]),
+            min_samples_leaf=int(candidate["min_samples_leaf"]),
+            feature_subsample=float(candidate["feature_subsample"]),
+            bootstrap_seed=forest_seed,
+        )
+
+    fitted = [iv for iv in order if parents_by_iv[iv]]
+    forests = fit_forests(
+        [shape.gather(Z, parents_by_iv[iv]) for iv in fitted],
+        [Z[:, shape.column(iv)] for iv in fitted],
+        [params(derive(seed, level, iv.encode(), *tag)) for iv in fitted],
+    )
+    forest_of = dict(zip(fitted, forests))
+    iv_models = {
+        iv: IVModel(iv, parents_by_iv[iv], forest_of[iv])
+        if iv in forest_of
+        else IVModel(iv, (), MeanModel(Z[:, shape.column(iv)].mean()), fallback=True)
+        for iv in order
+    }
+    perf_inputs = shape.options if level == "null" else shape.ivs
+    perf_tag = tag if parents_by_iv is None else ("perf", *tag)
+    perf_model = fit_forest(
+        shape.gather(Z, perf_inputs), perf, params(derive(seed, level, *perf_tag))
+    )
+    return ModularPredictor(level, shape, perf_model, perf_inputs, iv_models, order)
+
+
+def _reference_cross_validate(fit_fn, X, y, folds):
+    losses = []
+    for f, held_out in enumerate(folds):
+        train = np.ones(len(y), dtype=bool)
+        train[held_out] = False
+        model = fit_fn(X[train], y[train], f)
+        losses.append(mse(y[held_out], model.predict(X[held_out])))
+    return float(np.mean(losses))
+
+
+def _reference_search(level, shape, artifacts, budget, space, seed, records):
+    """Every candidate's CV loss and the refitted model, one fit per
+    (candidate, fold) as the search ran before it batched its forests."""
+    Z, perf = design(records)
+    find_parents = LEVEL_PARENTS[level]
+    parents = find_parents and find_parents(artifacts, shape, Z, knowledge_models.DEFAULT_ALPHA_CI)
+    order = () if parents is None else tuple(sorted(parents))
+    candidates = enumerate_candidates(space, budget)
+    folds = fold_indices(len(records), CV)
+    losses = [
+        _reference_cross_validate(
+            lambda X, y, f: _reference_fit_level(
+                level, shape, parents, order, seed, X, y, c, ("cv", i, f)
+            ),
+            Z,
+            perf,
+            folds,
+        )
+        for i, c in enumerate(candidates)
+    ]
+    best = int(np.argmin(losses))
+    model = _reference_fit_level(
+        level, shape, parents, order, seed, Z, perf, candidates[best], ("final",)
+    )
+    return losses, model
+
+
+@pytest.mark.parametrize("level", knowledge_models.LEVELS)
+def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
+    """The batched search gives the per-(candidate, fold) reference's CV
+    losses and final predictions exactly, from one `fit_forests` call for
+    every CV fit and one for the refit. The candidates differ in every forest
+    setting, 61 records give folds of 31 and 30 rows, and the pruned levels
+    leave IVs without parents. Noise on the IVs the system holds constant
+    makes those fallbacks' means differ between the folds and the refit."""
+    _, artifacts, dataset = _system(p_w=0.2)
+    shape = SystemShape.from_dataset(dataset)
+    ivs = np.array([r.iv_values for r in dataset.train[:61]])
+    noise = np.random.default_rng(1).normal(size=ivs.shape) * (np.ptp(ivs, axis=0) == 0)
+    records = [
+        MeasurementRecord(r.config, r.iv_values + e, r.perf_values)
+        for r, e in zip(dataset.train[:61], noise)
+    ]
+    space = {
+        "n_trees": [3, 6],
+        "max_depth": [3, 6],
+        "min_samples_leaf": [1, 3],
+        "feature_subsample": [1.0, 0.5],
+    }
+    budget = SearchBudget(evaluations=3, seed=0)
+    candidates = enumerate_candidates(space, budget)
+    assert all(len({c[k] for c in candidates}) == 2 for k in space)
+    want_losses, want = _reference_search(level, shape, artifacts, budget, space, 5, records)
+
+    calls, losses = [], []
+    real_fit, real_cv = knowledge_models.fit_forests, knowledge_models.cross_validate_many
+    monkeypatch.setattr(
+        knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
+    )
+    monkeypatch.setattr(
+        knowledge_models,
+        "cross_validate_many",
+        lambda *args: losses.append(real_cv(*args)) or losses[-1],
+    )
+    got = make_factory(level, shape, artifacts, budget, CV, space=space, seed=5)(records)
+
+    assert losses == [want_losses]
+    assert got.search_meta["cv_loss"] == min(want_losses)
+    assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * calls[1]
+    Z_test = design(dataset.test)[0]
+    assert np.array_equal(got.predict(Z_test), want.predict(Z_test))
+    if level in ("practical", "complete"):
+        fallbacks = [iv for iv, m in got.iv_models.items() if m.fallback]
+        assert 0 < len(fallbacks) < len(shape.ivs)
+        assert any(np.ptp(noise[:, shape.ivs.index(iv)]) > 0 for iv in fallbacks)

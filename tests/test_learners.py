@@ -269,16 +269,32 @@ def test_fit_forests_equals_separate_fits(monkeypatch, blocks):
             assert np.array_equal(got.predict(X), alone.predict(X))
 
 
-def test_fit_forests_checks_shared_settings():
+def test_fit_forests_mixes_problem_shapes(monkeypatch):
+    """One call holds problems of any row count, n_trees, max_depth,
+    min_samples_leaf and split path; each forest equals its separate fit,
+    whether a shape's problems share a pass or not."""
     rng = _rng(19)
     X, y = rng.random((20, 3)), rng.normal(size=20)
     assert fit_forests([], [], []) == []
     with pytest.raises(ValueError):
-        fit_forests([X, X[:10]], [y, y[:10]], [ForestParams(3, 2)] * 2)
-    with pytest.raises(ValueError):
-        fit_forests([X, X], [y, y], [ForestParams(3, 2), ForestParams(4, 2)])
-    with pytest.raises(ValueError):
         fit_forests([X], [y, y], [ForestParams(3, 2)])
+    shapes = [(n, t, d, m) for n in (15, 16, 41) for t in (3, 7) for d in (2, 6) for m in (1, 3)]
+    Xs, ys, params = [], [], []
+    for j, (n, n_trees, depth, leaf) in enumerate(shapes):
+        # binary, integer-valued and mixed designs, so both split paths run
+        X = rng.integers(0, 2 if j % 3 == 0 else 4, size=(n, 1 + j % 7)).astype(float)
+        if j % 3 == 2:
+            X[:, 0] = X[:, 0] > 1
+        Xs.append(X)
+        ys.append(rng.normal(size=n))
+        params.append(ForestParams(n_trees, depth, leaf, (1.0, 0.5)[j % 2], bootstrap_seed=j))
+    alone = [fit_forest(X, y, p) for X, y, p in zip(Xs, ys, params)]
+    for batch_cells in (forest._BATCH_CELLS, 3 * 41 * 7):
+        monkeypatch.setattr(forest, "_BATCH_CELLS", batch_cells)
+        for got, want, X, p in zip(fit_forests(Xs, ys, params), alone, Xs, params):
+            assert got.n_features == X.shape[1] and got.params == p
+            for name in FOREST_TABLE:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_forest_trees_are_views_of_one_node_table():
