@@ -14,7 +14,9 @@ The trees:
 - `stage1`: 12 systems, so the stage-1 lasso runs (5 alphas);
 - `no-stage1`: 6 systems, fewer than the 10 stage 1 needs, so it is skipped;
 - `fallback`: 5 systems with within-module edge probability 0-0.2, so some
-  IVs are left without parents and fall back to a constant model.
+  IVs are left without parents and fall back to a constant model;
+- `trials3`: 4 systems of 3 trials each, so every trial's semantics and
+  noise draws are hashed and stage 1 folds over systems, not units;
 each for both hardness modes. Takes a few minutes on one core.
 """
 
@@ -49,6 +51,7 @@ TREES = {
     "stage1": dict(n_systems=12, aspect_ranges=AspectRanges(**SMALL)),
     "no-stage1": dict(n_systems=6, aspect_ranges=AspectRanges(**SMALL)),
     "fallback": dict(n_systems=5, aspect_ranges=AspectRanges(**SMALL, p_w=(0.0, 0.2))),
+    "trials3": dict(n_systems=4, trials=3, aspect_ranges=AspectRanges(**SMALL)),
 }
 
 
@@ -68,7 +71,7 @@ def main() -> int:
             for mode in ("fixed", "empirical"):
                 out = Path(tmp) / f"{name}-{mode}"
                 config = ExperimentConfig(
-                    **BASE, **overrides, hardness_mode=mode, out_dir=str(out)
+                    **(BASE | overrides), hardness_mode=mode, out_dir=str(out)
                 )
                 run_generate(config)
                 run_model(config)

@@ -3,8 +3,9 @@
 Configurations are drawn uniformly without replacement (duplicates are
 re-drawn) so train and test never overlap; the train list is already in
 seeded-random order, which makes nested training prefixes well defined.
-Record k's noise seed is `derive(seed, "noise", k)`, computed for all
-records at once with `derive_array`.
+The measurement noise of all records comes from one generator seeded with
+`derive(seed, "noise")`, which draws a (records x values) block in record
+order (`Evaluator.apply_noise`).
 
 The CSV format is defined cell by cell: a header of column names, then per
 record its option bits as "0"/"1" and its IV and perf values as
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import derive, derive_array
+from .seeds import derive
 from .semantics import SystemSemantics, Evaluator
 
 DEFAULT_TRAIN_SIZES = (20, 50, 100, 200, 500, 1000)
@@ -83,11 +84,8 @@ def sample_dataset(
     train_sizes: tuple[int, ...] | None = None,
     system_id: str = "system",
 ) -> SystemDataset:
-    """Draw n_train + n_test distinct configurations and measure them.
-
-    Each record gets its own derived noise seed, so records are reproducible
-    individually as well as in bulk.
-    """
+    """Draw n_train + n_test distinct configurations and measure them, with
+    the noise of every record drawn from one generator (module docstring)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be >= 1")
     evaluator = Evaluator(semantics)
@@ -96,8 +94,7 @@ def sample_dataset(
     bits = _draw_distinct_configs(rng, len(evaluator.options), total)
 
     iv_values, perf_values = evaluator.noiseless(bits.astype(float))
-    noise_seeds = derive_array(derive(seed, "noise"), np.arange(total)).tolist()
-    iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, noise_seeds)
+    iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, derive(seed, "noise"))
 
     records = [
         MeasurementRecord(config=bits[k], iv_values=iv_values[k], perf_values=perf_values[k])

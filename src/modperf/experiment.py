@@ -48,6 +48,7 @@ from .influence_graph import (
     sample_aspects,
     scale_aspects,
 )
+from .jsonio import compact_json
 from .knowledge_models import LEVELS as ALL_LEVELS
 from .knowledge_models import SystemShape, efficacy_curves, make_factory
 from .learners import CVSpec, SearchBudget, alpha_grid, enumerate_candidates, forest_search_space, mse
@@ -148,10 +149,6 @@ class ExperimentConfig:
         kwargs.update(runtime)
         return ExperimentConfig(**kwargs)
 
-    @staticmethod
-    def from_file(path: Path, **runtime) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()), **runtime)
-
     def system_seed(self, s: int) -> int:
         return derive(self.global_seed, "system", s)
 
@@ -178,8 +175,12 @@ def _write(path: Path, text: str):
         raise
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+def _dump(doc, compact: bool = False) -> str:
+    """`indent=2` JSON for the documents people read; `compact_json` for the
+    bulk ones: knowledge, curves, hardness, opportunities and stage 1. Every
+    stage document is encoded here, so perfbench's `experiment.write` span
+    covers them all."""
+    return compact_json(doc) if compact else json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------- generate
@@ -215,7 +216,8 @@ def _generate_one(config: ExperimentConfig, s: int) -> dict:
                     f"{a.encode()}->{b.encode()}"
                     for a, b in artifacts.potential_influence_edges
                 ),
-            }
+            },
+            compact=True,
         ),
     )
 
@@ -279,13 +281,18 @@ def _prefix_sha(records) -> str:
     return digest.hexdigest()[:16]
 
 
-def _curve_paths(config: ExperimentConfig, s: int, t: int) -> dict[tuple[str, str], Path]:
-    unit_dir = Path(config.out_dir) / "curves" / config.unit_id(s, t)
+def _curve_names(config: ExperimentConfig) -> dict[tuple[str, str], str]:
+    """The file name of each (level, metric) curve in a unit's curve directory."""
     return {
-        (level, metric): unit_dir / f"{level}_{metric}.json"
+        (level, metric): f"{level}_{metric}.json"
         for level in config.levels
         for metric in config.metrics
     }
+
+
+def _curve_paths(config: ExperimentConfig, s: int, t: int) -> dict[tuple[str, str], Path]:
+    unit_dir = Path(config.out_dir) / "curves" / config.unit_id(s, t)
+    return {key: unit_dir / name for key, name in _curve_names(config).items()}
 
 
 def _parses(path: Path) -> bool:
@@ -348,7 +355,7 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                 },
                 "budget": config.budget_evaluations,
             }
-            _write(paths[(level, metric)], _dump(doc))
+            _write(paths[(level, metric)], _dump(doc, compact=True))
 
     fairness = {
         "budget": config.budget_evaluations,
@@ -406,15 +413,18 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One entry per (system, trial) with at least one curve file, holding
     its parsed curve docs by (level, metric); every unit missing one or more
     curve files is listed as a gap, and a unit missing all is left out of
-    the entries."""
+    the entries. File names are joined as strings, once per unit."""
+    names = _curve_names(config)
+    curves = os.path.join(config.out_dir, "curves")
     units, missing = [], []
     for s in range(config.n_systems):
         for t in range(config.trials):
-            paths = _curve_paths(config, s, t)
+            unit_dir = os.path.join(curves, config.unit_id(s, t), "")
             loaded = {}
-            for key, path in paths.items():
+            for key, name in names.items():
                 try:
-                    loaded[key] = json.loads(path.read_text())
+                    with open(unit_dir + name) as f:
+                        loaded[key] = json.loads(f.read())
                 except FileNotFoundError:
                     continue
             if loaded:
@@ -426,7 +436,7 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
                         "curves": loaded,
                     }
                 )
-            if len(loaded) < len(paths):
+            if len(loaded) < len(names):
                 missing.append(config.unit_id(s, t))
     return units, missing
 
@@ -551,8 +561,8 @@ def run_analyze(config: ExperimentConfig) -> dict:
     for metric in config.metrics:
         rows[metric] = _metric_rows(config, units, metric, scaled, gaps)
         hardness_rows, opportunity_rows, _ = rows[metric]
-        _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows))
-        _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows))
+        _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows, compact=True))
+        _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows, compact=True))
 
     opportunity_records = {
         metric: [(r["unit"], r["level"], r["value"]) for r in rows[metric][1]]
@@ -637,7 +647,7 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 "hardness_by_unit": {k: {"value": v, "level": lv} for k, (v, lv) in by_unit.items()},
             }
 
-        _write(analysis / f"stage1_{metric}.json", _dump(stage1_doc))
+        _write(analysis / f"stage1_{metric}.json", _dump(stage1_doc, compact=True))
         _write(analysis / f"matrix_{metric}.json", reporting.matrix_to_json(matrix))
         _write(analysis / f"matrix_{metric}.csv", reporting.matrix_to_csv(matrix))
         _write(analysis / f"opportunity_samples_{metric}.csv", reporting.samples_to_csv(matrix))

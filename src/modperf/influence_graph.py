@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import compact_json
 from .seeds import rng_for
 
 TRUNC_LO, TRUNC_HI = 0.01, 0.4
@@ -365,7 +366,7 @@ def graph_doc(graph: CausalInfluenceGraph) -> dict:
 
 def graph_to_json(graph: CausalInfluenceGraph) -> str:
     """Stable serialization; identical graphs re-serialize byte-identically."""
-    return json.dumps(graph_doc(graph), sort_keys=True, indent=2)
+    return compact_json(graph_doc(graph))
 
 
 def graph_from_json(text: str) -> CausalInfluenceGraph:

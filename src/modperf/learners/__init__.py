@@ -6,7 +6,6 @@ from .lasso import (
     FittedL1,
     L1Params,
     alpha_grid,
-    cross_validate_l1,
     cross_validate_l1_many,
     fit_l1,
     soft_threshold,
@@ -15,7 +14,6 @@ from .polynomial import PolynomialExpansion
 from .search import (
     CVSpec,
     SearchBudget,
-    cross_validate,
     cross_validate_many,
     enumerate_candidates,
     fold_indices,
@@ -31,8 +29,6 @@ __all__ = [
     "PolynomialExpansion",
     "SearchBudget",
     "alpha_grid",
-    "cross_validate",
-    "cross_validate_l1",
     "cross_validate_l1_many",
     "cross_validate_many",
     "enumerate_candidates",

@@ -23,7 +23,7 @@ A problem that stops leaves the batch, so it stops at the sweep it would stop
 at alone, and its result does not depend on the other problems in the batch,
 bit for bit. `fit_l1` is the single-problem call; `cross_validate_l1_many`
 solves every (task, fold, alpha) problem of one polynomial degree in one
-call, and `cross_validate_l1` is its one-task call.
+call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polynomial import PolynomialExpansion
-from .search import CVSpec, fold_indices
 
 
 @dataclass(frozen=True)
@@ -258,9 +257,9 @@ def fit_l1(X, y, params: L1Params, feature_names: list[str] | None = None) -> Fi
 def cross_validate_l1_many(tasks, degree: int, alphas) -> list[np.ndarray]:
     """Mean held-out MSE per alpha of each (X, y, folds) task, for
     `L1Params` defaults at `degree`; folds are held-out index arrays, as
-    from `fold_indices`. Entry i of a task's losses equals `cross_validate`
-    of `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` on its folds,
-    up to rounding.
+    from `fold_indices`. Entry i of a task's losses equals the mean held-out
+    MSE of `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` over its
+    folds, up to rounding.
 
     Each fold's expansion and scaling are fitted on its training rows, as
     `fit_l1` does, and every (task, fold, alpha) problem is solved in one
@@ -298,13 +297,6 @@ def cross_validate_l1_many(tasks, degree: int, alphas) -> list[np.ndarray]:
         predicted = Z @ coefs[f, :, : Z.shape[1]].T + intercepts[f]
         losses[f] = np.mean((y_held[:, None] - predicted) ** 2, axis=0)
     return [losses[lo:hi].mean(axis=0) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
-    """Mean held-out MSE per alpha over the `fold_indices` folds of `spec`:
-    the one-task call of `cross_validate_l1_many`."""
-    X, y = _check_inputs(X, y)
-    return cross_validate_l1_many([(X, y, fold_indices(len(y), spec))], degree, alphas)[0]
 
 
 def alpha_grid(steps: int = 500) -> np.ndarray:

@@ -4,11 +4,10 @@ Every model search in the package runs over the same split: `fold_indices`
 gives the held-out index arrays, each candidate's loss is its mean held-out
 loss over them, and the search keeps the first candidate with the lowest
 loss (`np.argmin`). `cross_validate_many` scores every candidate of a
-knowledge-model search from one call that fits all of them on all folds;
-`cross_validate` is its one-candidate call. The stage-1 lasso scores all
-alphas of a degree at once with `lasso.cross_validate_l1_many`, over
-`lasso.alpha_grid`, on `fold_indices` drawn over systems
-(`stats.system_folds`).
+knowledge-model search from one call that fits all of them on all folds.
+The stage-1 lasso scores all alphas of a degree at once with
+`lasso.cross_validate_l1_many`, over `lasso.alpha_grid`, on `fold_indices`
+drawn over systems (`stats.system_folds`).
 """
 
 from __future__ import annotations
@@ -72,17 +71,6 @@ def cross_validate_many(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> list
         float(np.mean([loss(y[h], model.predict(X[h])) for model, h in zip(models, folds)]))
         for models in fit_fn(train_sets)
     ]
-
-
-def cross_validate(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> float:
-    """Mean held-out loss over the folds of one candidate, whose
-    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number `fold`:
-    the one-candidate call of `cross_validate_many`."""
-
-    def fit_folds(train_sets):
-        return [[fit_fn(X_train, y_train, f) for f, (X_train, y_train) in enumerate(train_sets)]]
-
-    return cross_validate_many(fit_folds, X, y, folds, loss)[0]
 
 
 def _grid_size(space: dict) -> int | None:

@@ -5,7 +5,10 @@ Each intermediate variable gets a random polynomial over its graph parents
 [0, 1]); each performance variable gets a random linear form over all IVs.
 Evaluation walks the IVs in canonical order, which is topological because
 every graph edge runs forward in it, and optionally perturbs performance
-values by a bounded relative measurement noise.
+values (and, with `NoiseTargets.ALL`, IV values) by a bounded relative
+measurement noise. One noise seed seeds one generator for a whole batch of
+records: `sample_dataset` passes `derive(seed, "noise")` once per dataset,
+and `evaluate(..., noise_seed=s)` uses `s` for its one record.
 
 Option parents enter polynomials as raw 0/1 bits. Parents that are
 themselves IVs enter through log1p: without damping, second-order terms
@@ -30,6 +33,7 @@ from .influence_graph import (
     graph_doc,
     graph_from_doc,
 )
+from .jsonio import compact_json
 from .seeds import rng_for
 
 DEFAULT_NOISE_FRACTION = 0.05
@@ -40,12 +44,28 @@ class NoiseTargets(str, enum.Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialFunction:
-    """Linear weights per parent plus one weight per unordered parent pair."""
+    """Weights over an IV's parents, which are in canonical (sorted) NodeId
+    order: one linear weight per parent, then one weight per unordered
+    parent pair (i, j), i < j, in `itertools.combinations(range(k), 2)`
+    order."""
 
-    linear_terms: dict[NodeId, float]
-    pair_terms: dict[tuple[NodeId, NodeId], float]
+    parents: tuple[NodeId, ...]
+    linear: np.ndarray
+    pairs: np.ndarray
+
+    def __post_init__(self):
+        k = len(self.parents)
+        object.__setattr__(self, "linear", np.array(self.linear, dtype=float))
+        object.__setattr__(self, "pairs", np.array(self.pairs, dtype=float))
+        if self.linear.shape != (k,) or self.pairs.shape != (k * (k - 1) // 2,):
+            raise ValueError(
+                f"{k} parents need {k} linear and {k * (k - 1) // 2} pair weights, got "
+                f"{self.linear.shape} and {self.pairs.shape}"
+            )
+        if list(self.parents) != sorted(self.parents):
+            raise ValueError("polynomial parents must be in canonical NodeId order")
 
 
 @dataclass(frozen=True)
@@ -74,27 +94,28 @@ def synthesize_semantics(
     """Attach uniform-random weights to every IV polynomial and perf form.
 
     Weights are drawn in canonical node order so the result is a pure
-    function of (graph, seed): one draw per IV, its linear weights in
-    parent order and then its pair weights in `itertools.combinations`
-    order, then one draw per perf form. These are the same numbers that one
-    scalar `uniform` call per weight gives.
+    function of (graph, seed): per IV its linear weights in parent order and
+    then its pair weights in `itertools.combinations` order, then per perf
+    form one weight per IV. All come from one `uniform` call, sliced in that
+    order; they are the same numbers that one scalar call per weight gives.
     """
-    rng = rng_for(seed, "semantics")
     parent_map = graph.parent_map()
-    iv_formulas: dict[NodeId, PolynomialFunction] = {}
-    for iv in graph.iv_nodes():
-        parents = parent_map[iv]
-        pairs = list(itertools.combinations(parents, 2))
-        weights = rng.uniform(0.0, 1.0, size=len(parents) + len(pairs)).tolist()
-        iv_formulas[iv] = PolynomialFunction(
-            linear_terms=dict(zip(parents, weights)),
-            pair_terms=dict(zip(pairs, weights[len(parents) :])),
-        )
     ivs = graph.iv_nodes()
-    perf_formulas = {
-        perf: dict(zip(ivs, rng.uniform(0.0, 1.0, size=len(ivs)).tolist()))
-        for perf in graph.perf_nodes()
-    }
+    perfs = graph.perf_nodes()
+    counts = [len(parent_map[iv]) for iv in ivs]
+    sizes = [k + k * (k - 1) // 2 for k in counts]
+    weights = rng_for(seed, "semantics").uniform(
+        0.0, 1.0, size=sum(sizes) + len(perfs) * len(ivs)
+    )
+    iv_formulas: dict[NodeId, PolynomialFunction] = {}
+    start = 0
+    for iv, k, size in zip(ivs, counts, sizes):
+        iv_formulas[iv] = PolynomialFunction(
+            tuple(parent_map[iv]), weights[start : start + k], weights[start + k : start + size]
+        )
+        start += size
+    perf_weights = weights[start:].reshape(len(perfs), len(ivs)).tolist()
+    perf_formulas = {perf: dict(zip(ivs, row)) for perf, row in zip(perfs, perf_weights)}
     return SystemSemantics(
         graph=graph,
         iv_formulas=iv_formulas,
@@ -120,17 +141,14 @@ class Evaluator:
         self.iv_steps = []
         for iv in self.ivs:
             formula = semantics.iv_formulas[iv]
-            parents = sorted(formula.linear_terms)
+            parents = formula.parents
             parent_cols = np.array([col[p] for p in parents], dtype=int)
             iv_parent_mask = np.array(
                 [p.kind is NodeKind.INTERMEDIATE for p in parents], dtype=bool
             )
-            w_lin = np.array([formula.linear_terms[p] for p in parents])
             w_pair = np.zeros((len(parents), len(parents)))
-            pos = {p: i for i, p in enumerate(parents)}
-            for (p, q), w in formula.pair_terms.items():
-                w_pair[pos[p], pos[q]] = w
-            self.iv_steps.append((col[iv], parent_cols, iv_parent_mask, w_lin, w_pair))
+            w_pair[np.triu_indices(len(parents), 1)] = formula.pairs
+            self.iv_steps.append((col[iv], parent_cols, iv_parent_mask, formula.linear, w_pair))
         iv_cols = np.array([col[iv] for iv in self.ivs], dtype=int)
         self.iv_cols = iv_cols
         self.perf_weights = np.array(
@@ -155,22 +173,23 @@ class Evaluator:
         return iv_values, perf_values
 
     def apply_noise(
-        self, iv_values: np.ndarray, perf_values: np.ndarray, noise_seeds: list[int]
+        self, iv_values: np.ndarray, perf_values: np.ndarray, noise_seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Each value v becomes v + u * fraction * |v| with u uniform in
+        [-1, 1], so |v' - v| <= fraction * |v|. One generator seeded with
+        `noise_seed` draws one u per (record, IV) first when the noise
+        targets all values, then one per (record, perf), row by row; for a
+        single record these are the draws of its own generator. A zero
+        fraction returns the inputs unchanged."""
         fraction = self.semantics.noise_fraction
         if fraction == 0.0:
             return iv_values, perf_values
-        iv_values = iv_values.copy()
-        perf_values = perf_values.copy()
-        noise_ivs = self.semantics.noise_targets is NoiseTargets.ALL
-        for row, noise_seed in enumerate(noise_seeds):
-            rng = np.random.default_rng(noise_seed)
-            if noise_ivs:
-                u = rng.uniform(-1.0, 1.0, size=iv_values.shape[1])
-                iv_values[row] += u * fraction * np.abs(iv_values[row])
-            u = rng.uniform(-1.0, 1.0, size=perf_values.shape[1])
-            perf_values[row] += u * fraction * np.abs(perf_values[row])
-        return iv_values, perf_values
+        rng = np.random.default_rng(noise_seed)
+        if self.semantics.noise_targets is NoiseTargets.ALL:
+            u = rng.uniform(-1.0, 1.0, size=iv_values.shape)
+            iv_values = iv_values + u * fraction * np.abs(iv_values)
+        u = rng.uniform(-1.0, 1.0, size=perf_values.shape)
+        return iv_values, perf_values + u * fraction * np.abs(perf_values)
 
 
 def evaluate(
@@ -194,7 +213,7 @@ def evaluate(
         raise ValueError("configuration bits must be 0 or 1")
     iv_values, perf_values = evaluator.noiseless(bits)
     if noise_seed is not None:
-        iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, [noise_seed])
+        iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, noise_seed)
     return (
         dict(zip(evaluator.ivs, iv_values[0].tolist())),
         dict(zip(evaluator.perfs, perf_values[0].tolist())),
@@ -204,13 +223,12 @@ def evaluate(
 def semantics_to_json(semantics: SystemSemantics) -> str:
     iv_formulas = {}
     for iv, f in semantics.iv_formulas.items():
-        # Keyed by the formula's own parent objects, which the pair keys of
-        # synthesized semantics reuse, so a lookup is an identity hit; each
-        # parent is encoded once per formula rather than once per pair.
-        code = {p: p.encode() for p in f.linear_terms}
+        codes = [p.encode() for p in f.parents]
         iv_formulas[iv.encode()] = {
-            "linear": {code[p]: w for p, w in f.linear_terms.items()},
-            "pairs": {f"{code[p]}|{code[q]}": w for (p, q), w in f.pair_terms.items()},
+            "linear": dict(zip(codes, f.linear.tolist())),
+            "pairs": dict(
+                zip([f"{a}|{b}" for a, b in itertools.combinations(codes, 2)], f.pairs.tolist())
+            ),
         }
     doc = {
         "graph": graph_doc(semantics.graph),
@@ -222,7 +240,7 @@ def semantics_to_json(semantics: SystemSemantics) -> str:
         "noise_fraction": semantics.noise_fraction,
         "noise_targets": semantics.noise_targets.value,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return compact_json(doc)
 
 
 def semantics_from_json(text: str) -> SystemSemantics:
@@ -230,12 +248,14 @@ def semantics_from_json(text: str) -> SystemSemantics:
     graph = graph_from_doc(doc["graph"])
     iv_formulas = {}
     for iv_key, f in doc["iv_formulas"].items():
-        linear = {NodeId.decode(k): w for k, w in f["linear"].items()}
-        pairs = {}
-        for pair_key, w in f["pairs"].items():
-            a, b = pair_key.split("|")
-            pairs[(NodeId.decode(a), NodeId.decode(b))] = w
-        iv_formulas[NodeId.decode(iv_key)] = PolynomialFunction(linear, pairs)
+        parents = sorted(NodeId.decode(k) for k in f["linear"])
+        codes = [p.encode() for p in parents]
+        pairs = [f["pairs"][f"{a}|{b}"] for a, b in itertools.combinations(codes, 2)]
+        if len(pairs) != len(f["pairs"]):
+            raise ValueError(f"{iv_key}: pair weights name pairs of non-parents")
+        iv_formulas[NodeId.decode(iv_key)] = PolynomialFunction(
+            tuple(parents), [f["linear"][c] for c in codes], pairs
+        )
     perf_formulas = {
         NodeId.decode(perf_key): {NodeId.decode(k): w for k, w in weights.items()}
         for perf_key, weights in doc["perf_formulas"].items()

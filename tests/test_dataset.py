@@ -12,7 +12,8 @@ from modperf.dataset import (
     training_prefix,
 )
 from modperf.influence_graph import StructuralAspects, generate_graph
-from modperf.semantics import synthesize_semantics
+from modperf.seeds import derive
+from modperf.semantics import Evaluator, NoiseTargets, synthesize_semantics
 
 
 def _semantics(option_count=6, module_count=2, seed=31):
@@ -80,9 +81,44 @@ def test_marginal_option_frequency_uniform():
 
 
 def test_per_record_noise_seeds_vary():
+    """Every record gets its own draws from the dataset's noise generator."""
     ds = sample_dataset(_semantics(), seed=13, n_train=30, n_test=10)
     perfs = [r.perf_values[0] for r in ds.train]
     assert len(set(perfs)) == len(perfs)
+
+
+@pytest.mark.parametrize("targets", list(NoiseTargets))
+def test_every_record_obeys_noise_bound(targets):
+    """|v' - v| <= f * |v| for every value of every record, against the
+    noiseless values of its configuration; IVs stay exact unless the noise
+    targets all values. The draws are one (records x values) block from one
+    generator seeded with derive(seed, "noise"), IVs first."""
+    semantics = synthesize_semantics(
+        generate_graph(
+            StructuralAspects(option_count=6, p_w=0.8, mu_a=0.2, sigma_a=0.1, module_count=3),
+            seed=61,
+        ),
+        seed=62,
+        noise_fraction=0.1,
+        noise_targets=targets,
+    )
+    ds = sample_dataset(semantics, seed=63, n_train=150, n_test=50)
+    records = ds.train + ds.test
+    bits = np.array([r.config for r in records], dtype=float)
+    clean_iv, clean_perf = Evaluator(semantics).noiseless(bits)
+    iv = np.array([r.iv_values for r in records])
+    perf = np.array([r.perf_values for r in records])
+    assert (np.abs(perf - clean_perf) <= 0.1 * np.abs(clean_perf)).all()
+    assert (np.abs(iv - clean_iv) <= 0.1 * np.abs(clean_iv)).all()
+    rng = np.random.default_rng(derive(63, "noise"))
+    if targets is NoiseTargets.ALL:
+        u = rng.uniform(-1.0, 1.0, size=iv.shape)
+        assert np.array_equal(iv, clean_iv + u * 0.1 * np.abs(clean_iv))
+        assert not np.array_equal(iv, clean_iv)
+    else:
+        assert np.array_equal(iv, clean_iv)
+    u = rng.uniform(-1.0, 1.0, size=perf.shape)
+    assert np.array_equal(perf, clean_perf + u * 0.1 * np.abs(clean_perf))
 
 
 def test_csv_header_shape():

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modperf import experiment
 from modperf.cli import main
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model, run_report
-from modperf.influence_graph import AspectRanges
+from modperf.influence_graph import AspectRanges, graph_doc
+from modperf.jsonio import compact_json
 
 TINY = dict(
     global_seed=424242,
@@ -189,10 +193,10 @@ def test_parallel_generation_matches_serial(tmp_path):
     assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
 
 
-# sha256 of the tree below, as written before the generate stage was
-# vectorised. The CSV and JSON writers must keep every byte; a change that
-# alters output on purpose updates this and says so.
-GENERATE_TREE_SHA = "9852db23eb1669a9de8c3af091521eca4c3ce53e6fe102fa44e3e601f7c4eb54"
+# sha256 of the tree below, as written with compact bulk JSON and one noise
+# generator per dataset. The CSV and JSON writers must keep every byte; a
+# change that alters output on purpose updates this and says so.
+GENERATE_TREE_SHA = "2704f22ec2614dcd772da323ad26b2ab8fed5c63a9f31694ada2288726c74248"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -210,10 +214,10 @@ def test_generate_tree_bytes_unchanged(tmp_path):
     assert tree_hash(tmp_path) == GENERATE_TREE_SHA
 
 
-# sha256 of the curves/ and fairness/ trees below, as written when each
-# (candidate, fold) fit of a search grew its forests in calls of its own.
-# Growing every forest of a search in one call must keep every byte.
-MODEL_TREE_SHA = "244ab78d53dbac40de946c2f338167fb637e0ff93d57d785f3abc5bc625a9fd9"
+# sha256 of the curves/ and fairness/ trees below, as written with compact
+# curve files and one noise generator per dataset. The forest engine and the
+# search must keep every byte.
+MODEL_TREE_SHA = "563e62ae37b19d5c1193f0c87a22d76d20a89272cdb99e60252ab51251c5e355"
 
 
 def test_model_tree_bytes_unchanged(tmp_path):
@@ -318,9 +322,10 @@ def _analyze_config(tmp_path, **overrides):
 
 
 # sha256 of the analysis trees of the hand-made inputs above, fixed mode
-# then empirical mode, as the per-curve analyze stage wrote them. The array
-# kernels and the joint stage-1 solve must keep every byte.
-ANALYZE_TREE_SHA = "660eac4cc5344e2e5bf3865fc89200c292f09c78444c158e64d729f9f25169d1"
+# then empirical mode, with compact hardness, opportunity and stage-1
+# documents. The array kernels and the joint stage-1 solve must keep every
+# byte.
+ANALYZE_TREE_SHA = "196679a3089a4eba9943dd95890b49579fe9273a0d76ca8a867b0eb2f0fe83a0"
 
 
 def test_analyze_tree_bytes_unchanged(tmp_path):
@@ -332,6 +337,78 @@ def test_analyze_tree_bytes_unchanged(tmp_path):
         run_report(config)
         digest.update(tree_hash(Path(config.out_dir) / "analysis").encode())
     assert digest.hexdigest() == ANALYZE_TREE_SHA
+
+
+def _indented_dump(doc, compact=False):
+    """The writers as they were before bulk documents went compact: every
+    document `indent=2`, whatever the caller asks for."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _indented_graph_to_json(graph):
+    return json.dumps(graph_doc(graph), sort_keys=True, indent=2)
+
+
+def _indented_semantics_to_json(semantics):
+    """The semantics writer as it was when weights were dicts keyed by parent
+    and by parent pair."""
+    iv_formulas = {}
+    for iv, f in semantics.iv_formulas.items():
+        linear_terms = dict(zip(f.parents, f.linear.tolist()))
+        pair_terms = dict(zip(itertools.combinations(f.parents, 2), f.pairs.tolist()))
+        iv_formulas[iv.encode()] = {
+            "linear": {p.encode(): w for p, w in linear_terms.items()},
+            "pairs": {f"{p.encode()}|{q.encode()}": w for (p, q), w in pair_terms.items()},
+        }
+    doc = {
+        "graph": graph_doc(semantics.graph),
+        "iv_formulas": iv_formulas,
+        "perf_formulas": {
+            perf.encode(): {iv.encode(): w for iv, w in weights.items()}
+            for perf, weights in semantics.perf_formulas.items()
+        },
+        "noise_fraction": semantics.noise_fraction,
+        "noise_targets": semantics.noise_targets.value,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _pipeline_trees(root):
+    """A generate + model tree and a hand-made analyze tree (stage 1 run for
+    acc, skipped for scc) under `root`."""
+    config = _tiny_config(root, n_systems=2, trials=2, levels=("null", "ideal"))
+    run_generate(config)
+    run_model(config)
+    analyze = _analyze_config(root / "analyze")
+    _write_analyze_inputs(analyze)
+    run_analyze(analyze)
+    return Path(config.out_dir), Path(analyze.out_dir) / "analysis"
+
+
+def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
+    """Every bulk document parses to the Python values that the indented
+    writers wrote, and is written compact; every other file keeps its bytes."""
+    new_trees = _pipeline_trees(tmp_path / "compact")
+    monkeypatch.setattr(experiment, "_dump", _indented_dump)
+    monkeypatch.setattr(experiment, "graph_to_json", _indented_graph_to_json)
+    monkeypatch.setattr(experiment, "semantics_to_json", _indented_semantics_to_json)
+    old_trees = _pipeline_trees(tmp_path / "indented")
+    bulk = re.compile(
+        r"(semantics|graph|knowledge|(null|ideal)_(acc|scc)|(hardness|opportunities|stage1)_(acc|scc))\.json"
+    )
+    kinds = set()
+    for new_root, old_root in zip(new_trees, old_trees):
+        new_files = sorted(p.relative_to(new_root) for p in new_root.rglob("*") if p.is_file())
+        assert new_files == sorted(p.relative_to(old_root) for p in old_root.rglob("*") if p.is_file())
+        for rel in new_files:
+            new, old = (new_root / rel).read_text(), (old_root / rel).read_text()
+            if bulk.fullmatch(rel.name):
+                kinds.add(bulk.fullmatch(rel.name).group(1).split("_")[0])
+                assert json.loads(new) == json.loads(old), rel
+                assert new == compact_json(json.loads(old)), rel
+            else:
+                assert new == old, rel
+    assert kinds == {"semantics", "graph", "knowledge", "null", "ideal", "hardness", "opportunities", "stage1"}
 
 
 def test_analyze_folds_keep_each_system_on_one_side(tmp_path, monkeypatch):

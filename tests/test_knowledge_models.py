@@ -74,8 +74,7 @@ def _single_option_effect_dataset(n_train=1000, n_test=500):
     graph = generate_graph(aspects, seed=3, iv_to_iv_p=0.0)
     iv = intermediate(0, 0)
     formula = PolynomialFunction(
-        linear_terms={option(0, j): (1.0 if j == 0 else 0.0) for j in range(12)},
-        pair_terms={},
+        tuple(option(0, j) for j in range(12)), [1.0] + [0.0] * 11, np.zeros(66)
     )
     semantics = SystemSemantics(
         graph, {iv: formula}, {performance(0): {iv: 3.0}}, noise_fraction=0.0

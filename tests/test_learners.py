@@ -11,9 +11,8 @@ from modperf.learners import (
     L1Params,
     PolynomialExpansion,
     SearchBudget,
-    cross_validate,
-    cross_validate_l1,
     cross_validate_l1_many,
+    cross_validate_many,
     enumerate_candidates,
     fit_forest,
     fit_forests,
@@ -28,6 +27,23 @@ from modperf.seeds import rng_for
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def cross_validate(fit_fn, X, y, folds, loss=mse) -> float:
+    """Reference: mean held-out loss over the folds of one candidate, whose
+    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number
+    `fold`; the one-candidate call of `cross_validate_many`."""
+
+    def fit_folds(train_sets):
+        return [[fit_fn(X_train, y_train, f) for f, (X_train, y_train) in enumerate(train_sets)]]
+
+    return cross_validate_many(fit_folds, X, y, folds, loss)[0]
+
+
+def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
+    """Reference: mean held-out MSE per alpha over the `fold_indices` folds
+    of `spec`; the one-task call of `cross_validate_l1_many`."""
+    return cross_validate_l1_many([(X, y, fold_indices(len(y), spec))], degree, alphas)[0]
 
 
 # ----------------------------------------------------------------- forest

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,7 @@ def _single_iv_system():
 def test_hand_evaluated_polynomial():
     graph = _single_iv_system()
     iv = intermediate(0, 0)
-    formula = PolynomialFunction(
-        linear_terms={option(0, 0): 0.5, option(0, 1): 0.25},
-        pair_terms={(option(0, 0), option(0, 1)): 0.1},
-    )
+    formula = PolynomialFunction((option(0, 0), option(0, 1)), [0.5, 0.25], [0.1])
     semantics = SystemSemantics(
         graph, {iv: formula}, {performance(0): {iv: 2.0}}, noise_fraction=0.0
     )
@@ -66,9 +65,10 @@ def test_term_counts_match_parent_structure():
     parent_map = graph.parent_map()
     for iv, formula in semantics.iv_formulas.items():
         parents = parent_map[iv]
-        assert sorted(formula.linear_terms) == parents
+        assert list(formula.parents) == parents
         k = len(parents)
-        assert len(formula.pair_terms) == k * (k - 1) // 2
+        assert len(formula.linear) == k
+        assert len(formula.pairs) == k * (k - 1) // 2
 
 
 def test_single_parent_iv_has_no_pair_terms():
@@ -78,8 +78,8 @@ def test_single_parent_iv_has_no_pair_terms():
     pruned = type(graph)(aspects=graph.aspects, seed=graph.seed, iv_to_iv_p=0.0, edges=edges)
     semantics = synthesize_semantics(pruned, seed=3)
     formula = semantics.iv_formulas[intermediate(0, 0)]
-    assert len(formula.linear_terms) == 1
-    assert len(formula.pair_terms) == 0
+    assert len(formula.linear) == 1
+    assert len(formula.pairs) == 0
 
 
 def test_weights_uniform_unit_interval():
@@ -88,8 +88,8 @@ def test_weights_uniform_unit_interval():
         seed=11,
     )
     semantics = synthesize_semantics(graph, seed=12)
-    weights = [w for f in semantics.iv_formulas.values() for w in f.linear_terms.values()]
-    weights += [w for f in semantics.iv_formulas.values() for w in f.pair_terms.values()]
+    weights = [w for f in semantics.iv_formulas.values() for w in f.linear.tolist()]
+    weights += [w for f in semantics.iv_formulas.values() for w in f.pairs.tolist()]
     weights += [w for m in semantics.perf_formulas.values() for w in m.values()]
     arr = np.array(weights)
     assert arr.min() >= 0.0 and arr.max() <= 1.0
@@ -139,9 +139,9 @@ def test_synthesize_matches_scalar_draws():
         ivs, perfs = _scalar_draw_weights(graph, seed + 10)
         for iv, (linear, pairs) in ivs.items():
             formula = semantics.iv_formulas[iv]
-            assert list(formula.linear_terms.items()) == linear
-            assert list(formula.pair_terms.items()) == pairs
-            assert all(type(w) is float for w in formula.pair_terms.values())
+            assert list(zip(formula.parents, formula.linear.tolist())) == linear
+            pair_keys = list(itertools.combinations(formula.parents, 2))
+            assert list(zip(pair_keys, formula.pairs.tolist())) == pairs
             parent_counts.add(len(linear))
         for perf, weights in perfs.items():
             assert list(semantics.perf_formulas[perf].items()) == weights
@@ -210,6 +210,47 @@ def test_noise_targets_all_perturbs_ivs():
     assert abs(noisy_iv[iv] - clean_iv[iv]) <= 0.05 * abs(clean_iv[iv])
 
 
+# evaluate(..., noise_seed=43) of one configuration, as the generator drew
+# it when each record had a generator of its own: one record's draws from
+# one generator are unchanged by drawing a dataset's noise as one block.
+NOISY_PERF_ONLY = (
+    [1.7111209912290515, 1.8645465634801095, 0.23712714369993193, 3.5249002870054076],
+    [2.692659527494922, 2.7411536220579618],
+)
+NOISY_ALL = (
+    [1.7371812377646751, 1.779481348231736, 0.2257457423874326, 3.644469339950305],
+    [2.6753783679408785, 2.793120129220992],
+)
+
+
+@pytest.mark.parametrize(
+    "targets,expected",
+    [(NoiseTargets.PERFORMANCE_ONLY, NOISY_PERF_ONLY), (NoiseTargets.ALL, NOISY_ALL)],
+)
+def test_single_record_noise_values_pinned(targets, expected):
+    graph = generate_graph(
+        StructuralAspects(
+            option_count=3, p_w=0.9, mu_a=0.3, sigma_a=0.1, module_count=2,
+            iv_per_module=2, perf_count=2,
+        ),
+        seed=41,
+    )
+    semantics = synthesize_semantics(graph, seed=42, noise_fraction=0.05, noise_targets=targets)
+    ivs, perfs = evaluate(semantics, [1, 0, 1, 1, 1, 0], noise_seed=43)
+    assert (list(ivs.values()), list(perfs.values())) == expected
+
+
+def test_zero_noise_fraction_returns_inputs():
+    graph = _single_iv_system()
+    for targets in NoiseTargets:
+        semantics = synthesize_semantics(graph, seed=25, noise_fraction=0.0, noise_targets=targets)
+        evaluator = Evaluator(semantics)
+        iv_values, perf_values = evaluator.noiseless(np.ones((3, 2)))
+        noisy_iv, noisy_perf = evaluator.apply_noise(iv_values, perf_values, noise_seed=26)
+        assert noisy_iv is iv_values and noisy_perf is perf_values
+        assert evaluate(semantics, [1, 1], noise_seed=26) == evaluate(semantics, [1, 1])
+
+
 def test_iv_chain_values_stay_finite_at_scale():
     aspects = StructuralAspects(option_count=16, p_w=1.0, mu_a=0.4, sigma_a=0.01, module_count=40)
     graph = generate_graph(aspects, seed=20, iv_to_iv_p=0.15)
@@ -233,9 +274,20 @@ def test_semantics_must_cover_all_nodes():
     with pytest.raises(ValueError):
         SystemSemantics(graph, {}, {performance(0): {}})
     iv = intermediate(0, 0)
-    formula = PolynomialFunction({option(0, 0): 0.5}, {})
+    formula = PolynomialFunction((option(0, 0),), [0.5], [])
     with pytest.raises(ValueError):
         SystemSemantics(graph, {iv: formula}, {})
+
+
+def test_polynomial_weights_must_fit_sorted_parents():
+    a, b = option(0, 0), option(0, 1)
+    PolynomialFunction((a, b), [0.5, 0.25], [0.1])
+    with pytest.raises(ValueError, match="canonical"):
+        PolynomialFunction((b, a), [0.5, 0.25], [0.1])
+    with pytest.raises(ValueError, match="pair weights"):
+        PolynomialFunction((a, b), [0.5, 0.25], [])
+    with pytest.raises(ValueError, match="pair weights"):
+        PolynomialFunction((a,), [0.5, 0.25], [])
 
 
 def test_semantics_json_roundtrip_exact():
