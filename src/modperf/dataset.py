@@ -120,6 +120,8 @@ def sample_dataset(
 
 def training_prefix(dataset: SystemDataset, n: int) -> list[MeasurementRecord]:
     """First n training records; prefixes nest (prefix(50) extends prefix(20))."""
+    if n < 1:
+        raise ValueError(f"prefix size must be >= 1, got {n}")
     if n > len(dataset.train):
         raise ValueError(f"prefix {n} exceeds training set size {len(dataset.train)}")
     return dataset.train[:n]

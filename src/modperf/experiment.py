@@ -30,7 +30,6 @@ from . import reporting
 from .dataset import load_dataset, sample_dataset, save_dataset, training_prefix
 from .hardness_opportunity import (
     CurveTable,
-    EfficacyCurve,
     HardnessMode,
     MATRIX_LEVELS,
     build_matrix,  # noqa: F401  (not called here; perfbench's tracer wraps it under this name)
@@ -108,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("n_systems and trials must be positive")
         if not self.train_sizes or max(self.train_sizes) > self.n_train:
             raise ValueError("train_sizes must be non-empty and bounded by n_train")
+        if min(self.train_sizes) < 1 or len(set(self.train_sizes)) < len(self.train_sizes):
+            raise ValueError(f"train_sizes must be distinct and >= 1, got {self.train_sizes}")
         unknown = set(self.levels) - set(ALL_LEVELS)
         if unknown:
             raise ValueError(f"unknown levels: {sorted(unknown)}")
@@ -116,6 +117,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown metrics: {sorted(unknown_metrics)}")
         if self.hardness_mode not in ("fixed", "empirical"):
             raise ValueError(f"hardness_mode must be fixed|empirical, got {self.hardness_mode}")
+        if self.hardness_mode == "empirical" and self.n_systems * self.trials < 4:
+            raise ValueError(
+                "hardness_mode empirical needs n_systems * trials >= 4 units for its quartiles, "
+                f"got {self.n_systems * self.trials}"
+            )
         if self.lasso_alpha_steps < 1:
             raise ValueError(f"lasso_alpha_steps must be >= 1, got {self.lasso_alpha_steps}")
         if not self.lasso_degrees or not all(1 <= d <= 4 for d in self.lasso_degrees):
@@ -198,23 +204,24 @@ def _generate_one(config: ExperimentConfig, s: int) -> dict:
     graph = generate_graph(aspects, system_seed, config.iv_to_iv_p)
     artifacts = derive_knowledge(graph)
     _write(system_dir / "graph.json", graph_to_json(graph))
+    # each node encoded once: the edge sets hold thousands of endpoints
+    code = {n: n.encode() for n in graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()}
     _write(
         system_dir / "knowledge.json",
         _dump(
             {
                 "logical_boundaries": {
                     str(m): {
-                        "options": [n.encode() for n in opts],
-                        "ivs": [n.encode() for n in ivs],
+                        "options": [code[n] for n in opts],
+                        "ivs": [code[n] for n in ivs],
                     }
                     for m, (opts, ivs) in artifacts.logical_boundaries.items()
                 },
                 "influence_edges": sorted(
-                    f"{a.encode()}->{b.encode()}" for a, b in artifacts.influence_edges
+                    f"{code[a]}->{code[b]}" for a, b in artifacts.influence_edges
                 ),
                 "potential_influence_edges": sorted(
-                    f"{a.encode()}->{b.encode()}"
-                    for a, b in artifacts.potential_influence_edges
+                    f"{code[a]}->{code[b]}" for a, b in artifacts.potential_influence_edges
                 ),
             },
             compact=True,
@@ -398,15 +405,16 @@ def run_model(config: ExperimentConfig) -> list[dict]:
 # ----------------------------------------------------------------- analyze
 
 
-def _curve_from_doc(doc: dict) -> EfficacyCurve | None:
-    """The curve of one curve document, or None when a point has an error or
-    no efficacy (an incomplete curve)."""
-    pairs = []
+def _curve_from_doc(doc: dict) -> tuple[list[int], list[float]] | None:
+    """The training sizes and efficacies of one curve document, or None when
+    a point has an error or no efficacy (an incomplete curve)."""
+    sizes, efficacies = [], []
     for p in doc["points"]:
         if p.get("error") or p.get("p") is None:
             return None
-        pairs.append((p["n"], p["p"]))
-    return EfficacyCurve(metric=doc["metric"], points=tuple(pairs))
+        sizes.append(p["n"])
+        efficacies.append(p["p"])
+    return sizes, efficacies
 
 
 def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
@@ -451,12 +459,13 @@ def _curve_table(units: list[dict], level: str, metric: str, sizes: tuple[int, .
         curve = _curve_from_doc(doc) if doc else None
         if curve is None:
             continue
-        if curve.sizes != sizes:
+        doc_sizes, efficacies = curve
+        if tuple(doc_sizes) != sizes:
             raise ValueError(
                 f"unit {unit['unit']}, level {level}, metric {metric}: training sizes "
-                f"{list(curve.sizes)} differ from the config's {list(sizes)}"
+                f"{doc_sizes} differ from the config's {list(sizes)}"
             )
-        values[i] = curve.efficacies
+        values[i] = efficacies
         complete[i] = True
     return CurveTable(metric, sizes, values), complete
 
@@ -475,7 +484,7 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], metric: str, scale
 
     rows = np.flatnonzero(has_null)
     score = hardness(null.take(rows))
-    fixed_levels = classify_hardness(score, HardnessMode.FIXED_RANGE)
+    fixed_levels = classify_hardness(score.value, HardnessMode.FIXED_RANGE)
     hardness_rows, aspect_records = [], {}
     for i, value, fixed_level in zip(rows.tolist(), score.value.tolist(), fixed_levels):
         unit = units[i]

@@ -8,11 +8,11 @@ clamped to [0, 1] before scoring so both values stay in [0, 1] even for
 slightly negative rank correlations.
 
 Both scores work on a `CurveTable`: the curves of many units over shared
-training sizes, one row per curve. A single `EfficacyCurve` is a one-row
-table. The size columns are accumulated in size order with the per-value
-operations (`0 + l_1/n_1 + ...`), and every clamp keeps the builtins' tie
-rule (`_clamp`), so a row's scores are the bits its curve alone gets, down
-to the sign of zero. `classify_hardness` bins a whole array against cut-offs
+training sizes, one row per curve; one curve is a one-row table. The size
+columns are accumulated in size order with the per-value operations
+(`0 + l_1/n_1 + ...`), and every clamp keeps the builtins' tie rule
+(`_clamp`), so a row gets the same bits in any table as alone, down to
+the sign of zero. `classify_hardness` bins a whole array against cut-offs
 computed once.
 """
 
@@ -40,25 +40,6 @@ HARDNESS_LEVELS = ("low", "medium", "high")
 
 
 @dataclass(frozen=True)
-class EfficacyCurve:
-    metric: str
-    points: tuple[tuple[int, float], ...]  # (training size, efficacy), sizes increasing
-
-    def __post_init__(self):
-        sizes = [n for n, _ in self.points]
-        if sizes != sorted(set(sizes)):
-            raise ValueError("training sizes must be strictly increasing")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.points)
-
-    @property
-    def efficacies(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.points)
-
-
-@dataclass(frozen=True)
 class CurveTable:
     """Efficacy curves of one metric over shared training sizes: `values`
     holds one curve per row and one size per column."""
@@ -68,16 +49,10 @@ class CurveTable:
     values: np.ndarray  # (curves, sizes)
 
     def __post_init__(self):
+        if list(self.sizes) != sorted(set(self.sizes)):
+            raise ValueError("training sizes must be strictly increasing")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.sizes):
             raise ValueError(f"values must be (curves, {len(self.sizes)}), got {self.values.shape}")
-
-    @staticmethod
-    def of(curves: EfficacyCurve | CurveTable) -> CurveTable:
-        """`curves` itself, or a single curve as a one-row table."""
-        if isinstance(curves, CurveTable):
-            return curves
-        values = np.array(curves.efficacies, dtype=float).reshape(1, len(curves.points))
-        return CurveTable(curves.metric, curves.sizes, values)
 
     def take(self, rows) -> CurveTable:
         return CurveTable(self.metric, self.sizes, self.values[rows])
@@ -97,14 +72,13 @@ def scaling_constant(sizes) -> float:
 
 @dataclass(frozen=True)
 class HardnessScore:
-    value: float  # for a CurveTable, an array with one value per row
+    value: np.ndarray  # one value per row of the table
     metric: str
     scaling_constant: float
 
 
-def hardness(curves: EfficacyCurve | CurveTable) -> HardnessScore:
+def hardness(table: CurveTable) -> HardnessScore:
     """Size-weighted normalized loss: C * sum((1 - p_i) / n_i), per curve."""
-    table = CurveTable.of(curves)
     if not table.sizes:
         raise ValueError("empty curve")
     if not np.isfinite(table.values).all():
@@ -116,33 +90,24 @@ def hardness(curves: EfficacyCurve | CurveTable) -> HardnessScore:
         total = total + losses[:, j] / n
     # C * sum(1 / n) can round one ulp above 1, so clamp the product too
     value = _clamp(constant * total)
-    if isinstance(curves, EfficacyCurve):
-        value = float(value[0])
     return HardnessScore(value=value, metric=table.metric, scaling_constant=constant)
 
 
 @dataclass(frozen=True)
 class OpportunityScore:
-    """For single curves, `value` is a float and `gap`/`filling` hold one
-    float per training size; for CurveTables they are arrays with one row
-    per curve."""
+    """`value` holds one score per curve; `gap` and `filling` one row per
+    curve and one column per training size."""
 
-    value: float
+    value: np.ndarray
     level: str
     metric: str
     sizes: tuple[int, ...]
-    gap: tuple[float, ...]  # clamped ideal minus clamped null efficacy
-    filling: tuple[float, ...]  # share of the gap the level fills, in [0, 1]
+    gap: np.ndarray  # clamped ideal minus clamped null efficacy
+    filling: np.ndarray  # share of the gap the level fills, in [0, 1]
 
 
-def opportunity(
-    null_curve: EfficacyCurve | CurveTable,
-    ideal_curve: EfficacyCurve | CurveTable,
-    level_curve: EfficacyCurve | CurveTable,
-    level: str,
-) -> OpportunityScore:
+def opportunity(null: CurveTable, ideal: CurveTable, known: CurveTable, level: str) -> OpportunityScore:
     """Size-weighted filled gap between the Null and Ideal efficacy curves."""
-    null, ideal, known = (CurveTable.of(c) for c in (null_curve, ideal_curve, level_curve))
     if not (null.sizes == ideal.sizes == known.sizes):
         raise ValueError("curves must share identical training sizes")
     if not (null.metric == ideal.metric == known.metric):
@@ -160,8 +125,6 @@ def opportunity(
     for j, n in enumerate(null.sizes):
         total = total + filling[:, j] * _clamp(gap[:, j], 0.0, np.inf) / n
     value = _clamp(constant * total)
-    if isinstance(null_curve, EfficacyCurve):
-        value, gap, filling = float(value[0]), tuple(gap[0].tolist()), tuple(filling[0].tolist())
     return OpportunityScore(
         value=value, level=level, metric=null.metric, sizes=null.sizes, gap=gap, filling=filling
     )
@@ -173,20 +136,18 @@ class HardnessMode(str, enum.Enum):
 
 
 def classify_hardness(
-    value: float | np.ndarray | HardnessScore,
+    value: float | np.ndarray,
     mode: HardnessMode = HardnessMode.FIXED_RANGE,
     population=None,
 ) -> str | list[str]:
     """Bin hardness values into low/medium/high: one label for a float, a
-    list of labels for an array (or a table's HardnessScore).
+    list of labels for an array.
 
     Fixed mode partitions [0, 1] into equal quartiles: [0, 0.25) low,
     [0.25, 0.75) medium, [0.75, 1] high. Empirical mode uses the same
     quartile rule on the observed population (linear-interpolation
     quantiles), computed once per call.
     """
-    if isinstance(value, HardnessScore):
-        value = value.value
     if mode is HardnessMode.FIXED_RANGE:
         q25, q75 = 0.25, 0.75
     else:
@@ -239,8 +200,6 @@ def build_matrix(observations, metric: str) -> OpportunityMatrix:
             raise ValueError(f"level must be one of {MATRIX_LEVELS}, got {level!r}")
         if hardness_level not in HARDNESS_LEVELS:
             raise ValueError(f"hardness level must be one of {HARDNESS_LEVELS}, got {hardness_level!r}")
-        if isinstance(value, OpportunityScore):
-            value = value.value
         samples[(level, hardness_level)].append(float(value))
     cells = {
         key: MatrixCell(level=key[0], hardness_level=key[1], samples=tuple(vals))

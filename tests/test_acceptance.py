@@ -17,7 +17,7 @@ import pytest
 from conftest import brute_force_mwu_p
 from modperf.dataset import sample_dataset
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model
-from modperf.hardness_opportunity import EfficacyCurve, build_matrix, hardness, opportunity, scaling_constant
+from modperf.hardness_opportunity import CurveTable, build_matrix, hardness, opportunity, scaling_constant
 from modperf.influence_graph import (
     EdgeKind,
     StructuralAspects,
@@ -60,10 +60,10 @@ def _report(criterion: int, message: str):
 
 
 def test_criterion_01_hardness_worked_examples():
-    hotel = EfficacyCurve("scc", tuple(zip(SIZES, (0.19, 0.31, 0.43, 0.55, 0.66, 0.77))))
-    selfcare = EfficacyCurve("scc", tuple(zip(SIZES, (0.71, 0.87, 0.96, 0.97, 0.97, 0.98))))
-    h_hotel = hardness(hotel).value
-    h_selfcare = hardness(selfcare).value
+    hotel = CurveTable("scc", SIZES, np.array([[0.19, 0.31, 0.43, 0.55, 0.66, 0.77]]))
+    selfcare = CurveTable("scc", SIZES, np.array([[0.71, 0.87, 0.96, 0.97, 0.97, 0.98]]))
+    h_hotel = hardness(hotel).value[0]
+    h_selfcare = hardness(selfcare).value[0]
     assert h_hotel == pytest.approx(0.718, abs=1e-3)
     assert h_selfcare == pytest.approx(0.2015, abs=2e-3)
     constant = scaling_constant(SIZES)
@@ -265,8 +265,8 @@ def _criterion7_one(cell):
         "null", shape, artifacts, budget, cv, space=space, seed=derive(seed, "model", "null")
     )
     points = efficacy_curves(factory, dataset, ("scc",), SIZES)
-    curve = EfficacyCurve("scc", tuple((p.n, p.efficacies["scc"]) for p in points))
-    return module_count, hardness(curve).value, scale_aspects(aspects)
+    curve = CurveTable("scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]]))
+    return module_count, hardness(curve).value[0], scale_aspects(aspects)
 
 
 def _spearman_permutation_p(x, y, n_perm=10_000, seed=0) -> float:
@@ -333,12 +333,14 @@ def _criterion8_one(s: int):
             seed=derive(seed, "model", level),
         )
         points = efficacy_curves(factory, dataset, ("scc",), SIZES)
-        curves[level] = EfficacyCurve("scc", tuple((p.n, p.efficacies["scc"]) for p in points))
+        curves[level] = CurveTable(
+            "scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]])
+        )
     opp = {
-        level: opportunity(curves["null"], curves["ideal"], curves[level], level).value
+        level: opportunity(curves["null"], curves["ideal"], curves[level], level).value[0]
         for level in ("partial", "complete")
     }
-    null_points = dict(curves["null"].points)
+    null_points = dict(zip(curves["null"].sizes, curves["null"].values[0].tolist()))
     return opp["partial"], opp["complete"], null_points
 
 

@@ -68,6 +68,9 @@ def test_training_prefixes_nest():
     assert training_prefix(ds, 100) == ds.train
     with pytest.raises(ValueError):
         training_prefix(ds, 101)
+    for n in (0, -5):  # a negative n would slice off the end: records[:-5]
+        with pytest.raises(ValueError, match=">= 1"):
+            training_prefix(ds, n)
 
 
 def test_marginal_option_frequency_uniform():

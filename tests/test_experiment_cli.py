@@ -621,6 +621,25 @@ def test_config_rejects_bad_lasso_settings(tmp_path, bad):
     _tiny_config(tmp_path, lasso_alpha_steps=1, lasso_degrees=(1, 4))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(train_sizes=(20, 20, 40)), "train_sizes"),
+        (dict(train_sizes=(-5, 40)), "train_sizes"),
+        (dict(train_sizes=(0, 40)), "train_sizes"),
+        (dict(hardness_mode="empirical", n_systems=3, trials=1), "empirical"),
+        (dict(hardness_mode="empirical", n_systems=1, trials=3), "empirical"),
+    ],
+)
+def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad, match):
+    """Caught when the config is built, before generate and model run; left
+    to analyze, they fail only after the model stage, and a negative size
+    trains on `records[:-5]`."""
+    with pytest.raises(ValueError, match=match):
+        _tiny_config(tmp_path, **bad)
+    _tiny_config(tmp_path, train_sizes=(40, 1), hardness_mode="empirical", n_systems=2, trials=2)
+
+
 def test_failed_write_leaves_previous_artifact(tmp_path):
     from modperf.experiment import _write
 

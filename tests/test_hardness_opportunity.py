@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from modperf.hardness_opportunity import (
     GAP_EPS,
     CurveTable,
-    EfficacyCurve,
     HardnessMode,
     build_matrix,
     classify_hardness,
@@ -21,7 +20,8 @@ SIZES = (20, 50, 100, 200, 500, 1000)
 
 
 def _curve(values, metric="scc", sizes=SIZES):
-    return EfficacyCurve(metric=metric, points=tuple(zip(sizes, values)))
+    """One curve as a one-row table."""
+    return CurveTable(metric, sizes, np.array([values], dtype=float))
 
 
 def test_scaling_constant_exact_rational():
@@ -41,31 +41,31 @@ def test_scaling_constant_rejects_bad_input():
 def test_hardness_worked_example_medium_system():
     # SCC curve 0.19..0.77 over {20..1000} -> 0.718
     score = hardness(_curve([0.19, 0.31, 0.43, 0.55, 0.66, 0.77]))
-    assert score.value == pytest.approx(0.718, abs=1e-3)
+    assert score.value[0] == pytest.approx(0.718, abs=1e-3)
     assert score.scaling_constant == 125 / 11
 
 
 def test_hardness_worked_example_low_system():
     score = hardness(_curve([0.71, 0.87, 0.96, 0.97, 0.97, 0.98]))
-    assert score.value == pytest.approx(0.2015, abs=2e-3)
+    assert score.value[0] == pytest.approx(0.2015, abs=2e-3)
 
 
 def test_hardness_normalization_endpoints():
-    assert hardness(_curve([1.0] * 6)).value == 0.0
-    assert hardness(_curve([0.0] * 6)).value == 1.0
+    assert hardness(_curve([1.0] * 6)).value[0] == 0.0
+    assert hardness(_curve([0.0] * 6)).value[0] == 1.0
 
 
 def test_hardness_clamps_out_of_range_efficacies():
-    assert hardness(_curve([-0.4] * 6)).value == 1.0
-    assert hardness(_curve([1.3] * 6)).value == 0.0
+    assert hardness(_curve([-0.4] * 6)).value[0] == 1.0
+    assert hardness(_curve([1.3] * 6)).value[0] == 0.0
 
 
 def test_hardness_and_opportunity_never_exceed_one():
     # C * (1/20 + 1/40) rounds to 1.0000000000000002 before the final clamp
     sizes = (20, 40)
-    assert hardness(_curve([-0.05, -0.2], sizes=sizes)).value == 1.0
+    assert hardness(_curve([-0.05, -0.2], sizes=sizes)).value[0] == 1.0
     null, ideal = _curve([0.0, 0.0], sizes=sizes), _curve([1.0, 1.0], sizes=sizes)
-    assert opportunity(null, ideal, ideal, "complete").value == 1.0
+    assert opportunity(null, ideal, ideal, "complete").value[0] == 1.0
 
 
 def test_hardness_monotone_pointwise():
@@ -75,19 +75,21 @@ def test_hardness_monotone_pointwise():
         worse = p.copy()
         idx = rng.integers(len(SIZES))
         worse[idx] = max(0.0, worse[idx] - rng.uniform(0, worse[idx] + 1e-12))
-        assert hardness(_curve(list(worse))).value >= hardness(_curve(list(p))).value - 1e-12
+        assert hardness(_curve(list(worse))).value[0] >= hardness(_curve(list(p))).value[0] - 1e-12
 
 
 def test_hardness_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        hardness(EfficacyCurve(metric="scc", points=()))
+        hardness(_curve([], sizes=()))
     with pytest.raises(ValueError):
         hardness(_curve([0.1, np.nan, 0.3, 0.4, 0.5, 0.6]))
 
 
 def test_curve_requires_increasing_sizes():
-    with pytest.raises(ValueError):
-        EfficacyCurve(metric="scc", points=((50, 0.1), (20, 0.2)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _curve([0.1, 0.2], sizes=(50, 20))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _curve([0.1, 0.2], sizes=(20, 20))
 
 
 def test_opportunity_hand_example():
@@ -96,21 +98,21 @@ def test_opportunity_hand_example():
     ideal = _curve([0.6, 0.8], sizes=sizes)
     level = _curve([0.4, 0.6], sizes=sizes)
     score = opportunity(null, ideal, level, "partial")
-    assert list(score.filling) == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert score.value == pytest.approx(0.2, abs=1e-12)
+    assert list(score.filling[0]) == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert score.value[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_opportunity_trivial_endpoints():
     null = _curve([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     ideal = _curve([0.8, 0.85, 0.9, 0.92, 0.95, 0.99])
     nothing = opportunity(null, ideal, null, "partial")
-    assert nothing.value == 0.0
+    assert nothing.value[0] == 0.0
     everything = opportunity(null, ideal, ideal, "complete")
     expected = scaling_constant(SIZES) * sum(
-        (i - n) / s for (s, n), (_, i) in zip(null.points, ideal.points)
+        (i - n) / s for s, n, i in zip(SIZES, null.values[0].tolist(), ideal.values[0].tolist())
     )
-    assert everything.value == pytest.approx(expected, abs=1e-12)
-    assert 0.0 <= everything.value <= 1.0
+    assert everything.value[0] == pytest.approx(expected, abs=1e-12)
+    assert 0.0 <= everything.value[0] <= 1.0
 
 
 def test_opportunity_monotone_in_level_curve():
@@ -122,8 +124,8 @@ def test_opportunity_monotone_in_level_curve():
         bumped = base.copy()
         idx = rng.integers(6)
         bumped[idx] = min(1.0, bumped[idx] + rng.uniform(0, 0.5))
-        low = opportunity(null, ideal, _curve(list(base)), "partial").value
-        high = opportunity(null, ideal, _curve(list(bumped)), "partial").value
+        low = opportunity(null, ideal, _curve(list(base)), "partial").value[0]
+        high = opportunity(null, ideal, _curve(list(bumped)), "partial").value[0]
         assert high >= low - 1e-12
 
 
@@ -133,8 +135,8 @@ def test_opportunity_clamps_filling_to_unit_interval():
     ideal = _curve([0.6, 0.7], sizes=sizes)
     overshoot = _curve([0.9, 0.95], sizes=sizes)
     undershoot = _curve([0.1, 0.2], sizes=sizes)
-    assert opportunity(null, ideal, overshoot, "x").filling == (1.0, 1.0)
-    assert opportunity(null, ideal, undershoot, "x").filling == (0.0, 0.0)
+    assert opportunity(null, ideal, overshoot, "x").filling[0].tolist() == [1.0, 1.0]
+    assert opportunity(null, ideal, undershoot, "x").filling[0].tolist() == [0.0, 0.0]
 
 
 def test_opportunity_zero_gap_contributes_nothing():
@@ -143,8 +145,8 @@ def test_opportunity_zero_gap_contributes_nothing():
     ideal = _curve([0.5, 0.9], sizes=sizes)
     level = _curve([0.9, 0.7], sizes=sizes)
     score = opportunity(null, ideal, level, "partial")
-    assert score.filling[0] == 0.0  # no gap at n=10
-    assert score.value > 0.0
+    assert score.filling[0, 0] == 0.0  # no gap at n=10
+    assert score.value[0] > 0.0
 
 
 def test_opportunity_requires_aligned_curves():
@@ -169,7 +171,7 @@ def test_opportunity_bounded_unit_interval(level_values):
     null = _curve([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
     ideal = _curve([0.9, 0.95, 1.0, 1.0, 1.0, 1.0])
     score = opportunity(null, ideal, _curve(level_values), "partial")
-    assert 0.0 <= score.value <= 1.0
+    assert 0.0 <= score.value[0] <= 1.0
 
 
 def test_classify_fixed_ranges():
@@ -308,11 +310,12 @@ def test_table_kernels_match_scalar_definitions_bitwise(sizes):
         assert _bits([h.value[i], opp.value[i]]) == _bits([want_h, want_o])
         assert _bits(opp.gap[i]) == _bits(want_gap)
         assert _bits(opp.filling[i]) == _bits(want_fill)
-        # a single curve is a one-row table: the same bits
-        curves = [_curve(t[i].tolist(), sizes=sizes) for t in (null, ideal, level)]
-        one = opportunity(*curves, "partial")
-        assert _bits([hardness(curves[0]).value, one.value]) == _bits([want_h, want_o])
-        assert _bits(one.gap + one.filling) == _bits(want_gap + want_fill)
+        # the row scored alone, as a one-row table: the same bits
+        alone = [table.take([i]) for table in tables]
+        one = opportunity(*alone, "partial")
+        assert _bits([hardness(alone[0]).value[0], one.value[0]]) == _bits([h.value[i], opp.value[i]])
+        assert _bits(one.gap[0]) == _bits(opp.gap[i])
+        assert _bits(one.filling[0]) == _bits(opp.filling[i])
     assert np.signbit(opp.gap[40]).all()  # -0.0 gaps kept
 
 
@@ -326,7 +329,7 @@ def test_classify_array_matches_per_value_rule():
     assert classify_hardness(values) == [_ref_classify(v, [0.0, 0.25, 0.5, 0.75, 1.0]) for v in values.tolist()]
     assert {"low", "medium", "high"} <= set(empirical)
     score = hardness(CurveTable("acc", SIZES, rng.uniform(0, 1, size=(5, len(SIZES)))))
-    assert classify_hardness(score) == [classify_hardness(v) for v in score.value.tolist()]
+    assert classify_hardness(score.value) == [classify_hardness(v) for v in score.value.tolist()]
 
 
 def test_opportunity_rejects_tables_of_different_lengths():
