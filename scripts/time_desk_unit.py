@@ -9,13 +9,17 @@ seed) without timing it, then times one `run_model` call over all levels
 
     python scripts/time_desk_unit.py
     {"model_s": 17.9, "model_s_norm": 15.2, "level_s": {"null": 0.3, ...},
-     "level_s_norm": {"null": 0.26, ...}, "forest_calls": {"null": 12, ...},
-     "passes": {"null": 23, ...}, "nproc": 2, "python": "3.11.7", ...}
+     "level_s_norm": {"null": 0.26, ...},
+     "counts": {"all": {"forest_calls": 15, "passes": 867, "walks": 165},
+                "null": {"forest_calls": 12, "passes": 23, "walks": 12}, ...},
+     "peak_rss_mb": 93.0, "nproc": 2, "python": "3.11.7", ...}
 
-During the per-level calls the script counts the calls of `fit_forests`,
-direct or through `fit_forest` (`forest_calls`), and the forest engine's
-`_grow` passes (`passes`), so batching shows as an exact count beside the
-seconds.
+During every timed call the script counts the calls of `fit_forests`,
+direct or through `fit_forest` (`forest_calls`), the forest engine's `_grow`
+passes (`passes`) and its prediction walks (`walks`, one per `_leaves`
+call), so batching shows as exact counts beside the seconds: `counts["all"]`
+for the all-level call, one entry per level for the others. `peak_rss_mb`
+is the process's peak resident set size (`ru_maxrss`) after all calls.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
 reference computation (`perfbench/calibrate.py`) runs before and after each
@@ -32,6 +36,7 @@ import dataclasses
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -70,7 +75,8 @@ def _commit() -> str | None:
 
 @contextlib.contextmanager
 def _counted(counts: collections.Counter):
-    """Count `fit_forests` calls and `_grow` passes into `counts` while open.
+    """Count `fit_forests` calls, `_grow` passes and `_leaves` walks into
+    `counts` while open.
 
     `knowledge_models` holds its own reference to `fit_forests`, and
     `fit_forest` calls the forest module's, so both are wrapped.
@@ -79,6 +85,7 @@ def _counted(counts: collections.Counter):
         (knowledge_models, "fit_forests", "forest_calls"),
         (forest, "fit_forests", "forest_calls"),
         (forest, "_grow", "passes"),
+        (forest, "_leaves", "walks"),
     ]
     originals = [getattr(owner, attr) for owner, attr, _ in targets]
 
@@ -123,16 +130,17 @@ def main() -> int:
             out_dir=tmp,
         )
         run_generate(config)
-        docs, model_s, model_s_norm = _timed(run_model, config)
-        level_s, level_s_norm, forest_calls, passes = {}, {}, {}, {}
+        counts = {"all": collections.Counter()}
+        with _counted(counts["all"]):
+            docs, model_s, model_s_norm = _timed(run_model, config)
+        level_s, level_s_norm = {}, {}
         for level in config.levels:
             level_config = dataclasses.replace(config, levels=(level,))
-            counts = collections.Counter()
-            with _counted(counts):
+            counts[level] = collections.Counter()
+            with _counted(counts[level]):
                 level_docs, seconds, norm = _timed(run_model, level_config)
             docs += level_docs
             level_s[level], level_s_norm[level] = round(seconds, 3), round(norm, 3)
-            forest_calls[level], passes[level] = counts["forest_calls"], counts["passes"]
     errors = [d["error"] for d in docs if "error" in d]
     if errors:
         print(json.dumps({"error": errors}), file=sys.stderr)
@@ -144,8 +152,8 @@ def main() -> int:
                 "model_s_norm": round(model_s_norm, 3),
                 "level_s": level_s,
                 "level_s_norm": level_s_norm,
-                "forest_calls": forest_calls,
-                "passes": passes,
+                "counts": {key: dict(c) for key, c in counts.items()},
+                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

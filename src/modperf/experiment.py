@@ -49,7 +49,9 @@ from .influence_graph import (
 )
 from .jsonio import compact_json
 from .knowledge_models import LEVELS as ALL_LEVELS
-from .knowledge_models import SystemShape, efficacy_curves, make_factory
+from .knowledge_models import SystemShape, level_curves, make_search
+# perfbench/tracer.py wraps make_factory under this name (ROADMAP item 2)
+from .knowledge_models import make_factory  # noqa: F401
 from .learners import CVSpec, SearchBudget, alpha_grid, enumerate_candidates, forest_search_space, mse
 from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
@@ -148,10 +150,12 @@ class ExperimentConfig:
                 value = tuple(value)
             kwargs[key] = value
         if ranges is not None:
-            for key in ASPECT_FEATURES:
-                if key in ranges and isinstance(ranges[key], list):
-                    ranges[key] = tuple(ranges[key])
-            kwargs["aspect_ranges"] = AspectRanges(**ranges)
+            kwargs["aspect_ranges"] = AspectRanges(
+                **{
+                    key: tuple(v) if key in ASPECT_FEATURES and isinstance(v, list) else v
+                    for key, v in ranges.items()
+                }
+            )
         kwargs.update(runtime)
         return ExperimentConfig(**kwargs)
 
@@ -332,19 +336,10 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
         max(len(shape.options), len(shape.ivs)), scale=config.forest_scale
     )
 
-    for level in config.levels:
-        model_seed = derive(config.trial_seed(s, t), "model", level)
-        factory = make_factory(
-            level,
-            shape,
-            artifacts,
-            budget,
-            cv,
-            space=space,
-            alpha_ci=config.alpha_ci,
-            seed=model_seed,
-        )
-        points = efficacy_curves(factory, dataset, config.metrics, config.train_sizes)
+    seeds = {level: derive(config.trial_seed(s, t), "model", level) for level in config.levels}
+    search = make_search(seeds, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci)
+    curves = level_curves(search, dataset, config.metrics, config.train_sizes)
+    for level, points in curves.items():
         for metric in config.metrics:
             doc = {
                 "system_id": unit,
@@ -358,7 +353,7 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                 "seeds": {
                     "system": config.system_seed(s),
                     "trial": config.trial_seed(s, t),
-                    "model": model_seed,
+                    "model": seeds[level],
                 },
                 "budget": config.budget_evaluations,
             }

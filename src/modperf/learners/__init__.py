@@ -1,7 +1,15 @@
 """In-repo regression engines: bagged CART forest, coordinate-descent lasso
 over polynomial features, k-fold cross-validation, and budgeted search."""
 
-from .forest import FittedForest, ForestParams, fit_forest, fit_forests, forest_search_space
+from .forest import (
+    FittedForest,
+    ForestParams,
+    budget_chunks,
+    fit_forest,
+    fit_forests,
+    forest_search_space,
+    predict_forests,
+)
 from .lasso import (
     FittedL1,
     L1Params,
@@ -29,6 +37,7 @@ __all__ = [
     "PolynomialExpansion",
     "SearchBudget",
     "alpha_grid",
+    "budget_chunks",
     "cross_validate_l1_many",
     "cross_validate_many",
     "enumerate_candidates",
@@ -38,5 +47,6 @@ __all__ = [
     "fold_indices",
     "forest_search_space",
     "mse",
+    "predict_forests",
     "soft_threshold",
 ]

@@ -9,7 +9,9 @@ Problems that differ in ``n_trees``, ``feature_subsample``, width or seed
 share a pass. Their designs are stacked as row blocks of one design padded
 to the widest problem, and padded columns are never usable at any node; each
 problem keeps its own bootstrap rows, split keys, target shift, column count
-and ``n_sub``. `fit_forest` is the one-problem call. Splits are exact CART
+and ``n_sub``. To keep a pass's transient memory small, an all-0/1 design is
+stacked as uint8 and the rows' sort orders are int32. `fit_forest` is the
+one-problem call. Splits are exact CART
 variance-reduction splits, found in one of two ways chosen from each
 problem's ``X`` alone (the split path):
 
@@ -38,8 +40,10 @@ One generator per problem draws its ``(n_trees, n)`` bootstrap rows. Each
 node considers exactly ``n_sub`` features, the ones with the smallest
 splitmix64 keys ``derive(derive(bootstrap_seed, "split"), tree, feature,
 heap id)``, so no node's subset depends on traversal order or on other
-subtrees. Trees are stored in one tree-major node table per forest;
-prediction walks all trees at once and averages their outputs. Everything is
+subtrees. Trees are stored in one tree-major node table per forest.
+`predict_forests` walks the (row, tree) entries of many forests, each on its
+own rows, down one stacked node table at once, and each forest averages its
+trees' outputs; `FittedForest.predict` is its one-forest call. Everything is
 deterministic in the bootstrap seed.
 """
 
@@ -63,6 +67,11 @@ _BLOCK_CELLS = 1 << 20
 # for small problems, where per-call overhead dominates; at about this many
 # cells a pass is as fast as growing its problems one at a time.
 _BATCH_CELLS = 1 << 17
+# A real-valued cell holds a float value and a row of every feature's sort
+# order, an all-0/1 cell one byte, so real-valued passes hold fewer cells.
+_REAL_CELL_COST = 4
+# (row, tree) entries of one prediction walk.
+_WALK_ENTRIES = 1 << 16
 _NO_KEY = np.uint64(np.iinfo(np.uint64).max)
 
 
@@ -81,17 +90,27 @@ class ForestParams:
             raise ValueError(f"feature_subsample must be in (0, 1], got {self.feature_subsample}")
 
 
-def _leaves(X, feature, threshold, left, right, node) -> np.ndarray:
-    """Walk every entry of `node` (shape (n, k), rows of X) down to its leaf,
-    one step per depth."""
-    rows = np.arange(X.shape[0])[:, None]
-    while True:
+def _leaves(X, base, feature, threshold, left, right, node) -> np.ndarray:
+    """Walk every entry down to its leaf, one step per depth: entry i starts
+    at `node[i]` and reads feature f of its row at ``X[base[i] + f]`` (X is
+    flat). While most entries are inside their trees, all of them step;
+    after that, only those not yet at a leaf."""
+    node = node.copy()
+    f = feature[node]
+    internal = f >= 0
+    while np.count_nonzero(internal) > len(node) // 2:
+        go_left = X[base + np.maximum(f, 0)] <= threshold[node]
+        node = np.where(internal, np.where(go_left, left[node], right[node]), node)
         f = feature[node]
         internal = f >= 0
-        if not internal.any():
-            return node
-        go_left = X[rows, np.maximum(f, 0)] <= threshold[node]
-        node = np.where(internal, np.where(go_left, left[node], right[node]), node)
+    active = np.flatnonzero(internal)
+    while len(active):
+        at = node[active]
+        go_left = X[base[active] + feature[at]] <= threshold[at]
+        at = np.where(go_left, left[at], right[at])
+        node[active] = at
+        active = active[feature[at] >= 0]
+    return node
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +125,11 @@ class _Tree:
     value: np.ndarray
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        start = np.zeros((X.shape[0], 1), dtype=np.intp)
-        leaf = _leaves(X, self.feature, self.threshold, self.left, self.right, start)
-        return self.value[leaf[:, 0]]
+        X = np.ascontiguousarray(X, dtype=float)
+        n, d = X.shape
+        table = (self.feature, self.threshold, self.left, self.right)
+        leaf = _leaves(X.ravel(), np.arange(n) * d, *table, np.zeros(n, dtype=np.intp))
+        return self.value[leaf]
 
 
 @dataclass(eq=False)
@@ -135,17 +155,9 @@ class FittedForest:
         ]
 
     def predict(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected shape (n, {self.n_features}), got {X.shape}")
-        roots = self.offsets[:-1]
-        # global child indices; a leaf's are never followed
-        base = np.repeat(roots, np.diff(self.offsets))
-        start = np.broadcast_to(roots, (X.shape[0], len(roots)))
-        leaf = _leaves(
-            X, self.feature, self.threshold, self.left + base, self.right + base, start
-        )
-        return self.value[leaf].sum(axis=1) / len(roots)
+        """The mean of the trees' leaf values; the one-forest call of
+        `predict_forests`."""
+        return predict_forests([self], [X])[0]
 
 
 def _radix_key(values: np.ndarray, bound: int) -> np.ndarray:
@@ -240,8 +252,8 @@ def _search_binary(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order[0, row]
     ones = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
-    n_right = np.add.reduceat(ones, run_start)
-    s_right = np.add.reduceat(np.multiply(ones, y_fit[sample], out=ones), run_start)
+    n_right = np.add.reduceat(ones, run_start, dtype=float)
+    s_right = np.add.reduceat(np.multiply(ones, y_fit[sample]), run_start)
     n_left = sizes[node] - n_right
     s_left = np.add.reduceat(y_fit[order[0]], starts)[node] - s_right
     score = np.where(
@@ -305,7 +317,7 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     max_depth, msl = first.params.max_depth, first.params.min_samples_leaf
     d = max(problems[p].X.shape[1] for p in ids)
     # problem k's rows are rows k * n onwards of the stacked, padded design
-    X = np.zeros((len(ids), n, d))
+    X = np.zeros((len(ids), n, d), dtype=np.uint8 if binary else float)
     for k, p in enumerate(ids):
         X[k, :, : problems[p].X.shape[1]] = problems[p].X
     seg_trees = [stop - start for _, start, stop in segments]
@@ -322,16 +334,16 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     shift = np.array([0.5 * (problems[p].y.min() + problems[p].y.max()) for p in ids])
     y_fit = y_raw - np.repeat(shift[tree_slot], n)
     if binary:
-        order = np.arange(samples.size)[None, :]
+        order = np.arange(samples.size, dtype=np.int32)[None, :]
     else:
         # per feature: each tree's samples sorted by value, ties by sample id
-        rank = np.empty((d, len(ids), n), dtype=np.intp)
+        # ranks in the narrowest unsigned type, so the argsort below is a radix sort
+        rank = np.empty((d, len(ids), n), dtype=np.min_scalar_type(max(n - 1, 0)))
         by_value = np.argsort(X.transpose(2, 0, 1), axis=2, kind="stable")
         rank[np.arange(d)[:, None, None], np.arange(len(ids))[:, None], by_value] = np.arange(n)
-        within = np.argsort(
-            _radix_key(rank[:, tree_slot[:, None], rows], n), axis=2, kind="stable"
-        )
-        order = (within + (np.arange(n_trees) * n)[:, None]).reshape(d, -1)
+        within = np.argsort(rank[:, tree_slot[:, None], rows], axis=2, kind="stable")
+        within += (np.arange(n_trees) * n)[:, None]
+        order = within.reshape(d, -1).astype(np.int32)
     tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_segment]
     tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_segment]
     real = np.arange(d)[:, None] < tree_width
@@ -409,14 +421,17 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     ]
 
 
-def _passes(problems: list[_Problem], segments):
+def _passes(problems: list[_Problem], segments, binary: bool):
     """`segments` in order, cut into passes of at most `_BATCH_CELLS` padded
-    (bootstrap row, feature) cells; a segment alone may exceed it."""
+    (bootstrap row, feature) cells on the all-0/1 path, and a
+    `_REAL_CELL_COST`th of that on the real-valued one; a segment alone may
+    exceed it."""
+    budget = _BATCH_CELLS if binary else _BATCH_CELLS // _REAL_CELL_COST
     batch, trees, width = [], 0, 1
     for segment in segments:
         p, start, stop = segment
         d = max(1, problems[p].X.shape[1])
-        if batch and (trees + stop - start) * len(problems[p].y) * max(width, d) > _BATCH_CELLS:
+        if batch and (trees + stop - start) * len(problems[p].y) * max(width, d) > budget:
             yield batch
             batch, trees, width = [], 0, 1
         batch.append(segment)
@@ -461,17 +476,18 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         groups.setdefault(key, []).extend(segments[-1])
     grown = {}
     for (binary, *_), group in groups.items():
-        for batch in _passes(problems, group):
+        for batch in _passes(problems, group, binary):
             grown.update(zip(batch, _grow(problems, batch, binary)))
     forests = []
     for problem, blocks in zip(problems, segments):
-        counts, tables = zip(*(grown[s] for s in blocks))
+        counts, tables = zip(*(grown.pop(s) for s in blocks))
+        # a forest of one block keeps views of its pass's node table
         forests.append(
             FittedForest(
                 problem.params,
                 problem.X.shape[1],
                 np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
-                *(np.concatenate(c) for c in zip(*tables)),
+                *(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*tables)),
             )
         )
     return forests
@@ -480,6 +496,82 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
 def fit_forest(X, y, params: ForestParams) -> FittedForest:
     """One forest: the one-problem call of `fit_forests`."""
     return fit_forests([X], [y], [params])[0]
+
+
+def budget_chunks(items, cost, budget: int):
+    """`items` in order, cut into lists whose `cost`s sum to at most
+    `budget`; an item alone may exceed it."""
+    chunk, total = [], 0
+    for item in items:
+        c = cost(item)
+        if chunk and total + c > budget:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += c
+    if chunk:
+        yield chunk
+
+
+def predict_forests(forests, Xs) -> list[np.ndarray]:
+    """Each forest's prediction on its own rows X, equal to what
+    `forest.predict(X)` returns alone.
+
+    The (row, tree) entries of every forest walk their trees together, over
+    one node table with global child indices, in walks of at most
+    `_WALK_ENTRIES` entries; a forest alone may exceed it. Each forest then
+    averages its (rows, trees) leaf values row by row, as a separate call
+    would.
+    """
+    Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
+    if len(Xs) != len(forests):
+        raise ValueError("need one X per forest")
+    for forest, X in zip(forests, Xs):
+        if X.ndim != 2 or X.shape[1] != forest.n_features:
+            raise ValueError(f"expected shape (n, {forest.n_features}), got {X.shape}")
+    entries = [len(X) * (len(f.offsets) - 1) for f, X in zip(forests, Xs)]
+    out = []
+    for walk in budget_chunks(range(len(Xs)), entries.__getitem__, _WALK_ENTRIES):
+        out += _walk([forests[k] for k in walk], [Xs[k] for k in walk])
+    return out
+
+
+def _walk(forests, Xs) -> list[np.ndarray]:
+    """`predict_forests` for forests whose entries make one walk."""
+    trees = np.array([len(f.offsets) - 1 for f in forests])
+    rows = np.array([len(X) for X in Xs])
+    sizes = np.array([len(f.feature) for f in forests])
+    node_base = np.cumsum(sizes) - sizes
+    # each tree's root in the stacked node table; child indices become global
+    roots = np.concatenate([f.offsets[:-1] for f in forests]) + np.repeat(node_base, trees)
+    tree_base = np.repeat(roots, np.diff(roots, append=sizes.sum()))
+    cells = np.array([X.size for X in Xs])
+    entries = rows * trees
+    index = np.int32 if max(sizes.sum(), cells.sum(), entries.sum()) < 2**31 else np.intp
+    left = (np.concatenate([f.left for f in forests]) + tree_base).astype(index)
+    right = (np.concatenate([f.right for f in forests]) + tree_base).astype(index)
+    feature = np.concatenate([f.feature for f in forests])
+    threshold = np.concatenate([f.threshold for f in forests])
+    # entries are forest-major, then row-major, one per (row, tree)
+    forest = np.repeat(np.arange(len(forests), dtype=index), entries)
+
+    def at_entry(per_forest):
+        return per_forest.astype(index)[forest]
+
+    local = np.arange(entries.sum(), dtype=index) - at_entry(np.cumsum(entries) - entries)
+    row, tree = np.divmod(local, at_entry(trees))
+    start = roots.astype(index)[at_entry(np.cumsum(trees) - trees) + tree]
+    widths = np.array([X.shape[1] for X in Xs])
+    base = at_entry(np.cumsum(cells) - cells) + row * at_entry(widths)
+    # the trailing cell gives a zero-width forest's entries something to read
+    flat = np.concatenate([X.ravel() for X in Xs] + [np.zeros(1)])
+    leaf = _leaves(flat, base, feature, threshold, left, right, start)
+    values = np.concatenate([f.value for f in forests])[leaf]
+    out, lo = [], 0
+    for k, n, hi in zip(trees.tolist(), rows.tolist(), np.cumsum(entries).tolist()):
+        out.append(values[lo:hi].reshape(n, k).sum(axis=1) / k)
+        lo = hi
+    return out
 
 
 def forest_search_space(n_features: int, scale: str = "paper") -> dict:

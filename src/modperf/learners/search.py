@@ -3,8 +3,9 @@
 Every model search in the package runs over the same split: `fold_indices`
 gives the held-out index arrays, each candidate's loss is its mean held-out
 loss over them, and the search keeps the first candidate with the lowest
-loss (`np.argmin`). `cross_validate_many` scores every candidate of a
-knowledge-model search from one call that fits all of them on all folds.
+loss (`np.argmin`). `cross_validate_many` scores every (level, candidate)
+pair of a knowledge-model search from one call that predicts every fold's
+held-out rows for all of them.
 The stage-1 lasso scores all alphas of a degree at once with
 `lasso.cross_validate_l1_many`, over `lasso.alpha_grid`, on `fold_indices`
 drawn over systems (`stats.system_folds`).
@@ -53,23 +54,24 @@ def fold_indices(n: int, spec: CVSpec) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(order, spec.folds)]
 
 
-def cross_validate_many(fit_fn, X, y, folds: list[np.ndarray], loss=mse) -> list[float]:
+def cross_validate_many(predict_fn, X, y, folds: list[np.ndarray], loss=mse) -> list[float]:
     """Each candidate's mean held-out loss over the folds, index arrays from
     `fold_indices`.
 
-    `fit_fn(train_sets)` gets one (X_train, y_train) pair per fold, the rows
-    outside it, and returns one list per candidate holding one object with
-    `.predict` per fold, which is scored on that fold. So one call fits every
+    `predict_fn(splits)` gets one (X_train, y_train, X_held_out) triple per
+    fold, the rows outside it and the rows in it, and returns one list per
+    candidate holding its predictions of each fold's held-out rows from a
+    fit on that fold's training rows. So one call fits and predicts every
     candidate on every fold.
     """
-    train_sets = []
+    splits = []
     for held_out in folds:
         train = np.ones(len(y), dtype=bool)
         train[held_out] = False
-        train_sets.append((X[train], y[train]))
+        splits.append((X[train], y[train], X[held_out]))
     return [
-        float(np.mean([loss(y[h], model.predict(X[h])) for model, h in zip(models, folds)]))
-        for models in fit_fn(train_sets)
+        float(np.mean([loss(y[h], p) for p, h in zip(predictions, folds)]))
+        for predictions in predict_fn(splits)
     ]
 
 

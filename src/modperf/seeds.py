@@ -9,6 +9,7 @@ derivation is stable across processes and platforms, unlike ``hash()``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -30,11 +31,17 @@ def _part_to_int(part: int | str) -> int:
     return part & _MASK
 
 
+# String parts are a small set of stage tags and node names, each folded in
+# thousands of times per unit, so their blake2b values are memoised.
+_string_part = functools.lru_cache(maxsize=4096)(_part_to_int)
+
+
 def derive(seed: int, *parts: int | str) -> int:
     """Mix a root seed with identifying parts into a new 64-bit seed."""
     state = seed & _MASK
     for part in parts:
-        state = _splitmix64(state ^ _part_to_int(part))
+        value = _string_part(part) if isinstance(part, str) else part & _MASK
+        state = _splitmix64(state ^ value)
     return state
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from modperf.knowledge_models import (
     make_factory,
     prune_parents,
 )
+from modperf.learners import forest as forest_module
 from modperf.learners import (
     CVSpec,
     ForestParams,
@@ -528,32 +530,64 @@ def _reference_search(level, shape, artifacts, budget, space, seed, records):
     return losses, model
 
 
-@pytest.mark.parametrize("level", knowledge_models.LEVELS)
-def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
-    """The batched search gives the per-(candidate, fold) reference's CV
-    losses and final predictions exactly, from one `fit_forests` call for
-    every CV fit and one for the refit. The candidates differ in every forest
-    setting, 61 records give folds of 31 and 30 rows, and the pruned levels
-    leave IVs without parents. Noise on the IVs the system holds constant
-    makes those fallbacks' means differ between the folds and the refit."""
+SEARCH_SPACE = {
+    "n_trees": [3, 6],
+    "max_depth": [3, 6],
+    "min_samples_leaf": [1, 3],
+    "feature_subsample": [1.0, 0.5],
+}
+SEARCH_BUDGET = SearchBudget(evaluations=3, seed=0)
+SEARCH_SEEDS = {level: 5 + k for k, level in enumerate(knowledge_models.LEVELS)}
+
+
+def _search_system():
+    """61 records of a system whose pruned levels leave IVs without parents.
+    Noise on the IVs the system holds constant makes those fallbacks' means
+    differ between the folds and the refit."""
     _, artifacts, dataset = _system(p_w=0.2)
-    shape = SystemShape.from_dataset(dataset)
     ivs = np.array([r.iv_values for r in dataset.train[:61]])
     noise = np.random.default_rng(1).normal(size=ivs.shape) * (np.ptp(ivs, axis=0) == 0)
     records = [
         MeasurementRecord(r.config, r.iv_values + e, r.perf_values)
         for r, e in zip(dataset.train[:61], noise)
     ]
-    space = {
-        "n_trees": [3, 6],
-        "max_depth": [3, 6],
-        "min_samples_leaf": [1, 3],
-        "feature_subsample": [1.0, 0.5],
+    return artifacts, dataset, records, noise
+
+
+def _search(levels, artifacts, dataset):
+    shape = SystemShape.from_dataset(dataset)
+    seeds = {level: SEARCH_SEEDS[level] for level in levels}
+    return knowledge_models.make_search(seeds, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_references():
+    """Each level's per-(candidate, fold) reference CV losses and refit."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    return {
+        level: _reference_search(
+            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, SEARCH_SEEDS[level], records
+        )
+        for level in knowledge_models.LEVELS
     }
-    budget = SearchBudget(evaluations=3, seed=0)
-    candidates = enumerate_candidates(space, budget)
-    assert all(len({c[k] for c in candidates}) == 2 for k in space)
-    want_losses, want = _reference_search(level, shape, artifacts, budget, space, 5, records)
+
+
+@pytest.mark.parametrize("level", knowledge_models.LEVELS)
+def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
+    """The all-level search gives each level the per-(candidate, fold)
+    reference's CV losses, chosen candidate and final predictions exactly,
+    from one `fit_forests` call for every CV fit of every level and one for
+    the five refits, whichever level leads the stream. The candidates differ
+    in every forest setting, 61 records give folds of 31 and 30 rows, and the
+    pruned levels leave IVs without parents (`_search_system`)."""
+    artifacts, dataset, records, noise = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
+    assert all(len({c[k] for c in candidates}) == 2 for k in SEARCH_SPACE)
+    references = _search_references()
+    lead = knowledge_models.LEVELS.index(level)
+    levels = knowledge_models.LEVELS[lead:] + knowledge_models.LEVELS[:lead]
 
     calls, losses = [], []
     real_fit, real_cv = knowledge_models.fit_forests, knowledge_models.cross_validate_many
@@ -565,14 +599,143 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
         "cross_validate_many",
         lambda *args: losses.append(real_cv(*args)) or losses[-1],
     )
-    got = make_factory(level, shape, artifacts, budget, CV, space=space, seed=5)(records)
+    got = _search(levels, artifacts, dataset)(records)
 
-    assert losses == [want_losses]
-    assert got.search_meta["cv_loss"] == min(want_losses)
+    assert list(got) == list(levels)
+    assert losses == [[loss for lv in levels for loss in references[lv][0]]]
     assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * calls[1]
     Z_test = design(dataset.test)[0]
+    for lv in levels:
+        want_losses, want = references[lv]
+        meta = got[lv].search_meta
+        assert meta["cv_losses"] == want_losses
+        assert meta["cv_loss"] == min(want_losses)
+        assert meta["chosen"] == candidates[int(np.argmin(want_losses))]
+        assert np.array_equal(got[lv].predict(Z_test), want.predict(Z_test))
+        if lv in ("practical", "complete"):
+            fallbacks = [iv for iv, m in got[lv].iv_models.items() if m.fallback]
+            assert 0 < len(fallbacks) < len(shape.ivs)
+            assert any(np.ptp(noise[:, shape.ivs.index(iv)]) > 0 for iv in fallbacks)
+
+
+def test_one_level_search_equals_its_reference(monkeypatch):
+    """`make_factory` is the one-level call of the search: two `fit_forests`
+    calls, and the reference's losses and final predictions."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    want_losses, want = _search_references()["complete"]
+    calls = []
+    real_fit = knowledge_models.fit_forests
+    monkeypatch.setattr(
+        knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
+    )
+    factory = make_factory(
+        "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEEDS["complete"]
+    )
+    got = factory(records)
+    assert len(calls) == 2
+    assert got.search_meta["cv_losses"] == want_losses
+    Z_test = design(dataset.test)[0]
     assert np.array_equal(got.predict(Z_test), want.predict(Z_test))
-    if level in ("practical", "complete"):
-        fallbacks = [iv for iv, m in got.iv_models.items() if m.fallback]
-        assert 0 < len(fallbacks) < len(shape.ivs)
-        assert any(np.ptp(noise[:, shape.ivs.index(iv)]) > 0 for iv in fallbacks)
+
+
+def test_tiny_chunk_budget_changes_nothing(monkeypatch):
+    """Cutting the CV stream into chunks, also inside one model's forests,
+    gives the one-chunk losses and final predictions, and no chunk's forests
+    hold more bootstrap-row x tree cells than the budget."""
+    artifacts, dataset, records, _ = _search_system()
+    levels = knowledge_models.LEVELS
+    Z_test = design(dataset.test)[0]
+    whole = _search(levels, artifacts, dataset)(records)
+    largest = 61 * max(c["n_trees"] for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET))
+    budget = 2 * largest
+    chunks = []
+    real_fit = knowledge_models.fit_forests
+
+    def spy(Xs, ys, params_list):
+        chunks.append(sum(len(y) * p.n_trees for y, p in zip(ys, params_list)))
+        return real_fit(Xs, ys, params_list)
+
+    monkeypatch.setattr(knowledge_models, "fit_forests", spy)
+    monkeypatch.setattr(knowledge_models, "_CHUNK_CELLS", budget)
+    cut = _search(levels, artifacts, dataset)(records)
+    cv_chunks = chunks[:-1]  # the last call is the refit of the winners
+    assert len(cv_chunks) > 10
+    assert max(cv_chunks) <= budget
+    for level in levels:
+        assert cut[level].search_meta["cv_losses"] == whole[level].search_meta["cv_losses"]
+        assert np.array_equal(cut[level].predict(Z_test), whole[level].predict(Z_test))
+
+
+def test_failing_parent_finder_marks_only_its_level():
+    """Boundaries that leave IVs uncovered fail `partial` at every size; the
+    other levels' curves equal those of a search without `partial`."""
+    _, artifacts, dataset = _system(p_w=0.2)
+    uncovering = dataclasses.replace(
+        artifacts, logical_boundaries={0: artifacts.logical_boundaries[0]}
+    )
+    sizes = (20, 50, 100)
+    curves = knowledge_models.level_curves(
+        _search(knowledge_models.LEVELS, uncovering, dataset), dataset, ("acc", "scc"), sizes
+    )
+    others = tuple(lv for lv in knowledge_models.LEVELS if lv != "partial")
+    want = knowledge_models.level_curves(
+        _search(others, uncovering, dataset), dataset, ("acc", "scc"), sizes
+    )
+    assert list(curves) == list(knowledge_models.LEVELS)
+    assert [p.n for p in curves["partial"]] == list(sizes)
+    for point in curves["partial"]:
+        assert point.efficacies == {} and "boundaries do not cover" in point.error
+    for level in others:
+        assert curves[level] == want[level]
+        assert all(p.error is None and set(p.efficacies) == {"acc", "scc"} for p in curves[level])
+
+
+def _reference_predict(model, Z):
+    """A model's predictions as it made them before the batched walk: one IV
+    at a time in evaluation order, each through its own `predict`."""
+    shape = model.shape
+    Z = np.array(Z, dtype=float)
+    for node in model.evaluation_order:
+        iv_model = model.iv_models[node]
+        Z[:, shape.column(node)] = iv_model.model.predict(shape.gather(Z, iv_model.inputs))
+    return model.perf_model.predict(shape.gather(Z, model.perf_inputs))
+
+
+def test_predict_models_equals_one_model_at_a_time(monkeypatch):
+    """One batched cascade over many models, each on its own rows, equals
+    each model's sequential cascade bit for bit: every level, several
+    candidates (so tree counts and depths differ within a walk), `MeanModel`
+    fallbacks, stand-in models, and walks cut small."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, perf = design(records)
+    Z_test = design(dataset.test)[0]
+    models = []
+    for k, level in enumerate(knowledge_models.LEVELS):
+        plan = knowledge_models._plan(level, shape, artifacts, Z, 0.05, k)
+        candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
+        models += knowledge_models._fit_models([(plan, Z, perf, c, ("final",)) for c in candidates])
+    assert any(m.fallback for model in models for m in model.iv_models.values())
+    constants = {
+        iv: IVModel(iv, m.inputs, MeanModel(k))
+        for k, (iv, m) in enumerate(models[4].iv_models.items())
+    }
+    mean_stand_in = dataclasses.replace(models[4], perf_model=MeanModel(3.5), iv_models=constants)
+
+    class StandIn:
+        def predict(self, Z):
+            return Z[:, 0] * 2.0
+
+    models += [mean_stand_in, StandIn()]
+    rows = [Z_test[k % 7 :: 1 + k % 3] for k in range(len(models))]
+    want = [
+        _reference_predict(m, Z) if isinstance(m, ModularPredictor) else m.predict(Z)
+        for m, Z in zip(models, rows)
+    ]
+    for walk_entries in (forest_module._WALK_ENTRIES, 500):
+        monkeypatch.setattr(forest_module, "_WALK_ENTRIES", walk_entries)
+        got = knowledge_models.predict_models(models, rows)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

@@ -34,10 +34,15 @@ def cross_validate(fit_fn, X, y, folds, loss=mse) -> float:
     `fit_fn(X_train, y_train, fold)` gets the rows outside fold number
     `fold`; the one-candidate call of `cross_validate_many`."""
 
-    def fit_folds(train_sets):
-        return [[fit_fn(X_train, y_train, f) for f, (X_train, y_train) in enumerate(train_sets)]]
+    def predict_folds(splits):
+        return [
+            [
+                fit_fn(X_train, y_train, f).predict(X_held)
+                for f, (X_train, y_train, X_held) in enumerate(splits)
+            ]
+        ]
 
-    return cross_validate_many(fit_folds, X, y, folds, loss)[0]
+    return cross_validate_many(predict_folds, X, y, folds, loss)[0]
 
 
 def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
@@ -311,6 +316,43 @@ def test_fit_forests_mixes_problem_shapes(monkeypatch):
             assert got.n_features == X.shape[1] and got.params == p
             for name in FOREST_TABLE:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _reference_forest_predict(model, X) -> np.ndarray:
+    """A forest's prediction as the one-forest walk made it: each row's leaf
+    in every tree, found one row at a time, averaged over the (rows, trees)
+    leaf values row by row."""
+    X = np.asarray(X, dtype=float)
+    leaves = np.column_stack(
+        [_leaf_of(tree, X) + lo for tree, lo in zip(model.trees, model.offsets[:-1].tolist())]
+    )
+    return model.value[leaves].sum(axis=1) / len(model.trees)
+
+
+def test_predict_forests_equals_one_forest_walks(monkeypatch):
+    """One batched walk over forests of mixed tree counts, depths, widths and
+    row counts, each on its own rows, equals each forest's own walk bit for
+    bit, also when the walk is cut into pieces."""
+    rng = _rng(20)
+    forests, Xs = [], []
+    shapes = [(1, 1, 1), (7, 9, 5), (3, 2, 12), (12, 6, 3), (2, 14, 8), (4, 3, 0)]
+    for j, (n_trees, depth, width) in enumerate(shapes):
+        X = rng.random((60, width)) if j % 2 else rng.integers(0, 2, (60, width)).astype(float)
+        y = rng.normal(size=60)
+        forests.append(fit_forest(X, y, ForestParams(n_trees, depth, bootstrap_seed=j)))
+        Xs.append(rng.random((5 + 7 * j, width)))
+    Xs[0] = np.zeros((0, 1))  # a forest with no rows to predict
+    want = [_reference_forest_predict(f, X) for f, X in zip(forests, Xs)]
+    assert forest.predict_forests([], []) == []
+    with pytest.raises(ValueError):
+        forest.predict_forests(forests[:2], [Xs[1], Xs[1]])
+    for walk_entries in (forest._WALK_ENTRIES, 40):
+        monkeypatch.setattr(forest, "_WALK_ENTRIES", walk_entries)
+        got = forest.predict_forests(forests, Xs)
+        assert len(got) == len(want)
+        for g, w, f, X in zip(got, want, forests, Xs):
+            assert np.array_equal(g, w)
+            assert np.array_equal(f.predict(X), w)
 
 
 def test_forest_trees_are_views_of_one_node_table():

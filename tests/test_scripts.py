@@ -38,6 +38,16 @@ def test_paper_scale_config_is_a_loadable_config():
     assert json.loads(json.dumps(config.persisted_dict())) == doc
 
 
+def test_from_dict_leaves_its_document_unchanged():
+    from modperf.experiment import ExperimentConfig
+
+    text = _run("paper_scale_config.py")
+    doc = json.loads(text)
+    ExperimentConfig.from_dict(doc)
+    assert doc == json.loads(text)
+    assert isinstance(doc["aspect_ranges"]["module_count"], list)
+
+
 @pytest.mark.parametrize("name", ["tree_hash", "time_desk_unit", "run_desk_experiment"])
 def test_long_scripts_import(monkeypatch, name):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts extend it
