@@ -10,15 +10,16 @@ seed) without timing it, then times one `run_model` call over all levels
     python scripts/time_desk_unit.py
     {"model_s": 17.9, "model_s_norm": 15.2, "level_s": {"null": 0.3, ...},
      "level_s_norm": {"null": 0.26, ...},
-     "counts": {"all": {"forest_calls": 15, "passes": 867, "walks": 165},
-                "null": {"forest_calls": 12, "passes": 23, "walks": 12}, ...},
+     "counts": {"all": {"forest_calls": 15, "problems": 502, "passes": 740, ...},
+                "null": {"forest_calls": 12, "problems": 60, ...}, ...},
      "peak_rss_mb": 93.0, "nproc": 2, "python": "3.11.7", ...}
 
 During every timed call the script counts the calls of `fit_forests`,
-direct or through `fit_forest` (`forest_calls`), the forest engine's `_grow`
-passes (`passes`) and its prediction walks (`walks`, one per `_leaves`
-call), so batching shows as exact counts beside the seconds: `counts["all"]`
-for the all-level call, one entry per level for the others. `peak_rss_mb`
+direct or through `fit_forest` (`forest_calls`), the forest problems passed
+to them (`problems`), the forest engine's `_grow` passes (`passes`) and its
+prediction walks (`walks`, one per `_leaves` call), so batching and shared
+problems show as exact counts beside the seconds: `counts["all"]` for the
+all-level call, one entry per level for the others. `peak_rss_mb`
 is the process's peak resident set size (`ru_maxrss`) after all calls.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
@@ -75,8 +76,8 @@ def _commit() -> str | None:
 
 @contextlib.contextmanager
 def _counted(counts: collections.Counter):
-    """Count `fit_forests` calls, `_grow` passes and `_leaves` walks into
-    `counts` while open.
+    """Count `fit_forests` calls and the problems passed to them, `_grow`
+    passes and `_leaves` walks into `counts` while open.
 
     `knowledge_models` holds its own reference to `fit_forests`, and
     `fit_forest` calls the forest module's, so both are wrapped.
@@ -92,6 +93,8 @@ def _counted(counts: collections.Counter):
     def counting(fn, key):
         def counted(*args, **kwargs):
             counts[key] += 1
+            if key == "forest_calls":
+                counts["problems"] += len(args[0])
             return fn(*args, **kwargs)
 
         return counted

@@ -9,9 +9,17 @@ regardless of parallelism.
 Seed derivation paths:
     system_seed = derive(global_seed, "system", s)     # aspects + graph
     trial_seed  = derive(system_seed, "trial", t)      # semantics + dataset
-    model seeds = derive(trial_seed, "model", level)   # forest bootstraps
+    model_seed  = derive(trial_seed, "model")          # one per unit, all levels
+    forest seed = derive(model_seed, target, *rows,    # forest bootstraps
+                         min_samples_leaf, feature_subsample.hex())
     search seed = derive(global_seed, "search")        # shared candidate draws
     cv seed     = derive(trial_seed, "cv")             # shared fold splits
+
+A forest's target is an IV's code or "perf" and its rows are ("cv", fold) or
+("final",). The forest seed names the problem and the candidate's family,
+never the level or the candidate's index, so levels that pose one problem
+(the perf forest on the measured IVs, an IV with the same parents) share one
+forest.
 """
 
 from __future__ import annotations
@@ -336,8 +344,10 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
         max(len(shape.options), len(shape.ivs)), scale=config.forest_scale
     )
 
-    seeds = {level: derive(config.trial_seed(s, t), "model", level) for level in config.levels}
-    search = make_search(seeds, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci)
+    model_seed = derive(config.trial_seed(s, t), "model")
+    search = make_search(
+        model_seed, config.levels, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci
+    )
     curves = level_curves(search, dataset, config.metrics, config.train_sizes)
     for level, points in curves.items():
         for metric in config.metrics:
@@ -353,7 +363,7 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                 "seeds": {
                     "system": config.system_seed(s),
                     "trial": config.trial_seed(s, t),
-                    "model": seeds[level],
+                    "model": model_seed,
                 },
                 "budget": config.budget_evaluations,
             }

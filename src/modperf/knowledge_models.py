@@ -17,13 +17,19 @@ arrays; each level's first candidate with the lowest mean held-out MSE
 (`np.argmin`) is refitted on all rows. IV regressors are trained on
 measured upstream values (teacher forcing) and predict on cascaded
 estimates, matching how a structural causal model is fit from observational
-data. Teacher forcing makes every forest of a search independent, so the
-forests of every level's (candidate, fold) fits go to `fit_forests` as one
-stream, cut into chunks under `_CHUNK_CELLS`; each chunk's models predict
-their held-out rows and are dropped before the next chunk grows. The
-winners of all levels are refitted in one more call. `predict_models`
+data. Teacher forcing makes every forest of a search independent, and its
+seed names its problem, not its level (`_keys`): the unit's model seed, the
+target, the rows and the candidate's family. So a problem several levels
+pose is grown once and shared: the perf forest on the measured IVs serves
+`partial`, `practical`, `complete` and `ideal`, and so does an IV forest
+whose pruned parents coincide. The distinct forests of every level's
+(candidate, fold) fits go to `fit_forests` as one stream, cut into chunks
+under `_CHUNK_CELLS`; each chunk's completed models predict their held-out
+rows, and a forest is dropped once every model holding it has predicted.
+The winners of all levels are refitted in one more call. `predict_models`
 predicts many models at once, one batched forest walk per cascade
-generation and one for the perf forests. `make_factory` and
+generation and one for the perf forests, reading and writing design columns
+by each plan's integer `_Layout`. `make_factory` and
 `efficacy_curves` are the one-level calls of `make_search` and
 `level_curves`. For a fixed (dataset, training size) all levels consume the
 identical training prefix, the identical candidate list, folds and search
@@ -128,8 +134,45 @@ class IVModel:
     fallback: bool = False
 
 
+class _Layout(NamedTuple):
+    """A model's cascade as design-row column indices, so that prediction
+    reads and writes columns without looking node ids up: `steps[g]` holds the
+    positions in the evaluation order of the IVs of cascade generation g,
+    `inputs[k]` and `outputs[k]` the input columns and the own column of the
+    IV at position k, and `perf` the perf model's input columns."""
+
+    steps: tuple[tuple[int, ...], ...]
+    inputs: tuple[tuple[int, ...], ...]
+    outputs: tuple[int, ...]
+    perf: tuple[int, ...]
+
+
+def _layout(shape: SystemShape, order, inputs, perf_inputs) -> _Layout:
+    """The layout of a cascade over the IVs of `order`, the one at position k
+    reading the nodes `inputs[k]`. An IV's generation is 0 when none of its
+    inputs is an IV of the cascade, else one more than the latest of theirs;
+    `order` is topological, so an IV's inputs are estimated in earlier
+    generations."""
+    columns = tuple(tuple(shape.columns(nodes)) for nodes in inputs)
+    outputs = tuple(shape.columns(order))
+    generation: dict[int, int] = {}  # by own column
+    steps: list[list[int]] = []
+    for k, (cols, own) in enumerate(zip(columns, outputs)):
+        g = 1 + max((generation[c] for c in cols if c in generation), default=-1)
+        generation[own] = g
+        steps += [[] for _ in range(g + 1 - len(steps))]
+        steps[g].append(k)
+    return _Layout(tuple(map(tuple, steps)), columns, outputs, tuple(shape.columns(perf_inputs)))
+
+
 @dataclass
 class ModularPredictor:
+    """A level's model. `iv_models` holds one IV model per IV of
+    `evaluation_order`, in that order. `layout` is derived from the shape,
+    the evaluation order, the IV models' inputs and the perf inputs; a search
+    builds it once per plan and shares it among the plan's models, and it is
+    built here when not given."""
+
     level: str
     shape: SystemShape
     perf_model: object
@@ -137,6 +180,14 @@ class ModularPredictor:
     iv_models: dict[NodeId, IVModel] = field(default_factory=dict)
     evaluation_order: tuple[NodeId, ...] = ()
     search_meta: dict = field(default_factory=dict)
+    layout: _Layout | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if tuple(self.iv_models) != self.evaluation_order:
+            raise ValueError("iv_models must hold the IVs of evaluation_order, in that order")
+        if self.layout is None:
+            inputs = [m.inputs for m in self.iv_models.values()]
+            self.layout = _layout(self.shape, self.evaluation_order, inputs, self.perf_inputs)
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
         """Predict from design rows. A copy of Z has each modelled IV's column
@@ -144,17 +195,6 @@ class ModularPredictor:
         measured values, and Z itself is left unchanged. The one-model call of
         `predict_models`."""
         return predict_models([self], [Z])[0]
-
-
-def _generations(model: ModularPredictor) -> dict[NodeId, int]:
-    """Each modelled IV's cascade generation: 0 when none of its inputs is a
-    modelled IV, else one more than the latest of theirs. `evaluation_order`
-    is topological, so an IV's inputs are estimated in earlier generations."""
-    generation: dict[NodeId, int] = {}
-    for node in model.evaluation_order:
-        inputs = model.iv_models[node].inputs
-        generation[node] = 1 + max((generation[p] for p in inputs if p in generation), default=-1)
-    return generation
 
 
 def _predict_each(models, Xs) -> list[np.ndarray]:
@@ -171,28 +211,34 @@ def predict_models(models, Zs) -> list[np.ndarray]:
     """Each model's predictions on its own design rows, equal to what
     `model.predict(Z)` returns alone.
 
-    The IV estimates cascade generation by generation (`_generations`): every
-    model's IVs of one generation read their inputs and predict in one
-    batched forest walk, then every model's perf forest in one more. Any
-    model that is not a `ModularPredictor` (a stand-in) predicts Z directly.
+    The IV estimates cascade generation by generation (`_Layout.steps`):
+    every model's IVs of one generation read their input columns and predict
+    in one batched forest walk, then every model's perf forest in one more.
+    Columns are read and written by the models' layouts, never by node id.
+    Any model that is not a `ModularPredictor` (a stand-in) predicts Z
+    directly.
     """
     Zs = [np.array(Z, dtype=float) for Z in Zs]
-    steps: list[list[tuple[int, NodeId]]] = []
-    for k, model in enumerate(models):
-        if isinstance(model, ModularPredictor):
-            for node, g in _generations(model).items():
-                steps += [[] for _ in range(g + 1 - len(steps))]
-                steps[g].append((k, node))
-    for step in steps:
-        iv_models = [models[k].iv_models[node] for k, node in step]
-        Xs = [models[k].shape.gather(Zs[k], m.inputs) for (k, _), m in zip(step, iv_models)]
-        for (k, node), values in zip(step, _predict_each([m.model for m in iv_models], Xs)):
-            Zs[k][:, models[k].shape.column(node)] = values
+    cascades = [
+        (Zs[k], model.layout, tuple(model.iv_models.values()))
+        for k, model in enumerate(models)
+        if isinstance(model, ModularPredictor)
+    ]
+    for g in range(max((len(layout.steps) for _, layout, _ in cascades), default=0)):
+        step = [
+            (Z, layout, ivs[p].model, p)
+            for Z, layout, ivs in cascades
+            if g < len(layout.steps)
+            for p in layout.steps[g]
+        ]
+        Xs = [Z.take(layout.inputs[p], axis=1) for Z, layout, _, p in step]
+        for (Z, layout, _, p), values in zip(step, _predict_each([m for _, _, m, _ in step], Xs)):
+            Z[:, layout.outputs[p]] = values
     leaves, Xs = [], []
     for model, Z in zip(models, Zs):
         cascade = isinstance(model, ModularPredictor)
         leaves.append(model.perf_model if cascade else model)
-        Xs.append(model.shape.gather(Z, model.perf_inputs) if cascade else Z)
+        Xs.append(Z.take(model.layout.perf, axis=1) if cascade else Z)
     return _predict_each(leaves, Xs)
 
 
@@ -246,39 +292,16 @@ LEVEL_PARENTS = {
 LEVELS = tuple(LEVEL_PARENTS)
 
 
-def _level_problems(level, cascade, iv_columns, perf_columns, seed, Z, perf, candidate, tag):
-    """The forest problems of one level's model for one candidate on design
-    rows Z, as (X, y, params) triples: one IV forest per (encoded IV, input
-    columns, own column) of `iv_columns`, in that order, then the perf forest
-    on `perf_columns`.
-
-    Seed paths: IV forest derive(seed, level, iv.encode(), *tag); perf forest
-    derive(seed, level, *tag) without IV models, derive(seed, level, "perf",
-    *tag) on top of a cascade.
-    """
-    problems = [
-        (
-            Z.take(inputs, axis=1),
-            Z[:, column],
-            _forest_params(candidate, derive(seed, level, name, *tag)),
-        )
-        for name, inputs, column in iv_columns
-    ]
-    perf_tag = ("perf", *tag) if cascade else tag
-    params = _forest_params(candidate, derive(seed, level, *perf_tag))
-    problems.append((Z.take(perf_columns, axis=1), perf, params))
-    return problems
-
-
-def _assemble_level(level, shape, parents_by_iv, order, Z, forests):
-    """One level's model on design rows Z, taking the forests fitted to its
-    `_level_problems` from the iterator `forests`, in that order; an IV
-    without parents falls back to its mean on Z."""
+def _assemble_level(level, shape, order, parents, layout, Z, forests):
+    """One level's model on design rows Z, the IV at position k of `order`
+    reading `parents[k]`, taking the forests of its plan's `forests` from the
+    iterator `forests`, in that order; an IV without parents falls back to
+    its mean on Z."""
     iv_models = {
-        iv: IVModel(iv, parents_by_iv[iv], next(forests))
-        if parents_by_iv[iv]
-        else IVModel(iv, (), MeanModel(Z[:, shape.column(iv)].mean()), fallback=True)
-        for iv in order
+        iv: IVModel(iv, inputs, next(forests))
+        if inputs
+        else IVModel(iv, (), MeanModel(Z[:, own].mean()), fallback=True)
+        for iv, inputs, own in zip(order, parents, layout.outputs)
     }
     return ModularPredictor(
         level=level,
@@ -287,6 +310,7 @@ def _assemble_level(level, shape, parents_by_iv, order, Z, forests):
         perf_inputs=_perf_inputs(level, shape),
         iv_models=iv_models,
         evaluation_order=order,
+        layout=layout,
     )
 
 
@@ -311,10 +335,13 @@ def prune_parents(
 
 class _Plan(NamedTuple):
     """One level's model on one training design, once its IV parents are
-    found: `problems(Z, perf, candidate, tag)` gives the forest problems of a
-    fit, `assemble(Z, forests)` the model from their forests."""
+    found: `seed` is the unit's model seed, `forests` holds one (target, input
+    columns, target column) triple per forest a fit grows, the IVs with
+    parents in evaluation order and then the perf forest (target "perf",
+    column None), and `assemble(Z, forests)` builds the model from them."""
 
-    problems: Callable
+    seed: int
+    forests: tuple[tuple[str, tuple[int, ...], int | None], ...]
     assemble: Callable
 
 
@@ -323,57 +350,117 @@ def _plan(level, shape, artifacts, Z, alpha_ci, seed) -> _Plan:
     parents = find_parents and find_parents(artifacts, shape, Z, alpha_ci)
     # Canonical (NodeId) order is topological: graph edges run forward in it.
     order = () if parents is None else tuple(sorted(parents))
-    iv_columns = [
-        (iv.encode(), shape.columns(parents[iv]), shape.column(iv)) for iv in order if parents[iv]
-    ]
-    perf_columns = shape.columns(_perf_inputs(level, shape))
+    inputs = [parents[iv] for iv in order]
+    layout = _layout(shape, order, inputs, _perf_inputs(level, shape))
+    forests = tuple(
+        (iv.encode(), columns, own)
+        for iv, nodes, columns, own in zip(order, inputs, layout.inputs, layout.outputs)
+        if nodes
+    ) + (("perf", layout.perf, None),)
     return _Plan(
-        functools.partial(
-            _level_problems, level, parents is not None, iv_columns, perf_columns, seed
-        ),
-        functools.partial(_assemble_level, level, shape, parents, order),
+        seed, forests, functools.partial(_assemble_level, level, shape, order, inputs, layout)
     )
 
 
+class _Key(NamedTuple):
+    """One forest problem of a search: its params, seed included, its target
+    column (None for perf), its input columns and its rows tag."""
+
+    params: ForestParams
+    column: int | None
+    inputs: tuple[int, ...]
+    tag: tuple
+
+
+def _keys(plan: _Plan, candidate: dict, tag: tuple) -> list[_Key]:
+    """The problems of `plan`'s forests for one candidate on the rows `tag`
+    names, in `plan.forests` order.
+
+    Seed path: derive(plan.seed, target, *tag, min_samples_leaf,
+    feature_subsample.hex()), where target is an IV's code or "perf" and tag
+    is ("cv", fold) or ("final",). The seed names the problem and the
+    candidate's family, never the level or the candidate's index, so levels
+    that grow one problem get one key, and candidates of one family draw the
+    same bootstrap rows.
+    """
+    family = (int(candidate["min_samples_leaf"]), float(candidate["feature_subsample"]).hex())
+    return [
+        _Key(
+            _forest_params(candidate, derive(plan.seed, target, *tag, *family)), column, inputs, tag
+        )
+        for target, inputs, column in plan.forests
+    ]
+
+
+def _problem(key: _Key, Z, perf):
+    """The (X, y, params) triple of `key` on design rows Z and targets perf."""
+    y = perf if key.column is None else Z[:, key.column]
+    return Z.take(key.inputs, axis=1), y, key.params
+
+
+def _distinct_problems(jobs):
+    """Each (plan, Z, perf, candidate, tag, ...) job's problem keys, and each
+    distinct key's first job, in job order. Jobs that share a tag share their
+    rows Z and perf, so equal keys pose one problem."""
+    keys = [_keys(plan, candidate, tag) for plan, _, _, candidate, tag, *_ in jobs]
+    first = {}
+    for j, job_keys in enumerate(keys):
+        for key in job_keys:
+            first.setdefault(key, j)
+    return keys, first
+
+
 def _fit_models(jobs) -> list[ModularPredictor]:
-    """One model per (plan, Z, perf, candidate, tag) job, all of their
-    forests grown in one `fit_forests` call."""
-    forests = iter(fit_forests(*zip(*(p for plan, *fit in jobs for p in plan.problems(*fit)))))
-    return [plan.assemble(Z, forests) for plan, Z, *_ in jobs]
+    """One model per (plan, Z, perf, candidate, tag) job, every distinct
+    problem among their forests grown once, all in one `fit_forests` call."""
+    keys, first = _distinct_problems(jobs)
+    problems = (_problem(key, *jobs[j][1:3]) for key, j in first.items())
+    forests = dict(zip(first, fit_forests(*zip(*problems))))
+    return [
+        plan.assemble(Z, map(forests.__getitem__, job_keys))
+        for (plan, Z, *_), job_keys in zip(jobs, keys)
+    ]
 
 
 def _held_out_predictions(jobs) -> list[np.ndarray]:
     """Each (plan, Z, perf, candidate, tag, Z_held) job's model's predictions
     on its held-out rows Z_held.
 
-    Every job's forest problems go to `fit_forests` as one stream, cut into
-    chunks of at most `_CHUNK_CELLS` bootstrap-row x tree cells (a forest alone
-    may exceed it). Once a chunk is grown, the models it completes predict
-    their held-out rows in one `predict_models` call and their forests are
-    dropped, so a search holds about one chunk of forests, and their
-    designs, at a time.
+    Each distinct problem among the jobs' forests (`_distinct_problems`) goes
+    to `fit_forests` once, in the order of the first job that needs it, as
+    one stream cut into chunks of at most `_CHUNK_CELLS` bootstrap-row x tree
+    cells (a forest alone may exceed it). Once a chunk is grown, the models
+    it completes predict their held-out rows in one `predict_models` call,
+    and a forest is dropped once every model that holds it has predicted.
+    Jobs that share problems come next to each other, so a search holds
+    about one chunk of forests, and their designs, at a time.
     """
-
-    def stream():
-        """(job, problem, whether it is the job's last) triples, made lazily."""
-        for j, (plan, *fit, _) in enumerate(jobs):
-            problems = plan.problems(*fit)
-            for k, problem in enumerate(problems, 1):
-                yield j, problem, k == len(problems)
+    keys, first = _distinct_problems(jobs)
+    position = {key: k for k, key in enumerate(first)}
+    # a job is complete once the last of its problems in the stream is grown
+    ready = [max(position[key] for key in job_keys) for job_keys in keys]
+    uses = collections.Counter(key for job_keys in keys for key in job_keys)
 
     def cells(item):
-        _, (X, y, params), _ = item
-        return len(y) * params.n_trees
+        key, j = item
+        return len(jobs[j][1]) * key.params.n_trees
 
-    grown = collections.defaultdict(list)
+    grown = {}
     predictions = [None] * len(jobs)
-    for chunk in budget_chunks(stream(), cells, _CHUNK_CELLS):
-        for (j, _, _), forest in zip(chunk, fit_forests(*zip(*(p for _, p, _ in chunk)))):
-            grown[j].append(forest)
-        done = [j for j, _, last in chunk if last]
-        models = [jobs[j][0].assemble(jobs[j][1], iter(grown.pop(j))) for j in done]
+    pending, streamed = range(len(jobs)), 0
+    for chunk in budget_chunks(first.items(), cells, _CHUNK_CELLS):
+        problems = [_problem(key, *jobs[j][1:3]) for key, j in chunk]
+        grown.update(zip((key for key, _ in chunk), fit_forests(*zip(*problems))))
+        streamed += len(chunk)
+        done = [j for j in pending if ready[j] < streamed]
+        pending = [j for j in pending if ready[j] >= streamed]
+        models = [jobs[j][0].assemble(jobs[j][1], map(grown.__getitem__, keys[j])) for j in done]
         for j, values in zip(done, predict_models(models, [jobs[j][-1] for j in done])):
             predictions[j] = values
+        for key in (key for j in done for key in keys[j]):
+            uses[key] -= 1
+            if not uses[key]:
+                del grown[key]
     return predictions
 
 
@@ -383,16 +470,22 @@ def _search_levels(plans, candidates, budget, Z, perf, folds) -> dict[str, Modul
     one `fit_forests` call."""
 
     def predict_folds(splits):
+        # candidate-major, then fold, then level, so that the levels' jobs
+        # of one (candidate, fold), which share problems, come together
         predictions = _held_out_predictions(
             [
-                (plan, Z_train, y_train, c, ("cv", i, f), Z_held)
-                for plan in plans.values()
-                for i, c in enumerate(candidates)
+                (plan, Z_train, y_train, c, ("cv", f), Z_held)
+                for c in candidates
                 for f, (Z_train, y_train, Z_held) in enumerate(splits)
+                for plan in plans.values()
             ]
         )
-        k = len(splits)
-        return [predictions[j : j + k] for j in range(0, len(predictions), k)]
+        n_levels, n_folds = len(plans), len(splits)
+        return [
+            [predictions[(i * n_folds + f) * n_levels + k] for f in range(n_folds)]
+            for k in range(n_levels)
+            for i in range(len(candidates))
+        ]
 
     losses = cross_validate_many(predict_folds, Z, perf, folds)
     c = len(candidates)
@@ -413,7 +506,8 @@ def _search_levels(plans, candidates, budget, Z, perf, folds) -> dict[str, Modul
 
 
 def make_search(
-    seeds: dict[str, int],
+    seed: int,
+    levels,
     shape: SystemShape,
     artifacts: KnowledgeArtifacts | None,
     budget: SearchBudget,
@@ -422,20 +516,22 @@ def make_search(
     alpha_ci: float = DEFAULT_ALPHA_CI,
 ):
     """Bind knowledge levels to their structural inputs, leaving only the
-    training records free; `seeds` maps each level to fit, in order, to the
-    seed of its forests.
+    training records free; `levels` are fitted in their order, and `seed`,
+    the unit's model seed, seeds every forest by its problem (`_keys`).
 
     The returned callable fits every level on the same records. It stacks
     them into design rows once and finds each level's IV parents on them.
     `cross_validate_many` then scores every (level, candidate) pair over the
     shared fold index arrays: all of their (candidate, fold) fits stream
-    through `_held_out_predictions`. Each level keeps the first candidate
-    with the lowest mean held-out MSE, and the winners are refitted on all
-    rows in one more `fit_forests` call. It returns each level's model, or
-    the exception its search raised: a level whose parents cannot be found
-    fails alone, and a failure in the shared fits fails every level in them.
+    through `_held_out_predictions`, and a problem several levels share,
+    such as the perf forest on the measured IVs, is grown once for all of
+    them. Each level keeps the first candidate with the lowest mean held-out
+    MSE, and the winners are refitted on all rows in one more `fit_forests`
+    call. It returns each level's model, or the exception its search raised:
+    a level whose parents cannot be found fails alone, and a failure in the
+    shared fits fails every level in them.
     """
-    levels = tuple(seeds)
+    levels = tuple(levels)
     for level in levels:
         if level not in LEVEL_PARENTS:
             raise ValueError(f"unknown level {level!r}")
@@ -452,7 +548,7 @@ def make_search(
         plans = {}
         for level in levels:
             try:
-                plans[level] = _plan(level, shape, artifacts, Z, alpha_ci, seeds[level])
+                plans[level] = _plan(level, shape, artifacts, Z, alpha_ci, seed)
             except Exception as exc:  # this level's knowledge does not fit the system
                 results[level] = exc
         if plans:
@@ -479,7 +575,7 @@ def make_factory(
     """One level's search: the one-level call of `make_search`. The returned
     callable maps training records to the level's model, or raises what its
     search raised."""
-    search = make_search({level: seed}, shape, artifacts, budget, cv, space, alpha_ci)
+    search = make_search(seed, (level,), shape, artifacts, budget, cv, space, alpha_ci)
 
     def factory(records: list[MeasurementRecord]) -> ModularPredictor:
         result = search(records)[level]

@@ -215,9 +215,9 @@ def test_generate_tree_bytes_unchanged(tmp_path):
 
 
 # sha256 of the curves/ and fairness/ trees below, as written with compact
-# curve files and one noise generator per dataset. The forest engine and the
-# search must keep every byte.
-MODEL_TREE_SHA = "563e62ae37b19d5c1193f0c87a22d76d20a89272cdb99e60252ab51251c5e355"
+# curve files, one noise generator per dataset and forests seeded by their
+# problem. The forest engine and the search must keep every byte.
+MODEL_TREE_SHA = "a15390a86121ad1f228187897094ab089c82eab5c6eab45bd848c82ce4c4801a"
 
 
 def test_model_tree_bytes_unchanged(tmp_path):

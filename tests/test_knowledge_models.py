@@ -461,7 +461,10 @@ def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
 def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
     """One level's model for one candidate on design rows Z, as the search
     fitted it before it batched its forests: the IV forests in one
-    `fit_forests` call, the perf forest in its own `fit_forest` call."""
+    `fit_forests` call, the perf forest in its own `fit_forest` call. Every
+    forest is seeded by its problem: derive(seed, target, *tag,
+    min_samples_leaf, feature_subsample.hex())."""
+    family = (candidate["min_samples_leaf"], float(candidate["feature_subsample"]).hex())
 
     def params(forest_seed):
         return ForestParams(
@@ -476,7 +479,7 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
     forests = fit_forests(
         [shape.gather(Z, parents_by_iv[iv]) for iv in fitted],
         [Z[:, shape.column(iv)] for iv in fitted],
-        [params(derive(seed, level, iv.encode(), *tag)) for iv in fitted],
+        [params(derive(seed, iv.encode(), *tag, *family)) for iv in fitted],
     )
     forest_of = dict(zip(fitted, forests))
     iv_models = {
@@ -486,9 +489,8 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
         for iv in order
     }
     perf_inputs = shape.options if level == "null" else shape.ivs
-    perf_tag = tag if parents_by_iv is None else ("perf", *tag)
     perf_model = fit_forest(
-        shape.gather(Z, perf_inputs), perf, params(derive(seed, level, *perf_tag))
+        shape.gather(Z, perf_inputs), perf, params(derive(seed, "perf", *tag, *family))
     )
     return ModularPredictor(level, shape, perf_model, perf_inputs, iv_models, order)
 
@@ -515,13 +517,13 @@ def _reference_search(level, shape, artifacts, budget, space, seed, records):
     losses = [
         _reference_cross_validate(
             lambda X, y, f: _reference_fit_level(
-                level, shape, parents, order, seed, X, y, c, ("cv", i, f)
+                level, shape, parents, order, seed, X, y, c, ("cv", f)
             ),
             Z,
             perf,
             folds,
         )
-        for i, c in enumerate(candidates)
+        for c in candidates
     ]
     best = int(np.argmin(losses))
     model = _reference_fit_level(
@@ -537,7 +539,7 @@ SEARCH_SPACE = {
     "feature_subsample": [1.0, 0.5],
 }
 SEARCH_BUDGET = SearchBudget(evaluations=3, seed=0)
-SEARCH_SEEDS = {level: 5 + k for k, level in enumerate(knowledge_models.LEVELS)}
+SEARCH_SEED = 5
 
 
 def _search_system():
@@ -556,8 +558,9 @@ def _search_system():
 
 def _search(levels, artifacts, dataset):
     shape = SystemShape.from_dataset(dataset)
-    seeds = {level: SEARCH_SEEDS[level] for level in levels}
-    return knowledge_models.make_search(seeds, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE)
+    return knowledge_models.make_search(
+        SEARCH_SEED, levels, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,9 +570,25 @@ def _search_references():
     shape = SystemShape.from_dataset(dataset)
     return {
         level: _reference_search(
-            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, SEARCH_SEEDS[level], records
+            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, SEARCH_SEED, records
         )
         for level in knowledge_models.LEVELS
+    }
+
+
+def _level_forests(levels, artifacts, shape, records):
+    """Each level's forests as (target, input columns) pairs, from the plan
+    the search makes on `records`."""
+    Z, _ = design(records)
+    alpha = knowledge_models.DEFAULT_ALPHA_CI
+    return {
+        level: {
+            (target, inputs)
+            for target, inputs, _ in knowledge_models._plan(
+                level, shape, artifacts, Z, alpha, SEARCH_SEED
+            ).forests
+        }
+        for level in levels
     }
 
 
@@ -578,9 +597,11 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     """The all-level search gives each level the per-(candidate, fold)
     reference's CV losses, chosen candidate and final predictions exactly,
     from one `fit_forests` call for every CV fit of every level and one for
-    the five refits, whichever level leads the stream. The candidates differ
-    in every forest setting, 61 records give folds of 31 and 30 rows, and the
-    pruned levels leave IVs without parents (`_search_system`)."""
+    the five refits, whichever level leads the stream. Each call grows every
+    distinct problem once: per (candidate, fold), the union of the levels'
+    forests. The candidates differ in every forest setting, 61 records give
+    folds of 31 and 30 rows, and the pruned levels leave IVs without parents
+    (`_search_system`)."""
     artifacts, dataset, records, noise = _search_system()
     shape = SystemShape.from_dataset(dataset)
     candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
@@ -588,6 +609,9 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     references = _search_references()
     lead = knowledge_models.LEVELS.index(level)
     levels = knowledge_models.LEVELS[lead:] + knowledge_models.LEVELS[:lead]
+    forests = _level_forests(levels, artifacts, shape, records)
+    distinct = set().union(*forests.values())
+    assert len(distinct) < sum(map(len, forests.values()))
 
     calls, losses = [], []
     real_fit, real_cv = knowledge_models.fit_forests, knowledge_models.cross_validate_many
@@ -603,7 +627,9 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
 
     assert list(got) == list(levels)
     assert losses == [[loss for lv in levels for loss in references[lv][0]]]
-    assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * calls[1]
+    assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * len(distinct)
+    chosen = {lv: int(np.argmin(references[lv][0])) for lv in levels}
+    assert calls[1] == len({(chosen[lv], *f) for lv in levels for f in forests[lv]})
     Z_test = design(dataset.test)[0]
     for lv in levels:
         want_losses, want = references[lv]
@@ -630,7 +656,7 @@ def test_one_level_search_equals_its_reference(monkeypatch):
         knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
     )
     factory = make_factory(
-        "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEEDS["complete"]
+        "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
     )
     got = factory(records)
     assert len(calls) == 2
@@ -739,3 +765,124 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
+    """One (candidate, fold) of an all-level search grows one perf forest on
+    the measured IVs, and the models of `partial`, `practical`, `complete`
+    and `ideal` hold that one `FittedForest`; `null`'s perf forest reads the
+    options and stays its own. Across the whole search, every (candidate,
+    fold) grows exactly one perf forest on the IVs."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, perf = design(records)
+    held_out = fold_indices(len(records), CV)[0]
+    train = np.setdiff1d(np.arange(len(records)), held_out)
+    candidate = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)[0]
+    plans = [
+        knowledge_models._plan(level, shape, artifacts, Z, 0.05, SEARCH_SEED)
+        for level in knowledge_models.LEVELS
+    ]
+    null, *others = knowledge_models._fit_models(
+        [(plan, Z[train], perf[train], candidate, ("cv", 0)) for plan in plans]
+    )
+    assert [m.level for m in others] == ["partial", "practical", "complete", "ideal"]
+    assert all(m.perf_model is others[0].perf_model for m in others)
+    assert null.perf_model is not others[0].perf_model
+    assert others[0].perf_model.n_features == len(shape.ivs)
+
+    widths = []
+    real_fit = knowledge_models.fit_forests
+
+    def spy(Xs, ys, params_list):
+        widths.append([(X.shape[1], p.bootstrap_seed) for X, p in zip(Xs, params_list)])
+        return real_fit(Xs, ys, params_list)
+
+    monkeypatch.setattr(knowledge_models, "fit_forests", spy)
+    _search(knowledge_models.LEVELS, artifacts, dataset)(records)
+    for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET):
+        family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
+        for f in range(CV.folds):
+            seed = derive(SEARCH_SEED, "perf", "cv", f, *family)
+            perf_forests = [w for w, s in widths[0] if s == seed]
+            assert sorted(perf_forests) == sorted([len(shape.options), len(shape.ivs)])
+
+
+def test_problem_keys_merge_only_equal_problems():
+    """Two forests of a search share a key exactly when they pose one
+    problem: the same target, input columns, rows tag and candidate. Inputs,
+    tag or family apart keeps them apart; candidates of one family differ
+    only in their key's `n_trees` or `max_depth`, not in their seed. That
+    the deduplicated search equals the per-problem reference is
+    `test_search_grows_every_forest_in_two_calls`."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, _ = design(records)
+    space = dict(SEARCH_SPACE, n_trees=[3, 6, 12])
+    candidates = enumerate_candidates(space, SearchBudget(evaluations=24))
+    assert len(candidates) == 24
+    plans = [
+        knowledge_models._plan(level, shape, artifacts, Z, 0.05, SEARCH_SEED)
+        for level in knowledge_models.LEVELS
+    ]
+    problems = {}  # key -> every (target, inputs, tag, candidate) it stands for
+    for plan in plans:
+        for c in candidates:
+            for tag in [("cv", 0), ("cv", 1), ("final",)]:
+                for key, (target, inputs, _) in zip(
+                    knowledge_models._keys(plan, c, tag), plan.forests
+                ):
+                    problems.setdefault(key, set()).add(
+                        (target, inputs, tag, tuple(sorted(c.items())))
+                    )
+                    family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
+                    assert key.params.bootstrap_seed == derive(SEARCH_SEED, target, *tag, *family)
+    assert all(len(merged) == 1 for merged in problems.values())
+    assert len(set().union(*problems.values())) == len(problems)
+    assert len(problems) < sum(len(plan.forests) for plan in plans) * len(candidates) * 3
+
+    seeds_by_family = {}  # members of one family that one seed serves
+    for key in problems:
+        p = key.params
+        group = (p.bootstrap_seed, key.column, key.inputs, key.tag)
+        seeds_by_family.setdefault(group, set()).add((p.n_trees, p.max_depth))
+    assert max(map(len, seeds_by_family.values())) == 3 * 2  # n_trees x max_depth
+
+
+def test_candidates_of_one_family_share_bootstrap_rows():
+    """Two candidates of one family, 6 and 12 trees, get one seed for a
+    problem, and the 6-tree forest's node tables equal the first 6 trees of
+    the 12-tree fit: a family can be read off its largest member."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, perf = design(records)
+    plan = knowledge_models._plan("practical", shape, artifacts, Z, 0.05, SEARCH_SEED)
+    base = {"max_depth": 6, "min_samples_leaf": 1, "feature_subsample": 0.5}
+    small, large = (
+        knowledge_models._keys(plan, dict(base, n_trees=n), ("final",)) for n in (6, 12)
+    )
+    assert len(small) == len(plan.forests) > 2
+    for a, b in zip(small, large):
+        assert a.params.bootstrap_seed == b.params.bootstrap_seed
+        six, twelve = fit_forests(
+            *zip(knowledge_models._problem(a, Z, perf), knowledge_models._problem(b, Z, perf))
+        )
+        stop = six.offsets[-1]
+        assert np.array_equal(six.offsets, twelve.offsets[:7])
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(six, name), getattr(twelve, name)[:stop])
+
+
+def test_make_factory_equals_its_level_of_the_all_level_search():
+    """`make_factory(level, seed=s)` fits what the all-level search with seed
+    s fits for that level: losses, chosen candidate and test predictions."""
+    artifacts, dataset, records, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z_test = design(dataset.test)[0]
+    every = _search(knowledge_models.LEVELS, artifacts, dataset)(records)
+    for level in knowledge_models.LEVELS:
+        one = make_factory(
+            level, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
+        )(records)
+        assert one.search_meta == every[level].search_meta
+        assert np.array_equal(one.predict(Z_test), every[level].predict(Z_test))

@@ -48,11 +48,45 @@ def test_from_dict_leaves_its_document_unchanged():
     assert isinstance(doc["aspect_ranges"]["module_count"], list)
 
 
-@pytest.mark.parametrize("name", ["tree_hash", "time_desk_unit", "run_desk_experiment"])
-def test_long_scripts_import(monkeypatch, name):
+def _import_script(monkeypatch, name):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the scripts extend it
     spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", ["tree_hash", "time_desk_unit", "run_desk_experiment"])
+def test_long_scripts_import(monkeypatch, name):
+    assert callable(_import_script(monkeypatch, name).main)
+
+
+def test_time_desk_unit_counts_forest_problems(monkeypatch):
+    """`counts` holds the `fit_forests` calls, the problems passed to them,
+    the `_grow` passes and the `_leaves` walks of the code run inside
+    `_counted`: an `ideal` search of 2 candidates x 2 folds and its refit
+    pass 5 problems in 2 calls."""
+    import collections
+
+    from modperf.dataset import sample_dataset
+    from modperf.influence_graph import StructuralAspects, generate_graph
+    from modperf.knowledge_models import SystemShape, design, make_factory
+    from modperf.learners import CVSpec, SearchBudget
+    from modperf.semantics import synthesize_semantics
+
+    script = _import_script(monkeypatch, "time_desk_unit")
+    aspects = StructuralAspects(option_count=4, p_w=0.5, mu_a=0.2, sigma_a=0.05, module_count=2)
+    graph = generate_graph(aspects, seed=1)
+    dataset = sample_dataset(synthesize_semantics(graph, seed=2), seed=3, n_train=40, n_test=10)
+    space = {
+        "n_trees": [3], "max_depth": [3], "min_samples_leaf": [1, 2], "feature_subsample": [1.0]
+    }
+    factory = make_factory(
+        "ideal", SystemShape.from_dataset(dataset), None, SearchBudget(2), CVSpec(2), space
+    )
+    counts = collections.Counter()
+    with script._counted(counts):
+        factory(dataset.train).predict(design(dataset.test)[0])
+    assert set(counts) == {"forest_calls", "problems", "passes", "walks"}
+    assert (counts["forest_calls"], counts["problems"]) == (2, 5)
