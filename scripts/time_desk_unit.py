@@ -16,11 +16,13 @@ seed) without timing it, then times one `run_model` call over all levels
 
 During every timed call the script counts the calls of `fit_forests`,
 direct or through `fit_forest` (`forest_calls`), the forest problems passed
-to them (`problems`), the forest engine's `_grow` passes (`passes`) and its
-prediction walks (`walks`, one per `_leaves` call), so batching and shared
-problems show as exact counts beside the seconds: `counts["all"]` for the
-all-level call, one entry per level for the others. `peak_rss_mb`
-is the process's peak resident set size (`ru_maxrss`) after all calls.
+to them (`problems`), the forest engine's `_grow` passes (`passes`), its
+split searches (`searches`, the calls of `_search_binary` and
+`_search_sorted`, at most one per level of a pass) and its prediction walks
+(`walks`, one per `_leaves` call), so batching and shared problems show as
+exact counts beside the seconds: `counts["all"]` for the all-level call,
+one entry per level for the others. `peak_rss_mb` is the process's peak
+resident set size (`ru_maxrss`) after all calls.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
 reference computation (`perfbench/calibrate.py`) runs before and after each
@@ -77,7 +79,7 @@ def _commit() -> str | None:
 @contextlib.contextmanager
 def _counted(counts: collections.Counter):
     """Count `fit_forests` calls and the problems passed to them, `_grow`
-    passes and `_leaves` walks into `counts` while open.
+    passes, split searches and `_leaves` walks into `counts` while open.
 
     `knowledge_models` holds its own reference to `fit_forests`, and
     `fit_forest` calls the forest module's, so both are wrapped.
@@ -86,6 +88,8 @@ def _counted(counts: collections.Counter):
         (knowledge_models, "fit_forests", "forest_calls"),
         (forest, "fit_forests", "forest_calls"),
         (forest, "_grow", "passes"),
+        (forest, "_search_binary", "searches"),
+        (forest, "_search_sorted", "searches"),
         (forest, "_leaves", "walks"),
     ]
     originals = [getattr(owner, attr) for owner, attr, _ in targets]

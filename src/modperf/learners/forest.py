@@ -1,17 +1,20 @@
 """Bagged CART regression forests, grown level-wise and in batches.
 
 All bootstrap trees of one pass grow together, one depth level at a time: a
-level is a fixed number of vectorised numpy calls over every active node of
-every tree, whatever the nodes' sizes. `fit_forests` takes any list of
-regression problems and groups them into passes by what a pass must share:
-the split path, the row count, ``max_depth`` and ``min_samples_leaf``.
-Problems that differ in ``n_trees``, ``feature_subsample``, width or seed
-share a pass. Their designs are stacked as row blocks of one design padded
-to the widest problem, and padded columns are never usable at any node; each
-problem keeps its own bootstrap rows, split keys, target shift, column count
-and ``n_sub``. To keep a pass's transient memory small, an all-0/1 design is
-stacked as uint8 and the rows' sort orders are int32. `fit_forest` is the
-one-problem call. Splits are exact CART
+level is a fixed number of vectorised numpy calls, whatever the nodes'
+sizes. `fit_forests` takes any list of regression problems and groups them
+into passes by what a pass must share: the split path and the row count.
+Problems that differ in ``n_trees``, ``max_depth``, ``min_samples_leaf``,
+``feature_subsample``, width or seed share a pass; each tree stops at its
+own depth limit and keeps its own leaf minimum. A group's problems are
+sorted by width before they are cut into passes, and a pass's designs are
+stacked as row blocks of one design padded to its widest problem; padded
+columns are never usable at any node. Each problem keeps its own bootstrap
+rows, split keys, target shift, column count and ``n_sub``. A level first
+picks the nodes that can split; only those get subset keys and a split
+search, over the columns of their widest tree. To keep a pass's transient
+memory small, an all-0/1 design is stacked as uint8 and the rows' sort
+orders are int32. `fit_forest` is the one-problem call. Splits are exact CART
 variance-reduction splits, found in one of two ways chosen from each
 problem's ``X`` alone (the split path):
 
@@ -36,11 +39,11 @@ cells alone, in the order its separate fit would. A node stays a leaf at
 target is constant, or when no split leaves ``min_samples_leaf`` rows on
 each side.
 
-One generator per problem draws its ``(n_trees, n)`` bootstrap rows. Each
-node considers exactly ``n_sub`` features, the ones with the smallest
-splitmix64 keys ``derive(derive(bootstrap_seed, "split"), tree, feature,
-heap id)``, so no node's subset depends on traversal order or on other
-subtrees. Trees are stored in one tree-major node table per forest.
+One generator draws the ``(n_trees, n)`` bootstrap rows of all problems of
+a call that share the bootstrap seed, ``n`` and ``n_trees``. Each node
+considers exactly ``n_sub`` features, the ones with the smallest splitmix64
+keys ``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so
+no node's subset depends on traversal order or on other subtrees. Trees are stored in one tree-major node table per forest.
 `predict_forests` walks the (row, tree) entries of many forests, each on its
 own rows, down one stacked node table at once, and each forest averages its
 trees' outputs; `FittedForest.predict` is its one-forest call. Everything is
@@ -202,13 +205,15 @@ def _prefix_sums(values, starts):
 
 
 def _search_sorted(XsT, y_fit, order, starts, sizes, usable, segment, msl):
-    """Best split of every node over columns sorted by (node, value).
+    """Best split of the given nodes over columns sorted by (node, value).
 
     `order` is (d, rows): the level's rows in each feature's value order,
-    node by node; `usable` is the (d, nodes) mask of feature-node pairs that
-    may split; `segment` numbers each node's (problem, tree block), whose
-    cells are contiguous and get their own prefix sums. Returns the nodes
-    that split, their feature and threshold.
+    node by node; the nodes are the level's ranges `starts`, `sizes`, in
+    order; `usable` is the (d, nodes) mask of feature-node pairs that may
+    split; `segment` numbers each node's (problem, tree block), whose cells
+    are contiguous and get their own prefix sums; `msl` is each node's
+    ``min_samples_leaf``. Returns the positions of the nodes that split,
+    their feature and threshold.
     """
     d, n_rows = order.shape
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
@@ -226,6 +231,7 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     # n_right is 0 on a run's last cell, so every valid split has a next cell
     valid = np.zeros(len(run), dtype=bool)
     valid[:-1] = x[:-1] < x[1:]
+    msl = msl[node][run]
     valid &= (n_left >= msl) & (n_right >= msl)
     # score = S_left^2 / n_left + S_right^2 / n_right = sum(y^2) - SSE
     score = np.square(s_left, out=s_left)
@@ -244,10 +250,11 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     return node[run[chosen]], feat[run[chosen]], np.where(mid < hi, mid, lo)
 
 
-def _search_binary(XsT, y_fit, order, starts, sizes, usable, segment, msl):
-    """Best split of every node over all-0/1 columns at threshold 0.5 (rows
-    with a 1 go right). Same arguments and result as `_search_sorted`; only
-    order[0] is used, and `segment` is not, since every sum covers one run."""
+def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl, total):
+    """Best split of the given nodes over all-0/1 columns at threshold 0.5
+    (rows with a 1 go right), given each node's target sum `total`. The
+    other arguments and the result are those of `_search_sorted`, without
+    `segment`, since every sum covers one run; only order[0] is used."""
     d = XsT.shape[0]
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order[0, row]
@@ -255,7 +262,8 @@ def _search_binary(XsT, y_fit, order, starts, sizes, usable, segment, msl):
     n_right = np.add.reduceat(ones, run_start, dtype=float)
     s_right = np.add.reduceat(np.multiply(ones, y_fit[sample]), run_start)
     n_left = sizes[node] - n_right
-    s_left = np.add.reduceat(y_fit[order[0]], starts)[node] - s_right
+    s_left = total[node] - s_right
+    msl = msl[node]
     score = np.where(
         (n_left >= msl) & (n_right >= msl),
         s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
@@ -303,8 +311,15 @@ class _Problem(NamedTuple):
 
 def _grow(problems: list[_Problem], segments, binary: bool):
     """Grow the trees of `segments`, (problem, first tree, stop tree) blocks
-    of problems on split path `binary` that share the row count,
-    ``max_depth`` and ``min_samples_leaf``, together, level by level.
+    of problems on split path `binary` that share the row count, together,
+    level by level.
+
+    Each tree keeps its problem's ``max_depth`` and ``min_samples_leaf``.
+    A level first picks the nodes that can split (below their tree's depth
+    limit, with ``2 * min_samples_leaf`` rows and a non-constant target);
+    only those get subset keys and a split search, over the columns of
+    their widest tree. Once every split node's tree reaches its last level,
+    only the rows' order is kept, not every feature's.
 
     Returns, per segment, its per-tree node counts and its tree-major node
     table (feature, threshold, left, right, value) with tree-local child
@@ -312,9 +327,7 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     """
     ids = sorted({p for p, _, _ in segments})
     slot_of = {p: k for k, p in enumerate(ids)}
-    first = problems[ids[0]]
-    n = len(first.y)
-    max_depth, msl = first.params.max_depth, first.params.min_samples_leaf
+    n = len(problems[ids[0]].y)
     d = max(problems[p].X.shape[1] for p in ids)
     # problem k's rows are rows k * n onwards of the stacked, padded design
     X = np.zeros((len(ids), n, d), dtype=np.uint8 if binary else float)
@@ -346,7 +359,11 @@ def _grow(problems: list[_Problem], segments, binary: bool):
         order = within.reshape(d, -1).astype(np.int32)
     tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_segment]
     tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_segment]
-    real = np.arange(d)[:, None] < tree_width
+    tree_msl = np.array([owner.params.min_samples_leaf for owner in owners])[tree_segment]
+    # a tree without columns is its root alone
+    tree_depth = np.array(
+        [owner.params.max_depth if owner.X.shape[1] else 0 for owner in owners]
+    )[tree_segment]
     subsample = bool((tree_n_sub < tree_width).any())
     if subsample:
         # subset keys derive(split, tree, feature, heap id): one mix per level
@@ -361,30 +378,39 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     sizes = np.full(n_trees, n)
     levels = []
     created = 0
-    for depth in range(max_depth + 1):
+    for depth in range(tree_depth.max() + 1):
         m = len(sizes)
         starts = np.cumsum(sizes) - sizes
         y_node = y_raw[order[0]]
         feature = np.full(m, -1, dtype=np.int64)
         threshold = np.zeros(m)
         children = np.full(m, -1, dtype=np.int64)
-        nodes = np.empty(0, dtype=np.intp)
-        splittable = (sizes >= 2 * msl) & (
-            np.minimum.reduceat(y_node, starts) < np.maximum.reduceat(y_node, starts)
+        # the nodes that can split: below their tree's depth limit, with
+        # 2 * min_samples_leaf rows and a non-constant target
+        nodes = np.flatnonzero(
+            (depth < tree_depth[node_tree])
+            & (sizes >= 2 * tree_msl[node_tree])
+            & (np.minimum.reduceat(y_node, starts) < np.maximum.reduceat(y_node, starts))
         )
-        real_node = real[:, node_tree]
-        usable = splittable & real_node
-        if depth < max_depth and usable.any():
+        if len(nodes):
+            trees = node_tree[nodes]
+            width = tree_width[trees].max()
+            usable = np.arange(width)[:, None] < tree_width[trees]
             if subsample:
                 # each node's n_sub smallest keys; padded columns hold no key
-                keys = derive_array(feature_keys[:, node_tree], node_heap)
-                keys[~real_node] = _NO_KEY
-                kth = np.sort(keys, axis=0)[tree_n_sub[node_tree] - 1, np.arange(m)]
+                keys = derive_array(feature_keys[:width, trees], node_heap[nodes])
+                keys[~usable] = _NO_KEY
+                kth = np.sort(keys, axis=0)[tree_n_sub[trees] - 1, np.arange(len(nodes))]
                 usable &= keys <= kth
-            search = _search_binary if binary else _search_sorted
-            nodes, feat, thr = search(
-                XsT, y_fit, order, starts, sizes, usable, tree_segment[node_tree], msl
-            )
+            at, size, msl = starts[nodes], sizes[nodes], tree_msl[trees]
+            if binary:
+                total = np.add.reduceat(y_fit[order[0]], starts)[nodes]
+                found, feat, thr = _search_binary(XsT, y_fit, order, at, size, usable, msl, total)
+            else:
+                found, feat, thr = _search_sorted(
+                    XsT, y_fit, order[:width], at, size, usable, tree_segment[trees], msl
+                )
+            nodes = nodes[found]
             feature[nodes] = feat
             threshold[nodes] = thr
             children[nodes] = created + m + 2 * np.arange(len(nodes))
@@ -396,10 +422,13 @@ def _grow(problems: list[_Problem], segments, binary: bool):
         row_node = np.repeat(np.arange(m), sizes)
         go_left = np.empty(samples.size, dtype=bool)
         go_left[order[0]] = XsT[np.maximum(feature[row_node], 0), order[0]] <= threshold[row_node]
-        # leaves at max_depth need only their rows, not every feature's order
-        last = depth + 1 == max_depth
-        order, sizes = _partition(go_left, order[:1] if last else order, sizes, nodes)
-        node_tree = np.repeat(node_tree[nodes], 2)
+        # the children need the columns of their widest tree; leaves at
+        # their depth limit need only their rows, not every feature's order
+        trees = node_tree[nodes]
+        last = tree_depth[trees].max() == depth + 1
+        order = order[: 1 if last else tree_width[trees].max()]
+        order, sizes = _partition(go_left, order, sizes, nodes)
+        node_tree = np.repeat(trees, 2)
         # heap ids: children of h are 2h + 1 and 2h + 2, interleaved
         node_heap = (2 * node_heap[nodes] + np.array([[1], [2]])).ravel(order="F")
 
@@ -425,7 +454,8 @@ def _passes(problems: list[_Problem], segments, binary: bool):
     """`segments` in order, cut into passes of at most `_BATCH_CELLS` padded
     (bootstrap row, feature) cells on the all-0/1 path, and a
     `_REAL_CELL_COST`th of that on the real-valued one; a segment alone may
-    exceed it."""
+    exceed it. A pass is padded to its widest problem, so segments given in
+    order of width make passes of like widths."""
     budget = _BATCH_CELLS if binary else _BATCH_CELLS // _REAL_CELL_COST
     batch, trees, width = [], 0, 1
     for segment in segments:
@@ -445,9 +475,10 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     returns for it alone.
 
     Each problem's trees are cut into the blocks its separate fit grows. The
-    blocks are grouped by split path, row count, ``max_depth`` and
-    ``min_samples_leaf``, and each group is grown in passes of at most
-    ``_BATCH_CELLS`` padded cells; a block alone may exceed it.
+    blocks are grouped by split path and row count, sorted by problem width
+    within a group, and grown in passes of at most ``_BATCH_CELLS`` padded
+    cells; a block alone may exceed it. Problems that share the bootstrap
+    seed, row count and ``n_trees`` share one draw of bootstrap rows.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     ys = [np.ascontiguousarray(y, dtype=float) for y in ys]
@@ -459,9 +490,15 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     problems = []
     segments = []  # per problem, its (problem, first tree, stop tree) blocks
     groups = {}
+    draws = {}
     for X, y, params in zip(Xs, ys, params_list):
         n, d = X.shape
-        rows = rng_for(params.bootstrap_seed, "bootstrap").integers(0, n, size=(params.n_trees, n))
+        draw = (params.bootstrap_seed, n, params.n_trees)
+        if draw not in draws:
+            draws[draw] = rng_for(params.bootstrap_seed, "bootstrap").integers(
+                0, n, size=(params.n_trees, n)
+            )
+        rows = draws[draw]
         binary = bool(np.all((X == 0.0) | (X == 1.0)))
         n_sub = max(1, int(round(params.feature_subsample * d)))
         problems.append(_Problem(X, y, params, n_sub, rows, binary))
@@ -472,10 +509,10 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
                 for t in range(0, params.n_trees, block)
             ]
         )
-        key = (binary, n, params.max_depth, params.min_samples_leaf)
-        groups.setdefault(key, []).extend(segments[-1])
+        groups.setdefault((binary, n), []).extend(segments[-1])
     grown = {}
-    for (binary, *_), group in groups.items():
+    for (binary, _), group in groups.items():
+        group.sort(key=lambda segment: problems[segment[0]].X.shape[1])
         for batch in _passes(problems, group, binary):
             grown.update(zip(batch, _grow(problems, batch, binary)))
     forests = []

@@ -318,6 +318,85 @@ def test_fit_forests_mixes_problem_shapes(monkeypatch):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _assert_equal_forests(got, want):
+    for name in FOREST_TABLE:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _depth(tree, node=0) -> int:
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+def test_fit_forests_mixes_depths_and_leaf_sizes_in_one_pass(monkeypatch):
+    """Problems that share the row count grow in one pass per split path,
+    whatever their max_depth and min_samples_leaf; each tree stops at its
+    own depth limit and keeps its own leaf minimum, so every forest equals
+    its separate fit."""
+    rng = _rng(21)
+    n, widths = 30, [3 + j % 7 for j in range(27)]
+    Xs, ys = _batch_problems(rng, n, widths)
+    shapes = [(depth, leaf) for depth in (2, 5, 8) for leaf in (1, 2, 5)]
+    # _batch_problems makes every third design all-0/1 and the others integer-valued
+    binary = [j for j in range(len(widths)) if j % 3 == 0]
+    real = [j for j in range(len(widths)) if j % 3][: len(shapes)]
+    picked, params = [], []
+    for path in (binary, real):
+        for k, ((depth, leaf), j) in enumerate(zip(shapes, path)):
+            picked.append(j)
+            params.append(ForestParams(4, depth, leaf, (1.0, 0.5)[k % 2], bootstrap_seed=j))
+    Xs, ys = [Xs[j] for j in picked], [ys[j] for j in picked]
+    alone = [fit_forest(X, y, p) for X, y, p in zip(Xs, ys, params)]
+    passes = []
+    grow = forest._grow
+
+    def counted(problems, segments, binary):
+        passes.append(binary)
+        return grow(problems, segments, binary)
+
+    monkeypatch.setattr(forest, "_grow", counted)
+    batched = fit_forests(Xs, ys, params)
+    assert sorted(passes) == [False, True]
+    for got, want in zip(batched, alone):
+        _assert_equal_forests(got, want)
+    # on each path, the deepest trees outgrow the others' depth limits
+    for lo in (0, len(shapes)):
+        deepest = [max(map(_depth, f.trees)) for f in batched[lo : lo + len(shapes)]]
+        assert max(deepest[:3]) == 2 and max(deepest[3:6]) == 5 and max(deepest[6:]) > 5
+
+
+def test_problems_sharing_a_seed_draw_bootstrap_rows_once(monkeypatch):
+    """Problems with the same bootstrap seed, row count and n_trees share one
+    draw of bootstrap rows, whatever their inputs; a problem with the same
+    seed but other n_trees draws its own. Every forest equals its separate
+    fit."""
+    rng = _rng(22)
+    n = 30
+    Xs = [rng.random((n, 3)), rng.integers(0, 2, (n, 5)).astype(float), rng.random((n, 1))]
+    y = rng.normal(size=n)
+    shapes = ((3, 1, 0.5), (5, 2, 1.0), (2, 1, 1.0))
+    same = [ForestParams(4, d, m, f, bootstrap_seed=5) for d, m, f in shapes]
+    other = ForestParams(6, 3, 1, 0.5, bootstrap_seed=5)
+    draws = []
+    rng_for_ = forest.rng_for
+
+    def counted(seed, *labels):
+        if labels == ("bootstrap",):
+            draws.append(seed)
+        return rng_for_(seed, *labels)
+
+    monkeypatch.setattr(forest, "rng_for", counted)
+    cases = [(list(zip(Xs, same)), 1), ([(Xs[0], same[0]), (Xs[0], other)], 2)]
+    for problems, n_draws in cases:
+        draws.clear()
+        inputs, params = zip(*problems)
+        batched = fit_forests(inputs, [y] * len(problems), params)
+        assert draws == [5] * n_draws
+        for got, (X, p) in zip(batched, problems):
+            _assert_equal_forests(got, fit_forest(X, y, p))
+
+
 def _reference_forest_predict(model, X) -> np.ndarray:
     """A forest's prediction as the one-forest walk made it: each row's leaf
     in every tree, found one row at a time, averaged over the (rows, trees)

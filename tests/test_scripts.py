@@ -64,9 +64,10 @@ def test_long_scripts_import(monkeypatch, name):
 
 def test_time_desk_unit_counts_forest_problems(monkeypatch):
     """`counts` holds the `fit_forests` calls, the problems passed to them,
-    the `_grow` passes and the `_leaves` walks of the code run inside
-    `_counted`: an `ideal` search of 2 candidates x 2 folds and its refit
-    pass 5 problems in 2 calls."""
+    the `_grow` passes, the split searches and the `_leaves` walks of the
+    code run inside `_counted`: an `ideal` search of 2 candidates x 2 folds
+    and its refit pass 5 problems in 2 calls, and a pass of depth-3 trees
+    searches at one to three levels."""
     import collections
 
     from modperf.dataset import sample_dataset
@@ -88,5 +89,6 @@ def test_time_desk_unit_counts_forest_problems(monkeypatch):
     counts = collections.Counter()
     with script._counted(counts):
         factory(dataset.train).predict(design(dataset.test)[0])
-    assert set(counts) == {"forest_calls", "problems", "passes", "walks"}
+    assert set(counts) == {"forest_calls", "problems", "passes", "searches", "walks"}
     assert (counts["forest_calls"], counts["problems"]) == (2, 5)
+    assert counts["passes"] <= counts["searches"] <= 3 * counts["passes"]
