@@ -9,40 +9,39 @@ measured IVs of test records directly, bounding every other level from
 above.
 
 The levels differ only in the IV parent sets their knowledge yields
-(`LEVEL_PARENTS`). `make_search` fits every level of one training prefix
-together, the same way: it stacks the training records into one design
-matrix, finds each level's IV parents on it once, and scores every (level,
-candidate) pair with `learners.cross_validate_many` over the same fold index
-arrays; each level's first candidate with the lowest mean held-out MSE
-(`np.argmin`) is refitted on all rows. IV regressors are trained on
-measured upstream values (teacher forcing) and predict on cascaded
-estimates, matching how a structural causal model is fit from observational
-data. Teacher forcing makes every forest of a search independent, and its
-seed names its problem, not its level (`_keys`): the unit's model seed, the
-target, the rows and the candidate's family. So a problem several levels
-pose is grown once and shared: the perf forest on the measured IVs serves
-`partial`, `practical`, `complete` and `ideal`, and so does an IV forest
-whose pruned parents coincide. The distinct forests of every level's
-(candidate, fold) fits go to `fit_forests` as one stream, cut into chunks
-under `_CHUNK_CELLS`; each chunk's completed models predict their held-out
-rows, and a forest is dropped once every model holding it has predicted.
-The winners of all levels are refitted in one more call. `predict_models`
-predicts many models at once, one batched forest walk per cascade
-generation and one for the perf forests, reading and writing design columns
-by each plan's integer `_Layout`. `make_factory` and
-`efficacy_curves` are the one-level calls of `make_search` and
-`level_curves`. For a fixed (dataset, training size) all levels consume the
-identical training prefix, the identical candidate list, folds and search
-budget.
+(`LEVEL_PARENTS`). `make_search` turns each level's candidate parents into
+design-column indices once per unit; past that point models, pruning and
+prediction work on columns, and `NodeId`s appear only where documents are
+read and the shape is built. The search fits every level of one training
+prefix together, the same way: it stacks the training records into one
+design matrix, prunes each level's candidates on it once, and scores every
+(level, candidate) pair with `learners.cross_validate_many` over the same
+fold index arrays; each level's first candidate with the lowest mean
+held-out MSE (`np.argmin`) is refitted on all rows. IV regressors are
+trained on measured upstream values (teacher forcing) and predict on
+cascaded estimates, matching how a structural causal model is fit from
+observational data. Teacher forcing makes every forest of a search
+independent, and its seed names its problem, not its level (`_keys`): the
+unit's model seed, the target, the rows and the candidate's family. So a
+problem several levels pose is grown once and shared: the perf forest on
+the measured IVs serves `partial`, `practical`, `complete` and `ideal`, and
+so does an IV forest whose pruned parents coincide. The distinct forests of
+every level's (candidate, fold) fits go to `fit_forests` as one stream, cut
+into chunks under `_CHUNK_CELLS`; each chunk's completed models predict
+their held-out rows, and a forest is dropped once every model holding it
+has predicted. The winners of all levels are refitted in one more call.
+`predict_models` predicts many models at once, one batched forest walk per
+cascade generation (`ModularPredictor.steps`) and one for the perf forests.
+`level_curves` scores every level of a search on the test set. For a fixed
+(dataset, training size) all levels consume the identical training prefix,
+the identical candidate list, folds and search budget.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +75,19 @@ _CHUNK_CELLS = 1 << 19
 class SystemShape:
     """Canonical node orders binding record vectors to graph nodes.
 
-    A record's design row is its option bits followed by its measured IVs;
-    `column` and `gather` map nodes to their positions in that row.
+    A record's design row is its option bits followed by its measured IVs:
+    option j sits in column j and IV k in column `len(options) + k`. Both
+    orders must be canonical (`NodeId` order), which is topological, so
+    that evaluating IVs in column order cascades forward.
     """
 
     options: tuple[NodeId, ...]
     ivs: tuple[NodeId, ...]
-    _cols: dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_cols", {n: i for i, n in enumerate(self.options + self.ivs)}
-        )
+        for name, nodes in (("option", self.options), ("IV", self.ivs)):
+            if any(a >= b for a, b in zip(nodes, nodes[1:])):
+                raise ValueError(f"{name} names are not in canonical NodeId order")
 
     @staticmethod
     def from_dataset(dataset: SystemDataset) -> "SystemShape":
@@ -95,16 +95,6 @@ class SystemShape:
             options=tuple(NodeId.decode(n) for n in dataset.option_names),
             ivs=tuple(NodeId.decode(n) for n in dataset.iv_names),
         )
-
-    def column(self, node: NodeId) -> int:
-        return self._cols[node]
-
-    def columns(self, nodes) -> list[int]:
-        return [self._cols[n] for n in nodes]
-
-    def gather(self, Z: np.ndarray, nodes) -> np.ndarray:
-        """The columns of design rows Z holding `nodes`, as a C-ordered copy."""
-        return Z.take(self.columns(nodes), axis=1)
 
 
 def design(records: list[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -128,66 +118,41 @@ class MeanModel:
 
 @dataclass
 class IVModel:
-    node: NodeId
-    inputs: tuple[NodeId, ...]
+    """The model of the IV in design column `column`, reading the design
+    columns `inputs`."""
+
+    column: int
+    inputs: tuple[int, ...]
     model: object
     fallback: bool = False
 
 
-class _Layout(NamedTuple):
-    """A model's cascade as design-row column indices, so that prediction
-    reads and writes columns without looking node ids up: `steps[g]` holds the
-    positions in the evaluation order of the IVs of cascade generation g,
-    `inputs[k]` and `outputs[k]` the input columns and the own column of the
-    IV at position k, and `perf` the perf model's input columns."""
-
-    steps: tuple[tuple[int, ...], ...]
-    inputs: tuple[tuple[int, ...], ...]
-    outputs: tuple[int, ...]
-    perf: tuple[int, ...]
-
-
-def _layout(shape: SystemShape, order, inputs, perf_inputs) -> _Layout:
-    """The layout of a cascade over the IVs of `order`, the one at position k
-    reading the nodes `inputs[k]`. An IV's generation is 0 when none of its
-    inputs is an IV of the cascade, else one more than the latest of theirs;
-    `order` is topological, so an IV's inputs are estimated in earlier
-    generations."""
-    columns = tuple(tuple(shape.columns(nodes)) for nodes in inputs)
-    outputs = tuple(shape.columns(order))
-    generation: dict[int, int] = {}  # by own column
-    steps: list[list[int]] = []
-    for k, (cols, own) in enumerate(zip(columns, outputs)):
-        g = 1 + max((generation[c] for c in cols if c in generation), default=-1)
-        generation[own] = g
-        steps += [[] for _ in range(g + 1 - len(steps))]
-        steps[g].append(k)
-    return _Layout(tuple(map(tuple, steps)), columns, outputs, tuple(shape.columns(perf_inputs)))
-
-
 @dataclass
 class ModularPredictor:
-    """A level's model. `iv_models` holds one IV model per IV of
-    `evaluation_order`, in that order. `layout` is derived from the shape,
-    the evaluation order, the IV models' inputs and the perf inputs; a search
-    builds it once per plan and shares it among the plan's models, and it is
-    built here when not given."""
+    """A level's model over design columns. `iv_models` maps each modelled
+    IV's column to its model, in evaluation order, and `perf_inputs` are the
+    perf model's input columns. `steps[g]` holds the IV columns of cascade
+    generation g: an IV's generation is 0 when none of its inputs is a
+    modelled IV, else one more than the latest of theirs; the evaluation
+    order is topological, so an IV's inputs are estimated in earlier
+    generations."""
 
     level: str
-    shape: SystemShape
     perf_model: object
-    perf_inputs: tuple[NodeId, ...]
-    iv_models: dict[NodeId, IVModel] = field(default_factory=dict)
-    evaluation_order: tuple[NodeId, ...] = ()
+    perf_inputs: tuple[int, ...]
+    iv_models: dict[int, IVModel] = field(default_factory=dict)
     search_meta: dict = field(default_factory=dict)
-    layout: _Layout | None = field(default=None, repr=False, compare=False)
+    steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if tuple(self.iv_models) != self.evaluation_order:
-            raise ValueError("iv_models must hold the IVs of evaluation_order, in that order")
-        if self.layout is None:
-            inputs = [m.inputs for m in self.iv_models.values()]
-            self.layout = _layout(self.shape, self.evaluation_order, inputs, self.perf_inputs)
+        generation: dict[int, int] = {}  # by IV column
+        steps: list[list[int]] = []
+        for column, iv_model in self.iv_models.items():
+            g = 1 + max((generation[c] for c in iv_model.inputs if c in generation), default=-1)
+            generation[column] = g
+            steps += [[] for _ in range(g + 1 - len(steps))]
+            steps[g].append(column)
+        self.steps = tuple(map(tuple, steps))
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
         """Predict from design rows. A copy of Z has each modelled IV's column
@@ -211,34 +176,26 @@ def predict_models(models, Zs) -> list[np.ndarray]:
     """Each model's predictions on its own design rows, equal to what
     `model.predict(Z)` returns alone.
 
-    The IV estimates cascade generation by generation (`_Layout.steps`):
-    every model's IVs of one generation read their input columns and predict
-    in one batched forest walk, then every model's perf forest in one more.
-    Columns are read and written by the models' layouts, never by node id.
+    The IV estimates cascade generation by generation (`steps`): every
+    model's IVs of one generation read their input columns and predict in
+    one batched forest walk, then every model's perf forest in one more.
     Any model that is not a `ModularPredictor` (a stand-in) predicts Z
     directly.
     """
     Zs = [np.array(Z, dtype=float) for Z in Zs]
-    cascades = [
-        (Zs[k], model.layout, tuple(model.iv_models.values()))
-        for k, model in enumerate(models)
-        if isinstance(model, ModularPredictor)
-    ]
-    for g in range(max((len(layout.steps) for _, layout, _ in cascades), default=0)):
+    cascades = [(Z, m) for Z, m in zip(Zs, models) if isinstance(m, ModularPredictor)]
+    for g in range(max((len(m.steps) for _, m in cascades), default=0)):
         step = [
-            (Z, layout, ivs[p].model, p)
-            for Z, layout, ivs in cascades
-            if g < len(layout.steps)
-            for p in layout.steps[g]
+            (Z, m.iv_models[iv]) for Z, m in cascades if g < len(m.steps) for iv in m.steps[g]
         ]
-        Xs = [Z.take(layout.inputs[p], axis=1) for Z, layout, _, p in step]
-        for (Z, layout, _, p), values in zip(step, _predict_each([m for _, _, m, _ in step], Xs)):
-            Z[:, layout.outputs[p]] = values
+        Xs = [Z.take(iv_model.inputs, axis=1) for Z, iv_model in step]
+        for (Z, iv_model), values in zip(step, _predict_each([m.model for _, m in step], Xs)):
+            Z[:, iv_model.column] = values
     leaves, Xs = [], []
     for model, Z in zip(models, Zs):
         cascade = isinstance(model, ModularPredictor)
         leaves.append(model.perf_model if cascade else model)
-        Xs.append(Z.take(model.layout.perf, axis=1) if cascade else Z)
+        Xs.append(Z.take(model.perf_inputs, axis=1) if cascade else Z)
     return _predict_each(leaves, Xs)
 
 
@@ -252,8 +209,8 @@ def _forest_params(candidate: dict, seed: int) -> ForestParams:
     )
 
 
-def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape, Z, alpha_ci):
-    """Each IV's parents are the options of its own module."""
+def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape):
+    """Each IV's candidate parents are the options of its own module."""
     parents = {
         iv: tuple(options)
         for _, (options, ivs) in sorted(artifacts.logical_boundaries.items())
@@ -265,101 +222,104 @@ def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape, Z, alph
     return parents
 
 
-def _pruned_parents(edges_of):
-    """Parent finder keeping the candidates from `edges_of(artifacts)` that
-    pass the Fisher-Z screen on the training design rows."""
-
-    def parents(artifacts: KnowledgeArtifacts, shape: SystemShape, Z, alpha_ci):
-        candidates: dict[NodeId, list[NodeId]] = {iv: [] for iv in shape.ivs}
-        for src, dst in edges_of(artifacts):
-            if dst.kind is NodeKind.INTERMEDIATE:
-                candidates[dst].append(src)
-        candidates_by_iv = {iv: tuple(sorted(ps)) for iv, ps in candidates.items()}
-        return prune_parents(Z, shape, candidates_by_iv, alpha_ci)
-
-    return parents
+def _edge_parents(edges, shape: SystemShape):
+    """Each IV's candidate parents are the sources of its incoming `edges`,
+    in canonical order."""
+    parents: dict[NodeId, list[NodeId]] = {iv: [] for iv in shape.ivs}
+    for src, dst in edges:
+        if dst.kind is NodeKind.INTERMEDIATE:
+            parents[dst].append(src)
+    return {iv: tuple(sorted(ps)) for iv, ps in parents.items()}
 
 
-# Level -> function of (artifacts, shape, design rows, alpha_ci) giving each IV's
-# parents; None for levels without IV models.
+# Level -> None for levels without IV models, else (function of (artifacts,
+# shape) giving each IV's candidate parents, whether the Fisher-Z screen
+# prunes them on each training design).
 LEVEL_PARENTS = {
     "null": None,
-    "partial": _boundary_parents,
-    "practical": _pruned_parents(operator.attrgetter("potential_influence_edges")),
-    "complete": _pruned_parents(operator.attrgetter("influence_edges")),
+    "partial": (_boundary_parents, False),
+    "practical": (lambda a, shape: _edge_parents(a.potential_influence_edges, shape), True),
+    "complete": (lambda a, shape: _edge_parents(a.influence_edges, shape), True),
     "ideal": None,
 }
 LEVELS = tuple(LEVEL_PARENTS)
 
 
-def _assemble_level(level, shape, order, parents, layout, Z, forests):
-    """One level's model on design rows Z, the IV at position k of `order`
-    reading `parents[k]`, taking the forests of its plan's `forests` from the
-    iterator `forests`, in that order; an IV without parents falls back to
-    its mean on Z."""
-    iv_models = {
-        iv: IVModel(iv, inputs, next(forests))
-        if inputs
-        else IVModel(iv, (), MeanModel(Z[:, own].mean()), fallback=True)
-        for iv, inputs, own in zip(order, parents, layout.outputs)
+class _Knowledge(NamedTuple):
+    """One level's structure on a unit's design columns: `candidates` maps
+    each IV column, in evaluation order, to its candidate parent columns
+    (empty for levels without IV models), `prunes` says whether the Fisher-Z
+    screen prunes them, and `perf_inputs` are the perf forest's inputs."""
+
+    candidates: dict[int, tuple[int, ...]]
+    prunes: bool
+    perf_inputs: tuple[int, ...]
+
+
+def _level_knowledge(level, shape: SystemShape, artifacts) -> _Knowledge:
+    """`level`'s structure on the unit `shape` describes. Candidates keep
+    their finder's `NodeId` order, where IV parents come before options."""
+    n = len(shape.options)
+    perf_inputs = tuple(range(n)) if level == "null" else tuple(range(n, n + len(shape.ivs)))
+    if LEVEL_PARENTS[level] is None:
+        return _Knowledge({}, False, perf_inputs)
+    find_parents, prunes = LEVEL_PARENTS[level]
+    column = {node: c for c, node in enumerate(shape.options + shape.ivs)}
+    candidates = {
+        column[iv]: tuple(column[p] for p in parents)
+        for iv, parents in sorted(find_parents(artifacts, shape).items())
     }
-    return ModularPredictor(
-        level=level,
-        shape=shape,
-        perf_model=next(forests),
-        perf_inputs=_perf_inputs(level, shape),
-        iv_models=iv_models,
-        evaluation_order=order,
-        layout=layout,
-    )
-
-
-def _perf_inputs(level, shape):
-    return shape.options if level == "null" else shape.ivs
+    return _Knowledge(candidates, prunes, perf_inputs)
 
 
 def prune_parents(
-    Z: np.ndarray,
-    shape: SystemShape,
-    candidates_by_iv: dict[NodeId, tuple[NodeId, ...]],
-    alpha_ci: float,
-) -> dict[NodeId, tuple[NodeId, ...]]:
-    """Keep a candidate parent only when `stats.fisher_z_screen` on design
-    rows Z rejects its independence from the IV at level alpha_ci."""
+    Z: np.ndarray, candidates_by_iv: dict[int, tuple[int, ...]], alpha_ci: float
+) -> dict[int, tuple[int, ...]]:
+    """Keep a candidate parent column only when `stats.fisher_z_screen` on
+    design rows Z rejects its independence from the IV's column at level
+    alpha_ci."""
     surviving = {}
     for iv, candidates in candidates_by_iv.items():
-        keep = fisher_z_screen(shape.gather(Z, candidates), Z[:, shape.column(iv)], alpha_ci)
-        surviving[iv] = tuple(p for p, k in zip(candidates, keep) if k)
+        keep = fisher_z_screen(Z.take(candidates, axis=1), Z[:, iv], alpha_ci)
+        surviving[iv] = tuple(c for c, k in zip(candidates, keep) if k)
     return surviving
 
 
 class _Plan(NamedTuple):
     """One level's model on one training design, once its IV parents are
-    found: `seed` is the unit's model seed, `forests` holds one (target, input
-    columns, target column) triple per forest a fit grows, the IVs with
-    parents in evaluation order and then the perf forest (target "perf",
-    column None), and `assemble(Z, forests)` builds the model from them."""
+    found: `seed` is the unit's model seed, `parents` maps each modelled IV's
+    column to its input columns, in evaluation order, and `forests` holds one
+    (target, input columns, target column) triple per forest a fit grows, the
+    IVs with parents in evaluation order and then the perf forest (target
+    "perf", column None)."""
 
+    level: str
     seed: int
+    parents: dict[int, tuple[int, ...]]
     forests: tuple[tuple[str, tuple[int, ...], int | None], ...]
-    assemble: Callable
 
 
-def _plan(level, shape, artifacts, Z, alpha_ci, seed) -> _Plan:
-    find_parents = LEVEL_PARENTS[level]
-    parents = find_parents and find_parents(artifacts, shape, Z, alpha_ci)
-    # Canonical (NodeId) order is topological: graph edges run forward in it.
-    order = () if parents is None else tuple(sorted(parents))
-    inputs = [parents[iv] for iv in order]
-    layout = _layout(shape, order, inputs, _perf_inputs(level, shape))
-    forests = tuple(
-        (iv.encode(), columns, own)
-        for iv, nodes, columns, own in zip(order, inputs, layout.inputs, layout.outputs)
-        if nodes
-    ) + (("perf", layout.perf, None),)
-    return _Plan(
-        seed, forests, functools.partial(_assemble_level, level, shape, order, inputs, layout)
-    )
+def _plan(seed, level, knowledge: _Knowledge, codes, Z, alpha_ci) -> _Plan:
+    """`level`'s plan on design rows Z; `codes[c]` is the node code of
+    design column c, which names the IV forests' seeds."""
+    parents = knowledge.candidates
+    if knowledge.prunes:
+        parents = prune_parents(Z, candidates_by_iv=parents, alpha_ci=alpha_ci)
+    forests = tuple((codes[iv], inputs, iv) for iv, inputs in parents.items() if inputs)
+    return _Plan(level, seed, parents, forests + (("perf", knowledge.perf_inputs, None),))
+
+
+def _assemble(plan: _Plan, Z, forests) -> ModularPredictor:
+    """The model of `plan` on design rows Z, taking the forests of
+    `plan.forests` from the iterator `forests`, in that order; an IV without
+    parents falls back to its mean on Z."""
+    iv_models = {
+        iv: IVModel(iv, inputs, next(forests))
+        if inputs
+        else IVModel(iv, (), MeanModel(Z[:, iv].mean()), fallback=True)
+        for iv, inputs in plan.parents.items()
+    }
+    return ModularPredictor(plan.level, next(forests), plan.forests[-1][1], iv_models)
 
 
 class _Key(NamedTuple):
@@ -417,7 +377,7 @@ def _fit_models(jobs) -> list[ModularPredictor]:
     problems = (_problem(key, *jobs[j][1:3]) for key, j in first.items())
     forests = dict(zip(first, fit_forests(*zip(*problems))))
     return [
-        plan.assemble(Z, map(forests.__getitem__, job_keys))
+        _assemble(plan, Z, map(forests.__getitem__, job_keys))
         for (plan, Z, *_), job_keys in zip(jobs, keys)
     ]
 
@@ -454,7 +414,7 @@ def _held_out_predictions(jobs) -> list[np.ndarray]:
         streamed += len(chunk)
         done = [j for j in pending if ready[j] < streamed]
         pending = [j for j in pending if ready[j] >= streamed]
-        models = [jobs[j][0].assemble(jobs[j][1], map(grown.__getitem__, keys[j])) for j in done]
+        models = [_assemble(*jobs[j][:2], map(grown.__getitem__, keys[j])) for j in done]
         for j, values in zip(done, predict_models(models, [jobs[j][-1] for j in done])):
             predictions[j] = values
         for key in (key for j in done for key in keys[j]):
@@ -519,17 +479,19 @@ def make_search(
     training records free; `levels` are fitted in their order, and `seed`,
     the unit's model seed, seeds every forest by its problem (`_keys`).
 
-    The returned callable fits every level on the same records. It stacks
-    them into design rows once and finds each level's IV parents on them.
+    Each level's candidate parent columns are found here, once per unit
+    (`_level_knowledge`); a level whose knowledge does not fit the system
+    fails alone, with one error returned at every training size. The
+    returned callable fits every level on the same records. It stacks them
+    into design rows once and prunes each level's candidates on them.
     `cross_validate_many` then scores every (level, candidate) pair over the
     shared fold index arrays: all of their (candidate, fold) fits stream
     through `_held_out_predictions`, and a problem several levels share,
     such as the perf forest on the measured IVs, is grown once for all of
     them. Each level keeps the first candidate with the lowest mean held-out
     MSE, and the winners are refitted on all rows in one more `fit_forests`
-    call. It returns each level's model, or the exception its search raised:
-    a level whose parents cannot be found fails alone, and a failure in the
-    shared fits fails every level in them.
+    call. It returns each level's model, or the exception its search raised;
+    a failure in the shared fits fails every level in them.
     """
     levels = tuple(levels)
     for level in levels:
@@ -538,18 +500,26 @@ def make_search(
         if LEVEL_PARENTS[level] is not None and artifacts is None:
             raise ValueError(f"level {level!r} requires knowledge artifacts")
     candidates = enumerate_candidates(space, budget)
+    codes = tuple(node.encode() for node in shape.options + shape.ivs)
+    knowledge: dict[str, _Knowledge] = {}
+    failed: dict[str, Exception] = {}
+    for level in levels:
+        try:
+            knowledge[level] = _level_knowledge(level, shape, artifacts)
+        except Exception as exc:  # this level's knowledge does not fit the system
+            failed[level] = exc
 
     def search(records: list[MeasurementRecord]) -> dict[str, ModularPredictor | Exception]:
         n = len(records)
         if n < cv.folds:
             return dict.fromkeys(levels, ValueError(f"need at least {cv.folds} records, got {n}"))
         Z, perf = design(records)
-        results: dict[str, ModularPredictor | Exception] = {}
+        results: dict[str, ModularPredictor | Exception] = dict(failed)
         plans = {}
-        for level in levels:
+        for level, known in knowledge.items():
             try:
-                plans[level] = _plan(level, shape, artifacts, Z, alpha_ci, seed)
-            except Exception as exc:  # this level's knowledge does not fit the system
+                plans[level] = _plan(seed, level, known, codes, Z, alpha_ci)
+            except Exception as exc:  # this level's pruning failed on these records
                 results[level] = exc
         if plans:
             try:
@@ -574,7 +544,8 @@ def make_factory(
 ):
     """One level's search: the one-level call of `make_search`. The returned
     callable maps training records to the level's model, or raises what its
-    search raised."""
+    search raised. The pipeline calls `make_search`; this stays because
+    perfbench/tracer.py looks it up on `experiment`."""
     search = make_search(seed, (level,), shape, artifacts, budget, cv, space, alpha_ci)
 
     def factory(records: list[MeasurementRecord]) -> ModularPredictor:
@@ -630,21 +601,3 @@ def level_curves(
                 point = CurvePoint(n=n, efficacies={}, error=f"{type(exc).__name__}: {exc}")
             curves.setdefault(level, []).append(point)
     return curves
-
-
-def efficacy_curves(
-    factory,
-    dataset: SystemDataset,
-    metrics: tuple[str, ...],
-    sizes: tuple[int, ...],
-) -> list[CurvePoint]:
-    """One model's curve: the one-level call of `level_curves`, for a
-    `factory(records)` that returns a model or raises."""
-
-    def search(records):
-        try:
-            return {"": factory(records)}
-        except Exception as exc:  # isolate per-point failures
-            return {"": exc}
-
-    return level_curves(search, dataset, metrics, sizes)[""]

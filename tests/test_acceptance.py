@@ -27,7 +27,7 @@ from modperf.influence_graph import (
     sample_aspects,
     scale_aspects,
 )
-from modperf.knowledge_models import SystemShape, efficacy_curves, make_factory
+from modperf.knowledge_models import SystemShape, level_curves, make_search
 from modperf.learners import (
     CVSpec,
     ForestParams,
@@ -222,11 +222,10 @@ def _criterion6_one(s: int):
     }
     efficacies = {}
     for level in ("null", "ideal"):
-        factory = make_factory(
-            level, shape, artifacts, budget, cv, space=space,
-            seed=derive(seed, "model", level),
+        search = make_search(
+            derive(seed, "model", level), (level,), shape, artifacts, budget, cv, space
         )
-        points = efficacy_curves(factory, dataset, ("scc",), (1000,))
+        points = level_curves(search, dataset, ("scc",), (1000,))[level]
         efficacies[level] = points[0].efficacies["scc"]
     return efficacies["null"], efficacies["ideal"]
 
@@ -261,10 +260,10 @@ def _criterion7_one(cell):
     budget = SearchBudget(evaluations=2, seed=derive(770001, "search"))
     cv = CVSpec(folds=2, shuffle_seed=derive(seed, "cv"))
     space = forest_search_space(len(shape.options), scale="desk")
-    factory = make_factory(
-        "null", shape, artifacts, budget, cv, space=space, seed=derive(seed, "model", "null")
+    search = make_search(
+        derive(seed, "model", "null"), ("null",), shape, artifacts, budget, cv, space
     )
-    points = efficacy_curves(factory, dataset, ("scc",), SIZES)
+    points = level_curves(search, dataset, ("scc",), SIZES)["null"]
     curve = CurveTable("scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]]))
     return module_count, hardness(curve).value[0], scale_aspects(aspects)
 
@@ -328,11 +327,10 @@ def _criterion8_one(s: int):
     }
     curves = {}
     for level in ("null", "ideal", "partial", "complete"):
-        factory = make_factory(
-            level, shape, artifacts, budget, cv, space=space,
-            seed=derive(seed, "model", level),
+        search = make_search(
+            derive(seed, "model", level), (level,), shape, artifacts, budget, cv, space
         )
-        points = efficacy_curves(factory, dataset, ("scc",), SIZES)
+        points = level_curves(search, dataset, ("scc",), SIZES)[level]
         curves[level] = CurveTable(
             "scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]])
         )

@@ -1,12 +1,20 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from modperf.dataset import MeasurementRecord, sample_dataset, training_prefix
+from modperf.dataset import (
+    MeasurementRecord,
+    load_dataset,
+    sample_dataset,
+    save_dataset,
+    training_prefix,
+)
 from modperf.influence_graph import (
+    NodeId,
     NodeKind,
     StructuralAspects,
     derive_knowledge,
@@ -23,7 +31,7 @@ from modperf.knowledge_models import (
     ModularPredictor,
     SystemShape,
     design,
-    efficacy_curves,
+    level_curves,
     make_factory,
     prune_parents,
 )
@@ -41,6 +49,7 @@ from modperf.learners import (
 from modperf.metrics import acc
 from modperf.seeds import derive
 from modperf.semantics import PolynomialFunction, SystemSemantics
+from modperf.stats import fisher_z_screen
 
 BUDGET = SearchBudget(evaluations=2, seed=7)
 CV = CVSpec(folds=2, shuffle_seed=8)
@@ -54,6 +63,17 @@ SPACE = {
 
 def _fit(level, records, shape, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
     return make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)(records)
+
+
+def _nodes(shape, columns):
+    """The graph nodes in the design columns `columns`."""
+    nodes = shape.options + shape.ivs
+    return tuple(nodes[c] for c in columns)
+
+
+def _columns(shape, nodes):
+    """The design columns holding `nodes`."""
+    return [(shape.options + shape.ivs).index(n) for n in nodes]
 
 
 def _system(seed=41, option_count=5, module_count=2, p_w=0.9):
@@ -123,9 +143,11 @@ def test_partial_inputs_respect_boundaries():
     shape = SystemShape.from_dataset(dataset)
     model = _fit("partial", dataset.train, shape, artifacts)
     for iv, iv_model in model.iv_models.items():
-        assert all(p.kind is NodeKind.OPTION and p.module == iv.module for p in iv_model.inputs)
-    assert model.perf_inputs == shape.ivs
-    assert len(model.evaluation_order) == len(shape.ivs)
+        [node] = _nodes(shape, [iv])
+        parents = _nodes(shape, iv_model.inputs)
+        assert all(p.kind is NodeKind.OPTION and p.module == node.module for p in parents)
+    assert _nodes(shape, model.perf_inputs) == shape.ivs
+    assert len(model.iv_models) == len(shape.ivs)
 
 
 def test_partial_single_module_matches_null_input_set():
@@ -133,7 +155,7 @@ def test_partial_single_module_matches_null_input_set():
     shape = SystemShape.from_dataset(dataset)
     model = _fit("partial", dataset.train, shape, artifacts)
     for iv_model in model.iv_models.values():
-        assert iv_model.inputs == shape.options
+        assert _nodes(shape, iv_model.inputs) == shape.options
 
 
 def test_partial_cascade_deterministic():
@@ -150,7 +172,7 @@ def test_predict_is_repeatable_and_leaves_design_unchanged():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     model = _fit("partial", dataset.train, shape, artifacts, seed=9)
-    assert model.evaluation_order
+    assert model.iv_models
     Z, _ = design(dataset.test)
     before = Z.copy()
     first = model.predict(Z)
@@ -177,7 +199,8 @@ def test_practical_parents_subset_of_pie():
     for src, dst in artifacts.potential_influence_edges:
         pie_parents.setdefault(dst, set()).add(src)
     for iv, iv_model in model.iv_models.items():
-        assert set(iv_model.inputs) <= pie_parents.get(iv, set())
+        [node] = _nodes(shape, [iv])
+        assert set(_nodes(shape, iv_model.inputs)) <= pie_parents.get(node, set())
 
 
 def test_complete_parents_subset_of_true_edges():
@@ -189,7 +212,8 @@ def test_complete_parents_subset_of_true_edges():
         true_parents.setdefault(dst, set()).add(src)
     assert model.level == "complete"
     for iv, iv_model in model.iv_models.items():
-        assert set(iv_model.inputs) <= true_parents.get(iv, set())
+        [node] = _nodes(shape, [iv])
+        assert set(_nodes(shape, iv_model.inputs)) <= true_parents.get(node, set())
 
 
 def test_practical_fallback_for_parentless_iv():
@@ -202,7 +226,7 @@ def test_practical_fallback_for_parentless_iv():
         if all(r.iv_values[shape.ivs.index(iv)] == 0.0 for r in dataset.train[:20])
     ]
     assert zero_ivs
-    for iv in zero_ivs:
+    for iv in _columns(shape, zero_ivs):
         assert model.iv_models[iv].fallback
         assert isinstance(model.iv_models[iv].model, MeanModel)
 
@@ -212,16 +236,15 @@ def test_decoy_pruned_at_type_one_rate():
     alpha = 0.05
     resamples = 1000
     n = 200
-    shape = SystemShape(options=(option(0, 0), option(0, 1)), ivs=(intermediate(0, 0),))
-    candidates = {intermediate(0, 0): (option(0, 0), option(0, 1))}
+    candidates = {2: (0, 1)}  # IV column: the strong and the decoy option's columns
     pruned_decoy = 0
     for _ in range(resamples):
         strong = rng.integers(0, 2, n).astype(float)
         decoy = rng.integers(0, 2, n).astype(float)
         iv_vals = 0.8 * strong + rng.normal(0, 0.1, n)
         Z = np.column_stack([strong, decoy, iv_vals])
-        surviving = prune_parents(Z, shape, candidates, alpha)[intermediate(0, 0)]
-        if option(0, 1) not in surviving:
+        surviving = prune_parents(Z, candidates, alpha)[2]
+        if 1 not in surviving:
             pruned_decoy += 1
     rate = pruned_decoy / resamples
     sigma = np.sqrt(alpha * (1 - alpha) / resamples)
@@ -231,15 +254,14 @@ def test_decoy_pruned_at_type_one_rate():
 def test_strong_parent_retained():
     rng = np.random.default_rng(11)
     n = 1000
-    shape = SystemShape(options=(option(0, 0),), ivs=(intermediate(0, 0),))
-    candidates = {intermediate(0, 0): (option(0, 0),)}
+    candidates = {1: (0,)}
     retained = 0
     resamples = 200
     for _ in range(resamples):
         x = rng.integers(0, 2, n).astype(float)
         iv_vals = 0.5 * x + rng.normal(0, 0.2, n)
         Z = np.column_stack([x, iv_vals])
-        if option(0, 0) in prune_parents(Z, shape, candidates, 0.05)[intermediate(0, 0)]:
+        if 0 in prune_parents(Z, candidates, 0.05)[1]:
             retained += 1
     assert retained / resamples >= 0.99
 
@@ -247,23 +269,19 @@ def test_strong_parent_retained():
 def test_prune_parents_agrees_with_scalar_fisher_z():
     from statistics import NormalDist
 
-    from modperf.stats import fisher_z_screen
-
     rng = np.random.default_rng(12)
     n = 150
-    options = tuple(option(0, j) for j in range(4))
-    shape = SystemShape(options=options, ivs=(intermediate(0, 0),))
     bits = rng.integers(0, 2, (n, 4)).astype(float)
     iv_vals = 0.3 * bits[:, 0] + 0.05 * bits[:, 1] + rng.normal(0, 0.15, n)
     Z = np.column_stack([bits, iv_vals])
-    surviving = prune_parents(Z, shape, {intermediate(0, 0): options}, 0.05)
+    surviving = prune_parents(Z, {4: (0, 1, 2, 3)}, 0.05)[4]
     critical = NormalDist().inv_cdf(1 - 0.05 / 2)
     screen = fisher_z_screen(bits, iv_vals, 0.05)
-    for j, node in enumerate(options):
+    for j in range(4):
         # scalar Fisher-Z from the definition: sqrt(n - 3) |artanh r|
         r = np.corrcoef(bits[:, j], iv_vals)[0, 1]
         scalar = math.sqrt(n - 3) * abs(math.atanh(r)) > critical
-        assert (node in surviving[intermediate(0, 0)]) == scalar == screen[j]
+        assert (j in surviving) == scalar == screen[j]
 
 
 def test_ideal_consumes_true_ivs_and_recovers_linear_perf():
@@ -335,26 +353,27 @@ class _Constant:
 
 def test_efficacy_curve_perfect_predictor():
     _, _, dataset = _system()
-    points = efficacy_curves(lambda recs: _Oracle(dataset), dataset, ("scc",), (20, 50, 100))
+    oracle = _Oracle(dataset)
+    points = level_curves(lambda recs: {"": oracle}, dataset, ("scc",), (20, 50, 100))[""]
     assert [p.n for p in points] == [20, 50, 100]
     assert [p.efficacies["scc"] for p in points] == [pytest.approx(1.0)] * 3
 
 
 def test_efficacy_curve_constant_predictor_degenerate_scc():
     _, _, dataset = _system()
-    points = efficacy_curves(lambda recs: _Constant(), dataset, ("scc",), (20, 50))
+    points = level_curves(lambda recs: {"": _Constant()}, dataset, ("scc",), (20, 50))[""]
     assert [p.efficacies["scc"] for p in points] == [0.0, 0.0]
 
 
 def test_efficacy_curves_isolate_fit_failures():
     _, _, dataset = _system()
 
-    def factory(records):
+    def search(records):
         if len(records) == 50:
-            raise RuntimeError("boom")
-        return _Oracle(dataset)
+            return {"": RuntimeError("boom")}
+        return {"": _Oracle(dataset)}
 
-    points = efficacy_curves(factory, dataset, ("acc",), (20, 50, 100))
+    points = level_curves(search, dataset, ("acc",), (20, 50, 100))[""]
     assert points[0].error is None
     assert points[1].error is not None and "boom" in points[1].error
     assert points[2].efficacies["acc"] == pytest.approx(1.0)
@@ -363,7 +382,7 @@ def test_efficacy_curves_isolate_fit_failures():
 def test_efficacy_curves_reject_oversized_request():
     _, _, dataset = _system()
     with pytest.raises(ValueError):
-        efficacy_curves(lambda r: _Oracle(dataset), dataset, ("acc",), (20, 10_000))
+        level_curves(lambda r: {"": _Oracle(dataset)}, dataset, ("acc",), (20, 10_000))
 
 
 def test_make_factory_levels_and_validation():
@@ -388,8 +407,8 @@ def test_level_table_keys_all_fit():
         assert model.level == level
         assert np.isfinite(model.predict(design(dataset.test)[0])).all()
         cascade = LEVEL_PARENTS[level] is not None
-        assert set(model.iv_models) == (set(shape.ivs) if cascade else set())
-        assert model.perf_inputs == (shape.options if level == "null" else shape.ivs)
+        assert set(_nodes(shape, model.iv_models)) == (set(shape.ivs) if cascade else set())
+        assert _nodes(shape, model.perf_inputs) == (shape.options if level == "null" else shape.ivs)
     with pytest.raises(ValueError, match="unknown level"):
         make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)
 
@@ -458,6 +477,31 @@ def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
     assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)
 
 
+def _reference_parents(level, shape, artifacts, Z):
+    """Each IV's parents at `level` by `NodeId`, from the levels' definitions
+    rather than the search's table: none for `null` and `ideal`, the own
+    module's options for `partial`, and for `practical` and `complete` the
+    sources of the potential or true influence edges into the IV, in sorted
+    order, that pass `stats.fisher_z_screen` on design rows Z."""
+    if level in ("null", "ideal"):
+        return None
+    if level == "partial":
+        return {iv: options for options, ivs in artifacts.logical_boundaries.values() for iv in ivs}
+    edges = {
+        "practical": artifacts.potential_influence_edges, "complete": artifacts.influence_edges
+    }[level]
+    parents = {}
+    for iv in shape.ivs:
+        candidates = sorted(src for src, dst in edges if dst == iv)
+        keep = fisher_z_screen(
+            Z.take(_columns(shape, candidates), axis=1),
+            Z[:, _columns(shape, [iv])[0]],
+            knowledge_models.DEFAULT_ALPHA_CI,
+        )
+        parents[iv] = tuple(p for p, k in zip(candidates, keep) if k)
+    return parents
+
+
 def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
     """One level's model for one candidate on design rows Z, as the search
     fitted it before it batched its forests: the IV forests in one
@@ -477,22 +521,24 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
 
     fitted = [iv for iv in order if parents_by_iv[iv]]
     forests = fit_forests(
-        [shape.gather(Z, parents_by_iv[iv]) for iv in fitted],
-        [Z[:, shape.column(iv)] for iv in fitted],
+        [Z.take(_columns(shape, parents_by_iv[iv]), axis=1) for iv in fitted],
+        [Z[:, _columns(shape, [iv])[0]] for iv in fitted],
         [params(derive(seed, iv.encode(), *tag, *family)) for iv in fitted],
     )
     forest_of = dict(zip(fitted, forests))
-    iv_models = {
-        iv: IVModel(iv, parents_by_iv[iv], forest_of[iv])
-        if iv in forest_of
-        else IVModel(iv, (), MeanModel(Z[:, shape.column(iv)].mean()), fallback=True)
-        for iv in order
-    }
-    perf_inputs = shape.options if level == "null" else shape.ivs
+    iv_models = {}
+    for iv in order:
+        [column] = _columns(shape, [iv])
+        if iv in forest_of:
+            inputs = tuple(_columns(shape, parents_by_iv[iv]))
+            iv_models[column] = IVModel(column, inputs, forest_of[iv])
+        else:
+            iv_models[column] = IVModel(column, (), MeanModel(Z[:, column].mean()), fallback=True)
+    perf_inputs = tuple(_columns(shape, shape.options if level == "null" else shape.ivs))
     perf_model = fit_forest(
-        shape.gather(Z, perf_inputs), perf, params(derive(seed, "perf", *tag, *family))
+        Z.take(perf_inputs, axis=1), perf, params(derive(seed, "perf", *tag, *family))
     )
-    return ModularPredictor(level, shape, perf_model, perf_inputs, iv_models, order)
+    return ModularPredictor(level, perf_model, perf_inputs, iv_models)
 
 
 def _reference_cross_validate(fit_fn, X, y, folds):
@@ -509,8 +555,7 @@ def _reference_search(level, shape, artifacts, budget, space, seed, records):
     """Every candidate's CV loss and the refitted model, one fit per
     (candidate, fold) as the search ran before it batched its forests."""
     Z, perf = design(records)
-    find_parents = LEVEL_PARENTS[level]
-    parents = find_parents and find_parents(artifacts, shape, Z, knowledge_models.DEFAULT_ALPHA_CI)
+    parents = _reference_parents(level, shape, artifacts, Z)
     order = () if parents is None else tuple(sorted(parents))
     candidates = enumerate_candidates(space, budget)
     folds = fold_indices(len(records), CV)
@@ -576,18 +621,19 @@ def _search_references():
     }
 
 
+def _plan(level, shape, artifacts, Z, seed=SEARCH_SEED, alpha=knowledge_models.DEFAULT_ALPHA_CI):
+    """The plan the search makes for `level` on design rows Z."""
+    knowledge = knowledge_models._level_knowledge(level, shape, artifacts)
+    codes = tuple(node.encode() for node in shape.options + shape.ivs)
+    return knowledge_models._plan(seed, level, knowledge, codes, Z, alpha)
+
+
 def _level_forests(levels, artifacts, shape, records):
     """Each level's forests as (target, input columns) pairs, from the plan
     the search makes on `records`."""
     Z, _ = design(records)
-    alpha = knowledge_models.DEFAULT_ALPHA_CI
     return {
-        level: {
-            (target, inputs)
-            for target, inputs, _ in knowledge_models._plan(
-                level, shape, artifacts, Z, alpha, SEARCH_SEED
-            ).forests
-        }
+        level: {(target, inputs) for target, inputs, _ in _plan(level, shape, artifacts, Z).forests}
         for level in levels
     }
 
@@ -641,12 +687,14 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
         if lv in ("practical", "complete"):
             fallbacks = [iv for iv, m in got[lv].iv_models.items() if m.fallback]
             assert 0 < len(fallbacks) < len(shape.ivs)
-            assert any(np.ptp(noise[:, shape.ivs.index(iv)]) > 0 for iv in fallbacks)
+            assert any(np.ptp(noise[:, iv - len(shape.options)]) > 0 for iv in fallbacks)
 
 
 def test_one_level_search_equals_its_reference(monkeypatch):
     """`make_factory` is the one-level call of the search: two `fit_forests`
-    calls, and the reference's losses and final predictions."""
+    calls, and the reference's losses and final predictions. The reference
+    finds `complete`'s parents by `NodeId` itself (`_reference_parents`), so
+    this pins the search's integer level table."""
     artifacts, dataset, records, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     want_losses, want = _search_references()["complete"]
@@ -720,12 +768,10 @@ def test_failing_parent_finder_marks_only_its_level():
 def _reference_predict(model, Z):
     """A model's predictions as it made them before the batched walk: one IV
     at a time in evaluation order, each through its own `predict`."""
-    shape = model.shape
     Z = np.array(Z, dtype=float)
-    for node in model.evaluation_order:
-        iv_model = model.iv_models[node]
-        Z[:, shape.column(node)] = iv_model.model.predict(shape.gather(Z, iv_model.inputs))
-    return model.perf_model.predict(shape.gather(Z, model.perf_inputs))
+    for column, iv_model in model.iv_models.items():
+        Z[:, column] = iv_model.model.predict(Z.take(iv_model.inputs, axis=1))
+    return model.perf_model.predict(Z.take(model.perf_inputs, axis=1))
 
 
 def test_predict_models_equals_one_model_at_a_time(monkeypatch):
@@ -739,7 +785,7 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
     Z_test = design(dataset.test)[0]
     models = []
     for k, level in enumerate(knowledge_models.LEVELS):
-        plan = knowledge_models._plan(level, shape, artifacts, Z, 0.05, k)
+        plan = _plan(level, shape, artifacts, Z, seed=k)
         candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
         models += knowledge_models._fit_models([(plan, Z, perf, c, ("final",)) for c in candidates])
     assert any(m.fallback for model in models for m in model.iv_models.values())
@@ -779,10 +825,7 @@ def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
     held_out = fold_indices(len(records), CV)[0]
     train = np.setdiff1d(np.arange(len(records)), held_out)
     candidate = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)[0]
-    plans = [
-        knowledge_models._plan(level, shape, artifacts, Z, 0.05, SEARCH_SEED)
-        for level in knowledge_models.LEVELS
-    ]
+    plans = [_plan(level, shape, artifacts, Z) for level in knowledge_models.LEVELS]
     null, *others = knowledge_models._fit_models(
         [(plan, Z[train], perf[train], candidate, ("cv", 0)) for plan in plans]
     )
@@ -821,10 +864,7 @@ def test_problem_keys_merge_only_equal_problems():
     space = dict(SEARCH_SPACE, n_trees=[3, 6, 12])
     candidates = enumerate_candidates(space, SearchBudget(evaluations=24))
     assert len(candidates) == 24
-    plans = [
-        knowledge_models._plan(level, shape, artifacts, Z, 0.05, SEARCH_SEED)
-        for level in knowledge_models.LEVELS
-    ]
+    plans = [_plan(level, shape, artifacts, Z) for level in knowledge_models.LEVELS]
     problems = {}  # key -> every (target, inputs, tag, candidate) it stands for
     for plan in plans:
         for c in candidates:
@@ -856,7 +896,7 @@ def test_candidates_of_one_family_share_bootstrap_rows():
     artifacts, dataset, records, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     Z, perf = design(records)
-    plan = knowledge_models._plan("practical", shape, artifacts, Z, 0.05, SEARCH_SEED)
+    plan = _plan("practical", shape, artifacts, Z)
     base = {"max_depth": 6, "min_samples_leaf": 1, "feature_subsample": 0.5}
     small, large = (
         knowledge_models._keys(plan, dict(base, n_trees=n), ("final",)) for n in (6, 12)
@@ -886,3 +926,41 @@ def test_make_factory_equals_its_level_of_the_all_level_search():
         )(records)
         assert one.search_meta == every[level].search_meta
         assert np.array_equal(one.predict(Z_test), every[level].predict(Z_test))
+
+
+def test_shape_rejects_names_out_of_canonical_order(tmp_path):
+    """Design columns are evaluated in their order, so a dataset whose
+    manifest lists two IV columns swapped is refused, as are options out of
+    order."""
+    _, _, dataset = _system()
+    save_dataset(dataset, tmp_path, semantics_file="semantics.json")
+    assert SystemShape.from_dataset(load_dataset(tmp_path)).ivs == tuple(
+        NodeId.decode(n) for n in dataset.iv_names
+    )
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    ivs = manifest["columns"]["ivs"]
+    ivs[0], ivs[1] = ivs[1], ivs[0]
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="IV names are not in canonical NodeId order"):
+        SystemShape.from_dataset(load_dataset(tmp_path))
+    with pytest.raises(ValueError, match="option names are not in canonical NodeId order"):
+        SystemShape(options=(option(0, 1), option(0, 0)), ivs=(intermediate(0, 0),))
+
+
+def test_search_and_prediction_never_touch_node_ids(monkeypatch):
+    """Past `make_search`'s construction the search works on design columns:
+    with `NodeId` hashing and equality made to raise, every level still fits
+    and predicts."""
+    artifacts, dataset, records, _ = _search_system()
+    search = _search(knowledge_models.LEVELS, artifacts, dataset)
+    Z_test = design(dataset.test)[0]
+
+    def forbidden(*args):
+        raise AssertionError("NodeId hashed or compared")
+
+    monkeypatch.setattr(NodeId, "__hash__", forbidden)
+    monkeypatch.setattr(NodeId, "__eq__", forbidden)
+    models = search(records)
+    assert all(isinstance(m, ModularPredictor) for m in models.values()), models
+    predictions = knowledge_models.predict_models(list(models.values()), [Z_test] * len(models))
+    assert all(np.isfinite(p).all() for p in predictions)
