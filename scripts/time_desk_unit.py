@@ -12,7 +12,7 @@ seed) without timing it, then times one `run_model` call over all levels
      "level_s_norm": {"null": 0.26, ...},
      "counts": {"all": {"forest_calls": 15, "problems": 502, "passes": 740, ...},
                 "null": {"forest_calls": 12, "problems": 60, ...}, ...},
-     "peak_rss_mb": 93.0, "nproc": 2, "python": "3.11.7", ...}
+     "all_peak_rss_mb": 90.1, "peak_rss_mb": 93.0, "nproc": 2, "python": "3.11.7", ...}
 
 During every timed call the script counts the calls of `fit_forests`,
 direct or through `fit_forest` (`forest_calls`), the forest problems passed
@@ -21,8 +21,10 @@ split searches (`searches`, the calls of `_search_binary` and
 `_search_sorted`, at most one per level of a pass) and its prediction walks
 (`walks`, one per `_leaves` call), so batching and shared problems show as
 exact counts beside the seconds: `counts["all"]` for the all-level call,
-one entry per level for the others. `peak_rss_mb` is the process's peak
-resident set size (`ru_maxrss`) after all calls.
+one entry per level for the others. `all_peak_rss_mb` is the process's peak
+resident set size (`ru_maxrss`) read right after the all-level call, before
+the per-level calls: the all-level call's peak, or the untimed generate
+stage's if that were higher; `peak_rss_mb` is the peak after all calls.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
 reference computation (`perfbench/calibrate.py`) runs before and after each
@@ -112,6 +114,11 @@ def _counted(counts: collections.Counter):
             setattr(owner, attr, fn)
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def _timed(fn, *args):
     """fn's result, its wall seconds, and those seconds normalised by the
     reference computation timed just before and just after it."""
@@ -140,6 +147,7 @@ def main() -> int:
         counts = {"all": collections.Counter()}
         with _counted(counts["all"]):
             docs, model_s, model_s_norm = _timed(run_model, config)
+        all_peak_rss_mb = _peak_rss_mb()
         level_s, level_s_norm = {}, {}
         for level in config.levels:
             level_config = dataclasses.replace(config, levels=(level,))
@@ -160,7 +168,8 @@ def main() -> int:
                 "level_s": level_s,
                 "level_s_norm": level_s_norm,
                 "counts": {key: dict(c) for key, c in counts.items()},
-                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                "all_peak_rss_mb": all_peak_rss_mb,
+                "peak_rss_mb": _peak_rss_mb(),
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

@@ -201,6 +201,14 @@ def _dump(doc, compact: bool = False) -> str:
     return compact_json(doc) if compact else json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _check_resume(config: ExperimentConfig):
+    """Refuse to resume a tree that another config wrote: its completed
+    units would be kept as if this config had made them."""
+    path = Path(config.out_dir) / "config.json"
+    if config.resume and path.exists() and path.read_text() != _dump(config.persisted_dict()):
+        raise ValueError(f"cannot resume {config.out_dir}: {path} holds another config")
+
+
 # ---------------------------------------------------------------- generate
 
 
@@ -271,6 +279,7 @@ def _generate_one(config: ExperimentConfig, s: int) -> dict:
 
 def run_generate(config: ExperimentConfig) -> list[dict]:
     """Produce aspects, graph, semantics, and datasets for every system."""
+    _check_resume(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "config.json", _dump(config.persisted_dict()))
@@ -392,6 +401,7 @@ def _model_worker(args):
 
 def run_model(config: ExperimentConfig) -> list[dict]:
     """Fit every (system, trial, level) and persist efficacy curves."""
+    _check_resume(config)
     out = Path(config.out_dir)
     units = [(config, s, t) for s in range(config.n_systems) for t in range(config.trials)]
     if config.jobs > 1:

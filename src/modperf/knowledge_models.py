@@ -12,40 +12,34 @@ The levels differ only in the IV parent sets their knowledge yields
 (`LEVEL_PARENTS`). `make_search` turns each level's candidate parents into
 design-column indices once per unit; past that point models, pruning and
 prediction work on columns, and `NodeId`s appear only where documents are
-read and the shape is built. The search fits every level of one training
-prefix together, the same way: it stacks the training records into one
-design matrix, prunes each level's candidates on it once, and scores every
-(level, candidate) pair with `learners.cross_validate_many` over the same
-fold index arrays; each level's first candidate with the lowest mean
-held-out MSE (`np.argmin`) is refitted on all rows. IV regressors are
-trained on measured upstream values (teacher forcing) and predict on
-cascaded estimates, matching how a structural causal model is fit from
-observational data. Teacher forcing makes every forest of a search
-independent, and its seed names its problem, not its level (`_keys`): the
-unit's model seed, the target, the rows and the candidate's family. So a
-problem several levels pose is grown once and shared: the perf forest on
-the measured IVs serves `partial`, `practical`, `complete` and `ideal`, and
-so does an IV forest whose pruned parents coincide. The distinct forests of
-every level's (candidate, fold) fits go to `fit_forests` as one stream, cut
-into chunks under `_CHUNK_CELLS`; each chunk's completed models predict
-their held-out rows, and a forest is dropped once every model holding it
-has predicted. The winners of all levels are refitted in one more call.
-`predict_models` predicts many models at once, one batched forest walk per
-cascade generation (`ModularPredictor.steps`) and one for the perf forests.
-`level_curves` scores every level of a search on the test set. For a fixed
-(dataset, training size) all levels consume the identical training prefix,
-the identical candidate list, folds and search budget.
+read and the shape is built. The search maps a training prefix's design
+rows, and the rows to predict, to every level's predictions of them; the
+fitted models serve nothing else. Every fit, CV and final alike, is a job
+of one fit-and-predict stream (`_held_out_predictions`). Each (level,
+candidate) pair's CV loss is its mean held-out MSE over shared fold index
+arrays, and each level's first candidate with the lowest loss (`np.argmin`)
+is refitted on all rows by a second stream whose held-out rows are the
+rows to predict. IV regressors are trained on measured upstream values (teacher
+forcing) and predict on cascaded estimates, matching how a structural
+causal model is fit from observational data. Teacher forcing makes every
+forest of a search independent, and its seed names its problem, not its
+level (`_keys`), so a problem several levels pose is grown once and shared:
+the perf forest on the measured IVs serves `partial`, `practical`,
+`complete` and `ideal`. For a fixed (dataset, training size) all levels
+consume the identical training prefix, candidate list, folds and search
+budget.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import MeasurementRecord, SystemDataset, training_prefix
+from .dataset import SystemDataset
 from .influence_graph import KnowledgeArtifacts, NodeId, NodeKind
 from .learners import (
     CVSpec,
@@ -53,10 +47,10 @@ from .learners import (
     ForestParams,
     SearchBudget,
     budget_chunks,
-    cross_validate_many,
     enumerate_candidates,
     fit_forests,
     fold_indices,
+    mse,
     predict_forests,
 )
 from .learners import fit_forest  # noqa: F401  perfbench/tracer.py wraps it (ROADMAP item 2)
@@ -65,7 +59,7 @@ from .seeds import derive
 from .stats import fisher_z_screen
 
 DEFAULT_ALPHA_CI = 0.05
-# Bootstrap-row x tree cells of the forests one chunk of a search's CV fits
+# Bootstrap-row x tree cells of the forests one chunk of a search's stream
 # grows and holds until its models have predicted their held-out rows.
 # Bounds a search's memory whatever its budget, folds and levels.
 _CHUNK_CELLS = 1 << 19
@@ -97,7 +91,7 @@ class SystemShape:
         )
 
 
-def design(records: list[MeasurementRecord]) -> tuple[np.ndarray, np.ndarray]:
+def design(records) -> tuple[np.ndarray, np.ndarray]:
     """Design rows of the records, in the layout SystemShape describes, and
     their first performance value, the target every level models."""
     bits = np.asarray([r.config for r in records], dtype=float)
@@ -141,7 +135,6 @@ class ModularPredictor:
     perf_model: object
     perf_inputs: tuple[int, ...]
     iv_models: dict[int, IVModel] = field(default_factory=dict)
-    search_meta: dict = field(default_factory=dict)
     steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -155,17 +148,16 @@ class ModularPredictor:
         self.steps = tuple(map(tuple, steps))
 
     def predict(self, Z: np.ndarray) -> np.ndarray:
-        """Predict from design rows. A copy of Z has each modelled IV's column
-        overwritten with its cascaded estimate; IVs without a model keep their
-        measured values, and Z itself is left unchanged. The one-model call of
-        `predict_models`."""
+        """The one-model call of `predict_models`. Only the search's stream
+        predicts; perfbench/tracer.py looks this name up, which is its only
+        reason to exist."""
         return predict_models([self], [Z])[0]
 
 
 def _predict_each(models, Xs) -> list[np.ndarray]:
     """Each model's prediction on its X: every fitted forest among them in one
-    `predict_forests` call, any other model (a `MeanModel` fallback or a
-    stand-in) through its own `predict`."""
+    `predict_forests` call, any other model (a `MeanModel` fallback) through
+    its own `predict`."""
     forests = [k for k, m in enumerate(models) if isinstance(m, FittedForest)]
     predicted = predict_forests([models[k] for k in forests], [Xs[k] for k in forests])
     out = dict(zip(forests, predicted))
@@ -173,30 +165,28 @@ def _predict_each(models, Xs) -> list[np.ndarray]:
 
 
 def predict_models(models, Zs) -> list[np.ndarray]:
-    """Each model's predictions on its own design rows, equal to what
-    `model.predict(Z)` returns alone.
+    """Each `ModularPredictor`'s predictions on its own design rows, equal to
+    what the model alone predicts. A copy of each Z has every modelled IV's
+    column overwritten with its cascaded estimate; IVs without a model keep
+    their measured values, and Z itself is left unchanged.
 
     The IV estimates cascade generation by generation (`steps`): every
     model's IVs of one generation read their input columns and predict in
     one batched forest walk, then every model's perf forest in one more.
-    Any model that is not a `ModularPredictor` (a stand-in) predicts Z
-    directly.
     """
     Zs = [np.array(Z, dtype=float) for Z in Zs]
-    cascades = [(Z, m) for Z, m in zip(Zs, models) if isinstance(m, ModularPredictor)]
-    for g in range(max((len(m.steps) for _, m in cascades), default=0)):
+    for g in range(max((len(m.steps) for m in models), default=0)):
         step = [
-            (Z, m.iv_models[iv]) for Z, m in cascades if g < len(m.steps) for iv in m.steps[g]
+            (Z, m.iv_models[iv])
+            for Z, m in zip(Zs, models)
+            if g < len(m.steps)
+            for iv in m.steps[g]
         ]
         Xs = [Z.take(iv_model.inputs, axis=1) for Z, iv_model in step]
         for (Z, iv_model), values in zip(step, _predict_each([m.model for _, m in step], Xs)):
             Z[:, iv_model.column] = values
-    leaves, Xs = [], []
-    for model, Z in zip(models, Zs):
-        cascade = isinstance(model, ModularPredictor)
-        leaves.append(model.perf_model if cascade else model)
-        Xs.append(Z.take(model.perf_inputs, axis=1) if cascade else Z)
-    return _predict_each(leaves, Xs)
+    Xs = [Z.take(m.perf_inputs, axis=1) for Z, m in zip(Zs, models)]
+    return _predict_each([m.perf_model for m in models], Xs)
 
 
 def _forest_params(candidate: dict, seed: int) -> ForestParams:
@@ -358,44 +348,26 @@ def _problem(key: _Key, Z, perf):
     return Z.take(key.inputs, axis=1), y, key.params
 
 
-def _distinct_problems(jobs):
-    """Each (plan, Z, perf, candidate, tag, ...) job's problem keys, and each
-    distinct key's first job, in job order. Jobs that share a tag share their
-    rows Z and perf, so equal keys pose one problem."""
-    keys = [_keys(plan, candidate, tag) for plan, _, _, candidate, tag, *_ in jobs]
-    first = {}
+def _held_out_predictions(jobs) -> list[np.ndarray]:
+    """What each (plan, Z, perf, candidate, tag, Z_held) job's model, fitted
+    on design rows Z and targets perf, predicts for its held-out rows Z_held:
+    the one way the search fits and predicts.
+
+    Jobs that share a tag share their rows Z and perf, so equal problem keys
+    (`_keys`) pose one problem. Each distinct problem goes to `fit_forests`
+    once, in the order of the first job that needs it, as one stream cut
+    into chunks of at most `_CHUNK_CELLS` bootstrap-row x tree cells (a
+    forest alone may exceed it). Once a chunk is grown, the models it
+    completes predict their held-out rows in one `predict_models` call, and
+    a forest is dropped once every model that holds it has predicted. Jobs
+    that share problems come next to each other, so a search holds about one
+    chunk of forests, and their designs, at a time.
+    """
+    keys = [_keys(plan, candidate, tag) for plan, _, _, candidate, tag, _ in jobs]
+    first = {}  # each distinct problem's first job, in stream order
     for j, job_keys in enumerate(keys):
         for key in job_keys:
             first.setdefault(key, j)
-    return keys, first
-
-
-def _fit_models(jobs) -> list[ModularPredictor]:
-    """One model per (plan, Z, perf, candidate, tag) job, every distinct
-    problem among their forests grown once, all in one `fit_forests` call."""
-    keys, first = _distinct_problems(jobs)
-    problems = (_problem(key, *jobs[j][1:3]) for key, j in first.items())
-    forests = dict(zip(first, fit_forests(*zip(*problems))))
-    return [
-        _assemble(plan, Z, map(forests.__getitem__, job_keys))
-        for (plan, Z, *_), job_keys in zip(jobs, keys)
-    ]
-
-
-def _held_out_predictions(jobs) -> list[np.ndarray]:
-    """Each (plan, Z, perf, candidate, tag, Z_held) job's model's predictions
-    on its held-out rows Z_held.
-
-    Each distinct problem among the jobs' forests (`_distinct_problems`) goes
-    to `fit_forests` once, in the order of the first job that needs it, as
-    one stream cut into chunks of at most `_CHUNK_CELLS` bootstrap-row x tree
-    cells (a forest alone may exceed it). Once a chunk is grown, the models
-    it completes predict their held-out rows in one `predict_models` call,
-    and a forest is dropped once every model that holds it has predicted.
-    Jobs that share problems come next to each other, so a search holds
-    about one chunk of forests, and their designs, at a time.
-    """
-    keys, first = _distinct_problems(jobs)
     position = {key: k for k, key in enumerate(first)}
     # a job is complete once the last of its problems in the stream is grown
     ready = [max(position[key] for key in job_keys) for job_keys in keys]
@@ -424,45 +396,57 @@ def _held_out_predictions(jobs) -> list[np.ndarray]:
     return predictions
 
 
-def _search_levels(plans, candidates, budget, Z, perf, folds) -> dict[str, ModularPredictor]:
-    """Each planned level's winning model: every (level, candidate) pair's
-    CV loss from one `cross_validate_many` call, then the winners' refits in
-    one `fit_forests` call."""
+class LevelFit(NamedTuple):
+    """One level's search on one training prefix: its winner's predictions
+    of the held-out rows, and `search_meta`, the candidates, the chosen one,
+    every candidate's CV loss and the budget."""
 
-    def predict_folds(splits):
-        # candidate-major, then fold, then level, so that the levels' jobs
-        # of one (candidate, fold), which share problems, come together
-        predictions = _held_out_predictions(
-            [
-                (plan, Z_train, y_train, c, ("cv", f), Z_held)
-                for c in candidates
-                for f, (Z_train, y_train, Z_held) in enumerate(splits)
-                for plan in plans.values()
-            ]
-        )
-        n_levels, n_folds = len(plans), len(splits)
-        return [
-            [predictions[(i * n_folds + f) * n_levels + k] for f in range(n_folds)]
-            for k in range(n_levels)
-            for i in range(len(candidates))
+    predictions: np.ndarray
+    search_meta: dict
+
+
+def _search_levels(plans, candidates, budget, Z, perf, folds, Z_held) -> dict[str, LevelFit]:
+    """Each planned level's `LevelFit`: every (level, candidate) pair's CV
+    loss from one stream of (candidate, fold) jobs, then the winners' refits
+    on all rows, predicting Z_held, in a second stream."""
+    splits = []  # per fold: training rows, their targets, held-out rows
+    for held_out in folds:
+        train = np.ones(len(perf), dtype=bool)
+        train[held_out] = False
+        splits.append((Z[train], perf[train], Z[held_out]))
+    # candidate-major, then fold, then level, so that the levels' jobs of
+    # one (candidate, fold), which share problems, come together
+    fits = list(itertools.product(range(len(candidates)), range(len(folds)), plans))
+    predictions = _held_out_predictions(
+        [
+            (plans[level], *splits[f][:2], candidates[i], ("cv", f), splits[f][2])
+            for i, f, level in fits
         ]
-
-    losses = cross_validate_many(predict_folds, Z, perf, folds)
-    c = len(candidates)
-    by_level = {level: losses[k * c : (k + 1) * c] for k, level in enumerate(plans)}
-    best = {level: int(np.argmin(level_losses)) for level, level_losses in by_level.items()}
-    models = _fit_models(
-        [(plans[level], Z, perf, candidates[best[level]], ("final",)) for level in plans]
     )
-    for level, model in zip(plans, models):
-        model.search_meta = {
-            "candidates": candidates,
-            "chosen": candidates[best[level]],
-            "cv_loss": by_level[level][best[level]],
-            "cv_losses": by_level[level],
-            "budget": budget.evaluations,
-        }
-    return dict(zip(plans, models))
+    fold_losses = collections.defaultdict(list)  # (level, candidate) -> MSEs in fold order
+    for (i, f, level), p in zip(fits, predictions):
+        fold_losses[level, i].append(mse(perf[folds[f]], p))
+    losses = {
+        level: [float(np.mean(fold_losses[level, i])) for i in range(len(candidates))]
+        for level in plans
+    }
+    best = {level: int(np.argmin(level_losses)) for level, level_losses in losses.items()}
+    finals = _held_out_predictions(
+        [(plans[level], Z, perf, candidates[best[level]], ("final",), Z_held) for level in plans]
+    )
+    return {
+        level: LevelFit(
+            final,
+            {
+                "candidates": candidates,
+                "chosen": candidates[best[level]],
+                "cv_loss": losses[level][best[level]],
+                "cv_losses": losses[level],
+                "budget": budget.evaluations,
+            },
+        )
+        for level, final in zip(plans, finals)
+    }
 
 
 def make_search(
@@ -476,22 +460,21 @@ def make_search(
     alpha_ci: float = DEFAULT_ALPHA_CI,
 ):
     """Bind knowledge levels to their structural inputs, leaving only the
-    training records free; `levels` are fitted in their order, and `seed`,
-    the unit's model seed, seeds every forest by its problem (`_keys`).
+    training rows free; `levels` are fitted in their order, and `seed`, the
+    unit's model seed, seeds every forest by its problem (`_keys`).
 
     Each level's candidate parent columns are found here, once per unit
     (`_level_knowledge`); a level whose knowledge does not fit the system
     fails alone, with one error returned at every training size. The
-    returned callable fits every level on the same records. It stacks them
-    into design rows once and prunes each level's candidates on them.
-    `cross_validate_many` then scores every (level, candidate) pair over the
-    shared fold index arrays: all of their (candidate, fold) fits stream
-    through `_held_out_predictions`, and a problem several levels share,
-    such as the perf forest on the measured IVs, is grown once for all of
-    them. Each level keeps the first candidate with the lowest mean held-out
-    MSE, and the winners are refitted on all rows in one more `fit_forests`
-    call. It returns each level's model, or the exception its search raised;
-    a failure in the shared fits fails every level in them.
+    returned callable, `search(Z, perf, Z_held)`, fits every level on the
+    same training design rows Z and targets perf and prunes each level's
+    candidates on them. All (level, candidate, fold) fits stream through
+    `_held_out_predictions`, and a problem several levels share, such as the
+    perf forest on the measured IVs, is grown once for all of them. Each
+    level keeps the first candidate with the lowest mean held-out MSE, and
+    the winners' refits on all rows stream through it once more, predicting
+    the rows Z_held. It returns each level's `LevelFit`, or the exception
+    its search raised; a failure in either stream fails every level in it.
     """
     levels = tuple(levels)
     for level in levels:
@@ -509,12 +492,11 @@ def make_search(
         except Exception as exc:  # this level's knowledge does not fit the system
             failed[level] = exc
 
-    def search(records: list[MeasurementRecord]) -> dict[str, ModularPredictor | Exception]:
-        n = len(records)
+    def search(Z, perf, Z_held) -> dict[str, LevelFit | Exception]:
+        n = len(Z)
         if n < cv.folds:
             return dict.fromkeys(levels, ValueError(f"need at least {cv.folds} records, got {n}"))
-        Z, perf = design(records)
-        results: dict[str, ModularPredictor | Exception] = dict(failed)
+        results: dict[str, LevelFit | Exception] = dict(failed)
         plans = {}
         for level, known in knowledge.items():
             try:
@@ -524,7 +506,7 @@ def make_search(
         if plans:
             try:
                 folds = fold_indices(n, cv)
-                results.update(_search_levels(plans, candidates, budget, Z, perf, folds))
+                results.update(_search_levels(plans, candidates, budget, Z, perf, folds, Z_held))
             except Exception as exc:  # the levels share every fit
                 results.update(dict.fromkeys(plans, exc))
         return {level: results[level] for level in levels}
@@ -543,13 +525,14 @@ def make_factory(
     seed: int = 0,
 ):
     """One level's search: the one-level call of `make_search`. The returned
-    callable maps training records to the level's model, or raises what its
-    search raised. The pipeline calls `make_search`; this stays because
-    perfbench/tracer.py looks it up on `experiment`."""
+    callable maps (Z, perf, Z_held) to the level's `LevelFit`, or raises
+    what its search raised. The pipeline calls `make_search`;
+    perfbench/tracer.py looks this name up on `experiment`, which is its
+    only reason to exist."""
     search = make_search(seed, (level,), shape, artifacts, budget, cv, space, alpha_ci)
 
-    def factory(records: list[MeasurementRecord]) -> ModularPredictor:
-        result = search(records)[level]
+    def factory(Z, perf, Z_held) -> LevelFit:
+        result = search(Z, perf, Z_held)[level]
         if isinstance(result, Exception):
             raise result
         return result
@@ -570,32 +553,26 @@ def level_curves(
     metrics: tuple[str, ...],
     sizes: tuple[int, ...],
 ) -> dict[str, list[CurvePoint]]:
-    """Fit every level on each nested training prefix and score the full
-    test set.
+    """Fit every level on each nested training prefix and score its
+    predictions of the full test set.
 
-    `search(records)` maps training records to each level's model or the
-    exception its fit raised (`make_search`). Every fitted level predicts the
-    test set in one `predict_models` call, and one prediction serves all
-    requested metrics. A failing fit marks only its level's point; a failing
-    prediction marks the points of every level in it.
+    `search(Z, perf, Z_held)` maps training design rows and targets, and the
+    rows to predict, to each level's `LevelFit` or the exception its search
+    raised (`make_search`). The training and test designs are built once; a
+    prefix is a row slice. One prediction serves all requested metrics. A
+    failing search marks only its level's point.
     """
     if max(sizes) > len(dataset.train):
         raise ValueError(f"max size {max(sizes)} exceeds training set {len(dataset.train)}")
+    Z, perf = design(dataset.train)
     Z_test, actual = design(dataset.test)
     curves: dict[str, list[CurvePoint]] = {}
     for n in sorted(sizes):
-        outcome = search(training_prefix(dataset, n))
-        fitted = [level for level, m in outcome.items() if not isinstance(m, Exception)]
-        try:
-            models = [outcome[level] for level in fitted]
-            outcome.update(zip(fitted, predict_models(models, [Z_test] * len(fitted))))
-        except Exception as exc:  # the fitted levels share the prediction walk
-            outcome.update(dict.fromkeys(fitted, exc))
-        for level, predictions in outcome.items():
+        for level, fit in search(Z[:n], perf[:n], Z_test).items():
             try:
-                if isinstance(predictions, Exception):
-                    raise predictions
-                values = {m: float(efficacy(m, predictions, actual)) for m in metrics}
+                if isinstance(fit, Exception):
+                    raise fit
+                values = {m: float(efficacy(m, fit.predictions, actual)) for m in metrics}
                 point = CurvePoint(n=n, efficacies=values)
             except Exception as exc:  # isolate per-point failures
                 point = CurvePoint(n=n, efficacies={}, error=f"{type(exc).__name__}: {exc}")

@@ -22,7 +22,6 @@ from .polynomial import PolynomialExpansion
 from .search import (
     CVSpec,
     SearchBudget,
-    cross_validate_many,
     enumerate_candidates,
     fold_indices,
     mse,
@@ -39,7 +38,6 @@ __all__ = [
     "alpha_grid",
     "budget_chunks",
     "cross_validate_l1_many",
-    "cross_validate_many",
     "enumerate_candidates",
     "fit_forest",
     "fit_forests",

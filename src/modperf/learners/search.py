@@ -2,13 +2,14 @@
 
 Every model search in the package runs over the same split: `fold_indices`
 gives the held-out index arrays, each candidate's loss is its mean held-out
-loss over them, and the search keeps the first candidate with the lowest
-loss (`np.argmin`). `cross_validate_many` scores every (level, candidate)
-pair of a knowledge-model search from one call that predicts every fold's
-held-out rows for all of them.
-The stage-1 lasso scores all alphas of a degree at once with
-`lasso.cross_validate_l1_many`, over `lasso.alpha_grid`, on `fold_indices`
-drawn over systems (`stats.system_folds`).
+`mse` over them, averaged with `np.mean` in fold order, and the search keeps
+the first candidate with the lowest loss (`np.argmin`). A knowledge-model
+search gets every fold's held-out predictions, for every (level, candidate)
+pair, from the same fit-and-predict stream that makes its final refits
+(`knowledge_models._held_out_predictions`). The stage-1 lasso scores all
+alphas of a degree at once with `lasso.cross_validate_l1_many`, over
+`lasso.alpha_grid`, on `fold_indices` drawn over systems
+(`stats.system_folds`).
 """
 
 from __future__ import annotations
@@ -52,27 +53,6 @@ def fold_indices(n: int, spec: CVSpec) -> list[np.ndarray]:
         raise ValueError(f"folds {spec.folds} exceeds sample count {n}")
     order = rng_for(spec.shuffle_seed, "cv").permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(order, spec.folds)]
-
-
-def cross_validate_many(predict_fn, X, y, folds: list[np.ndarray], loss=mse) -> list[float]:
-    """Each candidate's mean held-out loss over the folds, index arrays from
-    `fold_indices`.
-
-    `predict_fn(splits)` gets one (X_train, y_train, X_held_out) triple per
-    fold, the rows outside it and the rows in it, and returns one list per
-    candidate holding its predictions of each fold's held-out rows from a
-    fit on that fold's training rows. So one call fits and predicts every
-    candidate on every fold.
-    """
-    splits = []
-    for held_out in folds:
-        train = np.ones(len(y), dtype=bool)
-        train[held_out] = False
-        splits.append((X[train], y[train], X[held_out]))
-    return [
-        float(np.mean([loss(y[h], p) for p, h in zip(predictions, folds)]))
-        for predictions in predict_fn(splits)
-    ]
 
 
 def _grid_size(space: dict) -> int | None:

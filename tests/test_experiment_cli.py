@@ -150,6 +150,21 @@ def test_resume_skips_completed_units(tiny_run, capsys):
     assert tree_hash(out / "curves") == curves_before
 
 
+@pytest.mark.parametrize("stage", ["generate", "model"])
+def test_resume_refuses_another_config(tiny_run, tmp_path, capsys, stage):
+    """Resuming a tree under another seed exits 1 with the error JSON and
+    writes nothing, so no unit of the old config passes for the new one."""
+    config, out = tiny_run
+    config_file = tmp_path / "config.json"
+    config_file.write_text((out / "config.json").read_text())
+    before = tree_hash(out)
+    argv = [stage, "--config", str(config_file), "--seed", "1", "--out", str(out), "--resume"]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and error["stage"] == stage
+    assert tree_hash(out) == before
+
+
 def test_resume_rewrites_unparsable_curve_file(tmp_path):
     config = _tiny_config(tmp_path, n_systems=1, trials=1)
     run_generate(config)

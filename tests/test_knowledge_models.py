@@ -27,6 +27,7 @@ from modperf import knowledge_models
 from modperf.knowledge_models import (
     LEVEL_PARENTS,
     IVModel,
+    LevelFit,
     MeanModel,
     ModularPredictor,
     SystemShape,
@@ -61,8 +62,24 @@ SPACE = {
 }
 
 
-def _fit(level, records, shape, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
-    return make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)(records)
+def _fit(level, records, shape, Z_held, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
+    """`level`'s `LevelFit` on `records`, predicting the design rows Z_held."""
+    factory = make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)
+    return factory(*design(records), Z_held)
+
+
+def _model(plan, Z, perf, candidate, tag=("final",)):
+    """`plan`'s model for `candidate` on design rows Z, assembled as the
+    search's stream assembles it, its forests grown in one `fit_forests`
+    call."""
+    keys = knowledge_models._keys(plan, candidate, tag)
+    forests = fit_forests(*zip(*(knowledge_models._problem(key, Z, perf) for key in keys)))
+    return knowledge_models._assemble(plan, Z, iter(forests))
+
+
+def _stand_in(model):
+    """A search whose one level, "", predicts the held-out rows with `model`."""
+    return lambda Z, perf, Z_held: {"": LevelFit(model.predict(Z_held), {})}
 
 
 def _nodes(shape, columns):
@@ -110,15 +127,16 @@ def test_null_constant_performance():
         MeasurementRecord(r.config, r.iv_values, np.array([42.0])) for r in dataset.train[:60]
     ]
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("null", records, shape, seed=1)
-    assert np.allclose(model.predict(design(dataset.test)[0]), 42.0)
+    fit = _fit("null", records, shape, design(dataset.test)[0], seed=1)
+    assert np.allclose(fit.predictions, 42.0)
 
 
 def test_null_learns_single_option_effect():
     dataset = _single_option_effect_dataset()
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("null", training_prefix(dataset, 1000), shape, seed=2)
-    predictions = model.predict(design(dataset.test)[0])
+    predictions = _fit(
+        "null", training_prefix(dataset, 1000), shape, design(dataset.test)[0], seed=2
+    ).predictions
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert np.abs(predictions - actual).max() < 1e-9
 
@@ -126,8 +144,8 @@ def test_null_learns_single_option_effect():
 def test_null_deterministic_under_fixed_seeds():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = _fit("null", dataset.train, shape, seed=5).predict(design(dataset.test)[0])
-    b = _fit("null", dataset.train, shape, seed=5).predict(design(dataset.test)[0])
+    a = _fit("null", dataset.train, shape, design(dataset.test)[0], seed=5).predictions
+    b = _fit("null", dataset.train, shape, design(dataset.test)[0], seed=5).predictions
     assert np.array_equal(a, b)
 
 
@@ -135,49 +153,49 @@ def test_null_requires_enough_records():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
-        _fit("null", dataset.train[:1], shape)
+        _fit("null", dataset.train[:1], shape, design(dataset.test)[0])
 
 
 def test_partial_inputs_respect_boundaries():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("partial", dataset.train, shape, artifacts)
-    for iv, iv_model in model.iv_models.items():
+    plan = _plan("partial", shape, artifacts, design(dataset.train)[0])
+    for iv, inputs in plan.parents.items():
         [node] = _nodes(shape, [iv])
-        parents = _nodes(shape, iv_model.inputs)
+        parents = _nodes(shape, inputs)
         assert all(p.kind is NodeKind.OPTION and p.module == node.module for p in parents)
-    assert _nodes(shape, model.perf_inputs) == shape.ivs
-    assert len(model.iv_models) == len(shape.ivs)
+    assert _nodes(shape, _perf_inputs(plan)) == shape.ivs
+    assert len(plan.parents) == len(shape.ivs)
 
 
 def test_partial_single_module_matches_null_input_set():
     graph, artifacts, dataset = _system(module_count=1, option_count=9)
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("partial", dataset.train, shape, artifacts)
-    for iv_model in model.iv_models.values():
-        assert _nodes(shape, iv_model.inputs) == shape.options
+    plan = _plan("partial", shape, artifacts, design(dataset.train)[0])
+    for inputs in plan.parents.values():
+        assert _nodes(shape, inputs) == shape.options
 
 
 def test_partial_cascade_deterministic():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = _fit("partial", dataset.train, shape, artifacts, seed=9)
-    b = _fit("partial", dataset.train, shape, artifacts, seed=9)
-    assert np.array_equal(a.predict(design(dataset.test)[0]), b.predict(design(dataset.test)[0]))
+    Z_test = design(dataset.test)[0]
+    a = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=9)
+    b = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=9)
+    assert np.array_equal(a.predictions, b.predictions)
 
 
 def test_predict_is_repeatable_and_leaves_design_unchanged():
-    """predict overwrites cascaded IV columns in a copy of the design rows,
-    so one test design can serve every training size."""
+    """The search's predictions overwrite cascaded IV columns in a copy of
+    the held-out rows, so one test design can serve every training size."""
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("partial", dataset.train, shape, artifacts, seed=9)
-    assert model.iv_models
+    assert _plan("partial", shape, artifacts, design(dataset.train)[0]).parents
     Z, _ = design(dataset.test)
     before = Z.copy()
-    first = model.predict(Z)
+    first = _fit("partial", dataset.train, shape, Z, artifacts, seed=9).predictions
     assert np.array_equal(Z, before)
-    assert np.array_equal(model.predict(Z), first)
+    assert np.array_equal(_fit("partial", dataset.train, shape, Z, artifacts, seed=9).predictions, first)
     assert np.array_equal(Z, before)
 
 
@@ -188,45 +206,48 @@ def test_partial_boundaries_must_cover():
         artifacts, logical_boundaries={0: artifacts.logical_boundaries[0]}
     )
     with pytest.raises(ValueError, match="boundaries do not cover"):
-        _fit("partial", dataset.train, shape, uncovering)
+        _fit("partial", dataset.train, shape, design(dataset.test)[0], uncovering)
 
 
 def test_practical_parents_subset_of_pie():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("practical", dataset.train, shape, artifacts)
+    plan = _plan("practical", shape, artifacts, design(dataset.train)[0])
     pie_parents = {}
     for src, dst in artifacts.potential_influence_edges:
         pie_parents.setdefault(dst, set()).add(src)
-    for iv, iv_model in model.iv_models.items():
+    for iv, inputs in plan.parents.items():
         [node] = _nodes(shape, [iv])
-        assert set(_nodes(shape, iv_model.inputs)) <= pie_parents.get(node, set())
+        assert set(_nodes(shape, inputs)) <= pie_parents.get(node, set())
 
 
 def test_complete_parents_subset_of_true_edges():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("complete", dataset.train, shape, artifacts)
+    plan = _plan("complete", shape, artifacts, design(dataset.train)[0])
     true_parents = {}
     for src, dst in artifacts.influence_edges:
         true_parents.setdefault(dst, set()).add(src)
-    assert model.level == "complete"
-    for iv, iv_model in model.iv_models.items():
+    assert plan.level == "complete"
+    for iv, inputs in plan.parents.items():
         [node] = _nodes(shape, [iv])
-        assert set(_nodes(shape, iv_model.inputs)) <= true_parents.get(node, set())
+        assert set(_nodes(shape, inputs)) <= true_parents.get(node, set())
 
 
 def test_practical_fallback_for_parentless_iv():
     # p_w=0 leaves every IV constant zero; pruning must strip all candidates
     graph, artifacts, dataset = _system(p_w=0.0, seed=55)
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("practical", dataset.train, shape, artifacts)
+    Z, perf = design(dataset.train)
+    plan = _plan("practical", shape, artifacts, Z)
+    model = _model(plan, Z, perf, enumerate_candidates(SPACE, BUDGET)[0])
     zero_ivs = [
         iv for iv in shape.ivs
         if all(r.iv_values[shape.ivs.index(iv)] == 0.0 for r in dataset.train[:20])
     ]
     assert zero_ivs
     for iv in _columns(shape, zero_ivs):
+        assert plan.parents[iv] == ()
         assert model.iv_models[iv].fallback
         assert isinstance(model.iv_models[iv].model, MeanModel)
 
@@ -287,8 +308,9 @@ def test_prune_parents_agrees_with_scalar_fisher_z():
 def test_ideal_consumes_true_ivs_and_recovers_linear_perf():
     graph, artifacts, dataset = _system(seed=61)
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("ideal", training_prefix(dataset, 200), shape, seed=6)
-    predictions = model.predict(design(dataset.test)[0])
+    predictions = _fit(
+        "ideal", training_prefix(dataset, 200), shape, design(dataset.test)[0], seed=6
+    ).predictions
     actual = np.array([r.perf_values[0] for r in dataset.test])
     assert acc(predictions, actual) > 0.9
 
@@ -302,17 +324,17 @@ def test_ideal_no_signal_when_perf_ignores_ivs():
         for i, r in enumerate(dataset.train)
     ]
     shape = SystemShape.from_dataset(dataset)
-    model = _fit("ideal", records, shape, seed=7)
-    predictions = model.predict(design(dataset.test)[0])
+    predictions = _fit("ideal", records, shape, design(dataset.test)[0], seed=7).predictions
     assert np.abs(predictions).max() <= np.abs(noise).max() + 1e-9
 
 
 def test_identical_candidates_across_levels():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    null = _fit("null", dataset.train, shape, seed=1)
-    ideal = _fit("ideal", dataset.train, shape, seed=2)
-    partial = _fit("partial", dataset.train, shape, artifacts, seed=3)
+    Z_test = design(dataset.test)[0]
+    null = _fit("null", dataset.train, shape, Z_test, seed=1)
+    ideal = _fit("ideal", dataset.train, shape, Z_test, seed=2)
+    partial = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=3)
     assert null.search_meta["candidates"] == ideal.search_meta["candidates"]
     assert null.search_meta["candidates"] == partial.search_meta["candidates"]
     assert null.search_meta["budget"] == partial.search_meta["budget"] == BUDGET.evaluations
@@ -324,14 +346,14 @@ def test_paper_scale_space_exercises_ranges():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     space = forest_search_space(len(shape.options), scale="paper")
-    model = _fit(
-        "null", dataset.train[:60], shape, seed=12, space=space,
+    fit = _fit(
+        "null", dataset.train[:60], shape, design(dataset.test)[0], seed=12, space=space,
         budget=SearchBudget(evaluations=2, seed=3),
     )
-    chosen = model.search_meta["chosen"]
+    chosen = fit.search_meta["chosen"]
     assert 50 <= chosen["n_trees"] <= 300
     assert 4 <= chosen["max_depth"] <= 24
-    assert np.isfinite(model.predict(design(dataset.test)[0])).all()
+    assert np.isfinite(fit.predictions).all()
 
 
 class _Oracle:
@@ -354,24 +376,24 @@ class _Constant:
 def test_efficacy_curve_perfect_predictor():
     _, _, dataset = _system()
     oracle = _Oracle(dataset)
-    points = level_curves(lambda recs: {"": oracle}, dataset, ("scc",), (20, 50, 100))[""]
+    points = level_curves(_stand_in(oracle), dataset, ("scc",), (20, 50, 100))[""]
     assert [p.n for p in points] == [20, 50, 100]
     assert [p.efficacies["scc"] for p in points] == [pytest.approx(1.0)] * 3
 
 
 def test_efficacy_curve_constant_predictor_degenerate_scc():
     _, _, dataset = _system()
-    points = level_curves(lambda recs: {"": _Constant()}, dataset, ("scc",), (20, 50))[""]
+    points = level_curves(_stand_in(_Constant()), dataset, ("scc",), (20, 50))[""]
     assert [p.efficacies["scc"] for p in points] == [0.0, 0.0]
 
 
 def test_efficacy_curves_isolate_fit_failures():
     _, _, dataset = _system()
 
-    def search(records):
-        if len(records) == 50:
+    def search(Z, perf, Z_held):
+        if len(Z) == 50:
             return {"": RuntimeError("boom")}
-        return {"": _Oracle(dataset)}
+        return _stand_in(_Oracle(dataset))(Z, perf, Z_held)
 
     points = level_curves(search, dataset, ("acc",), (20, 50, 100))[""]
     assert points[0].error is None
@@ -382,7 +404,7 @@ def test_efficacy_curves_isolate_fit_failures():
 def test_efficacy_curves_reject_oversized_request():
     _, _, dataset = _system()
     with pytest.raises(ValueError):
-        level_curves(lambda r: {"": _Oracle(dataset)}, dataset, ("acc",), (20, 10_000))
+        level_curves(_stand_in(_Oracle(dataset)), dataset, ("acc",), (20, 10_000))
 
 
 def test_make_factory_levels_and_validation():
@@ -390,11 +412,14 @@ def test_make_factory_levels_and_validation():
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
         make_factory("partial", shape, None, BUDGET, CV, space=SPACE)
+    Z_test = design(dataset.test)[0]
     with pytest.raises(ValueError):
-        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)(dataset.train)
+        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)(
+            *design(dataset.train), Z_test
+        )
     factory = make_factory("complete", shape, artifacts, BUDGET, CV, space=SPACE, seed=4)
-    model = factory(dataset.train[:80])
-    assert model.level == "complete"
+    fit = factory(*design(dataset.train[:80]), Z_test)
+    assert isinstance(fit, LevelFit) and fit.predictions.shape == (len(dataset.test),)
 
 
 def test_level_table_keys_all_fit():
@@ -402,13 +427,15 @@ def test_level_table_keys_all_fit():
     shape = SystemShape.from_dataset(dataset)
     assert knowledge_models.LEVELS == ("null", "partial", "practical", "complete", "ideal")
     assert tuple(LEVEL_PARENTS) == knowledge_models.LEVELS
+    Z = design(dataset.train[:80])[0]
     for level in LEVEL_PARENTS:
-        model = _fit(level, dataset.train[:80], shape, artifacts, seed=4)
-        assert model.level == level
-        assert np.isfinite(model.predict(design(dataset.test)[0])).all()
+        fit = _fit(level, dataset.train[:80], shape, design(dataset.test)[0], artifacts, seed=4)
+        plan = _plan(level, shape, artifacts, Z, seed=4)
+        assert plan.level == level
+        assert np.isfinite(fit.predictions).all()
         cascade = LEVEL_PARENTS[level] is not None
-        assert set(_nodes(shape, model.iv_models)) == (set(shape.ivs) if cascade else set())
-        assert _nodes(shape, model.perf_inputs) == (shape.options if level == "null" else shape.ivs)
+        assert set(_nodes(shape, plan.parents)) == (set(shape.ivs) if cascade else set())
+        assert _nodes(shape, _perf_inputs(plan)) == (shape.options if level == "null" else shape.ivs)
     with pytest.raises(ValueError, match="unknown level"):
         make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)
 
@@ -421,7 +448,9 @@ def test_search_constant_loss_returns_first_candidate():
     shape = SystemShape.from_dataset(dataset)
     budget = SearchBudget(evaluations=5, seed=0)
     for level in ("null", "partial"):
-        meta = _fit(level, records, shape, artifacts, seed=1, budget=budget).search_meta
+        meta = _fit(
+            level, records, shape, design(dataset.test)[0], artifacts, seed=1, budget=budget
+        ).search_meta
         assert meta["cv_loss"] == 0.0
         assert meta["candidates"] == enumerate_candidates(SPACE, budget)
         assert meta["chosen"] == meta["candidates"][0]
@@ -450,7 +479,10 @@ def test_search_picks_lowest_mean_cv_loss(monkeypatch):
     ]
     shape = SystemShape.from_dataset(dataset)
     space = dict(SPACE, max_depth=[2, 5, 8], min_samples_leaf=[1, 2])
-    meta = _fit("null", records, shape, space=space, budget=SearchBudget(evaluations=6)).search_meta
+    meta = _fit(
+        "null", records, shape, design(dataset.test)[0], space=space,
+        budget=SearchBudget(evaluations=6),
+    ).search_meta
     assert [c["max_depth"] for c in meta["candidates"]] == [2, 2, 5, 5, 8, 8]
     assert meta["chosen"] == meta["candidates"][2]
     assert meta["cv_loss"] == 0.0
@@ -473,7 +505,9 @@ def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
     for held_out in fold_indices(len(records), CV):
         train = np.setdiff1d(np.arange(len(records)), held_out)
         expected.append(mse(perf[held_out], np.full(len(held_out), perf[train].mean())))
-    meta = _fit("ideal", records, SystemShape.from_dataset(dataset)).search_meta
+    meta = _fit(
+        "ideal", records, SystemShape.from_dataset(dataset), design(dataset.test)[0]
+    ).search_meta
     assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)
 
 
@@ -547,7 +581,7 @@ def _reference_cross_validate(fit_fn, X, y, folds):
         train = np.ones(len(y), dtype=bool)
         train[held_out] = False
         model = fit_fn(X[train], y[train], f)
-        losses.append(mse(y[held_out], model.predict(X[held_out])))
+        losses.append(mse(y[held_out], _reference_predict(model, X[held_out])))
     return float(np.mean(losses))
 
 
@@ -628,6 +662,11 @@ def _plan(level, shape, artifacts, Z, seed=SEARCH_SEED, alpha=knowledge_models.D
     return knowledge_models._plan(seed, level, knowledge, codes, Z, alpha)
 
 
+def _perf_inputs(plan):
+    """The perf forest's input columns in `plan`."""
+    return plan.forests[-1][1]
+
+
 def _level_forests(levels, artifacts, shape, records):
     """Each level's forests as (target, input columns) pairs, from the plan
     the search makes on `records`."""
@@ -642,12 +681,12 @@ def _level_forests(levels, artifacts, shape, records):
 def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     """The all-level search gives each level the per-(candidate, fold)
     reference's CV losses, chosen candidate and final predictions exactly,
-    from one `fit_forests` call for every CV fit of every level and one for
-    the five refits, whichever level leads the stream. Each call grows every
-    distinct problem once: per (candidate, fold), the union of the levels'
-    forests. The candidates differ in every forest setting, 61 records give
-    folds of 31 and 30 rows, and the pruned levels leave IVs without parents
-    (`_search_system`)."""
+    from one stream and one `fit_forests` call for every CV fit of every
+    level and one of each for the five refits, whichever level leads the
+    stream. Each call grows every distinct problem once: per (candidate,
+    fold), the union of the levels' forests. The candidates differ in every
+    forest setting, 61 records give folds of 31 and 30 rows, and the pruned
+    levels leave IVs without parents (`_search_system`)."""
     artifacts, dataset, records, noise = _search_system()
     shape = SystemShape.from_dataset(dataset)
     candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
@@ -659,33 +698,35 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     distinct = set().union(*forests.values())
     assert len(distinct) < sum(map(len, forests.values()))
 
-    calls, losses = [], []
-    real_fit, real_cv = knowledge_models.fit_forests, knowledge_models.cross_validate_many
+    calls, streams = [], []
+    real_fit, real_stream = knowledge_models.fit_forests, knowledge_models._held_out_predictions
     monkeypatch.setattr(
         knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
     )
     monkeypatch.setattr(
         knowledge_models,
-        "cross_validate_many",
-        lambda *args: losses.append(real_cv(*args)) or losses[-1],
+        "_held_out_predictions",
+        lambda jobs: streams.append(len(jobs)) or real_stream(jobs),
     )
-    got = _search(levels, artifacts, dataset)(records)
+    Z, perf = design(records)
+    Z_test = design(dataset.test)[0]
+    got = _search(levels, artifacts, dataset)(Z, perf, Z_test)
 
     assert list(got) == list(levels)
-    assert losses == [[loss for lv in levels for loss in references[lv][0]]]
+    assert streams == [len(candidates) * CV.folds * len(levels), len(levels)]
     assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * len(distinct)
     chosen = {lv: int(np.argmin(references[lv][0])) for lv in levels}
     assert calls[1] == len({(chosen[lv], *f) for lv in levels for f in forests[lv]})
-    Z_test = design(dataset.test)[0]
     for lv in levels:
         want_losses, want = references[lv]
         meta = got[lv].search_meta
         assert meta["cv_losses"] == want_losses
         assert meta["cv_loss"] == min(want_losses)
         assert meta["chosen"] == candidates[int(np.argmin(want_losses))]
-        assert np.array_equal(got[lv].predict(Z_test), want.predict(Z_test))
+        assert np.array_equal(got[lv].predictions, _reference_predict(want, Z_test))
         if lv in ("practical", "complete"):
-            fallbacks = [iv for iv, m in got[lv].iv_models.items() if m.fallback]
+            parents = _plan(lv, shape, artifacts, Z).parents
+            fallbacks = [iv for iv, inputs in parents.items() if not inputs]
             assert 0 < len(fallbacks) < len(shape.ivs)
             assert any(np.ptp(noise[:, iv - len(shape.options)]) > 0 for iv in fallbacks)
 
@@ -706,21 +747,23 @@ def test_one_level_search_equals_its_reference(monkeypatch):
     factory = make_factory(
         "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
     )
-    got = factory(records)
+    Z_test = design(dataset.test)[0]
+    got = factory(*design(records), Z_test)
     assert len(calls) == 2
     assert got.search_meta["cv_losses"] == want_losses
-    Z_test = design(dataset.test)[0]
-    assert np.array_equal(got.predict(Z_test), want.predict(Z_test))
+    assert np.array_equal(got.predictions, _reference_predict(want, Z_test))
 
 
 def test_tiny_chunk_budget_changes_nothing(monkeypatch):
-    """Cutting the CV stream into chunks, also inside one model's forests,
-    gives the one-chunk losses and final predictions, and no chunk's forests
-    hold more bootstrap-row x tree cells than the budget."""
+    """Cutting the CV and final streams into chunks, also inside one model's
+    forests, gives the one-chunk losses and final predictions, and no
+    chunk's forests, the final refits' included, hold more bootstrap-row x
+    tree cells than the budget."""
     artifacts, dataset, records, _ = _search_system()
     levels = knowledge_models.LEVELS
+    Z, perf = design(records)
     Z_test = design(dataset.test)[0]
-    whole = _search(levels, artifacts, dataset)(records)
+    whole = _search(levels, artifacts, dataset)(Z, perf, Z_test)
     largest = 61 * max(c["n_trees"] for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET))
     budget = 2 * largest
     chunks = []
@@ -732,13 +775,12 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch):
 
     monkeypatch.setattr(knowledge_models, "fit_forests", spy)
     monkeypatch.setattr(knowledge_models, "_CHUNK_CELLS", budget)
-    cut = _search(levels, artifacts, dataset)(records)
-    cv_chunks = chunks[:-1]  # the last call is the refit of the winners
-    assert len(cv_chunks) > 10
-    assert max(cv_chunks) <= budget
+    cut = _search(levels, artifacts, dataset)(Z, perf, Z_test)
+    assert len(chunks) > 10
+    assert max(chunks) <= budget
     for level in levels:
         assert cut[level].search_meta["cv_losses"] == whole[level].search_meta["cv_losses"]
-        assert np.array_equal(cut[level].predict(Z_test), whole[level].predict(Z_test))
+        assert np.array_equal(cut[level].predictions, whole[level].predictions)
 
 
 def test_failing_parent_finder_marks_only_its_level():
@@ -778,7 +820,7 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
     """One batched cascade over many models, each on its own rows, equals
     each model's sequential cascade bit for bit: every level, several
     candidates (so tree counts and depths differ within a walk), `MeanModel`
-    fallbacks, stand-in models, and walks cut small."""
+    fallbacks, a `MeanModel` stand-in, and walks cut small."""
     artifacts, dataset, records, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     Z, perf = design(records)
@@ -787,24 +829,15 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
     for k, level in enumerate(knowledge_models.LEVELS):
         plan = _plan(level, shape, artifacts, Z, seed=k)
         candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
-        models += knowledge_models._fit_models([(plan, Z, perf, c, ("final",)) for c in candidates])
+        models += [_model(plan, Z, perf, c) for c in candidates]
     assert any(m.fallback for model in models for m in model.iv_models.values())
     constants = {
         iv: IVModel(iv, m.inputs, MeanModel(k))
         for k, (iv, m) in enumerate(models[4].iv_models.items())
     }
-    mean_stand_in = dataclasses.replace(models[4], perf_model=MeanModel(3.5), iv_models=constants)
-
-    class StandIn:
-        def predict(self, Z):
-            return Z[:, 0] * 2.0
-
-    models += [mean_stand_in, StandIn()]
+    models.append(dataclasses.replace(models[4], perf_model=MeanModel(3.5), iv_models=constants))
     rows = [Z_test[k % 7 :: 1 + k % 3] for k in range(len(models))]
-    want = [
-        _reference_predict(m, Z) if isinstance(m, ModularPredictor) else m.predict(Z)
-        for m, Z in zip(models, rows)
-    ]
+    want = [_reference_predict(m, Z) for m, Z in zip(models, rows)]
     for walk_entries in (forest_module._WALK_ENTRIES, 500):
         monkeypatch.setattr(forest_module, "_WALK_ENTRIES", walk_entries)
         got = knowledge_models.predict_models(models, rows)
@@ -821,28 +854,26 @@ def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
     fold) grows exactly one perf forest on the IVs."""
     artifacts, dataset, records, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
-    Z, perf = design(records)
-    held_out = fold_indices(len(records), CV)[0]
-    train = np.setdiff1d(np.arange(len(records)), held_out)
-    candidate = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)[0]
-    plans = [_plan(level, shape, artifacts, Z) for level in knowledge_models.LEVELS]
-    null, *others = knowledge_models._fit_models(
-        [(plan, Z[train], perf[train], candidate, ("cv", 0)) for plan in plans]
-    )
-    assert [m.level for m in others] == ["partial", "practical", "complete", "ideal"]
-    assert all(m.perf_model is others[0].perf_model for m in others)
-    assert null.perf_model is not others[0].perf_model
-    assert others[0].perf_model.n_features == len(shape.ivs)
-
-    widths = []
-    real_fit = knowledge_models.fit_forests
+    widths, batches = [], []
+    real_fit, real_predict = knowledge_models.fit_forests, knowledge_models.predict_models
 
     def spy(Xs, ys, params_list):
         widths.append([(X.shape[1], p.bootstrap_seed) for X, p in zip(Xs, params_list)])
         return real_fit(Xs, ys, params_list)
 
     monkeypatch.setattr(knowledge_models, "fit_forests", spy)
-    _search(knowledge_models.LEVELS, artifacts, dataset)(records)
+    monkeypatch.setattr(
+        knowledge_models, "predict_models", lambda ms, Zs: batches.append(ms) or real_predict(ms, Zs)
+    )
+    _search(knowledge_models.LEVELS, artifacts, dataset)(*design(records), design(dataset.test)[0])
+    # the CV stream is one chunk; its jobs run candidate-major, then fold,
+    # then level, so its first models are candidate 0's on fold 0
+    null, *others = batches[0][: len(knowledge_models.LEVELS)]
+    assert [m.level for m in others] == ["partial", "practical", "complete", "ideal"]
+    assert all(m.perf_model is others[0].perf_model for m in others)
+    assert null.perf_model is not others[0].perf_model
+    assert others[0].perf_model.n_features == len(shape.ivs)
+
     for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET):
         family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
         for f in range(CV.folds):
@@ -919,13 +950,14 @@ def test_make_factory_equals_its_level_of_the_all_level_search():
     artifacts, dataset, records, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     Z_test = design(dataset.test)[0]
-    every = _search(knowledge_models.LEVELS, artifacts, dataset)(records)
+    Z, perf = design(records)
+    every = _search(knowledge_models.LEVELS, artifacts, dataset)(Z, perf, Z_test)
     for level in knowledge_models.LEVELS:
         one = make_factory(
             level, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
-        )(records)
+        )(Z, perf, Z_test)
         assert one.search_meta == every[level].search_meta
-        assert np.array_equal(one.predict(Z_test), every[level].predict(Z_test))
+        assert np.array_equal(one.predictions, every[level].predictions)
 
 
 def test_shape_rejects_names_out_of_canonical_order(tmp_path):
@@ -953,6 +985,7 @@ def test_search_and_prediction_never_touch_node_ids(monkeypatch):
     and predicts."""
     artifacts, dataset, records, _ = _search_system()
     search = _search(knowledge_models.LEVELS, artifacts, dataset)
+    Z, perf = design(records)
     Z_test = design(dataset.test)[0]
 
     def forbidden(*args):
@@ -960,7 +993,6 @@ def test_search_and_prediction_never_touch_node_ids(monkeypatch):
 
     monkeypatch.setattr(NodeId, "__hash__", forbidden)
     monkeypatch.setattr(NodeId, "__eq__", forbidden)
-    models = search(records)
-    assert all(isinstance(m, ModularPredictor) for m in models.values()), models
-    predictions = knowledge_models.predict_models(list(models.values()), [Z_test] * len(models))
-    assert all(np.isfinite(p).all() for p in predictions)
+    fits = search(Z, perf, Z_test)
+    assert all(isinstance(f, LevelFit) for f in fits.values()), fits
+    assert all(np.isfinite(f.predictions).all() for f in fits.values())

@@ -12,7 +12,6 @@ from modperf.learners import (
     PolynomialExpansion,
     SearchBudget,
     cross_validate_l1_many,
-    cross_validate_many,
     enumerate_candidates,
     fit_forest,
     fit_forests,
@@ -30,19 +29,15 @@ def _rng(seed=0):
 
 
 def cross_validate(fit_fn, X, y, folds, loss=mse) -> float:
-    """Reference: mean held-out loss over the folds of one candidate, whose
-    `fit_fn(X_train, y_train, fold)` gets the rows outside fold number
-    `fold`; the one-candidate call of `cross_validate_many`."""
-
-    def predict_folds(splits):
-        return [
-            [
-                fit_fn(X_train, y_train, f).predict(X_held)
-                for f, (X_train, y_train, X_held) in enumerate(splits)
-            ]
-        ]
-
-    return cross_validate_many(predict_folds, X, y, folds, loss)[0]
+    """Reference: mean held-out loss over the folds of one candidate, in
+    fold order, whose `fit_fn(X_train, y_train, fold)` gets the rows outside
+    fold number `fold`."""
+    losses = []
+    for f, held_out in enumerate(folds):
+        train = np.ones(len(y), dtype=bool)
+        train[held_out] = False
+        losses.append(loss(y[held_out], fit_fn(X[train], y[train], f).predict(X[held_out])))
+    return float(np.mean(losses))
 
 
 def cross_validate_l1(X, y, degree: int, alphas, spec: CVSpec) -> np.ndarray:
