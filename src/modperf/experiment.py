@@ -637,6 +637,8 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 "chosen_degree": result.model.params.degree,
                 "chosen_alpha": result.model.params.alpha,
                 "converged": result.model.converged,
+                "n_sweeps": result.model.n_sweeps,
+                "cv_solves": {str(d): dataclasses.asdict(c) for d, c in result.model.cv_solves.items()},
                 "coefficients": result.model.coefficient_map(),
                 "importance_lasso": result.importance.weights,
                 "importance_permutation": group_importance(perm).weights,

@@ -11,6 +11,7 @@ from .forest import (
     predict_forests,
 )
 from .lasso import (
+    CVLosses,
     FittedL1,
     L1Params,
     alpha_grid,
@@ -28,6 +29,7 @@ from .search import (
 )
 
 __all__ = [
+    "CVLosses",
     "CVSpec",
     "FittedForest",
     "FittedL1",

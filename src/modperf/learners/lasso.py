@@ -5,17 +5,24 @@ unpenalized intercept; coordinate updates use the soft-threshold operator.
 Inputs are expanded to polynomial features and (by default) min-max scaled
 to [0, 1] before fitting.
 
-Coordinate descent runs in Gram (covariance-update) form (Friedman, Hastie
-and Tibshirani, J. Stat. Softw. 2010): a design Z enters only through
-G = Z'Z/n, c = Z'(y - ybar)/n and the column means zbar. The solver keeps
-rho = q + diag(G) b current, where q = Z'r/n and r is the residual, with one
-rank-1 update per coordinate step (column j of G without its diagonal entry
-times the step), so a sweep costs O(d^2) whatever n is. The iterates are
-those of the residual-form loop up to rounding: coefficients are visited in
-column order and soft-thresholded, a column with zero norm is never updated,
-each sweep ends with one intercept shift ybar - intercept - zbar.b, and a
-problem stops after the first sweep in which no coefficient and not the
-shift moved by `tol` or more, or after `max_iter` sweeps.
+Coordinate descent runs in Gram (covariance-update) form on the centred
+design (Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010): a design Z
+enters only through G = Zc'Zc/n with Zc = Z - zbar, c = Z'(y - ybar)/n and
+the column means zbar. Centring profiles the intercept out: for any b the
+best intercept is ybar - zbar.b, and the residual y - ybar - Zc b does not
+depend on it. So the objective and its optimum are those of the uncentred
+problem, but the coefficients need not drag the intercept along, which on
+min-max scaled, strongly collinear polynomial columns takes hundreds of
+sweeps. The solver keeps rho = q + diag(G) b current, where
+q = Zc'r/n and r is the residual, with one rank-1 update per coordinate step
+(column j of G without its diagonal entry times the step), so a sweep costs
+O(d^2) whatever n is. The iterates are those of the residual-form loop on
+Zc up to rounding: coefficients are visited in column order and
+soft-thresholded, a dead column (constant, or of zero centred norm) is never
+updated, each sweep ends with one intercept shift
+ybar - intercept - zbar.b, and a problem stops after the first sweep in
+which no coefficient and not the shift moved by `tol` or more, or after
+`max_iter` sweeps. That rule bounds steps, not the distance to the optimum.
 
 One solver call runs many independent problems together, each a (design,
 alpha) pair, with one numpy operation per coordinate step for all of them.
@@ -57,6 +64,15 @@ def soft_threshold(x, t):
     return x - np.minimum(np.maximum(x, -t), t)
 
 
+@dataclass(frozen=True)
+class SolveCounts:
+    """How a set of solver problems ended."""
+
+    problems: int
+    unconverged: int  # stopped at `max_iter`
+    max_sweeps: int
+
+
 @dataclass
 class FittedL1:
     params: L1Params
@@ -68,6 +84,9 @@ class FittedL1:
     converged: bool
     n_sweeps: int
     objective_history: list[float] = field(default_factory=list, repr=False)
+    # for a fit chosen by cross-validation, how that search's (fold, alpha)
+    # problems ended, per degree (`stats.aspect_regression`)
+    cv_solves: dict[int, SolveCounts] = field(default_factory=dict, repr=False)
 
     def _design(self, X) -> np.ndarray:
         Z = self.expansion.transform(np.asarray(X, dtype=float))
@@ -108,8 +127,8 @@ def _design(X, degree: int, scale: bool, feature_names=None):
 class _Gram:
     """Gram quantities of M designs padded to d columns; a padded column is all zero."""
 
-    G: np.ndarray  # (M, d, d) Z'Z/n
-    c: np.ndarray  # (M, d) Z'(y - ybar)/n
+    G: np.ndarray  # (M, d, d) Zc'Zc/n, with Zc = Z - zbar
+    c: np.ndarray  # (M, d) Z'(y - ybar)/n = Zc'(y - ybar)/n
     zbar: np.ndarray  # (M, d)
     ybar: np.ndarray  # (M,)
     yvar: np.ndarray  # (M,) mean of (y - ybar)^2
@@ -123,15 +142,19 @@ class _Gram:
             n, k = Z.shape
             ybar = y.mean()
             yc = y - ybar
-            G = Z.T @ Z / n
-            # A column whose squared norm is 0 is skipped by the residual-form
-            # loop; zeroing its row and column makes it inert here too.
-            dead = np.diag(G) == 0.0
+            zbar = Z.mean(axis=0)
+            Zc = Z - zbar
+            G = Zc.T @ Zc / n
+            # A constant column is dead: the intercept absorbs it. Its values
+            # need not centre to exact zeros (n copies of 0.1 do not), so it
+            # is found by its values as well as by its centred norm; zeroing
+            # its row and column keeps it at 0.
+            dead = (Z == Z[0]).all(axis=0) | (np.diag(G) == 0.0)
             G[dead, :] = 0.0
             G[:, dead] = 0.0
             gram.G[i, :k, :k] = G
             gram.c[i, :k] = np.where(dead, 0.0, Z.T @ yc / n)
-            gram.zbar[i, :k] = np.where(dead, 0.0, Z.mean(axis=0))
+            gram.zbar[i, :k] = np.where(dead, 0.0, zbar)
             gram.ybar[i] = ybar
             gram.yvar[i] = yc @ yc / n
         return gram
@@ -164,7 +187,7 @@ def _solve(
     With `record_objective` the objective of problem 0 is kept after every
     sweep (and before the first) in O(d), from the identity
     ||r||^2/n = yvar - b.(c + q), which holds once the intercept shift has
-    made the residual mean zero.
+    set the intercept to ybar - zbar.b.
     """
     K = len(which)
     d = gram.G.shape[1]
@@ -186,7 +209,7 @@ def _solve(
     a = np.asarray(alpha, dtype=float)
     neg_a = -a
     b = np.zeros((d, K))
-    rho = np.ascontiguousarray(gram.c[which].T)  # q + diag(G) b, with q = Z'r/n
+    rho = np.ascontiguousarray(gram.c[which].T)  # q + diag(G) b, with q = Zc'r/n
     zbar = np.ascontiguousarray(gram.zbar[which].T)
     ybar = gram.ybar[which]
     intercept = ybar.copy()
@@ -205,7 +228,6 @@ def _solve(
         # not depend on the batch it runs in
         shift = ybar - intercept - np.add.accumulate(zbar * b)[-1]
         intercept += shift
-        rho -= zbar * shift
         if record_objective and active[0] == 0:
             q0 = rho[:, 0] - gjj[:, 0] * b[:, 0]
             rss = gram.yvar[which[0]] - b[:, 0] @ (gram.c[which[0]] + q0)
@@ -254,12 +276,22 @@ def fit_l1(X, y, params: L1Params, feature_names: list[str] | None = None) -> Fi
     )
 
 
-def cross_validate_l1_many(tasks, degree: int, alphas) -> list[np.ndarray]:
+class CVLosses(list):
+    """`cross_validate_l1_many`'s result: one loss array per task, and in
+    `solves` one `SolveCounts` per task over its (fold, alpha) problems."""
+
+    def __init__(self, losses, solves: list[SolveCounts]):
+        super().__init__(losses)
+        self.solves = solves
+
+
+def cross_validate_l1_many(tasks, degree: int, alphas) -> CVLosses:
     """Mean held-out MSE per alpha of each (X, y, folds) task, for
     `L1Params` defaults at `degree`; folds are held-out index arrays, as
     from `fold_indices`. Entry i of a task's losses equals the mean held-out
     MSE of `fit_l1(..., L1Params(alpha=alphas[i], degree=degree))` over its
-    folds, up to rounding.
+    folds, up to rounding. The result's `solves` says how each task's
+    (fold, alpha) problems ended.
 
     Each fold's expansion and scaling are fitted on its training rows, as
     `fit_l1` does, and every (task, fold, alpha) problem is solved in one
@@ -286,17 +318,31 @@ def cross_validate_l1_many(tasks, degree: int, alphas) -> list[np.ndarray]:
     gram = _Gram.of(train_designs)
     F, A, d = len(train_designs), len(alphas), gram.G.shape[1]
     coefs, intercepts = np.empty((F, A, d)), np.empty((F, A))
+    sweeps, converged = np.empty((F, A), dtype=int), np.empty((F, A), dtype=bool)
     per_call = max(1, _SOLVE_CELLS // (F * d * d))
     for lo in range(0, A, per_call):
         part = alphas[lo : lo + per_call]
         sol = _solve(gram, np.repeat(np.arange(F), len(part)), np.tile(part, F), base.max_iter, base.tol)
         coefs[:, lo : lo + len(part)] = sol.coefs.reshape(F, len(part), d)
         intercepts[:, lo : lo + len(part)] = sol.intercept.reshape(F, len(part))
+        sweeps[:, lo : lo + len(part)] = sol.n_sweeps.reshape(F, len(part))
+        converged[:, lo : lo + len(part)] = sol.converged.reshape(F, len(part))
     losses = np.empty((F, A))
     for f, (Z, y_held) in enumerate(held_out):
         predicted = Z @ coefs[f, :, : Z.shape[1]].T + intercepts[f]
         losses[f] = np.mean((y_held[:, None] - predicted) ** 2, axis=0)
-    return [losses[lo:hi].mean(axis=0) for lo, hi in zip(bounds, bounds[1:])]
+    spans = list(zip(bounds, bounds[1:]))
+    return CVLosses(
+        [losses[lo:hi].mean(axis=0) for lo, hi in spans],
+        [
+            SolveCounts(
+                problems=(hi - lo) * A,
+                unconverged=int((~converged[lo:hi]).sum()),
+                max_sweeps=int(sweeps[lo:hi].max(initial=0)),
+            )
+            for lo, hi in spans
+        ],
+    )
 
 
 def alpha_grid(steps: int = 500) -> np.ndarray:

@@ -26,6 +26,7 @@ from .hardness_opportunity import (
 )
 from .influence_graph import ASPECT_FEATURES
 from .learners import (
+    CVLosses,
     CVSpec,
     FittedL1,
     L1Params,
@@ -333,7 +334,8 @@ def aspect_regression(
     the first lowest loss with degrees outer (`np.argmin`) and refits on all
     its records with `fit_l1`. Every task's (fold, alpha) problems of one
     degree go through one `cross_validate_l1_many` call; a task's losses do
-    not depend on the other tasks, bit for bit. `alphas` defaults to
+    not depend on the other tasks, bit for bit. The refit's `cv_solves`
+    says how its task's problems ended, per degree. `alphas` defaults to
     `alpha_grid()`, 500 alphas.
 
     A mixed polynomial term splits its |coefficient| equally across the
@@ -348,7 +350,8 @@ def aspect_regression(
         y = np.asarray([r[1] for r in records], dtype=float)
         data.append((X, y, folds))
     alphas = alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
-    losses = np.array([cross_validate_l1_many(data, int(d), alphas) for d in degrees])
+    cvs = [cross_validate_l1_many(data, int(d), alphas) for d in degrees]
+    losses = np.array(cvs)
 
     names = list(feature_names)
     feature_to_group = {}
@@ -360,6 +363,10 @@ def aspect_regression(
         d_idx, a_idx = np.unravel_index(np.argmin(losses[:, t]), losses[:, t].shape)
         degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
         model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
+        # a stand-in for `cross_validate_l1_many` may return plain loss lists
+        model.cv_solves = {
+            int(d): cv.solves[t] for d, cv in zip(degrees, cvs) if isinstance(cv, CVLosses)
+        }
         raw = {group: 0.0 for group in aspect_groups}
         for term, coef in zip(model.expansion.term_features(), model.coefs):
             groups = sorted({feature_to_group[names[i]] for i in term})

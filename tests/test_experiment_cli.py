@@ -340,7 +340,7 @@ def _analyze_config(tmp_path, **overrides):
 # then empirical mode, with compact hardness, opportunity and stage-1
 # documents. The array kernels and the joint stage-1 solve must keep every
 # byte.
-ANALYZE_TREE_SHA = "196679a3089a4eba9943dd95890b49579fe9273a0d76ca8a867b0eb2f0fe83a0"
+ANALYZE_TREE_SHA = "d19c5b9cdb264c63f846efecc089e0f2c5386ce093dd9bf06dbf637c8e30a67a"
 
 
 def test_analyze_tree_bytes_unchanged(tmp_path):
@@ -450,6 +450,33 @@ def test_analyze_folds_keep_each_system_on_one_side(tmp_path, monkeypatch):
         for held_out in folds:
             train = np.setdiff1d(np.arange(len(rows)), held_out)
             assert not set(systems[held_out]) & set(systems[train])
+
+
+def test_analyze_stage1_records_convergence(tmp_path, monkeypatch):
+    """stage1_<metric>.json carries the final fit's sweeps and, per degree,
+    how that metric's cross-validation problems ended."""
+    from modperf import stats
+
+    config = _analyze_config(tmp_path, metrics=("acc",))
+    _write_analyze_inputs(config)
+    solves = {}
+    real = stats.cross_validate_l1_many
+
+    def spy(tasks, degree, alphas):
+        result = real(tasks, degree, alphas)
+        [solves[degree]] = result.solves
+        return result
+
+    monkeypatch.setattr(stats, "cross_validate_l1_many", spy)
+    run_analyze(config)
+    stage1 = json.loads((Path(config.out_dir) / "analysis" / "stage1_acc.json").read_text())
+    assert 1 <= stage1["n_sweeps"] <= 1000 and stage1["converged"] is True
+    assert stage1["cv_solves"] == {
+        str(d): {"problems": c.problems, "unconverged": c.unconverged, "max_sweeps": c.max_sweeps}
+        for d, c in solves.items()
+    }
+    assert list(solves) == list(config.lasso_degrees)
+    assert all(c.problems == 5 * config.lasso_alpha_steps for c in solves.values())
 
 
 def test_analyze_skips_stage1_for_trials_of_one_system(tmp_path):

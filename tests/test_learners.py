@@ -550,8 +550,11 @@ def test_polynomial_expansion_binary_dedup():
     assert Z.shape == (4, len(names))
 
 
-# Reference: the residual-form coordinate descent that `fit_l1` replaced,
-# copied with its scalar soft threshold as the oracle for the Gram-form solver.
+# Reference: residual-form coordinate descent with a scalar soft threshold,
+# the oracle for the Gram-form solver. `_reference_fit_l1` runs on the
+# centred design, as the solver does; `_reference_fit_l1_uncentred` is the
+# loop the solver first replaced, which drags the intercept along and so
+# converges far more slowly on collinear columns, to the same optimum.
 def _reference_soft_threshold(x, t):
     if x > t:
         return x - t
@@ -566,9 +569,8 @@ def _reference_lasso_objective(X, y, coefs, intercept, alpha):
     return float(r @ r / (2.0 * n) + alpha * np.abs(coefs).sum())
 
 
-def _reference_fit_l1(X, y, params):
+def _reference_design(X, params):
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     expansion = PolynomialExpansion(degree=params.degree).fit(X)
     Z = expansion.transform(X)
     if params.scale:
@@ -578,8 +580,54 @@ def _reference_fit_l1(X, y, params):
     else:
         mn = np.zeros(Z.shape[1])
         rng = np.ones(Z.shape[1])
-    Z = (Z - mn) / rng
+    return (Z - mn) / rng
 
+
+def _reference_fit_l1(X, y, params):
+    """Coordinate descent on the centred columns Zc = Z - zbar, with the
+    intercept profiled out: the residual is y - ybar - Zc b, and each sweep
+    ends with one shift of the intercept to ybar - zbar.b. A constant column
+    is dead and stays at 0."""
+    y = np.asarray(y, dtype=float)
+    Z = _reference_design(X, params)
+    n, d = Z.shape
+    zbar = Z.mean(axis=0)
+    Zc = Z - zbar
+    col_norm = (Zc * Zc).sum(axis=0) / n
+    dead = (Z == Z[0]).all(axis=0) | (col_norm == 0.0)
+    coefs = np.zeros(d)
+    ybar = float(y.mean())
+    intercept = ybar
+    residual = y - ybar
+    history = [_reference_lasso_objective(Z, y, coefs, intercept, params.alpha)]
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, params.max_iter + 1):
+        max_delta = 0.0
+        for j in range(d):
+            if dead[j]:
+                continue
+            rho = Zc[:, j] @ residual / n + col_norm[j] * coefs[j]
+            new = _reference_soft_threshold(rho, params.alpha) / col_norm[j]
+            delta = new - coefs[j]
+            if delta != 0.0:
+                residual -= Zc[:, j] * delta
+                coefs[j] = new
+                max_delta = max(max_delta, abs(delta))
+        shift = ybar - intercept - float(zbar @ coefs)  # a dead column's coefficient is 0
+        if shift != 0.0:
+            intercept += shift
+            max_delta = max(max_delta, abs(shift))
+        history.append(_reference_lasso_objective(Z, y, coefs, intercept, params.alpha))
+        if max_delta < params.tol:
+            converged = True
+            break
+    return coefs, intercept, sweeps, converged, history
+
+
+def _reference_fit_l1_uncentred(X, y, params):
+    y = np.asarray(y, dtype=float)
+    Z = _reference_design(X, params)
     n, d = Z.shape
     col_norm = (Z * Z).sum(axis=0) / n
     coefs = np.zeros(d)
@@ -665,6 +713,56 @@ def test_lasso_matches_residual_form_reference(case):
         assert coefs[1 if case[0] == "constant-col" else 2] == 0.0
 
 
+@pytest.mark.parametrize("case", _lasso_cases(), ids=lambda c: c[0])
+def test_lasso_reaches_the_uncentred_optimum(case):
+    """Centring changes the path, not the optimum: wherever both loops
+    converge, they stop at the same objective, to 1e-12 of the objective at
+    b = 0 (an exact fit's objective is ~0, so relative to the start)."""
+    _, X, y, params = case
+    *_, converged, history = _reference_fit_l1(X, y, params)
+    *_, converged_uncentred, history_uncentred = _reference_fit_l1_uncentred(X, y, params)
+    if converged and converged_uncentred:
+        assert abs(history[-1] - history_uncentred[-1]) <= 1e-12 * history[0]
+
+
+def test_lasso_constant_column_without_scaling_stays_zero():
+    """n copies of 0.1 do not centre to exact zeros; the column is still
+    dead, so even at alpha 0 it gets no coefficient."""
+    rng = _rng(27)
+    X = rng.normal(size=(40, 3))
+    X[:, 1] = 0.1
+    y = X[:, 0] - 2.0 * X[:, 2] + 0.5
+    model = fit_l1(X, y, L1Params(alpha=0.0, scale=False))
+    assert model.coefs[1] == 0.0
+    predicted = model.predict(X)
+    assert np.isfinite(predicted).all()
+    np.testing.assert_allclose(predicted, y, rtol=0, atol=1e-6)
+
+
+def test_lasso_converges_on_collinear_aspect_design():
+    """A stage-1-like design: five aspects in [0, 1], two of them integer
+    counts min-max scaled, expanded to degree 2. The scaled polynomial
+    columns are strongly collinear; the fit converges within the default
+    `max_iter` at an objective no higher than the uncentred loop reaches
+    in 100,000 sweeps."""
+    rng = _rng(28)
+    n = 80
+    X = rng.uniform(size=(n, 5))
+    X[:, 0] = rng.integers(5, 41, size=n)
+    X[:, 1] = rng.integers(2, 17, size=n)
+    X[:, :2] = (X[:, :2] - X[:, :2].min(axis=0)) / np.ptp(X[:, :2], axis=0)
+    y = 0.5 * X[:, 0] + 0.3 * X[:, 0] * X[:, 1] - 0.2 * X[:, 2] ** 2 + rng.normal(size=n) * 0.05
+    params = L1Params(alpha=1e-4, degree=2)
+    model = fit_l1(X, y, params)
+    assert model.converged and model.n_sweeps < params.max_iter
+    coefs, intercept, _, converged, _ = _reference_fit_l1_uncentred(
+        X, y, L1Params(alpha=1e-4, degree=2, max_iter=100_000)
+    )
+    Z = _reference_design(X, params)
+    got = _reference_lasso_objective(Z, y, model.coefs, model.intercept, params.alpha)
+    assert got <= _reference_lasso_objective(Z, y, coefs, intercept, params.alpha)
+
+
 def test_lasso_batch_equals_one_problem_at_a_time():
     rng = _rng(22)
     designs = []
@@ -732,6 +830,32 @@ def test_cross_validate_l1_many_equals_one_call_per_task():
         )
         for (X, y, spec), losses in zip(tasks, together):
             assert np.array_equal(losses, cross_validate_l1(X, y, degree, alphas, spec))
+
+
+def test_cross_validate_l1_many_counts_how_each_tasks_problems_end():
+    """`solves` counts each task's (fold, alpha) problems, those that stop
+    at `max_iter`, and the most sweeps any took: the figures `fit_l1` gives
+    on each fold's training rows."""
+    rng = _rng(29)
+    alphas = [1e-4, 1e-2, 1.0]
+    tasks = []
+    for n, folds in ((14, 3), (40, 4)):  # 14 rows at degree 3: fewer than columns
+        X = rng.uniform(size=(n, 3))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(size=n) * 0.1
+        tasks.append((X, y, fold_indices(n, CVSpec(folds=folds, shuffle_seed=n))))
+    result = cross_validate_l1_many(tasks, 3, alphas)
+    assert len(result.solves) == len(tasks)
+    for (X, y, folds), counts in zip(tasks, result.solves):
+        fits = []
+        for held_out in folds:
+            train = np.setdiff1d(np.arange(len(y)), held_out)
+            fits += [fit_l1(X[train], y[train], L1Params(alpha=a, degree=3)) for a in alphas]
+        assert counts == lasso.SolveCounts(
+            problems=len(folds) * len(alphas),
+            unconverged=sum(not f.converged for f in fits),
+            max_sweeps=max(f.n_sweeps for f in fits),
+        )
+    assert result.solves[0].unconverged > 0
 
 
 def test_invalid_l1_params():
