@@ -37,6 +37,8 @@ import numpy as np
 from . import reporting
 from .dataset import load_dataset, sample_dataset, save_dataset, training_prefix
 from .hardness_opportunity import (
+    EMPIRICAL_MIN_SCORES,
+    HARDNESS_LEVELS,
     CurveTable,
     HardnessMode,
     MATRIX_LEVELS,
@@ -65,6 +67,7 @@ from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
     ASPECT_FEATURES,
+    MIN_PIPELINE_RECORDS,
     classify_and_test,
     group_importance,
     matrix_hypothesis_tests,  # noqa: F401  (as build_matrix)
@@ -72,9 +75,6 @@ from .stats import (
     shapley_importance,
     two_stage_pipeline,
 )
-
-MIN_PIPELINE_RECORDS = 10
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -127,10 +127,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown metrics: {sorted(unknown_metrics)}")
         if self.hardness_mode not in ("fixed", "empirical"):
             raise ValueError(f"hardness_mode must be fixed|empirical, got {self.hardness_mode}")
-        if self.hardness_mode == "empirical" and self.n_systems * self.trials < 4:
+        if self.hardness_mode == "empirical" and self.n_systems * self.trials < EMPIRICAL_MIN_SCORES:
             raise ValueError(
-                "hardness_mode empirical needs n_systems * trials >= 4 units for its quartiles, "
-                f"got {self.n_systems * self.trials}"
+                f"hardness_mode empirical needs n_systems * trials >= {EMPIRICAL_MIN_SCORES} units "
+                f"for its quartiles, got {self.n_systems * self.trials}"
             )
         if self.lasso_alpha_steps < 1:
             raise ValueError(f"lasso_alpha_steps must be >= 1, got {self.lasso_alpha_steps}")
@@ -432,72 +432,71 @@ def _curve_from_doc(doc: dict) -> tuple[list[int], list[float]] | None:
     return sizes, efficacies
 
 
-def _load_units(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """One entry per (system, trial) with at least one curve file, holding
-    its parsed curve docs by (level, metric); every unit missing one or more
-    curve files is listed as a gap, and a unit missing all is left out of
-    the entries. File names are joined as strings, once per unit."""
+def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
+    """The units with at least one curve file, in (system, trial) order; the
+    curve table of each configured (level, metric), one row per unit, with
+    the mask of its complete rows (incomplete rows hold zeros); and every
+    unit missing one or more curve files. Each document is reduced to its
+    efficacy row as it is read, and its training sizes must be the
+    config's. File names are joined as strings, once per unit."""
     names = _curve_names(config)
+    sizes = tuple(sorted(config.train_sizes))
     curves = os.path.join(config.out_dir, "curves")
     units, missing = [], []
+    rows = {key: [] for key in names}  # one efficacy list or None per unit
     for s in range(config.n_systems):
         for t in range(config.trials):
-            unit_dir = os.path.join(curves, config.unit_id(s, t), "")
-            loaded = {}
-            for key, name in names.items():
+            unit = config.unit_id(s, t)
+            unit_dir = os.path.join(curves, unit, "")
+            found = {}
+            for (level, metric), name in names.items():
                 try:
                     with open(unit_dir + name) as f:
-                        loaded[key] = json.loads(f.read())
+                        doc = json.loads(f.read())
                 except FileNotFoundError:
                     continue
-            if loaded:
-                units.append(
-                    {
-                        "unit": config.unit_id(s, t),
-                        "system": config.system_id(s),
-                        "trial": t,
-                        "curves": loaded,
-                    }
-                )
-            if len(loaded) < len(names):
-                missing.append(config.unit_id(s, t))
-    return units, missing
+                curve = _curve_from_doc(doc) if doc else None
+                if curve is not None and tuple(curve[0]) != sizes:
+                    raise ValueError(
+                        f"unit {unit}, level {level}, metric {metric}: training sizes "
+                        f"{curve[0]} differ from the config's {list(sizes)}"
+                    )
+                found[level, metric] = None if curve is None else curve[1]
+            if found:
+                units.append({"unit": unit, "system": config.system_id(s), "trial": t})
+                for key, row in rows.items():
+                    row.append(found.get(key))
+            if len(found) < len(names):
+                missing.append(unit)
+    blank = [0.0] * len(sizes)
+    tables = {}
+    for (level, metric), row in rows.items():
+        values = np.array([blank if r is None else r for r in row], dtype=float).reshape(-1, len(sizes))
+        complete = np.array([r is not None for r in row], dtype=bool)
+        tables[level, metric] = CurveTable(metric, sizes, values), complete
+    return units, tables, missing
 
 
-def _curve_table(units: list[dict], level: str, metric: str, sizes: tuple[int, ...]):
-    """The (units x sizes) table of one level's curves and a mask of the
-    units whose curve is complete; other rows hold zeros."""
-    values = np.zeros((len(units), len(sizes)))
-    complete = np.zeros(len(units), dtype=bool)
-    for i, unit in enumerate(units):
-        doc = unit["curves"].get((level, metric))
-        curve = _curve_from_doc(doc) if doc else None
-        if curve is None:
-            continue
-        doc_sizes, efficacies = curve
-        if tuple(doc_sizes) != sizes:
-            raise ValueError(
-                f"unit {unit['unit']}, level {level}, metric {metric}: training sizes "
-                f"{doc_sizes} differ from the config's {list(sizes)}"
-            )
-        values[i] = efficacies
-        complete[i] = True
-    return CurveTable(metric, sizes, values), complete
-
-
-def _metric_rows(config: ExperimentConfig, units: list[dict], metric: str, scaled: dict, gaps: dict):
+def _metric_rows(
+    config: ExperimentConfig, units: list[dict], tables: dict, metric: str, scaled: dict, gaps: dict
+):
     """Hardness rows, opportunity rows and stage-1 aspect records of one
-    metric, in unit order; incomplete curves are appended to `gaps`.
-    `scaled` maps each system to its scaled aspect vector."""
+    metric, in unit order, from `_load_units`' tables; a level outside the
+    config reads as all incomplete. Incomplete curves are appended to
+    `gaps`. `scaled` maps each system to its scaled aspect vector. In
+    empirical mode, 1 to 3 units with a complete null curve is an error."""
     sizes = tuple(sorted(config.train_sizes))
     opportunity_levels = [lv for lv in MATRIX_LEVELS if lv in config.levels]
-    tables = {
-        lv: _curve_table(units, lv, metric, sizes) for lv in ("null", "ideal", *opportunity_levels)
-    }
-    null, has_null = tables["null"]
-    ideal, has_ideal = tables["ideal"]
+    absent = CurveTable(metric, sizes, np.zeros((len(units), len(sizes)))), np.zeros(len(units), dtype=bool)
+    null, has_null = tables.get(("null", metric), absent)
+    ideal, has_ideal = tables.get(("ideal", metric), absent)
 
     rows = np.flatnonzero(has_null)
+    if config.hardness_mode == "empirical" and 0 < len(rows) < EMPIRICAL_MIN_SCORES:
+        raise ValueError(
+            f"{metric}: empirical hardness mode needs >= {EMPIRICAL_MIN_SCORES} units with a "
+            f"complete null curve, got {len(rows)}"
+        )
     score = hardness(null.take(rows))
     fixed_levels = classify_hardness(score.value, HardnessMode.FIXED_RANGE)
     hardness_rows, aspect_records = [], {}
@@ -517,7 +516,7 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], metric: str, scale
 
     scored = {}  # (unit index, level) -> (value, gaps, fillings)
     for level in opportunity_levels:
-        table, has_level = tables[level]
+        table, has_level = tables[level, metric]
         rows = np.flatnonzero(has_null & has_ideal & has_level)
         opp = opportunity(null.take(rows), ideal.take(rows), table.take(rows), level)
         entries = zip(opp.value.tolist(), opp.gap.tolist(), opp.filling.tolist())
@@ -551,40 +550,34 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], metric: str, scale
     return hardness_rows, opportunity_rows, aspect_records
 
 
+def _scaled_aspects(aspects: dict, ranges: AspectRanges) -> list[float]:
+    """A manifest entry's aspects as scaled regression features; the
+    manifest holds the counts as floats (`as_feature_dict`)."""
+    counts = ("option_count", "module_count", "iv_per_module", "perf_count")
+    return scale_aspects(
+        StructuralAspects(**{k: int(v) if k in counts else v for k, v in aspects.items()}), ranges
+    )
+
+
 def run_analyze(config: ExperimentConfig) -> dict:
     """Hardness, opportunities, stage-1 aspect regression with importances,
     and the matrix plus hypothesis battery, one set per metric.
 
     Each (metric, level) is scored as one curve table. Stage 1 of every
     metric with enough units runs in one `two_stage_pipeline` call, on folds
-    drawn over systems."""
+    drawn over systems. Every metric is scored before the first file is
+    written, so an input that empirical mode cannot bin writes nothing."""
     out = Path(config.out_dir)
     analysis = out / "analysis"
-    units, missing_units = _load_units(config)
+    units, tables, missing_units = _load_units(config)
     gaps: dict = {"missing_units": missing_units, "incomplete_curves": [], "notes": []}
     manifest = json.loads((out / "manifest.json").read_text())
-    scaled = {
-        e["system"]: scale_aspects(
-            StructuralAspects(
-                option_count=int(e["aspects"]["option_count"]),
-                p_w=e["aspects"]["p_w"],
-                mu_a=e["aspects"]["mu_a"],
-                sigma_a=e["aspects"]["sigma_a"],
-                module_count=int(e["aspects"]["module_count"]),
-                iv_per_module=int(e["aspects"]["iv_per_module"]),
-                perf_count=int(e["aspects"]["perf_count"]),
-            ),
-            config.aspect_ranges,
-        )
-        for e in manifest["systems"]
-    }
+    scaled = {e["system"]: _scaled_aspects(e["aspects"], config.aspect_ranges) for e in manifest["systems"]}
     systems = {unit["unit"]: unit["system"] for unit in units}
     mode = HardnessMode(config.hardness_mode)
 
-    rows = {}
-    for metric in config.metrics:
-        rows[metric] = _metric_rows(config, units, metric, scaled, gaps)
-        hardness_rows, opportunity_rows, _ = rows[metric]
+    rows = {metric: _metric_rows(config, units, tables, metric, scaled, gaps) for metric in config.metrics}
+    for metric, (hardness_rows, opportunity_rows, _) in rows.items():
         _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows, compact=True))
         _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows, compact=True))
 
@@ -617,48 +610,40 @@ def run_analyze(config: ExperimentConfig) -> dict:
         hardness_rows, opportunity_rows, aspect_records = rows[metric]
         if metric in results:
             result = results[metric]
+            model, by_unit = result.model, result.hardness_by_system
             matrix, tests = result.matrix, result.tests
-            X = np.asarray([aspect_records[i][0] for i in aspect_records], dtype=float)
-            y = np.asarray([aspect_records[i][1] for i in aspect_records], dtype=float)
+            features, values = zip(*aspect_records.values())
+            X, y = np.asarray(features, dtype=float), np.asarray(values, dtype=float)
             perm = permutation_importance(
-                result.model, X, y, mse,
+                model, X, y, mse,
                 repeats=config.importance_repeats,
                 seed=derive(config.global_seed, "perm", metric),
                 feature_names=list(ASPECT_FEATURES),
             )
             shap, _ = shapley_importance(
-                result.model, X, y, mse,
+                model, X, y, mse,
                 samples=config.shapley_samples,
                 seed=derive(config.global_seed, "shapley", metric),
                 feature_names=list(ASPECT_FEATURES),
             )
             stage1_doc = {
-                "metric": metric,
-                "chosen_degree": result.model.params.degree,
-                "chosen_alpha": result.model.params.alpha,
-                "converged": result.model.converged,
-                "n_sweeps": result.model.n_sweeps,
-                "cv_solves": {str(d): dataclasses.asdict(c) for d, c in result.model.cv_solves.items()},
-                "coefficients": result.model.coefficient_map(),
+                "chosen_degree": model.params.degree,
+                "chosen_alpha": model.params.alpha,
+                "converged": model.converged,
+                "n_sweeps": model.n_sweeps,
+                "cv_solves": {str(d): dataclasses.asdict(c) for d, c in model.cv_solves.items()},
+                "coefficients": model.coefficient_map(),
                 "importance_lasso": result.importance.weights,
                 "importance_permutation": group_importance(perm).weights,
                 "importance_shapley": group_importance(shap).weights,
                 "hardness_source": "measured" if config.use_measured_hardness else "predicted",
-                "hardness_by_unit": {
-                    k: {"value": v, "level": lv} for k, (v, lv) in result.hardness_by_system.items()
-                },
             }
         else:
-            if len(aspect_records) < MIN_PIPELINE_RECORDS:
-                gaps["notes"].append(
-                    f"{metric}: only {len(aspect_records)} units; stage-1 regression skipped, "
-                    "matrix built from measured hardness"
-                )
-            else:
-                gaps["notes"].append(
-                    f"{metric}: all {len(aspect_records)} units are trials of one system; "
-                    "stage-1 regression skipped, matrix built from measured hardness"
-                )
+            n = len(aspect_records)
+            why = f"only {n} units" if n < MIN_PIPELINE_RECORDS else f"all {n} units are trials of one system"
+            gaps["notes"].append(
+                f"{metric}: {why}; stage-1 regression skipped, matrix built from measured hardness"
+            )
             by_unit, matrix, tests = classify_and_test(
                 {r["unit"]: r["value"] for r in hardness_rows},
                 opportunity_records[metric],
@@ -666,12 +651,9 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 hardness_mode=mode,
                 alpha=config.test_alpha,
             )
-            stage1_doc = {
-                "metric": metric,
-                "skipped": True,
-                "hardness_source": "measured",
-                "hardness_by_unit": {k: {"value": v, "level": lv} for k, (v, lv) in by_unit.items()},
-            }
+            stage1_doc = {"skipped": True, "hardness_source": "measured"}
+        stage1_doc["metric"] = metric
+        stage1_doc["hardness_by_unit"] = {k: {"value": v, "level": lv} for k, (v, lv) in by_unit.items()}
 
         _write(analysis / f"stage1_{metric}.json", _dump(stage1_doc, compact=True))
         _write(analysis / f"matrix_{metric}.json", reporting.matrix_to_json(matrix))
@@ -698,23 +680,20 @@ def run_analyze(config: ExperimentConfig) -> dict:
 
 def run_report(config: ExperimentConfig) -> str:
     """Human-readable markdown digest of the analysis artifacts."""
-    out = Path(config.out_dir)
-    analysis = out / "analysis"
+    analysis = Path(config.out_dir) / "analysis"
     lines = ["# Experiment report", ""]
     summary_path = analysis / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError("run the analyze stage before report")
     summary = json.loads(summary_path.read_text())
     for metric, info in summary["metrics"].items():
-        lines.append(f"## Metric: {metric}")
-        lines.append("")
-        lines.append(
-            f"- units analyzed: {info['units']}, opportunity rows: {info['opportunity_rows']}"
-        )
-        lines.append(
+        lines += [
+            f"## Metric: {metric}",
+            "",
+            f"- units analyzed: {info['units']}, opportunity rows: {info['opportunity_rows']}",
             f"- hypothesis tests: {info['tests']} "
-            f"({info['significant']} significant, {info['skipped_tests']} skipped)"
-        )
+            f"({info['significant']} significant, {info['skipped_tests']} skipped)",
+        ]
         stage1 = json.loads((analysis / f"stage1_{metric}.json").read_text())
         if not stage1.get("skipped"):
             lines.append(f"- stage-1 lasso: degree {stage1['chosen_degree']}, "
@@ -724,15 +703,11 @@ def run_report(config: ExperimentConfig) -> str:
             lines.append("- aspect importance (lasso): "
                          + ", ".join(f"{k}={v:.3f}" for k, v in ranked))
         matrix = reporting.matrix_from_json((analysis / f"matrix_{metric}.json").read_text())
-        lines.append("")
-        lines.append("| knowledge \\ hardness | low | medium | high |")
-        lines.append("|---|---|---|---|")
+        lines += ["", "| knowledge \\ hardness | low | medium | high |", "|---|---|---|---|"]
         for level in MATRIX_LEVELS:
-            cells = []
-            for hardness_level in ("low", "medium", "high"):
-                cell = matrix.cell(level, hardness_level)
-                cells.append("-" if cell.empty else f"{cell.mean:.3f} (n={cell.count})")
-            lines.append(f"| {level} | {cells[0]} | {cells[1]} | {cells[2]} |")
+            cells = (matrix.cell(level, h) for h in HARDNESS_LEVELS)
+            row = " | ".join("-" if c.empty else f"{c.mean:.3f} (n={c.count})" for c in cells)
+            lines.append(f"| {level} | {row} |")
         lines.append("")
     text = "\n".join(lines) + "\n"
     _write(analysis / "report.md", text)

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 GAP_EPS = 1e-9
+EMPIRICAL_MIN_SCORES = 4  # empirical mode's quartiles need this many scores
 
 
 def _clamp(x, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -151,8 +152,8 @@ def classify_hardness(
     if mode is HardnessMode.FIXED_RANGE:
         q25, q75 = 0.25, 0.75
     else:
-        if population is None or len(population) < 4:
-            raise ValueError("empirical mode needs a population of >= 4 scores")
+        if population is None or len(population) < EMPIRICAL_MIN_SCORES:
+            raise ValueError(f"empirical mode needs a population of >= {EMPIRICAL_MIN_SCORES} scores")
         pop = np.asarray(population, dtype=float)
         q25 = float(np.quantile(pop, 0.25))
         q75 = float(np.quantile(pop, 0.75))

@@ -26,7 +26,6 @@ from .hardness_opportunity import (
 )
 from .influence_graph import ASPECT_FEATURES
 from .learners import (
-    CVLosses,
     CVSpec,
     FittedL1,
     L1Params,
@@ -39,6 +38,7 @@ from .metrics import rankdata
 from .seeds import rng_for
 
 EXACT_MWU_LIMIT = 12
+MIN_PIPELINE_RECORDS = 10  # stage 1's fewest aspect records per task
 _NORMAL = NormalDist()
 
 
@@ -344,8 +344,8 @@ def aspect_regression(
     data = []
     for records, folds in tasks:
         records = list(records)
-        if len(records) < 10:
-            raise ValueError(f"need >= 10 records, got {len(records)}")
+        if len(records) < MIN_PIPELINE_RECORDS:
+            raise ValueError(f"need >= {MIN_PIPELINE_RECORDS} records, got {len(records)}")
         X = np.asarray([r[0] for r in records], dtype=float)
         y = np.asarray([r[1] for r in records], dtype=float)
         data.append((X, y, folds))
@@ -363,10 +363,7 @@ def aspect_regression(
         d_idx, a_idx = np.unravel_index(np.argmin(losses[:, t]), losses[:, t].shape)
         degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
         model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
-        # a stand-in for `cross_validate_l1_many` may return plain loss lists
-        model.cv_solves = {
-            int(d): cv.solves[t] for d, cv in zip(degrees, cvs) if isinstance(cv, CVLosses)
-        }
+        model.cv_solves = {int(d): cv.solves[t] for d, cv in zip(degrees, cvs)}
         raw = {group: 0.0 for group in aspect_groups}
         for term, coef in zip(model.expansion.term_features(), model.coefs):
             groups = sorted({feature_to_group[names[i]] for i in term})

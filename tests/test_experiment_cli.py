@@ -509,6 +509,38 @@ def test_analyze_rejects_curve_sizes_outside_config(tmp_path):
         run_analyze(config)
 
 
+def test_analyze_empirical_mode_rejects_too_few_scored_units_before_writing(tmp_path):
+    """Empirical mode needs four hardness scores for its quartiles; a metric
+    left with one to three units with a complete null curve is an error that
+    names the metric and the count, raised before any analysis file."""
+    config = _analyze_config(tmp_path, n_systems=4, hardness_mode="empirical", metrics=("acc",))
+    _write_analyze_inputs(config)
+    (Path(config.out_dir) / "curves" / "s0003_t00" / "null_acc.json").unlink()
+    with pytest.raises(ValueError, match=r"^acc: .* got 3$"):
+        run_analyze(config)
+    assert not (Path(config.out_dir) / "analysis").exists()
+
+
+def test_analyze_without_the_null_level(tmp_path):
+    """Levels without `null` score no unit: every null curve is listed as
+    incomplete, stage 1 is skipped and all 27 tests are skipped."""
+    config = _analyze_config(tmp_path, levels=("partial", "ideal"))
+    _write_analyze_inputs(config)
+    summary = run_analyze(config)
+    gaps = json.loads((Path(config.out_dir) / "analysis" / "gaps.json").read_text())
+    units = [config.unit_id(s, 0) for s in range(config.n_systems)]
+    for metric in config.metrics:
+        null_gaps = [g["unit"] for g in gaps["incomplete_curves"] if g["metric"] == metric]
+        assert null_gaps == units
+        assert summary["metrics"][metric]["units"] == 0
+        assert summary["metrics"][metric]["tests"] == summary["metrics"][metric]["skipped_tests"] == 27
+    assert {g["level"] for g in gaps["incomplete_curves"]} == {"null"}
+    assert gaps["notes"] == [
+        f"{metric}: only 0 units; stage-1 regression skipped, matrix built from measured hardness"
+        for metric in config.metrics
+    ]
+
+
 def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path / "missing")])
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_mwu_p
 from modperf.hardness_opportunity import build_matrix
 from modperf.learners import CVSpec, fold_indices, mse
+from modperf.learners.lasso import CVLosses, SolveCounts
 from modperf.stats import (
     ImportanceVector,
     aspect_regression,
@@ -289,7 +290,8 @@ def test_aspect_regression_picks_first_minimum_degrees_outer(monkeypatch):
 
     def fake_cv(tasks, degree, alphas):
         calls.append((degree, list(alphas), [[f.tolist() for f in folds] for _, _, folds in tasks]))
-        return [np.array(losses[degree]) for _ in tasks]
+        solves = [SolveCounts(problems=0, unconverged=0, max_sweeps=0) for _ in tasks]
+        return CVLosses([np.array(losses[degree]) for _ in tasks], solves)
 
     monkeypatch.setattr(stats, "cross_validate_l1_many", fake_cv)
     task = _one_task(_aspect_records(np.random.default_rng(19), n=30), CVSpec(folds=3, shuffle_seed=4))
