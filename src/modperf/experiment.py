@@ -68,7 +68,6 @@ from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
     ASPECT_FEATURES,
     MIN_PIPELINE_RECORDS,
-    classify_and_test,
     group_importance,
     matrix_hypothesis_tests,  # noqa: F401  (as build_matrix)
     permutation_importance,
@@ -132,6 +131,12 @@ class ExperimentConfig:
                 f"hardness_mode empirical needs n_systems * trials >= {EMPIRICAL_MIN_SCORES} units "
                 f"for its quartiles, got {self.n_systems * self.trials}"
             )
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.budget_evaluations < 1:
+            raise ValueError(f"budget_evaluations must be >= 1, got {self.budget_evaluations}")
+        if self.forest_scale not in ("desk", "paper"):
+            raise ValueError(f"forest_scale must be desk|paper, got {self.forest_scale!r}")
         if self.lasso_alpha_steps < 1:
             raise ValueError(f"lasso_alpha_steps must be >= 1, got {self.lasso_alpha_steps}")
         if not self.lasso_degrees or not all(1 <= d <= 4 for d in self.lasso_degrees):
@@ -358,6 +363,17 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
         model_seed, config.levels, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci
     )
     curves = level_curves(search, dataset, config.metrics, config.train_sizes)
+    # the fairness document goes first: the curve files mark the unit done
+    fairness = {
+        "budget": config.budget_evaluations,
+        "candidates": enumerate_candidates(space, budget),
+        "cv_folds": config.cv_folds,
+        "prefix_sha": {
+            str(n): _prefix_sha(training_prefix(dataset, n)) for n in config.train_sizes
+        },
+        "note": "identical training prefixes, candidate lists, and budgets across levels",
+    }
+    _write(out / "fairness" / f"{unit}.json", _dump(fairness))
     for level, points in curves.items():
         for metric in config.metrics:
             doc = {
@@ -377,17 +393,6 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                 "budget": config.budget_evaluations,
             }
             _write(paths[(level, metric)], _dump(doc, compact=True))
-
-    fairness = {
-        "budget": config.budget_evaluations,
-        "candidates": enumerate_candidates(space, budget),
-        "cv_folds": config.cv_folds,
-        "prefix_sha": {
-            str(n): _prefix_sha(training_prefix(dataset, n)) for n in config.train_sizes
-        },
-        "note": "identical training prefixes, candidate lists, and budgets across levels",
-    }
-    _write(out / "fairness" / f"{unit}.json", _dump(fairness))
     return {"unit": unit}
 
 
@@ -477,14 +482,11 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
     return units, tables, missing
 
 
-def _metric_rows(
-    config: ExperimentConfig, units: list[dict], tables: dict, metric: str, scaled: dict, gaps: dict
-):
-    """Hardness rows, opportunity rows and stage-1 aspect records of one
-    metric, in unit order, from `_load_units`' tables; a level outside the
-    config reads as all incomplete. Incomplete curves are appended to
-    `gaps`. `scaled` maps each system to its scaled aspect vector. In
-    empirical mode, 1 to 3 units with a complete null curve is an error."""
+def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metric: str, gaps: dict):
+    """Hardness rows and opportunity rows of one metric, in unit order, from
+    `_load_units`' tables; a level outside the config reads as all
+    incomplete. Incomplete curves are appended to `gaps`. In empirical
+    mode, 1 to 3 units with a complete null curve is an error."""
     sizes = tuple(sorted(config.train_sizes))
     opportunity_levels = [lv for lv in MATRIX_LEVELS if lv in config.levels]
     absent = CurveTable(metric, sizes, np.zeros((len(units), len(sizes)))), np.zeros(len(units), dtype=bool)
@@ -499,7 +501,7 @@ def _metric_rows(
         )
     score = hardness(null.take(rows))
     fixed_levels = classify_hardness(score.value, HardnessMode.FIXED_RANGE)
-    hardness_rows, aspect_records = [], {}
+    hardness_rows = []
     for i, value, fixed_level in zip(rows.tolist(), score.value.tolist(), fixed_levels):
         unit = units[i]
         hardness_rows.append(
@@ -512,7 +514,6 @@ def _metric_rows(
                 "fixed_level": fixed_level,
             }
         )
-        aspect_records[unit["unit"]] = (scaled[unit["system"]], value)
 
     scored = {}  # (unit index, level) -> (value, gaps, fillings)
     for level in opportunity_levels:
@@ -547,7 +548,7 @@ def _metric_rows(
                     ],
                 }
             )
-    return hardness_rows, opportunity_rows, aspect_records
+    return hardness_rows, opportunity_rows
 
 
 def _scaled_aspects(aspects: dict, ranges: AspectRanges) -> list[float]:
@@ -563,57 +564,45 @@ def run_analyze(config: ExperimentConfig) -> dict:
     """Hardness, opportunities, stage-1 aspect regression with importances,
     and the matrix plus hypothesis battery, one set per metric.
 
-    Each (metric, level) is scored as one curve table. Stage 1 of every
-    metric with enough units runs in one `two_stage_pipeline` call, on folds
-    drawn over systems. Every metric is scored before the first file is
-    written, so an input that empirical mode cannot bin writes nothing."""
+    Each (metric, level) is scored as one curve table. Every metric reaches
+    stage 2 through one `two_stage_pipeline` call, which skips stage 1 for
+    a metric with too few units or systems; stage-1 folds are drawn over
+    systems. Every metric is scored before the first file is written, so an
+    input that empirical mode cannot bin writes nothing."""
     out = Path(config.out_dir)
     analysis = out / "analysis"
     units, tables, missing_units = _load_units(config)
     gaps: dict = {"missing_units": missing_units, "incomplete_curves": [], "notes": []}
     manifest = json.loads((out / "manifest.json").read_text())
     scaled = {e["system"]: _scaled_aspects(e["aspects"], config.aspect_ranges) for e in manifest["systems"]}
-    systems = {unit["unit"]: unit["system"] for unit in units}
-    mode = HardnessMode(config.hardness_mode)
 
-    rows = {metric: _metric_rows(config, units, tables, metric, scaled, gaps) for metric in config.metrics}
-    for metric, (hardness_rows, opportunity_rows, _) in rows.items():
+    rows = {metric: _metric_rows(config, units, tables, metric, gaps) for metric in config.metrics}
+    tasks = {}
+    for metric, (hardness_rows, opportunity_rows) in rows.items():
         _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows, compact=True))
         _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows, compact=True))
-
-    opportunity_records = {
-        metric: [(r["unit"], r["level"], r["value"]) for r in rows[metric][1]]
-        for metric in config.metrics
-    }
-    staged = {
-        metric: aspect_records
-        for metric, (_, _, aspect_records) in rows.items()
-        if len(aspect_records) >= MIN_PIPELINE_RECORDS
-        and len({systems[u] for u in aspect_records}) >= 2
-    }
-    results = {}
-    if staged:
-        results = two_stage_pipeline(
-            staged,
-            {metric: opportunity_records[metric] for metric in staged},
-            {m: CVSpec(folds=5, shuffle_seed=derive(config.global_seed, "stage1", m)) for m in staged},
-            degrees=config.lasso_degrees,
-            alphas=alpha_grid(config.lasso_alpha_steps),
-            hardness_mode=mode,
-            alpha=config.test_alpha,
-            use_measured_hardness=config.use_measured_hardness,
-            systems=systems,
+        tasks[metric] = (
+            [r["unit"] for r in hardness_rows],
+            [r["system"] for r in hardness_rows],
+            np.array([scaled[r["system"]] for r in hardness_rows], dtype=float),
+            np.array([r["value"] for r in hardness_rows], dtype=float),
+            [(r["unit"], r["level"], r["value"]) for r in opportunity_rows],
         )
+    results = two_stage_pipeline(
+        tasks,
+        {m: CVSpec(folds=5, shuffle_seed=derive(config.global_seed, "stage1", m)) for m in tasks},
+        degrees=config.lasso_degrees,
+        alphas=alpha_grid(config.lasso_alpha_steps),
+        hardness_mode=HardnessMode(config.hardness_mode),
+        alpha=config.test_alpha,
+        use_measured_hardness=config.use_measured_hardness,
+    )
 
     summary = {"metrics": {}}
-    for metric in config.metrics:
-        hardness_rows, opportunity_rows, aspect_records = rows[metric]
-        if metric in results:
-            result = results[metric]
-            model, by_unit = result.model, result.hardness_by_system
-            matrix, tests = result.matrix, result.tests
-            features, values = zip(*aspect_records.values())
-            X, y = np.asarray(features, dtype=float), np.asarray(values, dtype=float)
+    for metric, result in results.items():
+        _, _, X, y, opportunity_records = tasks[metric]
+        model, matrix, tests = result.model, result.matrix, result.tests
+        if model is not None:
             perm = permutation_importance(
                 model, X, y, mse,
                 repeats=config.importance_repeats,
@@ -639,21 +628,16 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 "hardness_source": "measured" if config.use_measured_hardness else "predicted",
             }
         else:
-            n = len(aspect_records)
+            n = len(y)
             why = f"only {n} units" if n < MIN_PIPELINE_RECORDS else f"all {n} units are trials of one system"
             gaps["notes"].append(
                 f"{metric}: {why}; stage-1 regression skipped, matrix built from measured hardness"
             )
-            by_unit, matrix, tests = classify_and_test(
-                {r["unit"]: r["value"] for r in hardness_rows},
-                opportunity_records[metric],
-                metric=metric,
-                hardness_mode=mode,
-                alpha=config.test_alpha,
-            )
             stage1_doc = {"skipped": True, "hardness_source": "measured"}
         stage1_doc["metric"] = metric
-        stage1_doc["hardness_by_unit"] = {k: {"value": v, "level": lv} for k, (v, lv) in by_unit.items()}
+        stage1_doc["hardness_by_unit"] = {
+            k: {"value": v, "level": lv} for k, (v, lv) in result.hardness_by_unit.items()
+        }
 
         _write(analysis / f"stage1_{metric}.json", _dump(stage1_doc, compact=True))
         _write(analysis / f"matrix_{metric}.json", reporting.matrix_to_json(matrix))
@@ -663,8 +647,8 @@ def run_analyze(config: ExperimentConfig) -> dict:
         _write(analysis / f"tests_{metric}.json", reporting.tests_to_json(tests))
         _write(analysis / f"tests_{metric}.csv", reporting.tests_to_csv(tests))
         summary["metrics"][metric] = {
-            "units": len(hardness_rows),
-            "opportunity_rows": len(opportunity_rows),
+            "units": len(y),
+            "opportunity_rows": len(opportunity_records),
             "tests": len(tests),
             "significant": sum(1 for t in tests if t.significant),
             "skipped_tests": sum(1 for t in tests if t.skipped),

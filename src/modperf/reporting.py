@@ -98,7 +98,7 @@ def _blend(fraction: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def heatmap_svg(matrix: OpportunityMatrix, title: str | None = None) -> str:
+def heatmap_svg(matrix: OpportunityMatrix) -> str:
     """3x3 heatmap, knowledge rows by hardness columns, bright-to-dark by
     mean opportunity. Standalone SVG with no external references."""
     cell_w, cell_h = 150, 90
@@ -119,7 +119,7 @@ def heatmap_svg(matrix: OpportunityMatrix, title: str | None = None) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left + 1.5 * cell_w}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title or f"Mean opportunity ({matrix.metric})"}</text>',
+        f'font-family="sans-serif" font-size="16">Mean opportunity ({matrix.metric})</text>',
     ]
     for col, hardness_level in enumerate(HARDNESS_LEVELS):
         x = left + col * cell_w + cell_w / 2

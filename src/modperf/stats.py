@@ -316,46 +316,37 @@ def system_folds(systems, spec: CVSpec) -> list[np.ndarray]:
     return [np.flatnonzero(np.isin(codes, fold)) for fold in fold_indices(len(index), spec)]
 
 
-def aspect_regression(
-    tasks,
-    degrees=(1, 2, 3, 4),
-    alphas=None,
-    feature_names=ASPECT_FEATURES,
-    aspect_groups=ASPECT_GROUPS,
-) -> list[tuple[FittedL1, ImportanceVector]]:
+def aspect_regression(tasks, degrees=(1, 2, 3, 4), alphas=None) -> list[tuple[FittedL1, ImportanceVector]]:
     """Regress hardness on scaled structural aspects with a grid-searched
     lasso, then attribute coefficient mass to the aspect quadruple; one
     (model, importance) pair per task.
 
-    A task is (records, folds): records are (feature vector, hardness) pairs
-    with features already scaled to [0, 1] by their value-space bounds, and
-    folds are held-out index arrays (`fold_indices`, `system_folds`). Each
-    task scores every (degree, alpha) pair by its mean held-out MSE, keeps
-    the first lowest loss with degrees outer (`np.argmin`) and refits on all
-    its records with `fit_l1`. Every task's (fold, alpha) problems of one
-    degree go through one `cross_validate_l1_many` call; a task's losses do
-    not depend on the other tasks, bit for bit. The refit's `cv_solves`
-    says how its task's problems ended, per degree. `alphas` defaults to
-    `alpha_grid()`, 500 alphas.
+    A task is (X, y, folds): X holds one row of `ASPECT_FEATURES` per
+    record, already scaled to [0, 1] by their value-space bounds, y the
+    hardness, and folds the held-out index arrays (`fold_indices`,
+    `system_folds`). Each task scores every (degree, alpha) pair by its mean
+    held-out MSE, keeps the first lowest loss with degrees outer
+    (`np.argmin`) and refits on all its records with `fit_l1`. Every task's
+    (fold, alpha) problems of one degree go through one
+    `cross_validate_l1_many` call; a task's losses do not depend on the
+    other tasks, bit for bit. The refit's `cv_solves` says how its task's
+    problems ended, per degree. `alphas` defaults to `alpha_grid()`, 500
+    alphas.
 
     A mixed polynomial term splits its |coefficient| equally across the
-    distinct aspects it touches.
+    distinct aspects it touches (`ASPECT_GROUPS`).
     """
-    data = []
-    for records, folds in tasks:
-        records = list(records)
-        if len(records) < MIN_PIPELINE_RECORDS:
-            raise ValueError(f"need >= {MIN_PIPELINE_RECORDS} records, got {len(records)}")
-        X = np.asarray([r[0] for r in records], dtype=float)
-        y = np.asarray([r[1] for r in records], dtype=float)
-        data.append((X, y, folds))
+    data = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float), folds) for X, y, folds in tasks]
+    for _, y, _ in data:
+        if len(y) < MIN_PIPELINE_RECORDS:
+            raise ValueError(f"need >= {MIN_PIPELINE_RECORDS} records, got {len(y)}")
     alphas = alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
     cvs = [cross_validate_l1_many(data, int(d), alphas) for d in degrees]
     losses = np.array(cvs)
 
-    names = list(feature_names)
+    names = list(ASPECT_FEATURES)
     feature_to_group = {}
-    for group, members in aspect_groups.items():
+    for group, members in ASPECT_GROUPS.items():
         for member in members:
             feature_to_group[member] = group
     fits = []
@@ -364,7 +355,7 @@ def aspect_regression(
         degree, alpha = int(degrees[d_idx]), float(alphas[a_idx])
         model = fit_l1(X, y, L1Params(alpha=alpha, degree=degree), feature_names=names)
         model.cv_solves = {int(d): cv.solves[t] for d, cv in zip(degrees, cvs)}
-        raw = {group: 0.0 for group in aspect_groups}
+        raw = {group: 0.0 for group in ASPECT_GROUPS}
         for term, coef in zip(model.expansion.term_features(), model.coefs):
             groups = sorted({feature_to_group[names[i]] for i in term})
             for group in groups:
@@ -452,90 +443,60 @@ def matrix_hypothesis_tests(matrix: OpportunityMatrix, alpha: float = 0.05) -> l
     return results
 
 
-def classify_and_test(
-    hardness_values: dict[str, float],
-    opportunity_records,
-    metric: str,
-    hardness_mode: HardnessMode = HardnessMode.FIXED_RANGE,
-    alpha: float = 0.05,
-) -> tuple[dict[str, tuple[float, str]], OpportunityMatrix, list[HypothesisTest]]:
-    """Stage 2: classify each system's hardness, route opportunity values
-    into the matrix, and run the test battery.
-
-    hardness_values: system id -> hardness; empirical mode bins against the
-    population of these values, whose quartiles are computed once. Returns
-    id -> (hardness, level), the matrix and the tests.
-    """
-    population = list(hardness_values.values())
-    labels = classify_hardness(population, hardness_mode, population) if population else []
-    hardness_by_system = {
-        system_id: (value, label)
-        for (system_id, value), label in zip(hardness_values.items(), labels)
-    }
-    observations = []
-    for system_id, level, value in opportunity_records:
-        if system_id not in hardness_by_system:
-            raise ValueError(f"opportunity record for unknown system {system_id!r}")
-        observations.append((level, hardness_by_system[system_id][1], value))
-    matrix = build_matrix(observations, metric=metric)
-    return hardness_by_system, matrix, matrix_hypothesis_tests(matrix, alpha=alpha)
-
-
 @dataclass
 class PipelineResult:
-    model: FittedL1
-    importance: ImportanceVector
-    hardness_by_system: dict[str, tuple[float, str]]  # id -> (hardness used, level)
+    model: FittedL1 | None  # None: stage 1 skipped, units classified by measured hardness
+    importance: ImportanceVector | None
+    hardness_by_unit: dict[str, tuple[float, str]]  # id -> (hardness used, level)
     matrix: OpportunityMatrix
     tests: list[HypothesisTest]
 
 
 def two_stage_pipeline(
-    aspect_records: dict[str, dict],
-    opportunity_records: dict[str, list],
+    tasks: dict[str, tuple],
     cv: dict[str, CVSpec],
     degrees=(1, 2, 3, 4),
     alphas=None,
     hardness_mode: HardnessMode = HardnessMode.FIXED_RANGE,
     alpha: float = 0.05,
     use_measured_hardness: bool = False,
-    systems: dict[str, str] | None = None,
 ) -> dict[str, PipelineResult]:
     """Stage 1 regresses hardness on aspects; stage 2 classifies each unit
     by its predicted hardness (or measured, for sensitivity runs), routes
     opportunity values into the matrix, and runs the test battery. One
-    result per metric; every metric's stage 1 runs in one
+    result per metric; every staged metric's stage 1 runs in one
     `aspect_regression` call.
 
-    aspect_records: metric -> unit id -> (scaled aspect vector, measured hardness).
-    opportunity_records: metric -> iterable of (unit id, knowledge level, value).
+    tasks: metric -> (unit ids, system ids, scaled aspect rows X, measured
+    hardness, opportunity records), one entry of the first four per unit;
+    an opportunity record is (unit id, knowledge level, value).
     cv: metric -> the spec of that metric's stage-1 folds (`system_folds`).
-    systems: unit id -> system id; by default each unit is its own system.
+
+    A metric with fewer than `MIN_PIPELINE_RECORDS` units, or whose units
+    all come from one system, skips stage 1: its model is None and its
+    units are classified by measured hardness. Empirical mode bins against
+    the population of the hardness values used, whose quartiles are
+    computed once.
     """
-    metrics = list(aspect_records)
-    tasks = []
-    for metric in metrics:
-        ids = list(aspect_records[metric])
-        groups = ids if systems is None else [systems[i] for i in ids]
-        tasks.append((list(aspect_records[metric].values()), system_folds(groups, cv[metric])))
-    fits = aspect_regression(tasks, degrees=degrees, alphas=alphas)
+    staged = [
+        metric for metric, (_, systems, _, measured, _) in tasks.items()
+        if len(measured) >= MIN_PIPELINE_RECORDS and len(set(systems)) >= 2
+    ]
+    stage1 = [(tasks[m][2], tasks[m][3], system_folds(tasks[m][1], cv[m])) for m in staged]
+    fits = dict(zip(staged, aspect_regression(stage1, degrees, alphas))) if staged else {}
     results = {}
-    for metric, (model, importance) in zip(metrics, fits):
-        records = aspect_records[metric]
-        X = np.asarray([records[i][0] for i in records], dtype=float)
-        predicted = model.predict(X)
-        used = {
-            system_id: (records[system_id][1] if use_measured_hardness else float(pred))
-            for system_id, pred in zip(records, predicted)
-        }
-        hardness_by_system, matrix, tests = classify_and_test(
-            used, opportunity_records[metric], metric, hardness_mode, alpha
-        )
+    for metric, (units, _, X, measured, opportunity_records) in tasks.items():
+        model, importance = fits.get(metric, (None, None))
+        used = measured if model is None or use_measured_hardness else model.predict(X)
+        labels = classify_hardness(used, hardness_mode, used) if len(used) else []
+        by_unit = {unit: (float(v), label) for unit, v, label in zip(units, used, labels)}
+        observations = []
+        for unit, level, value in opportunity_records:
+            if unit not in by_unit:
+                raise ValueError(f"opportunity record for unknown unit {unit!r}")
+            observations.append((level, by_unit[unit][1], value))
+        matrix = build_matrix(observations, metric=metric)
         results[metric] = PipelineResult(
-            model=model,
-            importance=importance,
-            hardness_by_system=hardness_by_system,
-            matrix=matrix,
-            tests=tests,
+            model, importance, by_unit, matrix, matrix_hypothesis_tests(matrix, alpha=alpha)
         )
     return results

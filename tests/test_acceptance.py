@@ -290,9 +290,9 @@ def test_criterion_07_rq1_directional():
     assert rho > 0
     assert p < 0.05
 
-    records = [(r[2], r[1]) for r in rows]
+    X, y = np.array([r[2] for r in rows], dtype=float), np.array([r[1] for r in rows], dtype=float)
     [(_, importance)] = aspect_regression(
-        [(records, fold_indices(len(records), CVSpec(folds=3, shuffle_seed=77)))],
+        [(X, y, fold_indices(len(rows), CVSpec(folds=3, shuffle_seed=77)))],
         degrees=(1, 2),
         alphas=[float(a) for a in np.logspace(-4, 0, 20)],
     )

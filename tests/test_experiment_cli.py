@@ -179,6 +179,32 @@ def test_resume_rewrites_unparsable_curve_file(tmp_path):
     assert curve.read_bytes() == original
 
 
+def test_resume_finishes_a_unit_whose_fairness_document_is_missing(tmp_path, monkeypatch):
+    """A crash before a unit's fairness document is written leaves the unit
+    unfinished, so `--resume` runs it again and the tree matches a clean run."""
+    clean = _tiny_config(tmp_path / "clean", n_systems=1, trials=1)
+    crashed = _tiny_config(tmp_path / "crashed", n_systems=1, trials=1)
+    for config in (clean, crashed):
+        run_generate(config)
+    run_model(clean)
+    real_write = experiment._write
+
+    def crash_at_fairness(path, text):
+        if path.parent.name == "fairness":
+            raise KeyboardInterrupt
+        real_write(path, text)
+
+    monkeypatch.setattr(experiment, "_write", crash_at_fairness)
+    with pytest.raises(KeyboardInterrupt):
+        run_model(crashed)
+    monkeypatch.undo()
+    docs = run_model(ExperimentConfig.from_dict(
+        crashed.persisted_dict(), out_dir=crashed.out_dir, resume=True,
+    ))
+    assert docs == [{"unit": "s0000_t00"}]
+    assert tree_hash(Path(crashed.out_dir)) == tree_hash(Path(clean.out_dir))
+
+
 def test_config_json_omits_runtime_fields(tiny_run):
     config, out = tiny_run
     doc = json.loads((out / "config.json").read_text())
@@ -341,17 +367,28 @@ def _analyze_config(tmp_path, **overrides):
 # documents. The array kernels and the joint stage-1 solve must keep every
 # byte.
 ANALYZE_TREE_SHA = "d19c5b9cdb264c63f846efecc089e0f2c5386ce093dd9bf06dbf637c8e30a67a"
+# The same trees with use_measured_hardness: acc's stage 1 runs, but every
+# unit is routed by its measured hardness.
+ANALYZE_MEASURED_TREE_SHA = "dbe4a058d53a7ef172ed6d713bcacebdbe4b56ba544f11670cd30e7638884b02"
 
 
-def test_analyze_tree_bytes_unchanged(tmp_path):
+def _analyze_trees_sha(tmp_path, **overrides) -> str:
     digest = hashlib.sha256()
     for mode in ("fixed", "empirical"):
-        config = _analyze_config(tmp_path / mode, hardness_mode=mode)
+        config = _analyze_config(tmp_path / mode, hardness_mode=mode, **overrides)
         _write_analyze_inputs(config)
         run_analyze(config)
         run_report(config)
         digest.update(tree_hash(Path(config.out_dir) / "analysis").encode())
-    assert digest.hexdigest() == ANALYZE_TREE_SHA
+    return digest.hexdigest()
+
+
+def test_analyze_tree_bytes_unchanged(tmp_path):
+    assert _analyze_trees_sha(tmp_path) == ANALYZE_TREE_SHA
+
+
+def test_analyze_measured_hardness_tree_bytes_unchanged(tmp_path):
+    assert _analyze_trees_sha(tmp_path, use_measured_hardness=True) == ANALYZE_MEASURED_TREE_SHA
 
 
 def _indented_dump(doc, compact=False):
@@ -712,6 +749,22 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
     with pytest.raises(ValueError, match=match):
         _tiny_config(tmp_path, **bad)
     _tiny_config(tmp_path, train_sizes=(40, 1), hardness_mode="empirical", n_systems=2, trials=2)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(cv_folds=1), "cv_folds"),
+        (dict(budget_evaluations=0), "budget_evaluations"),
+        (dict(forest_scale="huge"), "forest_scale"),
+    ],
+)
+def test_config_rejects_bad_model_settings(tmp_path, bad, match):
+    """Caught when the config is built; left to the model stage, every unit
+    fails with the same error into model_errors.json and the CLI exits 0."""
+    with pytest.raises(ValueError, match=match):
+        _tiny_config(tmp_path, **bad)
+    _tiny_config(tmp_path, cv_folds=2, budget_evaluations=1, forest_scale="paper")
 
 
 def test_failed_write_leaves_previous_artifact(tmp_path):

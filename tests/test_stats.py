@@ -251,7 +251,9 @@ def _aspect_records(rng, n=120, coef_module=0.6, coef_option=0.2):
 
 
 def _one_task(records, cv):
-    return [(records, fold_indices(len(records), cv))]
+    X = np.array([r[0] for r in records], dtype=float)
+    y = np.array([r[1] for r in records], dtype=float)
+    return [(X, y, fold_indices(len(records), cv))]
 
 
 def test_aspect_regression_recovers_coefficient_ratio():
@@ -297,7 +299,7 @@ def test_aspect_regression_picks_first_minimum_degrees_outer(monkeypatch):
     task = _one_task(_aspect_records(np.random.default_rng(19), n=30), CVSpec(folds=3, shuffle_seed=4))
     [(model, _)] = aspect_regression(task, degrees=(1, 2, 3), alphas=[0.1, 0.01, 0.001])
     assert (model.params.degree, model.params.alpha) == (1, 0.01)
-    folds = [f.tolist() for f in task[0][1]]
+    folds = [f.tolist() for f in task[0][2]]
     assert calls == [(d, [0.1, 0.01, 0.001], [folds]) for d in (1, 2, 3)]
 
 
@@ -403,6 +405,15 @@ def test_hypothesis_battery_skips_empty_cells():
     assert all({t.group1, t.group2} <= {("partial", "low"), ("partial", "medium")} for t in live)
 
 
+def _pipeline_task(aspect_records, opportunity_records, systems=None):
+    """A `two_stage_pipeline` task from unit id -> (aspect row, measured
+    hardness); each unit is its own system unless `systems` names them."""
+    units = list(aspect_records)
+    X = np.array([aspect_records[u][0] for u in units], dtype=float)
+    y = np.array([aspect_records[u][1] for u in units], dtype=float)
+    return units, systems or units, X, y, opportunity_records
+
+
 def test_two_stage_pipeline_routes_by_predicted_hardness():
     rng = np.random.default_rng(21)
     aspect_records = {}
@@ -417,8 +428,7 @@ def test_two_stage_pipeline_routes_by_predicted_hardness():
                 (system_id, level, base + 0.3 * hardness_value + rng.normal(0, 0.01))
             )
     result = two_stage_pipeline(
-        {"scc": aspect_records},
-        {"scc": opportunity_records},
+        {"scc": _pipeline_task(aspect_records, opportunity_records)},
         {"scc": CVSpec(folds=3, shuffle_seed=1)},
         degrees=(1,),
         alphas=[1e-4, 1e-3],
@@ -451,8 +461,7 @@ def test_two_stage_pipeline_empirical_quartiles_spread_cells():
         aspect_records[system_id] = (x.tolist(), float(hardness_value))
         opportunity_records.append((system_id, "partial", float(rng.uniform(0, 0.2))))
     result = two_stage_pipeline(
-        {"acc": aspect_records},
-        {"acc": opportunity_records},
+        {"acc": _pipeline_task(aspect_records, opportunity_records)},
         {"acc": CVSpec(folds=3, shuffle_seed=2)},
         degrees=(1,),
         alphas=[1e-4],
@@ -472,9 +481,42 @@ def test_two_stage_pipeline_unknown_system_rejected():
     }
     with pytest.raises(ValueError):
         two_stage_pipeline(
-            {"acc": aspect_records},
-            {"acc": [("ghost", "partial", 0.1)]},
+            {"acc": _pipeline_task(aspect_records, [("ghost", "partial", 0.1)])},
             {"acc": CVSpec(folds=3, shuffle_seed=1)},
             degrees=(1,),
             alphas=[1e-3],
         )
+
+
+def test_two_stage_pipeline_skip_rule():
+    """Stage 1 needs >= 10 units from >= 2 systems; a metric short of either
+    is classified by its measured hardness, and the staged metric's result
+    does not depend on the skipped ones."""
+    rng = np.random.default_rng(24)
+
+    def metric(n, systems):
+        aspects = {f"u{i}": (rng.uniform(0, 1, 5).tolist(), float(rng.uniform(0, 1))) for i in range(n)}
+        opportunities = [(u, "partial", float(rng.uniform(0, 0.3))) for u in aspects]
+        return _pipeline_task(aspects, opportunities, systems)
+
+    tasks = {
+        "staged": metric(12, [f"s{i % 4}" for i in range(12)]),
+        "few": metric(9, None),
+        "one_system": metric(12, ["s0"] * 12),
+    }
+    kwargs = dict(degrees=(1, 2), alphas=[1e-3, 1e-1])
+    cv = {m: CVSpec(folds=3, shuffle_seed=5) for m in tasks}
+    results = two_stage_pipeline(tasks, cv, **kwargs)
+    for name in ("few", "one_system"):
+        units, _, _, measured, _ = tasks[name]
+        assert results[name].model is None and results[name].importance is None
+        assert [v for v, _ in results[name].hardness_by_unit.values()] == measured.tolist()
+        assert list(results[name].hardness_by_unit) == units
+    [alone] = two_stage_pipeline({"staged": tasks["staged"]}, cv, **kwargs).values()
+    staged = results["staged"]
+    assert staged.model is not None
+    assert (staged.model.params, staged.model.intercept) == (alone.model.params, alone.model.intercept)
+    assert np.array_equal(staged.model.coefs, alone.model.coefs)
+    assert staged.importance == alone.importance
+    assert staged.hardness_by_unit == alone.hardness_by_unit
+    assert staged.matrix == alone.matrix and staged.tests == alone.tests
