@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonio import write_atomic
 from .seeds import derive
 from .semantics import SystemSemantics, Evaluator
 
@@ -228,10 +229,10 @@ def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> lis
 
 
 def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -> dict:
-    """Write train/test CSVs plus a manifest binding them to their inputs."""
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "train.csv").write_text(records_to_csv(dataset, dataset.train))
-    (directory / "test.csv").write_text(records_to_csv(dataset, dataset.test))
+    """Write train/test CSVs plus a manifest binding them to their inputs,
+    each through `write_atomic`."""
+    write_atomic(directory / "train.csv", records_to_csv(dataset, dataset.train))
+    write_atomic(directory / "test.csv", records_to_csv(dataset, dataset.test))
     manifest = {
         "system_id": dataset.system_id,
         "seed": dataset.seed,
@@ -247,7 +248,7 @@ def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -
             "perfs": list(dataset.perf_names),
         },
     }
-    (directory / "dataset.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    write_atomic(directory / "dataset.json", json.dumps(manifest, sort_keys=True, indent=2))
     return manifest
 
 

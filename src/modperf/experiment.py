@@ -58,6 +58,8 @@ from .influence_graph import (
     scale_aspects,
 )
 from .jsonio import compact_json
+# perfbench/tracer.py wraps the atomic writer under this name
+from .jsonio import write_atomic as _write
 from .knowledge_models import LEVELS as ALL_LEVELS
 from .knowledge_models import SystemShape, level_curves, make_search
 # perfbench/tracer.py wraps make_factory under this name (ROADMAP item 2)
@@ -183,19 +185,6 @@ class ExperimentConfig:
 
     def unit_id(self, s: int, t: int) -> str:
         return f"{self.system_id(s)}_t{t:02d}"
-
-
-def _write(path: Path, text: str):
-    """Write `text` to a temporary file next to `path`, then rename it into
-    place, so that a crash never leaves a truncated artifact behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _dump(doc, compact: bool = False) -> str:
@@ -328,10 +317,28 @@ def _curve_paths(config: ExperimentConfig, s: int, t: int) -> dict[tuple[str, st
     return {key: unit_dir / name for key, name in _curve_names(config).items()}
 
 
+def _read_curve_file(path: str):
+    """The JSON document in the curve file at `path`, read as bytes with
+    `os.read` (no file object, no text layer, no locale lookup) and parsed
+    by one `json.loads`; a file that does not parse raises a ValueError
+    that names it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b""
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+    finally:
+        os.close(fd)
+    try:
+        return json.loads(data.decode())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _parses(path: Path) -> bool:
     """Whether `path` holds a complete JSON document."""
     try:
-        json.loads(path.read_text())
+        _read_curve_file(str(path))
     except (OSError, ValueError):
         return False
     return True
@@ -441,9 +448,11 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
     """The units with at least one curve file, in (system, trial) order; the
     curve table of each configured (level, metric), one row per unit, with
     the mask of its complete rows (incomplete rows hold zeros); and every
-    unit missing one or more curve files. Each document is reduced to its
-    efficacy row as it is read, and its training sizes must be the
-    config's. File names are joined as strings, once per unit."""
+    unit missing one or more curve files. Each file is read as bytes and
+    parsed by one `json.loads` (`_read_curve_file`; a file that does not
+    parse is an error that names it), reduced to its efficacy row at once,
+    and its training sizes must be the config's. File names are joined as
+    strings, once per unit."""
     names = _curve_names(config)
     sizes = tuple(sorted(config.train_sizes))
     curves = os.path.join(config.out_dir, "curves")
@@ -456,8 +465,7 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
             found = {}
             for (level, metric), name in names.items():
                 try:
-                    with open(unit_dir + name) as f:
-                        doc = json.loads(f.read())
+                    doc = _read_curve_file(unit_dir + name)
                 except FileNotFoundError:
                     continue
                 curve = _curve_from_doc(doc) if doc else None

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,25 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.system_id == ds.system_id
     assert records_to_csv(loaded, loaded.train) == records_to_csv(ds, ds.train)
     np.testing.assert_array_equal(loaded.train[0].iv_values, ds.train[0].iv_values)
+
+
+def test_interrupted_save_leaves_no_partial_csv(tmp_path, monkeypatch):
+    """An interrupt halfway through writing test.csv leaves train.csv alone:
+    no partial test.csv and no temporary file."""
+    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=20, system_id="rt")
+    real_write_text = Path.write_text
+
+    def interrupted(self, text, *args, **kwargs):
+        if "test.csv" in self.name:
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
 
 
 def _corrupt(line: str, how: str) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -172,6 +173,20 @@ def test_resume_rewrites_unparsable_curve_file(tmp_path):
     curve = Path(config.out_dir) / "curves" / "s0000_t00" / "partial_acc.json"
     original = curve.read_bytes()
     curve.write_bytes(original[: len(original) // 2])
+    docs = run_model(ExperimentConfig.from_dict(
+        config.persisted_dict(), out_dir=config.out_dir, resume=True,
+    ))
+    assert docs == [{"unit": "s0000_t00"}]
+    assert curve.read_bytes() == original
+
+
+def test_resume_reruns_a_unit_whose_curve_file_holds_two_documents(tmp_path):
+    config = _tiny_config(tmp_path, n_systems=1, trials=1)
+    run_generate(config)
+    run_model(config)
+    curve = Path(config.out_dir) / "curves" / "s0000_t00" / "null_scc.json"
+    original = curve.read_bytes()
+    curve.write_bytes(original + b"," + original)
     docs = run_model(ExperimentConfig.from_dict(
         config.persisted_dict(), out_dir=config.out_dir, resume=True,
     ))
@@ -546,6 +561,122 @@ def test_analyze_rejects_curve_sizes_outside_config(tmp_path):
         run_analyze(config)
 
 
+def _reference_load_units(config):
+    """`_load_units` as it read before curve files were read as bytes: text
+    mode, one `json.loads` per file."""
+    sizes = tuple(sorted(config.train_sizes))
+    keys = [(level, metric) for level in config.levels for metric in config.metrics]
+    units, rows, missing = [], {key: [] for key in keys}, []
+    for s in range(config.n_systems):
+        for t in range(config.trials):
+            unit = config.unit_id(s, t)
+            found = {}
+            for level, metric in keys:
+                path = Path(config.out_dir) / "curves" / unit / f"{level}_{metric}.json"
+                try:
+                    doc = json.loads(path.read_text())
+                except FileNotFoundError:
+                    continue
+                curve = experiment._curve_from_doc(doc) if doc else None
+                if curve is not None and tuple(curve[0]) != sizes:
+                    raise ValueError(
+                        f"unit {unit}, level {level}, metric {metric}: training sizes "
+                        f"{curve[0]} differ from the config's {list(sizes)}"
+                    )
+                found[level, metric] = None if curve is None else curve[1]
+            if found:
+                units.append({"unit": unit, "system": config.system_id(s), "trial": t})
+                for key in keys:
+                    rows[key].append(found.get(key))
+            if len(found) < len(keys):
+                missing.append(unit)
+    return units, rows, missing
+
+
+def _write_reader_cases(config):
+    """Curve files of four units: s0000 holds every kind of document
+    `_load_units` must tell apart, s0001 has an empty directory, s0002's
+    files carry whitespace around the document, s0003 is plain."""
+    curves = Path(config.out_dir) / "curves"
+    for s in range(config.n_systems):
+        (curves / config.unit_id(s, 0)).mkdir(parents=True)
+    for s in (0, 2, 3):
+        unit = config.unit_id(s, 0)
+        for k, (level, metric) in enumerate(itertools.product(config.levels, config.metrics)):
+            values = [round(0.1 * (s + 1) + 0.05 * k + 0.01 * j, 6) for j in range(3)]
+            doc = _curve_doc(unit, level, metric, values)
+            text = compact_json(doc)
+            if s == 2:
+                text = f" \n{text}\n"
+            elif s == 0 and level == "null" and metric == "scc":
+                text = json.dumps(doc, sort_keys=True)  # spaces after separators
+            elif s == 0 and level == "partial":
+                text = compact_json(_curve_doc(unit, level, metric, values, error_at=2))
+            elif s == 0 and (level, metric) == ("practical", "acc"):
+                doc["points"][0]["p"] = None
+                text = compact_json(doc)
+            elif s == 0 and level == "complete":
+                text = "{}" if metric == "acc" else "null"
+            elif s == 0 and (level, metric) == ("ideal", "scc"):
+                continue  # a missing file
+            (curves / unit / f"{level}_{metric}.json").write_text(text)
+
+
+def test_load_units_matches_a_per_file_reference(tmp_path):
+    """The byte reader yields the units, tables, masks and missing list of a
+    text-mode `json.loads` per file; a file one `json.loads` rejects is an
+    error that names it, and a size mismatch keeps its message."""
+    config = _analyze_config(tmp_path, n_systems=4)
+    _write_reader_cases(config)
+    units, tables, missing = experiment._load_units(config)
+    ref_units, ref_rows, ref_missing = _reference_load_units(config)
+    assert units == ref_units and [u["unit"] for u in units] == ["s0000_t00", "s0002_t00", "s0003_t00"]
+    assert missing == ref_missing == ["s0000_t00", "s0001_t00"]
+    assert set(tables) == set(ref_rows)
+    for key, (table, complete) in tables.items():
+        rows = ref_rows[key]
+        assert complete.tolist() == [r is not None for r in rows]
+        assert table.values.tolist() == [[0.0] * 3 if r is None else r for r in rows]
+    incomplete = [key for key, (_, complete) in tables.items() if not complete[0]]
+    assert incomplete == [
+        ("partial", "acc"), ("partial", "scc"), ("practical", "acc"),
+        ("complete", "acc"), ("complete", "scc"), ("ideal", "scc"),
+    ]
+
+    curves = Path(config.out_dir) / "curves" / "s0003_t00"
+    path = curves / "practical_scc.json"
+    doc = json.loads(path.read_text())
+    doc["points"][1]["n"] = 60
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as expected:
+        _reference_load_units(config)
+    with pytest.raises(ValueError) as raised:
+        experiment._load_units(config)
+    assert str(raised.value) == str(expected.value)
+
+    # Each case fails a per-file json.loads. Joined into one array with
+    # commas, the split case (`[1`, `2]`, `3,4`) parses to one value per
+    # file, so a count check on a joined parse would accept it.
+    cases = {
+        "two values": {"null_acc": "{},{}"},
+        "BOM": {"null_acc": "\ufeff{}"},
+        "truncated": {"null_acc": '{"points":[{"n":20,'},
+        "split": {"null_acc": "[1", "null_scc": "2]", "partial_acc": "3,4"},
+    }
+    for texts in cases.values():
+        for name, text in texts.items():
+            (curves / f"{name}.json").write_text(text)
+        with pytest.raises(ValueError):
+            _reference_load_units(config)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(curves / 'null_acc.json'))}: "):
+            experiment._load_units(config)
+        for name in texts:
+            (curves / f"{name}.json").write_text("{}")
+    (curves / "null_acc.json").write_bytes(b'{"level":"\xff"}')
+    with pytest.raises(ValueError, match="null_acc.json: 'utf-8' codec"):
+        experiment._load_units(config)
+
+
 def test_analyze_empirical_mode_rejects_too_few_scored_units_before_writing(tmp_path):
     """Empirical mode needs four hardness scores for its quartiles; a metric
     left with one to three units with a complete null curve is an error that
@@ -585,6 +716,18 @@ def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["stage"] == "analyze"
     assert "error" in error
+
+
+def test_cli_analyze_names_a_truncated_curve_file(tiny_run, tmp_path, capsys):
+    _, out = tiny_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    curve = copy / "curves" / "s0001_t01" / "partial_scc.json"
+    curve.write_bytes(curve.read_bytes()[:40])
+    assert main(["analyze", "--config", str(copy / "config.json"), "--out", str(copy)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and error["stage"] == "analyze"
+    assert error["detail"].startswith(f"{curve}: Unterminated string")
 
 
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):
