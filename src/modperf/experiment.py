@@ -27,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -49,7 +50,6 @@ from .hardness_opportunity import (
 )
 from .influence_graph import (
     AspectRanges,
-    StructuralAspects,
     derive_knowledge,
     generate_graph,
     graph_from_json,
@@ -120,6 +120,10 @@ class ExperimentConfig:
             raise ValueError("train_sizes must be non-empty and bounded by n_train")
         if min(self.train_sizes) < 1 or len(set(self.train_sizes)) < len(self.train_sizes):
             raise ValueError(f"train_sizes must be distinct and >= 1, got {self.train_sizes}")
+        for name in ("metrics", "levels"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
         unknown = set(self.levels) - set(ALL_LEVELS)
         if unknown:
             raise ValueError(f"unknown levels: {sorted(unknown)}")
@@ -152,26 +156,13 @@ class ExperimentConfig:
         doc = dataclasses.asdict(self)
         for name in self._RUNTIME_FIELDS:
             doc.pop(name)
-        doc["aspect_ranges"] = dataclasses.asdict(self.aspect_ranges)
         return doc
 
     @staticmethod
     def from_dict(doc: dict, **runtime) -> "ExperimentConfig":
-        doc = dict(doc)
-        ranges = doc.pop("aspect_ranges", None)
-        kwargs: dict = {}
-        for key, value in doc.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        if ranges is not None:
-            kwargs["aspect_ranges"] = AspectRanges(
-                **{
-                    key: tuple(v) if key in ASPECT_FEATURES and isinstance(v, list) else v
-                    for key, v in ranges.items()
-                }
-            )
-        kwargs.update(runtime)
+        kwargs = _tuples(doc) | runtime
+        if "aspect_ranges" in kwargs:
+            kwargs["aspect_ranges"] = AspectRanges(**_tuples(kwargs["aspect_ranges"]))
         return ExperimentConfig(**kwargs)
 
     def system_seed(self, s: int) -> int:
@@ -187,12 +178,27 @@ class ExperimentConfig:
         return f"{self.system_id(s)}_t{t:02d}"
 
 
+def _tuples(doc: dict) -> dict:
+    """`doc` with its JSON lists turned back into the config's tuples."""
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in doc.items()}
+
+
 def _dump(doc, compact: bool = False) -> str:
     """`indent=2` JSON for the documents people read; `compact_json` for the
     bulk ones: knowledge, curves, hardness, opportunities and stage 1. Every
     stage document is encoded here, so perfbench's `experiment.write` span
     covers them all."""
     return compact_json(doc) if compact else json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _map_units(config: ExperimentConfig, fn, *indices) -> list:
+    """`fn(config, *index)` for each index tuple zipped from `indices`, in
+    order: on a pool of `config.jobs` processes, or in this one."""
+    args = (itertools.repeat(config), *indices)
+    if config.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            return list(pool.map(fn, *args))
+    return list(map(fn, *args))
 
 
 def _check_resume(config: ExperimentConfig):
@@ -277,20 +283,9 @@ def run_generate(config: ExperimentConfig) -> list[dict]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "config.json", _dump(config.persisted_dict()))
-    indices = list(range(config.n_systems))
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            entries = list(pool.map(_generate_worker, [(config, s) for s in indices]))
-    else:
-        entries = [_generate_one(config, s) for s in indices]
-    entries.sort(key=lambda e: e["index"])
+    entries = _map_units(config, _generate_one, range(config.n_systems))
     _write(out / "manifest.json", _dump({"systems": entries}))
     return entries
-
-
-def _generate_worker(args):
-    config, s = args
-    return _generate_one(config, s)
 
 
 # ------------------------------------------------------------------- model
@@ -303,18 +298,14 @@ def _prefix_sha(records) -> str:
     return digest.hexdigest()[:16]
 
 
-def _curve_names(config: ExperimentConfig) -> dict[tuple[str, str], str]:
-    """The file name of each (level, metric) curve in a unit's curve directory."""
+def _curve_paths(config: ExperimentConfig, unit: str) -> dict[tuple[str, str], str]:
+    """The path of each (level, metric) curve file of `unit`, joined as strings."""
+    unit_dir = os.path.join(config.out_dir, "curves", unit, "")
     return {
-        (level, metric): f"{level}_{metric}.json"
+        (level, metric): f"{unit_dir}{level}_{metric}.json"
         for level in config.levels
         for metric in config.metrics
     }
-
-
-def _curve_paths(config: ExperimentConfig, s: int, t: int) -> dict[tuple[str, str], Path]:
-    unit_dir = Path(config.out_dir) / "curves" / config.unit_id(s, t)
-    return {key: unit_dir / name for key, name in _curve_names(config).items()}
 
 
 def _read_curve_file(path: str):
@@ -335,10 +326,10 @@ def _read_curve_file(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _parses(path: Path) -> bool:
+def _parses(path: str) -> bool:
     """Whether `path` holds a complete JSON document."""
     try:
-        _read_curve_file(str(path))
+        _read_curve_file(path)
     except (OSError, ValueError):
         return False
     return True
@@ -347,7 +338,7 @@ def _parses(path: Path) -> bool:
 def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
     out = Path(config.out_dir)
     unit = config.unit_id(s, t)
-    paths = _curve_paths(config, s, t)
+    paths = _curve_paths(config, unit)
     if config.resume and all(_parses(p) for p in paths.values()):
         return {"unit": unit, "resumed": True}
 
@@ -399,12 +390,11 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                 },
                 "budget": config.budget_evaluations,
             }
-            _write(paths[(level, metric)], _dump(doc, compact=True))
+            _write(Path(paths[level, metric]), _dump(doc, compact=True))
     return {"unit": unit}
 
 
-def _model_worker(args):
-    config, s, t = args
+def _model_worker(config: ExperimentConfig, s: int, t: int) -> dict:
     try:
         return _model_one(config, s, t)
     except Exception as exc:  # isolate unit failures; analyze reports the gap
@@ -415,12 +405,8 @@ def run_model(config: ExperimentConfig) -> list[dict]:
     """Fit every (system, trial, level) and persist efficacy curves."""
     _check_resume(config)
     out = Path(config.out_dir)
-    units = [(config, s, t) for s in range(config.n_systems) for t in range(config.trials)]
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            docs = list(pool.map(_model_worker, units))
-    else:
-        docs = [_model_worker(u) for u in units]
+    units = itertools.product(range(config.n_systems), range(config.trials))
+    docs = _map_units(config, _model_worker, *zip(*units))
     failures = [d for d in docs if "error" in d]
     if failures:
         _write(out / "model_errors.json", _dump(failures))
@@ -451,21 +437,19 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
     unit missing one or more curve files. Each file is read as bytes and
     parsed by one `json.loads` (`_read_curve_file`; a file that does not
     parse is an error that names it), reduced to its efficacy row at once,
-    and its training sizes must be the config's. File names are joined as
-    strings, once per unit."""
-    names = _curve_names(config)
+    and its training sizes must be the config's. File paths are joined as
+    strings (`_curve_paths`)."""
     sizes = tuple(sorted(config.train_sizes))
-    curves = os.path.join(config.out_dir, "curves")
     units, missing = [], []
-    rows = {key: [] for key in names}  # one efficacy list or None per unit
+    # one efficacy list or None per unit, for each (level, metric)
+    rows = {(level, metric): [] for level in config.levels for metric in config.metrics}
     for s in range(config.n_systems):
         for t in range(config.trials):
             unit = config.unit_id(s, t)
-            unit_dir = os.path.join(curves, unit, "")
             found = {}
-            for (level, metric), name in names.items():
+            for (level, metric), path in _curve_paths(config, unit).items():
                 try:
-                    doc = _read_curve_file(unit_dir + name)
+                    doc = _read_curve_file(path)
                 except FileNotFoundError:
                     continue
                 curve = _curve_from_doc(doc) if doc else None
@@ -479,7 +463,7 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
                 units.append({"unit": unit, "system": config.system_id(s), "trial": t})
                 for key, row in rows.items():
                     row.append(found.get(key))
-            if len(found) < len(names):
+            if len(found) < len(rows):
                 missing.append(unit)
     blank = [0.0] * len(sizes)
     tables = {}
@@ -492,7 +476,9 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
 
 def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metric: str, gaps: dict):
     """Hardness rows and opportunity rows of one metric, in unit order, from
-    `_load_units`' tables; a level outside the config reads as all
+    `_load_units`' tables. Each whole table is scored once; a unit reads its
+    row wherever its masks say its curves are complete, which gives it the
+    bits it would get alone. A level outside the config reads as all
     incomplete. Incomplete curves are appended to `gaps`. In empirical
     mode, 1 to 3 units with a complete null curve is an error."""
     sizes = tuple(sorted(config.train_sizes))
@@ -501,71 +487,51 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metr
     null, has_null = tables.get(("null", metric), absent)
     ideal, has_ideal = tables.get(("ideal", metric), absent)
 
-    rows = np.flatnonzero(has_null)
-    if config.hardness_mode == "empirical" and 0 < len(rows) < EMPIRICAL_MIN_SCORES:
+    n_null = int(has_null.sum())
+    if config.hardness_mode == "empirical" and 0 < n_null < EMPIRICAL_MIN_SCORES:
         raise ValueError(
             f"{metric}: empirical hardness mode needs >= {EMPIRICAL_MIN_SCORES} units with a "
-            f"complete null curve, got {len(rows)}"
+            f"complete null curve, got {n_null}"
         )
-    score = hardness(null.take(rows))
+    score = hardness(null)
+    values = score.value.tolist()
     fixed_levels = classify_hardness(score.value, HardnessMode.FIXED_RANGE)
-    hardness_rows = []
-    for i, value, fixed_level in zip(rows.tolist(), score.value.tolist(), fixed_levels):
-        unit = units[i]
-        hardness_rows.append(
-            {
-                "unit": unit["unit"],
-                "system": unit["system"],
-                "trial": unit["trial"],
-                "value": value,
-                "scaling_constant": score.scaling_constant,
-                "fixed_level": fixed_level,
-            }
-        )
-
-    scored = {}  # (unit index, level) -> (value, gaps, fillings)
+    opportunities = []  # per level: its complete mask, and every row's value, gaps and fillings
     for level in opportunity_levels:
         table, has_level = tables[level, metric]
-        rows = np.flatnonzero(has_null & has_ideal & has_level)
-        opp = opportunity(null.take(rows), ideal.take(rows), table.take(rows), level)
-        entries = zip(opp.value.tolist(), opp.gap.tolist(), opp.filling.tolist())
-        scored.update(((i, level), entry) for i, entry in zip(rows.tolist(), entries))
-    opportunity_rows = []
+        opp = opportunity(null, ideal, table, level)
+        opportunities.append(
+            (level, has_level, opp.value.tolist(), opp.gap.tolist(), opp.filling.tolist())
+        )
+
+    hardness_rows, opportunity_rows = [], []
     incomplete = gaps["incomplete_curves"]
     for i, unit in enumerate(units):
         unit_id = unit["unit"]
         if not has_null[i]:
             incomplete.append({"unit": unit_id, "metric": metric, "level": "null"})
             continue
+        row = {"value": values[i], "scaling_constant": score.scaling_constant, "fixed_level": fixed_levels[i]}
+        hardness_rows.append(unit | row)
         if not has_ideal[i]:
             if "ideal" in config.levels:
                 incomplete.append({"unit": unit_id, "metric": metric, "level": "ideal"})
             continue
-        for level in opportunity_levels:
-            if (i, level) not in scored:
+        for level, has_level, value, gap, filling in opportunities:
+            if not has_level[i]:
                 incomplete.append({"unit": unit_id, "metric": metric, "level": level})
                 continue
-            value, gap, filling = scored[(i, level)]
             opportunity_rows.append(
                 {
                     "unit": unit_id,
                     "level": level,
-                    "value": value,
+                    "value": value[i],
                     "per_size": [
-                        {"n": n, "gap": g, "filling": f} for n, g, f in zip(sizes, gap, filling)
+                        {"n": n, "gap": g, "filling": f} for n, g, f in zip(sizes, gap[i], filling[i])
                     ],
                 }
             )
     return hardness_rows, opportunity_rows
-
-
-def _scaled_aspects(aspects: dict, ranges: AspectRanges) -> list[float]:
-    """A manifest entry's aspects as scaled regression features; the
-    manifest holds the counts as floats (`as_feature_dict`)."""
-    counts = ("option_count", "module_count", "iv_per_module", "perf_count")
-    return scale_aspects(
-        StructuralAspects(**{k: int(v) if k in counts else v for k, v in aspects.items()}), ranges
-    )
 
 
 def run_analyze(config: ExperimentConfig) -> dict:
@@ -582,7 +548,7 @@ def run_analyze(config: ExperimentConfig) -> dict:
     units, tables, missing_units = _load_units(config)
     gaps: dict = {"missing_units": missing_units, "incomplete_curves": [], "notes": []}
     manifest = json.loads((out / "manifest.json").read_text())
-    scaled = {e["system"]: _scaled_aspects(e["aspects"], config.aspect_ranges) for e in manifest["systems"]}
+    scaled = {e["system"]: scale_aspects(e["aspects"], config.aspect_ranges) for e in manifest["systems"]}
 
     rows = {metric: _metric_rows(config, units, tables, metric, gaps) for metric in config.metrics}
     tasks = {}

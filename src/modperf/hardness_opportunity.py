@@ -55,9 +55,6 @@ class CurveTable:
         if self.values.ndim != 2 or self.values.shape[1] != len(self.sizes):
             raise ValueError(f"values must be (curves, {len(self.sizes)}), got {self.values.shape}")
 
-    def take(self, rows) -> CurveTable:
-        return CurveTable(self.metric, self.sizes, self.values[rows])
-
 
 def scaling_constant(sizes) -> float:
     """Exact reciprocal of the harmonic sum of the training sizes."""
@@ -69,6 +66,16 @@ def scaling_constant(sizes) -> float:
     if all(isinstance(n, (int, np.integer)) for n in sizes):
         return float(1 / sum(Fraction(1, int(n)) for n in sizes))
     return float(1.0 / sum(1.0 / n for n in sizes))
+
+
+def _size_weighted(per_size: np.ndarray, sizes) -> np.ndarray:
+    """C * sum(per_size[:, j] / n_j) per row, summed in size order and
+    clamped to [0, 1]: C * sum(1 / n) can round one ulp above 1."""
+    constant = scaling_constant(sizes)
+    total = 0
+    for j, n in enumerate(sizes):
+        total = total + per_size[:, j] / n
+    return _clamp(constant * total)
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,8 @@ def hardness(table: CurveTable) -> HardnessScore:
         raise ValueError("empty curve")
     if not np.isfinite(table.values).all():
         raise ValueError("efficacies must be finite")
-    constant = scaling_constant(table.sizes)
-    losses = _clamp(1.0 - table.values)
-    total = 0
-    for j, n in enumerate(table.sizes):
-        total = total + losses[:, j] / n
-    # C * sum(1 / n) can round one ulp above 1, so clamp the product too
-    value = _clamp(constant * total)
-    return HardnessScore(value=value, metric=table.metric, scaling_constant=constant)
+    value = _size_weighted(_clamp(1.0 - table.values), table.sizes)
+    return HardnessScore(value, table.metric, scaling_constant(table.sizes))
 
 
 @dataclass(frozen=True)
@@ -115,17 +116,13 @@ def opportunity(null: CurveTable, ideal: CurveTable, known: CurveTable, level: s
         raise ValueError("curves must share the same metric")
     if not (null.values.shape == ideal.values.shape == known.values.shape):
         raise ValueError("tables must hold the same number of curves")
-    constant = scaling_constant(null.sizes)
     p_null = _clamp(null.values)
     gap = _clamp(ideal.values) - p_null
     open_gap = gap > GAP_EPS
     filling = np.where(
         open_gap, _clamp((_clamp(known.values) - p_null) / np.where(open_gap, gap, 1.0)), 0.0
     )
-    total = 0.0
-    for j, n in enumerate(null.sizes):
-        total = total + filling[:, j] * _clamp(gap[:, j], 0.0, np.inf) / n
-    value = _clamp(constant * total)
+    value = _size_weighted(filling * _clamp(gap, 0.0, np.inf), null.sizes)
     return OpportunityScore(
         value=value, level=level, metric=null.metric, sizes=null.sizes, gap=gap, filling=filling
     )

@@ -133,12 +133,14 @@ class AspectRanges:
                 raise ValueError(f"invalid range for {name}: [{lo}, {hi}]")
 
 
-def scale_aspects(aspects: StructuralAspects, ranges: AspectRanges = AspectRanges()) -> list[float]:
-    """Scale the five aspect parameters to [0, 1] by their value-space bounds
+def scale_aspects(features: dict[str, float], ranges: AspectRanges = AspectRanges()) -> list[float]:
+    """Scale the five aspect parameters of a feature mapping (`as_feature_dict`,
+    or a manifest's aspects) to [0, 1] by their value-space bounds
     (regression features). Degenerate point ranges map to 0.5."""
     scaled = []
-    for name, value in aspects.as_feature_dict().items():
+    for name in ASPECT_FEATURES:
         lo, hi = getattr(ranges, name)
+        value = float(features[name])
         scaled.append(0.5 if hi == lo else (value - lo) / (hi - lo))
     return scaled
 

@@ -265,7 +265,7 @@ def _criterion7_one(cell):
     )
     points = level_curves(search, dataset, ("scc",), SIZES)["null"]
     curve = CurveTable("scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]]))
-    return module_count, hardness(curve).value[0], scale_aspects(aspects)
+    return module_count, hardness(curve).value[0], scale_aspects(aspects.as_feature_dict())
 
 
 def _spearman_permutation_p(x, y, n_perm=10_000, seed=0) -> float:

@@ -247,6 +247,9 @@ def test_parallel_generation_matches_serial(tmp_path):
     run_generate(serial)
     run_generate(parallel)
     assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
+    # the model stage on the pool: the same unit documents and files
+    assert run_model(serial) == run_model(parallel)
+    assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
 
 
 # sha256 of the tree below, as written with compact bulk JSON and one noise
@@ -900,11 +903,15 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
         (dict(cv_folds=1), "cv_folds"),
         (dict(budget_evaluations=0), "budget_evaluations"),
         (dict(forest_scale="huge"), "forest_scale"),
+        (dict(metrics=("acc", "acc")), "metrics"),
+        (dict(levels=("null", "ideal", "null")), "levels"),
     ],
 )
 def test_config_rejects_bad_model_settings(tmp_path, bad, match):
-    """Caught when the config is built; left to the model stage, every unit
-    fails with the same error into model_errors.json and the CLI exits 0."""
+    """Caught when the config is built. Left unchecked, a bad forest or CV
+    setting fails every unit into model_errors.json while the CLI exits 0,
+    and a repeated metric or level lists each incomplete curve twice in
+    gaps.json."""
     with pytest.raises(ValueError, match=match):
         _tiny_config(tmp_path, **bad)
     _tiny_config(tmp_path, cv_folds=2, budget_evaluations=1, forest_scale="paper")

@@ -311,7 +311,7 @@ def test_table_kernels_match_scalar_definitions_bitwise(sizes):
         assert _bits(opp.gap[i]) == _bits(want_gap)
         assert _bits(opp.filling[i]) == _bits(want_fill)
         # the row scored alone, as a one-row table: the same bits
-        alone = [table.take([i]) for table in tables]
+        alone = [CurveTable("scc", sizes, t[i : i + 1]) for t in (null, ideal, level)]
         one = opportunity(*alone, "partial")
         assert _bits([hardness(alone[0]).value[0], one.value[0]]) == _bits([h.value[i], opp.value[i]])
         assert _bits(one.gap[0]) == _bits(opp.gap[i])

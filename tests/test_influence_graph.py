@@ -257,7 +257,7 @@ def test_node_id_encoding_roundtrip():
 
 def test_scale_aspects_bounds_and_degenerate():
     a = StructuralAspects(option_count=16, p_w=0.5, mu_a=0.4, sigma_a=0.01, module_count=5)
-    scaled = scale_aspects(a, TABLE_RANGES)
+    scaled = scale_aspects(a.as_feature_dict(), TABLE_RANGES)
     assert scaled == [1.0, 0.0, 1.0, 0.0, 0.0]
-    degen = scale_aspects(a, AspectRanges(option_count=(16, 16)))
+    degen = scale_aspects(a.as_feature_dict(), AspectRanges(option_count=(16, 16)))
     assert degen[0] == 0.5
