@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ValueError("train_sizes must be non-empty and bounded by n_train")
         if min(self.train_sizes) < 1 or len(set(self.train_sizes)) < len(self.train_sizes):
             raise ValueError(f"train_sizes must be distinct and >= 1, got {self.train_sizes}")
+        # Spearman needs two test points to rank; one point scores every metric together
+        if self.n_test < (2 if "scc" in self.metrics else 1):
+            raise ValueError(f"n_test must be >= 1, and >= 2 with scc, got {self.n_test}")
         for name in ("metrics", "levels"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
@@ -514,8 +517,7 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metr
         row = {"value": values[i], "scaling_constant": score.scaling_constant, "fixed_level": fixed_levels[i]}
         hardness_rows.append(unit | row)
         if not has_ideal[i]:
-            if "ideal" in config.levels:
-                incomplete.append({"unit": unit_id, "metric": metric, "level": "ideal"})
+            incomplete.append({"unit": unit_id, "metric": metric, "level": "ideal"})
             continue
         for level, has_level, value, gap, filling in opportunities:
             if not has_level[i]:

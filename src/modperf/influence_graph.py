@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -317,23 +317,12 @@ def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
         if kind in (EdgeKind.WITHIN_OI, EdgeKind.ACROSS_OI, EdgeKind.IV_TO_IV)
     )
 
-    pie: set[tuple[NodeId, NodeId]] = set()
-    for m in range(a.module_count):
-        for j in range(a.option_count):
-            for k in range(a.iv_per_module):
-                pie.add((option(m, j), intermediate(m, k)))
-    linked_pairs = {
-        (src.module, dst.module)
-        for src, dst, kind in graph.edges
-        if kind is EdgeKind.ACROSS_OI
+    # each module with itself, and each ordered module pair with a true cross edge
+    linked = {(m, m) for m in range(a.module_count)} | {
+        (src.module, dst.module) for src, dst, kind in graph.edges if kind is EdgeKind.ACROSS_OI
     }
-    for src_m, dst_m in linked_pairs:
-        for j in range(a.option_count):
-            for k in range(a.iv_per_module):
-                pie.add((option(src_m, j), intermediate(dst_m, k)))
-    for src, dst, kind in graph.edges:
-        if kind is EdgeKind.IV_TO_IV:
-            pie.add((src, dst))
+    pie = {(o, iv) for s, d in linked for o in boundaries[s][0] for iv in boundaries[d][1]}
+    pie.update((src, dst) for src, dst, kind in graph.edges if kind is EdgeKind.IV_TO_IV)
 
     artifacts = KnowledgeArtifacts(
         logical_boundaries=boundaries,
@@ -348,15 +337,7 @@ def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
 def graph_doc(graph: CausalInfluenceGraph) -> dict:
     """The graph as a JSON-ready dict; `semantics_to_json` embeds it as is."""
     return {
-        "aspects": {
-            "option_count": graph.aspects.option_count,
-            "p_w": graph.aspects.p_w,
-            "mu_a": graph.aspects.mu_a,
-            "sigma_a": graph.aspects.sigma_a,
-            "module_count": graph.aspects.module_count,
-            "iv_per_module": graph.aspects.iv_per_module,
-            "perf_count": graph.aspects.perf_count,
-        },
+        "aspects": asdict(graph.aspects),
         "seed": graph.seed,
         "iv_to_iv_p": graph.iv_to_iv_p,
         "edges": [

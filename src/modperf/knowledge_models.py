@@ -189,16 +189,6 @@ def predict_models(models, Zs) -> list[np.ndarray]:
     return _predict_each([m.perf_model for m in models], Xs)
 
 
-def _forest_params(candidate: dict, seed: int) -> ForestParams:
-    return ForestParams(
-        n_trees=int(candidate["n_trees"]),
-        max_depth=int(candidate["max_depth"]),
-        min_samples_leaf=int(candidate["min_samples_leaf"]),
-        feature_subsample=float(candidate["feature_subsample"]),
-        bootstrap_seed=seed,
-    )
-
-
 def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape):
     """Each IV's candidate parents are the options of its own module."""
     parents = {
@@ -336,7 +326,8 @@ def _keys(plan: _Plan, candidate: dict, tag: tuple) -> list[_Key]:
     family = (int(candidate["min_samples_leaf"]), float(candidate["feature_subsample"]).hex())
     return [
         _Key(
-            _forest_params(candidate, derive(plan.seed, target, *tag, *family)), column, inputs, tag
+            ForestParams(**candidate, bootstrap_seed=derive(plan.seed, target, *tag, *family)),
+            column, inputs, tag,
         )
         for target, inputs, column in plan.forests
     ]

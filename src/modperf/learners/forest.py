@@ -43,18 +43,20 @@ One generator draws the ``(n_trees, n)`` bootstrap rows of all problems of
 a call that share the bootstrap seed, ``n`` and ``n_trees``. Each node
 considers exactly ``n_sub`` features, the ones with the smallest splitmix64
 keys ``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so
-no node's subset depends on traversal order or on other subtrees. Trees are stored in one tree-major node table per forest.
-`predict_forests` walks the (row, tree) entries of many forests, each on its
-own rows, down one stacked node table at once, and each forest averages its
-trees' outputs; `FittedForest.predict` is its one-forest call. Everything is
-deterministic in the bootstrap seed.
+no node's subset depends on traversal order or on other subtrees. Trees are
+stored in one tree-major node table per forest. `predict_forests` walks the
+(row, tree) entries of many forests, each on its own rows, down one stacked
+node table at once, and each forest averages its trees' outputs;
+`FittedForest.predict` is its one-forest call. `FittedForest.trees` are
+one-tree forests over views of the node table, predicted by the same walk.
+Everything is deterministic in the bootstrap seed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -116,25 +118,6 @@ def _leaves(X, base, feature, threshold, left, right, node) -> np.ndarray:
     return node
 
 
-@dataclass(frozen=True, eq=False)
-class _Tree:
-    """One tree as views into its forest's node table, rooted at node 0;
-    leaves have feature == -1 and children -1."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def predict(self, X) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=float)
-        n, d = X.shape
-        table = (self.feature, self.threshold, self.left, self.right)
-        leaf = _leaves(X.ravel(), np.arange(n) * d, *table, np.zeros(n, dtype=np.intp))
-        return self.value[leaf]
-
-
 @dataclass(eq=False)
 class FittedForest:
     """Tree-major node table: tree t owns nodes offsets[t]:offsets[t+1],
@@ -150,10 +133,15 @@ class FittedForest:
     value: np.ndarray
 
     @functools.cached_property
-    def trees(self) -> list[_Tree]:
+    def trees(self) -> list[FittedForest]:
+        """Each tree as a one-tree forest whose node arrays are views of
+        this forest's node table; it predicts through the same walk."""
+        params = replace(self.params, n_trees=1)
         columns = (self.feature, self.threshold, self.left, self.right, self.value)
         return [
-            _Tree(*(c[lo:hi] for c in columns))
+            FittedForest(
+                params, self.n_features, np.array([0, hi - lo]), *(c[lo:hi] for c in columns)
+            )
             for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
         ]
 

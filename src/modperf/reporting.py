@@ -3,6 +3,9 @@ tables, and a dependency-free SVG heatmap of the opportunity matrix."""
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 
 from .hardness_opportunity import HARDNESS_LEVELS, MATRIX_LEVELS, OpportunityMatrix
@@ -58,38 +61,19 @@ def samples_to_csv(matrix: OpportunityMatrix) -> str:
 
 
 def tests_to_json(tests: list[HypothesisTest]) -> str:
-    rows = [
-        {
-            "family": t.family,
-            "hypothesis_id": t.hypothesis_id,
-            "group1": list(t.group1),
-            "group2": list(t.group2),
-            "alternative": t.alternative,
-            "n1": t.n1,
-            "n2": t.n2,
-            "p_value": t.p_value,
-            "cles_g1": t.cles_g1,
-            "cles_g2": t.cles_g2,
-            "significant": t.significant,
-            "skipped": t.skipped,
-        }
-        for t in tests
-    ]
-    return json.dumps(rows, sort_keys=True, indent=2)
+    return json.dumps([dataclasses.asdict(t) for t in tests], sort_keys=True, indent=2)
 
 
 def tests_to_csv(tests: list[HypothesisTest]) -> str:
-    lines = ["family,hypothesis_id,group1,group2,alternative,n1,n2,p_value,cles_g1,cles_g2,significant,skipped"]
+    """Standard CSV, one column per `HypothesisTest` field: a group is written
+    as ``level|hardness``, None as an empty cell, and a cell holding a comma,
+    such as every `hypothesis_id`, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in dataclasses.fields(HypothesisTest))
     for t in tests:
-        p = "" if t.p_value is None else repr(t.p_value)
-        c1 = "" if t.cles_g1 is None else repr(t.cles_g1)
-        c2 = "" if t.cles_g2 is None else repr(t.cles_g2)
-        lines.append(
-            f"{t.family},{t.hypothesis_id},{t.group1[0]}|{t.group1[1]},"
-            f"{t.group2[0]}|{t.group2[1]},{t.alternative},{t.n1},{t.n2},{p},{c1},{c2},"
-            f"{t.significant},{t.skipped}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow("|".join(v) if isinstance(v, tuple) else v for v in dataclasses.astuple(t))
+    return out.getvalue()
 
 
 def _blend(fraction: float) -> str:

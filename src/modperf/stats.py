@@ -377,7 +377,7 @@ class HypothesisTest:
     cles_g1: float | None
     cles_g2: float | None
     significant: bool
-    skipped: bool = False
+    skipped: bool
 
 
 def _cell_pairs():
@@ -413,31 +413,24 @@ def _cell_pairs():
 def matrix_hypothesis_tests(matrix: OpportunityMatrix, alpha: float = 0.05) -> list[HypothesisTest]:
     """Run the full 27-test battery over a populated opportunity matrix.
 
-    Tests touching an empty cell are emitted as skipped rows rather than
-    dropped, so the table shape stays constant.
+    Tests touching an empty cell are emitted as skipped rows, with no
+    p-value and no effect sizes, rather than dropped, so the table shape
+    stays constant.
     """
     results = []
     for family, g1, g2, alternative in _cell_pairs():
         cell1 = matrix.cell(*g1)
         cell2 = matrix.cell(*g2)
-        hid = f"{family}:{g1[0]},{g1[1]}-vs-{g2[0]},{g2[1]}"
-        if cell1.empty or cell2.empty:
-            results.append(
-                HypothesisTest(
-                    family=family, hypothesis_id=hid, group1=g1, group2=g2,
-                    alternative=alternative, n1=cell1.count, n2=cell2.count,
-                    p_value=None, cles_g1=None, cles_g2=None,
-                    significant=False, skipped=True,
-                )
-            )
-            continue
-        res = mann_whitney_u(cell1.samples, cell2.samples, alternative=alternative)
+        skipped = cell1.empty or cell2.empty
+        res = None if skipped else mann_whitney_u(cell1.samples, cell2.samples, alternative=alternative)
         results.append(
             HypothesisTest(
-                family=family, hypothesis_id=hid, group1=g1, group2=g2,
-                alternative=alternative, n1=cell1.count, n2=cell2.count,
-                p_value=res.p_value, cles_g1=res.cles, cles_g2=res.cles_other,
-                significant=res.p_value < alpha, skipped=False,
+                family=family, hypothesis_id=f"{family}:{g1[0]},{g1[1]}-vs-{g2[0]},{g2[1]}",
+                group1=g1, group2=g2, alternative=alternative, n1=cell1.count, n2=cell2.count,
+                p_value=None if skipped else res.p_value,
+                cles_g1=None if skipped else res.cles,
+                cles_g2=None if skipped else res.cles_other,
+                significant=not skipped and res.p_value < alpha, skipped=skipped,
             )
         )
     return results

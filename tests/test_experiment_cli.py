@@ -382,12 +382,12 @@ def _analyze_config(tmp_path, **overrides):
 
 # sha256 of the analysis trees of the hand-made inputs above, fixed mode
 # then empirical mode, with compact hardness, opportunity and stage-1
-# documents. The array kernels and the joint stage-1 solve must keep every
-# byte.
-ANALYZE_TREE_SHA = "d19c5b9cdb264c63f846efecc089e0f2c5386ce093dd9bf06dbf637c8e30a67a"
+# documents and standard-CSV test tables (`hypothesis_id` quoted). The array
+# kernels and the joint stage-1 solve must keep every byte.
+ANALYZE_TREE_SHA = "3fe82be2d351ca80a77df87d54142d853a5317ffc2651f8ed422bfc47f16a579"
 # The same trees with use_measured_hardness: acc's stage 1 runs, but every
 # unit is routed by its measured hardness.
-ANALYZE_MEASURED_TREE_SHA = "dbe4a058d53a7ef172ed6d713bcacebdbe4b56ba544f11670cd30e7638884b02"
+ANALYZE_MEASURED_TREE_SHA = "52ad3665cd0e576b42e882523053504c88b72d450d40522b1073ee34bdb54313"
 
 
 def _analyze_trees_sha(tmp_path, **overrides) -> str:
@@ -712,6 +712,27 @@ def test_analyze_without_the_null_level(tmp_path):
     ]
 
 
+def test_analyze_without_the_ideal_level(tmp_path):
+    """Levels without `ideal` score no opportunity: every unit's ideal curve
+    is listed as incomplete, as a missing null curve is, and no opportunity
+    row is written."""
+    config = _analyze_config(tmp_path, levels=("null", "partial"))
+    _write_analyze_inputs(config)
+    run_analyze(config)
+    analysis = Path(config.out_dir) / "analysis"
+    gaps = json.loads((analysis / "gaps.json").read_text())
+    units = [config.unit_id(s, 0) for s in range(config.n_systems)]
+    for metric in config.metrics:
+        listed = [(g["unit"], g["level"]) for g in gaps["incomplete_curves"] if g["metric"] == metric]
+        # the scc null curves of s0007-s0011 hold an error point, so those
+        # units are listed for their null curve
+        assert listed == [
+            (unit, "null" if metric == "scc" and 7 <= s <= 11 else "ideal")
+            for s, unit in enumerate(units)
+        ]
+        assert json.loads((analysis / f"opportunities_{metric}.json").read_text()) == []
+
+
 def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path / "missing")])
     captured = capsys.readouterr()
@@ -905,16 +926,20 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
         (dict(forest_scale="huge"), "forest_scale"),
         (dict(metrics=("acc", "acc")), "metrics"),
         (dict(levels=("null", "ideal", "null")), "levels"),
+        (dict(n_test=0), "n_test"),
+        (dict(n_test=1), "n_test"),
     ],
 )
 def test_config_rejects_bad_model_settings(tmp_path, bad, match):
     """Caught when the config is built. Left unchecked, a bad forest or CV
-    setting fails every unit into model_errors.json while the CLI exits 0,
-    and a repeated metric or level lists each incomplete curve twice in
-    gaps.json."""
+    setting, or a single test point that Spearman cannot rank, fails every
+    unit into model_errors.json while the CLI exits 0; no test point fails
+    generate after config.json is written; and a repeated metric or level
+    lists each incomplete curve twice in gaps.json."""
     with pytest.raises(ValueError, match=match):
         _tiny_config(tmp_path, **bad)
     _tiny_config(tmp_path, cv_folds=2, budget_evaluations=1, forest_scale="paper")
+    _tiny_config(tmp_path, n_test=1, metrics=("acc",))
 
 
 def test_failed_write_leaves_previous_artifact(tmp_path):

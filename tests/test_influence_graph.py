@@ -241,6 +241,31 @@ def test_pie_skips_unlinked_module_pairs():
     assert cross_pie_pairs == linked
 
 
+def test_pie_matches_its_definition():
+    """PIE is every within-module (option, IV) pair, every (option, IV) pair
+    of an ordered module pair that holds a true cross edge, and every IV->IV
+    edge; built here node by node from that definition."""
+    a = StructuralAspects(option_count=4, p_w=0.7, mu_a=0.04, sigma_a=0.05, module_count=4)
+    unlinked = 0
+    for seed in range(20):
+        g = generate_graph(a, seed=seed, iv_to_iv_p=0.3)
+        cross = {(s.module, d.module) for s, d, k in g.edges if k is EdgeKind.ACROSS_OI}
+        unlinked += a.module_count * (a.module_count - 1) - len(cross)
+        expected = {
+            (option(src_m, j), intermediate(dst_m, k))
+            for src_m in range(a.module_count)
+            for dst_m in range(a.module_count)
+            if src_m == dst_m or (src_m, dst_m) in cross
+            for j in range(a.option_count)
+            for k in range(a.iv_per_module)
+        }
+        iv_edges = {(s, d) for s, d, k in g.edges if k is EdgeKind.IV_TO_IV}
+        assert iv_edges
+        expected |= iv_edges
+        assert derive_knowledge(g).potential_influence_edges == expected
+    assert unlinked > 0
+
+
 def test_graph_json_roundtrip_byte_identical():
     g = generate_graph(
         StructuralAspects(option_count=6, p_w=0.7, mu_a=0.2, sigma_a=0.1, module_count=3), seed=21

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_force_mwu_p
+from modperf import reporting
 from modperf.hardness_opportunity import build_matrix
 from modperf.learners import CVSpec, fold_indices, mse
 from modperf.learners.lasso import CVLosses, SolveCounts
@@ -403,6 +406,35 @@ def test_hypothesis_battery_skips_empty_cells():
     assert skipped and all(t.p_value is None for t in skipped)
     live = [t for t in tests if not t.skipped]
     assert all({t.group1, t.group2} <= {("partial", "low"), ("partial", "medium")} for t in live)
+
+
+def test_tests_csv_reads_back_one_cell_per_field():
+    """`tests_to_csv` is standard CSV: every row has the header's 12 cells,
+    though each `hypothesis_id` holds commas, and each cell reads back as its
+    `HypothesisTest` value (a group as level|hardness, None as empty)."""
+    observations = [
+        (level, hardness_level, value)
+        for level in ("partial", "practical")
+        for hardness_level in ("low", "medium")
+        for value in (0.1, 0.2, 0.35)
+    ]
+    tests = matrix_hypothesis_tests(build_matrix(observations, metric="acc"))
+    assert any(t.skipped for t in tests) and not all(t.skipped for t in tests)
+    rows = list(csv.reader(io.StringIO(reporting.tests_to_csv(tests))))
+    assert rows[0] == [
+        "family", "hypothesis_id", "group1", "group2", "alternative", "n1", "n2",
+        "p_value", "cles_g1", "cles_g2", "significant", "skipped",
+    ]
+    assert len(rows) == 1 + len(tests)
+    assert all(len(row) == 12 for row in rows)
+    for row, t in zip(rows[1:], tests):
+        family, hid, g1, g2, alternative, n1, n2, p, c1, c2, significant, skipped = row
+        assert (family, hid, alternative) == (t.family, t.hypothesis_id, t.alternative)
+        assert (g1, g2) == ("|".join(t.group1), "|".join(t.group2))
+        assert (int(n1), int(n2)) == (t.n1, t.n2)
+        for cell, value in ((p, t.p_value), (c1, t.cles_g1), (c2, t.cles_g2)):
+            assert (cell == "") if value is None else (float(cell) == value)
+        assert (significant, skipped) == (str(t.significant), str(t.skipped))
 
 
 def _pipeline_task(aspect_records, opportunity_records, systems=None):
