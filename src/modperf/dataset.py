@@ -1,23 +1,26 @@
-"""Configuration sampling, measurement records, and dataset persistence.
+"""Configuration sampling, dataset arrays, and dataset persistence.
 
 Configurations are drawn uniformly without replacement (duplicates are
-re-drawn) so train and test never overlap; the train list is already in
-seeded-random order, which makes nested training prefixes well defined.
-The measurement noise of all records comes from one generator seeded with
-`derive(seed, "noise")`, which draws a (records x values) block in record
-order (`Evaluator.apply_noise`).
+re-drawn) so train and test never overlap. A `SystemDataset` holds its rows
+as arrays, training rows first in seeded-random order, so a training prefix
+is a row slice and prefixes nest. The noise of all rows comes from one
+generator seeded with `derive(seed, "noise")`, which draws a (rows x
+values) block in row order (`Evaluator.apply_noise`).
 
 The CSV format is defined cell by cell: a header of column names, then per
-record its option bits as "0"/"1" and its IV and perf values as
+row its option bits as "0"/"1" and its IV and perf values as
 ``repr(float(v))``, which round-trips every float exactly. The writer and
-the reader work on whole arrays but keep that text byte for byte; the
-reader accepts only the exact cells the writer produces.
+the reader work on whole arrays but keep that text byte for byte. The
+reader takes only the header the writer derives from the column names and
+option cells "0" or "1"; a value cell may be any literal that ``float()``
+reads as a finite float, such as " 1.5", "+1.0" or "1_0".
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,39 +44,50 @@ class MeasurementRecord:
     perf_values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDataset:
+    """A system's rows, its `n_train` training rows first: `bits` (rows x
+    options, uint8), `ivs` (rows x IVs) and `perf` (rows x perfs)."""
+
     system_id: str
     seed: int
-    train: list[MeasurementRecord]
-    test: list[MeasurementRecord]
+    bits: np.ndarray
+    ivs: np.ndarray
+    perf: np.ndarray
+    n_train: int
     train_sizes: tuple[int, ...]
-    option_names: tuple[str, ...] = field(default=(), compare=False)
-    iv_names: tuple[str, ...] = field(default=(), compare=False)
-    perf_names: tuple[str, ...] = field(default=(), compare=False)
+    option_names: tuple[str, ...]
+    iv_names: tuple[str, ...]
+    perf_names: tuple[str, ...]
+
+    # The record view is read only by perfbench: `GenerateSweep.check` and
+    # `.quality` (perfbench/workloads.py) and `_after_sample`
+    # (perfbench/tracer.py). The benchmark change of ROADMAP item 1 deletes
+    # `train`, `test` and `MeasurementRecord`.
+    @property
+    def train(self) -> list[MeasurementRecord]:
+        return self._records(slice(self.n_train))
+
+    @property
+    def test(self) -> list[MeasurementRecord]:
+        return self._records(slice(self.n_train, None))
+
+    def _records(self, rows: slice) -> list[MeasurementRecord]:
+        return list(map(MeasurementRecord, self.bits[rows], self.ivs[rows], self.perf[rows]))
 
 
-def _draw_distinct_configs(
-    rng: np.random.Generator, n_options: int, total: int
-) -> np.ndarray:
+def _draw_distinct_configs(rng: np.random.Generator, n_options: int, total: int) -> np.ndarray:
+    """The first `total` distinct rows of rounds of `total` uniform draws."""
     if 2**n_options < total:
-        raise CapacityError(
-            f"requested {total} distinct configurations from a space of {2**n_options}"
-        )
-    seen: set[bytes] = set()
-    rows: list[np.ndarray] = []
+        raise CapacityError(f"requested {total} distinct configurations from a space of {2**n_options}")
+    rows = np.empty((0, n_options), dtype=np.uint8)
     for _ in range(_OVERSAMPLE_ROUNDS):
-        batch = rng.integers(0, 2, size=(total, n_options), dtype=np.uint8)
-        for row in batch:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-                if len(rows) == total:
-                    return np.stack(rows)
+        rows = np.concatenate([rows, rng.integers(0, 2, size=(total, n_options), dtype=np.uint8)])
+        rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]  # first occurrences
+        if len(rows) >= total:
+            return rows[:total]
     raise CapacityError(
-        f"could not draw {total} distinct configurations in "
-        f"{_OVERSAMPLE_ROUNDS}x oversampling"
+        f"could not draw {total} distinct configurations in {_OVERSAMPLE_ROUNDS}x oversampling"
     )
 
 
@@ -86,21 +100,15 @@ def sample_dataset(
     system_id: str = "system",
 ) -> SystemDataset:
     """Draw n_train + n_test distinct configurations and measure them, with
-    the noise of every record drawn from one generator (module docstring)."""
+    the noise of every row drawn from one generator (module docstring)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be >= 1")
     evaluator = Evaluator(semantics)
     rng = np.random.default_rng(derive(seed, "configs"))
-    total = n_train + n_test
-    bits = _draw_distinct_configs(rng, len(evaluator.options), total)
+    bits = _draw_distinct_configs(rng, len(evaluator.options), n_train + n_test)
+    ivs, perf = evaluator.noiseless(bits.astype(float))
+    ivs, perf = evaluator.apply_noise(ivs, perf, derive(seed, "noise"))
 
-    iv_values, perf_values = evaluator.noiseless(bits.astype(float))
-    iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, derive(seed, "noise"))
-
-    records = [
-        MeasurementRecord(config=bits[k], iv_values=iv_values[k], perf_values=perf_values[k])
-        for k in range(total)
-    ]
     if train_sizes is None:
         sizes = tuple(n for n in DEFAULT_TRAIN_SIZES if n <= n_train)
     else:
@@ -108,10 +116,7 @@ def sample_dataset(
         if sizes and sizes[-1] > n_train:
             raise ValueError(f"max train size {sizes[-1]} exceeds n_train {n_train}")
     return SystemDataset(
-        system_id=system_id,
-        seed=seed,
-        train=records[:n_train],
-        test=records[n_train:],
+        system_id=system_id, seed=seed, bits=bits, ivs=ivs, perf=perf, n_train=n_train,
         train_sizes=sizes,
         option_names=tuple(n.encode() for n in evaluator.options),
         iv_names=tuple(n.encode() for n in evaluator.ivs),
@@ -119,54 +124,37 @@ def sample_dataset(
     )
 
 
-def training_prefix(dataset: SystemDataset, n: int) -> list[MeasurementRecord]:
-    """First n training records; prefixes nest (prefix(50) extends prefix(20))."""
-    if n < 1:
-        raise ValueError(f"prefix size must be >= 1, got {n}")
-    if n > len(dataset.train):
-        raise ValueError(f"prefix {n} exceeds training set size {len(dataset.train)}")
-    return dataset.train[:n]
+def _header(names) -> list[str]:
+    """The CSV column names of the node names `names`: "O:m:j" is "o_m_j",
+    "IV:m:k" is "iv_m_k" and "P:q" is "perf_q"."""
+    prefix = {"O": "o", "IV": "iv", "P": "perf"}
+    return ["_".join([prefix[kind], *rest]) for kind, *rest in (n.split(":") for n in names)]
 
 
-def _header(dataset: SystemDataset) -> list[str]:
-    def col(name: str) -> str:
-        parts = name.split(":")
-        if parts[0] == "O":
-            return f"o_{parts[1]}_{parts[2]}"
-        if parts[0] == "IV":
-            return f"iv_{parts[1]}_{parts[2]}"
-        return f"perf_{parts[1]}"
-
-    return [col(n) for n in dataset.option_names + dataset.iv_names + dataset.perf_names]
-
-
-def records_to_csv(dataset: SystemDataset, records: list[MeasurementRecord]) -> str:
-    """The header line, then one line per record: each option bit as
-    ``str(int(b))``, then each IV and perf value as ``repr(float(v))``.
+def rows_to_csv(dataset: SystemDataset, rows: slice) -> str:
+    """The header line, then one line per row of `dataset` that `rows`
+    selects: each option bit as ``str(int(b))``, then each IV and perf value
+    as ``repr(float(v))``.
 
     The bits are written as one digit-and-comma byte array, so a line's
     bit cells are one ``tobytes().decode()``; the values go through one
     ``tolist()``, whose floats ``repr`` exactly as ``repr(float(v))``.
     """
-    lines = [",".join(_header(dataset))]
-    if records:
-        bits = np.stack([r.config for r in records])
-        values = np.hstack(
-            [np.stack([r.iv_values for r in records]), np.stack([r.perf_values for r in records])],
-            dtype=float,
-        )
-        digits = np.full((len(records), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
-        digits[:, ::2] = bits + ord("0")
-        lines += [
-            prefix.tobytes().decode() + ",".join(map(repr, row))
-            for prefix, row in zip(digits, values.tolist())
-        ]
+    bits = dataset.bits[rows]
+    values = np.hstack([dataset.ivs[rows], dataset.perf[rows]], dtype=float)
+    digits = np.full((len(bits), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
+    digits[:, ::2] = bits + ord("0")
+    lines = [",".join(_header(dataset.option_names + dataset.iv_names + dataset.perf_names))]
+    lines += [
+        prefix.tobytes().decode() + ",".join(map(repr, row))
+        for prefix, row in zip(digits, values.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
 def _line_error(line: str, n_options: int, width: int) -> str | None:
     """Why one body line is malformed, or None: the cell-by-cell form of the
-    bulk checks in `records_from_csv`."""
+    bulk checks in `rows_from_csv`."""
     cells = line.split(",")
     if len(cells) != width:
         return f"{len(cells)} cells, expected {width}"
@@ -182,24 +170,31 @@ def _line_error(line: str, n_options: int, width: int) -> str | None:
     return None
 
 
-def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> list[MeasurementRecord]:
-    """Parse a CSV written by `records_to_csv`; a header-only text gives [].
+def rows_from_csv(text: str, options, ivs, perfs) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a CSV that `rows_to_csv` wrote for the columns named `options`,
+    `ivs` and `perfs` into its option bits (rows x options, uint8) and its
+    IV and perf values (rows x (IVs + perfs)); a header-only text gives no
+    rows.
 
-    Every option cell must be exactly "0" or "1", as the writer produces,
-    and every value a finite ``float()``. The lines are checked and parsed
-    in bulk: every line's bit cells at once from its fixed-width prefix,
-    every value with one parse. When that fails, the lines are checked one
-    by one to raise a ValueError naming the first malformed 1-based line.
+    The header must be the one `rows_to_csv` derives from the names. Every
+    option cell must be exactly "0" or "1", and every value cell a literal
+    that ``float()`` reads as a finite float. The lines are checked and
+    parsed in bulk: every line's bit cells at once from its fixed-width
+    prefix, every value with one parse. When that fails, the lines are
+    checked one by one to raise a ValueError naming the first malformed
+    1-based line.
     """
-    if n_ivs < 1 or n_perfs < 1:
+    n_options, n_ivs = len(options), len(ivs)
+    if n_ivs < 1 or len(perfs) < 1:
         raise ValueError("a dataset has at least one IV and one perf column")
     header, *body = text.strip().split("\n")
-    width = n_options + n_ivs + n_perfs
-    n_header = len(header.split(","))
-    if n_header != width:
-        raise ValueError(f"line 1: {n_header} header cells, expected {width}")
+    want = _header([*options, *ivs, *perfs])
+    width = len(want)
+    for k, (got_cell, want_cell) in enumerate(itertools.zip_longest(header.split(","), want)):
+        if got_cell != want_cell:
+            raise ValueError(f"line 1: header cell {k + 1} is {got_cell!r}, expected {want_cell!r}")
     if not body:
-        return []
+        return np.empty((0, n_options), np.uint8), np.empty((0, width - n_options))
     n_chars = 2 * n_options  # "b," per option bit
     try:
         if any(line.count(",") != width - 1 for line in body):
@@ -212,7 +207,7 @@ def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> lis
             raise ValueError
         cells = ",".join([line[n_chars:] for line in body]).split(",")
         values = np.fromiter(map(float, cells), float, len(cells))
-        values = values.reshape(len(body), n_ivs + n_perfs)
+        values = values.reshape(len(body), width - n_options)
         if not np.isfinite(values).all():
             raise ValueError
     except ValueError:
@@ -221,26 +216,22 @@ def records_from_csv(text: str, n_options: int, n_ivs: int, n_perfs: int) -> lis
             if error:
                 raise ValueError(f"line {k + 2}: {error}") from None
         raise  # not reached: the line checks cover every bulk check
-    bits = prefixes[:, ::2] - ord("0")
-    return [
-        MeasurementRecord(config=bits[k], iv_values=values[k, :n_ivs], perf_values=values[k, n_ivs:])
-        for k in range(len(body))
-    ]
+    return prefixes[:, ::2] - ord("0"), values
 
 
 def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -> dict:
     """Write train/test CSVs plus a manifest binding them to their inputs,
     each through `write_atomic`."""
-    write_atomic(directory / "train.csv", records_to_csv(dataset, dataset.train))
-    write_atomic(directory / "test.csv", records_to_csv(dataset, dataset.test))
+    write_atomic(directory / "train.csv", rows_to_csv(dataset, slice(dataset.n_train)))
+    write_atomic(directory / "test.csv", rows_to_csv(dataset, slice(dataset.n_train, None)))
     manifest = {
         "system_id": dataset.system_id,
         "seed": dataset.seed,
         "semantics_file": semantics_file,
         "train_file": "train.csv",
         "test_file": "test.csv",
-        "n_train": len(dataset.train),
-        "n_test": len(dataset.test),
+        "n_train": dataset.n_train,
+        "n_test": len(dataset.bits) - dataset.n_train,
         "train_sizes": list(dataset.train_sizes),
         "columns": {
             "options": list(dataset.option_names),
@@ -253,16 +244,28 @@ def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -
 
 
 def load_dataset(directory: Path) -> SystemDataset:
+    """Read what `save_dataset` wrote. Each CSV must hold the header the
+    writer derives from dataset.json's columns and as many rows as
+    dataset.json's `n_train` or `n_test`; a ValueError names the file that
+    does not."""
     manifest = json.loads((directory / "dataset.json").read_text())
     cols = manifest["columns"]
-    n_o, n_iv, n_p = len(cols["options"]), len(cols["ivs"]), len(cols["perfs"])
-    train = records_from_csv((directory / manifest["train_file"]).read_text(), n_o, n_iv, n_p)
-    test = records_from_csv((directory / manifest["test_file"]).read_text(), n_o, n_iv, n_p)
+    names = cols["options"], cols["ivs"], cols["perfs"]
+    parts = []
+    for file_key, count_key in (("train_file", "n_train"), ("test_file", "n_test")):
+        path = directory / manifest[file_key]
+        try:
+            bits, values = rows_from_csv(path.read_text(), *names)
+            if len(bits) != manifest[count_key]:
+                raise ValueError(f"{len(bits)} rows, dataset.json has {count_key} {manifest[count_key]}")
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
+        parts.append((bits, values))
+    bits, values = (np.concatenate(arrays) for arrays in zip(*parts))
+    n_ivs = len(cols["ivs"])
     return SystemDataset(
-        system_id=manifest["system_id"],
-        seed=manifest["seed"],
-        train=train,
-        test=test,
+        system_id=manifest["system_id"], seed=manifest["seed"], bits=bits,
+        ivs=values[:, :n_ivs], perf=values[:, n_ivs:], n_train=manifest["n_train"],
         train_sizes=tuple(manifest["train_sizes"]),
         option_names=tuple(cols["options"]),
         iv_names=tuple(cols["ivs"]),

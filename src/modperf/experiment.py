@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .dataset import load_dataset, sample_dataset, save_dataset, training_prefix
+from .dataset import load_dataset, sample_dataset, save_dataset
 from .hardness_opportunity import (
     EMPIRICAL_MIN_SCORES,
     HARDNESS_LEVELS,
@@ -294,13 +294,6 @@ def run_generate(config: ExperimentConfig) -> list[dict]:
 # ------------------------------------------------------------------- model
 
 
-def _prefix_sha(records) -> str:
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.config.tobytes())
-    return digest.hexdigest()[:16]
-
-
 def _curve_paths(config: ExperimentConfig, unit: str) -> dict[tuple[str, str], str]:
     """The path of each (level, metric) curve file of `unit`, joined as strings."""
     unit_dir = os.path.join(config.out_dir, "curves", unit, "")
@@ -370,7 +363,8 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
         "candidates": enumerate_candidates(space, budget),
         "cv_folds": config.cv_folds,
         "prefix_sha": {
-            str(n): _prefix_sha(training_prefix(dataset, n)) for n in config.train_sizes
+            str(n): hashlib.sha256(dataset.bits[:n].tobytes()).hexdigest()[:16]
+            for n in config.train_sizes
         },
         "note": "identical training prefixes, candidate lists, and budgets across levels",
     }

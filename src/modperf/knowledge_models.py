@@ -5,29 +5,30 @@ per-module forests (options -> own IVs) into an aggregator over all IVs.
 Practical builds a structural model over the potential-influence-edge
 superset with Fisher-Z pruning of irrelevant candidate parents; Complete is
 the same machinery run on the exact influence edges. Ideal consumes the
-measured IVs of test records directly, bounding every other level from
+measured IVs of test rows directly, bounding every other level from
 above.
 
 The levels differ only in the IV parent sets their knowledge yields
 (`LEVEL_PARENTS`). `make_search` turns each level's candidate parents into
 design-column indices once per unit; past that point models, pruning and
 prediction work on columns, and `NodeId`s appear only where documents are
-read and the shape is built. The search maps a training prefix's design
-rows, and the rows to predict, to every level's predictions of them; the
-fitted models serve nothing else. Every fit, CV and final alike, is a job
-of one fit-and-predict stream (`_held_out_predictions`). Each (level,
-candidate) pair's CV loss is its mean held-out MSE over shared fold index
-arrays, and each level's first candidate with the lowest loss (`np.argmin`)
-is refitted on all rows by a second stream whose held-out rows are the
-rows to predict. IV regressors are trained on measured upstream values (teacher
-forcing) and predict on cascaded estimates, matching how a structural
-causal model is fit from observational data. Teacher forcing makes every
-forest of a search independent, and its seed names its problem, not its
-level (`_keys`), so a problem several levels pose is grown once and shared:
-the perf forest on the measured IVs serves `partial`, `practical`,
-`complete` and `ideal`. For a fixed (dataset, training size) all levels
-consume the identical training prefix, candidate list, folds and search
-budget.
+read and the shape is built. `design(dataset)` builds the design rows of all
+of a dataset's rows once, and a training prefix and the test rows are row
+slices of them. The search maps a training prefix's design rows, and the
+rows to predict, to every level's predictions of them; the fitted models
+serve nothing else. Every fit, CV and final alike, is a job of one
+fit-and-predict stream (`_held_out_predictions`). Each (level, candidate)
+pair's CV loss is its mean held-out MSE over shared fold index arrays, and
+each level's first candidate with the lowest loss (`np.argmin`) is refitted
+on all rows by a second stream whose held-out rows are the rows to predict.
+IV regressors are trained on measured upstream values (teacher forcing) and
+predict on cascaded estimates, matching how a structural causal model is fit
+from observational data. Teacher forcing makes every forest of a search
+independent, and its seed names its problem, not its level (`_keys`), so a
+problem several levels pose is grown once and shared: the perf forest on the
+measured IVs serves `partial`, `practical`, `complete` and `ideal`. For a
+fixed (dataset, training size) all levels consume the identical training
+prefix, candidate list, folds and search budget.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ _CHUNK_CELLS = 1 << 19
 
 @dataclass(frozen=True)
 class SystemShape:
-    """Canonical node orders binding record vectors to graph nodes.
+    """Canonical node orders binding dataset columns to graph nodes.
 
-    A record's design row is its option bits followed by its measured IVs:
+    A dataset row's design row is its option bits followed by its measured IVs:
     option j sits in column j and IV k in column `len(options) + k`. Both
     orders must be canonical (`NodeId` order), which is topological, so
     that evaluating IVs in column order cascades forward.
@@ -91,13 +92,12 @@ class SystemShape:
         )
 
 
-def design(records) -> tuple[np.ndarray, np.ndarray]:
-    """Design rows of the records, in the layout SystemShape describes, and
-    their first performance value, the target every level models."""
-    bits = np.asarray([r.config for r in records], dtype=float)
-    ivs = np.asarray([r.iv_values for r in records], dtype=float)
-    perf = np.asarray([r.perf_values[0] for r in records], dtype=float)
-    return np.hstack([bits, ivs]), perf
+def design(dataset: SystemDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Design rows of all the dataset's rows, in the layout SystemShape
+    describes, and their first performance value, the target every level
+    models. Training rows come first: a training prefix of n rows is `[:n]`
+    of both, and the test rows are `[dataset.n_train:]`."""
+    return np.hstack([dataset.bits, dataset.ivs], dtype=float), dataset.perf[:, 0]
 
 
 class MeanModel:
@@ -549,14 +549,14 @@ def level_curves(
 
     `search(Z, perf, Z_held)` maps training design rows and targets, and the
     rows to predict, to each level's `LevelFit` or the exception its search
-    raised (`make_search`). The training and test designs are built once; a
-    prefix is a row slice. One prediction serves all requested metrics. A
-    failing search marks only its level's point.
+    raised (`make_search`). The design is built once; a training prefix and
+    the test rows are row slices of it. One prediction serves all requested
+    metrics. A failing search marks only its level's point.
     """
-    if max(sizes) > len(dataset.train):
-        raise ValueError(f"max size {max(sizes)} exceeds training set {len(dataset.train)}")
-    Z, perf = design(dataset.train)
-    Z_test, actual = design(dataset.test)
+    if min(sizes) < 1 or max(sizes) > dataset.n_train:
+        raise ValueError(f"training sizes must lie in 1..{dataset.n_train}, got {sizes}")
+    Z, perf = design(dataset)
+    Z_test, actual = Z[dataset.n_train:], perf[dataset.n_train:]
     curves: dict[str, list[CurvePoint]] = {}
     for n in sorted(sizes):
         for level, fit in search(Z[:n], perf[:n], Z_test).items():

@@ -1,19 +1,20 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modperf import dataset as dataset_module
 from modperf.dataset import (
     CapacityError,
-    MeasurementRecord,
     load_dataset,
-    records_from_csv,
-    records_to_csv,
+    rows_from_csv,
+    rows_to_csv,
     sample_dataset,
     save_dataset,
-    training_prefix,
 )
 from modperf.influence_graph import StructuralAspects, generate_graph
+from modperf.knowledge_models import design, level_curves
 from modperf.seeds import derive
 from modperf.semantics import Evaluator, NoiseTargets, synthesize_semantics
 
@@ -26,10 +27,19 @@ def _semantics(option_count=6, module_count=2, seed=31):
     return synthesize_semantics(graph, seed=seed + 1)
 
 
+def _names(ds):
+    return ds.option_names, ds.iv_names, ds.perf_names
+
+
+def _train(ds):
+    return slice(ds.n_train)
+
+
 def test_requested_counts_and_disjointness():
     ds = sample_dataset(_semantics(), seed=1, n_train=120, n_test=80)
-    assert len(ds.train) == 120 and len(ds.test) == 80
-    seen = {r.config.tobytes() for r in ds.train + ds.test}
+    assert ds.n_train == 120 and len(ds.bits) == len(ds.ivs) == len(ds.perf) == 200
+    assert ds.bits.dtype == np.uint8
+    seen = {row.tobytes() for row in ds.bits}
     assert len(seen) == 200
 
 
@@ -39,7 +49,7 @@ def test_tiny_space_yields_all_configurations():
     )
     semantics = synthesize_semantics(generate_graph(aspects, seed=2, iv_to_iv_p=0.0), seed=3)
     ds = sample_dataset(semantics, seed=4, n_train=3, n_test=1)
-    configs = sorted(tuple(r.config) for r in ds.train + ds.test)
+    configs = sorted(map(tuple, ds.bits.tolist()))
     assert configs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -52,51 +62,84 @@ def test_capacity_error_when_space_too_small():
         sample_dataset(semantics, seed=7, n_train=4, n_test=1)
 
 
+def _reference_draw(rng, n_options, total):
+    """Distinct configurations kept one row at a time, in draw order, from
+    rounds of `total` draws; None when the rounds run out."""
+    seen, rows = set(), []
+    for _ in range(dataset_module._OVERSAMPLE_ROUNDS):
+        for row in rng.integers(0, 2, size=(total, n_options), dtype=np.uint8):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                rows.append(row)
+                if len(rows) == total:
+                    return np.stack(rows)
+    return None
+
+
+@pytest.mark.parametrize("n_options,total", [(3, 8), (6, 60), (9, 480), (12, 2000), (40, 300)])
+def test_distinct_draws_equal_the_row_by_row_reference(n_options, total):
+    for seed in range(3):
+        want = _reference_draw(np.random.default_rng(seed), n_options, total)
+        got = dataset_module._draw_distinct_configs(np.random.default_rng(seed), n_options, total)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
 def test_same_seed_byte_identical_serialization():
     semantics = _semantics()
     a = sample_dataset(semantics, seed=8, n_train=40, n_test=20)
     b = sample_dataset(semantics, seed=8, n_train=40, n_test=20)
-    assert records_to_csv(a, a.train) == records_to_csv(b, b.train)
-    assert records_to_csv(a, a.test) == records_to_csv(b, b.test)
+    for rows in (slice(40), slice(40, None)):
+        assert rows_to_csv(a, rows) == rows_to_csv(b, rows)
     c = sample_dataset(semantics, seed=9, n_train=40, n_test=20)
-    assert records_to_csv(a, a.train) != records_to_csv(c, c.train)
+    assert rows_to_csv(a, slice(40)) != rows_to_csv(c, slice(40))
 
 
 def test_training_prefixes_nest():
+    """A training prefix is a row slice: `level_curves` hands the search the
+    first n design rows at each size and the test rows at every size."""
     ds = sample_dataset(_semantics(), seed=10, n_train=100, n_test=10)
-    p20 = training_prefix(ds, 20)
-    p50 = training_prefix(ds, 50)
-    assert p50[:20] == p20
-    assert training_prefix(ds, 100) == ds.train
+    calls = []
+
+    def search(Z, perf, Z_held):
+        calls.append((Z, perf, Z_held))
+        return {}
+
+    level_curves(search, ds, ("acc",), (50, 20, 100))
+    Z, perf = design(ds)
+    assert np.array_equal(Z, np.hstack([ds.bits, ds.ivs])) and np.array_equal(perf, ds.perf[:, 0])
+    assert [len(z) for z, _, _ in calls] == [20, 50, 100]
+    for z, p, held in calls:
+        assert np.array_equal(z, Z[: len(z)]) and np.array_equal(p, perf[: len(z)])
+        assert np.array_equal(held, Z[100:])
     with pytest.raises(ValueError):
-        training_prefix(ds, 101)
-    for n in (0, -5):  # a negative n would slice off the end: records[:-5]
-        with pytest.raises(ValueError, match=">= 1"):
-            training_prefix(ds, n)
+        level_curves(search, ds, ("acc",), (20, 101))
+    for n in (0, -5):  # a negative n would slice off the end: Z[:-5]
+        with pytest.raises(ValueError, match=r"1\.\.100"):
+            level_curves(search, ds, ("acc",), (n, 20))
 
 
 def test_marginal_option_frequency_uniform():
     ds = sample_dataset(
         _semantics(option_count=10, module_count=2), seed=12, n_train=5000, n_test=5000
     )
-    bits = np.array([r.config for r in ds.train + ds.test], dtype=float)
+    bits = ds.bits.astype(float)
     freq = bits.mean(axis=0)
     se = np.sqrt(0.25 / len(bits))
     assert np.all(np.abs(freq - 0.5) < 4 * se)
 
 
 def test_per_record_noise_seeds_vary():
-    """Every record gets its own draws from the dataset's noise generator."""
+    """Every row gets its own draws from the dataset's noise generator."""
     ds = sample_dataset(_semantics(), seed=13, n_train=30, n_test=10)
-    perfs = [r.perf_values[0] for r in ds.train]
+    perfs = ds.perf[_train(ds), 0].tolist()
     assert len(set(perfs)) == len(perfs)
 
 
 @pytest.mark.parametrize("targets", list(NoiseTargets))
 def test_every_record_obeys_noise_bound(targets):
-    """|v' - v| <= f * |v| for every value of every record, against the
+    """|v' - v| <= f * |v| for every value of every row, against the
     noiseless values of its configuration; IVs stay exact unless the noise
-    targets all values. The draws are one (records x values) block from one
+    targets all values. The draws are one (rows x values) block from one
     generator seeded with derive(seed, "noise"), IVs first."""
     semantics = synthesize_semantics(
         generate_graph(
@@ -108,11 +151,8 @@ def test_every_record_obeys_noise_bound(targets):
         noise_targets=targets,
     )
     ds = sample_dataset(semantics, seed=63, n_train=150, n_test=50)
-    records = ds.train + ds.test
-    bits = np.array([r.config for r in records], dtype=float)
-    clean_iv, clean_perf = Evaluator(semantics).noiseless(bits)
-    iv = np.array([r.iv_values for r in records])
-    perf = np.array([r.perf_values for r in records])
+    clean_iv, clean_perf = Evaluator(semantics).noiseless(ds.bits.astype(float))
+    iv, perf = ds.ivs, ds.perf
     assert (np.abs(perf - clean_perf) <= 0.1 * np.abs(clean_perf)).all()
     assert (np.abs(iv - clean_iv) <= 0.1 * np.abs(clean_iv)).all()
     rng = np.random.default_rng(derive(63, "noise"))
@@ -128,7 +168,7 @@ def test_every_record_obeys_noise_bound(targets):
 
 def test_csv_header_shape():
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=14, n_train=5, n_test=2)
-    header = records_to_csv(ds, ds.train).splitlines()[0].split(",")
+    header = rows_to_csv(ds, _train(ds)).splitlines()[0].split(",")
     assert header[0] == "o_0_0"
     assert header[-1] == "perf_0"
     assert sum(1 for c in header if c.startswith("iv_")) == 6
@@ -140,9 +180,69 @@ def test_save_load_roundtrip(tmp_path):
     manifest = save_dataset(ds, tmp_path, semantics_file="semantics.json")
     assert manifest["system_id"] == "rt"
     loaded = load_dataset(tmp_path)
-    assert loaded.system_id == ds.system_id
-    assert records_to_csv(loaded, loaded.train) == records_to_csv(ds, ds.train)
-    np.testing.assert_array_equal(loaded.train[0].iv_values, ds.train[0].iv_values)
+    assert (loaded.system_id, loaded.seed, loaded.n_train) == (ds.system_id, ds.seed, ds.n_train)
+    assert (loaded.train_sizes, _names(loaded)) == (ds.train_sizes, _names(ds))
+    assert loaded.bits.dtype == np.uint8 and loaded.bits.tobytes() == ds.bits.tobytes()
+    for name in ("ivs", "perf"):  # bit for bit
+        assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
+    for rows in (_train(ds), slice(ds.n_train, None)):
+        assert rows_to_csv(loaded, rows) == rows_to_csv(ds, rows)
+
+
+def _saved(tmp_path):
+    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=30, system_id="rt")
+    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    return ds
+
+
+@pytest.mark.parametrize(
+    "name,keep,count",
+    [("test.csv", 2, "n_test 30"), ("test.csv", 26, "n_test 30"), ("train.csv", 40, "n_train 40")],
+)
+def test_load_rejects_a_csv_whose_row_count_differs_from_the_manifest(tmp_path, name, keep, count):
+    """A CSV cut short loads no rows at all: the error names the file. Its
+    header plus one row once loaded as a 1-row test set that no metric can
+    score, and a few rows fewer as a test set scored on fewer rows."""
+    _saved(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep]))
+    with pytest.raises(ValueError, match=f"^{name}: {keep - 1} rows, dataset.json has {count}$"):
+        load_dataset(tmp_path)
+    path.write_text("".join(lines + lines[-1:]))  # one row too many
+    with pytest.raises(ValueError, match=f"^{name}: {len(lines)} rows"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["train.csv", "test.csv"])
+def test_load_rejects_a_csv_whose_header_differs_from_the_manifest(tmp_path, name):
+    """Two header names swapped, a perf column labelled as an IV and the IV
+    as perf, load no rows: the header must be the one the writer derives
+    from dataset.json's columns."""
+    _saved(tmp_path)
+    path = tmp_path / name
+    header, body = path.read_text().split("\n", 1)
+    cells = header.split(",")
+    cells[-1], cells[-2] = cells[-2], cells[-1]
+    assert cells[-1].startswith("iv_") and cells[-2] == "perf_0"
+    path.write_text(",".join(cells) + "\n" + body)
+    with pytest.raises(ValueError, match=f"^{name}: line 1: header cell {len(cells) - 1} is 'perf_0'"):
+        load_dataset(tmp_path)
+
+
+def test_record_view_matches_the_rows(tmp_path):
+    """`train + test` holds one record per row in row order, each the row's
+    uint8 bits, IVs and perf, for a sampled and for a reloaded dataset: the
+    lists perfbench reads (the `SystemDataset.train` comment)."""
+    ds = _saved(tmp_path)
+    for data in (ds, load_dataset(tmp_path)):
+        records = data.train + data.test
+        assert (len(data.train), len(records)) == (40, 70)
+        for k, record in enumerate(records):
+            assert record.config.dtype == np.uint8
+            assert record.config.tobytes() == data.bits[k].tobytes()
+            assert record.iv_values.tobytes() == data.ivs[k].tobytes()
+            assert record.perf_values.tobytes() == data.perf[k].tobytes()
 
 
 def test_interrupted_save_leaves_no_partial_csv(tmp_path, monkeypatch):
@@ -181,7 +281,7 @@ def _corrupt(line: str, how: str) -> str:
     return ",".join(cells)
 
 
-# The header (line 1) holds names, so only its cell count is checked.
+# The header (line 1) must be the one the writer derives from the column names.
 @pytest.mark.parametrize(
     "line,how",
     [(1, "short"), (1, "long")]
@@ -189,12 +289,11 @@ def _corrupt(line: str, how: str) -> str:
 )
 def test_csv_reader_rejects_malformed_line_by_number(line, how):
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
-    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
-    lines = records_to_csv(ds, ds.train).splitlines()
-    assert len(records_from_csv("\n".join(lines), *counts)) == 4
+    lines = rows_to_csv(ds, _train(ds)).splitlines()
+    assert len(rows_from_csv("\n".join(lines), *_names(ds))[0]) == 4
     lines[line - 1] = _corrupt(lines[line - 1], how)
     with pytest.raises(ValueError, match=f"^line {line}: "):
-        records_from_csv("\n".join(lines), *counts)
+        rows_from_csv("\n".join(lines), *_names(ds))
 
 
 # Bit cells the writer never produces; the reader used to take the first three as bits.
@@ -203,35 +302,35 @@ def test_csv_reader_rejects_malformed_line_by_number(line, how):
 @pytest.mark.parametrize("line", [2, 4])
 def test_csv_reader_accepts_only_exact_bit_cells(line, position, cell):
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
-    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
-    lines = records_to_csv(ds, ds.train).splitlines()
+    lines = rows_to_csv(ds, _train(ds)).splitlines()
     cells = lines[line - 1].split(",")
-    cells[0 if position == "first" else counts[0] - 1] = cell
+    cells[0 if position == "first" else len(ds.option_names) - 1] = cell
     lines[line - 1] = ",".join(cells)
     with pytest.raises(ValueError, match=f"^line {line}: "):
-        records_from_csv("\n".join(lines), *counts)
+        rows_from_csv("\n".join(lines), *_names(ds))
 
 
 def test_empty_record_list_is_header_only():
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=19, n_train=4, n_test=2)
-    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
-    text = records_to_csv(ds, [])
-    assert text == records_to_csv(ds, ds.train).splitlines()[0] + "\n"
-    assert records_from_csv(text, *counts) == []
+    text = rows_to_csv(ds, slice(0))
+    assert text == rows_to_csv(ds, _train(ds)).splitlines()[0] + "\n"
+    bits, values = rows_from_csv(text, *_names(ds))
+    assert bits.shape == (0, len(ds.option_names))
+    assert values.shape == (0, len(ds.iv_names) + len(ds.perf_names))
 
 
 def test_csv_reader_needs_value_columns():
     with pytest.raises(ValueError, match="at least one IV and one perf column"):
-        records_from_csv("o_0_0,o_0_1\n0,1\n", 2, 0, 0)
+        rows_from_csv("o_0_0,o_0_1\n0,1\n", ("O:0:0", "O:0:1"), (), ())
 
 
-def _csv_by_cell(dataset, records):
-    """The CSV format's definition, one cell at a time."""
-    lines = [records_to_csv(dataset, []).rstrip("\n")]
-    for rec in records:
-        cells = [str(int(b)) for b in rec.config]
-        cells += [repr(float(v)) for v in rec.iv_values]
-        cells += [repr(float(v)) for v in rec.perf_values]
+def _csv_by_cell(dataset):
+    """The CSV format's definition, one cell at a time, over every row."""
+    lines = [rows_to_csv(dataset, slice(0)).rstrip("\n")]
+    for bits, ivs, perf in zip(dataset.bits, dataset.ivs, dataset.perf):
+        cells = [str(int(b)) for b in bits]
+        cells += [repr(float(v)) for v in ivs]
+        cells += [repr(float(v)) for v in perf]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -245,31 +344,33 @@ ADVERSARIAL_VALUES = [
 ]
 
 
-def _records_from_pool(rng, pool, counts):
-    n_options, n_ivs, n_perfs = counts
-    width = n_ivs + n_perfs
+def _rows_from_pool(ds, rng, pool):
+    """`ds` with its rows replaced by values drawn from `pool` and random bits."""
+    n_ivs = len(ds.iv_names)
+    width = n_ivs + len(ds.perf_names)
     values = rng.permutation(np.resize(pool, (len(pool) // width + 1) * width)).reshape(-1, width)
-    bits = rng.integers(0, 2, size=(len(values), n_options), dtype=np.uint8)
-    return [MeasurementRecord(b, v[:n_ivs], v[n_ivs:]) for b, v in zip(bits, values)]
+    bits = rng.integers(0, 2, size=(len(values), len(ds.option_names)), dtype=np.uint8)
+    return dataclasses.replace(
+        ds, bits=bits, ivs=values[:, :n_ivs], perf=values[:, n_ivs:], n_train=len(values)
+    )
 
 
 def test_csv_writer_matches_per_cell_definition():
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=20, n_train=4, n_test=2)
-    counts = (len(ds.option_names), len(ds.iv_names), len(ds.perf_names))
     rng = np.random.default_rng(20)
     raw = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
     finite = np.concatenate([ADVERSARIAL_VALUES, raw[np.isfinite(raw)], rng.normal(size=2000)])
-    records = _records_from_pool(rng, finite, counts)
-    text = records_to_csv(ds, records)
-    assert text == _csv_by_cell(ds, records)
-    for rec, back in zip(records, records_from_csv(text, *counts), strict=True):
-        np.testing.assert_array_equal(back.config, rec.config)
-        assert back.iv_values.tobytes() == rec.iv_values.tobytes()  # bit for bit: -0.0 stays
-        assert back.perf_values.tobytes() == rec.perf_values.tobytes()
+    pooled = _rows_from_pool(ds, rng, finite)
+    text = rows_to_csv(pooled, slice(None))
+    assert text == _csv_by_cell(pooled)
+    bits, values = rows_from_csv(text, *_names(ds))
+    assert bits.dtype == np.uint8 and bits.tobytes() == pooled.bits.tobytes()
+    # bit for bit: -0.0 stays
+    assert values.tobytes() == np.hstack([pooled.ivs, pooled.perf]).tobytes()
     # The writer formats non-finite values as the definition does (the reader rejects them).
     non_finite = np.concatenate([finite[:50], [np.nan, np.inf, -np.inf]])
-    records = _records_from_pool(rng, non_finite, counts)
-    assert records_to_csv(ds, records) == _csv_by_cell(ds, records)
+    pooled = _rows_from_pool(ds, rng, non_finite)
+    assert rows_to_csv(pooled, slice(None)) == _csv_by_cell(pooled)
 
 
 def test_default_train_sizes_clipped():

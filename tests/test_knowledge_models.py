@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from modperf.dataset import (
-    MeasurementRecord,
-    load_dataset,
-    sample_dataset,
-    save_dataset,
-    training_prefix,
-)
+from modperf.dataset import load_dataset, sample_dataset, save_dataset
 from modperf.influence_graph import (
     NodeId,
     NodeKind,
@@ -62,10 +56,24 @@ SPACE = {
 }
 
 
-def _fit(level, records, shape, Z_held, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
-    """`level`'s `LevelFit` on `records`, predicting the design rows Z_held."""
+def _train(dataset, n=None):
+    """The design rows and targets of the first n training rows (default:
+    all of them)."""
+    Z, perf = design(dataset)
+    n = dataset.n_train if n is None else n
+    return Z[:n], perf[:n]
+
+
+def _test_rows(dataset):
+    """The design rows of the test rows."""
+    return design(dataset)[0][dataset.n_train:]
+
+
+def _fit(level, rows, shape, Z_held, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
+    """`level`'s `LevelFit` on the training design rows and targets `rows`,
+    predicting the design rows Z_held."""
     factory = make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)
-    return factory(*design(records), Z_held)
+    return factory(*rows, Z_held)
 
 
 def _model(plan, Z, perf, candidate, tag=("final",)):
@@ -123,11 +131,9 @@ def _single_option_effect_dataset(n_train=1000, n_test=500):
 
 def test_null_constant_performance():
     _, _, dataset = _system()
-    records = [
-        MeasurementRecord(r.config, r.iv_values, np.array([42.0])) for r in dataset.train[:60]
-    ]
+    Z, _ = _train(dataset, 60)
     shape = SystemShape.from_dataset(dataset)
-    fit = _fit("null", records, shape, design(dataset.test)[0], seed=1)
+    fit = _fit("null", (Z, np.full(60, 42.0)), shape, _test_rows(dataset), seed=1)
     assert np.allclose(fit.predictions, 42.0)
 
 
@@ -135,17 +141,17 @@ def test_null_learns_single_option_effect():
     dataset = _single_option_effect_dataset()
     shape = SystemShape.from_dataset(dataset)
     predictions = _fit(
-        "null", training_prefix(dataset, 1000), shape, design(dataset.test)[0], seed=2
+        "null", _train(dataset, 1000), shape, _test_rows(dataset), seed=2
     ).predictions
-    actual = np.array([r.perf_values[0] for r in dataset.test])
+    actual = dataset.perf[dataset.n_train:, 0]
     assert np.abs(predictions - actual).max() < 1e-9
 
 
 def test_null_deterministic_under_fixed_seeds():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    a = _fit("null", dataset.train, shape, design(dataset.test)[0], seed=5).predictions
-    b = _fit("null", dataset.train, shape, design(dataset.test)[0], seed=5).predictions
+    a = _fit("null", _train(dataset), shape, _test_rows(dataset), seed=5).predictions
+    b = _fit("null", _train(dataset), shape, _test_rows(dataset), seed=5).predictions
     assert np.array_equal(a, b)
 
 
@@ -153,13 +159,13 @@ def test_null_requires_enough_records():
     _, _, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
-        _fit("null", dataset.train[:1], shape, design(dataset.test)[0])
+        _fit("null", _train(dataset, 1), shape, _test_rows(dataset))
 
 
 def test_partial_inputs_respect_boundaries():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    plan = _plan("partial", shape, artifacts, design(dataset.train)[0])
+    plan = _plan("partial", shape, artifacts, _train(dataset)[0])
     for iv, inputs in plan.parents.items():
         [node] = _nodes(shape, [iv])
         parents = _nodes(shape, inputs)
@@ -171,7 +177,7 @@ def test_partial_inputs_respect_boundaries():
 def test_partial_single_module_matches_null_input_set():
     graph, artifacts, dataset = _system(module_count=1, option_count=9)
     shape = SystemShape.from_dataset(dataset)
-    plan = _plan("partial", shape, artifacts, design(dataset.train)[0])
+    plan = _plan("partial", shape, artifacts, _train(dataset)[0])
     for inputs in plan.parents.values():
         assert _nodes(shape, inputs) == shape.options
 
@@ -179,9 +185,9 @@ def test_partial_single_module_matches_null_input_set():
 def test_partial_cascade_deterministic():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    Z_test = design(dataset.test)[0]
-    a = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=9)
-    b = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=9)
+    Z_test = _test_rows(dataset)
+    a = _fit("partial", _train(dataset), shape, Z_test, artifacts, seed=9)
+    b = _fit("partial", _train(dataset), shape, Z_test, artifacts, seed=9)
     assert np.array_equal(a.predictions, b.predictions)
 
 
@@ -190,12 +196,12 @@ def test_predict_is_repeatable_and_leaves_design_unchanged():
     the held-out rows, so one test design can serve every training size."""
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    assert _plan("partial", shape, artifacts, design(dataset.train)[0]).parents
-    Z, _ = design(dataset.test)
+    assert _plan("partial", shape, artifacts, _train(dataset)[0]).parents
+    Z = _test_rows(dataset)
     before = Z.copy()
-    first = _fit("partial", dataset.train, shape, Z, artifacts, seed=9).predictions
+    first = _fit("partial", _train(dataset), shape, Z, artifacts, seed=9).predictions
     assert np.array_equal(Z, before)
-    assert np.array_equal(_fit("partial", dataset.train, shape, Z, artifacts, seed=9).predictions, first)
+    assert np.array_equal(_fit("partial", _train(dataset), shape, Z, artifacts, seed=9).predictions, first)
     assert np.array_equal(Z, before)
 
 
@@ -206,13 +212,13 @@ def test_partial_boundaries_must_cover():
         artifacts, logical_boundaries={0: artifacts.logical_boundaries[0]}
     )
     with pytest.raises(ValueError, match="boundaries do not cover"):
-        _fit("partial", dataset.train, shape, design(dataset.test)[0], uncovering)
+        _fit("partial", _train(dataset), shape, _test_rows(dataset), uncovering)
 
 
 def test_practical_parents_subset_of_pie():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    plan = _plan("practical", shape, artifacts, design(dataset.train)[0])
+    plan = _plan("practical", shape, artifacts, _train(dataset)[0])
     pie_parents = {}
     for src, dst in artifacts.potential_influence_edges:
         pie_parents.setdefault(dst, set()).add(src)
@@ -224,7 +230,7 @@ def test_practical_parents_subset_of_pie():
 def test_complete_parents_subset_of_true_edges():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    plan = _plan("complete", shape, artifacts, design(dataset.train)[0])
+    plan = _plan("complete", shape, artifacts, _train(dataset)[0])
     true_parents = {}
     for src, dst in artifacts.influence_edges:
         true_parents.setdefault(dst, set()).add(src)
@@ -238,12 +244,12 @@ def test_practical_fallback_for_parentless_iv():
     # p_w=0 leaves every IV constant zero; pruning must strip all candidates
     graph, artifacts, dataset = _system(p_w=0.0, seed=55)
     shape = SystemShape.from_dataset(dataset)
-    Z, perf = design(dataset.train)
+    Z, perf = _train(dataset)
     plan = _plan("practical", shape, artifacts, Z)
     model = _model(plan, Z, perf, enumerate_candidates(SPACE, BUDGET)[0])
     zero_ivs = [
         iv for iv in shape.ivs
-        if all(r.iv_values[shape.ivs.index(iv)] == 0.0 for r in dataset.train[:20])
+        if (dataset.ivs[:20, shape.ivs.index(iv)] == 0.0).all()
     ]
     assert zero_ivs
     for iv in _columns(shape, zero_ivs):
@@ -309,32 +315,29 @@ def test_ideal_consumes_true_ivs_and_recovers_linear_perf():
     graph, artifacts, dataset = _system(seed=61)
     shape = SystemShape.from_dataset(dataset)
     predictions = _fit(
-        "ideal", training_prefix(dataset, 200), shape, design(dataset.test)[0], seed=6
+        "ideal", _train(dataset, 200), shape, _test_rows(dataset), seed=6
     ).predictions
-    actual = np.array([r.perf_values[0] for r in dataset.test])
+    actual = dataset.perf[dataset.n_train:, 0]
     assert acc(predictions, actual) > 0.9
 
 
 def test_ideal_no_signal_when_perf_ignores_ivs():
     _, _, dataset = _system()
     rng = np.random.default_rng(13)
-    noise = rng.normal(size=len(dataset.train))
-    records = [
-        MeasurementRecord(r.config, r.iv_values, np.array([noise[i]]))
-        for i, r in enumerate(dataset.train)
-    ]
+    Z, _ = _train(dataset)
+    noise = rng.normal(size=len(Z))
     shape = SystemShape.from_dataset(dataset)
-    predictions = _fit("ideal", records, shape, design(dataset.test)[0], seed=7).predictions
+    predictions = _fit("ideal", (Z, noise), shape, _test_rows(dataset), seed=7).predictions
     assert np.abs(predictions).max() <= np.abs(noise).max() + 1e-9
 
 
 def test_identical_candidates_across_levels():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    Z_test = design(dataset.test)[0]
-    null = _fit("null", dataset.train, shape, Z_test, seed=1)
-    ideal = _fit("ideal", dataset.train, shape, Z_test, seed=2)
-    partial = _fit("partial", dataset.train, shape, Z_test, artifacts, seed=3)
+    Z_test = _test_rows(dataset)
+    null = _fit("null", _train(dataset), shape, Z_test, seed=1)
+    ideal = _fit("ideal", _train(dataset), shape, Z_test, seed=2)
+    partial = _fit("partial", _train(dataset), shape, Z_test, artifacts, seed=3)
     assert null.search_meta["candidates"] == ideal.search_meta["candidates"]
     assert null.search_meta["candidates"] == partial.search_meta["candidates"]
     assert null.search_meta["budget"] == partial.search_meta["budget"] == BUDGET.evaluations
@@ -347,7 +350,7 @@ def test_paper_scale_space_exercises_ranges():
     shape = SystemShape.from_dataset(dataset)
     space = forest_search_space(len(shape.options), scale="paper")
     fit = _fit(
-        "null", dataset.train[:60], shape, design(dataset.test)[0], seed=12, space=space,
+        "null", _train(dataset, 60), shape, _test_rows(dataset), seed=12, space=space,
         budget=SearchBudget(evaluations=2, seed=3),
     )
     chosen = fit.search_meta["chosen"]
@@ -357,11 +360,11 @@ def test_paper_scale_space_exercises_ranges():
 
 
 class _Oracle:
-    """Predictor that looks each design row up among the dataset's test
-    records and returns its true performance."""
+    """Predictor that looks each design row up among the dataset's rows and
+    returns its true performance."""
 
     def __init__(self, dataset):
-        Z, perf = design(dataset.test)
+        Z, perf = design(dataset)
         self.perf = {row.tobytes(): p for row, p in zip(Z, perf)}
 
     def predict(self, Z):
@@ -412,14 +415,14 @@ def test_make_factory_levels_and_validation():
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
         make_factory("partial", shape, None, BUDGET, CV, space=SPACE)
-    Z_test = design(dataset.test)[0]
+    Z_test = _test_rows(dataset)
     with pytest.raises(ValueError):
         make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)(
-            *design(dataset.train), Z_test
+            *_train(dataset), Z_test
         )
     factory = make_factory("complete", shape, artifacts, BUDGET, CV, space=SPACE, seed=4)
-    fit = factory(*design(dataset.train[:80]), Z_test)
-    assert isinstance(fit, LevelFit) and fit.predictions.shape == (len(dataset.test),)
+    fit = factory(*_train(dataset, 80), Z_test)
+    assert isinstance(fit, LevelFit) and fit.predictions.shape == (len(Z_test),)
 
 
 def test_level_table_keys_all_fit():
@@ -427,9 +430,9 @@ def test_level_table_keys_all_fit():
     shape = SystemShape.from_dataset(dataset)
     assert knowledge_models.LEVELS == ("null", "partial", "practical", "complete", "ideal")
     assert tuple(LEVEL_PARENTS) == knowledge_models.LEVELS
-    Z = design(dataset.train[:80])[0]
+    Z = _train(dataset, 80)[0]
     for level in LEVEL_PARENTS:
-        fit = _fit(level, dataset.train[:80], shape, design(dataset.test)[0], artifacts, seed=4)
+        fit = _fit(level, _train(dataset, 80), shape, _test_rows(dataset), artifacts, seed=4)
         plan = _plan(level, shape, artifacts, Z, seed=4)
         assert plan.level == level
         assert np.isfinite(fit.predictions).all()
@@ -442,14 +445,13 @@ def test_level_table_keys_all_fit():
 
 def test_search_constant_loss_returns_first_candidate():
     _, artifacts, dataset = _system()
-    records = [
-        MeasurementRecord(r.config, r.iv_values, np.array([42.0])) for r in dataset.train[:60]
-    ]
+    Z, _ = _train(dataset, 60)
     shape = SystemShape.from_dataset(dataset)
     budget = SearchBudget(evaluations=5, seed=0)
     for level in ("null", "partial"):
         meta = _fit(
-            level, records, shape, design(dataset.test)[0], artifacts, seed=1, budget=budget
+            level, (Z, np.full(60, 42.0)), shape, _test_rows(dataset), artifacts, seed=1,
+            budget=budget,
         ).search_meta
         assert meta["cv_loss"] == 0.0
         assert meta["candidates"] == enumerate_candidates(SPACE, budget)
@@ -474,13 +476,11 @@ def test_search_picks_lowest_mean_cv_loss(monkeypatch):
         lambda Xs, ys, params_list: [DepthModel(p.max_depth) for p in params_list],
     )
     _, _, dataset = _system()
-    records = [
-        MeasurementRecord(r.config, r.iv_values, np.array([5.0])) for r in dataset.train[:40]
-    ]
+    Z, _ = _train(dataset, 40)
     shape = SystemShape.from_dataset(dataset)
     space = dict(SPACE, max_depth=[2, 5, 8], min_samples_leaf=[1, 2])
     meta = _fit(
-        "null", records, shape, design(dataset.test)[0], space=space,
+        "null", (Z, np.full(40, 5.0)), shape, _test_rows(dataset), space=space,
         budget=SearchBudget(evaluations=6),
     ).search_meta
     assert [c["max_depth"] for c in meta["candidates"]] == [2, 2, 5, 5, 8, 8]
@@ -499,14 +499,14 @@ def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
         lambda Xs, ys, params_list: [MeanModel(np.mean(y)) for y in ys],
     )
     _, _, dataset = _system()
-    records = dataset.train[:50]
-    perf = np.array([r.perf_values[0] for r in records])
+    rows = _train(dataset, 50)
+    perf = rows[1]
     expected = []
-    for held_out in fold_indices(len(records), CV):
-        train = np.setdiff1d(np.arange(len(records)), held_out)
+    for held_out in fold_indices(len(perf), CV):
+        train = np.setdiff1d(np.arange(len(perf)), held_out)
         expected.append(mse(perf[held_out], np.full(len(held_out), perf[train].mean())))
     meta = _fit(
-        "ideal", records, SystemShape.from_dataset(dataset), design(dataset.test)[0]
+        "ideal", rows, SystemShape.from_dataset(dataset), _test_rows(dataset)
     ).search_meta
     assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)
 
@@ -585,14 +585,15 @@ def _reference_cross_validate(fit_fn, X, y, folds):
     return float(np.mean(losses))
 
 
-def _reference_search(level, shape, artifacts, budget, space, seed, records):
-    """Every candidate's CV loss and the refitted model, one fit per
-    (candidate, fold) as the search ran before it batched its forests."""
-    Z, perf = design(records)
+def _reference_search(level, shape, artifacts, budget, space, seed, rows):
+    """Every candidate's CV loss and the refitted model on the training
+    design rows and targets `rows`, one fit per (candidate, fold) as the
+    search ran before it batched its forests."""
+    Z, perf = rows
     parents = _reference_parents(level, shape, artifacts, Z)
     order = () if parents is None else tuple(sorted(parents))
     candidates = enumerate_candidates(space, budget)
-    folds = fold_indices(len(records), CV)
+    folds = fold_indices(len(perf), CV)
     losses = [
         _reference_cross_validate(
             lambda X, y, f: _reference_fit_level(
@@ -622,17 +623,16 @@ SEARCH_SEED = 5
 
 
 def _search_system():
-    """61 records of a system whose pruned levels leave IVs without parents.
-    Noise on the IVs the system holds constant makes those fallbacks' means
-    differ between the folds and the refit."""
+    """The design rows and targets of 61 training rows of a system whose
+    pruned levels leave IVs without parents. Noise on the IVs the system
+    holds constant makes those fallbacks' means differ between the folds and
+    the refit."""
     _, artifacts, dataset = _system(p_w=0.2)
-    ivs = np.array([r.iv_values for r in dataset.train[:61]])
+    Z, perf = _train(dataset, 61)
+    ivs = Z[:, len(dataset.option_names):]  # a view: the noise goes into Z
     noise = np.random.default_rng(1).normal(size=ivs.shape) * (np.ptp(ivs, axis=0) == 0)
-    records = [
-        MeasurementRecord(r.config, r.iv_values + e, r.perf_values)
-        for r, e in zip(dataset.train[:61], noise)
-    ]
-    return artifacts, dataset, records, noise
+    ivs += noise
+    return artifacts, dataset, (Z, perf), noise
 
 
 def _search(levels, artifacts, dataset):
@@ -645,11 +645,11 @@ def _search(levels, artifacts, dataset):
 @functools.lru_cache(maxsize=None)
 def _search_references():
     """Each level's per-(candidate, fold) reference CV losses and refit."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     return {
         level: _reference_search(
-            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, SEARCH_SEED, records
+            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, SEARCH_SEED, rows
         )
         for level in knowledge_models.LEVELS
     }
@@ -667,10 +667,10 @@ def _perf_inputs(plan):
     return plan.forests[-1][1]
 
 
-def _level_forests(levels, artifacts, shape, records):
+def _level_forests(levels, artifacts, shape, rows):
     """Each level's forests as (target, input columns) pairs, from the plan
-    the search makes on `records`."""
-    Z, _ = design(records)
+    the search makes on the training design rows and targets `rows`."""
+    Z, _ = rows
     return {
         level: {(target, inputs) for target, inputs, _ in _plan(level, shape, artifacts, Z).forests}
         for level in levels
@@ -685,16 +685,16 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     level and one of each for the five refits, whichever level leads the
     stream. Each call grows every distinct problem once: per (candidate,
     fold), the union of the levels' forests. The candidates differ in every
-    forest setting, 61 records give folds of 31 and 30 rows, and the pruned
+    forest setting, 61 rows give folds of 31 and 30 rows, and the pruned
     levels leave IVs without parents (`_search_system`)."""
-    artifacts, dataset, records, noise = _search_system()
+    artifacts, dataset, rows, noise = _search_system()
     shape = SystemShape.from_dataset(dataset)
     candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
     assert all(len({c[k] for c in candidates}) == 2 for k in SEARCH_SPACE)
     references = _search_references()
     lead = knowledge_models.LEVELS.index(level)
     levels = knowledge_models.LEVELS[lead:] + knowledge_models.LEVELS[:lead]
-    forests = _level_forests(levels, artifacts, shape, records)
+    forests = _level_forests(levels, artifacts, shape, rows)
     distinct = set().union(*forests.values())
     assert len(distinct) < sum(map(len, forests.values()))
 
@@ -708,8 +708,8 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
         "_held_out_predictions",
         lambda jobs: streams.append(len(jobs)) or real_stream(jobs),
     )
-    Z, perf = design(records)
-    Z_test = design(dataset.test)[0]
+    Z, perf = rows
+    Z_test = _test_rows(dataset)
     got = _search(levels, artifacts, dataset)(Z, perf, Z_test)
 
     assert list(got) == list(levels)
@@ -736,7 +736,7 @@ def test_one_level_search_equals_its_reference(monkeypatch):
     calls, and the reference's losses and final predictions. The reference
     finds `complete`'s parents by `NodeId` itself (`_reference_parents`), so
     this pins the search's integer level table."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     want_losses, want = _search_references()["complete"]
     calls = []
@@ -747,8 +747,8 @@ def test_one_level_search_equals_its_reference(monkeypatch):
     factory = make_factory(
         "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
     )
-    Z_test = design(dataset.test)[0]
-    got = factory(*design(records), Z_test)
+    Z_test = _test_rows(dataset)
+    got = factory(*rows, Z_test)
     assert len(calls) == 2
     assert got.search_meta["cv_losses"] == want_losses
     assert np.array_equal(got.predictions, _reference_predict(want, Z_test))
@@ -759,10 +759,10 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch):
     forests, gives the one-chunk losses and final predictions, and no
     chunk's forests, the final refits' included, hold more bootstrap-row x
     tree cells than the budget."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     levels = knowledge_models.LEVELS
-    Z, perf = design(records)
-    Z_test = design(dataset.test)[0]
+    Z, perf = rows
+    Z_test = _test_rows(dataset)
     whole = _search(levels, artifacts, dataset)(Z, perf, Z_test)
     largest = 61 * max(c["n_trees"] for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET))
     budget = 2 * largest
@@ -821,10 +821,10 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
     each model's sequential cascade bit for bit: every level, several
     candidates (so tree counts and depths differ within a walk), `MeanModel`
     fallbacks, a `MeanModel` stand-in, and walks cut small."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
-    Z, perf = design(records)
-    Z_test = design(dataset.test)[0]
+    Z, perf = rows
+    Z_test = _test_rows(dataset)
     models = []
     for k, level in enumerate(knowledge_models.LEVELS):
         plan = _plan(level, shape, artifacts, Z, seed=k)
@@ -852,7 +852,7 @@ def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
     and `ideal` hold that one `FittedForest`; `null`'s perf forest reads the
     options and stays its own. Across the whole search, every (candidate,
     fold) grows exactly one perf forest on the IVs."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     widths, batches = [], []
     real_fit, real_predict = knowledge_models.fit_forests, knowledge_models.predict_models
@@ -865,7 +865,7 @@ def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
     monkeypatch.setattr(
         knowledge_models, "predict_models", lambda ms, Zs: batches.append(ms) or real_predict(ms, Zs)
     )
-    _search(knowledge_models.LEVELS, artifacts, dataset)(*design(records), design(dataset.test)[0])
+    _search(knowledge_models.LEVELS, artifacts, dataset)(*rows, _test_rows(dataset))
     # the CV stream is one chunk; its jobs run candidate-major, then fold,
     # then level, so its first models are candidate 0's on fold 0
     null, *others = batches[0][: len(knowledge_models.LEVELS)]
@@ -889,9 +889,9 @@ def test_problem_keys_merge_only_equal_problems():
     only in their key's `n_trees` or `max_depth`, not in their seed. That
     the deduplicated search equals the per-problem reference is
     `test_search_grows_every_forest_in_two_calls`."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
-    Z, _ = design(records)
+    Z, _ = rows
     space = dict(SEARCH_SPACE, n_trees=[3, 6, 12])
     candidates = enumerate_candidates(space, SearchBudget(evaluations=24))
     assert len(candidates) == 24
@@ -924,9 +924,9 @@ def test_candidates_of_one_family_share_bootstrap_rows():
     """Two candidates of one family, 6 and 12 trees, get one seed for a
     problem, and the 6-tree forest's node tables equal the first 6 trees of
     the 12-tree fit: a family can be read off its largest member."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
-    Z, perf = design(records)
+    Z, perf = rows
     plan = _plan("practical", shape, artifacts, Z)
     base = {"max_depth": 6, "min_samples_leaf": 1, "feature_subsample": 0.5}
     small, large = (
@@ -947,10 +947,10 @@ def test_candidates_of_one_family_share_bootstrap_rows():
 def test_make_factory_equals_its_level_of_the_all_level_search():
     """`make_factory(level, seed=s)` fits what the all-level search with seed
     s fits for that level: losses, chosen candidate and test predictions."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
-    Z_test = design(dataset.test)[0]
-    Z, perf = design(records)
+    Z_test = _test_rows(dataset)
+    Z, perf = rows
     every = _search(knowledge_models.LEVELS, artifacts, dataset)(Z, perf, Z_test)
     for level in knowledge_models.LEVELS:
         one = make_factory(
@@ -962,8 +962,8 @@ def test_make_factory_equals_its_level_of_the_all_level_search():
 
 def test_shape_rejects_names_out_of_canonical_order(tmp_path):
     """Design columns are evaluated in their order, so a dataset whose
-    manifest lists two IV columns swapped is refused, as are options out of
-    order."""
+    manifest and CSV headers list two IV columns swapped is refused, as are
+    options out of order."""
     _, _, dataset = _system()
     save_dataset(dataset, tmp_path, semantics_file="semantics.json")
     assert SystemShape.from_dataset(load_dataset(tmp_path)).ivs == tuple(
@@ -973,6 +973,12 @@ def test_shape_rejects_names_out_of_canonical_order(tmp_path):
     ivs = manifest["columns"]["ivs"]
     ivs[0], ivs[1] = ivs[1], ivs[0]
     (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    first = len(dataset.option_names)  # the CSV cell of the first IV
+    for name in ("train.csv", "test.csv"):  # load_dataset checks headers against the manifest
+        header, body = (tmp_path / name).read_text().split("\n", 1)
+        cells = header.split(",")
+        cells[first], cells[first + 1] = cells[first + 1], cells[first]
+        (tmp_path / name).write_text(",".join(cells) + "\n" + body)
     with pytest.raises(ValueError, match="IV names are not in canonical NodeId order"):
         SystemShape.from_dataset(load_dataset(tmp_path))
     with pytest.raises(ValueError, match="option names are not in canonical NodeId order"):
@@ -983,10 +989,10 @@ def test_search_and_prediction_never_touch_node_ids(monkeypatch):
     """Past `make_search`'s construction the search works on design columns:
     with `NodeId` hashing and equality made to raise, every level still fits
     and predicts."""
-    artifacts, dataset, records, _ = _search_system()
+    artifacts, dataset, rows, _ = _search_system()
     search = _search(knowledge_models.LEVELS, artifacts, dataset)
-    Z, perf = design(records)
-    Z_test = design(dataset.test)[0]
+    Z, perf = rows
+    Z_test = _test_rows(dataset)
 
     def forbidden(*args):
         raise AssertionError("NodeId hashed or compared")

@@ -88,7 +88,8 @@ def test_time_desk_unit_counts_forest_problems(monkeypatch):
     )
     counts = collections.Counter()
     with script._counted(counts):
-        factory(*design(dataset.train), design(dataset.test)[0])
+        Z, perf = design(dataset)
+        factory(Z[:40], perf[:40], Z[40:])
     assert set(counts) == {"forest_calls", "problems", "passes", "searches", "walks"}
     assert (counts["forest_calls"], counts["problems"]) == (2, 5)
     assert counts["passes"] <= counts["searches"] <= 3 * counts["passes"]
