@@ -83,7 +83,9 @@ def _draw_distinct_configs(rng: np.random.Generator, n_options: int, total: int)
     rows = np.empty((0, n_options), dtype=np.uint8)
     for _ in range(_OVERSAMPLE_ROUNDS):
         rows = np.concatenate([rows, rng.integers(0, 2, size=(total, n_options), dtype=np.uint8)])
-        rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]  # first occurrences
+        keys = np.packbits(rows, axis=1)  # one bytes key per row, equal iff the rows are
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        rows = rows[np.sort(np.unique(keys, return_index=True)[1])]  # first occurrences
         if len(rows) >= total:
             return rows[:total]
     raise CapacityError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,12 @@ class NodeKind(str, enum.Enum):
     PERFORMANCE = "P"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Graph node: kind, owning module (None for performance), local index."""
+class NodeId(NamedTuple):
+    """Graph node: kind, owning module (None for performance), local index.
+
+    A tuple, so that building, hashing, comparing and sorting nodes run in
+    C; nodes sort in (kind, module, index) order. A node equals the plain
+    tuple of its values."""
 
     kind: NodeKind
     module: int | None
@@ -79,6 +83,19 @@ class EdgeKind(str, enum.Enum):
 
 
 Edge = tuple[NodeId, NodeId, EdgeKind]
+
+
+def _edge_kind(src: NodeId, dst: NodeId) -> EdgeKind | None:
+    """The one kind an edge from `src` to `dst` may have, or None if no edge
+    may join them: options feed IVs (within or across modules), IVs feed
+    IVs and performance nodes."""
+    if src.kind is NodeKind.OPTION and dst.kind is NodeKind.INTERMEDIATE:
+        return EdgeKind.WITHIN_OI if src.module == dst.module else EdgeKind.ACROSS_OI
+    if src.kind is NodeKind.INTERMEDIATE and dst.kind is NodeKind.INTERMEDIATE:
+        return EdgeKind.IV_TO_IV
+    if src.kind is NodeKind.INTERMEDIATE and dst.kind is NodeKind.PERFORMANCE:
+        return EdgeKind.IV_TO_PERF
+    return None
 
 
 @dataclass(frozen=True)
@@ -185,11 +202,13 @@ class CausalInfluenceGraph:
     cross_probs: dict[tuple[int, int], float] = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
-        """Every edge joins two of the aspects' nodes and runs forward in the
-        canonical order (options, IVs, perf), which is therefore topological."""
+        """Every edge joins two of the aspects' nodes, runs forward in the
+        canonical order (options, IVs, perf), which is therefore topological,
+        appears once, and carries the one kind its endpoints allow."""
         nodes = self.option_nodes() + self.iv_nodes() + self.perf_nodes()
         rank = {n: i for i, n in enumerate(nodes)}
-        for src, dst, _ in self.edges:
+        seen = set()
+        for src, dst, kind in self.edges:
             i, j = rank.get(src), rank.get(dst)
             if i is None or j is None:
                 raise GraphStructureError(
@@ -198,6 +217,15 @@ class CausalInfluenceGraph:
             if i >= j:
                 raise GraphStructureError(
                     f"edge {src.encode()}->{dst.encode()} runs against the canonical order"
+                )
+            if (i, j) in seen:
+                raise GraphStructureError(f"edge {src.encode()}->{dst.encode()} appears twice")
+            seen.add((i, j))
+            allowed = _edge_kind(src, dst)
+            if allowed is not kind:
+                raise GraphStructureError(
+                    f"edge {src.encode()}->{dst.encode()} is labelled {kind.value}, but its "
+                    f"endpoints allow {allowed.value if allowed else 'no edge'}"
                 )
 
     def option_nodes(self) -> list[NodeId]:
@@ -336,12 +364,14 @@ def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
 
 def graph_doc(graph: CausalInfluenceGraph) -> dict:
     """The graph as a JSON-ready dict; `semantics_to_json` embeds it as is."""
+    # each node encoded once: the edges name thousands of endpoints
+    code = {n: n.encode() for n in graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()}
     return {
         "aspects": asdict(graph.aspects),
         "seed": graph.seed,
         "iv_to_iv_p": graph.iv_to_iv_p,
         "edges": [
-            {"src": src.encode(), "dst": dst.encode(), "kind": kind.value}
+            {"src": code[src], "dst": code[dst], "kind": kind.value}
             for src, dst, kind in graph.edges
         ],
     }

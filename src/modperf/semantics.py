@@ -15,14 +15,23 @@ themselves IVs enter through log1p: without damping, second-order terms
 square upstream magnitudes at every IV-to-IV chain step, which overflows
 float64 on systems with long chains. log1p is monotone and maps 0 to 0, so
 value monotonicity in the options and the all-zero fixpoint both survive.
+
+The weights are a pure function of (graph, seed), so semantics.json stores
+the graph document, the seed, the noise settings and `weights_sha256`, the
+sha256 of the weights as little-endian float64 in draw order, but not the
+weights themselves. `semantics_from_json` re-draws the weights from the
+seed and checks them against the digest. NumPy does not promise the same
+`Generator` stream across releases (NEP 19), so a NumPy that draws other
+weights than the writer's fails that check with a ValueError instead of
+silently reading a different system.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +84,9 @@ class SystemSemantics:
     perf_formulas: dict[NodeId, dict[NodeId, float]]
     noise_fraction: float = DEFAULT_NOISE_FRACTION
     noise_targets: NoiseTargets = NoiseTargets.PERFORMANCE_ONLY
+    # The seed the weights were drawn from. Only `synthesize_semantics` sets
+    # it; a hand-built semantics keeps None and cannot be written.
+    seed: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.noise_fraction < 1.0:
@@ -116,13 +128,29 @@ def synthesize_semantics(
         start += size
     perf_weights = weights[start:].reshape(len(perfs), len(ivs)).tolist()
     perf_formulas = {perf: dict(zip(ivs, row)) for perf, row in zip(perfs, perf_weights)}
-    return SystemSemantics(
+    semantics = SystemSemantics(
         graph=graph,
         iv_formulas=iv_formulas,
         perf_formulas=perf_formulas,
         noise_fraction=noise_fraction,
         noise_targets=noise_targets,
     )
+    object.__setattr__(semantics, "seed", seed)
+    return semantics
+
+
+def _weights_sha256(semantics: SystemSemantics) -> str:
+    """The sha256 of the weights as little-endian float64, in
+    `synthesize_semantics`' draw order."""
+    ivs = semantics.graph.iv_nodes()
+    perf_weights = [
+        [semantics.perf_formulas[perf][iv] for iv in ivs] for perf in semantics.graph.perf_nodes()
+    ]
+    formulas = [semantics.iv_formulas[iv] for iv in ivs]
+    weights = np.concatenate(
+        [w for f in formulas for w in (f.linear, f.pairs)] + [np.ravel(perf_weights)]
+    )
+    return hashlib.sha256(weights.astype("<f8").tobytes()).hexdigest()
 
 
 class Evaluator:
@@ -221,49 +249,42 @@ def evaluate(
 
 
 def semantics_to_json(semantics: SystemSemantics) -> str:
-    iv_formulas = {}
-    for iv, f in semantics.iv_formulas.items():
-        codes = [p.encode() for p in f.parents]
-        iv_formulas[iv.encode()] = {
-            "linear": dict(zip(codes, f.linear.tolist())),
-            "pairs": dict(
-                zip([f"{a}|{b}" for a, b in itertools.combinations(codes, 2)], f.pairs.tolist())
-            ),
-        }
+    """The graph document, seed, noise settings and weight digest (module
+    docstring); a semantics that `synthesize_semantics` did not draw has no
+    seed and raises ValueError."""
+    if semantics.seed is None:
+        raise ValueError(
+            "only semantics drawn by synthesize_semantics can be written: "
+            "semantics.json stores the seed, not the weights"
+        )
     doc = {
         "graph": graph_doc(semantics.graph),
-        "iv_formulas": iv_formulas,
-        "perf_formulas": {
-            perf.encode(): {iv.encode(): w for iv, w in weights.items()}
-            for perf, weights in semantics.perf_formulas.items()
-        },
+        "seed": semantics.seed,
         "noise_fraction": semantics.noise_fraction,
         "noise_targets": semantics.noise_targets.value,
+        "weights_sha256": _weights_sha256(semantics),
     }
     return compact_json(doc)
 
 
 def semantics_from_json(text: str) -> SystemSemantics:
+    """Re-draw the semantics that `semantics_to_json` wrote. Raises
+    ValueError when the document has no integer seed (an older format that
+    listed every weight) or when the re-drawn weights do not match its
+    `weights_sha256`."""
     doc = json.loads(text)
-    graph = graph_from_doc(doc["graph"])
-    iv_formulas = {}
-    for iv_key, f in doc["iv_formulas"].items():
-        parents = sorted(NodeId.decode(k) for k in f["linear"])
-        codes = [p.encode() for p in parents]
-        pairs = [f["pairs"][f"{a}|{b}"] for a, b in itertools.combinations(codes, 2)]
-        if len(pairs) != len(f["pairs"]):
-            raise ValueError(f"{iv_key}: pair weights name pairs of non-parents")
-        iv_formulas[NodeId.decode(iv_key)] = PolynomialFunction(
-            tuple(parents), [f["linear"][c] for c in codes], pairs
+    seed = doc.get("seed")
+    if not isinstance(seed, int):
+        raise ValueError(
+            "semantics document has no integer seed; documents that list every "
+            "weight are no longer read, so regenerate the system"
         )
-    perf_formulas = {
-        NodeId.decode(perf_key): {NodeId.decode(k): w for k, w in weights.items()}
-        for perf_key, weights in doc["perf_formulas"].items()
-    }
-    return SystemSemantics(
-        graph=graph,
-        iv_formulas=iv_formulas,
-        perf_formulas=perf_formulas,
-        noise_fraction=doc["noise_fraction"],
-        noise_targets=NoiseTargets(doc["noise_targets"]),
+    semantics = synthesize_semantics(
+        graph_from_doc(doc["graph"]), seed, doc["noise_fraction"], NoiseTargets(doc["noise_targets"])
     )
+    if _weights_sha256(semantics) != doc["weights_sha256"]:
+        raise ValueError(
+            "weights re-drawn from the seed do not match weights_sha256: the document "
+            "was edited, or this NumPy draws another random stream than the writer's"
+        )
+    return semantics

@@ -16,6 +16,7 @@ from modperf.cli import main
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model, run_report
 from modperf.influence_graph import AspectRanges, graph_doc
 from modperf.jsonio import compact_json
+from modperf.semantics import semantics_from_json
 
 TINY = dict(
     global_seed=424242,
@@ -252,10 +253,11 @@ def test_parallel_generation_matches_serial(tmp_path):
     assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
 
 
-# sha256 of the tree below, as written with compact bulk JSON and one noise
-# generator per dataset. The CSV and JSON writers must keep every byte; a
-# change that alters output on purpose updates this and says so.
-GENERATE_TREE_SHA = "2704f22ec2614dcd772da323ad26b2ab8fed5c63a9f31694ada2288726c74248"
+# sha256 of the tree below, as written with compact bulk JSON, one noise
+# generator per dataset and semantics.json holding its seed and weight
+# digest. The CSV and JSON writers must keep every byte; a change that
+# alters output on purpose updates this and says so.
+GENERATE_TREE_SHA = "a6c1cf1304bdfa1fe787b180bb71ebb7636f83902ca0b68207092527bbcda980"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -420,8 +422,8 @@ def _indented_graph_to_json(graph):
 
 
 def _indented_semantics_to_json(semantics):
-    """The semantics writer as it was when weights were dicts keyed by parent
-    and by parent pair."""
+    """The semantics writer as it was when it listed every weight, in dicts
+    keyed by parent and by parent pair."""
     iv_formulas = {}
     for iv, f in semantics.iv_formulas.items():
         linear_terms = dict(zip(f.parents, f.linear.tolist()))
@@ -457,7 +459,10 @@ def _pipeline_trees(root):
 
 def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
     """Every bulk document parses to the Python values that the indented
-    writers wrote, and is written compact; every other file keeps its bytes."""
+    writers wrote, and is written compact; every other file keeps its bytes.
+    semantics.json holds a seed in place of the weights, so it is compared
+    by the weights it describes: re-drawn, they are the indented document's
+    linear, pair and perf weights bit for bit."""
     new_trees = _pipeline_trees(tmp_path / "compact")
     monkeypatch.setattr(experiment, "_dump", _indented_dump)
     monkeypatch.setattr(experiment, "graph_to_json", _indented_graph_to_json)
@@ -472,7 +477,12 @@ def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
         assert new_files == sorted(p.relative_to(old_root) for p in old_root.rglob("*") if p.is_file())
         for rel in new_files:
             new, old = (new_root / rel).read_text(), (old_root / rel).read_text()
-            if bulk.fullmatch(rel.name):
+            if rel.name == "semantics.json":
+                kinds.add("semantics")
+                redrawn = _indented_semantics_to_json(semantics_from_json(new))
+                assert json.loads(redrawn) == json.loads(old), rel
+                assert new == compact_json(json.loads(new)), rel
+            elif bulk.fullmatch(rel.name):
                 kinds.add(bulk.fullmatch(rel.name).group(1).split("_")[0])
                 assert json.loads(new) == json.loads(old), rel
                 assert new == compact_json(json.loads(old)), rel

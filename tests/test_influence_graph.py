@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -193,6 +194,45 @@ def test_graph_rejects_node_outside_aspects(build, edge):
         build(g, g.edges + (edge,))
 
 
+def _two_by_four():
+    return generate_graph(
+        StructuralAspects(option_count=4, p_w=1.0, mu_a=0.1, sigma_a=0.1, module_count=2), seed=1
+    )
+
+
+@pytest.mark.parametrize("build", [_rebuilt, _loaded])
+def test_graph_rejects_repeated_edge(build):
+    """A repeated edge would give its IV the same parent twice, and its
+    semantics a squared term."""
+    g = _two_by_four()
+    edge = (option(0, 0), intermediate(0, 0), EdgeKind.WITHIN_OI)
+    assert edge in g.edges  # p_w = 1 wires every within-module pair
+    with pytest.raises(GraphStructureError, match="O:0:0->IV:0:0 appears twice"):
+        build(g, g.edges + (edge,))
+
+
+@pytest.mark.parametrize("build", [_rebuilt, _loaded])
+@pytest.mark.parametrize(
+    "edge, allowed",
+    [
+        ((option(0, 0), intermediate(0, 0), EdgeKind.ACROSS_OI), "within_oi"),
+        ((option(0, 1), intermediate(1, 0), EdgeKind.WITHIN_OI), "across_oi"),
+        ((option(0, 0), intermediate(1, 2), EdgeKind.IV_TO_IV), "across_oi"),
+        ((intermediate(0, 0), intermediate(1, 0), EdgeKind.ACROSS_OI), "iv_to_iv"),
+        ((intermediate(0, 1), performance(0), EdgeKind.IV_TO_IV), "iv_to_perf"),
+        ((option(0, 0), performance(0), EdgeKind.IV_TO_PERF), "no edge"),
+        ((option(0, 0), option(0, 1), EdgeKind.WITHIN_OI), "no edge"),
+    ],
+)
+def test_graph_rejects_edge_kind_its_endpoints_do_not_allow(build, edge, allowed):
+    """Each edge is relabelled in place, so that it is not also a repeat."""
+    g = _two_by_four()
+    src, dst, _ = edge
+    edges = tuple(e for e in g.edges if e[:2] != (src, dst)) + (edge,)
+    with pytest.raises(GraphStructureError, match=f"endpoints allow {allowed}"):
+        build(g, edges)
+
+
 def test_derive_knowledge_ie_subset_of_pie():
     a = StructuralAspects(option_count=7, p_w=0.6, mu_a=0.25, sigma_a=0.2, module_count=4)
     for seed in range(60):
@@ -278,6 +318,48 @@ def test_graph_json_roundtrip_byte_identical():
 def test_node_id_encoding_roundtrip():
     for node in (option(3, 1), intermediate(0, 2), NodeId.decode("P:0")):
         assert NodeId.decode(node.encode()) == node
+
+
+def test_node_ids_sort_hash_and_pickle_as_kind_module_index():
+    """Sorting gives (kind, module, index) order, the one canonical parent
+    order (IVs sort before options); nodes survive the pickling that sends
+    them to `--jobs` workers, and hash as their fields do."""
+    g = generate_graph(
+        StructuralAspects(option_count=3, p_w=0.5, mu_a=0.1, sigma_a=0.1, module_count=11,
+                          perf_count=2),
+        seed=4,
+    )
+    nodes = g.option_nodes() + g.iv_nodes() + g.perf_nodes()
+    shuffled = [nodes[i] for i in np.random.default_rng(0).permutation(len(nodes))]
+    want = sorted(shuffled, key=lambda n: (n.kind.value, -1 if n.module is None else n.module, n.index))
+    assert sorted(shuffled) == want
+    assert [n.kind for n in want[:3]] == [NodeKind.INTERMEDIATE] * 3
+    assert want[3 * 11 : 3 * 11 + 3] == [option(0, 0), option(0, 1), option(0, 2)]
+    assert want[-2:] == [performance(0), performance(1)]
+    assert want[10 * 3 : 10 * 3 + 3] == [intermediate(10, k) for k in range(3)]  # 10 after 9
+    for node in nodes:
+        assert NodeId.decode(node.encode()) == node
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert hash(node) == hash(NodeId(node.kind, node.module, node.index))
+    assert len(set(nodes)) == len(nodes)
+
+
+def test_patched_node_id_hash_raises(monkeypatch):
+    """The patch `test_search_and_prediction_never_touch_node_ids` relies on:
+    a class-level `__hash__` or `__eq__` reaches every node."""
+
+    def forbidden(*args):
+        raise AssertionError("NodeId hashed or compared")
+
+    node = option(0, 1)
+    monkeypatch.setattr(NodeId, "__hash__", forbidden)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(node)
+    with pytest.raises(AssertionError, match="hashed"):
+        {node: 1}
+    monkeypatch.setattr(NodeId, "__eq__", forbidden)
+    with pytest.raises(AssertionError, match="compared"):
+        node == option(0, 1)
 
 
 def test_scale_aspects_bounds_and_degenerate():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from modperf.influence_graph import (
     EdgeKind,
     StructuralAspects,
     generate_graph,
+    graph_doc,
     intermediate,
     option,
     performance,
 )
+from modperf.jsonio import compact_json
 from modperf.semantics import (
     Evaluator,
     NoiseTargets,
@@ -290,15 +293,62 @@ def test_polynomial_weights_must_fit_sorted_parents():
         PolynomialFunction((a,), [0.5, 0.25], [])
 
 
-def test_semantics_json_roundtrip_exact():
+def _roundtrip_semantics():
     graph = generate_graph(
         StructuralAspects(option_count=6, p_w=0.8, mu_a=0.2, sigma_a=0.1, module_count=3),
         seed=23,
         iv_to_iv_p=0.2,
     )
-    semantics = synthesize_semantics(graph, seed=24)
+    return synthesize_semantics(graph, seed=24)
+
+
+def test_semantics_json_roundtrip_exact():
+    semantics = _roundtrip_semantics()
+    graph = semantics.graph
     text = semantics_to_json(semantics)
     restored = semantics_from_json(text)
     assert semantics_to_json(restored) == text
     config = [1, 0, 1] * (len(graph.option_nodes()) // 3)
     assert evaluate(restored, config) == evaluate(semantics, config)
+
+
+def test_semantics_json_rejects_a_tampered_digest_or_seed():
+    doc = json.loads(semantics_to_json(_roundtrip_semantics()))
+    for key, value in (("weights_sha256", "0" * 64), ("seed", doc["seed"] + 1)):
+        with pytest.raises(ValueError, match="do not match weights_sha256"):
+            semantics_from_json(json.dumps(doc | {key: value}))
+
+
+def test_semantics_json_without_seed_is_refused():
+    """A document that lists every weight, as older writers did, has no seed."""
+    doc = json.loads(semantics_to_json(_roundtrip_semantics()))
+    del doc["seed"], doc["weights_sha256"]
+    with pytest.raises(ValueError, match="no integer seed"):
+        semantics_from_json(json.dumps(doc | {"iv_formulas": {}, "perf_formulas": {}}))
+
+
+def test_hand_built_semantics_cannot_be_written():
+    graph = _single_iv_system()
+    iv = intermediate(0, 0)
+    formula = PolynomialFunction((option(0, 0), option(0, 1)), [0.5, 0.25], [0.1])
+    semantics = SystemSemantics(graph, {iv: formula}, {performance(0): {iv: 2.0}})
+    assert semantics.seed is None
+    with pytest.raises(ValueError, match="synthesize_semantics"):
+        semantics_to_json(semantics)
+
+
+def test_semantics_json_is_its_graph_plus_a_constant():
+    """The file holds the graph document and a fixed-size tail, however
+    many parent pairs the graph's IVs have."""
+    overheads, pair_counts = set(), []
+    for p_w, mu_a, iv_to_iv_p in ((0.1, 0.01, 0.0), (1.0, 0.4, 0.5)):
+        graph = generate_graph(
+            StructuralAspects(option_count=10, p_w=p_w, mu_a=mu_a, sigma_a=0.01, module_count=10),
+            seed=3,
+            iv_to_iv_p=iv_to_iv_p,
+        )
+        semantics = synthesize_semantics(graph, seed=987654321)
+        pair_counts.append(sum(len(f.pairs) for f in semantics.iv_formulas.values()))
+        overheads.add(len(semantics_to_json(semantics)) - len(compact_json(graph_doc(graph))))
+    assert pair_counts[1] > 20 * pair_counts[0]
+    assert len(overheads) == 1 and overheads.pop() < 200
