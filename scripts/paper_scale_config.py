@@ -27,7 +27,6 @@ config = ExperimentConfig(
     forest_scale="paper",
     lasso_degrees=(1, 2, 3, 4),
     lasso_alpha_steps=500,
-    shapley_samples=1000,
     importance_repeats=30,
 )
 

@@ -40,7 +40,10 @@ def main() -> int:
     summary = run_all(config)
     print(run_report(config))
     for metric, info in summary["metrics"].items():
-        print(f"{metric}: {info['significant']}/{info['tests']} tests significant")
+        print(
+            f"{metric}: {info['significant']}/{info['tests']} significant, "
+            f"{info['skipped_tests']} skipped"
+        )
     return 0
 
 

@@ -44,7 +44,6 @@ BASE = dict(
     n_train=300,
     n_test=150,
     lasso_alpha_steps=5,
-    shapley_samples=20,
     importance_repeats=2,
 )
 SMALL = dict(option_count=(4, 6), module_count=(3, 4))

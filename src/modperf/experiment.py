@@ -104,7 +104,6 @@ class ExperimentConfig:
     lasso_degrees: tuple[int, ...] = (1, 2, 3)
     lasso_alpha_steps: int = 40
     use_measured_hardness: bool = False
-    shapley_samples: int = 200
     importance_repeats: int = 10
     aspect_ranges: AspectRanges = AspectRanges()
     # Runtime-only knobs, excluded from the persisted config so output trees
@@ -163,9 +162,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, **runtime) -> "ExperimentConfig":
-        kwargs = _tuples(doc) | runtime
+        """The config a `persisted_dict` document describes, with runtime
+        knobs; a key that names no field, such as one an older version
+        wrote, raises ValueError naming it."""
+        kwargs = _fields_of(ExperimentConfig, _tuples(doc) | runtime)
         if "aspect_ranges" in kwargs:
-            kwargs["aspect_ranges"] = AspectRanges(**_tuples(kwargs["aspect_ranges"]))
+            ranges = _fields_of(AspectRanges, _tuples(kwargs["aspect_ranges"]))
+            kwargs["aspect_ranges"] = AspectRanges(**ranges)
         return ExperimentConfig(**kwargs)
 
     def system_seed(self, s: int) -> int:
@@ -179,6 +182,14 @@ class ExperimentConfig:
 
     def unit_id(self, s: int, t: int) -> str:
         return f"{self.system_id(s)}_t{t:02d}"
+
+
+def _fields_of(cls, kwargs: dict) -> dict:
+    """`kwargs`, checked to name only fields of the dataclass `cls`."""
+    unknown = sorted(kwargs.keys() - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+    return kwargs
 
 
 def _tuples(doc: dict) -> dict:
@@ -579,12 +590,7 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 seed=derive(config.global_seed, "perm", metric),
                 feature_names=list(ASPECT_FEATURES),
             )
-            shap, _ = shapley_importance(
-                model, X, y, mse,
-                samples=config.shapley_samples,
-                seed=derive(config.global_seed, "shapley", metric),
-                feature_names=list(ASPECT_FEATURES),
-            )
+            shap, _ = shapley_importance(model, X, y, mse, feature_names=list(ASPECT_FEATURES))
             stage1_doc = {
                 "chosen_degree": model.params.degree,
                 "chosen_alpha": model.params.alpha,

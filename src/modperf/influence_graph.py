@@ -248,6 +248,8 @@ class CausalInfluenceGraph:
         return out
 
     def edges_of_kind(self, kind: EdgeKind) -> list[Edge]:
+        """The edges of one kind. The pipeline reads `edges` whole; this is
+        kept for `scripts/inspect_system.py`, which counts edges by kind."""
         return [e for e in self.edges if e[2] is kind]
 
 

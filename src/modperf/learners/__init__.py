@@ -17,7 +17,6 @@ from .lasso import (
     alpha_grid,
     cross_validate_l1_many,
     fit_l1,
-    soft_threshold,
 )
 from .polynomial import PolynomialExpansion
 from .search import (
@@ -48,5 +47,4 @@ __all__ = [
     "forest_search_space",
     "mse",
     "predict_forests",
-    "soft_threshold",
 ]

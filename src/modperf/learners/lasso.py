@@ -59,11 +59,6 @@ class L1Params:
             raise ValueError("tol must be > 0")
 
 
-def soft_threshold(x, t):
-    """sign(x) * max(|x| - t, 0), elementwise: x - t, x + t or exactly 0.0."""
-    return x - np.minimum(np.maximum(x, -t), t)
-
-
 @dataclass(frozen=True)
 class SolveCounts:
     """How a set of solver problems ended."""
@@ -219,7 +214,8 @@ def _solve(
     for sweep in range(1, max_iter + 1):
         b_before = b.copy()
         for j in range(d):
-            new = rho[j] - np.minimum(np.maximum(rho[j], neg_a), a)  # soft_threshold
+            # soft threshold sign(rho) * max(|rho| - a, 0): rho - a, rho + a or exactly 0.0
+            new = rho[j] - np.minimum(np.maximum(rho[j], neg_a), a)
             new /= gjj_safe[j]
             delta = new - b[j]
             b[j] = new

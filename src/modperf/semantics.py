@@ -229,7 +229,9 @@ def evaluate(
 
     `config` assigns 0/1 to every option node in canonical order. Noise is
     omitted when `noise_seed` is None; otherwise each noisy value v' obeys
-    |v' - v| <= noise_fraction * |v|.
+    |v' - v| <= noise_fraction * |v|. The pipeline evaluates whole batches
+    with `Evaluator`; this one-configuration form, with its bit checks, is
+    kept for `scripts/inspect_system.py`, which prints one evaluated config.
     """
     evaluator = Evaluator(semantics)
     bits = np.asarray(config, dtype=float).reshape(1, -1)

@@ -58,6 +58,16 @@ def brute_force_mwu_p(x, y, alternative):
     return min(1.0, 2.0 * min(p_greater, p_less))
 
 
+def reference_soft_threshold(x, t):
+    """Independent oracle for the lasso's scalar soft threshold
+    sign(x) * max(|x| - t, 0): x - t, x + t, or exactly 0.0 in [-t, t]."""
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
+
+
 def has_cycle(edges, nodes):
     """Independent DFS cycle detector over (src, dst) pairs."""
     children = {n: [] for n in nodes}

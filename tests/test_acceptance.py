@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_force_mwu_p
+from conftest import brute_force_mwu_p, reference_soft_threshold
 from modperf.dataset import sample_dataset
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model
 from modperf.hardness_opportunity import CurveTable, build_matrix, hardness, opportunity, scaling_constant
@@ -37,7 +37,6 @@ from modperf.learners import (
     fit_l1,
     fold_indices,
     forest_search_space,
-    soft_threshold,
 )
 from modperf.metrics import acc, maape, spearman
 from modperf import reporting
@@ -179,7 +178,7 @@ def test_criterion_05_learner_correctness():
         y = target_corr * x + noise / noise.std() * math.sqrt(max(1 - target_corr**2, 0))
         model = fit_l1(x.reshape(-1, 1), y, L1Params(alpha=alpha, scale=False, tol=1e-13))
         rho = float(x @ y / len(y))
-        assert model.coefs[0] == pytest.approx(soft_threshold(rho, alpha), abs=1e-6)
+        assert model.coefs[0] == pytest.approx(reference_soft_threshold(rho, alpha), abs=1e-6)
 
     # forest: zero training error on noiseless binary single-feature target
     X = rng.integers(0, 2, size=(300, 1)).astype(float)

@@ -255,9 +255,10 @@ def test_parallel_generation_matches_serial(tmp_path):
 
 # sha256 of the tree below, as written with compact bulk JSON, one noise
 # generator per dataset and semantics.json holding its seed and weight
-# digest. The CSV and JSON writers must keep every byte; a change that
-# alters output on purpose updates this and says so.
-GENERATE_TREE_SHA = "a6c1cf1304bdfa1fe787b180bb71ebb7636f83902ca0b68207092527bbcda980"
+# digest, and a config.json without a Shapley sample count. The CSV and
+# JSON writers must keep every byte; a change that alters output on purpose
+# updates this and says so.
+GENERATE_TREE_SHA = "0a017c651aab9c5631b5f97436936d07b8afe53fe22be6aca630c80e1c522936"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -375,7 +376,7 @@ def _write_analyze_inputs(config):
 def _analyze_config(tmp_path, **overrides):
     params = dict(
         global_seed=5150, n_systems=14, trials=1, train_sizes=CURVE_SIZES, n_train=100,
-        lasso_degrees=(1, 2), lasso_alpha_steps=4, shapley_samples=8, importance_repeats=2,
+        lasso_degrees=(1, 2), lasso_alpha_steps=4, importance_repeats=2,
         out_dir=str(tmp_path / "out"),
     )
     params.update(overrides)
@@ -384,12 +385,13 @@ def _analyze_config(tmp_path, **overrides):
 
 # sha256 of the analysis trees of the hand-made inputs above, fixed mode
 # then empirical mode, with compact hardness, opportunity and stage-1
-# documents and standard-CSV test tables (`hypothesis_id` quoted). The array
-# kernels and the joint stage-1 solve must keep every byte.
-ANALYZE_TREE_SHA = "3fe82be2d351ca80a77df87d54142d853a5317ffc2651f8ed422bfc47f16a579"
+# documents (exact Shapley importances) and standard-CSV test tables
+# (`hypothesis_id` quoted). The array kernels and the joint stage-1 solve
+# must keep every byte.
+ANALYZE_TREE_SHA = "525ab72278add4881999f4a46635057c6ccb39891fa9aeec4dcc03b6f0dd689b"
 # The same trees with use_measured_hardness: acc's stage 1 runs, but every
 # unit is routed by its measured hardness.
-ANALYZE_MEASURED_TREE_SHA = "52ad3665cd0e576b42e882523053504c88b72d450d40522b1073ee34bdb54313"
+ANALYZE_MEASURED_TREE_SHA = "75b9873be340af37166baa6fcc5fcf18e29fa29cfc63f6ccb8a6425d1dfbfaeb"
 
 
 def _analyze_trees_sha(tmp_path, **overrides) -> str:
@@ -891,6 +893,26 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     assert len(manifest["systems"]) == 1  # flag overrode the file's 2
     persisted = json.loads((out / "config.json").read_text())
     assert persisted["global_seed"] == TINY["global_seed"]
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [
+        (dict(shapley_samples=200), "shapley_samples"),
+        (dict(aspect_ranges=dict(modules=[3, 4])), "modules"),
+    ],
+)
+def test_cli_config_file_with_unknown_field_fails_by_name(tmp_path, capsys, extra, name):
+    """A config.json from before exact Shapley still holds `shapley_samples`;
+    it exits 1 naming that key, not with a bare TypeError from __init__, and
+    so does an unknown key in `aspect_ranges`."""
+    config_file = tmp_path / "conf.json"
+    config_file.write_text(json.dumps({**TINY, **extra}))
+    argv = ["analyze", "--config", str(config_file), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and error["stage"] == "analyze"
+    assert name in error["detail"]
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from conftest import reference_soft_threshold
 from modperf.learners import (
     CVSpec,
     ForestParams,
@@ -18,7 +17,6 @@ from modperf.learners import (
     fit_l1,
     fold_indices,
     mse,
-    soft_threshold,
 )
 from modperf.learners import forest, lasso
 from modperf.seeds import rng_for
@@ -472,15 +470,7 @@ def test_soft_threshold_closed_form():
     x = rng.normal(size=n)
     x = (x - x.mean()) / x.std()
     model = fit_l1(x.reshape(-1, 1), x.copy(), L1Params(alpha=0.3, scale=False, tol=1e-12))
-    assert model.coefs[0] == pytest.approx(soft_threshold(1.0, 0.3), abs=1e-6)
-
-
-@given(st.floats(-4, 4), st.floats(0, 3))
-def test_soft_threshold_properties(x, t):
-    s = soft_threshold(x, t)
-    assert abs(s) <= abs(x)
-    if abs(x) <= t:
-        assert s == 0.0
+    assert model.coefs[0] == pytest.approx(reference_soft_threshold(1.0, 0.3), abs=1e-6)
 
 
 def test_unregularized_recovers_exact_linear():
@@ -550,19 +540,11 @@ def test_polynomial_expansion_binary_dedup():
     assert Z.shape == (4, len(names))
 
 
-# Reference: residual-form coordinate descent with a scalar soft threshold,
-# the oracle for the Gram-form solver. `_reference_fit_l1` runs on the
+# Reference: residual-form coordinate descent with conftest's scalar soft
+# threshold, the oracle for the Gram-form solver. `_reference_fit_l1` runs on the
 # centred design, as the solver does; `_reference_fit_l1_uncentred` is the
 # loop the solver first replaced, which drags the intercept along and so
 # converges far more slowly on collinear columns, to the same optimum.
-def _reference_soft_threshold(x, t):
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
 def _reference_lasso_objective(X, y, coefs, intercept, alpha):
     r = y - X @ coefs - intercept
     n = len(y)
@@ -608,7 +590,7 @@ def _reference_fit_l1(X, y, params):
             if dead[j]:
                 continue
             rho = Zc[:, j] @ residual / n + col_norm[j] * coefs[j]
-            new = _reference_soft_threshold(rho, params.alpha) / col_norm[j]
+            new = reference_soft_threshold(rho, params.alpha) / col_norm[j]
             delta = new - coefs[j]
             if delta != 0.0:
                 residual -= Zc[:, j] * delta
@@ -642,7 +624,7 @@ def _reference_fit_l1_uncentred(X, y, params):
             if col_norm[j] == 0.0:
                 continue
             rho = Z[:, j] @ residual / n + col_norm[j] * coefs[j]
-            new = _reference_soft_threshold(rho, params.alpha) / col_norm[j]
+            new = reference_soft_threshold(rho, params.alpha) / col_norm[j]
             delta = new - coefs[j]
             if delta != 0.0:
                 residual -= Z[:, j] * delta

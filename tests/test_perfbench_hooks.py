@@ -56,7 +56,7 @@ def test_tracer_spans_every_live_layer(monkeypatch, tmp_path):
 
     config = ExperimentConfig(
         global_seed=2207, n_systems=12, trials=1, train_sizes=(20, 40), n_train=40, n_test=30,
-        budget_evaluations=1, lasso_degrees=(1,), lasso_alpha_steps=3, shapley_samples=4,
+        budget_evaluations=1, lasso_degrees=(1,), lasso_alpha_steps=3,
         importance_repeats=1, aspect_ranges=AspectRanges(option_count=(4, 5), module_count=(3, 4)),
         out_dir=str(tmp_path),
     )

@@ -215,28 +215,40 @@ def test_shapley_symmetry_and_single_feature():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(300, 2))
     y = X[:, 0] + X[:, 1]
-    imp, _ = shapley_importance(_Linear([1.0, 1.0]), X, y, mse, samples=500, seed=4)
+    imp, _ = shapley_importance(_Linear([1.0, 1.0]), X, y, mse)
     assert imp.weights["x0"] == pytest.approx(imp.weights["x1"], abs=0.06)
-    only, _ = shapley_importance(_Linear([1.0, 0.0]), X, X[:, 0], mse, samples=100, seed=5)
+    only, _ = shapley_importance(_Linear([1.0, 0.0]), X, X[:, 0], mse)
     assert only.weights["x0"] > 0.99
 
 
-def test_shapley_exact_efficiency_and_sampled_agreement():
+def test_shapley_efficiency():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(250, 3))
     beta = [1.0, 0.5, 0.25]
     y = X @ np.array(beta)
-    exact, total = shapley_importance(_Linear(beta), X, y, mse, exact=True)
+    exact, total = shapley_importance(_Linear(beta), X, y, mse)
     assert sum(exact.raw.values()) == pytest.approx(total, abs=1e-6)
-    sampled, _ = shapley_importance(_Linear(beta), X, y, mse, samples=600, seed=6)
-    for name in exact.weights:
-        assert sampled.weights[name] == pytest.approx(exact.weights[name], abs=0.05)
+
+
+def test_shapley_matches_linear_closed_form():
+    """For y = X beta under mean imputation and MSE, a coalition S leaves the
+    loss beta_-S' Sigma_-S beta_-S (Sigma: the biased sample covariance), so
+    feature j's Shapley value is beta_j (Sigma beta)_j and the total loss
+    reduction is beta' Sigma beta, with correlated columns too."""
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(400, 5))
+    X[:, 3] = 0.7 * X[:, 0] + 0.3 * X[:, 3]
+    beta = np.array([1.0, -0.5, 0.25, 0.8, 0.0])
+    imp, total = shapley_importance(_Linear(beta), X, X @ beta, mse)
+    sigma = np.cov(X, rowvar=False, bias=True)
+    assert [imp.raw[f"x{j}"] for j in range(5)] == pytest.approx(beta * (sigma @ beta), abs=1e-12)
+    assert total == pytest.approx(beta @ sigma @ beta, abs=1e-12)
 
 
 def test_shapley_exact_feature_limit():
     X = np.zeros((10, 21))
     with pytest.raises(ValueError):
-        shapley_importance(_Linear([0.0] * 21), X, np.zeros(10), mse, exact=True)
+        shapley_importance(_Linear([0.0] * 21), X, np.zeros(10), mse)
 
 
 def test_importance_vector_validates_sum():
