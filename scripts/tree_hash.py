@@ -10,6 +10,13 @@ and after it:
     python scripts/tree_hash.py > after.txt    # on the change
     diff before.txt after.txt
 
+With `--subtrees`, each tree's line is followed by one indented line per
+part of it: `systems/`, `curves/`, `fairness/`, `analysis/` and the files
+at its root, each with its own file count and sha256. A change that alters
+bytes on purpose can then show which parts moved:
+
+    python scripts/tree_hash.py --subtrees
+
 The trees:
 - `stage1`: 12 systems, so the stage-1 lasso runs (5 alphas);
 - `no-stage1`: 6 systems, fewer than the 10 stage 1 needs, so it is skipped;
@@ -21,6 +28,7 @@ each for both hardness modes. Takes 31-38 s on a 2-vCPU machine (it runs
 on one core).
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -55,17 +63,42 @@ TREES = {
 }
 
 
-def tree_hash(root: Path) -> tuple[str, int]:
-    """sha256 over every file's relative path and bytes, in sorted order."""
+PARTS = ("systems/", "curves/", "fairness/", "analysis/", "root")
+
+
+def _part(rel: Path) -> str:
+    """The part of a tree a file at `rel` belongs to: its top directory, or
+    "root" for a file directly in the tree."""
+    return f"{rel.parts[0]}/" if len(rel.parts) > 1 else "root"
+
+
+def tree_hash(root: Path, part: str | None = None) -> tuple[str, int]:
+    """sha256 over every file's path relative to `root` and its bytes, in
+    sorted order: of the whole tree, or of the files of one of PARTS."""
     digest = hashlib.sha256()
     files = sorted(p for p in root.rglob("*") if p.is_file())
+    if part is not None:
+        files = [p for p in files if _part(p.relative_to(root)) == part]
     for path in files:
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest(), len(files)
 
 
-def main() -> int:
+def tree_lines(label: str, root: Path, subtrees: bool = False) -> list[str]:
+    """The line of the tree at `root`, then with `subtrees` one line per part."""
+    sha, count = tree_hash(root)
+    lines = [f"{label} {count} files {sha}"]
+    for part in PARTS if subtrees else ():
+        sha, count = tree_hash(root, part)
+        lines.append(f"  {part} {count} files {sha}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--subtrees", action="store_true", help="also hash each part of every tree")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in TREES.items():
             for mode in ("fixed", "empirical"):
@@ -77,8 +110,7 @@ def main() -> int:
                 run_model(config)
                 run_analyze(config)
                 run_report(config)
-                sha, count = tree_hash(out)
-                print(f"{name} {mode} {count} files {sha}", flush=True)
+                print("\n".join(tree_lines(f"{name} {mode}", out, args.subtrees)), flush=True)
     return 0
 
 

@@ -7,18 +7,18 @@ is a row slice and prefixes nest. The noise of all rows comes from one
 generator seeded with `derive(seed, "noise")`, which draws a (rows x
 values) block in row order (`Evaluator.apply_noise`).
 
-The CSV format is defined cell by cell: a header of column names, then per
-row its option bits as "0"/"1" and its IV and perf values as
-``repr(float(v))``, which round-trips every float exactly. The writer and
-the reader work on whole arrays but keep that text byte for byte. The
-reader takes only the header the writer derives from the column names and
-option cells "0" or "1"; a value cell may be any literal that ``float()``
-reads as a finite float, such as " 1.5", "+1.0" or "1_0".
+A trial's rows are stored as `train.npy` and `test.npy` in NumPy's `.npy`
+format: a 1-D structured array, one record per row, of dtype
+``[("bits", "u1", (options,)), ("ivs", "<f8", (IVs,)), ("perf", "<f8",
+(perfs,))]``, which keeps every float bit for bit. `dataset.json` names the
+columns and the row counts, and the reader refuses a file that does not
+match them (`load_dataset`). To look at rows:
+``np.load("train.npy")["ivs"][:5]``.
 """
 
 from __future__ import annotations
 
-import itertools
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,112 +126,28 @@ def sample_dataset(
     )
 
 
-def _header(names) -> list[str]:
-    """The CSV column names of the node names `names`: "O:m:j" is "o_m_j",
-    "IV:m:k" is "iv_m_k" and "P:q" is "perf_q"."""
-    prefix = {"O": "o", "IV": "iv", "P": "perf"}
-    return ["_".join([prefix[kind], *rest]) for kind, *rest in (n.split(":") for n in names)]
-
-
-def rows_to_csv(dataset: SystemDataset, rows: slice) -> str:
-    """The header line, then one line per row of `dataset` that `rows`
-    selects: each option bit as ``str(int(b))``, then each IV and perf value
-    as ``repr(float(v))``.
-
-    The bits are written as one digit-and-comma byte array, so a line's
-    bit cells are one ``tobytes().decode()``; the values go through one
-    ``tolist()``, whose floats ``repr`` exactly as ``repr(float(v))``.
-    """
-    bits = dataset.bits[rows]
-    values = np.hstack([dataset.ivs[rows], dataset.perf[rows]], dtype=float)
-    digits = np.full((len(bits), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
-    digits[:, ::2] = bits + ord("0")
-    lines = [",".join(_header(dataset.option_names + dataset.iv_names + dataset.perf_names))]
-    lines += [
-        prefix.tobytes().decode() + ",".join(map(repr, row))
-        for prefix, row in zip(digits, values.tolist())
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _line_error(line: str, n_options: int, width: int) -> str | None:
-    """Why one body line is malformed, or None: the cell-by-cell form of the
-    bulk checks in `rows_from_csv`."""
-    cells = line.split(",")
-    if len(cells) != width:
-        return f"{len(cells)} cells, expected {width}"
-    bad = [c for c in cells[:n_options] if c not in ("0", "1")]
-    if bad:
-        return f"option bit {bad[0]!r} is not 0 or 1"
-    try:
-        values = [float(c) for c in cells[n_options:]]
-    except ValueError as exc:
-        return str(exc)
-    if not np.isfinite(values).all():
-        return "values must be finite"
-    return None
-
-
-def rows_from_csv(text: str, options, ivs, perfs) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a CSV that `rows_to_csv` wrote for the columns named `options`,
-    `ivs` and `perfs` into its option bits (rows x options, uint8) and its
-    IV and perf values (rows x (IVs + perfs)); a header-only text gives no
-    rows.
-
-    The header must be the one `rows_to_csv` derives from the names. Every
-    option cell must be exactly "0" or "1", and every value cell a literal
-    that ``float()`` reads as a finite float. The lines are checked and
-    parsed in bulk: every line's bit cells at once from its fixed-width
-    prefix, every value with one parse. When that fails, the lines are
-    checked one by one to raise a ValueError naming the first malformed
-    1-based line.
-    """
-    n_options, n_ivs = len(options), len(ivs)
-    if n_ivs < 1 or len(perfs) < 1:
-        raise ValueError("a dataset has at least one IV and one perf column")
-    header, *body = text.strip().split("\n")
-    want = _header([*options, *ivs, *perfs])
-    width = len(want)
-    for k, (got_cell, want_cell) in enumerate(itertools.zip_longest(header.split(","), want)):
-        if got_cell != want_cell:
-            raise ValueError(f"line 1: header cell {k + 1} is {got_cell!r}, expected {want_cell!r}")
-    if not body:
-        return np.empty((0, n_options), np.uint8), np.empty((0, width - n_options))
-    n_chars = 2 * n_options  # "b," per option bit
-    try:
-        if any(line.count(",") != width - 1 for line in body):
-            raise ValueError
-        prefixes = np.frombuffer(
-            "".join([line[:n_chars] for line in body]).encode(), dtype=np.uint8
-        ).reshape(len(body), n_chars)
-        commas_ok = (prefixes[:, 1::2] == ord(",")).all()
-        if not (commas_ok and ((prefixes[:, ::2] | 1) == ord("1")).all()):  # "0" or "1"
-            raise ValueError
-        cells = ",".join([line[n_chars:] for line in body]).split(",")
-        values = np.fromiter(map(float, cells), float, len(cells))
-        values = values.reshape(len(body), width - n_options)
-        if not np.isfinite(values).all():
-            raise ValueError
-    except ValueError:
-        for k, line in enumerate(body):
-            error = _line_error(line, n_options, width)
-            if error:
-                raise ValueError(f"line {k + 2}: {error}") from None
-        raise  # not reached: the line checks cover every bulk check
-    return prefixes[:, ::2] - ord("0"), values
+def _row_dtype(n_options: int, n_ivs: int, n_perfs: int) -> np.dtype:
+    """The record of one row in `train.npy`/`test.npy` (module docstring)."""
+    return np.dtype([("bits", "u1", (n_options,)), ("ivs", "<f8", (n_ivs,)), ("perf", "<f8", (n_perfs,))])
 
 
 def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -> dict:
-    """Write train/test CSVs plus a manifest binding them to their inputs,
-    each through `write_atomic`."""
-    write_atomic(directory / "train.csv", rows_to_csv(dataset, slice(dataset.n_train)))
-    write_atomic(directory / "test.csv", rows_to_csv(dataset, slice(dataset.n_train, None)))
+    """Write train/test `.npy` files plus a manifest binding them to their
+    inputs, each through `write_atomic`."""
+    dtype = _row_dtype(len(dataset.option_names), len(dataset.iv_names), len(dataset.perf_names))
+    for name, rows in (("train.npy", slice(dataset.n_train)), ("test.npy", slice(dataset.n_train, None))):
+        bits = dataset.bits[rows]
+        records = np.empty(len(bits), dtype)
+        records["bits"], records["ivs"], records["perf"] = bits, dataset.ivs[rows], dataset.perf[rows]
+        buffer = io.BytesIO()
+        np.save(buffer, records, allow_pickle=False)
+        write_atomic(directory / name, buffer.getvalue())
     manifest = {
         "system_id": dataset.system_id,
         "seed": dataset.seed,
         "semantics_file": semantics_file,
-        "train_file": "train.csv",
-        "test_file": "test.csv",
+        "train_file": "train.npy",
+        "test_file": "test.npy",
         "n_train": dataset.n_train,
         "n_test": len(dataset.bits) - dataset.n_train,
         "train_sizes": list(dataset.train_sizes),
@@ -245,29 +161,62 @@ def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -
     return manifest
 
 
+def _read_rows(path: Path, dtype: np.dtype) -> np.ndarray:
+    """The records of one `.npy` file that `save_dataset` wrote: a 1-D array
+    of exactly `dtype` and nothing after it, with bits 0 or 1 and finite
+    values. A ValueError names the first record that is not."""
+    with path.open("rb") as f:
+        try:
+            rows = np.load(f, allow_pickle=False)
+        except EOFError:  # np.load's word for an empty file
+            raise ValueError("empty file, not a .npy array") from None
+        if not isinstance(rows, np.ndarray):  # an .npz archive
+            raise ValueError(f"a {type(rows).__name__}, not a .npy array")
+        if rows.dtype != dtype or rows.ndim != 1:
+            raise ValueError(f"dtype {rows.dtype} of shape {rows.shape}, expected 1-D {dtype}")
+        if f.read(1):
+            raise ValueError("bytes after the last record")
+    bad_bits = (rows["bits"] > 1).any(axis=1)
+    if bad_bits.any():
+        raise ValueError(f"record {bad_bits.argmax()}: an option bit is not 0 or 1")
+    finite = np.isfinite(rows["ivs"]).all(axis=1) & np.isfinite(rows["perf"]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"record {finite.argmin()}: values must be finite")
+    return rows
+
+
 def load_dataset(directory: Path) -> SystemDataset:
-    """Read what `save_dataset` wrote. Each CSV must hold the header the
-    writer derives from dataset.json's columns and as many rows as
-    dataset.json's `n_train` or `n_test`; a ValueError names the file that
-    does not."""
+    """Read what `save_dataset` wrote. Each `.npy` file must hold records of
+    the dtype that dataset.json's columns give and as many rows as its
+    `n_train` or `n_test`, with bits 0 or 1 and finite values; a ValueError
+    names the file that does not. A trial stored as CSV, by a modperf from
+    before the `.npy` format, is refused: regenerate it."""
     manifest = json.loads((directory / "dataset.json").read_text())
     cols = manifest["columns"]
-    names = cols["options"], cols["ivs"], cols["perfs"]
+    if not cols["ivs"] or not cols["perfs"]:
+        raise ValueError("dataset.json: a dataset has at least one IV and one perf column")
+    dtype = _row_dtype(len(cols["options"]), len(cols["ivs"]), len(cols["perfs"]))
     parts = []
     for file_key, count_key in (("train_file", "n_train"), ("test_file", "n_test")):
         path = directory / manifest[file_key]
+        if path.suffix != ".npy":
+            raise ValueError(
+                f"{path.name}: not a .npy file; trials stored as CSV by an older modperf "
+                "are no longer read, so regenerate the system"
+            )
         try:
-            bits, values = rows_from_csv(path.read_text(), *names)
-            if len(bits) != manifest[count_key]:
-                raise ValueError(f"{len(bits)} rows, dataset.json has {count_key} {manifest[count_key]}")
+            rows = _read_rows(path, dtype)
+            if len(rows) != manifest[count_key]:
+                raise ValueError(f"{len(rows)} rows, dataset.json has {count_key} {manifest[count_key]}")
         except ValueError as exc:
             raise ValueError(f"{path.name}: {exc}") from None
-        parts.append((bits, values))
-    bits, values = (np.concatenate(arrays) for arrays in zip(*parts))
-    n_ivs = len(cols["ivs"])
+        parts.append(rows)
     return SystemDataset(
-        system_id=manifest["system_id"], seed=manifest["seed"], bits=bits,
-        ivs=values[:, :n_ivs], perf=values[:, n_ivs:], n_train=manifest["n_train"],
+        system_id=manifest["system_id"], seed=manifest["seed"],
+        bits=np.concatenate([rows["bits"] for rows in parts]),
+        ivs=np.concatenate([rows["ivs"] for rows in parts]),
+        perf=np.concatenate([rows["perf"] for rows in parts]),
+        n_train=manifest["n_train"],
         train_sizes=tuple(manifest["train_sizes"]),
         option_names=tuple(cols["options"]),
         iv_names=tuple(cols["ivs"]),

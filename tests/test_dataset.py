@@ -1,18 +1,14 @@
 import dataclasses
+import json
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modperf import dataset as dataset_module
-from modperf.dataset import (
-    CapacityError,
-    load_dataset,
-    rows_from_csv,
-    rows_to_csv,
-    sample_dataset,
-    save_dataset,
-)
+from modperf.dataset import CapacityError, load_dataset, sample_dataset, save_dataset
 from modperf.influence_graph import StructuralAspects, generate_graph
 from modperf.knowledge_models import design, level_curves
 from modperf.seeds import derive
@@ -84,14 +80,15 @@ def test_distinct_draws_equal_the_row_by_row_reference(n_options, total):
         assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
-def test_same_seed_byte_identical_serialization():
+def test_same_seed_byte_identical_serialization(tmp_path):
     semantics = _semantics()
-    a = sample_dataset(semantics, seed=8, n_train=40, n_test=20)
-    b = sample_dataset(semantics, seed=8, n_train=40, n_test=20)
-    for rows in (slice(40), slice(40, None)):
-        assert rows_to_csv(a, rows) == rows_to_csv(b, rows)
-    c = sample_dataset(semantics, seed=9, n_train=40, n_test=20)
-    assert rows_to_csv(a, slice(40)) != rows_to_csv(c, slice(40))
+    for name, seed in (("a", 8), ("b", 8), ("c", 9)):
+        save_dataset(
+            sample_dataset(semantics, seed=seed, n_train=40, n_test=20), tmp_path / name, "semantics.json"
+        )
+    for file in ("train.npy", "test.npy", "dataset.json"):
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    assert (tmp_path / "a" / "train.npy").read_bytes() != (tmp_path / "c" / "train.npy").read_bytes()
 
 
 def test_training_prefixes_nest():
@@ -166,12 +163,16 @@ def test_every_record_obeys_noise_bound(targets):
     assert np.array_equal(perf, clean_perf + u * 0.1 * np.abs(clean_perf))
 
 
-def test_csv_header_shape():
+def test_npy_record_dtype_follows_the_columns(tmp_path):
+    """One record per row: the option bits, the IVs and the perf values, as
+    many of each as dataset.json names."""
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=14, n_train=5, n_test=2)
-    header = rows_to_csv(ds, _train(ds)).splitlines()[0].split(",")
-    assert header[0] == "o_0_0"
-    assert header[-1] == "perf_0"
-    assert sum(1 for c in header if c.startswith("iv_")) == 6
+    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    columns = json.loads((tmp_path / "dataset.json").read_text())["columns"]
+    assert [len(columns[k]) for k in ("options", "ivs", "perfs")] == [6, 6, 1]
+    records = np.load(tmp_path / "train.npy")
+    assert records.shape == (5,)
+    assert records.dtype == np.dtype([("bits", "u1", (6,)), ("ivs", "<f8", (6,)), ("perf", "<f8", (1,))])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -179,14 +180,17 @@ def test_save_load_roundtrip(tmp_path):
     ds = sample_dataset(semantics, seed=15, n_train=40, n_test=20, system_id="rt")
     manifest = save_dataset(ds, tmp_path, semantics_file="semantics.json")
     assert manifest["system_id"] == "rt"
+    assert (manifest["train_file"], manifest["test_file"]) == ("train.npy", "test.npy")
     loaded = load_dataset(tmp_path)
     assert (loaded.system_id, loaded.seed, loaded.n_train) == (ds.system_id, ds.seed, ds.n_train)
     assert (loaded.train_sizes, _names(loaded)) == (ds.train_sizes, _names(ds))
     assert loaded.bits.dtype == np.uint8 and loaded.bits.tobytes() == ds.bits.tobytes()
     for name in ("ivs", "perf"):  # bit for bit
         assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
-    for rows in (_train(ds), slice(ds.n_train, None)):
-        assert rows_to_csv(loaded, rows) == rows_to_csv(ds, rows)
+    for file, rows in (("train.npy", _train(ds)), ("test.npy", slice(ds.n_train, None))):
+        records = np.load(tmp_path / file)
+        for field, array in (("bits", ds.bits), ("ivs", ds.ivs), ("perf", ds.perf)):
+            assert np.ascontiguousarray(records[field]).tobytes() == array[rows].tobytes()
 
 
 def _saved(tmp_path):
@@ -195,38 +199,225 @@ def _saved(tmp_path):
     return ds
 
 
+def _recast(records, dtype):
+    """`records` copied into `dtype`'s fields where the shapes agree, zeros
+    elsewhere."""
+    out = np.zeros(len(records), dtype)
+    for name in dtype.names:
+        if name in records.dtype.names and out[name].shape == records[name].shape:
+            out[name] = records[name]
+    return out
+
+
 @pytest.mark.parametrize(
     "name,keep,count",
-    [("test.csv", 2, "n_test 30"), ("test.csv", 26, "n_test 30"), ("train.csv", 40, "n_train 40")],
+    [("test.npy", 1, "n_test 30"), ("test.npy", 25, "n_test 30"), ("train.npy", 39, "n_train 40")],
 )
-def test_load_rejects_a_csv_whose_row_count_differs_from_the_manifest(tmp_path, name, keep, count):
-    """A CSV cut short loads no rows at all: the error names the file. Its
-    header plus one row once loaded as a 1-row test set that no metric can
-    score, and a few rows fewer as a test set scored on fewer rows."""
+def test_load_rejects_a_npy_whose_row_count_differs_from_the_manifest(tmp_path, name, keep, count):
+    """A file of too few rows loads no rows at all: the error names the
+    file. One row once loaded as a 1-row test set that no metric can score,
+    and a few rows fewer as a test set scored on fewer rows."""
     _saved(tmp_path)
     path = tmp_path / name
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:keep]))
-    with pytest.raises(ValueError, match=f"^{name}: {keep - 1} rows, dataset.json has {count}$"):
+    records = np.load(path)
+    np.save(path, records[:keep])
+    with pytest.raises(ValueError, match=f"^{name}: {keep} rows, dataset.json has {count}$"):
         load_dataset(tmp_path)
-    path.write_text("".join(lines + lines[-1:]))  # one row too many
-    with pytest.raises(ValueError, match=f"^{name}: {len(lines)} rows"):
+    np.save(path, np.concatenate([records, records[-1:]]))  # one row too many
+    with pytest.raises(ValueError, match=f"^{name}: {len(records) + 1} rows"):
         load_dataset(tmp_path)
 
 
-@pytest.mark.parametrize("name", ["train.csv", "test.csv"])
-def test_load_rejects_a_csv_whose_header_differs_from_the_manifest(tmp_path, name):
-    """Two header names swapped, a perf column labelled as an IV and the IV
-    as perf, load no rows: the header must be the one the writer derives
-    from dataset.json's columns."""
+# Record dtypes that are not the one `_saved`'s dataset.json columns give
+# (o options, i IVs, one perf): each differs in one way.
+OTHER_DTYPES = {
+    "more-ivs": lambda o, i: [("bits", "u1", (o,)), ("ivs", "<f8", (i + 1,)), ("perf", "<f8", (1,))],
+    "fewer-options": lambda o, i: [("bits", "u1", (o - 1,)), ("ivs", "<f8", (i,)), ("perf", "<f8", (1,))],
+    "more-perfs": lambda o, i: [("bits", "u1", (o,)), ("ivs", "<f8", (i,)), ("perf", "<f8", (2,))],
+    "swapped-fields": lambda o, i: [("ivs", "<f8", (i,)), ("bits", "u1", (o,)), ("perf", "<f8", (1,))],
+    "big-endian": lambda o, i: [("bits", "u1", (o,)), ("ivs", ">f8", (i,)), ("perf", "<f8", (1,))],
+    "float-bits": lambda o, i: [("bits", "<f8", (o,)), ("ivs", "<f8", (i,)), ("perf", "<f8", (1,))],
+    "renamed": lambda o, i: [("options", "u1", (o,)), ("ivs", "<f8", (i,)), ("perf", "<f8", (1,))],
+}
+
+
+@pytest.mark.parametrize("how", list(OTHER_DTYPES))
+@pytest.mark.parametrize("name", ["train.npy", "test.npy"])
+def test_load_rejects_a_npy_whose_dtype_differs_from_the_manifest(tmp_path, name, how):
+    """The records must have exactly the dtype that dataset.json's columns
+    give: column counts that differ from dataset.json, fields swapped or
+    renamed, and values of another type or byte order load no rows, even
+    where every value is the same."""
+    ds = _saved(tmp_path)
+    path = tmp_path / name
+    records = np.load(path)
+    other = np.dtype(OTHER_DTYPES[how](len(ds.option_names), len(ds.iv_names)))
+    assert other != records.dtype
+    np.save(path, _recast(records, other))
+    with pytest.raises(ValueError, match=f"^{name}: dtype .* expected 1-D "):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["train.npy", "test.npy"])
+def test_load_rejects_a_npy_that_is_not_1_d(tmp_path, name):
+    """The rows as one 2-D float table, or as a 2-D array of records, load
+    no rows."""
     _saved(tmp_path)
     path = tmp_path / name
-    header, body = path.read_text().split("\n", 1)
-    cells = header.split(",")
-    cells[-1], cells[-2] = cells[-2], cells[-1]
-    assert cells[-1].startswith("iv_") and cells[-2] == "perf_0"
-    path.write_text(",".join(cells) + "\n" + body)
-    with pytest.raises(ValueError, match=f"^{name}: line 1: header cell {len(cells) - 1} is 'perf_0'"):
+    records = np.load(path)
+    for array in (
+        np.hstack([records["bits"], records["ivs"], records["perf"]]).astype(float),
+        records.reshape(-1, 1),
+    ):
+        np.save(path, array)
+        with pytest.raises(ValueError, match=rf"^{name}: dtype .* of shape {re.escape(str(array.shape))}, expected 1-D "):
+            load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value", [2, 255])
+@pytest.mark.parametrize("column", ["first", "last"])
+@pytest.mark.parametrize("name,record", [("train.npy", 0), ("train.npy", 39), ("test.npy", 7)])
+def test_load_rejects_a_bit_other_than_0_or_1(tmp_path, name, record, column, value):
+    ds = _saved(tmp_path)
+    path = tmp_path / name
+    records = np.load(path)
+    records["bits"][record, 0 if column == "first" else len(ds.option_names) - 1] = value
+    np.save(path, records)
+    with pytest.raises(ValueError, match=f"^{name}: record {record}: an option bit is not 0 or 1$"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field,value", [("ivs", np.nan), ("ivs", np.inf), ("perf", -np.inf), ("perf", np.nan)])
+@pytest.mark.parametrize("name,record", [("train.npy", 3), ("test.npy", 29)])
+def test_load_rejects_a_value_that_is_not_finite(tmp_path, name, record, field, value):
+    _saved(tmp_path)
+    path = tmp_path / name
+    records = np.load(path)
+    records[field][record, -1] = value
+    np.save(path, records)
+    with pytest.raises(ValueError, match=f"^{name}: record {record}: values must be finite$"):
+        load_dataset(tmp_path)
+
+
+# The two tests below keep the names and case ids they had when rows were
+# stored as CSV, each case carried over to `train.npy`: CSV line n is record
+# n - 2 (line 1, the header, is the record dtype), and a text cell stored in
+# a bit is its first byte (the comma after it, for an empty cell).
+def _cell_byte(cell):
+    return (cell or ",").encode()[0]
+
+
+def _saved_lines(tmp_path):
+    """A saved 4-row train.npy, the CSV tests' dataset, and its records."""
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
+    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    assert len(load_dataset(tmp_path).bits) == 6
+    return ds, np.load(tmp_path / "train.npy")
+
+
+@pytest.mark.parametrize(
+    "line,how",
+    [(1, "short"), (1, "long")]
+    + [(line, how) for line in (2, 4) for how in ("short", "long", "nan-iv", "inf-perf", "bit-2", "text")],
+)
+def test_csv_reader_rejects_malformed_line_by_number(tmp_path, line, how):
+    """A record dtype one IV short or long, a file cut inside a record or
+    with bytes put after one, and a record holding a bad bit or a non-finite
+    value load no rows; a bad value names its record."""
+    ds, records = _saved_lines(tmp_path)
+    path, k = tmp_path / "train.npy", line - 2
+    if line == 1:
+        n_ivs = len(ds.iv_names) + (-1 if how == "short" else 1)
+        other = np.dtype([("bits", "u1", (len(ds.option_names),)), ("ivs", "<f8", (n_ivs,)), ("perf", "<f8", (1,))])
+        np.save(path, _recast(records, other))
+        match = "dtype .* expected 1-D "
+    elif how in ("short", "long"):
+        data = path.read_bytes()
+        end = len(data) - (len(records) - k - 1) * records.dtype.itemsize  # where record k ends
+        path.write_bytes(data[: end - 1] if how == "short" else data[:end] + bytes(8) + data[end:])
+        match = "" if how == "short" else "bytes after the last record$"  # numpy words a cut file
+    else:
+        field, column, value, match = {
+            "nan-iv": ("ivs", -1, np.nan, "values must be finite"),
+            "inf-perf": ("perf", -1, -np.inf, "values must be finite"),
+            "bit-2": ("bits", 0, 2, "an option bit is not 0 or 1"),
+            "text": ("bits", 1, _cell_byte("abc"), "an option bit is not 0 or 1"),
+        }[how]
+        records[field][k, column] = value
+        np.save(path, records)
+        match = f"record {k}: {match}$"
+    with pytest.raises(ValueError, match=f"^train.npy: {match}"):
+        load_dataset(tmp_path)
+
+
+# Bit cells the CSV writer never produced; ASCII "0" and "1" are among their bytes.
+@pytest.mark.parametrize("cell", [" 1", "01", "+1", "1.0", ""])
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize("line", [2, 4])
+def test_csv_reader_accepts_only_exact_bit_cells(tmp_path, line, position, cell):
+    ds, records = _saved_lines(tmp_path)
+    records["bits"][line - 2, 0 if position == "first" else len(ds.option_names) - 1] = _cell_byte(cell)
+    np.save(tmp_path / "train.npy", records)
+    with pytest.raises(ValueError, match=f"^train.npy: record {line - 2}: an option bit is not 0 or 1$"):
+        load_dataset(tmp_path)
+
+
+def test_load_refuses_a_trial_stored_as_csv(tmp_path):
+    """A trial written before rows were stored as `.npy`: its dataset.json
+    names `train.csv`. The error names the file and says to regenerate."""
+    _saved(tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    manifest["train_file"], manifest["test_file"] = "train.csv", "test.csv"
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    (tmp_path / "train.csv").write_text("o_0_0,iv_0_0,perf_0\n0,1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"^train\.csv: not a \.npy file; .*regenerate the system$"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("how", ["empty", "header-cut", "data-cut", "one-byte-short", "trailing-bytes"])
+@pytest.mark.parametrize("name", ["train.npy", "test.npy"])
+def test_load_rejects_an_empty_truncated_or_padded_npy(tmp_path, name, how):
+    """A file cut anywhere, or with bytes after its last record, loads no
+    rows; no EOFError escapes."""
+    _saved(tmp_path)
+    path = tmp_path / name
+    data = path.read_bytes()
+    path.write_bytes({
+        "empty": b"",
+        "header-cut": data[:20],
+        "data-cut": data[: len(data) // 2 + 64],
+        "one-byte-short": data[:-1],
+        "trailing-bytes": data + data[-8:],
+    }[how])
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("how", ["pickle", "object-npy", "npz"])
+@pytest.mark.parametrize("name", ["train.npy", "test.npy"])
+def test_load_rejects_pickled_object_and_npz_files(tmp_path, name, how):
+    """Nothing is unpickled, and an `.npz` archive is not an array."""
+    _saved(tmp_path)
+    path = tmp_path / name
+    records = np.load(path)
+    if how == "pickle":
+        path.write_bytes(pickle.dumps(records))
+    elif how == "object-npy":
+        with path.open("wb") as f:
+            np.save(f, np.array([{"bits": 1}] * len(records), dtype=object), allow_pickle=True)
+    else:
+        with path.open("wb") as f:
+            np.savez(f, records=records)
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        load_dataset(tmp_path)
+
+
+def test_load_needs_value_columns(tmp_path):
+    _saved(tmp_path)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    manifest["columns"]["perfs"] = []
+    (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="at least one IV and one perf column"):
         load_dataset(tmp_path)
 
 
@@ -246,93 +437,23 @@ def test_record_view_matches_the_rows(tmp_path):
 
 
 def test_interrupted_save_leaves_no_partial_csv(tmp_path, monkeypatch):
-    """An interrupt halfway through writing test.csv leaves train.csv alone:
-    no partial test.csv and no temporary file."""
+    """An interrupt halfway through writing test.npy's bytes leaves
+    train.npy alone: no partial test.npy and no temporary file. (The name
+    is from when rows were stored as CSV.)"""
     ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=20, system_id="rt")
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
 
-    def interrupted(self, text, *args, **kwargs):
-        if "test.csv" in self.name:
-            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+    def interrupted(self, data):
+        if "test.npy" in self.name:
+            real_write_bytes(self, data[: len(data) // 2])
             raise KeyboardInterrupt
-        return real_write_text(self, text, *args, **kwargs)
+        return real_write_bytes(self, data)
 
-    monkeypatch.setattr(Path, "write_text", interrupted)
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
     with pytest.raises(KeyboardInterrupt):
         save_dataset(ds, tmp_path, semantics_file="semantics.json")
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
-
-
-def _corrupt(line: str, how: str) -> str:
-    cells = line.split(",")
-    if how == "short":
-        cells = cells[:-1]
-    elif how == "long":
-        cells.append("0.5")
-    elif how == "nan-iv":
-        cells[-2] = "nan"
-    elif how == "inf-perf":
-        cells[-1] = "-inf"
-    elif how == "bit-2":
-        cells[0] = "2"
-    elif how == "text":
-        cells[1] = "abc"
-    return ",".join(cells)
-
-
-# The header (line 1) must be the one the writer derives from the column names.
-@pytest.mark.parametrize(
-    "line,how",
-    [(1, "short"), (1, "long")]
-    + [(line, how) for line in (2, 4) for how in ("short", "long", "nan-iv", "inf-perf", "bit-2", "text")],
-)
-def test_csv_reader_rejects_malformed_line_by_number(line, how):
-    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
-    lines = rows_to_csv(ds, _train(ds)).splitlines()
-    assert len(rows_from_csv("\n".join(lines), *_names(ds))[0]) == 4
-    lines[line - 1] = _corrupt(lines[line - 1], how)
-    with pytest.raises(ValueError, match=f"^line {line}: "):
-        rows_from_csv("\n".join(lines), *_names(ds))
-
-
-# Bit cells the writer never produces; the reader used to take the first three as bits.
-@pytest.mark.parametrize("cell", [" 1", "01", "+1", "1.0", ""])
-@pytest.mark.parametrize("position", ["first", "last"])
-@pytest.mark.parametrize("line", [2, 4])
-def test_csv_reader_accepts_only_exact_bit_cells(line, position, cell):
-    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
-    lines = rows_to_csv(ds, _train(ds)).splitlines()
-    cells = lines[line - 1].split(",")
-    cells[0 if position == "first" else len(ds.option_names) - 1] = cell
-    lines[line - 1] = ",".join(cells)
-    with pytest.raises(ValueError, match=f"^line {line}: "):
-        rows_from_csv("\n".join(lines), *_names(ds))
-
-
-def test_empty_record_list_is_header_only():
-    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=19, n_train=4, n_test=2)
-    text = rows_to_csv(ds, slice(0))
-    assert text == rows_to_csv(ds, _train(ds)).splitlines()[0] + "\n"
-    bits, values = rows_from_csv(text, *_names(ds))
-    assert bits.shape == (0, len(ds.option_names))
-    assert values.shape == (0, len(ds.iv_names) + len(ds.perf_names))
-
-
-def test_csv_reader_needs_value_columns():
-    with pytest.raises(ValueError, match="at least one IV and one perf column"):
-        rows_from_csv("o_0_0,o_0_1\n0,1\n", ("O:0:0", "O:0:1"), (), ())
-
-
-def _csv_by_cell(dataset):
-    """The CSV format's definition, one cell at a time, over every row."""
-    lines = [rows_to_csv(dataset, slice(0)).rstrip("\n")]
-    for bits, ivs, perf in zip(dataset.bits, dataset.ivs, dataset.perf):
-        cells = [str(int(b)) for b in bits]
-        cells += [repr(float(v)) for v in ivs]
-        cells += [repr(float(v)) for v in perf]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.npy"]
 
 
 ADVERSARIAL_VALUES = [
@@ -345,32 +466,51 @@ ADVERSARIAL_VALUES = [
 
 
 def _rows_from_pool(ds, rng, pool):
-    """`ds` with its rows replaced by values drawn from `pool` and random bits."""
+    """`ds` with its rows replaced by values drawn from `pool` and random
+    bits, the last 7 of them test rows."""
     n_ivs = len(ds.iv_names)
     width = n_ivs + len(ds.perf_names)
     values = rng.permutation(np.resize(pool, (len(pool) // width + 1) * width)).reshape(-1, width)
     bits = rng.integers(0, 2, size=(len(values), len(ds.option_names)), dtype=np.uint8)
     return dataclasses.replace(
-        ds, bits=bits, ivs=values[:, :n_ivs], perf=values[:, n_ivs:], n_train=len(values)
+        ds, bits=bits, ivs=values[:, :n_ivs], perf=values[:, n_ivs:], n_train=len(values) - 7
     )
 
 
-def test_csv_writer_matches_per_cell_definition():
+def test_npy_round_trips_every_finite_float_bit_for_bit(tmp_path):
+    """Adversarial and random finite float64 bit patterns, -0.0 and
+    subnormals included, load back bit for bit; a file holding a non-finite
+    value is written as it is and refused on load."""
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=20, n_train=4, n_test=2)
     rng = np.random.default_rng(20)
     raw = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
     finite = np.concatenate([ADVERSARIAL_VALUES, raw[np.isfinite(raw)], rng.normal(size=2000)])
     pooled = _rows_from_pool(ds, rng, finite)
-    text = rows_to_csv(pooled, slice(None))
-    assert text == _csv_by_cell(pooled)
-    bits, values = rows_from_csv(text, *_names(ds))
-    assert bits.dtype == np.uint8 and bits.tobytes() == pooled.bits.tobytes()
-    # bit for bit: -0.0 stays
-    assert values.tobytes() == np.hstack([pooled.ivs, pooled.perf]).tobytes()
-    # The writer formats non-finite values as the definition does (the reader rejects them).
+    save_dataset(pooled, tmp_path, semantics_file="semantics.json")
+    loaded = load_dataset(tmp_path)
+    for name in ("bits", "ivs", "perf"):
+        assert getattr(loaded, name).tobytes() == getattr(pooled, name).tobytes()
     non_finite = np.concatenate([finite[:50], [np.nan, np.inf, -np.inf]])
     pooled = _rows_from_pool(ds, rng, non_finite)
-    assert rows_to_csv(pooled, slice(None)) == _csv_by_cell(pooled)
+    save_dataset(pooled, tmp_path, semantics_file="semantics.json")
+    records = np.concatenate([np.load(tmp_path / "train.npy"), np.load(tmp_path / "test.npy")])
+    assert np.ascontiguousarray(records["ivs"]).tobytes() == pooled.ivs.tobytes()
+    assert np.ascontiguousarray(records["perf"]).tobytes() == pooled.perf.tobytes()
+    with pytest.raises(ValueError, match="values must be finite"):
+        load_dataset(tmp_path)
+
+
+def test_a_file_of_no_rows_round_trips(tmp_path):
+    """A split of no rows is a file of zero records that keeps the column
+    widths."""
+    ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=19, n_train=4, n_test=2)
+    save_dataset(dataclasses.replace(ds, n_train=len(ds.bits)), tmp_path, semantics_file="semantics.json")
+    assert np.load(tmp_path / "test.npy").shape == (0,)
+    loaded = load_dataset(tmp_path)
+    assert (loaded.n_train, len(loaded.bits)) == (6, 6)
+    assert loaded.bits[6:].shape == (0, len(ds.option_names)) and loaded.ivs[6:].shape == (0, len(ds.iv_names))
+    for name in ("bits", "ivs", "perf"):
+        assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
 
 
 def test_default_train_sizes_clipped():

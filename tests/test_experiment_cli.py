@@ -69,7 +69,7 @@ def test_generate_writes_manifest_and_systems(tiny_run):
         assert (system_dir / "graph.json").exists()
         assert (system_dir / "knowledge.json").exists()
         for trial in entry["trials"]:
-            assert (system_dir / trial["dir"] / "train.csv").exists()
+            assert (system_dir / trial["dir"] / "train.npy").exists()
 
 
 def test_model_emits_requested_levels_only(tiny_run):
@@ -255,10 +255,10 @@ def test_parallel_generation_matches_serial(tmp_path):
 
 # sha256 of the tree below, as written with compact bulk JSON, one noise
 # generator per dataset and semantics.json holding its seed and weight
-# digest, and a config.json without a Shapley sample count. The CSV and
-# JSON writers must keep every byte; a change that alters output on purpose
-# updates this and says so.
-GENERATE_TREE_SHA = "0a017c651aab9c5631b5f97436936d07b8afe53fe22be6aca630c80e1c522936"
+# digest, a config.json without a Shapley sample count, and each trial's
+# rows as train.npy/test.npy. The .npy and JSON writers must keep every
+# byte; a change that alters output on purpose updates this and says so.
+GENERATE_TREE_SHA = "49968c168035439a0ba984f070f4baad83d9ad9e1ad813653bff45d61a79017f"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -478,6 +478,9 @@ def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
         new_files = sorted(p.relative_to(new_root) for p in new_root.rglob("*") if p.is_file())
         assert new_files == sorted(p.relative_to(old_root) for p in old_root.rglob("*") if p.is_file())
         for rel in new_files:
+            if rel.suffix != ".json":
+                assert (new_root / rel).read_bytes() == (old_root / rel).read_bytes(), rel
+                continue
             new, old = (new_root / rel).read_text(), (old_root / rel).read_text()
             if rel.name == "semantics.json":
                 kinds.add("semantics")

@@ -2,6 +2,7 @@
 ones are only imported, so a rename in `src/` that breaks a script fails
 here."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -60,6 +61,48 @@ def _import_script(monkeypatch, name):
 @pytest.mark.parametrize("name", ["tree_hash", "time_desk_unit", "run_desk_experiment"])
 def test_long_scripts_import(monkeypatch, name):
     assert callable(_import_script(monkeypatch, name).main)
+
+
+def _reference_digest(root, files):
+    digest = hashlib.sha256()
+    for path in sorted(files):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_tree_hash_subtrees_split_a_hand_made_tree(monkeypatch, tmp_path):
+    """The first line is the default output; `--subtrees` adds one line per
+    part, each the digest of that part's files alone, with paths relative to
+    the tree. A byte changed in one part moves that part's line and the
+    tree's, and no other."""
+    script = _import_script(monkeypatch, "tree_hash")
+    files = {
+        "config.json": b"{}", "manifest.json": b"[]",
+        "systems/s0000/graph.json": b"g", "systems/s0000/t00/train.npy": b"\x93NUMPY",
+        "curves/s0000_t00/null_acc.json": b"c", "fairness/s0000_t00.json": b"f",
+        "analysis/report.md": b"r",
+    }
+    for rel, data in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(data)
+    lines = script.tree_lines("trials3 fixed", tmp_path, subtrees=True)
+    assert lines[:1] == script.tree_lines("trials3 fixed", tmp_path)
+    assert lines[0] == f"trials3 fixed 7 files {_reference_digest(tmp_path, [tmp_path / r for r in files])}"
+    parts = {
+        "systems/": ["systems/s0000/graph.json", "systems/s0000/t00/train.npy"],
+        "curves/": ["curves/s0000_t00/null_acc.json"],
+        "fairness/": ["fairness/s0000_t00.json"],
+        "analysis/": ["analysis/report.md"],
+        "root": ["config.json", "manifest.json"],
+    }
+    assert lines[1:] == [
+        f"  {part} {len(rels)} files {_reference_digest(tmp_path, [tmp_path / r for r in rels])}"
+        for part, rels in parts.items()
+    ]
+    (tmp_path / "curves/s0000_t00/null_acc.json").write_bytes(b"C")
+    moved = script.tree_lines("trials3 fixed", tmp_path, subtrees=True)
+    assert [k for k, (a, b) in enumerate(zip(lines, moved)) if a != b] == [0, 2]
 
 
 def test_time_desk_unit_counts_forest_problems(monkeypatch):
