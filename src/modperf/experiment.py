@@ -483,12 +483,16 @@ def _load_units(config: ExperimentConfig) -> tuple[list[dict], dict, list[str]]:
 
 
 def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metric: str, gaps: dict):
-    """Hardness rows and opportunity rows of one metric, in unit order, from
-    `_load_units`' tables. Each whole table is scored once; a unit reads its
-    row wherever its masks say its curves are complete, which gives it the
-    bits it would get alone. A level outside the config reads as all
-    incomplete. Incomplete curves are appended to `gaps`. In empirical
-    mode, 1 to 3 units with a complete null curve is an error."""
+    """Hardness rows, the opportunity document and the (unit, level, value)
+    opportunity records of one metric, in unit order, from `_load_units`'
+    tables. Each whole table is scored once; a unit reads its row wherever
+    its masks say its curves are complete, which gives it the bits it would
+    get alone. A level outside the config reads as all incomplete.
+    Incomplete curves are appended to `gaps`. In empirical mode, 1 to 3
+    units with a complete null curve is an error. The document lists the
+    units with an opportunity value, each one's per-size gap once (it does
+    not depend on the level), and per level the values and per-size
+    fillings, None where the unit's level curve is incomplete."""
     sizes = tuple(sorted(config.train_sizes))
     opportunity_levels = [lv for lv in MATRIX_LEVELS if lv in config.levels]
     absent = CurveTable(metric, sizes, np.zeros((len(units), len(sizes)))), np.zeros(len(units), dtype=bool)
@@ -504,15 +508,10 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metr
     score = hardness(null)
     values = score.value.tolist()
     fixed_levels = classify_hardness(score.value, HardnessMode.FIXED_RANGE)
-    opportunities = []  # per level: its complete mask, and every row's value, gaps and fillings
-    for level in opportunity_levels:
-        table, has_level = tables[level, metric]
-        opp = opportunity(null, ideal, table, level)
-        opportunities.append(
-            (level, has_level, opp.value.tolist(), opp.gap.tolist(), opp.filling.tolist())
-        )
+    scores = {lv: opportunity(null, ideal, tables[lv, metric][0], lv) for lv in opportunity_levels}
+    level_values = {lv: opp.value.tolist() for lv, opp in scores.items()}
 
-    hardness_rows, opportunity_rows = [], []
+    hardness_rows, records, scored = [], [], []  # scored: the row of each unit with a record
     incomplete = gaps["incomplete_curves"]
     for i, unit in enumerate(units):
         unit_id = unit["unit"]
@@ -524,21 +523,34 @@ def _metric_rows(config: ExperimentConfig, units: list[dict], tables: dict, metr
         if not has_ideal[i]:
             incomplete.append({"unit": unit_id, "metric": metric, "level": "ideal"})
             continue
-        for level, has_level, value, gap, filling in opportunities:
-            if not has_level[i]:
-                incomplete.append({"unit": unit_id, "metric": metric, "level": level})
-                continue
-            opportunity_rows.append(
-                {
-                    "unit": unit_id,
-                    "level": level,
-                    "value": value[i],
-                    "per_size": [
-                        {"n": n, "gap": g, "filling": f} for n, g, f in zip(sizes, gap[i], filling[i])
-                    ],
-                }
-            )
-    return hardness_rows, opportunity_rows
+        missing = [level for level in opportunity_levels if not tables[level, metric][1][i]]
+        incomplete.extend({"unit": unit_id, "metric": metric, "level": level} for level in missing)
+        records += [(unit_id, lv, level_values[lv][i]) for lv in opportunity_levels if lv not in missing]
+        if len(missing) < len(opportunity_levels):
+            scored.append(i)
+
+    scored = np.array(scored, dtype=np.intp)
+    unit_ids = [units[i]["unit"] for i in scored.tolist()]
+    columns = {}
+    for level, opp in scores.items():
+        has_level = tables[level, metric][1][scored].tolist()
+        columns[level] = {
+            key: [x if h else None for x, h in zip(array[scored].tolist(), has_level)]
+            for key, array in (("value", opp.value), ("filling", opp.filling))
+        }
+    gap = scores[opportunity_levels[0]].gap[scored].tolist() if len(scored) else []
+    document = {"metric": metric, "sizes": list(sizes), "units": unit_ids, "gap": gap, "levels": columns}
+    return hardness_rows, document, records
+
+
+def _degenerate_matrix(populated: list[str]) -> str:
+    """What a matrix with fewer than two populated hardness columns means:
+    every hardness and cross test compares two hardness classes, so none runs."""
+    names = ", ".join(populated) or "none"
+    return (
+        f"the matrix populates {len(populated)} of 3 hardness columns ({names}); "
+        "no test compares hardness classes"
+    )
 
 
 def run_analyze(config: ExperimentConfig) -> dict:
@@ -559,15 +571,15 @@ def run_analyze(config: ExperimentConfig) -> dict:
 
     rows = {metric: _metric_rows(config, units, tables, metric, gaps) for metric in config.metrics}
     tasks = {}
-    for metric, (hardness_rows, opportunity_rows) in rows.items():
+    for metric, (hardness_rows, opportunities, opportunity_records) in rows.items():
         _write(analysis / f"hardness_{metric}.json", _dump(hardness_rows, compact=True))
-        _write(analysis / f"opportunities_{metric}.json", _dump(opportunity_rows, compact=True))
+        _write(analysis / f"opportunities_{metric}.json", _dump(opportunities, compact=True))
         tasks[metric] = (
             [r["unit"] for r in hardness_rows],
             [r["system"] for r in hardness_rows],
             np.array([scaled[r["system"]] for r in hardness_rows], dtype=float),
             np.array([r["value"] for r in hardness_rows], dtype=float),
-            [(r["unit"], r["level"], r["value"]) for r in opportunity_rows],
+            opportunity_records,
         )
     results = two_stage_pipeline(
         tasks,
@@ -610,6 +622,9 @@ def run_analyze(config: ExperimentConfig) -> dict:
                 f"{metric}: {why}; stage-1 regression skipped, matrix built from measured hardness"
             )
             stage1_doc = {"skipped": True, "hardness_source": "measured"}
+        populated = [h for h in HARDNESS_LEVELS if any(not matrix.cell(lv, h).empty for lv in MATRIX_LEVELS)]
+        if len(populated) < 2:
+            gaps["notes"].append(f"{metric}: {_degenerate_matrix(populated)}")
         stage1_doc["metric"] = metric
         stage1_doc["hardness_by_unit"] = {
             k: {"value": v, "level": lv} for k, (v, lv) in result.hardness_by_unit.items()
@@ -628,6 +643,7 @@ def run_analyze(config: ExperimentConfig) -> dict:
             "tests": len(tests),
             "significant": sum(1 for t in tests if t.significant),
             "skipped_tests": sum(1 for t in tests if t.skipped),
+            "populated_hardness_columns": populated,
         }
 
     _write(analysis / "gaps.json", _dump(gaps))
@@ -654,6 +670,8 @@ def run_report(config: ExperimentConfig) -> str:
             f"- hypothesis tests: {info['tests']} "
             f"({info['significant']} significant, {info['skipped_tests']} skipped)",
         ]
+        if len(info["populated_hardness_columns"]) < 2:
+            lines.append(f"- warning: {_degenerate_matrix(info['populated_hardness_columns'])}")
         stage1 = json.loads((analysis / f"stage1_{metric}.json").read_text())
         if not stage1.get("skipped"):
             lines.append(f"- stage-1 lasso: degree {stage1['chosen_degree']}, "

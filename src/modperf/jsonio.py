@@ -1,10 +1,11 @@
 """How the pipeline's artifacts are encoded and written.
 
-Graphs, semantics, knowledge, curves and the per-unit analysis rows are
-written with sorted keys and no whitespace, which lets `json` use its C
-encoder. The small documents people read (config, manifests, summaries,
-matrices and tests) keep `indent=2`. Every artifact, the CSV tables and
-a trial's binary `.npy` rows included, is written through `write_atomic`.
+Graphs, semantics, knowledge, curves and the per-unit analysis documents
+(hardness rows, columnar opportunities, stage 1) are written with sorted
+keys and no whitespace, which lets `json` use its C encoder. The small
+documents people read (config, manifests, summaries, matrices and tests)
+keep `indent=2`. Every artifact, the CSV tables and a trial's binary
+`.npy` rows included, is written through `write_atomic`.
 """
 
 from __future__ import annotations

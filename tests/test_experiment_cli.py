@@ -14,6 +14,7 @@ import pytest
 from modperf import experiment
 from modperf.cli import main
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model, run_report
+from modperf.hardness_opportunity import MATRIX_LEVELS
 from modperf.influence_graph import AspectRanges, graph_doc
 from modperf.jsonio import compact_json
 from modperf.semantics import semantics_from_json
@@ -384,14 +385,15 @@ def _analyze_config(tmp_path, **overrides):
 
 
 # sha256 of the analysis trees of the hand-made inputs above, fixed mode
-# then empirical mode, with compact hardness, opportunity and stage-1
-# documents (exact Shapley importances) and standard-CSV test tables
-# (`hypothesis_id` quoted). The array kernels and the joint stage-1 solve
-# must keep every byte.
-ANALYZE_TREE_SHA = "525ab72278add4881999f4a46635057c6ccb39891fa9aeec4dcc03b6f0dd689b"
+# then empirical mode, with compact hardness, columnar opportunity and
+# stage-1 documents (exact Shapley importances), standard-CSV test tables
+# (`hypothesis_id` quoted) and each metric's populated hardness columns in
+# summary.json. The array kernels and the joint stage-1 solve must keep
+# every byte.
+ANALYZE_TREE_SHA = "ce088dcb7ce9e99de4e4ec9b88843b7f65d2f77dddd7cb83a414d9a8a9cd404b"
 # The same trees with use_measured_hardness: acc's stage 1 runs, but every
 # unit is routed by its measured hardness.
-ANALYZE_MEASURED_TREE_SHA = "75b9873be340af37166baa6fcc5fcf18e29fa29cfc63f6ccb8a6425d1dfbfaeb"
+ANALYZE_MEASURED_TREE_SHA = "fdfe89310b1f9ac178366c2d87780778489bf15976d9a7de354b1fece3efaa1f"
 
 
 def _analyze_trees_sha(tmp_path, **overrides) -> str:
@@ -411,6 +413,99 @@ def test_analyze_tree_bytes_unchanged(tmp_path):
 
 def test_analyze_measured_hardness_tree_bytes_unchanged(tmp_path):
     assert _analyze_trees_sha(tmp_path, use_measured_hardness=True) == ANALYZE_MEASURED_TREE_SHA
+
+
+# sha256 of each opportunities_<m>.json of the hand-made inputs as it was
+# written before the columnar document: one compact row per (unit, level),
+# holding its value and a per-size list of {n, gap, filling}. Both hardness
+# modes wrote these bytes.
+OPPORTUNITY_ROWS_SHA = {
+    "acc": "a4454747388164e3ed0b52c5a6d510f145c8594ba1198a4e27fcebc36e52c2d0",
+    "scc": "a9baaa09779381307abc2b011e9b99cf45478a0441856e897a3d50806ea98f07",
+}
+
+
+def _opportunity_rows(doc):
+    """The columnar opportunity document expanded to one row per (unit,
+    level), unit by unit and level by level in matrix order, skipping the
+    levels whose value is None."""
+    rows = []
+    for k, unit in enumerate(doc["units"]):
+        for level in MATRIX_LEVELS:
+            column = doc["levels"].get(level)
+            if column is None or column["value"][k] is None:
+                continue
+            per_size = zip(doc["sizes"], doc["gap"][k], column["filling"][k])
+            rows.append({
+                "unit": unit,
+                "level": level,
+                "value": column["value"][k],
+                "per_size": [{"n": n, "gap": g, "filling": f} for n, g, f in per_size],
+            })
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["fixed", "empirical"])
+def test_opportunity_document_expands_to_the_row_list(tmp_path, mode):
+    """The columnar document holds every opportunity row's bytes: expanded
+    and compacted, it is the row list written before, and its arrays line
+    up with its units. s0002's acc practical curve and s0003's scc complete
+    curve are incomplete, so those two levels are None and the unit keeps
+    its other two; s0004 has no acc ideal curve, so it is not listed for acc."""
+    config = _analyze_config(tmp_path, hardness_mode=mode)
+    _write_analyze_inputs(config)
+    summary = run_analyze(config)
+    analysis = Path(config.out_dir) / "analysis"
+    incomplete = {("s0002_t00", "acc"): "practical", ("s0003_t00", "scc"): "complete"}
+    for metric in config.metrics:
+        doc = json.loads((analysis / f"opportunities_{metric}.json").read_text())
+        rows = _opportunity_rows(doc)
+        assert hashlib.sha256(compact_json(rows).encode()).hexdigest() == OPPORTUNITY_ROWS_SHA[metric]
+        assert summary["metrics"][metric]["opportunity_rows"] == len(rows)
+        assert doc["metric"] == metric and doc["sizes"] == list(CURVE_SIZES)
+        assert sorted(doc["levels"]) == sorted(MATRIX_LEVELS)
+        units = doc["units"]
+        assert units == sorted(set(units)) and len(doc["gap"]) == len(units)
+        assert all(len(g) == len(CURVE_SIZES) for g in doc["gap"])
+        for level, column in doc["levels"].items():
+            assert len(column["value"]) == len(column["filling"]) == len(units)
+            for k, unit in enumerate(units):
+                missing = incomplete.get((unit, metric)) == level
+                assert (column["value"][k] is None) == missing, (metric, level, unit)
+                assert (column["filling"][k] is None) == missing, (metric, level, unit)
+        for (unit, m), level in incomplete.items():
+            if m == metric:
+                kept = [lv for lv in MATRIX_LEVELS if lv != level]
+                assert [r["level"] for r in rows if r["unit"] == unit] == kept
+        assert ("s0004_t00" in units) == (metric == "scc")
+
+
+def test_degenerate_matrix_is_noted(tmp_path):
+    """A matrix with fewer than two populated hardness columns gets a note
+    in gaps.json naming the metric and its classes, and a warning line in the
+    report; summary.json lists the populated columns either way. Twelve
+    trials of one easy system all fall in the low class; the fourteen
+    systems of the hand-made inputs fill all three."""
+    one = _analyze_config(tmp_path / "one", n_systems=1, trials=12, metrics=("acc",))
+    three = _analyze_config(tmp_path / "three", metrics=("acc",))
+    degenerate = "the matrix populates 1 of 3 hardness columns (low); no test compares hardness classes"
+    for config, populated in ((one, ["low"]), (three, ["low", "medium", "high"])):
+        _write_analyze_inputs(config)
+        summary = run_analyze(config)
+        report = run_report(config)
+        analysis = Path(config.out_dir) / "analysis"
+        notes = json.loads((analysis / "gaps.json").read_text())["notes"]
+        info = summary["metrics"]["acc"]
+        assert info["populated_hardness_columns"] == populated
+        assert json.loads((analysis / "summary.json").read_text())["metrics"]["acc"] == info
+        if len(populated) == 1:
+            assert notes[-1] == f"acc: {degenerate}"
+            assert f"- warning: {degenerate}\n" in report
+            # every hardness and cross test, and the knowledge tests of the two empty columns
+            assert info["skipped_tests"] == 24
+        else:
+            assert not any("hardness columns" in note for note in notes)
+            assert "warning" not in report
 
 
 def _indented_dump(doc, compact=False):
@@ -560,7 +655,8 @@ def test_analyze_skips_stage1_for_trials_of_one_system(tmp_path):
     assert json.loads((analysis / "stage1_acc.json").read_text())["skipped"]
     assert json.loads((analysis / "gaps.json").read_text())["notes"] == [
         "acc: all 12 units are trials of one system; stage-1 regression skipped, "
-        "matrix built from measured hardness"
+        "matrix built from measured hardness",
+        "acc: the matrix populates 1 of 3 hardness columns (low); no test compares hardness classes",
     ]
 
 
@@ -722,15 +818,19 @@ def test_analyze_without_the_null_level(tmp_path):
         assert summary["metrics"][metric]["tests"] == summary["metrics"][metric]["skipped_tests"] == 27
     assert {g["level"] for g in gaps["incomplete_curves"]} == {"null"}
     assert gaps["notes"] == [
-        f"{metric}: only 0 units; stage-1 regression skipped, matrix built from measured hardness"
+        note
         for metric in config.metrics
+        for note in (
+            f"{metric}: only 0 units; stage-1 regression skipped, matrix built from measured hardness",
+            f"{metric}: the matrix populates 0 of 3 hardness columns (none); no test compares hardness classes",
+        )
     ]
 
 
 def test_analyze_without_the_ideal_level(tmp_path):
     """Levels without `ideal` score no opportunity: every unit's ideal curve
-    is listed as incomplete, as a missing null curve is, and no opportunity
-    row is written."""
+    is listed as incomplete, as a missing null curve is, and the opportunity
+    document lists no unit."""
     config = _analyze_config(tmp_path, levels=("null", "partial"))
     _write_analyze_inputs(config)
     run_analyze(config)
@@ -745,7 +845,15 @@ def test_analyze_without_the_ideal_level(tmp_path):
             (unit, "null" if metric == "scc" and 7 <= s <= 11 else "ideal")
             for s, unit in enumerate(units)
         ]
-        assert json.loads((analysis / f"opportunities_{metric}.json").read_text()) == []
+        doc = json.loads((analysis / f"opportunities_{metric}.json").read_text())
+        assert doc == {
+            "metric": metric,
+            "sizes": list(CURVE_SIZES),
+            "units": [],
+            "gap": [],
+            "levels": {"partial": {"value": [], "filling": []}},
+        }
+        assert _opportunity_rows(doc) == []
 
 
 def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
