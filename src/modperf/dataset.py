@@ -3,9 +3,9 @@
 Configurations are drawn uniformly without replacement (duplicates are
 re-drawn) so train and test never overlap. A `SystemDataset` holds its rows
 as arrays, training rows first in seeded-random order, so a training prefix
-is a row slice and prefixes nest. The noise of all rows comes from one
-generator seeded with `derive(seed, "noise")`, which draws a (rows x
-values) block in row order (`Evaluator.apply_noise`).
+is a row slice and prefixes nest. The performance noise of all rows comes
+from one generator seeded with `derive(seed, "noise")`, which draws a
+(rows x perfs) block in row order (`Evaluator.apply_noise`).
 
 A trial's rows are stored as `train.npy` and `test.npy` in NumPy's `.npy`
 format: a 1-D structured array, one record per row, of dtype
@@ -109,7 +109,7 @@ def sample_dataset(
     rng = np.random.default_rng(derive(seed, "configs"))
     bits = _draw_distinct_configs(rng, len(evaluator.options), n_train + n_test)
     ivs, perf = evaluator.noiseless(bits.astype(float))
-    ivs, perf = evaluator.apply_noise(ivs, perf, derive(seed, "noise"))
+    perf = evaluator.apply_noise(perf, derive(seed, "noise"))
 
     if train_sizes is None:
         sizes = tuple(n for n in DEFAULT_TRAIN_SIZES if n <= n_train)

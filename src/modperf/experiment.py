@@ -139,6 +139,13 @@ class ExperimentConfig:
                 f"hardness_mode empirical needs n_systems * trials >= {EMPIRICAL_MIN_SCORES} units "
                 f"for its quartiles, got {self.n_systems * self.trials}"
             )
+        for name in ("alpha_ci", "test_alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if not 0.0 <= self.iv_to_iv_p <= 1.0:
+            raise ValueError(f"iv_to_iv_p must be in [0, 1], got {self.iv_to_iv_p}")
+        if not 0.0 <= self.noise_fraction < 1.0:
+            raise ValueError(f"noise_fraction must be in [0, 1), got {self.noise_fraction}")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.budget_evaluations < 1:
@@ -199,7 +206,7 @@ def _tuples(doc: dict) -> dict:
 
 def _dump(doc, compact: bool = False) -> str:
     """`indent=2` JSON for the documents people read; `compact_json` for the
-    bulk ones: knowledge, curves, hardness, opportunities and stage 1. Every
+    bulk ones: curves, hardness, opportunities and stage 1. Every
     stage document is encoded here, so perfbench's `experiment.write` span
     covers them all."""
     return compact_json(doc) if compact else json.dumps(doc, sort_keys=True, indent=2)
@@ -236,31 +243,7 @@ def _generate_one(config: ExperimentConfig, s: int) -> dict:
     system_seed = config.system_seed(s)
     aspects = sample_aspects(system_seed, config.aspect_ranges)
     graph = generate_graph(aspects, system_seed, config.iv_to_iv_p)
-    artifacts = derive_knowledge(graph)
     _write(system_dir / "graph.json", graph_to_json(graph))
-    # each node encoded once: the edge sets hold thousands of endpoints
-    code = {n: n.encode() for n in graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()}
-    _write(
-        system_dir / "knowledge.json",
-        _dump(
-            {
-                "logical_boundaries": {
-                    str(m): {
-                        "options": [code[n] for n in opts],
-                        "ivs": [code[n] for n in ivs],
-                    }
-                    for m, (opts, ivs) in artifacts.logical_boundaries.items()
-                },
-                "influence_edges": sorted(
-                    f"{code[a]}->{code[b]}" for a, b in artifacts.influence_edges
-                ),
-                "potential_influence_edges": sorted(
-                    f"{code[a]}->{code[b]}" for a, b in artifacts.potential_influence_edges
-                ),
-            },
-            compact=True,
-        ),
-    )
 
     trials = []
     for t in range(config.trials):

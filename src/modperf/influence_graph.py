@@ -6,11 +6,20 @@ system-wide performance variables fed by every IV. Edge generation is
 governed by the structural aspects: a within-module connection probability,
 a truncated-normal law for cross-module connection probabilities (one draw
 per ordered module pair), and an optional IV-to-IV wiring probability.
+
+A graph is a pure function of (aspects, seed, iv_to_iv_p), so graph.json
+stores those three and an edge digest (`_edges_sha256`), not the edges.
+`graph_from_json` re-draws the graph and checks the digest, so an edited
+file or a NumPy that draws another `Generator` stream than the writer's
+(NEP 19) raises ValueError instead of silently reading a different system.
+The knowledge (LB, IE, PIE) is read off the graph, not stored:
+`derive_knowledge(graph_from_json(text))`.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -28,8 +37,8 @@ ASPECT_FEATURES = ("option_count", "p_w", "mu_a", "sigma_a", "module_count")
 
 
 class GraphStructureError(Exception):
-    """A graph violated a structural invariant: a generator bug, or a
-    corrupt or hand-edited graph.json being loaded."""
+    """A graph violated a structural invariant: a generator bug, or edges
+    built by hand."""
 
 
 class NodeKind(str, enum.Enum):
@@ -364,18 +373,27 @@ def derive_knowledge(graph: CausalInfluenceGraph) -> KnowledgeArtifacts:
     return artifacts
 
 
+def _edges_sha256(graph: CausalInfluenceGraph) -> str:
+    """The sha256 of the edges as little-endian int64 (src position, dst
+    position, `EdgeKind` index) triples in `graph.edges` order, positions
+    in the canonical order: options, then IVs, then perf."""
+    nodes = graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()
+    rank = {n: i for i, n in enumerate(nodes)}
+    kind_index = {kind: i for i, kind in enumerate(EdgeKind)}
+    triples = np.array(
+        [(rank[src], rank[dst], kind_index[kind]) for src, dst, kind in graph.edges], dtype="<i8"
+    )
+    return hashlib.sha256(triples.tobytes()).hexdigest()
+
+
 def graph_doc(graph: CausalInfluenceGraph) -> dict:
-    """The graph as a JSON-ready dict; `semantics_to_json` embeds it as is."""
-    # each node encoded once: the edges name thousands of endpoints
-    code = {n: n.encode() for n in graph.option_nodes() + graph.iv_nodes() + graph.perf_nodes()}
+    """The generator's inputs and the edge digest (module docstring), as a
+    JSON-ready dict; `semantics_to_json` embeds it as is."""
     return {
         "aspects": asdict(graph.aspects),
         "seed": graph.seed,
         "iv_to_iv_p": graph.iv_to_iv_p,
-        "edges": [
-            {"src": code[src], "dst": code[dst], "kind": kind.value}
-            for src, dst, kind in graph.edges
-        ],
+        "edges_sha256": _edges_sha256(graph),
     }
 
 
@@ -389,12 +407,18 @@ def graph_from_json(text: str) -> CausalInfluenceGraph:
 
 
 def graph_from_doc(doc: dict) -> CausalInfluenceGraph:
-    """The graph of a `graph_doc` dict."""
-    aspects = StructuralAspects(**doc["aspects"])
-    edges = tuple(
-        (NodeId.decode(e["src"]), NodeId.decode(e["dst"]), EdgeKind(e["kind"]))
-        for e in doc["edges"]
-    )
-    return CausalInfluenceGraph(
-        aspects=aspects, seed=doc["seed"], iv_to_iv_p=doc["iv_to_iv_p"], edges=edges
-    )
+    """Re-draw the graph of a `graph_doc` dict. Raises ValueError when the
+    document has no `edges_sha256` (an older format that listed every edge)
+    or when the re-drawn edges do not match it."""
+    if "edges_sha256" not in doc:
+        raise ValueError(
+            "graph document has no edges_sha256; documents that list every "
+            "edge are no longer read, so regenerate the system"
+        )
+    graph = generate_graph(StructuralAspects(**doc["aspects"]), doc["seed"], doc["iv_to_iv_p"])
+    if _edges_sha256(graph) != doc["edges_sha256"]:
+        raise ValueError(
+            "edges re-drawn from the seed do not match edges_sha256: the document "
+            "was edited, or this NumPy draws another random stream than the writer's"
+        )
+    return graph

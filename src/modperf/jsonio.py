@@ -1,6 +1,6 @@
 """How the pipeline's artifacts are encoded and written.
 
-Graphs, semantics, knowledge, curves and the per-unit analysis documents
+Graphs, semantics, curves and the per-unit analysis documents
 (hardness rows, columnar opportunities, stage 1) are written with sorted
 keys and no whitespace, which lets `json` use its C encoder. The small
 documents people read (config, manifests, summaries, matrices and tests)

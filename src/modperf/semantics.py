@@ -5,10 +5,10 @@ Each intermediate variable gets a random polynomial over its graph parents
 [0, 1]); each performance variable gets a random linear form over all IVs.
 Evaluation walks the IVs in canonical order, which is topological because
 every graph edge runs forward in it, and optionally perturbs performance
-values (and, with `NoiseTargets.ALL`, IV values) by a bounded relative
-measurement noise. One noise seed seeds one generator for a whole batch of
-records: `sample_dataset` passes `derive(seed, "noise")` once per dataset,
-and `evaluate(..., noise_seed=s)` uses `s` for its one record.
+values by a bounded relative measurement noise; IV values stay exact. One
+noise seed seeds one generator for a whole batch of records:
+`sample_dataset` passes `derive(seed, "noise")` once per dataset, and
+`evaluate(..., noise_seed=s)` uses `s` for its one record.
 
 Option parents enter polynomials as raw 0/1 bits. Parents that are
 themselves IVs enter through log1p: without damping, second-order terms
@@ -17,10 +17,11 @@ float64 on systems with long chains. log1p is monotone and maps 0 to 0, so
 value monotonicity in the options and the all-zero fixpoint both survive.
 
 The weights are a pure function of (graph, seed), so semantics.json stores
-the graph document, the seed, the noise settings and `weights_sha256`, the
+the graph document (the graph's generator inputs and edge digest; see
+`influence_graph`), the seed, the noise fraction and `weights_sha256`, the
 sha256 of the weights as little-endian float64 in draw order, but not the
-weights themselves. `semantics_from_json` re-draws the weights from the
-seed and checks them against the digest. NumPy does not promise the same
+weights themselves. `semantics_from_json` re-draws the graph and the
+weights and checks each against its digest. NumPy does not promise the same
 `Generator` stream across releases (NEP 19), so a NumPy that draws other
 weights than the writer's fails that check with a ValueError instead of
 silently reading a different system.
@@ -28,7 +29,6 @@ silently reading a different system.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -46,11 +46,6 @@ from .jsonio import compact_json
 from .seeds import rng_for
 
 DEFAULT_NOISE_FRACTION = 0.05
-
-
-class NoiseTargets(str, enum.Enum):
-    PERFORMANCE_ONLY = "performance_only"
-    ALL = "all"
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +78,6 @@ class SystemSemantics:
     iv_formulas: dict[NodeId, PolynomialFunction]
     perf_formulas: dict[NodeId, dict[NodeId, float]]
     noise_fraction: float = DEFAULT_NOISE_FRACTION
-    noise_targets: NoiseTargets = NoiseTargets.PERFORMANCE_ONLY
     # The seed the weights were drawn from. Only `synthesize_semantics` sets
     # it; a hand-built semantics keeps None and cannot be written.
     seed: int | None = field(default=None, init=False)
@@ -101,7 +95,6 @@ def synthesize_semantics(
     graph: CausalInfluenceGraph,
     seed: int,
     noise_fraction: float = DEFAULT_NOISE_FRACTION,
-    noise_targets: NoiseTargets = NoiseTargets.PERFORMANCE_ONLY,
 ) -> SystemSemantics:
     """Attach uniform-random weights to every IV polynomial and perf form.
 
@@ -133,7 +126,6 @@ def synthesize_semantics(
         iv_formulas=iv_formulas,
         perf_formulas=perf_formulas,
         noise_fraction=noise_fraction,
-        noise_targets=noise_targets,
     )
     object.__setattr__(semantics, "seed", seed)
     return semantics
@@ -200,24 +192,17 @@ class Evaluator:
         perf_values = iv_values @ self.perf_weights.T
         return iv_values, perf_values
 
-    def apply_noise(
-        self, iv_values: np.ndarray, perf_values: np.ndarray, noise_seed: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each value v becomes v + u * fraction * |v| with u uniform in
-        [-1, 1], so |v' - v| <= fraction * |v|. One generator seeded with
-        `noise_seed` draws one u per (record, IV) first when the noise
-        targets all values, then one per (record, perf), row by row; for a
-        single record these are the draws of its own generator. A zero
-        fraction returns the inputs unchanged."""
+    def apply_noise(self, perf_values: np.ndarray, noise_seed: int) -> np.ndarray:
+        """Each performance value v becomes v + u * fraction * |v| with u
+        uniform in [-1, 1], so |v' - v| <= fraction * |v|. One generator
+        seeded with `noise_seed` draws one u per (record, perf), row by row;
+        for a single record these are the draws of its own generator. A zero
+        fraction returns the input unchanged."""
         fraction = self.semantics.noise_fraction
         if fraction == 0.0:
-            return iv_values, perf_values
-        rng = np.random.default_rng(noise_seed)
-        if self.semantics.noise_targets is NoiseTargets.ALL:
-            u = rng.uniform(-1.0, 1.0, size=iv_values.shape)
-            iv_values = iv_values + u * fraction * np.abs(iv_values)
-        u = rng.uniform(-1.0, 1.0, size=perf_values.shape)
-        return iv_values, perf_values + u * fraction * np.abs(perf_values)
+            return perf_values
+        u = np.random.default_rng(noise_seed).uniform(-1.0, 1.0, size=perf_values.shape)
+        return perf_values + u * fraction * np.abs(perf_values)
 
 
 def evaluate(
@@ -228,10 +213,11 @@ def evaluate(
     """Evaluate one configuration into IV and performance values.
 
     `config` assigns 0/1 to every option node in canonical order. Noise is
-    omitted when `noise_seed` is None; otherwise each noisy value v' obeys
-    |v' - v| <= noise_fraction * |v|. The pipeline evaluates whole batches
-    with `Evaluator`; this one-configuration form, with its bit checks, is
-    kept for `scripts/inspect_system.py`, which prints one evaluated config.
+    omitted when `noise_seed` is None; otherwise each noisy performance
+    value v' obeys |v' - v| <= noise_fraction * |v|. The pipeline evaluates
+    whole batches with `Evaluator`; this one-configuration form, with its
+    bit checks, is kept for `scripts/inspect_system.py`, which prints one
+    evaluated config.
     """
     evaluator = Evaluator(semantics)
     bits = np.asarray(config, dtype=float).reshape(1, -1)
@@ -243,7 +229,7 @@ def evaluate(
         raise ValueError("configuration bits must be 0 or 1")
     iv_values, perf_values = evaluator.noiseless(bits)
     if noise_seed is not None:
-        iv_values, perf_values = evaluator.apply_noise(iv_values, perf_values, noise_seed)
+        perf_values = evaluator.apply_noise(perf_values, noise_seed)
     return (
         dict(zip(evaluator.ivs, iv_values[0].tolist())),
         dict(zip(evaluator.perfs, perf_values[0].tolist())),
@@ -251,7 +237,7 @@ def evaluate(
 
 
 def semantics_to_json(semantics: SystemSemantics) -> str:
-    """The graph document, seed, noise settings and weight digest (module
+    """The graph document, seed, noise fraction and weight digest (module
     docstring); a semantics that `synthesize_semantics` did not draw has no
     seed and raises ValueError."""
     if semantics.seed is None:
@@ -263,7 +249,6 @@ def semantics_to_json(semantics: SystemSemantics) -> str:
         "graph": graph_doc(semantics.graph),
         "seed": semantics.seed,
         "noise_fraction": semantics.noise_fraction,
-        "noise_targets": semantics.noise_targets.value,
         "weights_sha256": _weights_sha256(semantics),
     }
     return compact_json(doc)
@@ -272,7 +257,8 @@ def semantics_to_json(semantics: SystemSemantics) -> str:
 def semantics_from_json(text: str) -> SystemSemantics:
     """Re-draw the semantics that `semantics_to_json` wrote. Raises
     ValueError when the document has no integer seed (an older format that
-    listed every weight) or when the re-drawn weights do not match its
+    listed every weight), when its graph cannot be re-drawn
+    (`graph_from_doc`) or when the re-drawn weights do not match its
     `weights_sha256`."""
     doc = json.loads(text)
     seed = doc.get("seed")
@@ -281,9 +267,7 @@ def semantics_from_json(text: str) -> SystemSemantics:
             "semantics document has no integer seed; documents that list every "
             "weight are no longer read, so regenerate the system"
         )
-    semantics = synthesize_semantics(
-        graph_from_doc(doc["graph"]), seed, doc["noise_fraction"], NoiseTargets(doc["noise_targets"])
-    )
+    semantics = synthesize_semantics(graph_from_doc(doc["graph"]), seed, doc["noise_fraction"])
     if _weights_sha256(semantics) != doc["weights_sha256"]:
         raise ValueError(
             "weights re-drawn from the seed do not match weights_sha256: the document "

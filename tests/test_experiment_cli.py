@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,7 +16,14 @@ from modperf import experiment
 from modperf.cli import main
 from modperf.experiment import ExperimentConfig, run_analyze, run_generate, run_model, run_report
 from modperf.hardness_opportunity import MATRIX_LEVELS
-from modperf.influence_graph import AspectRanges, graph_doc
+from modperf.influence_graph import (
+    AspectRanges,
+    CausalInfluenceGraph,
+    EdgeKind,
+    NodeId,
+    StructuralAspects,
+    graph_from_json,
+)
 from modperf.jsonio import compact_json
 from modperf.semantics import semantics_from_json
 
@@ -68,7 +76,7 @@ def test_generate_writes_manifest_and_systems(tiny_run):
     for entry in manifest["systems"]:
         system_dir = out / "systems" / entry["system"]
         assert (system_dir / "graph.json").exists()
-        assert (system_dir / "knowledge.json").exists()
+        assert not (system_dir / "knowledge.json").exists()
         for trial in entry["trials"]:
             assert (system_dir / trial["dir"] / "train.npy").exists()
 
@@ -254,12 +262,31 @@ def test_parallel_generation_matches_serial(tmp_path):
     assert tree_hash(Path(serial.out_dir)) == tree_hash(Path(parallel.out_dir))
 
 
+def test_model_records_an_edge_list_graph_as_a_unit_error(tmp_path):
+    """A graph.json from an older modperf lists every edge and has no edge
+    digest; the model stage refuses it and names the unit and the remedy in
+    model_errors.json."""
+    config = _tiny_config(tmp_path, n_systems=1, trials=1, levels=("null",))
+    run_generate(config)
+    path = Path(config.out_dir) / "systems" / "s0000" / "graph.json"
+    path.write_text(_indented_graph_to_json(graph_from_json(path.read_text())))
+    error = (
+        "ValueError: graph document has no edges_sha256; documents that list "
+        "every edge are no longer read, so regenerate the system"
+    )
+    assert run_model(config) == [{"unit": "s0000_t00", "error": error}]
+    errors = json.loads((Path(config.out_dir) / "model_errors.json").read_text())
+    assert errors == [{"unit": "s0000_t00", "error": error}]
+
+
 # sha256 of the tree below, as written with compact bulk JSON, one noise
-# generator per dataset and semantics.json holding its seed and weight
-# digest, a config.json without a Shapley sample count, and each trial's
-# rows as train.npy/test.npy. The .npy and JSON writers must keep every
-# byte; a change that alters output on purpose updates this and says so.
-GENERATE_TREE_SHA = "49968c168035439a0ba984f070f4baad83d9ad9e1ad813653bff45d61a79017f"
+# generator per dataset, graph.json holding the generator's inputs and an
+# edge digest, semantics.json holding that graph document, its seed and
+# weight digest, no knowledge.json, a config.json without a Shapley sample
+# count, and each trial's rows as train.npy/test.npy. The .npy and JSON
+# writers must keep every byte; a change that alters output on purpose
+# updates this and says so.
+GENERATE_TREE_SHA = "ba24bd067208df0628869646e8acb31a3674b53598fcfed4e642388ca8676893"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -514,13 +541,38 @@ def _indented_dump(doc, compact=False):
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _edge_list_doc(graph):
+    """The graph document as it was when it listed every edge."""
+    return {
+        "aspects": dataclasses.asdict(graph.aspects),
+        "seed": graph.seed,
+        "iv_to_iv_p": graph.iv_to_iv_p,
+        "edges": [
+            {"src": src.encode(), "dst": dst.encode(), "kind": kind.value}
+            for src, dst, kind in graph.edges
+        ],
+    }
+
+
 def _indented_graph_to_json(graph):
-    return json.dumps(graph_doc(graph), sort_keys=True, indent=2)
+    return json.dumps(_edge_list_doc(graph), sort_keys=True, indent=2)
+
+
+def _edge_list_graph_from_json(text):
+    """The graph reader as it was: the graph of the listed edges."""
+    doc = json.loads(text)
+    edges = tuple(
+        (NodeId.decode(e["src"]), NodeId.decode(e["dst"]), EdgeKind(e["kind"]))
+        for e in doc["edges"]
+    )
+    return CausalInfluenceGraph(
+        StructuralAspects(**doc["aspects"]), doc["seed"], doc["iv_to_iv_p"], edges
+    )
 
 
 def _indented_semantics_to_json(semantics):
     """The semantics writer as it was when it listed every weight, in dicts
-    keyed by parent and by parent pair."""
+    keyed by parent and by parent pair, and every edge of its graph."""
     iv_formulas = {}
     for iv, f in semantics.iv_formulas.items():
         linear_terms = dict(zip(f.parents, f.linear.tolist()))
@@ -530,14 +582,14 @@ def _indented_semantics_to_json(semantics):
             "pairs": {f"{p.encode()}|{q.encode()}": w for (p, q), w in pair_terms.items()},
         }
     doc = {
-        "graph": graph_doc(semantics.graph),
+        "graph": _edge_list_doc(semantics.graph),
         "iv_formulas": iv_formulas,
         "perf_formulas": {
             perf.encode(): {iv.encode(): w for iv, w in weights.items()}
             for perf, weights in semantics.perf_formulas.items()
         },
         "noise_fraction": semantics.noise_fraction,
-        "noise_targets": semantics.noise_targets.value,
+        "noise_targets": "performance_only",
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -557,16 +609,20 @@ def _pipeline_trees(root):
 def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
     """Every bulk document parses to the Python values that the indented
     writers wrote, and is written compact; every other file keeps its bytes.
-    semantics.json holds a seed in place of the weights, so it is compared
-    by the weights it describes: re-drawn, they are the indented document's
-    linear, pair and perf weights bit for bit."""
+    graph.json holds the generator's inputs in place of the edges, so it is
+    compared by the graph it describes: re-drawn, its edges are the indented
+    document's edges in order. semantics.json holds seeds in place of the
+    edges and the weights, so it is compared by what it describes: re-drawn,
+    they are the indented document's edges and its linear, pair and perf
+    weights bit for bit."""
     new_trees = _pipeline_trees(tmp_path / "compact")
     monkeypatch.setattr(experiment, "_dump", _indented_dump)
     monkeypatch.setattr(experiment, "graph_to_json", _indented_graph_to_json)
+    monkeypatch.setattr(experiment, "graph_from_json", _edge_list_graph_from_json)
     monkeypatch.setattr(experiment, "semantics_to_json", _indented_semantics_to_json)
     old_trees = _pipeline_trees(tmp_path / "indented")
     bulk = re.compile(
-        r"(semantics|graph|knowledge|(null|ideal)_(acc|scc)|(hardness|opportunities|stage1)_(acc|scc))\.json"
+        r"((null|ideal)_(acc|scc)|(hardness|opportunities|stage1)_(acc|scc))\.json"
     )
     kinds = set()
     for new_root, old_root in zip(new_trees, old_trees):
@@ -577,7 +633,12 @@ def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
                 assert (new_root / rel).read_bytes() == (old_root / rel).read_bytes(), rel
                 continue
             new, old = (new_root / rel).read_text(), (old_root / rel).read_text()
-            if rel.name == "semantics.json":
+            if rel.name == "graph.json":
+                kinds.add("graph")
+                redrawn = _indented_graph_to_json(graph_from_json(new))
+                assert json.loads(redrawn) == json.loads(old), rel
+                assert new == compact_json(json.loads(new)), rel
+            elif rel.name == "semantics.json":
                 kinds.add("semantics")
                 redrawn = _indented_semantics_to_json(semantics_from_json(new))
                 assert json.loads(redrawn) == json.loads(old), rel
@@ -588,7 +649,7 @@ def test_compact_documents_parse_to_the_indented_values(tmp_path, monkeypatch):
                 assert new == compact_json(json.loads(old)), rel
             else:
                 assert new == old, rel
-    assert kinds == {"semantics", "graph", "knowledge", "null", "ideal", "hardness", "opportunities", "stage1"}
+    assert kinds == {"semantics", "graph", "null", "ideal", "hardness", "opportunities", "stage1"}
 
 
 def test_analyze_folds_keep_each_system_on_one_side(tmp_path, monkeypatch):
@@ -1083,6 +1144,34 @@ def test_config_rejects_bad_model_settings(tmp_path, bad, match):
         _tiny_config(tmp_path, **bad)
     _tiny_config(tmp_path, cv_folds=2, budget_evaluations=1, forest_scale="paper")
     _tiny_config(tmp_path, n_test=1, metrics=("acc",))
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(alpha_ci=0.0), "alpha_ci"),
+        (dict(alpha_ci=1.0), "alpha_ci"),
+        (dict(alpha_ci=float("nan")), "alpha_ci"),
+        (dict(test_alpha=0.0), "test_alpha"),
+        (dict(test_alpha=1.5), "test_alpha"),
+        (dict(iv_to_iv_p=-0.1), "iv_to_iv_p"),
+        (dict(iv_to_iv_p=1.5), "iv_to_iv_p"),
+        (dict(noise_fraction=-0.01), "noise_fraction"),
+        (dict(noise_fraction=1.0), "noise_fraction"),
+    ],
+)
+def test_config_rejects_levels_and_probabilities_outside_their_range(tmp_path, capsys, bad, match):
+    """Caught when the config is built. Left unchecked, `alpha_ci` 0 fails
+    every `practical` and `complete` point with a StatisticsError that only
+    the curve files record, `test_alpha` 1.5 is used as a test level, and a
+    bad `iv_to_iv_p` or `noise_fraction` fails generate after config.json
+    is written."""
+    with pytest.raises(ValueError, match=match):
+        _tiny_config(tmp_path, **bad)
+    _tiny_config(tmp_path, alpha_ci=1e-9, test_alpha=0.999, iv_to_iv_p=0.0, noise_fraction=0.0)
+    _tiny_config(tmp_path, iv_to_iv_p=1.0)
+    assert main(["model", "--alpha-ci", "0", "--out", str(tmp_path / "x")]) == 1
+    assert "alpha_ci must be in (0, 1)" in json.loads(capsys.readouterr().err)["detail"]
 
 
 def test_failed_write_leaves_previous_artifact(tmp_path):

@@ -16,7 +16,6 @@ from modperf.influence_graph import (
 from modperf.jsonio import compact_json
 from modperf.semantics import (
     Evaluator,
-    NoiseTargets,
     PolynomialFunction,
     SystemSemantics,
     evaluate,
@@ -203,16 +202,6 @@ def test_noise_bound_and_coverage():
     assert deviations.max() > 0.9 * bound  # uniform noise actually fills the band
 
 
-def test_noise_targets_all_perturbs_ivs():
-    graph = _single_iv_system()
-    semantics = synthesize_semantics(graph, seed=19, noise_targets=NoiseTargets.ALL)
-    clean_iv, _ = evaluate(semantics, [1, 1])
-    noisy_iv, _ = evaluate(semantics, [1, 1], noise_seed=4)
-    iv = intermediate(0, 0)
-    assert noisy_iv[iv] != clean_iv[iv]
-    assert abs(noisy_iv[iv] - clean_iv[iv]) <= 0.05 * abs(clean_iv[iv])
-
-
 # evaluate(..., noise_seed=43) of one configuration, as the generator drew
 # it when each record had a generator of its own: one record's draws from
 # one generator are unchanged by drawing a dataset's noise as one block.
@@ -220,17 +209,9 @@ NOISY_PERF_ONLY = (
     [1.7111209912290515, 1.8645465634801095, 0.23712714369993193, 3.5249002870054076],
     [2.692659527494922, 2.7411536220579618],
 )
-NOISY_ALL = (
-    [1.7371812377646751, 1.779481348231736, 0.2257457423874326, 3.644469339950305],
-    [2.6753783679408785, 2.793120129220992],
-)
 
 
-@pytest.mark.parametrize(
-    "targets,expected",
-    [(NoiseTargets.PERFORMANCE_ONLY, NOISY_PERF_ONLY), (NoiseTargets.ALL, NOISY_ALL)],
-)
-def test_single_record_noise_values_pinned(targets, expected):
+def test_single_record_noise_values_pinned():
     graph = generate_graph(
         StructuralAspects(
             option_count=3, p_w=0.9, mu_a=0.3, sigma_a=0.1, module_count=2,
@@ -238,20 +219,18 @@ def test_single_record_noise_values_pinned(targets, expected):
         ),
         seed=41,
     )
-    semantics = synthesize_semantics(graph, seed=42, noise_fraction=0.05, noise_targets=targets)
+    semantics = synthesize_semantics(graph, seed=42, noise_fraction=0.05)
     ivs, perfs = evaluate(semantics, [1, 0, 1, 1, 1, 0], noise_seed=43)
-    assert (list(ivs.values()), list(perfs.values())) == expected
+    assert (list(ivs.values()), list(perfs.values())) == NOISY_PERF_ONLY
 
 
 def test_zero_noise_fraction_returns_inputs():
     graph = _single_iv_system()
-    for targets in NoiseTargets:
-        semantics = synthesize_semantics(graph, seed=25, noise_fraction=0.0, noise_targets=targets)
-        evaluator = Evaluator(semantics)
-        iv_values, perf_values = evaluator.noiseless(np.ones((3, 2)))
-        noisy_iv, noisy_perf = evaluator.apply_noise(iv_values, perf_values, noise_seed=26)
-        assert noisy_iv is iv_values and noisy_perf is perf_values
-        assert evaluate(semantics, [1, 1], noise_seed=26) == evaluate(semantics, [1, 1])
+    semantics = synthesize_semantics(graph, seed=25, noise_fraction=0.0)
+    evaluator = Evaluator(semantics)
+    _, perf_values = evaluator.noiseless(np.ones((3, 2)))
+    assert evaluator.apply_noise(perf_values, noise_seed=26) is perf_values
+    assert evaluate(semantics, [1, 1], noise_seed=26) == evaluate(semantics, [1, 1])
 
 
 def test_iv_chain_values_stay_finite_at_scale():
