@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -208,7 +208,6 @@ class CausalInfluenceGraph:
     seed: int
     iv_to_iv_p: float
     edges: tuple[Edge, ...]
-    cross_probs: dict[tuple[int, int], float] = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         """Every edge joins two of the aspects' nodes, runs forward in the
@@ -287,13 +286,11 @@ def generate_graph(
         for j, k in zip(*np.nonzero(draws < a.p_w)):
             edges.append((option(m, int(j)), intermediate(m, int(k)), EdgeKind.WITHIN_OI))
 
-    cross_probs: dict[tuple[int, int], float] = {}
     for src_m in range(a.module_count):
         for dst_m in range(a.module_count):
             if src_m == dst_m:
                 continue
             p_a = _truncated_normal(rng, a.mu_a, a.sigma_a)
-            cross_probs[(src_m, dst_m)] = p_a
             draws = rng.random((a.option_count, a.iv_per_module))
             for j, k in zip(*np.nonzero(draws < p_a)):
                 edges.append(
@@ -316,7 +313,6 @@ def generate_graph(
         seed=seed,
         iv_to_iv_p=iv_to_iv_p,
         edges=tuple(edges),
-        cross_probs=cross_probs,
     )
 
 

@@ -30,14 +30,15 @@ index. SSE is compared through the score S_left^2 / n_left + S_right^2 /
 n_right (the node's sum of squares minus SSE); scores within a relative
 ``_TIE_RTOL`` of each other count as tied. Rounding can still decide
 between candidates that tie (two features giving a small node the same
-partition) or nearly tie: the cumulative sum runs over all cells of a tree
-block's level, so a run's prefix sums carry the rounding of the runs before
-it, which can exceed the tolerance. Batching keeps every tree bit-identical
-to a separate fit because each (problem, tree block) of a pass sums its own
-cells alone, in the order its separate fit would. A node stays a leaf at
-``max_depth``, when it has fewer than ``2 * min_samples_leaf`` rows, when its
-target is constant, or when no split leaves ``min_samples_leaf`` rows on
-each side.
+partition) or nearly tie: the cumulative sum runs over all cells of a
+tree's level, so a run's prefix sums carry the rounding of the runs before
+it in that tree, which can exceed the tolerance. Each tree of a pass sums
+its own cells alone, in the same order whatever else the pass holds, so a
+tree depends only on its own rows: how trees are cut into blocks and
+passes changes no tree, and every batched forest is bit-identical to a
+separate fit. A node stays a leaf at ``max_depth``, when it has fewer than
+``2 * min_samples_leaf`` rows, when its target is constant, or when no
+split leaves ``min_samples_leaf`` rows on each side.
 
 One generator draws the ``(n_trees, n)`` bootstrap rows of all problems of
 a call that share the bootstrap seed, ``n`` and ``n_trees``. Each node
@@ -64,9 +65,8 @@ import numpy as np
 from ..seeds import derive, derive_array, rng_for
 
 _TIE_RTOL = 1e-13
-# (bootstrap row, feature) cells of one problem's trees grown in one block.
-# Bounds memory, but blocks change near-tie splits on real-valued targets,
-# since each block's prefix sums start from zero.
+# (bootstrap row, feature) cells of one problem's trees grown in one block;
+# bounds the memory of a pass that holds a large problem.
 _BLOCK_CELLS = 1 << 20
 # Padded (bootstrap row, feature) cells of one batched pass. Batching pays
 # for small problems, where per-call overhead dominates; at about this many
@@ -192,22 +192,22 @@ def _prefix_sums(values, starts):
     return out
 
 
-def _search_sorted(XsT, y_fit, order, starts, sizes, usable, segment, msl):
+def _search_sorted(XsT, y_fit, order, starts, sizes, usable, tree, msl):
     """Best split of the given nodes over columns sorted by (node, value).
 
     `order` is (d, rows): the level's rows in each feature's value order,
     node by node; the nodes are the level's ranges `starts`, `sizes`, in
     order; `usable` is the (d, nodes) mask of feature-node pairs that may
-    split; `segment` numbers each node's (problem, tree block), whose cells
-    are contiguous and get their own prefix sums; `msl` is each node's
-    ``min_samples_leaf``. Returns the positions of the nodes that split,
-    their feature and threshold.
+    split; `tree` numbers each node's tree, whose cells are contiguous and
+    get their own prefix sums; `msl` is each node's ``min_samples_leaf``.
+    Returns the positions of the nodes that split, their feature and
+    threshold.
     """
     d, n_rows = order.shape
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order.ravel()[feat[run] * n_rows + row]
     x = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
-    pieces = run_start[_changes(segment[node])]
+    pieces = run_start[_changes(tree[node])]
     s_left = _prefix_sums(y_fit[sample], pieces.tolist())
     before = s_left[run_start] - y_fit[sample[run_start]]
     length = sizes[node]
@@ -242,7 +242,7 @@ def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl, total):
     """Best split of the given nodes over all-0/1 columns at threshold 0.5
     (rows with a 1 go right), given each node's target sum `total`. The
     other arguments and the result are those of `_search_sorted`, without
-    `segment`, since every sum covers one run; only order[0] is used."""
+    `tree`, since every sum covers one run; only order[0] is used."""
     d = XsT.shape[0]
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order[0, row]
@@ -297,8 +297,8 @@ class _Problem(NamedTuple):
     binary: bool
 
 
-def _grow(problems: list[_Problem], segments, binary: bool):
-    """Grow the trees of `segments`, (problem, first tree, stop tree) blocks
+def _grow(problems: list[_Problem], blocks, binary: bool):
+    """Grow the trees of `blocks`, (problem, first tree, stop tree) ranges
     of problems on split path `binary` that share the row count, together,
     level by level.
 
@@ -309,11 +309,11 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     their widest tree. Once every split node's tree reaches its last level,
     only the rows' order is kept, not every feature's.
 
-    Returns, per segment, its per-tree node counts and its tree-major node
+    Returns, per block, its per-tree node counts and its tree-major node
     table (feature, threshold, left, right, value) with tree-local child
     indices.
     """
-    ids = sorted({p for p, _, _ in segments})
+    ids = sorted({p for p, _, _ in blocks})
     slot_of = {p: k for k, p in enumerate(ids)}
     n = len(problems[ids[0]].y)
     d = max(problems[p].X.shape[1] for p in ids)
@@ -321,11 +321,11 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     X = np.zeros((len(ids), n, d), dtype=np.uint8 if binary else float)
     for k, p in enumerate(ids):
         X[k, :, : problems[p].X.shape[1]] = problems[p].X
-    seg_trees = [stop - start for _, start, stop in segments]
-    tree_segment = np.repeat(np.arange(len(segments)), seg_trees)
-    tree_slot = np.array([slot_of[p] for p, _, _ in segments])[tree_segment]
-    owners = [problems[p] for p, _, _ in segments]
-    rows = np.concatenate([problems[p].rows[start:stop] for p, start, stop in segments])
+    block_trees = [stop - start for _, start, stop in blocks]
+    tree_block = np.repeat(np.arange(len(blocks)), block_trees)
+    tree_slot = np.array([slot_of[p] for p, _, _ in blocks])[tree_block]
+    owners = [problems[p] for p, _, _ in blocks]
+    rows = np.concatenate([problems[p].rows[start:stop] for p, start, stop in blocks])
     n_trees = len(rows)
     samples = (rows + (tree_slot * n)[:, None]).ravel()
     XsT = np.ascontiguousarray(X.reshape(len(ids) * n, d)[samples].T)
@@ -345,21 +345,21 @@ def _grow(problems: list[_Problem], segments, binary: bool):
         within = np.argsort(rank[:, tree_slot[:, None], rows], axis=2, kind="stable")
         within += (np.arange(n_trees) * n)[:, None]
         order = within.reshape(d, -1).astype(np.int32)
-    tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_segment]
-    tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_segment]
-    tree_msl = np.array([owner.params.min_samples_leaf for owner in owners])[tree_segment]
+    tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_block]
+    tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_block]
+    tree_msl = np.array([owner.params.min_samples_leaf for owner in owners])[tree_block]
     # a tree without columns is its root alone
     tree_depth = np.array(
         [owner.params.max_depth if owner.X.shape[1] else 0 for owner in owners]
-    )[tree_segment]
+    )[tree_block]
     subsample = bool((tree_n_sub < tree_width).any())
     if subsample:
         # subset keys derive(split, tree, feature, heap id): one mix per level
         split_keys = np.array(
             [derive(owner.params.bootstrap_seed, "split") for owner in owners], dtype=np.uint64
         )
-        local_tree = np.concatenate([np.arange(start, stop) for _, start, stop in segments])
-        feature_keys = derive_array(split_keys[tree_segment], local_tree, np.arange(d)[:, None])
+        local_tree = np.concatenate([np.arange(start, stop) for _, start, stop in blocks])
+        feature_keys = derive_array(split_keys[tree_block], local_tree, np.arange(d)[:, None])
 
     node_tree = np.arange(n_trees)
     node_heap = np.zeros(n_trees, dtype=np.int64)
@@ -396,7 +396,7 @@ def _grow(problems: list[_Problem], segments, binary: bool):
                 found, feat, thr = _search_binary(XsT, y_fit, order, at, size, usable, msl, total)
             else:
                 found, feat, thr = _search_sorted(
-                    XsT, y_fit, order[:width], at, size, usable, tree_segment[trees], msl
+                    XsT, y_fit, order[:width], at, size, usable, trees, msl
                 )
             nodes = nodes[found]
             feature[nodes] = feat
@@ -428,7 +428,7 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     left = np.where(children >= 0, local[children], -1)
     right = np.where(children >= 0, local[children + 1], -1)
     table = tuple(c[perm] for c in (feature, threshold, left, right, value))
-    tree_bounds = np.cumsum([0, *seg_trees])
+    tree_bounds = np.cumsum([0, *block_trees])
     node_bounds = np.concatenate([[0], np.cumsum(counts)])[tree_bounds].tolist()
     return [
         (counts[a:b], tuple(c[lo:hi] for c in table))
@@ -438,35 +438,39 @@ def _grow(problems: list[_Problem], segments, binary: bool):
     ]
 
 
-def _passes(problems: list[_Problem], segments, binary: bool):
-    """`segments` in order, cut into passes of at most `_BATCH_CELLS` padded
-    (bootstrap row, feature) cells on the all-0/1 path, and a
-    `_REAL_CELL_COST`th of that on the real-valued one; a segment alone may
-    exceed it. A pass is padded to its widest problem, so segments given in
-    order of width make passes of like widths."""
+def _passes(problems: list[_Problem], ids, binary: bool):
+    """The trees of problems `ids` on split path `binary`, in order: each
+    problem's trees cut into blocks of at most `_BLOCK_CELLS` (bootstrap
+    row, feature) cells, and the blocks into passes of at most `_BATCH_CELLS`
+    padded cells on the all-0/1 path, and a `_REAL_CELL_COST`th of that on
+    the real-valued one; a block alone may exceed it. A pass is padded to
+    its widest problem, so problems given in order of width make passes of
+    like widths. Yields lists of (problem, first tree, stop tree) blocks."""
     budget = _BATCH_CELLS if binary else _BATCH_CELLS // _REAL_CELL_COST
     batch, trees, width = [], 0, 1
-    for segment in segments:
-        p, start, stop = segment
-        d = max(1, problems[p].X.shape[1])
-        if batch and (trees + stop - start) * len(problems[p].y) * max(width, d) > budget:
-            yield batch
-            batch, trees, width = [], 0, 1
-        batch.append(segment)
-        trees, width = trees + stop - start, max(width, d)
+    for p in ids:
+        n, d = len(problems[p].y), max(1, problems[p].X.shape[1])
+        n_trees = problems[p].params.n_trees
+        block = max(1, _BLOCK_CELLS // (n * d))
+        for start in range(0, n_trees, block):
+            stop = min(start + block, n_trees)
+            if batch and (trees + stop - start) * n * max(width, d) > budget:
+                yield batch
+                batch, trees, width = [], 0, 1
+            batch.append((p, start, stop))
+            trees, width = trees + stop - start, max(width, d)
     if batch:
         yield batch
 
 
 def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     """One forest per (X, y, params) problem, each equal to what `fit_forest`
-    returns for it alone.
+    returns for it alone, since a tree depends only on its own rows.
 
-    Each problem's trees are cut into the blocks its separate fit grows. The
-    blocks are grouped by split path and row count, sorted by problem width
-    within a group, and grown in passes of at most ``_BATCH_CELLS`` padded
-    cells; a block alone may exceed it. Problems that share the bootstrap
-    seed, row count and ``n_trees`` share one draw of bootstrap rows.
+    Problems are grouped by split path and row count, sorted by width within
+    a group, and grown in the passes `_passes` cuts. Problems that share the
+    bootstrap seed, row count and ``n_trees`` share one draw of bootstrap
+    rows.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     ys = [np.ascontiguousarray(y, dtype=float) for y in ys]
@@ -476,7 +480,6 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D with one row per y entry and at least one row")
     problems = []
-    segments = []  # per problem, its (problem, first tree, stop tree) blocks
     groups = {}
     draws = {}
     for X, y, params in zip(Xs, ys, params_list):
@@ -489,23 +492,17 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         rows = draws[draw]
         binary = bool(np.all((X == 0.0) | (X == 1.0)))
         n_sub = max(1, int(round(params.feature_subsample * d)))
+        groups.setdefault((binary, n), []).append(len(problems))
         problems.append(_Problem(X, y, params, n_sub, rows, binary))
-        block = max(1, _BLOCK_CELLS // (n * max(d, 1)))
-        segments.append(
-            [
-                (len(problems) - 1, t, min(t + block, params.n_trees))
-                for t in range(0, params.n_trees, block)
-            ]
-        )
-        groups.setdefault((binary, n), []).extend(segments[-1])
-    grown = {}
-    for (binary, _), group in groups.items():
-        group.sort(key=lambda segment: problems[segment[0]].X.shape[1])
-        for batch in _passes(problems, group, binary):
-            grown.update(zip(batch, _grow(problems, batch, binary)))
+    grown = [[] for _ in problems]  # per problem, its blocks' results in tree order
+    for (binary, _), ids in groups.items():
+        ids.sort(key=lambda p: problems[p].X.shape[1])
+        for batch in _passes(problems, ids, binary):
+            for (p, _, _), block in zip(batch, _grow(problems, batch, binary)):
+                grown[p].append(block)
     forests = []
-    for problem, blocks in zip(problems, segments):
-        counts, tables = zip(*(grown.pop(s) for s in blocks))
+    for problem, blocks in zip(problems, grown):
+        counts, tables = zip(*blocks)
         # a forest of one block keeps views of its pass's node table
         forests.append(
             FittedForest(

@@ -63,7 +63,10 @@ def cles(x, y) -> float:
     """Common-language effect size P(x > y) + 0.5 P(x = y) over all pairs,
     as U_x / (n_x n_y) from the pooled midranks. U_x is that pair count
     exactly: both are half-integers far below 2^53, so no pair matrix is
-    needed."""
+    needed. No pipeline code calls it: `mann_whitney_u` computes the same
+    value as its `cles`. It is kept as the named oracle the acceptance
+    tests check that value against, and as the effect-size scale of the
+    planned claim estimands (ROADMAP item 8)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
@@ -91,18 +94,12 @@ def mann_whitney_u(x, y, alternative: str = "two_sided") -> TestResult:
     effect = u_obs / (n_x * n_y)  # cles(x, y)
 
     if n_x + n_y <= EXACT_MWU_LIMIT:
-        total = 0
-        count_ge = 0
-        count_le = 0
-        for combo in itertools.combinations(range(n_x + n_y), n_x):
-            u_perm = _u_statistic(ranks, list(combo), n_x)
-            total += 1
-            if u_perm >= u_obs:
-                count_ge += 1
-            if u_perm <= u_obs:
-                count_le += 1
-        p_greater = count_ge / total
-        p_less = count_le / total
+        # every split of the pooled ranks into x and y; rank sums of
+        # half-integers are exact, so the order of summation does not matter
+        combos = np.array(list(itertools.combinations(range(n_x + n_y), n_x)))
+        u_perm = ranks[combos].sum(axis=1) - n_x * (n_x + 1) / 2.0
+        p_greater = int(np.count_nonzero(u_perm >= u_obs)) / len(combos)
+        p_less = int(np.count_nonzero(u_perm <= u_obs)) / len(combos)
         if alternative == "greater":
             p = p_greater
         elif alternative == "less":
@@ -260,11 +257,11 @@ ASPECT_GROUPS = {
 }
 
 
-def group_importance(vector: ImportanceVector, groups=ASPECT_GROUPS) -> ImportanceVector:
-    """Pool a per-feature vector into feature groups: each group's raw value
+def group_importance(vector: ImportanceVector) -> ImportanceVector:
+    """Pool a per-feature vector into `ASPECT_GROUPS`: each group's raw value
     is the sum of its members' raw values floored at 0, then normalized."""
     return _normalize(
-        {g: sum(max(vector.raw.get(f, 0.0), 0.0) for f in members) for g, members in groups.items()}
+        {g: sum(max(vector.raw.get(f, 0.0), 0.0) for f in m) for g, m in ASPECT_GROUPS.items()}
     )
 
 

@@ -6,12 +6,15 @@ import pytest
 
 from conftest import has_cycle
 from modperf.influence_graph import (
+    TRUNC_HI,
+    TRUNC_LO,
     AspectRanges,
     EdgeKind,
     GraphStructureError,
     NodeId,
     NodeKind,
     StructuralAspects,
+    _truncated_normal,
     derive_knowledge,
     generate_graph,
     graph_from_json,
@@ -77,12 +80,17 @@ def test_generate_graph_deterministic_in_inputs():
 
 
 def test_cross_probabilities_respect_truncation():
-    a = StructuralAspects(option_count=6, p_w=0.6, mu_a=0.39, sigma_a=0.4, module_count=6)
-    for seed in range(30):
-        g = generate_graph(a, seed=seed)
-        values = list(g.cross_probs.values())
-        assert len(values) == a.module_count * (a.module_count - 1)
-        assert all(0.01 <= v <= 0.4 for v in values)
+    """Every cross-module probability lies in [TRUNC_LO, TRUNC_HI]: with
+    sigma 0 the mean itself (clamped), and with a mean near TRUNC_HI and a
+    wide sigma, where most raw draws fall outside, the accepted draws."""
+    for mu, sigma in ((0.2, 0.0), (0.5, 0.0), (0.0, 0.0), (0.39, 0.4), (TRUNC_HI, 0.05)):
+        rng = np.random.default_rng(3)
+        values = [_truncated_normal(rng, mu, sigma) for _ in range(500)]
+        assert all(TRUNC_LO <= v <= TRUNC_HI for v in values)
+        if sigma == 0.0:
+            assert set(values) == {min(max(mu, TRUNC_LO), TRUNC_HI)}
+        else:
+            assert len(set(values)) == len(values)
 
 
 def test_every_iv_feeds_every_perf():

@@ -228,17 +228,6 @@ def test_forest_feature_subsets_do_not_depend_on_other_subtrees():
             _assert_top_levels_equal(shallow, deep, 0, 0, 0, k)
 
 
-def test_forest_tree_blocks_do_not_change_trees(monkeypatch):
-    rng = _rng(16)
-    X, y = rng.random((40, 5)), rng.normal(size=40)
-    params = ForestParams(n_trees=7, max_depth=6, feature_subsample=0.6, bootstrap_seed=3)
-    whole = fit_forest(X, y, params)
-    monkeypatch.setattr(forest, "_BLOCK_CELLS", 3 * 40 * 5)  # blocks of 3 trees
-    blocked = fit_forest(X, y, params)
-    for name in ("offsets", "feature", "threshold", "left", "right", "value"):
-        assert np.array_equal(getattr(whole, name), getattr(blocked, name))
-
-
 FOREST_TABLE = ("offsets", "feature", "threshold", "left", "right", "value")
 
 
@@ -258,10 +247,63 @@ def _batch_problems(rng, n, widths):
     return Xs, ys
 
 
+def _same_forest(a, b) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in FOREST_TABLE)
+
+
+def test_tree_grouping_does_not_change_trees(monkeypatch):
+    """A tree depends only on its own rows: how `fit_forests` cuts trees
+    into blocks and passes, and which problems share a pass, changes no
+    forest. Real-valued designs and targets give many near-tied splits,
+    which a prefix sum running on across trees decides by its rounding;
+    with one sum per (problem, tree block), 47 of the 150 forests below
+    changed with one-tree blocks."""
+    rng = _rng(0)
+    n, d = 40, 9
+    Xs, ys, params = [], [], []
+    for i in range(150):
+        Xs.append(rng.random((n, d)))
+        ys.append(rng.normal(size=n))
+        params.append(ForestParams(12, 8, 1, 1.0, bootstrap_seed=i))
+    # unrelated problems of the same row count: binary, integer-valued and
+    # real-valued designs, some with feature subsets
+    rng = _rng(16)
+    other_Xs, other_ys = _batch_problems(rng, n, (9, 9, 5, 12, 9, 3))
+    other_Xs += [rng.random((n, w)) for w in (5, 9, 12)]
+    other_ys += [rng.normal(size=n) for _ in range(3)]
+    for j in range(len(other_Xs)):
+        params.append(ForestParams(7, 6, 1 + j % 2, (0.6, 1.0, 1 / 3)[j % 3], 200 + j))
+    problems = list(zip(Xs + other_Xs, ys + other_ys, params))
+
+    def fit(ids):
+        return dict(zip(ids, fit_forests(*zip(*(problems[k] for k in ids)))))
+
+    want = fit(range(150)) | fit(range(150, len(problems)))
+    # the others sit between the 150 in one call, so they share passes
+    mixed = [k for i in range(150) for k in ([i] if i % 17 else [150 + i // 17, i])]
+    groupings = {
+        "default": {},
+        "one-tree blocks": {"_BLOCK_CELLS": n * d},
+        # 4-tree blocks in 8-tree passes: every other pass holds two problems
+        "small passes": {
+            "_BLOCK_CELLS": 4 * n * d,
+            "_BATCH_CELLS": 8 * n * d * forest._REAL_CELL_COST,
+        },
+    }
+    differing = {}
+    for name, settings in groupings.items():
+        with monkeypatch.context() as patch:
+            for setting, value in settings.items():
+                patch.setattr(forest, setting, value)
+            got = fit(mixed)
+        differing[name] = sum(not _same_forest(got[k], want[k]) for k in range(len(problems)))
+    assert differing == {name: 0 for name in groupings}
+
+
 @pytest.mark.parametrize("blocks", [False, True])
 def test_fit_forests_equals_separate_fits(monkeypatch, blocks):
     """Each batched forest is bit-identical to its separate fit: every
-    problem's prefix sums cover only its own cells (per tree block)."""
+    tree's prefix sums cover only its own cells."""
     rng = _rng(18)
     n, widths = 40, (3, 9, 6, 1, 12, 5, 8, 4)
     params = [
