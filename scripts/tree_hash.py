@@ -11,9 +11,10 @@ and after it:
     diff before.txt after.txt
 
 With `--subtrees`, each tree's line is followed by one indented line per
-part of it: `systems/`, `curves/`, `fairness/`, `analysis/` and the files
-at its root, each with its own file count and sha256. A change that alters
-bytes on purpose can then show which parts moved:
+part of it: `systems/`, `curves/`, `analysis/` and the files at its root,
+each with its own file count and sha256. A file in no listed part is an
+error, so a directory that a layout change adds cannot go unhashed. A
+change that alters bytes on purpose can then show which parts moved:
 
     python scripts/tree_hash.py --subtrees
 
@@ -63,7 +64,7 @@ TREES = {
 }
 
 
-PARTS = ("systems/", "curves/", "fairness/", "analysis/", "root")
+PARTS = ("systems/", "curves/", "analysis/", "root")
 
 
 def _part(rel: Path) -> str:
@@ -86,9 +87,15 @@ def tree_hash(root: Path, part: str | None = None) -> tuple[str, int]:
 
 
 def tree_lines(label: str, root: Path, subtrees: bool = False) -> list[str]:
-    """The line of the tree at `root`, then with `subtrees` one line per part."""
+    """The line of the tree at `root`, then with `subtrees` one line per
+    part; with `subtrees`, a file in none of PARTS raises ValueError."""
     sha, count = tree_hash(root)
     lines = [f"{label} {count} files {sha}"]
+    if subtrees:
+        rels = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+        unlisted = [str(rel) for rel in rels if _part(rel) not in PARTS]
+        if unlisted:
+            raise ValueError(f"{label}: files in no part of {PARTS}: {unlisted}")
     for part in PARTS if subtrees else ():
         sha, count = tree_hash(root, part)
         lines.append(f"  {part} {count} files {sha}")

@@ -2,7 +2,9 @@
 
 Subcommands: generate, model, analyze, report, all. Flags override values
 from an optional JSON config file; exit code is nonzero with a
-machine-readable error JSON on stderr when a stage fails.
+machine-readable error JSON on stderr when a stage fails. The model stage
+goes on past a failed unit and lists it in `model_errors.json`; `model` and
+`all` then finish their work and exit 1, naming the count and the file.
 """
 
 from __future__ import annotations
@@ -90,25 +92,36 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _fail(stage: str, error: str, detail: str) -> int:
+    """Print the error JSON on stderr; the exit code of a failed stage."""
+    json.dump({"error": error, "stage": stage, "detail": detail}, sys.stderr)
+    sys.stderr.write("\n")
+    return 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         result = STAGES[args.stage](config)
     except Exception as exc:
-        json.dump(
-            {"error": type(exc).__name__, "stage": args.stage, "detail": str(exc)},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 1
+        return _fail(args.stage, type(exc).__name__, str(exc))
     if args.stage == "report":
         sys.stdout.write(result)
     elif args.stage in ("analyze", "all"):
         sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    else:
-        count = len(result) if isinstance(result, list) else result
-        sys.stdout.write(f"{args.stage}: completed {count} unit(s) -> {args.out}\n")
+    elif args.stage == "generate":
+        sys.stdout.write(f"generate: completed {len(result)} unit(s) -> {args.out}\n")
+    if args.stage not in ("model", "all"):
+        return 0
+    # the model stage records each failed unit in model_errors.json and goes on
+    errors = Path(args.out) / "model_errors.json"
+    failed = len(json.loads(errors.read_text())) if errors.exists() else 0
+    total = config.n_systems * config.trials
+    if args.stage == "model":
+        sys.stdout.write(f"model: completed {total - failed} of {total} unit(s) -> {args.out}\n")
+    if failed:
+        return _fail(args.stage, "UnitErrors", f"{failed} of {total} unit(s) failed; see {errors}")
     return 0
 
 

@@ -10,10 +10,12 @@ from one generator seeded with `derive(seed, "noise")`, which draws a
 A trial's rows are stored as `train.npy` and `test.npy` in NumPy's `.npy`
 format: a 1-D structured array, one record per row, of dtype
 ``[("bits", "u1", (options,)), ("ivs", "<f8", (IVs,)), ("perf", "<f8",
-(perfs,))]``, which keeps every float bit for bit. `dataset.json` names the
-columns and the row counts, and the reader refuses a file that does not
-match them (`load_dataset`). To look at rows:
-``np.load("train.npy")["ivs"][:5]``.
+(perfs,))]``, which keeps every float bit for bit. `dataset.json` holds
+what the rows alone do not: the `columns` (option, IV and perf names), the
+row counts `n_train` and `n_test`, and the `train_file` and `test_file`
+names. The reader refuses a file that does not match them (`load_dataset`).
+The trial's seed and id and the training sizes are not stored; they follow
+from `config.json`. To look at rows: ``np.load("train.npy")["ivs"][:5]``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .jsonio import write_atomic
-from .seeds import derive
+from .seeds import derive, rng_for
 from .semantics import SystemSemantics, Evaluator
 
-DEFAULT_TRAIN_SIZES = (20, 50, 100, 200, 500, 1000)
 _OVERSAMPLE_ROUNDS = 10
 
 
@@ -49,13 +50,10 @@ class SystemDataset:
     """A system's rows, its `n_train` training rows first: `bits` (rows x
     options, uint8), `ivs` (rows x IVs) and `perf` (rows x perfs)."""
 
-    system_id: str
-    seed: int
     bits: np.ndarray
     ivs: np.ndarray
     perf: np.ndarray
     n_train: int
-    train_sizes: tuple[int, ...]
     option_names: tuple[str, ...]
     iv_names: tuple[str, ...]
     perf_names: tuple[str, ...]
@@ -98,28 +96,18 @@ def sample_dataset(
     seed: int,
     n_train: int = 1000,
     n_test: int = 1000,
-    train_sizes: tuple[int, ...] | None = None,
-    system_id: str = "system",
 ) -> SystemDataset:
     """Draw n_train + n_test distinct configurations and measure them, with
     the noise of every row drawn from one generator (module docstring)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be >= 1")
     evaluator = Evaluator(semantics)
-    rng = np.random.default_rng(derive(seed, "configs"))
+    rng = rng_for(seed, "configs")
     bits = _draw_distinct_configs(rng, len(evaluator.options), n_train + n_test)
     ivs, perf = evaluator.noiseless(bits.astype(float))
     perf = evaluator.apply_noise(perf, derive(seed, "noise"))
-
-    if train_sizes is None:
-        sizes = tuple(n for n in DEFAULT_TRAIN_SIZES if n <= n_train)
-    else:
-        sizes = tuple(sorted(train_sizes))
-        if sizes and sizes[-1] > n_train:
-            raise ValueError(f"max train size {sizes[-1]} exceeds n_train {n_train}")
     return SystemDataset(
-        system_id=system_id, seed=seed, bits=bits, ivs=ivs, perf=perf, n_train=n_train,
-        train_sizes=sizes,
+        bits=bits, ivs=ivs, perf=perf, n_train=n_train,
         option_names=tuple(n.encode() for n in evaluator.options),
         iv_names=tuple(n.encode() for n in evaluator.ivs),
         perf_names=tuple(n.encode() for n in evaluator.perfs),
@@ -131,9 +119,10 @@ def _row_dtype(n_options: int, n_ivs: int, n_perfs: int) -> np.dtype:
     return np.dtype([("bits", "u1", (n_options,)), ("ivs", "<f8", (n_ivs,)), ("perf", "<f8", (n_perfs,))])
 
 
-def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -> dict:
-    """Write train/test `.npy` files plus a manifest binding them to their
-    inputs, each through `write_atomic`."""
+def save_dataset(dataset: SystemDataset, directory: Path) -> dict:
+    """Write train/test `.npy` files plus the `dataset.json` manifest that
+    names their columns, row counts and files (module docstring), each
+    through `write_atomic`; return the manifest."""
     dtype = _row_dtype(len(dataset.option_names), len(dataset.iv_names), len(dataset.perf_names))
     for name, rows in (("train.npy", slice(dataset.n_train)), ("test.npy", slice(dataset.n_train, None))):
         bits = dataset.bits[rows]
@@ -143,14 +132,10 @@ def save_dataset(dataset: SystemDataset, directory: Path, semantics_file: str) -
         np.save(buffer, records, allow_pickle=False)
         write_atomic(directory / name, buffer.getvalue())
     manifest = {
-        "system_id": dataset.system_id,
-        "seed": dataset.seed,
-        "semantics_file": semantics_file,
         "train_file": "train.npy",
         "test_file": "test.npy",
         "n_train": dataset.n_train,
         "n_test": len(dataset.bits) - dataset.n_train,
-        "train_sizes": list(dataset.train_sizes),
         "columns": {
             "options": list(dataset.option_names),
             "ivs": list(dataset.iv_names),
@@ -212,12 +197,10 @@ def load_dataset(directory: Path) -> SystemDataset:
             raise ValueError(f"{path.name}: {exc}") from None
         parts.append(rows)
     return SystemDataset(
-        system_id=manifest["system_id"], seed=manifest["seed"],
         bits=np.concatenate([rows["bits"] for rows in parts]),
         ivs=np.concatenate([rows["ivs"] for rows in parts]),
         perf=np.concatenate([rows["perf"] for rows in parts]),
         n_train=manifest["n_train"],
-        train_sizes=tuple(manifest["train_sizes"]),
         option_names=tuple(cols["options"]),
         iv_names=tuple(cols["ivs"]),
         perf_names=tuple(cols["perfs"]),

@@ -20,13 +20,18 @@ A forest's target is an IV's code or "perf" and its rows are ("cv", fold) or
 never the level or the candidate's index, so levels that pose one problem
 (the perf forest on the measured IVs, an IV with the same parents) share one
 forest.
+
+Each fact is written once. A unit's curve file per (level, metric),
+`curves/<unit>/<level>_<metric>.json`, holds `system_id` (the unit id),
+`trial`, `level`, `metric` and `points`; its seeds and budget are not
+stored, since they follow from `config.json` by the paths above (for
+example `derive(config.trial_seed(s, t), "model")`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import hashlib
 import itertools
 import json
 import os
@@ -64,7 +69,7 @@ from .knowledge_models import LEVELS as ALL_LEVELS
 from .knowledge_models import SystemShape, level_curves, make_search
 # perfbench/tracer.py wraps make_factory under this name (ROADMAP item 2)
 from .knowledge_models import make_factory  # noqa: F401
-from .learners import CVSpec, SearchBudget, alpha_grid, enumerate_candidates, forest_search_space, mse
+from .learners import CVSpec, SearchBudget, alpha_grid, forest_search_space, mse
 from .seeds import derive
 from .semantics import semantics_to_json, synthesize_semantics
 from .stats import (
@@ -251,15 +256,8 @@ def _generate_one(config: ExperimentConfig, s: int) -> dict:
         trial_dir = system_dir / f"t{t:02d}"
         semantics = synthesize_semantics(graph, trial_seed, config.noise_fraction)
         _write(trial_dir / "semantics.json", semantics_to_json(semantics))
-        dataset = sample_dataset(
-            semantics,
-            trial_seed,
-            n_train=config.n_train,
-            n_test=config.n_test,
-            train_sizes=config.train_sizes,
-            system_id=config.unit_id(s, t),
-        )
-        save_dataset(dataset, trial_dir, semantics_file="semantics.json")
+        dataset = sample_dataset(semantics, trial_seed, n_train=config.n_train, n_test=config.n_test)
+        save_dataset(dataset, trial_dir)
         trials.append({"trial": t, "seed": trial_seed, "dir": f"t{t:02d}"})
 
     entry = {
@@ -351,18 +349,6 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
         model_seed, config.levels, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci
     )
     curves = level_curves(search, dataset, config.metrics, config.train_sizes)
-    # the fairness document goes first: the curve files mark the unit done
-    fairness = {
-        "budget": config.budget_evaluations,
-        "candidates": enumerate_candidates(space, budget),
-        "cv_folds": config.cv_folds,
-        "prefix_sha": {
-            str(n): hashlib.sha256(dataset.bits[:n].tobytes()).hexdigest()[:16]
-            for n in config.train_sizes
-        },
-        "note": "identical training prefixes, candidate lists, and budgets across levels",
-    }
-    _write(out / "fairness" / f"{unit}.json", _dump(fairness))
     for level, points in curves.items():
         for metric in config.metrics:
             doc = {
@@ -374,12 +360,6 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
                     {"n": p.n, "p": p.efficacies.get(metric), "error": p.error}
                     for p in points
                 ],
-                "seeds": {
-                    "system": config.system_seed(s),
-                    "trial": config.trial_seed(s, t),
-                    "model": model_seed,
-                },
-                "budget": config.budget_evaluations,
             }
             _write(Path(paths[level, metric]), _dump(doc, compact=True))
     return {"unit": unit}

@@ -144,7 +144,9 @@ def classify_hardness(
     Fixed mode partitions [0, 1] into equal quartiles: [0, 0.25) low,
     [0.25, 0.75) medium, [0.75, 1] high. Empirical mode uses the same
     quartile rule on the observed population (linear-interpolation
-    quantiles), computed once per call.
+    quantiles), computed once per call. In both modes a value equal to a
+    cut-off goes to the upper class, so an empirical population whose
+    values are all equal is all `high`.
     """
     if mode is HardnessMode.FIXED_RANGE:
         q25, q75 = 0.25, 0.75

@@ -201,7 +201,7 @@ class Evaluator:
         fraction = self.semantics.noise_fraction
         if fraction == 0.0:
             return perf_values
-        u = np.random.default_rng(noise_seed).uniform(-1.0, 1.0, size=perf_values.shape)
+        u = rng_for(noise_seed).uniform(-1.0, 1.0, size=perf_values.shape)
         return perf_values + u * fraction * np.abs(perf_values)
 
 

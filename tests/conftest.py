@@ -15,7 +15,7 @@ def small_system():
     graph = generate_graph(aspects, seed=101)
     artifacts = derive_knowledge(graph)
     semantics = synthesize_semantics(graph, seed=102)
-    dataset = sample_dataset(semantics, seed=103, n_train=300, n_test=200, system_id="fixture")
+    dataset = sample_dataset(semantics, seed=103, n_train=300, n_test=200)
     return graph, artifacts, semantics, dataset
 
 

@@ -84,7 +84,7 @@ def test_same_seed_byte_identical_serialization(tmp_path):
     semantics = _semantics()
     for name, seed in (("a", 8), ("b", 8), ("c", 9)):
         save_dataset(
-            sample_dataset(semantics, seed=seed, n_train=40, n_test=20), tmp_path / name, "semantics.json"
+            sample_dataset(semantics, seed=seed, n_train=40, n_test=20), tmp_path / name
         )
     for file in ("train.npy", "test.npy", "dataset.json"):
         assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
@@ -159,7 +159,7 @@ def test_npy_record_dtype_follows_the_columns(tmp_path):
     """One record per row: the option bits, the IVs and the perf values, as
     many of each as dataset.json names."""
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=14, n_train=5, n_test=2)
-    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    save_dataset(ds, tmp_path)
     columns = json.loads((tmp_path / "dataset.json").read_text())["columns"]
     assert [len(columns[k]) for k in ("options", "ivs", "perfs")] == [6, 6, 1]
     records = np.load(tmp_path / "train.npy")
@@ -169,13 +169,15 @@ def test_npy_record_dtype_follows_the_columns(tmp_path):
 
 def test_save_load_roundtrip(tmp_path):
     semantics = _semantics()
-    ds = sample_dataset(semantics, seed=15, n_train=40, n_test=20, system_id="rt")
-    manifest = save_dataset(ds, tmp_path, semantics_file="semantics.json")
-    assert manifest["system_id"] == "rt"
-    assert (manifest["train_file"], manifest["test_file"]) == ("train.npy", "test.npy")
+    ds = sample_dataset(semantics, seed=15, n_train=40, n_test=20)
+    manifest = save_dataset(ds, tmp_path)
+    assert manifest == json.loads((tmp_path / "dataset.json").read_text())
+    assert manifest == {
+        "columns": {"options": list(ds.option_names), "ivs": list(ds.iv_names), "perfs": list(ds.perf_names)},
+        "n_test": 20, "n_train": 40, "test_file": "test.npy", "train_file": "train.npy",
+    }
     loaded = load_dataset(tmp_path)
-    assert (loaded.system_id, loaded.seed, loaded.n_train) == (ds.system_id, ds.seed, ds.n_train)
-    assert (loaded.train_sizes, _names(loaded)) == (ds.train_sizes, _names(ds))
+    assert (loaded.n_train, _names(loaded)) == (ds.n_train, _names(ds))
     assert loaded.bits.dtype == np.uint8 and loaded.bits.tobytes() == ds.bits.tobytes()
     for name in ("ivs", "perf"):  # bit for bit
         assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
@@ -186,8 +188,8 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def _saved(tmp_path):
-    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=30, system_id="rt")
-    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=30)
+    save_dataset(ds, tmp_path)
     return ds
 
 
@@ -302,7 +304,7 @@ def _cell_byte(cell):
 def _saved_lines(tmp_path):
     """A saved 4-row train.npy, the CSV tests' dataset, and its records."""
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=18, n_train=4, n_test=2)
-    save_dataset(ds, tmp_path, semantics_file="semantics.json")
+    save_dataset(ds, tmp_path)
     assert len(load_dataset(tmp_path).bits) == 6
     return ds, np.load(tmp_path / "train.npy")
 
@@ -432,7 +434,7 @@ def test_interrupted_save_leaves_no_partial_csv(tmp_path, monkeypatch):
     """An interrupt halfway through writing test.npy's bytes leaves
     train.npy alone: no partial test.npy and no temporary file. (The name
     is from when rows were stored as CSV.)"""
-    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=20, system_id="rt")
+    ds = sample_dataset(_semantics(), seed=15, n_train=40, n_test=20)
     real_write_bytes = Path.write_bytes
 
     def interrupted(self, data):
@@ -443,7 +445,7 @@ def test_interrupted_save_leaves_no_partial_csv(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_bytes", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        save_dataset(ds, tmp_path, semantics_file="semantics.json")
+        save_dataset(ds, tmp_path)
     monkeypatch.undo()
     assert [p.name for p in tmp_path.iterdir()] == ["train.npy"]
 
@@ -478,13 +480,13 @@ def test_npy_round_trips_every_finite_float_bit_for_bit(tmp_path):
     raw = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
     finite = np.concatenate([ADVERSARIAL_VALUES, raw[np.isfinite(raw)], rng.normal(size=2000)])
     pooled = _rows_from_pool(ds, rng, finite)
-    save_dataset(pooled, tmp_path, semantics_file="semantics.json")
+    save_dataset(pooled, tmp_path)
     loaded = load_dataset(tmp_path)
     for name in ("bits", "ivs", "perf"):
         assert getattr(loaded, name).tobytes() == getattr(pooled, name).tobytes()
     non_finite = np.concatenate([finite[:50], [np.nan, np.inf, -np.inf]])
     pooled = _rows_from_pool(ds, rng, non_finite)
-    save_dataset(pooled, tmp_path, semantics_file="semantics.json")
+    save_dataset(pooled, tmp_path)
     records = np.concatenate([np.load(tmp_path / "train.npy"), np.load(tmp_path / "test.npy")])
     assert np.ascontiguousarray(records["ivs"]).tobytes() == pooled.ivs.tobytes()
     assert np.ascontiguousarray(records["perf"]).tobytes() == pooled.perf.tobytes()
@@ -496,7 +498,7 @@ def test_a_file_of_no_rows_round_trips(tmp_path):
     """A split of no rows is a file of zero records that keeps the column
     widths."""
     ds = sample_dataset(_semantics(option_count=3, module_count=2), seed=19, n_train=4, n_test=2)
-    save_dataset(dataclasses.replace(ds, n_train=len(ds.bits)), tmp_path, semantics_file="semantics.json")
+    save_dataset(dataclasses.replace(ds, n_train=len(ds.bits)), tmp_path)
     assert np.load(tmp_path / "test.npy").shape == (0,)
     loaded = load_dataset(tmp_path)
     assert (loaded.n_train, len(loaded.bits)) == (6, 6)
@@ -504,9 +506,3 @@ def test_a_file_of_no_rows_round_trips(tmp_path):
     for name in ("bits", "ivs", "perf"):
         assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
 
-
-def test_default_train_sizes_clipped():
-    ds = sample_dataset(_semantics(), seed=16, n_train=100, n_test=10)
-    assert ds.train_sizes == (20, 50, 100)
-    with pytest.raises(ValueError):
-        sample_dataset(_semantics(), seed=17, n_train=100, n_test=10, train_sizes=(20, 200))

@@ -94,7 +94,7 @@ def test_model_emits_requested_levels_only(tiny_run):
     assert doc["level"] == "null" and doc["metric"] == "scc"
     assert [p["n"] for p in doc["points"]] == [20, 40]
     assert all(p["error"] is None for p in doc["points"])
-    assert doc["budget"] == 2
+    assert (doc["system_id"], doc["trial"]) == ("s0000_t00", 0)
 
 
 def test_curve_files_round_trip(tiny_run):
@@ -106,17 +106,11 @@ def test_curve_files_round_trip(tiny_run):
             assert len(files) == 6  # 3 levels x 2 metrics
             for path in files:
                 doc = json.loads(path.read_text())
-                assert doc["system_id"] == config.unit_id(s, t)
-                assert {"system_id", "level", "metric", "points", "seeds", "budget"} <= set(doc)
+                assert (doc["system_id"], doc["trial"]) == (config.unit_id(s, t), t)
+                # seeds and budget follow from config.json; no field restates them
+                assert set(doc) == {"system_id", "trial", "level", "metric", "points"}
                 assert json.loads(json.dumps(doc)) == doc
-
-
-def test_fairness_log_identical_budget(tiny_run):
-    config, out = tiny_run
-    fairness = json.loads((out / "fairness" / "s0001_t01.json").read_text())
-    assert fairness["budget"] == 2
-    assert len(fairness["candidates"]) == 2
-    assert set(fairness["prefix_sha"]) == {"20", "40"}
+    assert not (out / "fairness").exists()
 
 
 def test_analyze_outputs_matrix_tests_heatmap(tiny_run):
@@ -204,32 +198,6 @@ def test_resume_reruns_a_unit_whose_curve_file_holds_two_documents(tmp_path):
     assert curve.read_bytes() == original
 
 
-def test_resume_finishes_a_unit_whose_fairness_document_is_missing(tmp_path, monkeypatch):
-    """A crash before a unit's fairness document is written leaves the unit
-    unfinished, so `--resume` runs it again and the tree matches a clean run."""
-    clean = _tiny_config(tmp_path / "clean", n_systems=1, trials=1)
-    crashed = _tiny_config(tmp_path / "crashed", n_systems=1, trials=1)
-    for config in (clean, crashed):
-        run_generate(config)
-    run_model(clean)
-    real_write = experiment._write
-
-    def crash_at_fairness(path, text):
-        if path.parent.name == "fairness":
-            raise KeyboardInterrupt
-        real_write(path, text)
-
-    monkeypatch.setattr(experiment, "_write", crash_at_fairness)
-    with pytest.raises(KeyboardInterrupt):
-        run_model(crashed)
-    monkeypatch.undo()
-    docs = run_model(ExperimentConfig.from_dict(
-        crashed.persisted_dict(), out_dir=crashed.out_dir, resume=True,
-    ))
-    assert docs == [{"unit": "s0000_t00"}]
-    assert tree_hash(Path(crashed.out_dir)) == tree_hash(Path(clean.out_dir))
-
-
 def test_config_json_omits_runtime_fields(tiny_run):
     config, out = tiny_run
     doc = json.loads((out / "config.json").read_text())
@@ -283,10 +251,11 @@ def test_model_records_an_edge_list_graph_as_a_unit_error(tmp_path):
 # generator per dataset, graph.json holding the generator's inputs and an
 # edge digest, semantics.json holding that graph document, its seed and
 # weight digest, no knowledge.json, a config.json without a Shapley sample
-# count, and each trial's rows as train.npy/test.npy. The .npy and JSON
+# count, each trial's rows as train.npy/test.npy, and a dataset.json of
+# columns, row counts and file names only. The .npy and JSON
 # writers must keep every byte; a change that alters output on purpose
 # updates this and says so.
-GENERATE_TREE_SHA = "ba24bd067208df0628869646e8acb31a3674b53598fcfed4e642388ca8676893"
+GENERATE_TREE_SHA = "2e64c89c0a26282f8b01306c2245e60a3bfceaf10eca4d33e57c74f8feb0805d"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -304,10 +273,11 @@ def test_generate_tree_bytes_unchanged(tmp_path):
     assert tree_hash(tmp_path) == GENERATE_TREE_SHA
 
 
-# sha256 of the curves/ and fairness/ trees below, as written with compact
-# curve files, one noise generator per dataset and forests seeded by their
-# problem. The forest engine and the search must keep every byte.
-MODEL_TREE_SHA = "a15390a86121ad1f228187897094ab089c82eab5c6eab45bd848c82ce4c4801a"
+# sha256 of the curves/ tree below, as written with compact curve files
+# that hold no seeds or budget, one noise generator per dataset and forests
+# seeded by their problem. The forest engine and the search must keep every
+# byte.
+MODEL_TREE_SHA = "91c5c07209527abb07e9142227d5481bcce8f20c73ef1624481867ce41edaeff"
 
 
 def test_model_tree_bytes_unchanged(tmp_path):
@@ -329,7 +299,7 @@ def test_model_tree_bytes_unchanged(tmp_path):
     run_generate(config)
     assert all("error" not in doc for doc in run_model(config))
     digest = hashlib.sha256()
-    for path in sorted([*(tmp_path / "curves").rglob("*"), *(tmp_path / "fairness").rglob("*")]):
+    for path in sorted((tmp_path / "curves").rglob("*")):
         if path.is_file():
             digest.update(str(path.relative_to(tmp_path)).encode())
             digest.update(path.read_bytes())
@@ -924,6 +894,47 @@ def test_cli_error_emits_machine_readable_json(tmp_path, capsys):
     error = json.loads(captured.err)
     assert error["stage"] == "analyze"
     assert "error" in error
+
+
+def test_cli_model_counts_failed_units_and_exits_1(tmp_path, capsys):
+    """On a directory with no systems every unit fails into
+    model_errors.json: `model` says how many of the units completed and
+    exits 1 with the error JSON naming the count and the file."""
+    out = tmp_path / "empty"
+    assert main(["model", "--out", str(out), "--systems", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"model: completed 0 of 2 unit(s) -> {out}\n"
+    assert json.loads(captured.err) == {
+        "error": "UnitErrors", "stage": "model",
+        "detail": f"2 of 2 unit(s) failed; see {out / 'model_errors.json'}",
+    }
+    assert len(json.loads((out / "model_errors.json").read_text())) == 2
+
+
+def test_cli_all_finishes_and_exits_1_when_a_model_unit_fails(tmp_path, capsys, monkeypatch):
+    """`all` analyzes the units that completed, prints the summary and
+    exits 1 with the error JSON when a model unit failed."""
+    real_load = experiment.load_dataset
+
+    def refuse_s0000(directory):
+        if directory.parent.name == "s0000":
+            raise ValueError("unreadable trial")
+        return real_load(directory)
+
+    monkeypatch.setattr(experiment, "load_dataset", refuse_s0000)
+    out = tmp_path / "out"
+    argv = [
+        "all", "--systems", "2", "--trials", "1", "--train-sizes", "20,40", "--n-train", "50",
+        "--n-test", "25", "--levels", "null,ideal", "--budget", "2", "--seed", "7", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["metrics"]["acc"]["units"] == 1
+    assert json.loads(captured.err) == {
+        "error": "UnitErrors", "stage": "all",
+        "detail": f"1 of 2 unit(s) failed; see {out / 'model_errors.json'}",
+    }
+    assert (out / "analysis" / "report.md").exists()
 
 
 def test_cli_analyze_names_a_truncated_curve_file(tiny_run, tmp_path, capsys):

@@ -189,6 +189,14 @@ def test_classify_empirical_quartiles():
     assert classify_hardness(0.15, mode, population) == "low"
     assert classify_hardness(0.45, mode, population) == "medium"
     assert classify_hardness(0.79, mode, population) == "high"
+    # a value equal to a quartile goes to the upper class; the quartiles of
+    # this population are exactly 0.25 and 0.75
+    quarters = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert classify_hardness(np.array(quarters), mode, quarters) == ["low", "medium", "medium", "high", "high"]
+    assert classify_hardness(np.nextafter(0.25, 0.0), mode, quarters) == "low"
+    assert classify_hardness(np.nextafter(0.75, 0.0), mode, quarters) == "medium"
+    # all-equal scores: both quartiles equal the value, so every unit is high
+    assert classify_hardness(np.full(4, 0.3), mode, [0.3] * 4) == ["high"] * 4
     with pytest.raises(ValueError):
         classify_hardness(0.5, mode, [0.1, 0.2])
 

@@ -965,7 +965,7 @@ def test_shape_rejects_names_out_of_canonical_order(tmp_path):
     manifest lists two IV columns swapped is refused, as are options out of
     order."""
     _, _, dataset = _system()
-    save_dataset(dataset, tmp_path, semantics_file="semantics.json")
+    save_dataset(dataset, tmp_path)
     assert SystemShape.from_dataset(load_dataset(tmp_path)).ivs == tuple(
         NodeId.decode(n) for n in dataset.iv_names
     )

@@ -5,6 +5,7 @@ here."""
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,19 +81,17 @@ def test_tree_hash_subtrees_split_a_hand_made_tree(monkeypatch, tmp_path):
     files = {
         "config.json": b"{}", "manifest.json": b"[]",
         "systems/s0000/graph.json": b"g", "systems/s0000/t00/train.npy": b"\x93NUMPY",
-        "curves/s0000_t00/null_acc.json": b"c", "fairness/s0000_t00.json": b"f",
-        "analysis/report.md": b"r",
+        "curves/s0000_t00/null_acc.json": b"c", "analysis/report.md": b"r",
     }
     for rel, data in files.items():
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / rel).write_bytes(data)
     lines = script.tree_lines("trials3 fixed", tmp_path, subtrees=True)
     assert lines[:1] == script.tree_lines("trials3 fixed", tmp_path)
-    assert lines[0] == f"trials3 fixed 7 files {_reference_digest(tmp_path, [tmp_path / r for r in files])}"
+    assert lines[0] == f"trials3 fixed 6 files {_reference_digest(tmp_path, [tmp_path / r for r in files])}"
     parts = {
         "systems/": ["systems/s0000/graph.json", "systems/s0000/t00/train.npy"],
         "curves/": ["curves/s0000_t00/null_acc.json"],
-        "fairness/": ["fairness/s0000_t00.json"],
         "analysis/": ["analysis/report.md"],
         "root": ["config.json", "manifest.json"],
     }
@@ -103,6 +102,13 @@ def test_tree_hash_subtrees_split_a_hand_made_tree(monkeypatch, tmp_path):
     (tmp_path / "curves/s0000_t00/null_acc.json").write_bytes(b"C")
     moved = script.tree_lines("trials3 fixed", tmp_path, subtrees=True)
     assert [k for k, (a, b) in enumerate(zip(lines, moved)) if a != b] == [0, 2]
+    # a directory that no part lists, such as the fairness/ of an older
+    # tree, is named rather than left out of the per-part lines
+    (tmp_path / "fairness").mkdir()
+    (tmp_path / "fairness" / "s0000_t00.json").write_bytes(b"f")
+    with pytest.raises(ValueError, match=re.escape("['fairness/s0000_t00.json']")):
+        script.tree_lines("trials3 fixed", tmp_path, subtrees=True)
+    assert script.tree_lines("trials3 fixed", tmp_path)[0].startswith("trials3 fixed 7 files ")
 
 
 def test_time_desk_unit_counts_forest_problems(monkeypatch):

@@ -1,6 +1,8 @@
 """Every module under `src/` uses each name it imports. An import kept only
 as a name for perfbench's tracer to patch says so with `# noqa: F401`, and
-the list of those imports is pinned here so it stays visible."""
+the list of those imports is pinned here so it stays visible. Every
+`Generator` is built in `seeds.py`, so the pipeline's draws have one place
+to own their transforms."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,11 @@ def test_src_modules_use_every_import():
                 unused.append(where)
     assert unused == []
     assert exempt == TRACER_ONLY
+
+
+def test_only_seeds_builds_a_generator():
+    """`default_rng` appears in `src/` only in `seeds.py` (`rng_for`)."""
+    builders = sorted(
+        str(path.relative_to(SRC)) for path in SRC.rglob("*.py") if "default_rng" in path.read_text()
+    )
+    assert builders == ["seeds.py"]
