@@ -23,7 +23,6 @@ config = ExperimentConfig(
     n_train=1000,
     n_test=1000,
     budget_evaluations=20,
-    cv_folds=5,
     forest_scale="paper",
     lasso_degrees=(1, 2, 3, 4),
     lasso_alpha_steps=500,

@@ -2,8 +2,8 @@
 """Time the model stage of the desk unit.
 
 Generates one system of 8 modules x 8 options (n_train = n_test = 1000,
-training sizes 20-1000, search budget 2, 2 folds, all five levels, default
-seed) without timing it, then times one `run_model` call over all levels
+training sizes 20-1000, search budget 2, all five levels, default seed)
+without timing it, then times one `run_model` call over all levels
 (`model_s`) and one `run_model` call per level with only that level
 (`level_s`), and prints one JSON line with these seconds and the machine:
 
@@ -139,7 +139,6 @@ def main() -> int:
             n_train=1000,
             n_test=1000,
             budget_evaluations=2,
-            cv_folds=2,
             aspect_ranges=DESK_RANGES,
             out_dir=tmp,
         )

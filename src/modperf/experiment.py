@@ -10,16 +10,18 @@ Seed derivation paths:
     system_seed = derive(global_seed, "system", s)     # aspects + graph
     trial_seed  = derive(system_seed, "trial", t)      # semantics + dataset
     model_seed  = derive(trial_seed, "model")          # one per unit, all levels
-    forest seed = derive(model_seed, target, *rows,    # forest bootstraps
+    rows seed   = derive(model_seed, "rows", n)        # every forest's bootstrap
+                                                       # rows at training size n
+    forest seed = derive(model_seed, target,           # a forest's split keys
                          min_samples_leaf, feature_subsample.hex())
     search seed = derive(global_seed, "search")        # shared candidate draws
-    cv seed     = derive(trial_seed, "cv")             # shared fold splits
 
-A forest's target is an IV's code or "perf" and its rows are ("cv", fold) or
-("final",). The forest seed names the problem and the candidate's family,
-never the level or the candidate's index, so levels that pose one problem
-(the perf forest on the measured IVs, an IV with the same parents) share one
-forest.
+A forest's target is an IV's code or "perf". Every forest of a unit's
+search at one training size draws the same bootstrap rows, so its trees
+leave the same rows out (the out-of-bag rows that score the candidates).
+The forest seed names the problem and the candidate's family, never the
+level or the candidate's index, so levels that pose one problem (the perf
+forest on the measured IVs, an IV with the same parents) share one forest.
 
 Each fact is written once. A unit's curve file per (level, metric),
 `curves/<unit>/<level>_<metric>.json`, holds `system_id` (the unit id),
@@ -99,7 +101,6 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("acc", "scc")
     levels: tuple[str, ...] = ALL_LEVELS
     budget_evaluations: int = 2
-    cv_folds: int = 2
     alpha_ci: float = 0.05
     test_alpha: float = 0.05
     hardness_mode: str = "fixed"
@@ -151,8 +152,6 @@ class ExperimentConfig:
             raise ValueError(f"iv_to_iv_p must be in [0, 1], got {self.iv_to_iv_p}")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError(f"noise_fraction must be in [0, 1), got {self.noise_fraction}")
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.budget_evaluations < 1:
             raise ValueError(f"budget_evaluations must be >= 1, got {self.budget_evaluations}")
         if self.forest_scale not in ("desk", "paper"):
@@ -339,14 +338,13 @@ def _model_one(config: ExperimentConfig, s: int, t: int) -> dict:
     budget = SearchBudget(
         evaluations=config.budget_evaluations, seed=derive(config.global_seed, "search")
     )
-    cv = CVSpec(folds=config.cv_folds, shuffle_seed=derive(config.trial_seed(s, t), "cv"))
     space = forest_search_space(
         max(len(shape.options), len(shape.ivs)), scale=config.forest_scale
     )
 
     model_seed = derive(config.trial_seed(s, t), "model")
     search = make_search(
-        model_seed, config.levels, shape, artifacts, budget, cv, space, alpha_ci=config.alpha_ci
+        model_seed, config.levels, shape, artifacts, budget, space, alpha_ci=config.alpha_ci
     )
     curves = level_curves(search, dataset, config.metrics, config.train_sizes)
     for level, points in curves.items():

@@ -16,19 +16,25 @@ read and the shape is built. `design(dataset)` builds the design rows of all
 of a dataset's rows once, and a training prefix and the test rows are row
 slices of them. The search maps a training prefix's design rows, and the
 rows to predict, to every level's predictions of them; the fitted models
-serve nothing else. Every fit, CV and final alike, is a job of one
-fit-and-predict stream (`_held_out_predictions`). Each (level, candidate)
-pair's CV loss is its mean held-out MSE over shared fold index arrays, and
-each level's first candidate with the lowest loss (`np.argmin`) is refitted
-on all rows by a second stream whose held-out rows are the rows to predict.
+serve nothing else.
+
+Candidates are chosen by their out-of-bag (OOB) loss (Breiman, "Random
+Forests", 2001), this package's reading of a method the paper does not
+state. Every (candidate, level) model is fitted once, on all training rows,
+in one stream (`_stream`). Tree t of every forest of a search draws the same
+bootstrap rows, so a model's OOB prediction of a row cascades its IV
+estimates and averages its perf forest through the same trees, the ones
+that left the row out (`predict_models` with the OOB mask as tree weights).
+Each level keeps its first candidate with the lowest loss (`_search_levels`).
+
 IV regressors are trained on measured upstream values (teacher forcing) and
-predict on cascaded estimates, matching how a structural causal model is fit
-from observational data. Teacher forcing makes every forest of a search
+predict on cascaded estimates, matching how a structural causal model is
+fit from observational data. Teacher forcing makes every forest of a search
 independent, and its seed names its problem, not its level (`_keys`), so a
-problem several levels pose is grown once and shared: the perf forest on the
-measured IVs serves `partial`, `practical`, `complete` and `ideal`. For a
-fixed (dataset, training size) all levels consume the identical training
-prefix, candidate list, folds and search budget.
+problem several levels pose is grown once and shared: the perf forest on
+the measured IVs serves `partial`, `practical`, `complete` and `ideal`. For
+a fixed (dataset, training size) all levels consume the identical training
+prefix, candidate list, bootstrap rows and search budget.
 """
 
 from __future__ import annotations
@@ -43,14 +49,13 @@ import numpy as np
 from .dataset import SystemDataset
 from .influence_graph import KnowledgeArtifacts, NodeId, NodeKind
 from .learners import (
-    CVSpec,
     FittedForest,
     ForestParams,
     SearchBudget,
+    bootstrap_rows,
     budget_chunks,
     enumerate_candidates,
     fit_forests,
-    fold_indices,
     mse,
     predict_forests,
 )
@@ -61,8 +66,8 @@ from .stats import fisher_z_screen
 
 DEFAULT_ALPHA_CI = 0.05
 # Bootstrap-row x tree cells of the forests one chunk of a search's stream
-# grows and holds until its models have predicted their held-out rows.
-# Bounds a search's memory whatever its budget, folds and levels.
+# grows and holds until its models have been scored. Bounds a search's
+# memory whatever its budget and levels.
 _CHUNK_CELLS = 1 << 19
 
 
@@ -101,7 +106,9 @@ def design(dataset: SystemDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MeanModel:
-    """Constant predictor, the fallback for IVs left without parents."""
+    """Constant predictor, the fallback for IVs left without parents. It
+    holds no trees, so its out-of-bag estimate of every row is its value,
+    the IV's mean over all training rows (`predict_models`)."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -154,39 +161,47 @@ class ModularPredictor:
         return predict_models([self], [Z])[0]
 
 
-def _predict_each(models, Xs) -> list[np.ndarray]:
+def _predict_each(models, Xs, weights) -> list[np.ndarray]:
     """Each model's prediction on its X: every fitted forest among them in one
-    `predict_forests` call, any other model (a `MeanModel` fallback) through
-    its own `predict`."""
+    `predict_forests` call, with its tree weights (or None), any other model
+    (a `MeanModel` fallback) through its own `predict`, unweighted."""
     forests = [k for k, m in enumerate(models) if isinstance(m, FittedForest)]
-    predicted = predict_forests([models[k] for k in forests], [Xs[k] for k in forests])
+    predicted = predict_forests(
+        [models[k] for k in forests], [Xs[k] for k in forests], [weights[k] for k in forests]
+    )
     out = dict(zip(forests, predicted))
     return [out[k] if k in out else m.predict(Xs[k]) for k, m in enumerate(models)]
 
 
-def predict_models(models, Zs) -> list[np.ndarray]:
+def predict_models(models, Zs, weights=None) -> list[np.ndarray]:
     """Each `ModularPredictor`'s predictions on its own design rows, equal to
     what the model alone predicts. A copy of each Z has every modelled IV's
     column overwritten with its cascaded estimate; IVs without a model keep
     their measured values, and Z itself is left unchanged.
+
+    `weights`, if given, holds per model None or a (rows, trees) array of
+    tree weights that all its forests average by (`predict_forests`), such
+    as an out-of-bag mask; a `MeanModel` fallback predicts its value.
 
     The IV estimates cascade generation by generation (`steps`): every
     model's IVs of one generation read their input columns and predict in
     one batched forest walk, then every model's perf forest in one more.
     """
     Zs = [np.array(Z, dtype=float) for Z in Zs]
+    weights = [None] * len(models) if weights is None else weights
     for g in range(max((len(m.steps) for m in models), default=0)):
         step = [
-            (Z, m.iv_models[iv])
-            for Z, m in zip(Zs, models)
+            (Z, w, m.iv_models[iv])
+            for Z, w, m in zip(Zs, weights, models)
             if g < len(m.steps)
             for iv in m.steps[g]
         ]
-        Xs = [Z.take(iv_model.inputs, axis=1) for Z, iv_model in step]
-        for (Z, iv_model), values in zip(step, _predict_each([m.model for _, m in step], Xs)):
+        Xs = [Z.take(iv_model.inputs, axis=1) for Z, _, iv_model in step]
+        ivs = _predict_each([m.model for *_, m in step], Xs, [w for _, w, _ in step])
+        for (Z, _, iv_model), values in zip(step, ivs):
             Z[:, iv_model.column] = values
     Xs = [Z.take(m.perf_inputs, axis=1) for Z, m in zip(Zs, models)]
-    return _predict_each([m.perf_model for m in models], Xs)
+    return _predict_each([m.perf_model for m in models], Xs, weights)
 
 
 def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape):
@@ -267,14 +282,17 @@ def prune_parents(
 
 class _Plan(NamedTuple):
     """One level's model on one training design, once its IV parents are
-    found: `seed` is the unit's model seed, `parents` maps each modelled IV's
-    column to its input columns, in evaluation order, and `forests` holds one
-    (target, input columns, target column) triple per forest a fit grows, the
-    IVs with parents in evaluation order and then the perf forest (target
-    "perf", column None)."""
+    found: `seed` is the unit's model seed, `rows_seed` = derive(seed,
+    "rows", len(Z)) seeds the bootstrap rows of every forest of the search,
+    `parents` maps each modelled IV's column to its input columns, in
+    evaluation order, and
+    `forests` holds one (target, input columns, target column) triple per
+    forest a fit grows, the IVs with parents in evaluation order and then
+    the perf forest (target "perf", column None)."""
 
     level: str
     seed: int
+    rows_seed: int
     parents: dict[int, tuple[int, ...]]
     forests: tuple[tuple[str, tuple[int, ...], int | None], ...]
 
@@ -286,7 +304,8 @@ def _plan(seed, level, knowledge: _Knowledge, codes, Z, alpha_ci) -> _Plan:
     if knowledge.prunes:
         parents = prune_parents(Z, candidates_by_iv=parents, alpha_ci=alpha_ci)
     forests = tuple((codes[iv], inputs, iv) for iv, inputs in parents.items() if inputs)
-    return _Plan(level, seed, parents, forests + (("perf", knowledge.perf_inputs, None),))
+    perf = ("perf", knowledge.perf_inputs, None)
+    return _Plan(level, seed, derive(seed, "rows", len(Z)), parents, forests + (perf,))
 
 
 def _assemble(plan: _Plan, Z, forests) -> ModularPredictor:
@@ -303,31 +322,35 @@ def _assemble(plan: _Plan, Z, forests) -> ModularPredictor:
 
 
 class _Key(NamedTuple):
-    """One forest problem of a search: its params, seed included, its target
-    column (None for perf), its input columns and its rows tag."""
+    """One forest problem of a search: its params, seeds included, its
+    target column (None for perf) and its input columns."""
 
     params: ForestParams
     column: int | None
     inputs: tuple[int, ...]
-    tag: tuple
 
 
-def _keys(plan: _Plan, candidate: dict, tag: tuple) -> list[_Key]:
-    """The problems of `plan`'s forests for one candidate on the rows `tag`
-    names, in `plan.forests` order.
+def _keys(plan: _Plan, candidate: dict) -> list[_Key]:
+    """The problems of `plan`'s forests for one candidate, in `plan.forests`
+    order.
 
-    Seed path: derive(plan.seed, target, *tag, min_samples_leaf,
-    feature_subsample.hex()), where target is an IV's code or "perf" and tag
-    is ("cv", fold) or ("final",). The seed names the problem and the
-    candidate's family, never the level or the candidate's index, so levels
-    that grow one problem get one key, and candidates of one family draw the
-    same bootstrap rows.
+    Seed paths: every forest draws its bootstrap rows from `plan.rows_seed`;
+    its split keys come from derive(plan.seed, target, min_samples_leaf,
+    feature_subsample.hex()), where target is an IV's code or "perf". The
+    seeds name the problem and the candidate's family, never the level or
+    the candidate's index, so levels that grow one problem get one key, and
+    candidates of one family differ only in `n_trees` and `max_depth`.
     """
     family = (int(candidate["min_samples_leaf"]), float(candidate["feature_subsample"]).hex())
     return [
         _Key(
-            ForestParams(**candidate, bootstrap_seed=derive(plan.seed, target, *tag, *family)),
-            column, inputs, tag,
+            ForestParams(
+                **candidate,
+                bootstrap_seed=derive(plan.seed, target, *family),
+                rows_seed=plan.rows_seed,
+            ),
+            column,
+            inputs,
         )
         for target, inputs, column in plan.forests
     ]
@@ -339,22 +362,21 @@ def _problem(key: _Key, Z, perf):
     return Z.take(key.inputs, axis=1), y, key.params
 
 
-def _held_out_predictions(jobs) -> list[np.ndarray]:
-    """What each (plan, Z, perf, candidate, tag, Z_held) job's model, fitted
-    on design rows Z and targets perf, predicts for its held-out rows Z_held:
-    the one way the search fits and predicts.
+def _stream(jobs, Z, perf):
+    """Fit each (plan, candidate) job's model on design rows Z and targets
+    perf, and yield the finished ones as lists of (job index, model): the
+    one way the search fits.
 
-    Jobs that share a tag share their rows Z and perf, so equal problem keys
-    (`_keys`) pose one problem. Each distinct problem goes to `fit_forests`
-    once, in the order of the first job that needs it, as one stream cut
-    into chunks of at most `_CHUNK_CELLS` bootstrap-row x tree cells (a
-    forest alone may exceed it). Once a chunk is grown, the models it
-    completes predict their held-out rows in one `predict_models` call, and
-    a forest is dropped once every model that holds it has predicted. Jobs
-    that share problems come next to each other, so a search holds about one
-    chunk of forests, and their designs, at a time.
+    Equal problem keys (`_keys`) pose one problem. Each distinct problem
+    goes to `fit_forests` once, in the order of the first job that needs it,
+    as one stream cut into chunks of at most `_CHUNK_CELLS` bootstrap-row x
+    tree cells (a forest alone may exceed it). Once a chunk is grown, the
+    jobs it completes are yielded in job order, and when the consumer asks
+    for more, a forest is dropped once every job that holds it has been
+    yielded. Jobs that share problems come next to each other, so a search
+    holds about one chunk of forests at a time.
     """
-    keys = [_keys(plan, candidate, tag) for plan, _, _, candidate, tag, _ in jobs]
+    keys = [_keys(plan, candidate) for plan, candidate in jobs]
     first = {}  # each distinct problem's first job, in stream order
     for j, job_keys in enumerate(keys):
         for key in job_keys:
@@ -363,80 +385,73 @@ def _held_out_predictions(jobs) -> list[np.ndarray]:
     # a job is complete once the last of its problems in the stream is grown
     ready = [max(position[key] for key in job_keys) for job_keys in keys]
     uses = collections.Counter(key for job_keys in keys for key in job_keys)
-
-    def cells(item):
-        key, j = item
-        return len(jobs[j][1]) * key.params.n_trees
-
     grown = {}
-    predictions = [None] * len(jobs)
     pending, streamed = range(len(jobs)), 0
-    for chunk in budget_chunks(first.items(), cells, _CHUNK_CELLS):
-        problems = [_problem(key, *jobs[j][1:3]) for key, j in chunk]
-        grown.update(zip((key for key, _ in chunk), fit_forests(*zip(*problems))))
+    for chunk in budget_chunks(first, lambda key: len(Z) * key.params.n_trees, _CHUNK_CELLS):
+        grown.update(zip(chunk, fit_forests(*zip(*(_problem(key, Z, perf) for key in chunk)))))
         streamed += len(chunk)
         done = [j for j in pending if ready[j] < streamed]
         pending = [j for j in pending if ready[j] >= streamed]
-        models = [_assemble(*jobs[j][:2], map(grown.__getitem__, keys[j])) for j in done]
-        for j, values in zip(done, predict_models(models, [jobs[j][-1] for j in done])):
-            predictions[j] = values
+        if done:
+            yield [(j, _assemble(jobs[j][0], Z, map(grown.__getitem__, keys[j]))) for j in done]
         for key in (key for j in done for key in keys[j]):
             uses[key] -= 1
             if not uses[key]:
                 del grown[key]
-    return predictions
 
 
 class LevelFit(NamedTuple):
     """One level's search on one training prefix: its winner's predictions
     of the held-out rows, and `search_meta`, the candidates, the chosen one,
-    every candidate's CV loss and the budget."""
+    every candidate's OOB loss, the number of rows they are scored on and
+    the budget."""
 
     predictions: np.ndarray
     search_meta: dict
 
 
-def _search_levels(plans, candidates, budget, Z, perf, folds, Z_held) -> dict[str, LevelFit]:
-    """Each planned level's `LevelFit`: every (level, candidate) pair's CV
-    loss from one stream of (candidate, fold) jobs, then the winners' refits
-    on all rows, predicting Z_held, in a second stream."""
-    splits = []  # per fold: training rows, their targets, held-out rows
-    for held_out in folds:
-        train = np.ones(len(perf), dtype=bool)
-        train[held_out] = False
-        splits.append((Z[train], perf[train], Z[held_out]))
-    # candidate-major, then fold, then level, so that the levels' jobs of
-    # one (candidate, fold), which share problems, come together
-    fits = list(itertools.product(range(len(candidates)), range(len(folds)), plans))
-    predictions = _held_out_predictions(
-        [
-            (plans[level], *splits[f][:2], candidates[i], ("cv", f), splits[f][2])
-            for i, f, level in fits
-        ]
-    )
-    fold_losses = collections.defaultdict(list)  # (level, candidate) -> MSEs in fold order
-    for (i, f, level), p in zip(fits, predictions):
-        fold_losses[level, i].append(mse(perf[folds[f]], p))
-    losses = {
-        level: [float(np.mean(fold_losses[level, i])) for i in range(len(candidates))]
-        for level in plans
-    }
-    best = {level: int(np.argmin(level_losses)) for level, level_losses in losses.items()}
-    finals = _held_out_predictions(
-        [(plans[level], Z, perf, candidates[best[level]], ("final",), Z_held) for level in plans]
-    )
+def _out_of_bag(rows_seed, n, candidates) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a search on n rows scores, those every candidate leaves out
+    of some tree, and their (rows, trees) out-of-bag mask. The fewest-tree
+    candidate's trees are a prefix of every other's, so its trees decide."""
+    trees = [int(c["n_trees"]) for c in candidates]
+    in_bag = np.zeros((max(trees), n), dtype=bool)
+    in_bag[np.arange(max(trees))[:, None], bootstrap_rows(rows_seed, n, max(trees))] = True
+    scored = np.flatnonzero(~in_bag[: min(trees)].all(axis=0))
+    if not len(scored):
+        raise ValueError(f"no row of {n} is out of bag in a tree of every candidate")
+    return scored, ~in_bag[:, scored].T
+
+
+def _search_levels(plans, candidates, budget, Z, perf, Z_held) -> dict[str, LevelFit]:
+    """Each planned level's `LevelFit` from one stream of (candidate, level)
+    jobs on all rows. A job's loss is the MSE of its model's out-of-bag
+    predictions of the scored rows (`_out_of_bag`); a model that beats its
+    level's best so far predicts Z_held before its forests are dropped."""
+    rows_seed = next(iter(plans.values())).rows_seed
+    scored, oob = _out_of_bag(rows_seed, len(perf), candidates)
+    # candidate-major: the levels' jobs of one candidate share problems
+    fits = list(itertools.product(range(len(candidates)), plans))
+    losses = {level: [] for level in plans}
+    best = {}  # level -> (candidate index, predictions of Z_held)
+    for done in _stream([(plans[level], candidates[i]) for i, level in fits], Z, perf):
+        weights = [oob[:, : int(candidates[fits[j][0]]["n_trees"])] for j, _ in done]
+        predicted = predict_models([m for _, m in done], [Z[scored]] * len(done), weights)
+        records = {}  # level -> (candidate index, model) of its new best
+        for (j, model), p in zip(done, predicted):
+            i, level = fits[j]
+            loss = mse(perf[scored], p)
+            if not losses[level] or loss < min(losses[level]):
+                records[level] = (i, model)
+            losses[level].append(loss)
+        held = predict_models([model for _, model in records.values()], [Z_held] * len(records))
+        best.update((level, (i, p)) for (level, (i, _)), p in zip(records.items(), held))
+    meta = {"candidates": candidates, "oob_rows": len(scored), "budget": budget.evaluations}
     return {
         level: LevelFit(
-            final,
-            {
-                "candidates": candidates,
-                "chosen": candidates[best[level]],
-                "cv_loss": losses[level][best[level]],
-                "cv_losses": losses[level],
-                "budget": budget.evaluations,
-            },
+            p, meta | {"chosen": candidates[i], "oob_loss": losses[level][i], "oob_losses": losses[level]}
         )
-        for level, final in zip(plans, finals)
+        for level, (i, p) in best.items()
     }
 
 
@@ -446,7 +461,6 @@ def make_search(
     shape: SystemShape,
     artifacts: KnowledgeArtifacts | None,
     budget: SearchBudget,
-    cv: CVSpec,
     space: dict,
     alpha_ci: float = DEFAULT_ALPHA_CI,
 ):
@@ -459,13 +473,13 @@ def make_search(
     fails alone, with one error returned at every training size. The
     returned callable, `search(Z, perf, Z_held)`, fits every level on the
     same training design rows Z and targets perf and prunes each level's
-    candidates on them. All (level, candidate, fold) fits stream through
-    `_held_out_predictions`, and a problem several levels share, such as the
-    perf forest on the measured IVs, is grown once for all of them. Each
-    level keeps the first candidate with the lowest mean held-out MSE, and
-    the winners' refits on all rows stream through it once more, predicting
-    the rows Z_held. It returns each level's `LevelFit`, or the exception
-    its search raised; a failure in either stream fails every level in it.
+    candidates on them. Every (candidate, level) model is fitted once, on
+    all rows, in one stream (`_search_levels`), and a problem several levels
+    share, such as the perf forest on the measured IVs, is grown once for
+    all of them. Each level keeps the first candidate with the lowest
+    out-of-bag loss, whose model predicts the rows Z_held. It returns each
+    level's `LevelFit`, or the exception its search raised; a failure in
+    the stream fails every level in it.
     """
     levels = tuple(levels)
     for level in levels:
@@ -484,9 +498,6 @@ def make_search(
             failed[level] = exc
 
     def search(Z, perf, Z_held) -> dict[str, LevelFit | Exception]:
-        n = len(Z)
-        if n < cv.folds:
-            return dict.fromkeys(levels, ValueError(f"need at least {cv.folds} records, got {n}"))
         results: dict[str, LevelFit | Exception] = dict(failed)
         plans = {}
         for level, known in knowledge.items():
@@ -496,8 +507,7 @@ def make_search(
                 results[level] = exc
         if plans:
             try:
-                folds = fold_indices(n, cv)
-                results.update(_search_levels(plans, candidates, budget, Z, perf, folds, Z_held))
+                results.update(_search_levels(plans, candidates, budget, Z, perf, Z_held))
             except Exception as exc:  # the levels share every fit
                 results.update(dict.fromkeys(plans, exc))
         return {level: results[level] for level in levels}
@@ -510,7 +520,6 @@ def make_factory(
     shape: SystemShape,
     artifacts: KnowledgeArtifacts | None,
     budget: SearchBudget,
-    cv: CVSpec,
     space: dict,
     alpha_ci: float = DEFAULT_ALPHA_CI,
     seed: int = 0,
@@ -520,7 +529,7 @@ def make_factory(
     what its search raised. The pipeline calls `make_search`;
     perfbench/tracer.py looks this name up on `experiment`, which is its
     only reason to exist."""
-    search = make_search(seed, (level,), shape, artifacts, budget, cv, space, alpha_ci)
+    search = make_search(seed, (level,), shape, artifacts, budget, space, alpha_ci)
 
     def factory(Z, perf, Z_held) -> LevelFit:
         result = search(Z, perf, Z_held)[level]

@@ -1,9 +1,11 @@
 """In-repo regression engines: bagged CART forest, coordinate-descent lasso
-over polynomial features, k-fold cross-validation, and budgeted search."""
+over polynomial features, k-fold cross-validation (stage 1), and budgeted
+candidate search."""
 
 from .forest import (
     FittedForest,
     ForestParams,
+    bootstrap_rows,
     budget_chunks,
     fit_forest,
     fit_forests,
@@ -37,6 +39,7 @@ __all__ = [
     "PolynomialExpansion",
     "SearchBudget",
     "alpha_grid",
+    "bootstrap_rows",
     "budget_chunks",
     "cross_validate_l1_many",
     "enumerate_candidates",

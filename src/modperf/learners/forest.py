@@ -40,17 +40,21 @@ separate fit. A node stays a leaf at ``max_depth``, when it has fewer than
 ``2 * min_samples_leaf`` rows, when its target is constant, or when no
 split leaves ``min_samples_leaf`` rows on each side.
 
-One generator draws the ``(n_trees, n)`` bootstrap rows of all problems of
-a call that share the bootstrap seed, ``n`` and ``n_trees``. Each node
-considers exactly ``n_sub`` features, the ones with the smallest splitmix64
-keys ``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so
-no node's subset depends on traversal order or on other subtrees. Trees are
+A forest's bootstrap rows are `bootstrap_rows(rows_seed, n, n_trees)`,
+``rows_seed`` defaulting to ``bootstrap_seed``; one draw serves all problems
+of a call that share it, ``n`` and ``n_trees``. The draw is prefix-stable:
+tree t's rows are the same for every ``n_trees`` > t, so forests that share
+``rows_seed`` and ``n`` share each tree's rows. Each node considers exactly
+``n_sub`` features, the ones with the smallest splitmix64 keys
+``derive(derive(bootstrap_seed, "split"), tree, feature, heap id)``, so no
+node's subset depends on traversal order or on other subtrees. Trees are
 stored in one tree-major node table per forest. `predict_forests` walks the
 (row, tree) entries of many forests, each on its own rows, down one stacked
-node table at once, and each forest averages its trees' outputs;
-`FittedForest.predict` is its one-forest call. `FittedForest.trees` are
-one-tree forests over views of the node table, predicted by the same walk.
-Everything is deterministic in the bootstrap seed.
+node table at once, and each forest averages its trees' outputs, or, given
+per-row tree weights, their weighted mean (an out-of-bag mask averages only
+the trees that left a row out); `FittedForest.predict` is its one-forest
+call. `FittedForest.trees` are one-tree forests over views of the node
+table, predicted by the same walk. Everything is deterministic in the seeds.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class ForestParams:
     min_samples_leaf: int = 1
     feature_subsample: float = 1.0
     bootstrap_seed: int = 0
+    rows_seed: int | None = None  # seeds the bootstrap rows; None: bootstrap_seed
 
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
@@ -463,14 +468,20 @@ def _passes(problems: list[_Problem], ids, binary: bool):
         yield batch
 
 
+def bootstrap_rows(seed: int, n: int, n_trees: int) -> np.ndarray:
+    """The (n_trees, n) bootstrap row indices of a forest on n rows whose
+    ``rows_seed`` is `seed`: row t is tree t's draw, the same for every
+    ``n_trees`` > t (numpy fills the array row by row from one stream)."""
+    return rng_for(seed, "bootstrap").integers(0, n, size=(n_trees, n))
+
+
 def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     """One forest per (X, y, params) problem, each equal to what `fit_forest`
     returns for it alone, since a tree depends only on its own rows.
 
     Problems are grouped by split path and row count, sorted by width within
     a group, and grown in the passes `_passes` cuts. Problems that share the
-    bootstrap seed, row count and ``n_trees`` share one draw of bootstrap
-    rows.
+    rows seed, row count and ``n_trees`` share one draw of bootstrap rows.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     ys = [np.ascontiguousarray(y, dtype=float) for y in ys]
@@ -484,11 +495,10 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
     draws = {}
     for X, y, params in zip(Xs, ys, params_list):
         n, d = X.shape
-        draw = (params.bootstrap_seed, n, params.n_trees)
+        rows_seed = params.bootstrap_seed if params.rows_seed is None else params.rows_seed
+        draw = (rows_seed, n, params.n_trees)
         if draw not in draws:
-            draws[draw] = rng_for(params.bootstrap_seed, "bootstrap").integers(
-                0, n, size=(params.n_trees, n)
-            )
+            draws[draw] = bootstrap_rows(*draw)
         rows = draws[draw]
         binary = bool(np.all((X == 0.0) | (X == 1.0)))
         n_sub = max(1, int(round(params.feature_subsample * d)))
@@ -535,7 +545,7 @@ def budget_chunks(items, cost, budget: int):
         yield chunk
 
 
-def predict_forests(forests, Xs) -> list[np.ndarray]:
+def predict_forests(forests, Xs, weights=None) -> list[np.ndarray]:
     """Each forest's prediction on its own rows X, equal to what
     `forest.predict(X)` returns alone.
 
@@ -543,22 +553,28 @@ def predict_forests(forests, Xs) -> list[np.ndarray]:
     one node table with global child indices, in walks of at most
     `_WALK_ENTRIES` entries; a forest alone may exceed it. Each forest then
     averages its (rows, trees) leaf values row by row, as a separate call
-    would.
+    would. `weights`, if given, holds per forest None or a (rows, trees)
+    array of tree weights, such as an out-of-bag mask, and the forest's
+    prediction of a row is the weighted mean (every row needs a weight); an
+    entry of weight 0 is not walked.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
-    if len(Xs) != len(forests):
-        raise ValueError("need one X per forest")
-    for forest, X in zip(forests, Xs):
+    weights = [None] * len(Xs) if weights is None else list(weights)
+    if not len(Xs) == len(forests) == len(weights):
+        raise ValueError("need one X and one weights entry per forest")
+    for forest, X, w in zip(forests, Xs, weights):
         if X.ndim != 2 or X.shape[1] != forest.n_features:
             raise ValueError(f"expected shape (n, {forest.n_features}), got {X.shape}")
+        if w is not None and np.shape(w) != (len(X), len(forest.offsets) - 1):
+            raise ValueError(f"expected weights of shape {(len(X), len(forest.offsets) - 1)}")
     entries = [len(X) * (len(f.offsets) - 1) for f, X in zip(forests, Xs)]
     out = []
     for walk in budget_chunks(range(len(Xs)), entries.__getitem__, _WALK_ENTRIES):
-        out += _walk([forests[k] for k in walk], [Xs[k] for k in walk])
+        out += _walk(*([seq[k] for k in walk] for seq in (forests, Xs, weights)))
     return out
 
 
-def _walk(forests, Xs) -> list[np.ndarray]:
+def _walk(forests, Xs, weights) -> list[np.ndarray]:
     """`predict_forests` for forests whose entries make one walk."""
     trees = np.array([len(f.offsets) - 1 for f in forests])
     rows = np.array([len(X) for X in Xs])
@@ -587,11 +603,21 @@ def _walk(forests, Xs) -> list[np.ndarray]:
     base = at_entry(np.cumsum(cells) - cells) + row * at_entry(widths)
     # the trailing cell gives a zero-width forest's entries something to read
     flat = np.concatenate([X.ravel() for X in Xs] + [np.zeros(1)])
-    leaf = _leaves(flat, base, feature, threshold, left, right, start)
-    values = np.concatenate([f.value for f in forests])[leaf]
+    node_value = np.concatenate([f.value for f in forests])
+    if all(w is None for w in weights):
+        values = node_value[_leaves(flat, base, feature, threshold, left, right, start)]
+    else:
+        # an entry of weight 0 adds nothing to its forest's mean: it is not walked
+        walked = np.concatenate(
+            [np.full(e, True) if w is None else np.ravel(w) != 0 for w, e in zip(weights, entries.tolist())]
+        )
+        values = np.zeros(len(walked))
+        leaf = _leaves(flat, base[walked], feature, threshold, left, right, start[walked])
+        values[walked] = node_value[leaf]
     out, lo = [], 0
-    for k, n, hi in zip(trees.tolist(), rows.tolist(), np.cumsum(entries).tolist()):
-        out.append(values[lo:hi].reshape(n, k).sum(axis=1) / k)
+    for k, n, hi, w in zip(trees.tolist(), rows.tolist(), np.cumsum(entries).tolist(), weights):
+        v = values[lo:hi].reshape(n, k)
+        out.append(v.sum(axis=1) / k if w is None else (v * w).sum(axis=1) / np.sum(w, axis=1))
         lo = hi
     return out
 

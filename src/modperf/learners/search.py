@@ -1,15 +1,13 @@
-"""Seeded k-fold cross-validation and budgeted hyperparameter candidates.
+"""Seeded k-fold splits, the loss and budgeted hyperparameter candidates.
 
-Every model search in the package runs over the same split: `fold_indices`
-gives the held-out index arrays, each candidate's loss is its mean held-out
-`mse` over them, averaged with `np.mean` in fold order, and the search keeps
-the first candidate with the lowest loss (`np.argmin`). A knowledge-model
-search gets every fold's held-out predictions, for every (level, candidate)
-pair, from the same fit-and-predict stream that makes its final refits
-(`knowledge_models._held_out_predictions`). The stage-1 lasso scores all
-alphas of a degree at once with `lasso.cross_validate_l1_many`, over
-`lasso.alpha_grid`, on `fold_indices` drawn over systems
-(`stats.system_folds`).
+Both model searches in the package score candidates by `mse` and keep the
+first candidate with the lowest loss. The stage-1 lasso scores all alphas
+of a degree at once with `lasso.cross_validate_l1_many`, over
+`lasso.alpha_grid`: a candidate's loss is its mean held-out MSE over
+`fold_indices` drawn over systems (`stats.system_folds`), averaged in fold
+order. A knowledge-model search fits each of `enumerate_candidates`' draws
+once, on all training rows, and scores it by the MSE of its out-of-bag
+predictions (`knowledge_models._search_levels`).
 """
 
 from __future__ import annotations

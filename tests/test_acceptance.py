@@ -212,7 +212,6 @@ def _criterion6_one(s: int):
     dataset = sample_dataset(semantics, derive(seed, "trial", 0), n_train=1000, n_test=400)
     shape = SystemShape.from_dataset(dataset)
     budget = SearchBudget(evaluations=2, seed=derive(660001, "search"))
-    cv = CVSpec(folds=2, shuffle_seed=derive(seed, "cv"))
     space = {
         "n_trees": [8],
         "max_depth": [5, 8],
@@ -222,7 +221,7 @@ def _criterion6_one(s: int):
     efficacies = {}
     for level in ("null", "ideal"):
         search = make_search(
-            derive(seed, "model", level), (level,), shape, artifacts, budget, cv, space
+            derive(seed, "model", level), (level,), shape, artifacts, budget, space
         )
         points = level_curves(search, dataset, ("scc",), (1000,))[level]
         efficacies[level] = points[0].efficacies["scc"]
@@ -257,10 +256,9 @@ def _criterion7_one(cell):
     dataset = sample_dataset(semantics, derive(seed, "trial", 0), n_train=1000, n_test=400)
     shape = SystemShape.from_dataset(dataset)
     budget = SearchBudget(evaluations=2, seed=derive(770001, "search"))
-    cv = CVSpec(folds=2, shuffle_seed=derive(seed, "cv"))
     space = forest_search_space(len(shape.options), scale="desk")
     search = make_search(
-        derive(seed, "model", "null"), ("null",), shape, artifacts, budget, cv, space
+        derive(seed, "model", "null"), ("null",), shape, artifacts, budget, space
     )
     points = level_curves(search, dataset, ("scc",), SIZES)["null"]
     curve = CurveTable("scc", tuple(p.n for p in points), np.array([[p.efficacies["scc"] for p in points]]))
@@ -317,7 +315,6 @@ def _criterion8_one(s: int):
     dataset = sample_dataset(semantics, derive(seed, "trial", 0), n_train=1000, n_test=400)
     shape = SystemShape.from_dataset(dataset)
     budget = SearchBudget(evaluations=2, seed=derive(880001, "search"))
-    cv = CVSpec(folds=2, shuffle_seed=derive(seed, "cv"))
     space = {
         "n_trees": [6, 12],
         "max_depth": [5, 8],
@@ -327,7 +324,7 @@ def _criterion8_one(s: int):
     curves = {}
     for level in ("null", "ideal", "partial", "complete"):
         search = make_search(
-            derive(seed, "model", level), (level,), shape, artifacts, budget, cv, space
+            derive(seed, "model", level), (level,), shape, artifacts, budget, space
         )
         points = level_curves(search, dataset, ("scc",), SIZES)[level]
         curves[level] = CurveTable(
@@ -399,7 +396,6 @@ def test_criterion_09_determinism(tmp_path):
             n_test=80,
             levels=("null", "partial", "ideal"),
             budget_evaluations=2,
-            cv_folds=2,
             out_dir=str(tmp_path / name),
             jobs=1 if name == "first" else 2,  # parallelism must not matter
         )

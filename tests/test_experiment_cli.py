@@ -36,7 +36,6 @@ TINY = dict(
     n_test=30,
     levels=("null", "partial", "ideal"),
     budget_evaluations=2,
-    cv_folds=2,
     forest_scale="desk",
 )
 
@@ -251,11 +250,11 @@ def test_model_records_an_edge_list_graph_as_a_unit_error(tmp_path):
 # generator per dataset, graph.json holding the generator's inputs and an
 # edge digest, semantics.json holding that graph document, its seed and
 # weight digest, no knowledge.json, a config.json without a Shapley sample
-# count, each trial's rows as train.npy/test.npy, and a dataset.json of
-# columns, row counts and file names only. The .npy and JSON
+# count or fold count, each trial's rows as train.npy/test.npy, and a
+# dataset.json of columns, row counts and file names only. The .npy and JSON
 # writers must keep every byte; a change that alters output on purpose
 # updates this and says so.
-GENERATE_TREE_SHA = "2e64c89c0a26282f8b01306c2245e60a3bfceaf10eca4d33e57c74f8feb0805d"
+GENERATE_TREE_SHA = "37c6c37ee01aa8822d42a407ac668094fa0b7191a6a3618afab0669cc5906f37"
 
 
 def test_generate_tree_bytes_unchanged(tmp_path):
@@ -274,16 +273,17 @@ def test_generate_tree_bytes_unchanged(tmp_path):
 
 
 # sha256 of the curves/ tree below, as written with compact curve files
-# that hold no seeds or budget, one noise generator per dataset and forests
-# seeded by their problem. The forest engine and the search must keep every
-# byte.
-MODEL_TREE_SHA = "91c5c07209527abb07e9142227d5481bcce8f20c73ef1624481867ce41edaeff"
+# that hold no seeds or budget, one noise generator per dataset, forests
+# whose split keys are seeded by their problem and whose bootstrap rows are
+# shared per (unit, size), and candidates chosen by out-of-bag loss. The
+# forest engine and the search must keep every byte.
+MODEL_TREE_SHA = "88d9246746360e900ca2e35d6f3f3e00c96508c7ab9e46fed4137389310edad9"
 
 
 def test_model_tree_bytes_unchanged(tmp_path):
     """All five levels, two candidates that differ in every forest setting,
-    an odd training size (folds of 11 and 10 rows) and within-module edge
-    probability at most 0.2, so that some IVs fall back to their mean."""
+    an odd training size and within-module edge probability at most 0.2, so
+    that some IVs fall back to their mean."""
     config = ExperimentConfig(
         global_seed=3112,
         n_systems=2,
@@ -292,7 +292,6 @@ def test_model_tree_bytes_unchanged(tmp_path):
         n_train=50,
         n_test=30,
         budget_evaluations=2,
-        cv_folds=2,
         aspect_ranges=AspectRanges(option_count=(4, 5), module_count=(3, 3), p_w=(0.0, 0.2)),
         out_dir=str(tmp_path),
     )
@@ -1083,12 +1082,14 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     [
         (dict(shapley_samples=200), "shapley_samples"),
         (dict(aspect_ranges=dict(modules=[3, 4])), "modules"),
+        (dict(cv_folds=2), "cv_folds"),
     ],
 )
 def test_cli_config_file_with_unknown_field_fails_by_name(tmp_path, capsys, extra, name):
-    """A config.json from before exact Shapley still holds `shapley_samples`;
-    it exits 1 naming that key, not with a bare TypeError from __init__, and
-    so does an unknown key in `aspect_ranges`."""
+    """A config.json from before exact Shapley still holds `shapley_samples`,
+    and one from before out-of-bag selection `cv_folds`; each exits 1 naming
+    that key, not with a bare TypeError from __init__, and so does an
+    unknown key in `aspect_ranges`."""
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({**TINY, **extra}))
     argv = ["analyze", "--config", str(config_file), "--out", str(tmp_path / "out")]
@@ -1136,7 +1137,7 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
 @pytest.mark.parametrize(
     "bad, match",
     [
-        (dict(cv_folds=1), "cv_folds"),
+        (dict(levels=("null", "quantum")), "unknown levels"),
         (dict(budget_evaluations=0), "budget_evaluations"),
         (dict(forest_scale="huge"), "forest_scale"),
         (dict(metrics=("acc", "acc")), "metrics"),
@@ -1146,14 +1147,14 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
     ],
 )
 def test_config_rejects_bad_model_settings(tmp_path, bad, match):
-    """Caught when the config is built. Left unchecked, a bad forest or CV
-    setting, or a single test point that Spearman cannot rank, fails every
-    unit into model_errors.json while the CLI exits 0; no test point fails
-    generate after config.json is written; and a repeated metric or level
-    lists each incomplete curve twice in gaps.json."""
+    """Caught when the config is built. Left unchecked, an unknown level, a
+    bad forest or search setting, or a single test point that Spearman
+    cannot rank, fails every unit into model_errors.json; no test point
+    fails generate after config.json is written; and a repeated metric or
+    level lists each incomplete curve twice in gaps.json."""
     with pytest.raises(ValueError, match=match):
         _tiny_config(tmp_path, **bad)
-    _tiny_config(tmp_path, cv_folds=2, budget_evaluations=1, forest_scale="paper")
+    _tiny_config(tmp_path, budget_evaluations=1, forest_scale="paper")
     _tiny_config(tmp_path, n_test=1, metrics=("acc",))
 
 

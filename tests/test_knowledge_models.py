@@ -32,13 +32,12 @@ from modperf.knowledge_models import (
 )
 from modperf.learners import forest as forest_module
 from modperf.learners import (
-    CVSpec,
     ForestParams,
     SearchBudget,
+    bootstrap_rows,
     enumerate_candidates,
     fit_forest,
     fit_forests,
-    fold_indices,
     mse,
 )
 from modperf.metrics import acc
@@ -47,7 +46,6 @@ from modperf.semantics import PolynomialFunction, SystemSemantics
 from modperf.stats import fisher_z_screen
 
 BUDGET = SearchBudget(evaluations=2, seed=7)
-CV = CVSpec(folds=2, shuffle_seed=8)
 SPACE = {
     "n_trees": [4],
     "max_depth": [4],
@@ -72,15 +70,15 @@ def _test_rows(dataset):
 def _fit(level, rows, shape, Z_held, artifacts=None, seed=0, space=SPACE, budget=BUDGET):
     """`level`'s `LevelFit` on the training design rows and targets `rows`,
     predicting the design rows Z_held."""
-    factory = make_factory(level, shape, artifacts, budget, CV, space=space, seed=seed)
+    factory = make_factory(level, shape, artifacts, budget, space=space, seed=seed)
     return factory(*rows, Z_held)
 
 
-def _model(plan, Z, perf, candidate, tag=("final",)):
+def _model(plan, Z, perf, candidate):
     """`plan`'s model for `candidate` on design rows Z, assembled as the
     search's stream assembles it, its forests grown in one `fit_forests`
     call."""
-    keys = knowledge_models._keys(plan, candidate, tag)
+    keys = knowledge_models._keys(plan, candidate)
     forests = fit_forests(*zip(*(knowledge_models._problem(key, Z, perf) for key in keys)))
     return knowledge_models._assemble(plan, Z, iter(forests))
 
@@ -256,6 +254,7 @@ def test_practical_fallback_for_parentless_iv():
         assert plan.parents[iv] == ()
         assert model.iv_models[iv].fallback
         assert isinstance(model.iv_models[iv].model, MeanModel)
+        assert model.iv_models[iv].model.value == Z[:, iv].mean()
 
 
 def test_decoy_pruned_at_type_one_rate():
@@ -331,16 +330,34 @@ def test_ideal_no_signal_when_perf_ignores_ivs():
     assert np.abs(predictions).max() <= np.abs(noise).max() + 1e-9
 
 
-def test_identical_candidates_across_levels():
+def test_identical_candidates_across_levels(monkeypatch):
+    """Every level of a search gets the same candidates and budget, and
+    scores them on the same rows: every out-of-bag prediction of the search
+    is of one set of design rows under one out-of-bag mask."""
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    Z_test = _test_rows(dataset)
-    null = _fit("null", _train(dataset), shape, Z_test, seed=1)
-    ideal = _fit("ideal", _train(dataset), shape, Z_test, seed=2)
-    partial = _fit("partial", _train(dataset), shape, Z_test, artifacts, seed=3)
-    assert null.search_meta["candidates"] == ideal.search_meta["candidates"]
-    assert null.search_meta["candidates"] == partial.search_meta["candidates"]
-    assert null.search_meta["budget"] == partial.search_meta["budget"] == BUDGET.evaluations
+    seen = []  # (level, rows, weights) of each model's OOB prediction
+    real_predict = knowledge_models.predict_models
+
+    def spy(models, Zs, weights=None):
+        if weights is not None:
+            seen.extend((m.level, Z, w) for m, Z, w in zip(models, Zs, weights))
+        return real_predict(models, Zs, weights)
+
+    monkeypatch.setattr(knowledge_models, "predict_models", spy)
+    levels = knowledge_models.LEVELS
+    fits = knowledge_models.make_search(3, levels, shape, artifacts, BUDGET, SPACE)(
+        *_train(dataset), _test_rows(dataset)
+    )
+    candidates = enumerate_candidates(SPACE, BUDGET)
+    for fit in fits.values():
+        assert fit.search_meta["candidates"] == candidates
+        assert fit.search_meta["budget"] == BUDGET.evaluations
+        assert 0 < fit.search_meta["oob_rows"] < dataset.n_train
+    assert sorted(level for level, _, _ in seen) == sorted(levels * len(candidates))
+    _, Z0, w0 = seen[0]
+    assert len(Z0) == fits["null"].search_meta["oob_rows"] == len(w0)
+    assert all(np.array_equal(Z, Z0) and np.array_equal(w, w0) for _, Z, w in seen)
 
 
 def test_paper_scale_space_exercises_ranges():
@@ -414,13 +431,13 @@ def test_make_factory_levels_and_validation():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     with pytest.raises(ValueError):
-        make_factory("partial", shape, None, BUDGET, CV, space=SPACE)
+        make_factory("partial", shape, None, BUDGET, space=SPACE)
     Z_test = _test_rows(dataset)
     with pytest.raises(ValueError):
-        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)(
+        make_factory("quantum", shape, artifacts, BUDGET, space=SPACE)(
             *_train(dataset), Z_test
         )
-    factory = make_factory("complete", shape, artifacts, BUDGET, CV, space=SPACE, seed=4)
+    factory = make_factory("complete", shape, artifacts, BUDGET, space=SPACE, seed=4)
     fit = factory(*_train(dataset, 80), Z_test)
     assert isinstance(fit, LevelFit) and fit.predictions.shape == (len(Z_test),)
 
@@ -440,7 +457,7 @@ def test_level_table_keys_all_fit():
         assert set(_nodes(shape, plan.parents)) == (set(shape.ivs) if cascade else set())
         assert _nodes(shape, _perf_inputs(plan)) == (shape.options if level == "null" else shape.ivs)
     with pytest.raises(ValueError, match="unknown level"):
-        make_factory("quantum", shape, artifacts, BUDGET, CV, space=SPACE)
+        make_factory("quantum", shape, artifacts, BUDGET, space=SPACE)
 
 
 def test_search_constant_loss_returns_first_candidate():
@@ -453,15 +470,16 @@ def test_search_constant_loss_returns_first_candidate():
             level, (Z, np.full(60, 42.0)), shape, _test_rows(dataset), artifacts, seed=1,
             budget=budget,
         ).search_meta
-        assert meta["cv_loss"] == 0.0
+        assert meta["oob_loss"] == 0.0
         assert meta["candidates"] == enumerate_candidates(SPACE, budget)
         assert meta["chosen"] == meta["candidates"][0]
 
 
-def test_search_picks_lowest_mean_cv_loss(monkeypatch):
+def test_search_picks_lowest_oob_loss(monkeypatch):
     """Each candidate's forest predicts its max_depth everywhere, so on
-    constant perf 5 its CV loss is (depth - 5)^2: the search must pick depth 5,
-    and on the tie between the two depth-5 candidates the first of them."""
+    constant perf 5 its OOB loss is (depth - 5)^2: the search must pick depth
+    5, and on the tie between the two depth-5 candidates the first of them,
+    whose model predicts the held-out rows."""
 
     class DepthModel:
         def __init__(self, depth):
@@ -479,36 +497,43 @@ def test_search_picks_lowest_mean_cv_loss(monkeypatch):
     Z, _ = _train(dataset, 40)
     shape = SystemShape.from_dataset(dataset)
     space = dict(SPACE, max_depth=[2, 5, 8], min_samples_leaf=[1, 2])
-    meta = _fit(
+    fit = _fit(
         "null", (Z, np.full(40, 5.0)), shape, _test_rows(dataset), space=space,
         budget=SearchBudget(evaluations=6),
-    ).search_meta
+    )
+    assert np.array_equal(fit.predictions, np.full(len(_test_rows(dataset)), 5.0))
+    meta = fit.search_meta
     assert [c["max_depth"] for c in meta["candidates"]] == [2, 2, 5, 5, 8, 8]
     assert meta["chosen"] == meta["candidates"][2]
-    assert meta["cv_loss"] == 0.0
+    assert meta["oob_losses"] == [9.0, 9.0, 0.0, 0.0, 9.0, 9.0]
+    assert meta["oob_loss"] == 0.0
     assert meta["budget"] == 6
 
 
-def test_search_cv_loss_is_mean_held_out_mse(monkeypatch):
-    """With a forest stand-in that predicts its training mean, the reported
-    CV loss must be the fold mean of held-out MSEs over the shared folds."""
-
+def test_oob_loss_skips_rows_in_bag_in_every_tree_of_a_candidate(monkeypatch):
+    """With a forest stand-in that predicts its training mean, every
+    candidate's OOB loss is the MSE over exactly the rows that each
+    candidate leaves out of some tree: a row in-bag in the one tree of the
+    1-tree candidate counts for no candidate of the level, though the 8-tree
+    candidate leaves it out."""
     monkeypatch.setattr(
         knowledge_models,
         "fit_forests",
         lambda Xs, ys, params_list: [MeanModel(np.mean(y)) for y in ys],
     )
     _, _, dataset = _system()
-    rows = _train(dataset, 50)
-    perf = rows[1]
-    expected = []
-    for held_out in fold_indices(len(perf), CV):
-        train = np.setdiff1d(np.arange(len(perf)), held_out)
-        expected.append(mse(perf[held_out], np.full(len(held_out), perf[train].mean())))
-    meta = _fit(
-        "ideal", rows, SystemShape.from_dataset(dataset), _test_rows(dataset)
-    ).search_meta
-    assert meta["cv_loss"] == pytest.approx(np.mean(expected), rel=1e-12)
+    Z, perf = _train(dataset, 50)
+    space = dict(SPACE, n_trees=[1, 8], min_samples_leaf=[1])
+    fit = _fit("ideal", (Z, perf), SystemShape.from_dataset(dataset), _test_rows(dataset),
+               seed=3, space=space)
+    in_bag = _in_bag(derive(3, "rows", 50), 50, 8)
+    scored = ~in_bag[0]
+    assert (in_bag[0] & ~in_bag.all(axis=0)).any()
+    expected = mse(perf[scored], np.full(scored.sum(), perf.mean()))
+    meta = fit.search_meta
+    assert [c["n_trees"] for c in meta["candidates"]] == [1, 8]
+    assert meta["oob_losses"] == [pytest.approx(expected, rel=1e-12)] * 2
+    assert meta["oob_rows"] == scored.sum()
 
 
 def _reference_parents(level, shape, artifacts, Z):
@@ -536,12 +561,13 @@ def _reference_parents(level, shape, artifacts, Z):
     return parents
 
 
-def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate, tag):
+def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate):
     """One level's model for one candidate on design rows Z, as the search
     fitted it before it batched its forests: the IV forests in one
     `fit_forests` call, the perf forest in its own `fit_forest` call. Every
-    forest is seeded by its problem: derive(seed, target, *tag,
-    min_samples_leaf, feature_subsample.hex())."""
+    forest draws its bootstrap rows from derive(seed, "rows", len(Z)) and
+    its split keys from derive(seed, target, min_samples_leaf,
+    feature_subsample.hex())."""
     family = (candidate["min_samples_leaf"], float(candidate["feature_subsample"]).hex())
 
     def params(forest_seed):
@@ -551,13 +577,14 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
             min_samples_leaf=int(candidate["min_samples_leaf"]),
             feature_subsample=float(candidate["feature_subsample"]),
             bootstrap_seed=forest_seed,
+            rows_seed=derive(seed, "rows", len(Z)),
         )
 
     fitted = [iv for iv in order if parents_by_iv[iv]]
     forests = fit_forests(
         [Z.take(_columns(shape, parents_by_iv[iv]), axis=1) for iv in fitted],
         [Z[:, _columns(shape, [iv])[0]] for iv in fitted],
-        [params(derive(seed, iv.encode(), *tag, *family)) for iv in fitted],
+        [params(derive(seed, iv.encode(), *family)) for iv in fitted],
     )
     forest_of = dict(zip(fitted, forests))
     iv_models = {}
@@ -570,46 +597,60 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
             iv_models[column] = IVModel(column, (), MeanModel(Z[:, column].mean()), fallback=True)
     perf_inputs = tuple(_columns(shape, shape.options if level == "null" else shape.ivs))
     perf_model = fit_forest(
-        Z.take(perf_inputs, axis=1), perf, params(derive(seed, "perf", *tag, *family))
+        Z.take(perf_inputs, axis=1), perf, params(derive(seed, "perf", *family))
     )
     return ModularPredictor(level, perf_model, perf_inputs, iv_models)
 
 
-def _reference_cross_validate(fit_fn, X, y, folds):
-    losses = []
-    for f, held_out in enumerate(folds):
-        train = np.ones(len(y), dtype=bool)
-        train[held_out] = False
-        model = fit_fn(X[train], y[train], f)
-        losses.append(mse(y[held_out], _reference_predict(model, X[held_out])))
-    return float(np.mean(losses))
+def _in_bag(rows_seed, n, n_trees):
+    """The (trees, rows) mask of the rows each of n_trees trees on n rows
+    drew from `rows_seed`."""
+    in_bag = np.zeros((n_trees, n), dtype=bool)
+    in_bag[np.arange(n_trees)[:, None], bootstrap_rows(rows_seed, n, n_trees)] = True
+    return in_bag
+
+
+def _reference_oob_predict(model, Z, in_bag):
+    """A model's out-of-bag predictions of design rows Z by the definition,
+    one row and one tree at a time: row r's IV estimates, in evaluation
+    order, and then its perf prediction each average the predictions of the
+    trees (`FittedForest.trees`) whose drawn rows omit r (`in_bag`, trees x
+    rows), each tree reading the averaged estimates; a `MeanModel` predicts
+    its value."""
+    Z = np.array(Z, dtype=float)
+    out = []
+    for r, row in enumerate(Z):
+        left_out = np.flatnonzero(~in_bag[:, r])
+
+        def estimate(m, x):
+            if isinstance(m, MeanModel):
+                return m.value
+            return np.mean([m.trees[t].predict(x[None, :])[0] for t in left_out if t < len(m.trees)])
+
+        for column, iv_model in model.iv_models.items():
+            row[column] = estimate(iv_model.model, row[list(iv_model.inputs)])
+        out.append(estimate(model.perf_model, row[list(model.perf_inputs)]))
+    return np.array(out)
 
 
 def _reference_search(level, shape, artifacts, budget, space, seed, rows):
-    """Every candidate's CV loss and the refitted model on the training
-    design rows and targets `rows`, one fit per (candidate, fold) as the
-    search ran before it batched its forests."""
+    """Every candidate's OOB loss and model on the training design rows and
+    targets `rows`, one model per candidate as the search ran before it
+    batched its forests, scored by the definition on the rows that every
+    candidate leaves out of some tree."""
     Z, perf = rows
     parents = _reference_parents(level, shape, artifacts, Z)
     order = () if parents is None else tuple(sorted(parents))
     candidates = enumerate_candidates(space, budget)
-    folds = fold_indices(len(perf), CV)
-    losses = [
-        _reference_cross_validate(
-            lambda X, y, f: _reference_fit_level(
-                level, shape, parents, order, seed, X, y, c, ("cv", f)
-            ),
-            Z,
-            perf,
-            folds,
-        )
-        for c in candidates
+    in_bag = _in_bag(derive(seed, "rows", len(perf)), len(perf), max(c["n_trees"] for c in candidates))
+    scored = np.flatnonzero(~in_bag[: min(c["n_trees"] for c in candidates)].all(axis=0))
+    models = [
+        _reference_fit_level(level, shape, parents, order, seed, Z, perf, c) for c in candidates
     ]
-    best = int(np.argmin(losses))
-    model = _reference_fit_level(
-        level, shape, parents, order, seed, Z, perf, candidates[best], ("final",)
-    )
-    return losses, model
+    losses = [
+        mse(perf[scored], _reference_oob_predict(m, Z[scored], in_bag[:, scored])) for m in models
+    ]
+    return losses, models[int(np.argmin(losses))]
 
 
 SEARCH_SPACE = {
@@ -625,8 +666,7 @@ SEARCH_SEED = 5
 def _search_system():
     """The design rows and targets of 61 training rows of a system whose
     pruned levels leave IVs without parents. Noise on the IVs the system
-    holds constant makes those fallbacks' means differ between the folds and
-    the refit."""
+    holds constant gives those fallbacks means that are not zero."""
     _, artifacts, dataset = _system(p_w=0.2)
     Z, perf = _train(dataset, 61)
     ivs = Z[:, len(dataset.option_names):]  # a view: the noise goes into Z
@@ -638,13 +678,13 @@ def _search_system():
 def _search(levels, artifacts, dataset):
     shape = SystemShape.from_dataset(dataset)
     return knowledge_models.make_search(
-        SEARCH_SEED, levels, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE
+        SEARCH_SEED, levels, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _search_references():
-    """Each level's per-(candidate, fold) reference CV losses and refit."""
+    """Each level's per-candidate reference OOB losses and chosen model."""
     artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     return {
@@ -678,15 +718,15 @@ def _level_forests(levels, artifacts, shape, rows):
 
 
 @pytest.mark.parametrize("level", knowledge_models.LEVELS)
-def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
-    """The all-level search gives each level the per-(candidate, fold)
-    reference's CV losses, chosen candidate and final predictions exactly,
-    from one stream and one `fit_forests` call for every CV fit of every
-    level and one of each for the five refits, whichever level leads the
-    stream. Each call grows every distinct problem once: per (candidate,
-    fold), the union of the levels' forests. The candidates differ in every
-    forest setting, 61 rows give folds of 31 and 30 rows, and the pruned
-    levels leave IVs without parents (`_search_system`)."""
+def test_search_grows_every_forest_in_one_call(monkeypatch, level):
+    """The all-level search gives each level the per-candidate reference's
+    OOB losses, chosen candidate and held-out predictions, from one stream
+    and one `fit_forests` call for every fit of every level, whichever level
+    leads the stream. The call grows every distinct problem once: per
+    candidate, the union of the levels' forests. The candidates differ in
+    every forest setting, and the pruned levels leave IVs without parents
+    (`_search_system`). The losses sum trees in another order than the
+    reference, so they agree to rounding."""
     artifacts, dataset, rows, noise = _search_system()
     shape = SystemShape.from_dataset(dataset)
     candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
@@ -698,30 +738,22 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
     distinct = set().union(*forests.values())
     assert len(distinct) < sum(map(len, forests.values()))
 
-    calls, streams = [], []
-    real_fit, real_stream = knowledge_models.fit_forests, knowledge_models._held_out_predictions
+    calls = []
+    real_fit = knowledge_models.fit_forests
     monkeypatch.setattr(
         knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
-    )
-    monkeypatch.setattr(
-        knowledge_models,
-        "_held_out_predictions",
-        lambda jobs: streams.append(len(jobs)) or real_stream(jobs),
     )
     Z, perf = rows
     Z_test = _test_rows(dataset)
     got = _search(levels, artifacts, dataset)(Z, perf, Z_test)
 
     assert list(got) == list(levels)
-    assert streams == [len(candidates) * CV.folds * len(levels), len(levels)]
-    assert len(calls) == 2 and calls[0] == len(candidates) * CV.folds * len(distinct)
-    chosen = {lv: int(np.argmin(references[lv][0])) for lv in levels}
-    assert calls[1] == len({(chosen[lv], *f) for lv in levels for f in forests[lv]})
+    assert calls == [len(candidates) * len(distinct)]
     for lv in levels:
         want_losses, want = references[lv]
         meta = got[lv].search_meta
-        assert meta["cv_losses"] == want_losses
-        assert meta["cv_loss"] == min(want_losses)
+        assert meta["oob_losses"] == pytest.approx(want_losses, rel=1e-12)
+        assert meta["oob_loss"] == min(meta["oob_losses"])
         assert meta["chosen"] == candidates[int(np.argmin(want_losses))]
         assert np.array_equal(got[lv].predictions, _reference_predict(want, Z_test))
         if lv in ("practical", "complete"):
@@ -732,10 +764,10 @@ def test_search_grows_every_forest_in_two_calls(monkeypatch, level):
 
 
 def test_one_level_search_equals_its_reference(monkeypatch):
-    """`make_factory` is the one-level call of the search: two `fit_forests`
-    calls, and the reference's losses and final predictions. The reference
-    finds `complete`'s parents by `NodeId` itself (`_reference_parents`), so
-    this pins the search's integer level table."""
+    """`make_factory` is the one-level call of the search: one `fit_forests`
+    call, and the reference's losses and held-out predictions. The
+    reference finds `complete`'s parents by `NodeId` itself
+    (`_reference_parents`), so this pins the search's integer level table."""
     artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     want_losses, want = _search_references()["complete"]
@@ -745,20 +777,19 @@ def test_one_level_search_equals_its_reference(monkeypatch):
         knowledge_models, "fit_forests", lambda *args: calls.append(len(args[0])) or real_fit(*args)
     )
     factory = make_factory(
-        "complete", shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
+        "complete", shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, seed=SEARCH_SEED
     )
     Z_test = _test_rows(dataset)
     got = factory(*rows, Z_test)
-    assert len(calls) == 2
-    assert got.search_meta["cv_losses"] == want_losses
+    assert len(calls) == 1
+    assert got.search_meta["oob_losses"] == pytest.approx(want_losses, rel=1e-12)
     assert np.array_equal(got.predictions, _reference_predict(want, Z_test))
 
 
 def test_tiny_chunk_budget_changes_nothing(monkeypatch):
-    """Cutting the CV and final streams into chunks, also inside one model's
-    forests, gives the one-chunk losses and final predictions, and no
-    chunk's forests, the final refits' included, hold more bootstrap-row x
-    tree cells than the budget."""
+    """Cutting the stream into chunks, also inside one model's forests,
+    gives the one-chunk losses and held-out predictions, and no chunk's
+    forests hold more bootstrap-row x tree cells than the budget."""
     artifacts, dataset, rows, _ = _search_system()
     levels = knowledge_models.LEVELS
     Z, perf = rows
@@ -776,10 +807,10 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch):
     monkeypatch.setattr(knowledge_models, "fit_forests", spy)
     monkeypatch.setattr(knowledge_models, "_CHUNK_CELLS", budget)
     cut = _search(levels, artifacts, dataset)(Z, perf, Z_test)
-    assert len(chunks) > 10
+    assert len(chunks) > 5
     assert max(chunks) <= budget
     for level in levels:
-        assert cut[level].search_meta["cv_losses"] == whole[level].search_meta["cv_losses"]
+        assert cut[level].search_meta == whole[level].search_meta
         assert np.array_equal(cut[level].predictions, whole[level].predictions)
 
 
@@ -847,48 +878,53 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
 
 
 def test_one_perf_forest_serves_the_four_iv_input_levels(monkeypatch):
-    """One (candidate, fold) of an all-level search grows one perf forest on
-    the measured IVs, and the models of `partial`, `practical`, `complete`
-    and `ideal` hold that one `FittedForest`; `null`'s perf forest reads the
-    options and stays its own. Across the whole search, every (candidate,
-    fold) grows exactly one perf forest on the IVs."""
+    """One candidate of an all-level search grows one perf forest on the
+    measured IVs, and the models of `partial`, `practical`, `complete` and
+    `ideal` hold that one `FittedForest`; `null`'s perf forest reads the
+    options and stays its own. Across the whole search, every candidate
+    grows exactly one perf forest on the IVs."""
     artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     widths, batches = [], []
     real_fit, real_predict = knowledge_models.fit_forests, knowledge_models.predict_models
 
     def spy(Xs, ys, params_list):
-        widths.append([(X.shape[1], p.bootstrap_seed) for X, p in zip(Xs, params_list)])
+        widths.append(
+            [(X.shape[1], p.bootstrap_seed, p.n_trees, p.max_depth) for X, p in zip(Xs, params_list)]
+        )
         return real_fit(Xs, ys, params_list)
 
     monkeypatch.setattr(knowledge_models, "fit_forests", spy)
     monkeypatch.setattr(
-        knowledge_models, "predict_models", lambda ms, Zs: batches.append(ms) or real_predict(ms, Zs)
+        knowledge_models,
+        "predict_models",
+        lambda ms, Zs, weights=None: batches.append(ms) or real_predict(ms, Zs, weights),
     )
     _search(knowledge_models.LEVELS, artifacts, dataset)(*rows, _test_rows(dataset))
-    # the CV stream is one chunk; its jobs run candidate-major, then fold,
-    # then level, so its first models are candidate 0's on fold 0
+    # the stream is one chunk; its jobs run candidate-major, then level, so
+    # its first models are candidate 0's
     null, *others = batches[0][: len(knowledge_models.LEVELS)]
     assert [m.level for m in others] == ["partial", "practical", "complete", "ideal"]
     assert all(m.perf_model is others[0].perf_model for m in others)
     assert null.perf_model is not others[0].perf_model
     assert others[0].perf_model.n_features == len(shape.ivs)
 
+    assert len(widths) == 1
     for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET):
         family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
-        for f in range(CV.folds):
-            seed = derive(SEARCH_SEED, "perf", "cv", f, *family)
-            perf_forests = [w for w, s in widths[0] if s == seed]
-            assert sorted(perf_forests) == sorted([len(shape.options), len(shape.ivs)])
+        seed = derive(SEARCH_SEED, "perf", *family)
+        perf_forests = [w for w, s, t, d in widths[0] if (s, t, d) == (seed, c["n_trees"], c["max_depth"])]
+        assert sorted(perf_forests) == sorted([len(shape.options), len(shape.ivs)])
 
 
 def test_problem_keys_merge_only_equal_problems():
     """Two forests of a search share a key exactly when they pose one
-    problem: the same target, input columns, rows tag and candidate. Inputs,
-    tag or family apart keeps them apart; candidates of one family differ
-    only in their key's `n_trees` or `max_depth`, not in their seed. That
-    the deduplicated search equals the per-problem reference is
-    `test_search_grows_every_forest_in_two_calls`."""
+    problem: the same target, input columns and candidate. Inputs or family
+    apart keeps them apart; candidates of one family differ only in their
+    key's `n_trees` or `max_depth`, not in their seeds, and every key draws
+    its rows from the one rows seed of the search. That the deduplicated
+    search equals the per-problem reference is
+    `test_search_grows_every_forest_in_one_call`."""
     artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     Z, _ = rows
@@ -896,26 +932,22 @@ def test_problem_keys_merge_only_equal_problems():
     candidates = enumerate_candidates(space, SearchBudget(evaluations=24))
     assert len(candidates) == 24
     plans = [_plan(level, shape, artifacts, Z) for level in knowledge_models.LEVELS]
-    problems = {}  # key -> every (target, inputs, tag, candidate) it stands for
+    problems = {}  # key -> every (target, inputs, candidate) it stands for
     for plan in plans:
         for c in candidates:
-            for tag in [("cv", 0), ("cv", 1), ("final",)]:
-                for key, (target, inputs, _) in zip(
-                    knowledge_models._keys(plan, c, tag), plan.forests
-                ):
-                    problems.setdefault(key, set()).add(
-                        (target, inputs, tag, tuple(sorted(c.items())))
-                    )
-                    family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
-                    assert key.params.bootstrap_seed == derive(SEARCH_SEED, target, *tag, *family)
+            for key, (target, inputs, _) in zip(knowledge_models._keys(plan, c), plan.forests):
+                problems.setdefault(key, set()).add((target, inputs, tuple(sorted(c.items()))))
+                family = (c["min_samples_leaf"], float(c["feature_subsample"]).hex())
+                assert key.params.bootstrap_seed == derive(SEARCH_SEED, target, *family)
+                assert key.params.rows_seed == derive(SEARCH_SEED, "rows", len(Z))
     assert all(len(merged) == 1 for merged in problems.values())
     assert len(set().union(*problems.values())) == len(problems)
-    assert len(problems) < sum(len(plan.forests) for plan in plans) * len(candidates) * 3
+    assert len(problems) < sum(len(plan.forests) for plan in plans) * len(candidates)
 
     seeds_by_family = {}  # members of one family that one seed serves
     for key in problems:
         p = key.params
-        group = (p.bootstrap_seed, key.column, key.inputs, key.tag)
+        group = (p.bootstrap_seed, key.column, key.inputs)
         seeds_by_family.setdefault(group, set()).add((p.n_trees, p.max_depth))
     assert max(map(len, seeds_by_family.values())) == 3 * 2  # n_trees x max_depth
 
@@ -929,9 +961,7 @@ def test_candidates_of_one_family_share_bootstrap_rows():
     Z, perf = rows
     plan = _plan("practical", shape, artifacts, Z)
     base = {"max_depth": 6, "min_samples_leaf": 1, "feature_subsample": 0.5}
-    small, large = (
-        knowledge_models._keys(plan, dict(base, n_trees=n), ("final",)) for n in (6, 12)
-    )
+    small, large = (knowledge_models._keys(plan, dict(base, n_trees=n)) for n in (6, 12))
     assert len(small) == len(plan.forests) > 2
     for a, b in zip(small, large):
         assert a.params.bootstrap_seed == b.params.bootstrap_seed
@@ -944,6 +974,99 @@ def test_candidates_of_one_family_share_bootstrap_rows():
             assert np.array_equal(getattr(six, name), getattr(twelve, name)[:stop])
 
 
+def test_forests_of_one_search_share_each_trees_rows():
+    """Every forest of a search, whatever its family, target or level, draws
+    tree t's bootstrap rows from the one rows seed of its (unit, size), so a
+    6-tree and a 12-tree forest share their first 6 trees' rows: each tree's
+    root holds the mean target of those rows. Another training size draws
+    other rows."""
+    artifacts, dataset, rows, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, perf = rows
+    n = len(perf)
+    small = dict(n_trees=6, max_depth=3, min_samples_leaf=1, feature_subsample=1.0)
+    large = dict(n_trees=12, max_depth=6, min_samples_leaf=3, feature_subsample=0.5)
+    keys = [
+        key
+        for level in ("null", "practical")
+        for c in (small, large)
+        for key in knowledge_models._keys(_plan(level, shape, artifacts, Z), c)
+    ]
+    assert len({key.params.bootstrap_seed for key in keys}) > 2
+    assert {key.params.rows_seed for key in keys} == {derive(SEARCH_SEED, "rows", n)}
+    drawn = bootstrap_rows(derive(SEARCH_SEED, "rows", n), n, 12)
+    assert np.array_equal(bootstrap_rows(derive(SEARCH_SEED, "rows", n), n, 6), drawn[:6])
+    for key, model in zip(keys, fit_forests(*zip(*(knowledge_models._problem(k, Z, perf) for k in keys)))):
+        _, y, _ = knowledge_models._problem(key, Z, perf)
+        roots = model.value[model.offsets[:-1]]
+        want = [y[r].mean() for r in drawn[: key.params.n_trees]]
+        assert roots == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert _plan("null", shape, artifacts, Z[:40]).rows_seed != derive(SEARCH_SEED, "rows", n)
+
+
+def _two_generation_model(fallback=False):
+    """A hand-built model on 60 rows whose IV `a` (column 2) reads options 0
+    and 1 and IV `b` (column 3) reads `a` and option 1, so `b` is estimated
+    in the cascade's second generation; perf reads both IVs. Its forests
+    draw their rows from one rows seed, 5 trees each. With `fallback`, `a`
+    is a `MeanModel` of its training mean instead."""
+    rng = np.random.default_rng(31)
+    n = 60
+    options = rng.integers(0, 2, (n, 2)).astype(float)
+    a = options @ [1.0, 2.0] + 0.1 * rng.normal(size=n)
+    b = 0.5 * a + options[:, 1] + 0.1 * rng.normal(size=n)
+    Z = np.column_stack([options, a, b])
+    perf = a - 2.0 * b + 0.1 * rng.normal(size=n)
+    params = [ForestParams(5, 4, bootstrap_seed=s, rows_seed=77) for s in (1, 2, 3)]
+    fa, fb, fp = fit_forests([Z[:, [0, 1]], Z[:, [2, 1]], Z[:, [2, 3]]], [a, b, perf], params)
+    model_a = MeanModel(a.mean()) if fallback else fa
+    ivs = {2: IVModel(2, () if fallback else (0, 1), model_a, fallback), 3: IVModel(3, (2, 1), fb)}
+    return ModularPredictor("complete", fp, (2, 3), ivs), Z, _in_bag(77, n, 5)
+
+
+def test_oob_cascade_runs_through_the_same_trees():
+    """Row r's OOB prediction of a two-generation cascade, by hand: `a`'s
+    estimate averages the trees that left r out, `b`'s trees (the same
+    ones) read that estimate, and the perf trees (the same ones again) read
+    both; `predict_models` with the OOB mask gives that, and a row's
+    estimate is not the plain forests' cascade."""
+    model, Z, in_bag = _two_generation_model()
+    assert model.steps == ((2,), (3,))
+    covered = ~in_bag.all(axis=0)
+    oob = ~in_bag[:, covered].T
+    want = []
+    for row, left_out in zip(Z[covered], oob):
+        trees = np.flatnonzero(left_out)
+
+        def mean_of(forest, x):
+            return np.mean([forest.trees[t].predict(x[None, :])[0] for t in trees])
+
+        a = mean_of(model.iv_models[2].model, row[[0, 1]])
+        b = mean_of(model.iv_models[3].model, np.array([a, row[1]]))
+        want.append(mean_of(model.perf_model, np.array([a, b])))
+    [got] = knowledge_models.predict_models([model], [Z[covered]], [oob])
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert not np.allclose(got, model.predict(Z[covered]))
+
+
+def test_mean_model_fallback_oob_estimate_is_its_training_mean():
+    """The stated rule: a `MeanModel` fallback holds no trees, so its OOB
+    estimate of every row is its value, the IV's mean over all training
+    rows; the forests it feeds still average only the trees that left the
+    row out."""
+    model, Z, in_bag = _two_generation_model(fallback=True)
+    assert model.iv_models[2].model.value == Z[:, 2].mean()
+    covered = ~in_bag.all(axis=0)
+    oob = ~in_bag[:, covered].T
+    [got] = knowledge_models.predict_models([model], [Z[covered]], [oob])
+    fed = Z[covered].copy()
+    fed[:, 2] = Z[:, 2].mean()
+    b = forest_module.predict_forests([model.iv_models[3].model], [fed[:, [2, 1]]], [oob])[0]
+    fed[:, 3] = b
+    want = forest_module.predict_forests([model.perf_model], [fed[:, [2, 3]]], [oob])[0]
+    assert np.array_equal(got, want)
+
+
 def test_make_factory_equals_its_level_of_the_all_level_search():
     """`make_factory(level, seed=s)` fits what the all-level search with seed
     s fits for that level: losses, chosen candidate and test predictions."""
@@ -954,7 +1077,7 @@ def test_make_factory_equals_its_level_of_the_all_level_search():
     every = _search(knowledge_models.LEVELS, artifacts, dataset)(Z, perf, Z_test)
     for level in knowledge_models.LEVELS:
         one = make_factory(
-            level, shape, artifacts, SEARCH_BUDGET, CV, SEARCH_SPACE, seed=SEARCH_SEED
+            level, shape, artifacts, SEARCH_BUDGET, SEARCH_SPACE, seed=SEARCH_SEED
         )(Z, perf, Z_test)
         assert one.search_meta == every[level].search_meta
         assert np.array_equal(one.predictions, every[level].predictions)

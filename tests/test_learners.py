@@ -469,6 +469,50 @@ def test_predict_forests_equals_one_forest_walks(monkeypatch):
             assert np.array_equal(f.predict(X), w)
 
 
+def test_bootstrap_rows_are_prefix_stable_and_seeded_by_rows_seed():
+    """Tree t's rows are the same for every tree count above t, and a forest
+    draws them from its `rows_seed` when set, else from its bootstrap seed:
+    each tree's root holds the mean target of its drawn rows."""
+    assert np.array_equal(forest.bootstrap_rows(9, 40, 6), forest.bootstrap_rows(9, 40, 12)[:6])
+    rng = _rng(23)
+    X, y = rng.random((40, 3)), rng.normal(size=40)
+    for params, seed in ((ForestParams(5, 3, bootstrap_seed=1), 1),
+                         (ForestParams(5, 3, bootstrap_seed=1, rows_seed=9), 9)):
+        model = fit_forest(X, y, params)
+        rows = forest.bootstrap_rows(seed, 40, 5)
+        roots = model.value[model.offsets[:-1]]
+        assert roots == pytest.approx([y[r].mean() for r in rows], rel=1e-12, abs=1e-12)
+
+
+def test_oob_prediction_averages_the_trees_that_left_a_row_out(monkeypatch):
+    """With an out-of-bag mask as tree weights, a forest's prediction of row
+    r is the mean of its trees' predictions (`FittedForest.trees`) over
+    exactly the trees whose drawn rows omit r; all-ones weights give the
+    plain mean, an unweighted forest in the same walk predicts as alone,
+    and cutting the walk changes nothing."""
+    rng = _rng(24)
+    n, n_trees = 50, 4
+    X, y = rng.random((n, 4)), rng.normal(size=n)
+    model = fit_forest(X, y, ForestParams(n_trees, 5, bootstrap_seed=3, rows_seed=11))
+    in_bag = np.zeros((n_trees, n), dtype=bool)
+    in_bag[np.arange(n_trees)[:, None], forest.bootstrap_rows(11, n, n_trees)] = True
+    covered = ~in_bag.all(axis=0)
+    assert 0 < covered.sum() < n
+    oob = ~in_bag[:, covered].T
+    per_tree = np.column_stack([tree.predict(X[covered]) for tree in model.trees])
+    want = np.array([row[mask].mean() for row, mask in zip(per_tree, oob)])
+    for walk_entries in (forest._WALK_ENTRIES, 30):
+        monkeypatch.setattr(forest, "_WALK_ENTRIES", walk_entries)
+        [got, ones, plain] = forest.predict_forests(
+            [model] * 3, [X[covered], X, X], [oob, np.ones((n, n_trees)), None]
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert ones == pytest.approx(model.predict(X), rel=1e-12, abs=1e-12)
+        assert np.array_equal(plain, model.predict(X))
+    with pytest.raises(ValueError, match="weights"):
+        forest.predict_forests([model], [X], [oob])
+
+
 def test_forest_trees_are_views_of_one_node_table():
     rng = _rng(17)
     X, y = rng.random((30, 3)), rng.normal(size=30)

@@ -114,15 +114,15 @@ def test_tree_hash_subtrees_split_a_hand_made_tree(monkeypatch, tmp_path):
 def test_time_desk_unit_counts_forest_problems(monkeypatch):
     """`counts` holds the `fit_forests` calls, the problems passed to them,
     the `_grow` passes, the split searches and the `_leaves` walks of the
-    code run inside `_counted`: an `ideal` search of 2 candidates x 2 folds
-    and its refit pass 5 problems in 2 calls, and a pass of depth-3 trees
-    searches at one to three levels."""
+    code run inside `_counted`: an `ideal` search of 2 candidates passes 2
+    problems in 1 call, and a pass of depth-3 trees searches at one to
+    three levels."""
     import collections
 
     from modperf.dataset import sample_dataset
     from modperf.influence_graph import StructuralAspects, generate_graph
     from modperf.knowledge_models import SystemShape, design, make_factory
-    from modperf.learners import CVSpec, SearchBudget
+    from modperf.learners import SearchBudget
     from modperf.semantics import synthesize_semantics
 
     script = _import_script(monkeypatch, "time_desk_unit")
@@ -133,12 +133,71 @@ def test_time_desk_unit_counts_forest_problems(monkeypatch):
         "n_trees": [3], "max_depth": [3], "min_samples_leaf": [1, 2], "feature_subsample": [1.0]
     }
     factory = make_factory(
-        "ideal", SystemShape.from_dataset(dataset), None, SearchBudget(2), CVSpec(2), space
+        "ideal", SystemShape.from_dataset(dataset), None, SearchBudget(2), space
     )
     counts = collections.Counter()
     with script._counted(counts):
         Z, perf = design(dataset)
         factory(Z[:40], perf[:40], Z[40:])
     assert set(counts) == {"forest_calls", "problems", "passes", "searches", "walks"}
-    assert (counts["forest_calls"], counts["problems"]) == (2, 5)
+    assert (counts["forest_calls"], counts["problems"]) == (1, 2)
     assert counts["passes"] <= counts["searches"] <= 3 * counts["passes"]
+
+
+def _analysed_tree(root: Path, hardness, opportunity):
+    """A hand-made analysed tree of one metric, `acc`: `hardness` maps each
+    unit to its measured hardness, `opportunity` each matrix level to its
+    units' values (None where a unit's level curve is incomplete)."""
+    analysis = root / "analysis"
+    analysis.mkdir(parents=True)
+    units = list(hardness)
+    rows = [{"unit": u, "system": u[:5], "trial": 0, "value": v} for u, v in hardness.items()]
+    (analysis / "hardness_acc.json").write_text(json.dumps(rows))
+    doc = {
+        "metric": "acc", "sizes": [20, 50], "units": units, "gap": [[0.1, 0.1]] * len(units),
+        "levels": {level: {"value": values, "filling": values} for level, values in opportunity.items()},
+    }
+    (analysis / "opportunities_acc.json").write_text(json.dumps(doc))
+    return root
+
+
+def test_agreement_of_identical_and_reversed_trees(tmp_path):
+    """Identical trees agree fully: rho 1, every |B - A| 0, every class the
+    same. A tree whose values are reversed (1 - value) has rho -1 for
+    hardness and every level. A unit without a level's value is left out of
+    that level only."""
+    units = [f"s{s:04d}_t00" for s in range(6)]
+    hardness = dict(zip(units, [0.1, 0.2, 0.35, 0.5, 0.7, 0.9]))
+    opportunity = {
+        "partial": [0.01, 0.02, 0.03, 0.05, 0.08, 0.13],
+        "practical": [0.2, 0.1, 0.4, 0.3, None, 0.6],
+        "complete": [0.3, 0.5, 0.2, 0.6, 0.1, 0.7],
+    }
+    a = _analysed_tree(tmp_path / "a", hardness, opportunity)
+    b = _analysed_tree(tmp_path / "b", hardness, opportunity)
+    reversed_tree = _analysed_tree(
+        tmp_path / "r",
+        {u: 1.0 - v for u, v in hardness.items()},
+        {level: [None if v is None else 1.0 - v for v in vs] for level, vs in opportunity.items()},
+    )
+
+    same = json.loads(_run("agreement.py", str(a), str(b)))
+    assert same["pooled"] == {
+        "hardness": {"median_abs_delta": 0.0, "values": 6},
+        "opportunity": {"median_abs_delta": 0.0, "values": 17},
+    }
+    acc = same["metrics"]["acc"]
+    assert acc["hardness"] == {
+        "units": 6, "spearman": 1.0, "median_abs_delta": 0.0, "mean": [0.4583, 0.4583],
+        "class_agreement": 1.0,
+    }
+    assert sorted(acc["opportunity"]) == ["complete", "partial", "practical"]
+    for level, summary in acc["opportunity"].items():
+        assert (summary["spearman"], summary["median_abs_delta"]) == (1.0, 0.0)
+        assert summary["units"] == (5 if level == "practical" else 6)
+
+    flipped = json.loads(_run("agreement.py", str(a), str(reversed_tree)))["metrics"]["acc"]
+    assert flipped["hardness"]["spearman"] == -1.0
+    assert flipped["hardness"]["class_agreement"] < 1.0
+    for summary in flipped["opportunity"].values():
+        assert summary["spearman"] == -1.0
