@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,69 @@ def test_forest_matches_brute_force_cart(kind, min_leaf):
                 _assert_same_tree(tree, 0, spec)
                 assert tree.predict(X).tolist() == [_oracle_predict(spec, row) for row in X]
             _assert_leaves_hold(model, X, min_leaf)
+
+
+def _integer_target_problems():
+    """About 40 problems with small-integer targets, so every sum the
+    engine forms is exact and the trees do not depend on summation order:
+    n 20-600 on binary, real, mixed and heavily tied designs, with
+    min_samples_leaf 1-5, feature subsets of 1/3, sqrt and all columns, and
+    depths up to 12."""
+    rng = _rng(34)
+    kinds = ("binary", "real", "mixed", "tied")
+    Xs, ys, params = [], [], []
+    for j in range(40):
+        kind = kinds[j % 4]
+        n, d = int(rng.integers(20, 601)), int(rng.integers(1, 13))
+        if kind == "binary":
+            X = rng.integers(0, 2, size=(n, d)).astype(float)
+        elif kind == "real":
+            X = rng.random((n, d))
+        elif kind == "mixed":
+            X = rng.random((n, d))
+            X[:, ::2] = rng.integers(0, 2, size=(n, (d + 1) // 2))
+        else:
+            # three values per column, and affine copies of columns
+            base = rng.integers(0, 3, size=(n, d)) * 0.5
+            X = np.where(np.arange(d) % 3 == 2, 2.0 * np.roll(base, 1, axis=1) - 1.0, base)
+        Xs.append(X)
+        ys.append(rng.integers(-4, 5, size=n).astype(float))
+        params.append(
+            ForestParams(
+                n_trees=int(rng.integers(2, 7)),
+                max_depth=(1, 3, 6, 9, 12)[j % 5],
+                min_samples_leaf=1 + (j // 5) % 5,
+                feature_subsample=(1 / 3, np.sqrt(d) / d, 1.0)[j % 3],
+                bootstrap_seed=1000 + j,
+            )
+        )
+    return Xs, ys, params
+
+
+def _node_table_digest(forests) -> str:
+    digest = hashlib.sha256()
+    for f in forests:
+        for name in FOREST_TABLE:
+            array = getattr(f, name)
+            digest.update(np.ascontiguousarray(array, dtype="<f8" if array.dtype.kind == "f" else "<i8"))
+    return digest.hexdigest()
+
+
+# node tables of `_integer_target_problems`, as grown one bootstrap draw per cell
+INTEGER_TARGET_TABLES_SHA = "f68207d86ce7b45a214db68bdd5f231e3e9bd437e7b2d67e133dff78a0810c81"
+
+
+def test_integer_target_trees_are_pinned():
+    """On small-integer targets every sum is exact, so the engine's trees do
+    not depend on how it orders or groups its sums: the node tables of about
+    40 problems, larger than the brute-force oracle reaches, equal a pinned
+    digest, fitted in one call and one by one."""
+    Xs, ys, params = _integer_target_problems()
+    batched = fit_forests(Xs, ys, params)
+    assert max(max(map(_depth, f.trees)) for f in batched) == 12
+    assert _node_table_digest(batched) == INTEGER_TARGET_TABLES_SHA
+    alone = [fit_forest(X, y, p) for X, y, p in zip(Xs, ys, params)]
+    assert _node_table_digest(alone) == INTEGER_TARGET_TABLES_SHA
 
 
 def _assert_top_levels_equal(shallow, deep, a, b, depth, levels):
