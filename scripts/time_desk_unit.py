@@ -10,7 +10,8 @@ without timing it, then times one `run_model` call over all levels
     python scripts/time_desk_unit.py
     {"model_s": 17.9, "model_s_norm": 15.2, "level_s": {"null": 0.3, ...},
      "level_s_norm": {"null": 0.26, ...},
-     "counts": {"all": {"forest_calls": 15, "problems": 502, "passes": 740, ...},
+     "counts": {"all": {"forest_calls": 9, "problems": 876, "passes": 402,
+                        "draws": 2461860, "cells": 1558915, "walk_entries": 3777834, ...},
                 "null": {"forest_calls": 12, "problems": 60, ...}, ...},
      "all_peak_rss_mb": 90.1, "peak_rss_mb": 93.0, "nproc": 2, "python": "3.11.7", ...}
 
@@ -18,13 +19,17 @@ During every timed call the script counts the calls of `fit_forests`,
 direct or through `fit_forest` (`forest_calls`), the forest problems passed
 to them (`problems`), the forest engine's `_grow` passes (`passes`), its
 split searches (`searches`, the calls of `_search_binary` and
-`_search_sorted`, at most one per level of a pass) and its prediction walks
-(`walks`, one per `_leaves` call), so batching and shared problems show as
-exact counts beside the seconds: `counts["all"]` for the all-level call,
-one entry per level for the others. `all_peak_rss_mb` is the process's peak
-resident set size (`ru_maxrss`) read right after the all-level call, before
-the per-level calls: the all-level call's peak, or the untimed generate
-stage's if that were higher; `peak_rss_mb` is the peak after all calls.
+`_search_sorted`, at most one per level of a pass), the bootstrap draws of
+the trees grown (`draws`, n per tree) and the distinct in-bag (tree, row)
+pairs they grow on (`cells`, about 0.632 of the draws), and its prediction
+walks (`walks`, one per `_leaves` call) and the (row, tree) entries they
+walk (`walk_entries`), so batching, shared problems and repeated rows show
+as exact counts beside the seconds: `counts["all"]` for the all-level
+call, one entry per level for the others. `all_peak_rss_mb` is the
+process's peak resident set size (`ru_maxrss`) read right after the
+all-level call, before the per-level calls: the all-level call's peak, or
+the untimed generate stage's if that were higher; `peak_rss_mb` is the peak
+after all calls.
 
 On a shared machine the raw seconds drift with its load. So perfbench's
 reference computation (`perfbench/calibrate.py`) runs before and after each
@@ -81,32 +86,41 @@ def _commit() -> str | None:
 @contextlib.contextmanager
 def _counted(counts: collections.Counter):
     """Count `fit_forests` calls and the problems passed to them, `_grow`
-    passes, split searches and `_leaves` walks into `counts` while open.
+    passes, split searches, bootstrap draws and distinct in-bag cells
+    grown (`_in_bag`), and `_leaves` walks and their entries into `counts`
+    while open.
 
     `knowledge_models` holds its own reference to `fit_forests`, and
     `fit_forest` calls the forest module's, so both are wrapped.
     """
+
+    def forest_calls(args, _):
+        return {"forest_calls": 1, "problems": len(args[0])}
+
+    def one(key):
+        return lambda args, _: {key: 1}
+
     targets = [
-        (knowledge_models, "fit_forests", "forest_calls"),
-        (forest, "fit_forests", "forest_calls"),
-        (forest, "_grow", "passes"),
-        (forest, "_search_binary", "searches"),
-        (forest, "_search_sorted", "searches"),
-        (forest, "_leaves", "walks"),
+        (knowledge_models, "fit_forests", forest_calls),
+        (forest, "fit_forests", forest_calls),
+        (forest, "_grow", one("passes")),
+        (forest, "_search_binary", one("searches")),
+        (forest, "_search_sorted", one("searches")),
+        (forest, "_in_bag", lambda args, out: {"draws": args[0].size, "cells": len(out[0])}),
+        (forest, "_leaves", lambda args, _: {"walks": 1, "walk_entries": len(args[1])}),
     ]
     originals = [getattr(owner, attr) for owner, attr, _ in targets]
 
-    def counting(fn, key):
+    def counting(fn, increments):
         def counted(*args, **kwargs):
-            counts[key] += 1
-            if key == "forest_calls":
-                counts["problems"] += len(args[0])
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            counts.update(increments(args, out))
+            return out
 
         return counted
 
-    for (owner, attr, key), fn in zip(targets, originals):
-        setattr(owner, attr, counting(fn, key))
+    for (owner, attr, increments), fn in zip(targets, originals):
+        setattr(owner, attr, counting(fn, increments))
     try:
         yield
     finally:

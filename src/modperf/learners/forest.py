@@ -14,31 +14,41 @@ rows, split keys, target shift, column count and ``n_sub``. A level first
 picks the nodes that can split; only those get subset keys and a split
 search, over the columns of their widest tree. To keep a pass's transient
 memory small, an all-0/1 design is stacked as uint8 and the rows' sort
-orders are int32. `fit_forest` is the one-problem call. Splits are exact CART
-variance-reduction splits, found in one of two ways chosen from each
-problem's ``X`` alone (the split path):
+orders are int32. `fit_forest` is the one-problem call.
+
+A tree grows on its distinct bootstrap rows, about 0.632 n of its n draws,
+each weighted by its draw count w (as scikit-learn passes draw counts as
+sample weights; Louppe 2014, arXiv:1407.7502). Every target sum is a sum of
+w * y, and every rule about rows counts draws: a node's size, the
+``2 * min_samples_leaf`` rule, each side's ``min_samples_leaf`` and the
+tie rule's rows on the left. So a tree has exactly the semantics of its
+duplicated rows; only the order of its float sums differs, and on targets
+whose sums are exact (small integers) it is the same tree bit for bit.
+Splits are exact CART variance-reduction splits, found in one of two ways
+chosen from each problem's ``X`` alone (the split path):
 
 * real or mixed columns: every column keeps the level's rows sorted by
-  (node, value), so a cumulative sum gives the squared error of every
-  (node, split position, feature); the threshold is the midpoint between the
-  two adjacent distinct values;
-* all-0/1 columns: per-(node, feature) row counts and target sums of the
+  (node, value), so cumulative sums of w * y and of w give the squared
+  error of every (node, split position, feature); the threshold is the
+  midpoint between the two adjacent distinct values;
+* all-0/1 columns: per-(node, feature) draw counts and target sums of the
   ones give every split at the fixed threshold 0.5.
 
-Split rule: lowest SSE, then fewest rows on the left, then lowest column
+Split rule: lowest SSE, then fewest draws on the left, then lowest column
 index. SSE is compared through the score S_left^2 / n_left + S_right^2 /
-n_right (the node's sum of squares minus SSE); scores within a relative
-``_TIE_RTOL`` of each other count as tied. Rounding can still decide
-between candidates that tie (two features giving a small node the same
-partition) or nearly tie: the cumulative sum runs over all cells of a
-tree's level, so a run's prefix sums carry the rounding of the runs before
-it in that tree, which can exceed the tolerance. Each tree of a pass sums
-its own cells alone, in the same order whatever else the pass holds, so a
-tree depends only on its own rows: how trees are cut into blocks and
-passes changes no tree, and every batched forest is bit-identical to a
-separate fit. A node stays a leaf at ``max_depth``, when it has fewer than
-``2 * min_samples_leaf`` rows, when its target is constant, or when no
-split leaves ``min_samples_leaf`` rows on each side.
+n_right, with S the sum of w * y and n the draws (the node's weighted sum of
+squares minus SSE); scores within a relative ``_TIE_RTOL`` of each other
+count as tied. Rounding can still decide between candidates that tie (two
+features giving a small node the same partition) or nearly tie: the
+cumulative sum runs over all cells of a tree's level, so a run's prefix
+sums carry the rounding of the runs before it in that tree, which can
+exceed the tolerance. Each tree of a pass sums its own cells alone, in the
+same order whatever else the pass holds, so a tree depends only on its own
+rows: how trees are cut into blocks and passes changes no tree, and every
+batched forest is bit-identical to a separate fit. A node stays a leaf at ``max_depth``, when it holds fewer
+than ``2 * min_samples_leaf`` draws, when its target is constant, or when
+no split leaves ``min_samples_leaf`` draws on each side. A leaf's value is
+the mean target of its draws, sum(w * y) / sum(w).
 
 A forest's bootstrap rows are `bootstrap_rows(rows_seed, n, n_trees)`,
 ``rows_seed`` defaulting to ``bootstrap_seed``; one draw serves all problems
@@ -52,9 +62,13 @@ stored in one tree-major node table per forest. `predict_forests` walks the
 (row, tree) entries of many forests, each on its own rows, down one stacked
 node table at once, and each forest averages its trees' outputs, or, given
 per-row tree weights, their weighted mean (an out-of-bag mask averages only
-the trees that left a row out); `FittedForest.predict` is its one-forest
-call. `FittedForest.trees` are one-tree forests over views of the node
-table, predicted by the same walk. Everything is deterministic in the seeds.
+the trees that left a row out). An unweighted forest on all-0/1 rows of
+at most ``_KEY_BITS`` columns walks each distinct row once, rows keyed by
+their packed bits, and an inverse index gives every row its distinct row's
+leaf values before the per-row mean, so the prediction is the same bit
+for bit. `FittedForest.predict` is its one-forest call.
+`FittedForest.trees` are one-tree forests over views of the node table,
+predicted by the same walk. Everything is deterministic in the seeds.
 """
 
 from __future__ import annotations
@@ -81,6 +95,8 @@ _BATCH_CELLS = 1 << 17
 _REAL_CELL_COST = 4
 # (row, tree) entries of one prediction walk.
 _WALK_ENTRIES = 1 << 16
+# All-0/1 rows of at most this many columns are packed into one uint64 key.
+_KEY_BITS = 64
 _NO_KEY = np.uint64(np.iinfo(np.uint64).max)
 
 
@@ -197,36 +213,41 @@ def _prefix_sums(values, starts):
     return out
 
 
-def _search_sorted(XsT, y_fit, order, starts, sizes, usable, tree, msl):
+def _search_sorted(XsT, wy, w, order, starts, sizes, draws, usable, tree, msl):
     """Best split of the given nodes over columns sorted by (node, value).
 
-    `order` is (d, rows): the level's rows in each feature's value order,
-    node by node; the nodes are the level's ranges `starts`, `sizes`, in
-    order; `usable` is the (d, nodes) mask of feature-node pairs that may
+    Cells are a tree's distinct bootstrap rows: `w` holds each cell's draw
+    count and `wy` its draw count times its shifted target. `order` is (d, cells): the level's
+    cells in each feature's value order, node by node; the nodes are the
+    level's ranges `starts`, `sizes` (in cells), in order, holding `draws`
+    draws; `usable` is the (d, nodes) mask of feature-node pairs that may
     split; `tree` numbers each node's tree, whose cells are contiguous and
     get their own prefix sums; `msl` is each node's ``min_samples_leaf``.
     Returns the positions of the nodes that split, their feature and
     threshold.
     """
-    d, n_rows = order.shape
+    d, n_cells = order.shape
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
-    sample = order.ravel()[feat[run] * n_rows + row]
+    sample = order.ravel()[feat[run] * n_cells + row]
     x = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
     pieces = run_start[_changes(tree[node])]
-    s_left = _prefix_sums(y_fit[sample], pieces.tolist())
-    before = s_left[run_start] - y_fit[sample[run_start]]
+    s_left = _prefix_sums(wy[sample], pieces.tolist())
+    before = s_left[run_start] - wy[sample[run_start]]
     length = sizes[node]
     s_right = (s_left[run_start + length - 1] - before)[run]
     s_left -= before[run]
     s_right -= s_left
-    n_left = np.arange(1, len(run) + 1) - run_start[run]
-    n_right = length[run] - n_left
+    # draws left of each cell: a cumulative sum of integers, exact across runs
+    w_run = w[sample]
+    n_left = np.cumsum(w_run)
+    n_left -= (n_left[run_start] - w_run[run_start])[run]
+    n_right = draws[node][run] - n_left
     # n_right is 0 on a run's last cell, so every valid split has a next cell
     valid = np.zeros(len(run), dtype=bool)
     valid[:-1] = x[:-1] < x[1:]
     msl = msl[node][run]
     valid &= (n_left >= msl) & (n_right >= msl)
-    # score = S_left^2 / n_left + S_right^2 / n_right = sum(y^2) - SSE
+    # score = S_left^2 / n_left + S_right^2 / n_right = sum(w y^2) - SSE
     score = np.square(s_left, out=s_left)
     score /= n_left
     score += np.square(s_right, out=s_right) / np.maximum(n_right, 1)
@@ -234,8 +255,8 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, tree, msl):
     node_start = run_start[first]
     slot = slot[run]
     hit = score >= _tie_floor(np.maximum.reduceat(score, node_start))[slot]
-    # ties: fewest rows on the left, then the lowest feature
-    key = np.where(hit, n_left * d + feat[run], n_rows * d)
+    # ties: fewest draws on the left, then the lowest feature
+    key = np.where(hit, n_left * d + feat[run], np.inf)
     chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, node_start)[slot]))
     lo, hi = x[chosen], x[chosen + 1]
     mid = 0.5 * (lo + hi)
@@ -243,18 +264,19 @@ def _search_sorted(XsT, y_fit, order, starts, sizes, usable, tree, msl):
     return node[run[chosen]], feat[run[chosen]], np.where(mid < hi, mid, lo)
 
 
-def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl, total):
+def _search_binary(XsT, wy, w, order, starts, sizes, draws, usable, msl, total):
     """Best split of the given nodes over all-0/1 columns at threshold 0.5
-    (rows with a 1 go right), given each node's target sum `total`. The
-    other arguments and the result are those of `_search_sorted`, without
-    `tree`, since every sum covers one run; only order[0] is used."""
+    (rows with a 1 go right), given each node's weighted target sum
+    `total`. The other arguments and the result are those of
+    `_search_sorted`, without `tree`, since every sum covers one run; only
+    order[0] is used."""
     d = XsT.shape[0]
     node, feat, run_start, run, row, first, slot = _runs(usable, starts, sizes)
     sample = order[0, row]
     ones = XsT.ravel()[feat[run] * XsT.shape[1] + sample]
-    n_right = np.add.reduceat(ones, run_start, dtype=float)
-    s_right = np.add.reduceat(np.multiply(ones, y_fit[sample]), run_start)
-    n_left = sizes[node] - n_right
+    n_right = np.add.reduceat(ones * w[sample], run_start)
+    s_right = np.add.reduceat(np.multiply(ones, wy[sample]), run_start)
+    n_left = draws[node] - n_right
     s_left = total[node] - s_right
     msl = msl[node]
     score = np.where(
@@ -263,7 +285,7 @@ def _search_binary(XsT, y_fit, order, starts, sizes, usable, msl, total):
         -1.0,
     )
     hit = score >= _tie_floor(np.maximum.reduceat(score, first))[slot]
-    # ties: fewest rows on the left, then the lowest feature
+    # ties: fewest draws on the left, then the lowest feature
     key = np.where(hit, n_left * d + feat, np.inf)
     chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, first)[slot]))
     return node[chosen], feat[chosen], np.full(len(chosen), 0.5)
@@ -293,6 +315,15 @@ def _partition(go_left, order, sizes, nodes):
     return kept[np.arange(len(kept))[:, None], moved], child_sizes
 
 
+def _in_bag(rows, n):
+    """The distinct (tree, row) pairs of the (trees, n) bootstrap `rows`, as
+    flat ids tree * n + row in increasing order, and each pair's draw
+    count."""
+    counts = np.bincount((rows + (np.arange(len(rows)) * n)[:, None]).ravel(), minlength=rows.size)
+    cells = np.flatnonzero(counts)
+    return cells, counts[cells]
+
+
 class _Problem(NamedTuple):
     X: np.ndarray
     y: np.ndarray
@@ -308,11 +339,14 @@ def _grow(problems: list[_Problem], blocks, binary: bool):
     level by level.
 
     Each tree keeps its problem's ``max_depth`` and ``min_samples_leaf``.
-    A level first picks the nodes that can split (below their tree's depth
-    limit, with ``2 * min_samples_leaf`` rows and a non-constant target);
-    only those get subset keys and a split search, over the columns of
-    their widest tree. Once every split node's tree reaches its last level,
-    only the rows' order is kept, not every feature's.
+    A tree's cells are its distinct bootstrap rows (`_in_bag`), each
+    weighted by its draw count; a node has a cell count, which locates its
+    cells, and a draw total, which every leaf rule reads. A level first
+    picks the nodes that can split (below their tree's depth limit, with
+    ``2 * min_samples_leaf`` draws and a non-constant target); only those
+    get subset keys and a split search, over the columns of their widest
+    tree. Once every split node's tree reaches its last level, only the
+    cells' order is kept, not every feature's.
 
     Returns, per block, its per-tree node counts and its tree-major node
     table (feature, threshold, left, right, value) with tree-local child
@@ -332,24 +366,30 @@ def _grow(problems: list[_Problem], blocks, binary: bool):
     owners = [problems[p] for p, _, _ in blocks]
     rows = np.concatenate([problems[p].rows[start:stop] for p, start, stop in blocks])
     n_trees = len(rows)
-    samples = (rows + (tree_slot * n)[:, None]).ravel()
+    # a tree's cells are its distinct rows, tree-major and by row, each
+    # weighted by its draw count w
+    cells, w = _in_bag(rows, n)
+    cell_tree, cell_row = np.divmod(cells, n)
+    samples = cell_row + tree_slot[cell_tree] * n
     XsT = np.ascontiguousarray(X.reshape(len(ids) * n, d)[samples].T)
     y_raw = np.concatenate([problems[p].y for p in ids])[samples]
     # a constant shift per problem changes no SSE comparison and keeps the
     # cumulative sums small; the midrange keeps small integers exact
     shift = np.array([0.5 * (problems[p].y.min() + problems[p].y.max()) for p in ids])
-    y_fit = y_raw - np.repeat(shift[tree_slot], n)
+    wy = w * (y_raw - shift[tree_slot[cell_tree]])
+    wy_raw = w * y_raw
     if binary:
-        order = np.arange(samples.size, dtype=np.int32)[None, :]
+        order = np.arange(len(cells), dtype=np.int32)[None, :]
     else:
-        # per feature: each tree's samples sorted by value, ties by sample id
-        # ranks in the narrowest unsigned type, so the argsort below is a radix sort
-        rank = np.empty((d, len(ids), n), dtype=np.min_scalar_type(max(n - 1, 0)))
+        # per feature: each tree's cells sorted by value, ties by row, as
+        # its problem's rows in that order, kept where in bag
         by_value = np.argsort(X.transpose(2, 0, 1), axis=2, kind="stable")
-        rank[np.arange(d)[:, None, None], np.arange(len(ids))[:, None], by_value] = np.arange(n)
-        within = np.argsort(rank[:, tree_slot[:, None], rows], axis=2, kind="stable")
-        within += (np.arange(n_trees) * n)[:, None]
-        order = within.reshape(d, -1).astype(np.int32)
+        cell_of = np.full(rows.size, -1, dtype=np.int32)
+        cell_of[cells] = np.arange(len(cells))
+        ranked = by_value[:, tree_slot]
+        ranked += (np.arange(n_trees) * n)[:, None]
+        ranked = cell_of[ranked]
+        order = ranked[ranked >= 0].reshape(d, -1)
     tree_width = np.array([owner.X.shape[1] for owner in owners])[tree_block]
     tree_n_sub = np.array([owner.n_sub for owner in owners])[tree_block]
     tree_msl = np.array([owner.params.min_samples_leaf for owner in owners])[tree_block]
@@ -368,21 +408,22 @@ def _grow(problems: list[_Problem], blocks, binary: bool):
 
     node_tree = np.arange(n_trees)
     node_heap = np.zeros(n_trees, dtype=np.int64)
-    sizes = np.full(n_trees, n)
+    sizes = np.bincount(cell_tree, minlength=n_trees)
     levels = []
     created = 0
     for depth in range(tree_depth.max() + 1):
         m = len(sizes)
         starts = np.cumsum(sizes) - sizes
         y_node = y_raw[order[0]]
+        draws = np.add.reduceat(w[order[0]], starts)
         feature = np.full(m, -1, dtype=np.int64)
         threshold = np.zeros(m)
         children = np.full(m, -1, dtype=np.int64)
         # the nodes that can split: below their tree's depth limit, with
-        # 2 * min_samples_leaf rows and a non-constant target
+        # 2 * min_samples_leaf draws and a non-constant target
         nodes = np.flatnonzero(
             (depth < tree_depth[node_tree])
-            & (sizes >= 2 * tree_msl[node_tree])
+            & (draws >= 2 * tree_msl[node_tree])
             & (np.minimum.reduceat(y_node, starts) < np.maximum.reduceat(y_node, starts))
         )
         if len(nodes):
@@ -395,25 +436,27 @@ def _grow(problems: list[_Problem], blocks, binary: bool):
                 keys[~usable] = _NO_KEY
                 kth = np.sort(keys, axis=0)[tree_n_sub[trees] - 1, np.arange(len(nodes))]
                 usable &= keys <= kth
-            at, size, msl = starts[nodes], sizes[nodes], tree_msl[trees]
+            at, size, drawn, msl = starts[nodes], sizes[nodes], draws[nodes], tree_msl[trees]
             if binary:
-                total = np.add.reduceat(y_fit[order[0]], starts)[nodes]
-                found, feat, thr = _search_binary(XsT, y_fit, order, at, size, usable, msl, total)
+                total = np.add.reduceat(wy[order[0]], starts)[nodes]
+                found, feat, thr = _search_binary(
+                    XsT, wy, w, order, at, size, drawn, usable, msl, total
+                )
             else:
                 found, feat, thr = _search_sorted(
-                    XsT, y_fit, order[:width], at, size, usable, trees, msl
+                    XsT, wy, w, order[:width], at, size, drawn, usable, trees, msl
                 )
             nodes = nodes[found]
             feature[nodes] = feat
             threshold[nodes] = thr
             children[nodes] = created + m + 2 * np.arange(len(nodes))
-        value = np.add.reduceat(y_node, starts) / sizes
+        value = np.add.reduceat(wy_raw[order[0]], starts) / draws
         levels.append((node_tree, feature, threshold, children, value))
         created += m
         if not len(nodes):
             break
         row_node = np.repeat(np.arange(m), sizes)
-        go_left = np.empty(samples.size, dtype=bool)
+        go_left = np.empty(len(cells), dtype=bool)
         go_left[order[0]] = XsT[np.maximum(feature[row_node], 0), order[0]] <= threshold[row_node]
         # the children need the columns of their widest tree; leaves at
         # their depth limit need only their rows, not every feature's order
@@ -446,11 +489,14 @@ def _grow(problems: list[_Problem], blocks, binary: bool):
 def _passes(problems: list[_Problem], ids, binary: bool):
     """The trees of problems `ids` on split path `binary`, in order: each
     problem's trees cut into blocks of at most `_BLOCK_CELLS` (bootstrap
-    row, feature) cells, and the blocks into passes of at most `_BATCH_CELLS`
-    padded cells on the all-0/1 path, and a `_REAL_CELL_COST`th of that on
-    the real-valued one; a block alone may exceed it. A pass is padded to
-    its widest problem, so problems given in order of width make passes of
-    like widths. Yields lists of (problem, first tree, stop tree) blocks."""
+    draw, feature) cells, and the blocks into passes of at most
+    `_BATCH_CELLS` padded cells on the all-0/1 path, and a
+    `_REAL_CELL_COST`th of that on the real-valued one; a block alone may
+    exceed it. A tree counts n draws, though it grows on its distinct rows
+    only, about 0.632 n, so a pass holds about a third fewer cells than it
+    counts. A pass is padded to its widest problem, so problems given in
+    order of width make passes of like widths. Yields lists of (problem,
+    first tree, stop tree) blocks."""
     budget = _BATCH_CELLS if binary else _BATCH_CELLS // _REAL_CELL_COST
     batch, trees, width = [], 0, 1
     for p in ids:
@@ -466,6 +512,12 @@ def _passes(problems: list[_Problem], ids, binary: bool):
             trees, width = trees + stop - start, max(width, d)
     if batch:
         yield batch
+
+
+def _all_0_1(X) -> bool:
+    """Whether every entry of X is 0 or 1. It picks a problem's split path,
+    and whether a forest's rows can be keyed by their bits for the walk."""
+    return bool(np.all((X == 0.0) | (X == 1.0)))
 
 
 def bootstrap_rows(seed: int, n: int, n_trees: int) -> np.ndarray:
@@ -500,7 +552,7 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         if draw not in draws:
             draws[draw] = bootstrap_rows(*draw)
         rows = draws[draw]
-        binary = bool(np.all((X == 0.0) | (X == 1.0)))
+        binary = _all_0_1(X)
         n_sub = max(1, int(round(params.feature_subsample * d)))
         groups.setdefault((binary, n), []).append(len(problems))
         problems.append(_Problem(X, y, params, n_sub, rows, binary))
@@ -556,7 +608,9 @@ def predict_forests(forests, Xs, weights=None) -> list[np.ndarray]:
     would. `weights`, if given, holds per forest None or a (rows, trees)
     array of tree weights, such as an out-of-bag mask, and the forest's
     prediction of a row is the weighted mean (every row needs a weight); an
-    entry of weight 0 is not walked.
+    entry of weight 0 is not walked. A forest without weights on all-0/1
+    rows walks each distinct row once (`_distinct_rows`), and walks count
+    the entries walked.
     """
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     weights = [None] * len(Xs) if weights is None else list(weights)
@@ -567,15 +621,32 @@ def predict_forests(forests, Xs, weights=None) -> list[np.ndarray]:
             raise ValueError(f"expected shape (n, {forest.n_features}), got {X.shape}")
         if w is not None and np.shape(w) != (len(X), len(forest.offsets) - 1):
             raise ValueError(f"expected weights of shape {(len(X), len(forest.offsets) - 1)}")
+    # an unweighted forest on all-0/1 rows walks each distinct row once
+    distinct = [_distinct_rows(X) if w is None else None for X, w in zip(Xs, weights)]
+    Xs = [X if dr is None else X[dr[0]] for X, dr in zip(Xs, distinct)]
+    inverses = [None if dr is None else dr[1] for dr in distinct]
     entries = [len(X) * (len(f.offsets) - 1) for f, X in zip(forests, Xs)]
     out = []
     for walk in budget_chunks(range(len(Xs)), entries.__getitem__, _WALK_ENTRIES):
-        out += _walk(*([seq[k] for k in walk] for seq in (forests, Xs, weights)))
+        out += _walk(*([seq[k] for k in walk] for seq in (forests, Xs, weights, inverses)))
     return out
 
 
-def _walk(forests, Xs, weights) -> list[np.ndarray]:
-    """`predict_forests` for forests whose entries make one walk."""
+def _distinct_rows(X):
+    """For an all-0/1 X of at most `_KEY_BITS` columns, the first row of
+    each distinct row, keyed by its packed bits, and the index of each row's
+    distinct row; None for any other X."""
+    if X.shape[1] > _KEY_BITS or not _all_0_1(X):
+        return None
+    key = X.astype(np.uint64) @ (np.uint64(1) << np.arange(X.shape[1], dtype=np.uint64))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _walk(forests, Xs, weights, inverses) -> list[np.ndarray]:
+    """`predict_forests` for forests whose entries make one walk; a forest
+    given an inverse index walked its distinct rows, and each row takes its
+    distinct row's leaf values."""
     trees = np.array([len(f.offsets) - 1 for f in forests])
     rows = np.array([len(X) for X in Xs])
     sizes = np.array([len(f.feature) for f in forests])
@@ -615,8 +686,12 @@ def _walk(forests, Xs, weights) -> list[np.ndarray]:
         leaf = _leaves(flat, base[walked], feature, threshold, left, right, start[walked])
         values[walked] = node_value[leaf]
     out, lo = [], 0
-    for k, n, hi, w in zip(trees.tolist(), rows.tolist(), np.cumsum(entries).tolist(), weights):
+    for k, n, hi, w, inverse in zip(
+        trees.tolist(), rows.tolist(), np.cumsum(entries).tolist(), weights, inverses
+    ):
         v = values[lo:hi].reshape(n, k)
+        if inverse is not None:
+            v = v[inverse]
         out.append(v.sum(axis=1) / k if w is None else (v * w).sum(axis=1) / np.sum(w, axis=1))
         lo = hi
     return out

@@ -113,6 +113,31 @@ def test_forest_min_samples_leaf_respected():
     _assert_leaves_hold(model, X, 7)
 
 
+def test_leaf_rules_count_draws_not_distinct_rows():
+    """A tree grows on its distinct rows weighted by their draw counts, and
+    every leaf rule counts draws: a root holding 4 draws of 2 distinct rows
+    meets 2 * min_samples_leaf = 4 and splits into two leaves of 2 draws."""
+    n = 4
+
+    def draws(seed):
+        return _bootstrap_rows(ForestParams(1, 1, bootstrap_seed=seed), n)[0]
+
+    # a seed whose one tree draws 2 distinct rows twice each
+    seed = next(s for s in range(1000) if sorted(np.bincount(draws(s), minlength=n)) == [0, 0, 2, 2])
+    drawn = np.unique(draws(seed))
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    binary = np.zeros((n, 1))
+    binary[drawn[1]] = 1.0
+    for X in (binary, np.arange(n, dtype=float)[:, None] / n):
+        model = fit_forest(X, y, ForestParams(1, 3, min_samples_leaf=2, bootstrap_seed=seed))
+        assert model.feature.tolist() == [0, -1, -1]
+        assert model.value[1:].tolist() == y[drawn].tolist()
+        _assert_leaves_hold(model, X, 2)
+        # 4 draws are fewer than 2 * 3: the root stays a leaf
+        model = fit_forest(X, y, ForestParams(1, 3, min_samples_leaf=3, bootstrap_seed=seed))
+        assert model.feature.tolist() == [-1]
+
+
 def _sse(targets) -> Fraction:
     return sum(Fraction(t) ** 2 for t in targets) - Fraction(sum(targets)) ** 2 / len(targets)
 
@@ -251,7 +276,8 @@ def _node_table_digest(forests) -> str:
     return digest.hexdigest()
 
 
-# node tables of `_integer_target_problems`, as grown one bootstrap draw per cell
+# node tables of `_integer_target_problems`: the same whether a tree grows a
+# row drawn twice as two cells or as one cell of weight 2
 INTEGER_TARGET_TABLES_SHA = "f68207d86ce7b45a214db68bdd5f231e3e9bd437e7b2d67e133dff78a0810c81"
 
 
@@ -496,41 +522,78 @@ def test_problems_sharing_a_seed_draw_bootstrap_rows_once(monkeypatch):
             _assert_equal_forests(got, fit_forest(X, y, p))
 
 
-def _reference_forest_predict(model, X) -> np.ndarray:
+def _reference_forest_predict(model, X, weights=None) -> np.ndarray:
     """A forest's prediction as the one-forest walk made it: each row's leaf
     in every tree, found one row at a time, averaged over the (rows, trees)
-    leaf values row by row."""
+    leaf values row by row, or weighted by the (rows, trees) `weights`."""
     X = np.asarray(X, dtype=float)
     leaves = np.column_stack(
         [_leaf_of(tree, X) + lo for tree, lo in zip(model.trees, model.offsets[:-1].tolist())]
     )
-    return model.value[leaves].sum(axis=1) / len(model.trees)
+    if weights is None:
+        return model.value[leaves].sum(axis=1) / len(model.trees)
+    return (model.value[leaves] * weights).sum(axis=1) / np.sum(weights, axis=1)
 
 
 def test_predict_forests_equals_one_forest_walks(monkeypatch):
     """One batched walk over forests of mixed tree counts, depths, widths and
     row counts, each on its own rows, equals each forest's own walk bit for
-    bit, also when the walk is cut into pieces."""
+    bit, also when the walk is cut into pieces. An unweighted forest on
+    all-0/1 rows of at most 64 columns (a 0-column X among them) walks each
+    distinct row once; wider 0/1 rows walk every row, and weighted forests
+    every entry of nonzero weight."""
     rng = _rng(20)
     forests, Xs = [], []
-    shapes = [(1, 1, 1), (7, 9, 5), (3, 2, 12), (12, 6, 3), (2, 14, 8), (4, 3, 0)]
+    shapes = [(1, 1, 1), (7, 9, 5), (3, 2, 12), (12, 6, 3), (2, 14, 8), (4, 3, 0), (5, 8, 70)]
     for j, (n_trees, depth, width) in enumerate(shapes):
         X = rng.random((60, width)) if j % 2 else rng.integers(0, 2, (60, width)).astype(float)
         y = rng.normal(size=60)
         forests.append(fit_forest(X, y, ForestParams(n_trees, depth, bootstrap_seed=j)))
         Xs.append(rng.random((5 + 7 * j, width)))
     Xs[0] = np.zeros((0, 1))  # a forest with no rows to predict
-    want = [_reference_forest_predict(f, X) for f, X in zip(forests, Xs)]
+    # many repeated 0/1 rows: at most 2^5 and 2^3 distinct rows
+    Xs[1] = rng.integers(0, 2, (300, 5)).astype(float)
+    Xs[3] = rng.integers(0, 2, (90, 3)).astype(float)
+    # 0/1 rows wider than the packed key, each repeated
+    Xs[6] = rng.integers(0, 2, (12, 70)).astype(float)[rng.integers(0, 12, 50)]
+    # the same forests again, weighted; weight 0 entries are not walked
+    weights = [None] * len(forests)
+    for j in (1, 3, 4):
+        forests.append(forests[j])
+        Xs.append(Xs[j])
+        w = rng.integers(0, 3, (len(Xs[j]), shapes[j][0])).astype(float)
+        w[:, 0] += 1  # every row needs a weight
+        weights.append(w)
+    want = [_reference_forest_predict(f, X, w) for f, X, w in zip(forests, Xs, weights)]
+    distinct = [len(np.unique(X, axis=0)) if X.shape[1] <= 64 else len(X) for X in Xs]
+    want_walked = sum(
+        distinct[k] * len(f.trees) if w is None else np.count_nonzero(w)
+        for k, (f, w) in enumerate(zip(forests, weights))
+    )
+    assert distinct[1] <= 32 and distinct[3] <= 8 and distinct[5] == 1
     assert forest.predict_forests([], []) == []
     with pytest.raises(ValueError):
         forest.predict_forests(forests[:2], [Xs[1], Xs[1]])
+    leaves = forest._leaves
+    walked = []
+
+    def counted(X, base, *args):
+        walked.append(len(base))
+        return leaves(X, base, *args)
+
+    monkeypatch.setattr(forest, "_leaves", counted)
     for walk_entries in (forest._WALK_ENTRIES, 40):
         monkeypatch.setattr(forest, "_WALK_ENTRIES", walk_entries)
-        got = forest.predict_forests(forests, Xs)
+        walked.clear()
+        got = forest.predict_forests(forests, Xs, weights)
+        assert sum(walked) == want_walked
         assert len(got) == len(want)
-        for g, w, f, X in zip(got, want, forests, Xs):
+        for g, w, f, X, weight in zip(got, want, forests, Xs, weights):
             assert np.array_equal(g, w)
-            assert np.array_equal(f.predict(X), w)
+            if weight is None:
+                assert np.array_equal(f.predict(X), w)
+            else:
+                assert np.array_equal(forest.predict_forests([f], [X], [weight])[0], w)
 
 
 def test_bootstrap_rows_are_prefix_stable_and_seeded_by_rows_seed():

@@ -113,10 +113,11 @@ def test_tree_hash_subtrees_split_a_hand_made_tree(monkeypatch, tmp_path):
 
 def test_time_desk_unit_counts_forest_problems(monkeypatch):
     """`counts` holds the `fit_forests` calls, the problems passed to them,
-    the `_grow` passes, the split searches and the `_leaves` walks of the
+    the `_grow` passes, the split searches, the bootstrap draws and distinct
+    in-bag cells grown, and the `_leaves` walks and their entries of the
     code run inside `_counted`: an `ideal` search of 2 candidates passes 2
-    problems in 1 call, and a pass of depth-3 trees searches at one to
-    three levels."""
+    problems of 3 trees on 40 rows in 1 call (240 draws, fewer cells), and
+    a pass of depth-3 trees searches at one to three levels."""
     import collections
 
     from modperf.dataset import sample_dataset
@@ -139,9 +140,13 @@ def test_time_desk_unit_counts_forest_problems(monkeypatch):
     with script._counted(counts):
         Z, perf = design(dataset)
         factory(Z[:40], perf[:40], Z[40:])
-    assert set(counts) == {"forest_calls", "problems", "passes", "searches", "walks"}
+    assert set(counts) == {
+        "forest_calls", "problems", "passes", "searches", "draws", "cells", "walks", "walk_entries"
+    }
     assert (counts["forest_calls"], counts["problems"]) == (1, 2)
     assert counts["passes"] <= counts["searches"] <= 3 * counts["passes"]
+    assert counts["draws"] == 2 * 3 * 40 and 2 * 3 <= counts["cells"] < counts["draws"]
+    assert counts["walks"] <= counts["walk_entries"]
 
 
 def _analysed_tree(root: Path, hardness, opportunity):
