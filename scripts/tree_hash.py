@@ -22,7 +22,7 @@ The trees:
 - `stage1`: 12 systems, so the stage-1 lasso runs (5 alphas);
 - `no-stage1`: 6 systems, fewer than the 10 stage 1 needs, so it is skipped;
 - `fallback`: 5 systems with within-module edge probability 0-0.2, so some
-  IVs are left without parents and fall back to a constant model;
+  IVs are left without parents and get a forest of no inputs;
 - `trials3`: 4 systems of 3 trials each, so every trial's semantics and
   noise draws are hashed and stage 1 folds over systems, not units;
 each for both hardness modes. Takes 31-38 s on a 2-vCPU machine (it runs

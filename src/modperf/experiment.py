@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ValueError(f"n_test must be >= 1, and >= 2 with scc, got {self.n_test}")
         for name in ("metrics", "levels"):
             values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} must be distinct, got {values}")
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be non-empty and distinct, got {values}")
         unknown = set(self.levels) - set(ALL_LEVELS)
         if unknown:
             raise ValueError(f"unknown levels: {sorted(unknown)}")
@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"noise_fraction must be in [0, 1), got {self.noise_fraction}")
         if self.budget_evaluations < 1:
             raise ValueError(f"budget_evaluations must be >= 1, got {self.budget_evaluations}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.forest_scale not in ("desk", "paper"):
             raise ValueError(f"forest_scale must be desk|paper, got {self.forest_scale!r}")
         if self.lasso_alpha_steps < 1:

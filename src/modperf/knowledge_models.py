@@ -25,6 +25,9 @@ in one stream (`_stream`). Tree t of every forest of a search draws the same
 bootstrap rows, so a model's OOB prediction of a row cascades its IV
 estimates and averages its perf forest through the same trees, the ones
 that left the row out (`predict_models` with the OOB mask as tree weights).
+Every model is a forest: an IV that pruning leaves without parents gets a
+forest of no inputs, each tree one leaf holding the mean of its draws, so
+its OOB estimate too averages only the trees that left the row out.
 Each level keeps its first candidate with the lowest loss (`_search_levels`).
 
 IV regressors are trained on measured upstream values (teacher forcing) and
@@ -105,27 +108,16 @@ def design(dataset: SystemDataset) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([dataset.bits, dataset.ivs], dtype=float), dataset.perf[:, 0]
 
 
-class MeanModel:
-    """Constant predictor, the fallback for IVs left without parents. It
-    holds no trees, so its out-of-bag estimate of every row is its value,
-    the IV's mean over all training rows (`predict_models`)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict(self, X) -> np.ndarray:
-        return np.full(np.asarray(X).shape[0], self.value)
-
-
 @dataclass
 class IVModel:
-    """The model of the IV in design column `column`, reading the design
-    columns `inputs`."""
+    """The forest of the IV in design column `column`, reading the design
+    columns `inputs`. An IV left without parents reads no columns (`inputs`
+    is empty): each of its trees is one leaf holding the mean of its draws,
+    and the forest predicts as any other (`predict_models`)."""
 
     column: int
     inputs: tuple[int, ...]
-    model: object
-    fallback: bool = False
+    model: FittedForest
 
 
 @dataclass
@@ -139,7 +131,7 @@ class ModularPredictor:
     generations."""
 
     level: str
-    perf_model: object
+    perf_model: FittedForest
     perf_inputs: tuple[int, ...]
     iv_models: dict[int, IVModel] = field(default_factory=dict)
     steps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -161,18 +153,6 @@ class ModularPredictor:
         return predict_models([self], [Z])[0]
 
 
-def _predict_each(models, Xs, weights) -> list[np.ndarray]:
-    """Each model's prediction on its X: every fitted forest among them in one
-    `predict_forests` call, with its tree weights (or None), any other model
-    (a `MeanModel` fallback) through its own `predict`, unweighted."""
-    forests = [k for k, m in enumerate(models) if isinstance(m, FittedForest)]
-    predicted = predict_forests(
-        [models[k] for k in forests], [Xs[k] for k in forests], [weights[k] for k in forests]
-    )
-    out = dict(zip(forests, predicted))
-    return [out[k] if k in out else m.predict(Xs[k]) for k, m in enumerate(models)]
-
-
 def predict_models(models, Zs, weights=None) -> list[np.ndarray]:
     """Each `ModularPredictor`'s predictions on its own design rows, equal to
     what the model alone predicts. A copy of each Z has every modelled IV's
@@ -181,7 +161,9 @@ def predict_models(models, Zs, weights=None) -> list[np.ndarray]:
 
     `weights`, if given, holds per model None or a (rows, trees) array of
     tree weights that all its forests average by (`predict_forests`), such
-    as an out-of-bag mask; a `MeanModel` fallback predicts its value.
+    as an out-of-bag mask. Every IV and perf model is a forest, so a
+    parentless IV's estimate of a row is the mean of the root values of its
+    trees, or with an out-of-bag mask of the trees that left the row out.
 
     The IV estimates cascade generation by generation (`steps`): every
     model's IVs of one generation read their input columns and predict in
@@ -197,11 +179,11 @@ def predict_models(models, Zs, weights=None) -> list[np.ndarray]:
             for iv in m.steps[g]
         ]
         Xs = [Z.take(iv_model.inputs, axis=1) for Z, _, iv_model in step]
-        ivs = _predict_each([m.model for *_, m in step], Xs, [w for _, w, _ in step])
+        ivs = predict_forests([m.model for *_, m in step], Xs, [w for _, w, _ in step])
         for (Z, _, iv_model), values in zip(step, ivs):
             Z[:, iv_model.column] = values
     Xs = [Z.take(m.perf_inputs, axis=1) for Z, m in zip(Zs, models)]
-    return _predict_each([m.perf_model for m in models], Xs, weights)
+    return predict_forests([m.perf_model for m in models], Xs, weights)
 
 
 def _boundary_parents(artifacts: KnowledgeArtifacts, shape: SystemShape):
@@ -284,16 +266,14 @@ class _Plan(NamedTuple):
     """One level's model on one training design, once its IV parents are
     found: `seed` is the unit's model seed, `rows_seed` = derive(seed,
     "rows", len(Z)) seeds the bootstrap rows of every forest of the search,
-    `parents` maps each modelled IV's column to its input columns, in
-    evaluation order, and
-    `forests` holds one (target, input columns, target column) triple per
-    forest a fit grows, the IVs with parents in evaluation order and then
-    the perf forest (target "perf", column None)."""
+    and `forests` holds one (target, input columns, target column) triple
+    per forest a fit grows: every modelled IV's, in evaluation order, an IV
+    left without parents reading no columns, and then the perf forest
+    (target "perf", column None)."""
 
     level: str
     seed: int
     rows_seed: int
-    parents: dict[int, tuple[int, ...]]
     forests: tuple[tuple[str, tuple[int, ...], int | None], ...]
 
 
@@ -303,22 +283,20 @@ def _plan(seed, level, knowledge: _Knowledge, codes, Z, alpha_ci) -> _Plan:
     parents = knowledge.candidates
     if knowledge.prunes:
         parents = prune_parents(Z, candidates_by_iv=parents, alpha_ci=alpha_ci)
-    forests = tuple((codes[iv], inputs, iv) for iv, inputs in parents.items() if inputs)
+    forests = tuple((codes[iv], inputs, iv) for iv, inputs in parents.items())
     perf = ("perf", knowledge.perf_inputs, None)
-    return _Plan(level, seed, derive(seed, "rows", len(Z)), parents, forests + (perf,))
+    return _Plan(level, seed, derive(seed, "rows", len(Z)), forests + (perf,))
 
 
-def _assemble(plan: _Plan, Z, forests) -> ModularPredictor:
-    """The model of `plan` on design rows Z, taking the forests of
-    `plan.forests` from the iterator `forests`, in that order; an IV without
-    parents falls back to its mean on Z."""
-    iv_models = {
-        iv: IVModel(iv, inputs, next(forests))
-        if inputs
-        else IVModel(iv, (), MeanModel(Z[:, iv].mean()), fallback=True)
-        for iv, inputs in plan.parents.items()
-    }
-    return ModularPredictor(plan.level, next(forests), plan.forests[-1][1], iv_models)
+def _assemble(plan: _Plan, forests) -> ModularPredictor:
+    """The model of `plan` from `forests`, one per entry of `plan.forests`,
+    in that order. A parentless IV's forest reads no columns, so its
+    held-out estimate is the mean of its trees' root values and its
+    out-of-bag estimate of a row the mean of the roots of the trees that
+    left the row out."""
+    *ivs, ((_, perf_inputs, _), perf) = zip(plan.forests, forests)
+    iv_models = {iv: IVModel(iv, inputs, forest) for (_, inputs, iv), forest in ivs}
+    return ModularPredictor(plan.level, perf, perf_inputs, iv_models)
 
 
 class _Key(NamedTuple):
@@ -393,7 +371,7 @@ def _stream(jobs, Z, perf):
         done = [j for j in pending if ready[j] < streamed]
         pending = [j for j in pending if ready[j] >= streamed]
         if done:
-            yield [(j, _assemble(jobs[j][0], Z, map(grown.__getitem__, keys[j]))) for j in done]
+            yield [(j, _assemble(jobs[j][0], map(grown.__getitem__, keys[j]))) for j in done]
         for key in (key for j in done for key in keys[j]):
             uses[key] -= 1
             if not uses[key]:

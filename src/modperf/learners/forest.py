@@ -34,21 +34,22 @@ chosen from each problem's ``X`` alone (the split path):
 * all-0/1 columns: per-(node, feature) draw counts and target sums of the
   ones give every split at the fixed threshold 0.5.
 
-Split rule: lowest SSE, then fewest draws on the left, then lowest column
-index. SSE is compared through the score S_left^2 / n_left + S_right^2 /
-n_right, with S the sum of w * y and n the draws (the node's weighted sum of
-squares minus SSE); scores within a relative ``_TIE_RTOL`` of each other
-count as tied. Rounding can still decide between candidates that tie (two
-features giving a small node the same partition) or nearly tie: the
-cumulative sum runs over all cells of a tree's level, so a run's prefix
-sums carry the rounding of the runs before it in that tree, which can
+Split rule (`_choose`): lowest SSE, then fewest draws on the left, then
+lowest column index. SSE is compared through the score S_left^2 / n_left +
+S_right^2 / n_right, with S the sum of w * y and n the draws (the node's
+weighted sum of squares minus SSE); scores within a relative ``_TIE_RTOL``
+of each other count as tied. Rounding can still decide between candidates
+that tie (two features giving a small node the same partition) or nearly
+tie: the cumulative sum runs over all cells of a tree's level, so a run's
+prefix sums carry the rounding of the runs before it in that tree, which can
 exceed the tolerance. Each tree of a pass sums its own cells alone, in the
 same order whatever else the pass holds, so a tree depends only on its own
 rows: how trees are cut into blocks and passes changes no tree, and every
-batched forest is bit-identical to a separate fit. A node stays a leaf at ``max_depth``, when it holds fewer
-than ``2 * min_samples_leaf`` draws, when its target is constant, or when
-no split leaves ``min_samples_leaf`` draws on each side. A leaf's value is
-the mean target of its draws, sum(w * y) / sum(w).
+batched forest is bit-identical to a separate fit. A node stays a leaf at
+``max_depth``, when it holds fewer than ``2 * min_samples_leaf`` draws, when
+its target is constant, or when no split leaves ``min_samples_leaf`` draws
+on each side. A leaf's value is the mean target of its draws, sum(w * y) /
+sum(w).
 
 A forest's bootstrap rows are `bootstrap_rows(rows_seed, n, n_trees)`,
 ``rows_seed`` defaulting to ``bootstrap_seed``; one draw serves all problems
@@ -252,12 +253,7 @@ def _search_sorted(XsT, wy, w, order, starts, sizes, draws, usable, tree, msl):
     score /= n_left
     score += np.square(s_right, out=s_right) / np.maximum(n_right, 1)
     score[~valid] = -1.0
-    node_start = run_start[first]
-    slot = slot[run]
-    hit = score >= _tie_floor(np.maximum.reduceat(score, node_start))[slot]
-    # ties: fewest draws on the left, then the lowest feature
-    key = np.where(hit, n_left * d + feat[run], np.inf)
-    chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, node_start)[slot]))
+    chosen = _choose(score, n_left, feat[run], d, run_start[first], slot[run])
     lo, hi = x[chosen], x[chosen + 1]
     mid = 0.5 * (lo + hi)
     # the midpoint of adjacent floats can round up to `hi`; `lo` splits the same rows
@@ -284,18 +280,22 @@ def _search_binary(XsT, wy, w, order, starts, sizes, draws, usable, msl, total):
         s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
         -1.0,
     )
-    hit = score >= _tie_floor(np.maximum.reduceat(score, first))[slot]
-    # ties: fewest draws on the left, then the lowest feature
-    key = np.where(hit, n_left * d + feat, np.inf)
-    chosen = np.flatnonzero(hit & (key == np.minimum.reduceat(key, first)[slot]))
+    chosen = _choose(score, n_left, feat, d, first, slot)
     return node[chosen], feat[chosen], np.full(len(chosen), 0.5)
 
 
-def _tie_floor(best: np.ndarray) -> np.ndarray:
-    """Lowest score tied with each node's `best`. Valid scores are >= 0 and
-    invalid ones -1, which is below the floor -1 * (1 - rtol) of a node
-    without a valid split."""
-    return best * (1.0 - _TIE_RTOL)
+def _choose(score, n_left, feat, d, node_start, slot):
+    """The split rule, over candidates grouped node by node (a node's from
+    `node_start` on; `slot` is each candidate's node's rank): the position
+    of each node's chosen candidate. A node takes its highest score, scores
+    within a relative `_TIE_RTOL` of it counting as tied, then the fewest
+    draws on the left, then the lowest of the d columns. Valid scores are
+    >= 0 and invalid ones -1, below the tie floor -1 * (1 - rtol) of a node
+    without a valid split, so such a node chooses none."""
+    floor = np.maximum.reduceat(score, node_start) * (1.0 - _TIE_RTOL)
+    hit = score >= floor[slot]
+    key = np.where(hit, n_left * d + feat, np.inf)
+    return np.flatnonzero(hit & (key == np.minimum.reduceat(key, node_start)[slot]))
 
 
 def _partition(go_left, order, sizes, nodes):
@@ -330,7 +330,6 @@ class _Problem(NamedTuple):
     params: ForestParams
     n_sub: int
     rows: np.ndarray  # (n_trees, n) bootstrap row indices
-    binary: bool
 
 
 def _grow(problems: list[_Problem], blocks, binary: bool):
@@ -552,10 +551,9 @@ def fit_forests(Xs, ys, params_list) -> list[FittedForest]:
         if draw not in draws:
             draws[draw] = bootstrap_rows(*draw)
         rows = draws[draw]
-        binary = _all_0_1(X)
         n_sub = max(1, int(round(params.feature_subsample * d)))
-        groups.setdefault((binary, n), []).append(len(problems))
-        problems.append(_Problem(X, y, params, n_sub, rows, binary))
+        groups.setdefault((_all_0_1(X), n), []).append(len(problems))
+        problems.append(_Problem(X, y, params, n_sub, rows))
     grown = [[] for _ in problems]  # per problem, its blocks' results in tree order
     for (binary, _), ids in groups.items():
         ids.sort(key=lambda p: problems[p].X.shape[1])

@@ -1144,14 +1144,20 @@ def test_config_rejects_bad_sizes_and_small_empirical_populations(tmp_path, bad,
         (dict(levels=("null", "ideal", "null")), "levels"),
         (dict(n_test=0), "n_test"),
         (dict(n_test=1), "n_test"),
+        (dict(levels=()), "levels must be non-empty"),
+        (dict(metrics=()), "metrics must be non-empty"),
+        (dict(jobs=0), "jobs"),
+        (dict(jobs=-2), "jobs"),
     ],
 )
 def test_config_rejects_bad_model_settings(tmp_path, bad, match):
     """Caught when the config is built. Left unchecked, an unknown level, a
     bad forest or search setting, or a single test point that Spearman
     cannot rank, fails every unit into model_errors.json; no test point
-    fails generate after config.json is written; and a repeated metric or
-    level lists each incomplete curve twice in gaps.json."""
+    fails generate after config.json is written; a repeated metric or
+    level lists each incomplete curve twice in gaps.json; no level writes
+    an analysis of 0 units with every test skipped, no metric an empty
+    summary, and a `jobs` below 1 runs serially; each of those exits 0."""
     with pytest.raises(ValueError, match=match):
         _tiny_config(tmp_path, **bad)
     _tiny_config(tmp_path, budget_evaluations=1, forest_scale="paper")

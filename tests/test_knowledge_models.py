@@ -22,7 +22,6 @@ from modperf.knowledge_models import (
     LEVEL_PARENTS,
     IVModel,
     LevelFit,
-    MeanModel,
     ModularPredictor,
     SystemShape,
     design,
@@ -32,6 +31,7 @@ from modperf.knowledge_models import (
 )
 from modperf.learners import forest as forest_module
 from modperf.learners import (
+    FittedForest,
     ForestParams,
     SearchBudget,
     bootstrap_rows,
@@ -80,7 +80,24 @@ def _model(plan, Z, perf, candidate):
     call."""
     keys = knowledge_models._keys(plan, candidate)
     forests = fit_forests(*zip(*(knowledge_models._problem(key, Z, perf) for key in keys)))
-    return knowledge_models._assemble(plan, Z, iter(forests))
+    return knowledge_models._assemble(plan, forests)
+
+
+def _constant_forest(value, width, params):
+    """A forest of `params.n_trees` root-only trees over `width` columns,
+    each holding `value`: a forest that predicts `value` on every row,
+    weighted or not."""
+    n_trees = params.n_trees
+    return FittedForest(
+        params, width, np.arange(n_trees + 1), np.full(n_trees, -1), np.zeros(n_trees),
+        np.full(n_trees, -1), np.full(n_trees, -1), np.full(n_trees, float(value)),
+    )
+
+
+def _parents(plan):
+    """Each modelled IV's input columns in `plan`, in evaluation order; an IV
+    left without parents has none."""
+    return {column: inputs for _, inputs, column in plan.forests[:-1]}
 
 
 def _stand_in(model):
@@ -164,19 +181,19 @@ def test_partial_inputs_respect_boundaries():
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
     plan = _plan("partial", shape, artifacts, _train(dataset)[0])
-    for iv, inputs in plan.parents.items():
+    for iv, inputs in _parents(plan).items():
         [node] = _nodes(shape, [iv])
         parents = _nodes(shape, inputs)
         assert all(p.kind is NodeKind.OPTION and p.module == node.module for p in parents)
     assert _nodes(shape, _perf_inputs(plan)) == shape.ivs
-    assert len(plan.parents) == len(shape.ivs)
+    assert len(_parents(plan)) == len(shape.ivs)
 
 
 def test_partial_single_module_matches_null_input_set():
     graph, artifacts, dataset = _system(module_count=1, option_count=9)
     shape = SystemShape.from_dataset(dataset)
     plan = _plan("partial", shape, artifacts, _train(dataset)[0])
-    for inputs in plan.parents.values():
+    for inputs in _parents(plan).values():
         assert _nodes(shape, inputs) == shape.options
 
 
@@ -194,7 +211,7 @@ def test_predict_is_repeatable_and_leaves_design_unchanged():
     the held-out rows, so one test design can serve every training size."""
     graph, artifacts, dataset = _system()
     shape = SystemShape.from_dataset(dataset)
-    assert _plan("partial", shape, artifacts, _train(dataset)[0]).parents
+    assert _parents(_plan("partial", shape, artifacts, _train(dataset)[0]))
     Z = _test_rows(dataset)
     before = Z.copy()
     first = _fit("partial", _train(dataset), shape, Z, artifacts, seed=9).predictions
@@ -220,7 +237,7 @@ def test_practical_parents_subset_of_pie():
     pie_parents = {}
     for src, dst in artifacts.potential_influence_edges:
         pie_parents.setdefault(dst, set()).add(src)
-    for iv, inputs in plan.parents.items():
+    for iv, inputs in _parents(plan).items():
         [node] = _nodes(shape, [iv])
         assert set(_nodes(shape, inputs)) <= pie_parents.get(node, set())
 
@@ -233,13 +250,15 @@ def test_complete_parents_subset_of_true_edges():
     for src, dst in artifacts.influence_edges:
         true_parents.setdefault(dst, set()).add(src)
     assert plan.level == "complete"
-    for iv, inputs in plan.parents.items():
+    for iv, inputs in _parents(plan).items():
         [node] = _nodes(shape, [iv])
         assert set(_nodes(shape, inputs)) <= true_parents.get(node, set())
 
 
 def test_practical_fallback_for_parentless_iv():
-    # p_w=0 leaves every IV constant zero; pruning must strip all candidates
+    """p_w=0 leaves every IV constant zero; pruning must strip all
+    candidates, and each such IV gets a forest of no inputs whose trees are
+    single leaves holding the IV's value."""
     graph, artifacts, dataset = _system(p_w=0.0, seed=55)
     shape = SystemShape.from_dataset(dataset)
     Z, perf = _train(dataset)
@@ -251,10 +270,11 @@ def test_practical_fallback_for_parentless_iv():
     ]
     assert zero_ivs
     for iv in _columns(shape, zero_ivs):
-        assert plan.parents[iv] == ()
-        assert model.iv_models[iv].fallback
-        assert isinstance(model.iv_models[iv].model, MeanModel)
-        assert model.iv_models[iv].model.value == Z[:, iv].mean()
+        assert _parents(plan)[iv] == ()
+        forest = model.iv_models[iv].model
+        assert model.iv_models[iv].inputs == () and forest.n_features == 0
+        assert np.array_equal(forest.offsets, np.arange(len(forest.offsets)))
+        assert np.array_equal(forest.value, np.full(len(forest.value), Z[:, iv].mean()))
 
 
 def test_decoy_pruned_at_type_one_rate():
@@ -454,7 +474,7 @@ def test_level_table_keys_all_fit():
         assert plan.level == level
         assert np.isfinite(fit.predictions).all()
         cascade = LEVEL_PARENTS[level] is not None
-        assert set(_nodes(shape, plan.parents)) == (set(shape.ivs) if cascade else set())
+        assert set(_nodes(shape, _parents(plan))) == (set(shape.ivs) if cascade else set())
         assert _nodes(shape, _perf_inputs(plan)) == (shape.options if level == "null" else shape.ivs)
     with pytest.raises(ValueError, match="unknown level"):
         make_factory("quantum", shape, artifacts, BUDGET, space=SPACE)
@@ -481,17 +501,12 @@ def test_search_picks_lowest_oob_loss(monkeypatch):
     5, and on the tie between the two depth-5 candidates the first of them,
     whose model predicts the held-out rows."""
 
-    class DepthModel:
-        def __init__(self, depth):
-            self.depth = depth
-
-        def predict(self, X):
-            return np.full(len(X), float(self.depth))
-
     monkeypatch.setattr(
         knowledge_models,
         "fit_forests",
-        lambda Xs, ys, params_list: [DepthModel(p.max_depth) for p in params_list],
+        lambda Xs, ys, params_list: [
+            _constant_forest(p.max_depth, X.shape[1], p) for X, p in zip(Xs, params_list)
+        ],
     )
     _, _, dataset = _system()
     Z, _ = _train(dataset, 40)
@@ -519,7 +534,9 @@ def test_oob_loss_skips_rows_in_bag_in_every_tree_of_a_candidate(monkeypatch):
     monkeypatch.setattr(
         knowledge_models,
         "fit_forests",
-        lambda Xs, ys, params_list: [MeanModel(np.mean(y)) for y in ys],
+        lambda Xs, ys, params_list: [
+            _constant_forest(np.mean(y), X.shape[1], p) for X, y, p in zip(Xs, ys, params_list)
+        ],
     )
     _, _, dataset = _system()
     Z, perf = _train(dataset, 50)
@@ -564,10 +581,10 @@ def _reference_parents(level, shape, artifacts, Z):
 def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, candidate):
     """One level's model for one candidate on design rows Z, as the search
     fitted it before it batched its forests: the IV forests in one
-    `fit_forests` call, the perf forest in its own `fit_forest` call. Every
-    forest draws its bootstrap rows from derive(seed, "rows", len(Z)) and
-    its split keys from derive(seed, target, min_samples_leaf,
-    feature_subsample.hex())."""
+    `fit_forests` call, an IV without parents on no columns, the perf forest
+    in its own `fit_forest` call. Every forest draws its bootstrap rows from
+    derive(seed, "rows", len(Z)) and its split keys from derive(seed,
+    target, min_samples_leaf, feature_subsample.hex())."""
     family = (candidate["min_samples_leaf"], float(candidate["feature_subsample"]).hex())
 
     def params(forest_seed):
@@ -580,21 +597,15 @@ def _reference_fit_level(level, shape, parents_by_iv, order, seed, Z, perf, cand
             rows_seed=derive(seed, "rows", len(Z)),
         )
 
-    fitted = [iv for iv in order if parents_by_iv[iv]]
     forests = fit_forests(
-        [Z.take(_columns(shape, parents_by_iv[iv]), axis=1) for iv in fitted],
-        [Z[:, _columns(shape, [iv])[0]] for iv in fitted],
-        [params(derive(seed, iv.encode(), *family)) for iv in fitted],
+        [Z.take(_columns(shape, parents_by_iv[iv]), axis=1) for iv in order],
+        [Z[:, _columns(shape, [iv])[0]] for iv in order],
+        [params(derive(seed, iv.encode(), *family)) for iv in order],
     )
-    forest_of = dict(zip(fitted, forests))
     iv_models = {}
-    for iv in order:
+    for iv, forest in zip(order, forests):
         [column] = _columns(shape, [iv])
-        if iv in forest_of:
-            inputs = tuple(_columns(shape, parents_by_iv[iv]))
-            iv_models[column] = IVModel(column, inputs, forest_of[iv])
-        else:
-            iv_models[column] = IVModel(column, (), MeanModel(Z[:, column].mean()), fallback=True)
+        iv_models[column] = IVModel(column, tuple(_columns(shape, parents_by_iv[iv])), forest)
     perf_inputs = tuple(_columns(shape, shape.options if level == "null" else shape.ivs))
     perf_model = fit_forest(
         Z.take(perf_inputs, axis=1), perf, params(derive(seed, "perf", *family))
@@ -615,16 +626,13 @@ def _reference_oob_predict(model, Z, in_bag):
     one row and one tree at a time: row r's IV estimates, in evaluation
     order, and then its perf prediction each average the predictions of the
     trees (`FittedForest.trees`) whose drawn rows omit r (`in_bag`, trees x
-    rows), each tree reading the averaged estimates; a `MeanModel` predicts
-    its value."""
+    rows), each tree reading the averaged estimates."""
     Z = np.array(Z, dtype=float)
     out = []
     for r, row in enumerate(Z):
         left_out = np.flatnonzero(~in_bag[:, r])
 
         def estimate(m, x):
-            if isinstance(m, MeanModel):
-                return m.value
             return np.mean([m.trees[t].predict(x[None, :])[0] for t in left_out if t < len(m.trees)])
 
         for column, iv_model in model.iv_models.items():
@@ -757,7 +765,7 @@ def test_search_grows_every_forest_in_one_call(monkeypatch, level):
         assert meta["chosen"] == candidates[int(np.argmin(want_losses))]
         assert np.array_equal(got[lv].predictions, _reference_predict(want, Z_test))
         if lv in ("practical", "complete"):
-            parents = _plan(lv, shape, artifacts, Z).parents
+            parents = _parents(_plan(lv, shape, artifacts, Z))
             fallbacks = [iv for iv, inputs in parents.items() if not inputs]
             assert 0 < len(fallbacks) < len(shape.ivs)
             assert any(np.ptp(noise[:, iv - len(shape.options)]) > 0 for iv in fallbacks)
@@ -850,8 +858,9 @@ def _reference_predict(model, Z):
 def test_predict_models_equals_one_model_at_a_time(monkeypatch):
     """One batched cascade over many models, each on its own rows, equals
     each model's sequential cascade bit for bit: every level, several
-    candidates (so tree counts and depths differ within a walk), `MeanModel`
-    fallbacks, a `MeanModel` stand-in, and walks cut small."""
+    candidates (so tree counts and depths differ within a walk), forests of
+    no inputs for IVs without parents, a constant stand-in, and walks cut
+    small."""
     artifacts, dataset, rows, _ = _search_system()
     shape = SystemShape.from_dataset(dataset)
     Z, perf = rows
@@ -861,12 +870,14 @@ def test_predict_models_equals_one_model_at_a_time(monkeypatch):
         plan = _plan(level, shape, artifacts, Z, seed=k)
         candidates = enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET)
         models += [_model(plan, Z, perf, c) for c in candidates]
-    assert any(m.fallback for model in models for m in model.iv_models.values())
+    assert any(not m.inputs for model in models for m in model.iv_models.values())
+    stand_in = models[4]
     constants = {
-        iv: IVModel(iv, m.inputs, MeanModel(k))
-        for k, (iv, m) in enumerate(models[4].iv_models.items())
+        iv: IVModel(iv, m.inputs, _constant_forest(k, len(m.inputs), m.model.params))
+        for k, (iv, m) in enumerate(stand_in.iv_models.items())
     }
-    models.append(dataclasses.replace(models[4], perf_model=MeanModel(3.5), iv_models=constants))
+    perf = _constant_forest(3.5, len(stand_in.perf_inputs), stand_in.perf_model.params)
+    models.append(dataclasses.replace(stand_in, perf_model=perf, iv_models=constants))
     rows = [Z_test[k % 7 :: 1 + k % 3] for k in range(len(models))]
     want = [_reference_predict(m, Z) for m, Z in zip(models, rows)]
     for walk_entries in (forest_module._WALK_ENTRIES, 500):
@@ -1004,12 +1015,11 @@ def test_forests_of_one_search_share_each_trees_rows():
     assert _plan("null", shape, artifacts, Z[:40]).rows_seed != derive(SEARCH_SEED, "rows", n)
 
 
-def _two_generation_model(fallback=False):
+def _two_generation_model():
     """A hand-built model on 60 rows whose IV `a` (column 2) reads options 0
     and 1 and IV `b` (column 3) reads `a` and option 1, so `b` is estimated
     in the cascade's second generation; perf reads both IVs. Its forests
-    draw their rows from one rows seed, 5 trees each. With `fallback`, `a`
-    is a `MeanModel` of its training mean instead."""
+    draw their rows from one rows seed, 5 trees each."""
     rng = np.random.default_rng(31)
     n = 60
     options = rng.integers(0, 2, (n, 2)).astype(float)
@@ -1019,8 +1029,7 @@ def _two_generation_model(fallback=False):
     perf = a - 2.0 * b + 0.1 * rng.normal(size=n)
     params = [ForestParams(5, 4, bootstrap_seed=s, rows_seed=77) for s in (1, 2, 3)]
     fa, fb, fp = fit_forests([Z[:, [0, 1]], Z[:, [2, 1]], Z[:, [2, 3]]], [a, b, perf], params)
-    model_a = MeanModel(a.mean()) if fallback else fa
-    ivs = {2: IVModel(2, () if fallback else (0, 1), model_a, fallback), 3: IVModel(3, (2, 1), fb)}
+    ivs = {2: IVModel(2, (0, 1), fa), 3: IVModel(3, (2, 1), fb)}
     return ModularPredictor("complete", fp, (2, 3), ivs), Z, _in_bag(77, n, 5)
 
 
@@ -1049,22 +1058,66 @@ def test_oob_cascade_runs_through_the_same_trees():
     assert not np.allclose(got, model.predict(Z[covered]))
 
 
-def test_mean_model_fallback_oob_estimate_is_its_training_mean():
-    """The stated rule: a `MeanModel` fallback holds no trees, so its OOB
-    estimate of every row is its value, the IV's mean over all training
-    rows; the forests it feeds still average only the trees that left the
-    row out."""
-    model, Z, in_bag = _two_generation_model(fallback=True)
-    assert model.iv_models[2].model.value == Z[:, 2].mean()
-    covered = ~in_bag.all(axis=0)
-    oob = ~in_bag[:, covered].T
-    [got] = knowledge_models.predict_models([model], [Z[covered]], [oob])
-    fed = Z[covered].copy()
-    fed[:, 2] = Z[:, 2].mean()
-    b = forest_module.predict_forests([model.iv_models[3].model], [fed[:, [2, 1]]], [oob])[0]
-    fed[:, 3] = b
-    want = forest_module.predict_forests([model.perf_model], [fed[:, [2, 3]]], [oob])[0]
-    assert np.array_equal(got, want)
+def test_parentless_iv_estimates_average_its_trees_roots(monkeypatch):
+    """The stated rule, in a real search: an IV that pruning leaves without
+    parents gets a forest of no inputs, each tree one leaf holding the IV's
+    mean over that tree's draws. Its out-of-bag estimate of each scored row
+    is the mean of the root values of exactly the trees whose draws omit
+    the row, and its held-out estimate the mean over all its trees. The
+    noise `_search_system` puts on those IVs makes both differ from the
+    IV's training mean."""
+    artifacts, dataset, rows, _ = _search_system()
+    shape = SystemShape.from_dataset(dataset)
+    Z, perf = rows
+    n = len(perf)
+    Z_test = _test_rows(dataset)
+    trees = sorted(c["n_trees"] for c in enumerate_candidates(SEARCH_SPACE, SEARCH_BUDGET))
+    drawn = bootstrap_rows(derive(SEARCH_SEED, "rows", n), n, trees[-1])
+    in_bag = _in_bag(derive(SEARCH_SEED, "rows", n), n, trees[-1])
+    scored = np.flatnonzero(~in_bag[: trees[0]].all(axis=0))
+    levels = ("practical", "complete")
+    parentless = {
+        column
+        for lv in levels
+        for iv, parents in _reference_parents(lv, shape, artifacts, Z).items()
+        if not parents
+        for column in _columns(shape, [iv])
+    }
+    assert parentless
+    calls = []
+    real_predict = knowledge_models.predict_forests
+
+    def spy(forests, Xs, weights):
+        out = real_predict(forests, Xs, weights)
+        calls.append((forests, Xs, weights, out))
+        return out
+
+    monkeypatch.setattr(knowledge_models, "predict_forests", spy)
+    _search(levels, artifacts, dataset)(Z, perf, Z_test)
+    checked = {"oob": 0, "held": 0}
+    for forests, Xs, weights, out in calls:
+        for forest, X, w, got in zip(forests, Xs, weights, out):
+            if forest.n_features:
+                continue
+            roots = forest.value[forest.offsets[:-1]]
+            assert np.array_equal(forest.offsets, np.arange(len(roots) + 1))
+            [iv] = [
+                iv for iv in parentless
+                if roots == pytest.approx([Z[d, iv].mean() for d in drawn[: len(roots)]], rel=1e-12)
+            ]
+            if w is None:
+                assert len(X) == len(Z_test)
+                assert got == pytest.approx(np.full(len(X), roots.mean()), rel=1e-12)
+                checked["held"] += 1
+                continue
+            assert len(X) == len(scored)
+            for r, estimate in zip(scored, got):
+                omit = ~in_bag[: len(roots), r]
+                assert omit.any()
+                assert estimate == pytest.approx(roots[omit].mean(), rel=1e-12)
+            assert not np.allclose(got, Z[:, iv].mean())
+            checked["oob"] += 1
+    assert checked["oob"] and checked["held"]
 
 
 def test_make_factory_equals_its_level_of_the_all_level_search():

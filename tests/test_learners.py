@@ -443,6 +443,35 @@ def test_fit_forests_mixes_problem_shapes(monkeypatch):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_fit_forests_mixes_0_column_problems_with_both_split_paths(monkeypatch):
+    """A 0-column problem in one call with binary and real-valued ones, of
+    the same and other row counts, returns exactly its separate fit: each
+    tree is its root alone, holding sum(w * y) / sum(w) over the tree's
+    draws, w each row's draw count."""
+    rng = _rng(25)
+    Xs, ys, params = [], [], []
+    for j, (n, width) in enumerate([(30, 0), (30, 4), (30, 3), (30, 0), (17, 0), (17, 2)]):
+        X = rng.integers(0, 2, (n, width)).astype(float) if j % 2 else rng.random((n, width))
+        Xs.append(X)
+        ys.append(rng.normal(size=n) if j % 3 else rng.integers(-3, 4, n).astype(float))
+        params.append(ForestParams(3 + j, 4, 1 + j % 2, (1.0, 0.5)[j % 2], bootstrap_seed=40 + j))
+    empty = [j for j, X in enumerate(Xs) if X.shape[1] == 0]
+    assert len(empty) == 3 and {forest._all_0_1(X) for X in Xs} == {True, False}
+    alone = [fit_forest(X, y, p) for X, y, p in zip(Xs, ys, params)]
+    for batch_cells in (forest._BATCH_CELLS, 2 * 30 * 4):
+        monkeypatch.setattr(forest, "_BATCH_CELLS", batch_cells)
+        batched = fit_forests(Xs, ys, params)
+        for got, want in zip(batched, alone):
+            _assert_equal_forests(got, want)
+    for j in empty:
+        got, y, p = batched[j], ys[j], params[j]
+        assert got.n_features == 0
+        assert np.array_equal(got.offsets, np.arange(p.n_trees + 1))
+        assert (got.feature == -1).all() and (got.left == -1).all() and (got.right == -1).all()
+        w = np.array([np.bincount(rows, minlength=len(y)) for rows in _bootstrap_rows(p, len(y))])
+        assert got.value == pytest.approx((w * y).sum(axis=1) / w.sum(axis=1), rel=1e-12, abs=1e-12)
+
+
 def _assert_equal_forests(got, want):
     for name in FOREST_TABLE:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -540,8 +569,9 @@ def test_predict_forests_equals_one_forest_walks(monkeypatch):
     row counts, each on its own rows, equals each forest's own walk bit for
     bit, also when the walk is cut into pieces. An unweighted forest on
     all-0/1 rows of at most 64 columns (a 0-column X among them) walks each
-    distinct row once; wider 0/1 rows walk every row, and weighted forests
-    every entry of nonzero weight."""
+    distinct row once; wider 0/1 rows walk every row, and weighted forests,
+    the 0-column one under an out-of-bag mask among them, every entry of
+    nonzero weight."""
     rng = _rng(20)
     forests, Xs = [], []
     shapes = [(1, 1, 1), (7, 9, 5), (3, 2, 12), (12, 6, 3), (2, 14, 8), (4, 3, 0), (5, 8, 70)]
@@ -564,6 +594,15 @@ def test_predict_forests_equals_one_forest_walks(monkeypatch):
         w = rng.integers(0, 3, (len(Xs[j]), shapes[j][0])).astype(float)
         w[:, 0] += 1  # every row needs a weight
         weights.append(w)
+    # the 0-column forest under its out-of-bag mask: its training rows that
+    # some tree left out, each weighting only those trees
+    in_bag = np.zeros((shapes[5][0], 60), dtype=bool)
+    in_bag[np.arange(shapes[5][0])[:, None], forest.bootstrap_rows(5, 60, shapes[5][0])] = True
+    covered = ~in_bag.all(axis=0)
+    assert 0 < covered.sum() < 60 and (~in_bag[:, covered]).sum() < covered.sum() * shapes[5][0]
+    forests.append(forests[5])
+    Xs.append(np.zeros((covered.sum(), 0)))
+    weights.append((~in_bag[:, covered].T).astype(float))
     want = [_reference_forest_predict(f, X, w) for f, X, w in zip(forests, Xs, weights)]
     distinct = [len(np.unique(X, axis=0)) if X.shape[1] <= 64 else len(X) for X in Xs]
     want_walked = sum(
